@@ -23,7 +23,7 @@ from . import chaos as chaos_mod
 from . import embedding as embed_mod
 from . import fintop as fintop_mod
 from . import surject as surject_mod
-from .errors import InputError
+from .errors import ConstructionError, InputError, InternalConsistencyError
 from .geometry import (
     Address,
     decimal_str,
@@ -457,32 +457,7 @@ def cmd_fintop(args) -> int:
         _emit(args, rep_doc, summary)
         return 0 if res.holds else 1
     # sweep: exhaustive small-instance suites
-    labels = "abcd"
-    spaces = fintop_mod.all_topologies(labels)
-    parts = fintop_mod.all_partitions(labels)
-    n_valid = 0
-    for X in spaces:
-        for blocks in parts:
-            D = fintop_mod.Partition(X.points, blocks)
-            Q = fintop_mod.decomposition_topology(X, D)  # validates on build
-            n_valid += 1
-            del Q
-    n_funct = 0
-    for X in spaces:
-        D = fintop_mod.Partition(X.points, tuple((p,) for p in X.points))
-        Q = fintop_mod.decomposition_topology(X, D)
-        h = fintop_mod.finite_map(X, Q, {p: p for p in X.points})
-        if fintop_mod.is_homeomorphism(h):
-            n_funct += 1
-    from .report import CheckReport
-    rep = CheckReport(f"fintop sweep on {len(labels)} labelled points")
-    rep.add("decomposition_topologies_valid",
-            n_valid == len(spaces) * len(parts),
-            f"{n_valid} of {len(spaces) * len(parts)} "
-            f"({len(spaces)} topologies x {len(parts)} partitions)")
-    rep.add("singleton_decomposition_functorial",
-            n_funct == len(spaces),
-            f"{n_funct} of {len(spaces)} spaces")
+    rep = fintop_mod.sweep("abcd")
     summary = [rep.instance]
     summary += rep.summary_lines()
     summary.append("result: PASS" if rep.all_passed else "result: FAIL")
@@ -509,7 +484,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     except InputError as exc:
         print(f"{PROG}: error: {exc}", file=sys.stderr)
         return 2
-    except Exception as exc:  # internal failures are check failures, not usage
+    except (ConstructionError, InternalConsistencyError) as exc:
+        # a certificate failed; any other exception is a bug and propagates
         print(f"{PROG}: check failed: {exc}", file=sys.stderr)
         return 1
 

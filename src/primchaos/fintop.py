@@ -2,11 +2,16 @@
 continuity and homeomorphism decision, and the coarse-graining facts that
 hold on finite substrates.
 
-Subsets are bitmasks over an ordered point tuple, so every check below is
-a handful of integer operations and exhaustive suites over all topologies
-on a few labelled points stay cheap.  Finite topologies are enumerated
-through their specialization preorders (reflexive transitive relations),
-which they correspond to one-to-one; on 4 labelled points there are 355.
+Subsets are bitmasks over an ordered point tuple.  A space is stored as the
+minimal open neighbourhood U_x of each point x (the intersection of every
+open containing x), one mask per point.  The U_x are the rows of the
+specialization preorder, which corresponds to the topology one-to-one
+(Alexandroff 1937), so every check below works on them directly: f is
+continuous iff f(U_x) is inside U_{f(x)} for every x, and a quotient's
+neighbourhoods are the transitive closure of the block relation.  The family
+of open sets (the masks that contain U_x for each of their points x) is
+only derived, for display and serialization.  On 4 labelled points there are
+355 topologies.
 
 A finite space is Hausdorff iff it is discrete, so the compact-Hausdorff
 hypotheses of the representative-subspace and fiber-quotient facts
@@ -17,11 +22,12 @@ test assets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import product
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 from .errors import InputError
+from .report import CheckReport
 
 # ---------------------------------------------------------------------------
 # Core types
@@ -42,6 +48,15 @@ def _labels_of(points: Sequence[str], mask: int) -> Tuple[str, ...]:
     return tuple(p for i, p in enumerate(points) if mask >> i & 1)
 
 
+def _union(masks: Sequence[int], select: int) -> int:
+    """OR of masks[i] over the set bits i of select."""
+    out = 0
+    for i, m in enumerate(masks):
+        if select >> i & 1:
+            out |= m
+    return out
+
+
 def is_topology(points: Sequence[str], family: Iterable[Iterable[str]]) -> bool:
     """True iff the family contains {} and X and is closed under pairwise
     union and intersection (sufficient in the finite case)."""
@@ -50,7 +65,7 @@ def is_topology(points: Sequence[str], family: Iterable[Iterable[str]]) -> bool:
 
 
 def _masks_form_topology(masks, full: int) -> bool:
-    if 0 not in masks or full not in masks:
+    if not masks or min(masks) != 0 or max(masks) != full:
         return False
     ms = list(masks)
     for i, a in enumerate(ms):
@@ -62,20 +77,28 @@ def _masks_form_topology(masks, full: int) -> bool:
 
 @dataclass(frozen=True)
 class FiniteTopSpace:
-    """Finite point set with an explicit family of open sets (bitmasks)."""
+    """Finite point set with the minimal open neighbourhood of each point:
+    bit j of nbhds[i] is set iff every open containing point i contains
+    point j."""
 
     points: Tuple[str, ...]
-    opens: frozenset
+    nbhds: Tuple[int, ...]
 
     def __post_init__(self):
         if len(set(self.points)) != len(self.points):
             raise InputError("duplicate point labels")
-        if not _masks_form_topology(self.opens, self.full_mask):
-            raise InputError("open-set family is not a topology")
+        U, n = self.nbhds, len(self.points)
+        if len(U) != n or not all(0 < u < 1 << n and u >> i & 1
+                                  and _union(U, u) == u
+                                  for i, u in enumerate(U)):
+            raise InputError("neighbourhood masks are not a preorder")
 
     @property
-    def full_mask(self) -> int:
-        return (1 << len(self.points)) - 1
+    def opens(self) -> frozenset:
+        """Open sets as masks, derived: m is open iff U_x is inside m for
+        every point x of m."""
+        U = self.nbhds
+        return frozenset(m for m in range(1 << len(U)) if _union(U, m) == m)
 
     def open_label_sets(self) -> List[Tuple[str, ...]]:
         """Opens as label tuples, sorted by size then lexicographically."""
@@ -88,68 +111,51 @@ class FiniteTopSpace:
 
 def space(points: Sequence[str], family: Iterable[Iterable[str]]) -> FiniteTopSpace:
     pts = tuple(points)
-    return FiniteTopSpace(pts, frozenset(_mask_of(pts, s) for s in family))
+    return space_from_masks(pts, [_mask_of(pts, s) for s in family])
 
 
 def space_from_masks(points: Sequence[str], masks: Iterable[int]) -> FiniteTopSpace:
-    return FiniteTopSpace(tuple(points), frozenset(masks))
+    """Space from an explicit open-set family, rejected unless it is a
+    topology.  The opens are closed under intersection, so U_x is the
+    smallest open containing x."""
+    pts = tuple(points)
+    opens = set(masks)
+    if not _masks_form_topology(opens, (1 << len(pts)) - 1):
+        raise InputError("open-set family is not a topology")
+    return FiniteTopSpace(pts, tuple(
+        min((m for m in opens if m >> i & 1), key=int.bit_count)
+        for i in range(len(pts))))
 
 
 def discrete_space(points: Sequence[str]) -> FiniteTopSpace:
-    n = len(points)
-    return space_from_masks(points, range(1 << n))
+    pts = tuple(points)
+    return FiniteTopSpace(pts, tuple(1 << i for i in range(len(pts))))
 
 
 def is_t0(X: FiniteTopSpace) -> bool:
-    n = len(X.points)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if all((m >> i & 1) == (m >> j & 1) for m in X.opens):
-                return False
-    return True
+    """Two points are topologically indistinguishable iff U_x = U_y."""
+    return len(set(X.nbhds)) == len(X.nbhds)
 
 
 def is_t1(X: FiniteTopSpace) -> bool:
-    # finite T1 = discrete, but check the definition directly
-    n = len(X.points)
-    for i in range(n):
-        for j in range(n):
-            if i != j and not any(m >> i & 1 and not m >> j & 1
-                                  for m in X.opens):
-                return False
-    return True
+    """Some open holds x but not y iff y is outside U_x, so T1 means every
+    U_x is {x}: finite T1 spaces are discrete."""
+    return all(u == 1 << i for i, u in enumerate(X.nbhds))
 
 
 def is_hausdorff(X: FiniteTopSpace) -> bool:
     """Finite Hausdorff spaces are exactly the discrete ones."""
-    n = len(X.points)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if not any(a >> i & 1 and b >> j & 1 and a & b == 0
-                       for a in X.opens for b in X.opens):
-                return False
-    return True
+    return is_t1(X)
 
 
 def subspace(X: FiniteTopSpace, subset: Sequence[str]) -> FiniteTopSpace:
-    """Subspace topology on a subset of the points (order inherited)."""
-    keep = [p for p in X.points if p in set(subset)]
-    sub_mask = _mask_of(X.points, keep)
-    remap = {}
-    j = 0
-    for i, p in enumerate(X.points):
-        if sub_mask >> i & 1:
-            remap[i] = j
-            j += 1
-    traced = set()
-    for m in X.opens:
-        t = 0
-        mm = m & sub_mask
-        for i, pos in remap.items():
-            if mm >> i & 1:
-                t |= 1 << pos
-        traced.add(t)
-    return space_from_masks(keep, traced)
+    """Subspace topology on a subset of the points (order inherited): the
+    neighbourhoods are U_x intersected with the subset."""
+    keep = X.mask(subset)
+    idx = [i for i in range(len(X.points)) if keep >> i & 1]
+    nbhds = tuple(sum(1 << k for k, j in enumerate(idx)
+                      if X.nbhds[i] >> j & 1) for i in idx)
+    return FiniteTopSpace(tuple(X.points[i] for i in idx), nbhds)
 
 
 @dataclass(frozen=True)
@@ -168,12 +174,6 @@ class Partition:
         if sorted(seen) != sorted(self.points) or len(set(seen)) != len(seen):
             raise InputError("blocks must partition the points exactly")
 
-    def block_of(self, label: str) -> Tuple[str, ...]:
-        for b in self.blocks:
-            if label in b:
-                return b
-        raise InputError(f"unknown point {label!r}")
-
 
 def partition(X: FiniteTopSpace, blocks: Iterable[Iterable[str]]) -> Partition:
     return Partition(X.points, tuple(tuple(b) for b in blocks))
@@ -185,29 +185,29 @@ def block_label(block: Sequence[str]) -> str:
 
 @dataclass(frozen=True)
 class FiniteMap:
-    """Total map between finite spaces, given pointwise."""
+    """Total map between finite spaces, given pointwise; targets holds the
+    codomain index of each domain point's image."""
 
     domain: FiniteTopSpace
     codomain: FiniteTopSpace
     mapping: Tuple[Tuple[str, str], ...]  # (x, f(x)) pairs, domain order
+    targets: Tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        srcs = [s for s, _ in self.mapping]
-        if tuple(srcs) != self.domain.points:
+        sources, images = tuple(zip(*self.mapping)) or ((), ())
+        if sources != self.domain.points:
             raise InputError("mapping must cover every domain point once, in order")
-        cod = set(self.codomain.points)
-        if any(t not in cod for _, t in self.mapping):
-            raise InputError("mapping hits a point outside the codomain")
-
-    def as_dict(self) -> Dict[str, str]:
-        return dict(self.mapping)
+        try:
+            targets = tuple(map(self.codomain.points.index, images))
+        except ValueError:
+            raise InputError("mapping hits a point outside the codomain") from None
+        object.__setattr__(self, "targets", targets)
 
     def is_surjective(self) -> bool:
-        return {t for _, t in self.mapping} == set(self.codomain.points)
+        return len(set(self.targets)) == len(self.codomain.points)
 
     def is_injective(self) -> bool:
-        targets = [t for _, t in self.mapping]
-        return len(set(targets)) == len(targets)
+        return len(set(self.targets)) == len(self.targets)
 
 
 def finite_map(domain: FiniteTopSpace, codomain: FiniteTopSpace,
@@ -227,59 +227,53 @@ def finite_map(domain: FiniteTopSpace, codomain: FiniteTopSpace,
 def decomposition_topology(X: FiniteTopSpace, D: Partition) -> FiniteTopSpace:
     """Space of blocks; a block family is open iff its union is open in X.
 
+    So U_b holds every block reachable from b, where b reaches each block
+    that meets U_x for some x in b: the transitive closure of that relation.
     Block points are labelled by their sorted members joined with commas.
     """
     if D.points != X.points:
         raise InputError("partition is over different points")
     block_masks = [X.mask(b) for b in D.blocks]
-    labels = [block_label(b) for b in D.blocks]
-    opens = set()
-    for choice in range(1 << len(block_masks)):
-        union = 0
-        for i, bm in enumerate(block_masks):
-            if choice >> i & 1:
-                union |= bm
-        if union in X.opens:
-            opens.add(choice)
-    return space_from_masks(labels, opens)
+    reach = []
+    for bm in block_masks:
+        up = _union(X.nbhds, bm)
+        reach.append(sum(1 << c for c, cm in enumerate(block_masks) if cm & up))
+    for k in range(len(reach)):
+        for a, ra in enumerate(reach):
+            if ra >> k & 1:
+                reach[a] = ra | reach[k]
+    return FiniteTopSpace(tuple(block_label(b) for b in D.blocks), tuple(reach))
 
 
 def is_continuous(f: FiniteMap) -> bool:
-    """True iff the preimage of every codomain open is a domain open."""
-    src_index = {p: i for i, p in enumerate(f.domain.points)}
-    tgt_index = {p: i for i, p in enumerate(f.codomain.points)}
-    arrows = [(1 << src_index[s], tgt_index[t]) for s, t in f.mapping]
-    for m in f.codomain.opens:
-        pre = 0
-        for bit, ti in arrows:
-            if m >> ti & 1:
-                pre |= bit
-        if pre not in f.domain.opens:
-            return False
+    """True iff f(U_x) lies inside U_{f(x)} for every domain point x."""
+    V, t = f.codomain.nbhds, f.targets
+    for u, k in zip(f.domain.nbhds, t):
+        v, j = V[k], 0
+        while u:  # walk the points j of U_x
+            if u & 1 and not v >> t[j] & 1:
+                return False
+            u >>= 1
+            j += 1
     return True
 
 
-def inverse_map(f: FiniteMap) -> FiniteMap:
-    if not (f.is_injective() and f.is_surjective()):
-        raise InputError("only bijections invert")
-    back = {t: s for s, t in f.mapping}
-    return finite_map(f.codomain, f.domain, back)
-
-
 def is_homeomorphism(f: FiniteMap) -> bool:
-    return (f.is_injective() and f.is_surjective()
-            and is_continuous(f) and is_continuous(inverse_map(f)))
+    """True iff f is a bijection with f(U_x) = U_{f(x)} for every x.  An
+    injective continuous f has f(U_x) inside U_{f(x)} and of the same size
+    as U_x, so the two are equal iff U_x and U_{f(x)} have equal sizes."""
+    V = f.codomain.nbhds
+    return (f.is_injective() and f.is_surjective() and is_continuous(f)
+            and all(u.bit_count() == V[k].bit_count()
+                    for u, k in zip(f.domain.nbhds, f.targets)))
 
 
 def fiber_partition(f: FiniteMap) -> Partition:
     """Partition of the domain into preimages of codomain points."""
     if not f.is_surjective():
         raise InputError("fiber partitions are defined for surjections")
-    blocks = []
-    for y in f.codomain.points:
-        fiber = tuple(x for x, t in f.mapping if t == y)
-        blocks.append(fiber)
-    return Partition(f.domain.points, tuple(blocks))
+    return Partition(f.domain.points, tuple(
+        tuple(x for x, t in f.mapping if t == y) for y in f.codomain.points))
 
 
 @dataclass(frozen=True)
@@ -332,11 +326,8 @@ def verify_lemma7(f: FiniteMap) -> HypothesisResult:
     hausdorff = is_hausdorff(f.codomain)
     D = fiber_partition(f)
     quot = decomposition_topology(f.domain, D)
-    assign = {}
-    for y in f.codomain.points:
-        fiber = tuple(x for x, t in f.mapping if t == y)
-        assign[block_label(fiber)] = y
-    h = finite_map(quot, f.codomain, assign)
+    h = finite_map(quot, f.codomain, {block_label(b): y for b, y
+                                      in zip(D.blocks, f.codomain.points)})
     ok = is_homeomorphism(h)
     detail = "codomain is discrete (finite Hausdorff)" if hausdorff else \
         "hypothesis unmet: codomain is not Hausdorff; result informational"
@@ -353,28 +344,15 @@ def all_topologies(points: Sequence[str]) -> List[FiniteTopSpace]:
     preorders.
 
     A finite topology corresponds one-to-one with a reflexive transitive
-    relation: opens are the successor-closed sets.  Rows are chosen depth
-    first with transitivity pruning, so the search stays far below the
-    2^(n^2-n) naive bound (355 topologies on 4 points, 6942 on 5).
+    relation, whose row i is the minimal open neighbourhood of point i.
+    Rows are chosen depth first with transitivity pruning, so the search
+    stays far below the 2^(n^2-n) naive bound (355 topologies on 4 points,
+    6942 on 5).
     """
     pts = tuple(points)
     n = len(pts)
-    if n == 0:
-        return [space_from_masks(pts, [0])]
     rows: List[int] = []
     found: List[Tuple[int, ...]] = []
-
-    def consistent(i: int) -> bool:
-        # transitivity among rows 0..i given row i was just placed
-        for a in range(i + 1):
-            ra = rows[a]
-            closure = ra
-            for b in range(i + 1):
-                if ra >> b & 1:
-                    closure |= rows[b]
-            if closure != ra:
-                return False
-        return True
 
     def rec(i: int) -> None:
         if i == n:
@@ -384,19 +362,13 @@ def all_topologies(points: Sequence[str]) -> List[FiniteTopSpace]:
             if extra >> i & 1:
                 continue  # bit i is forced on; skip duplicates
             rows.append(extra | (1 << i))
-            if consistent(i):
+            # transitivity among the rows placed so far
+            if all(_union(rows, r) == r for r in rows):
                 rec(i + 1)
             rows.pop()
 
     rec(0)
-    spaces = []
-    for relation in found:
-        opens = []
-        for m in range(1 << n):
-            if all(not (m >> i & 1 and relation[i] & ~m) for i in range(n)):
-                opens.append(m)
-        spaces.append(space_from_masks(pts, opens))
-    return spaces
+    return [FiniteTopSpace(pts, relation) for relation in found]
 
 
 def all_partitions(items: Sequence[str]) -> List[Tuple[Tuple[str, ...], ...]]:
@@ -420,6 +392,31 @@ def all_maps(domain: FiniteTopSpace, codomain: FiniteTopSpace) -> List[FiniteMap
         out.append(FiniteMap(domain, codomain,
                              tuple(zip(domain.points, targets))))
     return out
+
+
+def sweep(points: Sequence[str]) -> CheckReport:
+    """Exhaustive small-instance suite on the labelled points: every
+    decomposition of every topology builds a valid space, and decomposing
+    by singletons gives a space homeomorphic to the original."""
+    spaces = all_topologies(points)
+    parts = all_partitions(points)
+    n_valid = n_funct = 0
+    for X in spaces:
+        for blocks in parts:
+            # construction validates the quotient's neighbourhoods
+            decomposition_topology(X, Partition(X.points, blocks))
+            n_valid += 1
+        Q = decomposition_topology(X, partition(X, [[p] for p in X.points]))
+        n_funct += is_homeomorphism(finite_map(X, Q, {p: p for p in X.points}))
+    rep = CheckReport(f"fintop sweep on {len(points)} labelled points")
+    rep.add("decomposition_topologies_valid",
+            n_valid == len(spaces) * len(parts),
+            f"{n_valid} of {len(spaces) * len(parts)} "
+            f"({len(spaces)} topologies x {len(parts)} partitions)")
+    rep.add("singleton_decomposition_functorial",
+            n_funct == len(spaces),
+            f"{n_funct} of {len(spaces)} spaces")
+    return rep
 
 
 # ---------------------------------------------------------------------------

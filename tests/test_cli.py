@@ -9,7 +9,9 @@ from pathlib import Path
 import pytest
 
 from cli_cases import CASES
+from primchaos import cli
 from primchaos.cli import encode_document, main
+from primchaos.errors import ConstructionError, InternalConsistencyError
 
 GOLDEN_DIR = Path(__file__).parent / "goldens"
 
@@ -56,6 +58,29 @@ def test_exit_code_contract(tmp_path, capsys, monkeypatch):
     # 2: missing subcommand
     assert main([]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("exc,code", [
+    (ConstructionError("certificate broke"), 1),
+    (InternalConsistencyError("invariant broke"), 1),
+])
+def test_failed_certificates_exit_1(exc, code, capsys, monkeypatch):
+    def body(args):
+        raise exc
+    monkeypatch.setattr(cli, "cmd_fintop", body)
+    assert main(["fintop", "sweep"]) == code
+    assert capsys.readouterr().err == f"primchaos: check failed: {exc}\n"
+
+
+@pytest.mark.parametrize("exc", [TypeError("bug"), KeyError("bug")])
+def test_programming_errors_surface(exc, capsys, monkeypatch):
+    # a bug is not a failed check: it propagates with its traceback
+    def body(args):
+        raise exc
+    monkeypatch.setattr(cli, "cmd_fintop", body)
+    with pytest.raises(type(exc)):
+        main(["fintop", "sweep"])
+    assert "check failed" not in capsys.readouterr().err
 
 
 def test_max_depth_env_cap(tmp_path, capsys, monkeypatch):

@@ -1,5 +1,9 @@
 """Finite topological spaces: quotients, continuity, and the exhaustive
-small-instance facts (with a brute-force enumeration oracle)."""
+small-instance facts.
+
+Spaces are stored as minimal open neighbourhoods; the oracles below restate
+every operation by its open-set definition (enumerating the derived opens)
+and are compared with the fast routines exhaustively on small spaces."""
 
 from itertools import product
 
@@ -7,6 +11,7 @@ import pytest
 
 from primchaos.errors import InputError
 from primchaos.fintop import (
+    FiniteTopSpace,
     all_maps,
     all_partitions,
     all_topologies,
@@ -27,17 +32,22 @@ from primchaos.fintop import (
     space_document,
     space_from_masks,
     subspace,
+    sweep,
     verify_lemma7,
     verify_prop5,
 )
 
 
 def brute_force_topologies(n):
+    return len(brute_force_families(n))
+
+
+def brute_force_families(n):
     """Independent oracle: filter every family of subsets containing the
     empty set and the full set for closure under union and intersection."""
     full = (1 << n) - 1
     others = [m for m in range(1 << n) if m not in (0, full)]
-    count = 0
+    families = []
     for pick in range(1 << len(others)):
         fam = {0, full}
         for i, m in enumerate(others):
@@ -52,8 +62,62 @@ def brute_force_topologies(n):
             if not ok:
                 break
         if ok:
-            count += 1
-    return count
+            families.append(frozenset(fam))
+    return families
+
+
+def oracle_continuous(f):
+    """Every preimage of a codomain open is a domain open."""
+    domain_opens = f.domain.opens
+    for m in f.codomain.opens:
+        pre = 0
+        for i, (_, y) in enumerate(f.mapping):
+            if m >> f.codomain.points.index(y) & 1:
+                pre |= 1 << i
+        if pre not in domain_opens:
+            return False
+    return True
+
+
+def oracle_homeomorphism(f):
+    if not (f.is_injective() and f.is_surjective()):
+        return False
+    back = finite_map(f.codomain, f.domain, {y: x for x, y in f.mapping})
+    return oracle_continuous(f) and oracle_continuous(back)
+
+
+def oracle_quotient_opens(X, blocks):
+    """Block families whose union is open in X."""
+    masks = [X.mask(b) for b in blocks]
+    opens = X.opens
+    return {c for c in range(1 << len(blocks))
+            if sum(m for i, m in enumerate(masks) if c >> i & 1) in opens}
+
+
+def oracle_subspace_opens(X, keep):
+    """Traces of the opens on the kept points, in the kept points' order."""
+    idx = [i for i, p in enumerate(X.points) if p in keep]
+    return {sum(1 << k for k, i in enumerate(idx) if m >> i & 1)
+            for m in X.opens}
+
+
+def oracle_t0(X):
+    n, opens = len(X.points), X.opens
+    return all(any((m >> i & 1) != (m >> j & 1) for m in opens)
+               for i in range(n) for j in range(i + 1, n))
+
+
+def oracle_t1(X):
+    n, opens = len(X.points), X.opens
+    return all(any(m >> i & 1 and not m >> j & 1 for m in opens)
+               for i in range(n) for j in range(n) if i != j)
+
+
+def oracle_hausdorff(X):
+    n, opens = len(X.points), X.opens
+    return all(any(a >> i & 1 and b >> j & 1 and a & b == 0
+                   for a in opens for b in opens)
+               for i in range(n) for j in range(i + 1, n))
 
 
 # ---------------------------------------------------------------------------
@@ -92,6 +156,20 @@ def test_partition_count_is_bell():
 def test_space_rejects_non_topology():
     with pytest.raises(InputError):
         space("abc", [[], ["a"], ["b"], ["a", "b", "c"]])
+    with pytest.raises(InputError):
+        space_from_masks("ab", [0, 1, 3, 7])  # 7 names a third point
+    with pytest.raises(InputError):
+        FiniteTopSpace(("a", "b"), (0b01, 0b01))  # b outside U_b
+    with pytest.raises(InputError):
+        FiniteTopSpace(("a", "b", "c"), (0b011, 0b110, 0b100))  # intransitive
+
+
+def test_opens_view_matches_brute_force_families():
+    for n in (1, 2, 3, 4):
+        spaces = all_topologies("abcd"[:n])
+        assert {X.opens for X in spaces} == set(brute_force_families(n))
+        for X in spaces:
+            assert space_from_masks(X.points, X.opens) == X
 
 
 # ---------------------------------------------------------------------------
@@ -125,14 +203,24 @@ def test_decomposition_by_singletons_isomorphic():
             assert is_homeomorphism(h)
 
 
+def test_sweep_report():
+    rep = sweep("abc")
+    assert rep.all_passed
+    assert [c.witness for c in rep.checks] == [
+        "145 of 145 (29 topologies x 5 partitions)", "29 of 29 spaces"]
+
+
 def test_decomposition_always_topology_exhaustive_4pts():
     spaces = all_topologies("abcd")
     parts = all_partitions("abcd")
     assert len(spaces) == 355 and len(parts) == 15
     for X in spaces:
         for blocks in parts:
-            # construction validates the opens family on build
-            decomposition_topology(X, partition(X, [list(b) for b in blocks]))
+            # construction validates the quotient's neighbourhoods; the
+            # opens must be the block families whose union is open
+            Q = decomposition_topology(X, partition(X, [list(b) for b in blocks]))
+            assert Q.points == tuple(block_label(b) for b in blocks)
+            assert Q.opens == oracle_quotient_opens(X, blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -157,6 +245,42 @@ def test_homeomorphism_examples():
     d3 = discrete_space("abc")
     assert not is_homeomorphism(finite_map(d3, X, {p: p for p in "abc"}))
     assert not is_homeomorphism(finite_map(X, X, {p: "a" for p in "abc"}))
+
+
+def test_continuity_and_homeomorphism_match_oracle_exhaustive_3pts():
+    # every map between the 29 spaces on 3 points, and between those and
+    # the 4 spaces on 2 points (where a bijection cannot exist)
+    spaces = all_topologies("abc")
+    small = all_topologies("ab")
+    pairs = [(X, Y) for X in spaces for Y in spaces]
+    pairs += [(X, Y) for X in spaces for Y in small]
+    pairs += [(Y, X) for X in spaces for Y in small]
+    n_maps = n_continuous = n_homeo = 0
+    for X, Y in pairs:
+        for f in all_maps(X, Y):
+            n_maps += 1
+            assert is_continuous(f) == oracle_continuous(f), f.mapping
+            assert is_homeomorphism(f) == oracle_homeomorphism(f), f.mapping
+            n_continuous += is_continuous(f)
+            n_homeo += is_homeomorphism(f)
+    assert n_maps == 29 * 29 * 27 + 29 * 4 * (8 + 9)
+    assert 0 < n_homeo < n_continuous < n_maps
+
+
+def test_separation_and_subspace_match_oracle_exhaustive_4pts():
+    spaces = all_topologies("abcd")
+    assert len(spaces) == 355
+    for X in spaces:
+        assert is_t0(X) == oracle_t0(X)
+        assert is_t1(X) == oracle_t1(X)
+        assert is_hausdorff(X) == oracle_hausdorff(X)
+        for keep in range(16):
+            labels = [p for i, p in enumerate(X.points) if keep >> i & 1]
+            Y = subspace(X, labels)
+            assert Y.points == tuple(labels)
+            assert Y.opens == oracle_subspace_opens(X, labels)
+    assert sum(map(is_t0, spaces)) == 219  # labelled posets on 4 points
+    assert sum(map(is_t1, spaces)) == 1
 
 
 def test_separation_detection():
