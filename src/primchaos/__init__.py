@@ -58,7 +58,6 @@ from .geometry import (
     Address,
     Box,
     Point,
-    Rational,
     Region,
     cylinder,
     diameter,

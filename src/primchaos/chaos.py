@@ -214,9 +214,6 @@ class PeriodicOrbit:
     orbit: Tuple[tuple, ...]
     reduced_from: Optional[str] = None  # set when the input was a power
 
-    def __iter__(self):
-        return iter((self.point, self.prime_period))
-
     def to_document(self) -> dict:
         doc = {
             "point": point_doc(self.point),

@@ -4,7 +4,8 @@ deterministic machine-readable output.
 Documents (JSON, or CSV as flattened path/value rows) go to --out; human
 summaries go to standard output.  Identical invocations produce
 byte-identical output.  Exit codes: 0 all checks passed, 1 at least one
-check failed, 2 input rejected before any check ran.
+check failed, 2 input rejected before any check ran.  Every leaf
+command is one entry of the `COMMANDS` table.
 """
 
 from __future__ import annotations
@@ -13,11 +14,10 @@ import argparse
 import csv
 import io
 import json
-import os
 import re
 import sys
 from fractions import Fraction
-from typing import List, Optional, Tuple
+from typing import Callable, List, NamedTuple, Optional, Tuple
 
 from . import chaos as chaos_mod
 from . import embedding as embed_mod
@@ -34,8 +34,8 @@ from .geometry import (
 )
 
 PROG = "primchaos"
-MAX_DEPTH_ENV = "PRIMCHAOS_MAX_DEPTH"
-DEFAULT_MAX_DEPTH = 12
+EMBED_MAX_DEPTH = 12
+MAX_CELLS = 2 ** 20
 
 EPILOG = """\
 output formats:
@@ -44,8 +44,9 @@ output formats:
          an extra "approx" column holds truncated N-digit decimals for
          rational values (approximate, for plotting only)
 
-environment:
-  PRIMCHAOS_MAX_DEPTH   resource cap for `embed --depth` (default 12)
+work limits:
+  embed --depth at most 12; surject and chaos transitivity at most 2^20 cells
+  (2^depth cylinders or interval cells, 4^depth quadrants or pairs)
 """
 
 
@@ -92,117 +93,22 @@ def _emit(args, doc: dict, summary: List[str]) -> None:
         print(f"document written to {args.out}")
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--out", help="write the result document to this path")
-    p.add_argument("--format", choices=["json", "csv"], default="json",
-                   help="document encoding (default json)")
-    p.add_argument("--decimal", type=int, metavar="N",
-                   help="add truncated N-digit decimal column (csv only)")
+# Command bodies: each returns (document, summary lines, passed).
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog=PROG,
-        description="exact constructions for Cantor sets, coarse-graining "
-                    "quotients, constrained surjections, and primitive-chaos "
-                    "certificates",
-        epilog=EPILOG,
-        formatter_class=argparse.RawDescriptionHelpFormatter,
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("embed", help="build a Cantor refinement tree inside "
-                                     "a Peano continuum model")
-    p.add_argument("--model", choices=embed_mod.MODEL_KINDS, required=True)
-    p.add_argument("--depth", type=int, required=True)
-    _add_common(p)
-
-    p = sub.add_parser("chaos", help="primitive-chaos witnesses and "
-                                     "chaos-property certificates")
-    csub = p.add_subparsers(dest="subcommand", required=True)
-    for name in ("realize", "periodic", "dense", "sensitivity", "transitivity"):
-        cp = csub.add_parser(name)
-        cp.add_argument("--system", choices=chaos_mod.SYSTEM_KINDS, required=True)
-        if name in ("realize", "periodic"):
-            cp.add_argument("--word", required=True,
-                            help="event word, e.g. 0110")
-        if name in ("dense", "transitivity"):
-            cp.add_argument("--depth", type=int, required=True)
-        if name == "sensitivity":
-            cp.add_argument("--delta", required=True,
-                            help="perturbation bound as p/q")
-            cp.add_argument("--samples", type=int, default=100)
-        _add_common(cp)
-
-    p = sub.add_parser("surject", help="continuous surjections with "
-                                       "constraints and certified enclosures")
-    p.add_argument("--kind", required=True,
-                   choices=["binary", "interleave", "block", "waypoint",
-                            "hilbert"])
-    p.add_argument("--depth", type=int, default=8,
-                   help="verification/evaluation depth (default 8)")
-    p.add_argument("--swap-halves", action="store_true",
-                   help="block preset: swap the two halves of the Cantor set")
-    p.add_argument("--block", action="append", default=[], metavar="A:B",
-                   help="block constraint cyl+cyl:cyl+cyl, e.g. 00+01:1 "
-                        "(repeatable)")
-    p.add_argument("--target", choices=["interval", "square"],
-                   default="interval", help="waypoint target space")
-    p.add_argument("--point", action="append", default=[], metavar="X=Y",
-                   help="waypoint pin x=y or x=y1,y2, e.g. 1/2=1/2,1/2 "
-                        "(repeatable)")
-    _add_common(p)
-
-    p = sub.add_parser("fintop", help="finite topological spaces and "
-                                      "decomposition (quotient) topologies")
-    fsub = p.add_subparsers(dest="subcommand", required=True)
-    fp = fsub.add_parser("quotient")
-    fp.add_argument("--space", required=True,
-                    help="chain3, sierpinski, or discreteN")
-    fp.add_argument("--blocks", required=True,
-                    help="partition, blocks separated by '|', e.g. ab|c")
-    _add_common(fp)
-    fp = fsub.add_parser("verify-prop5")
-    fp.add_argument("--space", required=True)
-    fp.add_argument("--blocks", required=True)
-    fp.add_argument("--reps", required=True,
-                    help="one representative per block, comma separated")
-    _add_common(fp)
-    fp = fsub.add_parser("verify-lemma7")
-    fp.add_argument("--space", required=True)
-    fp.add_argument("--codomain", required=True)
-    fp.add_argument("--map", required=True, dest="mapping",
-                    help="assignment a=p,b=q,...")
-    _add_common(fp)
-    fp = fsub.add_parser("sweep")
-    _add_common(fp)
-    return parser
+def _report(rep, header: str, **fields):
+    doc = rep.to_document()  # with fields, nested under "report" after them
+    return ({**fields, "report": doc} if fields else doc,
+            [header] + rep.summary_lines(), rep.all_passed)
 
 
-# ---------------------------------------------------------------------------
-# Subcommand bodies
-# ---------------------------------------------------------------------------
-
-
-def _max_depth() -> int:
-    raw = os.environ.get(MAX_DEPTH_ENV)
-    if raw is None:
-        return DEFAULT_MAX_DEPTH
-    try:
-        return int(raw)
-    except ValueError:
-        raise InputError(f"{MAX_DEPTH_ENV} must be an integer, got {raw!r}")
-
-
-def cmd_embed(args) -> int:
+def _embed(args):
     if args.depth < 0:
         raise InputError("depth must be >= 0")
-    cap = _max_depth()
-    if args.depth > cap:
-        raise InputError(f"depth {args.depth} exceeds cap {cap} "
-                         f"(set {MAX_DEPTH_ENV} to raise it)")
-    model = embed_mod.make_model(args.model)
-    tree = embed_mod.build_refinement(model, args.depth)
+    if args.depth > EMBED_MAX_DEPTH:
+        raise InputError(f"depth {args.depth} exceeds cap {EMBED_MAX_DEPTH}")
+    tree = embed_mod.build_refinement(embed_mod.make_model(args.model),
+                                      args.depth)
     summary = [f"embed: {args.model} refinement to depth {args.depth}, "
                f"{2 ** args.depth} leaf cells"]
     ok = True
@@ -211,67 +117,57 @@ def cmd_embed(args) -> int:
         ok = ok and rep.all_passed
         summary.append(f"level {level}: {rep.n_passed}/{len(rep.checks)} "
                        f"stage invariants hold")
-    summary.append("result: PASS" if ok else "result: FAIL")
-    _emit(args, embed_mod.tree_document(tree), summary)
-    return 0 if ok else 1
+    return embed_mod.tree_document(tree), summary, ok
 
 
-def cmd_chaos(args) -> int:
-    system = chaos_mod.make_system(args.system)
-    if args.subcommand == "realize":
-        res = chaos_mod.realize_witness(system, args.word)
-        summary = [
-            f"chaos realize: system {args.system}, word {res.word}",
-            f"enclosure: {region_doc(res.enclosure)}",
-            f"witness: {point_doc(res.witness)}",
-            f"orbit: {[point_doc(p) for p in res.orbit]}",
-            "result: PASS",
-        ]
-        _emit(args, res.to_document(), summary)
-        return 0
-    if args.subcommand == "periodic":
-        orb = chaos_mod.periodic_point(system, args.word)
-        summary = [f"chaos periodic: system {args.system}, word {orb.word}"]
-        if orb.reduced_from:
-            summary.append(f"note: input word {orb.reduced_from} reduced to "
-                           f"primitive root {orb.word}")
-        summary += [
-            f"point: {point_doc(orb.point)}",
-            f"prime period: {orb.prime_period}",
-            f"orbit: {[point_doc(p) for p in orb.orbit]}",
-            "result: PASS",
-        ]
-        _emit(args, orb.to_document(), summary)
-        return 0
-    if args.subcommand == "dense":
-        if not 1 <= args.depth <= 8:
-            raise InputError("dense-orbit depth must be in 1..8")
-        word = chaos_mod.dense_orbit_word(args.depth)
-        rep = chaos_mod.verify_dense_orbit(system, args.depth)
-        doc = {"system": args.system, "depth": args.depth,
-               "word": str(word), "report": rep.to_document()}
-        summary = [f"chaos dense: system {args.system}, depth {args.depth}, "
-                   f"word {word}"]
-        summary += rep.summary_lines()
-        summary.append("result: PASS" if rep.all_passed else "result: FAIL")
-        _emit(args, doc, summary)
-        return 0 if rep.all_passed else 1
-    if args.subcommand == "sensitivity":
-        delta = parse_rational(args.delta)
-        if not 1 <= args.samples <= 10000:
-            raise InputError("samples must be in 1..10000")
-        rep = chaos_mod.sensitivity_check(system, delta, args.samples)
-        summary = [f"chaos sensitivity: {rep.instance}"]
-        summary += rep.summary_lines()
-        summary.append("result: PASS" if rep.all_passed else "result: FAIL")
-        _emit(args, rep.to_document(), summary)
-        return 0 if rep.all_passed else 1
-    rep = chaos_mod.transitivity_check(system, args.depth)
-    summary = [f"chaos transitivity: {rep.instance}"]
-    summary += rep.summary_lines()
-    summary.append("result: PASS" if rep.all_passed else "result: FAIL")
-    _emit(args, rep.to_document(), summary)
-    return 0 if rep.all_passed else 1
+def _chaos_realize(args):
+    res = chaos_mod.realize_witness(chaos_mod.make_system(args.system),
+                                    args.word)
+    return res.to_document(), [
+        f"chaos realize: system {args.system}, word {res.word}",
+        f"enclosure: {region_doc(res.enclosure)}",
+        f"witness: {point_doc(res.witness)}",
+        f"orbit: {[point_doc(p) for p in res.orbit]}",
+    ], True
+
+
+def _chaos_periodic(args):
+    orb = chaos_mod.periodic_point(chaos_mod.make_system(args.system),
+                                   args.word)
+    summary = [f"chaos periodic: system {args.system}, word {orb.word}"]
+    if orb.reduced_from:
+        summary.append(f"note: input word {orb.reduced_from} reduced to "
+                       f"primitive root {orb.word}")
+    summary += [f"point: {point_doc(orb.point)}",
+                f"prime period: {orb.prime_period}",
+                f"orbit: {[point_doc(p) for p in orb.orbit]}"]
+    return orb.to_document(), summary, True
+
+
+def _chaos_dense(args):
+    if not 1 <= args.depth <= 8:
+        raise InputError("dense-orbit depth must be in 1..8")
+    word = chaos_mod.dense_orbit_word(args.depth)
+    rep = chaos_mod.verify_dense_orbit(chaos_mod.make_system(args.system),
+                                       args.depth)
+    return _report(rep, f"chaos dense: system {args.system}, depth "
+                        f"{args.depth}, word {word}", system=args.system,
+                   depth=args.depth, word=str(word))
+
+
+def _chaos_sensitivity(args):
+    delta = parse_rational(args.delta)
+    if not 1 <= args.samples <= 10000:
+        raise InputError("samples must be in 1..10000")
+    rep = chaos_mod.sensitivity_check(chaos_mod.make_system(args.system),
+                                      delta, args.samples)
+    return _report(rep, f"chaos sensitivity: {rep.instance}")
+
+
+def _chaos_transitivity(args):
+    rep = chaos_mod.transitivity_check(chaos_mod.make_system(args.system),
+                                       args.depth)
+    return _report(rep, f"chaos transitivity: {rep.instance}")
 
 
 def _parse_blocks(args_list: List[str]) -> Tuple[list, list]:
@@ -291,178 +187,284 @@ def _parse_waypoints(args_list: List[str]) -> List[Tuple[Fraction, tuple]]:
         if "=" not in item:
             raise InputError(f"waypoint needs X=Y, got {item!r}")
         x_part, y_part = item.split("=", 1)
-        x = parse_rational(x_part)
-        y = tuple(parse_rational(c) for c in y_part.split(","))
-        points.append((x, y))
+        points.append((parse_rational(x_part),
+                       tuple(parse_rational(c) for c in y_part.split(","))))
     return points
 
 
 def _address_samples(depth: int) -> List[str]:
-    fixed = ["", "0", "1", "01", "10"]
-    full = ["0" * depth, "1" * depth,
-            ("01" * depth)[:depth], ("10" * depth)[:depth]]
-    seen = []
-    for w in fixed + full:
-        if w not in seen and len(w) <= depth:
-            seen.append(w)
-    return seen
+    words = ["", "0", "1", "01", "10", "0" * depth, "1" * depth,
+             ("01" * depth)[:depth], ("10" * depth)[:depth]]
+    return list(dict.fromkeys(w for w in words if len(w) <= depth))
 
 
-def cmd_surject(args) -> int:
+def _surject_covering(args):
     depth = args.depth
-    if depth < 0:
-        raise InputError("depth must be >= 0")
-    if depth > 20:
-        raise InputError("depth capped at 20 for surjection verification")
-    if args.kind in ("binary", "interleave"):
-        kind = "binary_expansion" if args.kind == "binary" else "interleave"
-        f = surject_mod.CantorMap(kind=kind,
-                                  target="interval" if args.kind == "binary"
-                                  else "square")
-        rep = surject_mod.verify_cover_map(f, depth)
-        transcript = [
-            {"input": w, "depth": len(w),
-             "enclosure": region_doc(
-                 surject_mod.evaluate_map(f, Address.from_string(w)))}
-            for w in _address_samples(depth)
-        ]
-        doc = {"descriptor": surject_mod.map_document(f), "depth": depth,
-               "transcript": transcript, "report": rep.to_document()}
-        summary = [f"surject {args.kind}: depth {depth}, modulus "
-                   f"{rational_str(f.modulus(depth))}"]
-        summary += rep.summary_lines()
-        summary.append("result: PASS" if rep.all_passed else "result: FAIL")
-        _emit(args, doc, summary)
-        return 0 if rep.all_passed else 1
-    if args.kind == "hilbert":
-        rep = surject_mod.verify_curve(depth)
-        transcript = []
-        step = Fraction(1, 4 ** depth)
-        for j in range(min(4 ** depth, 8)):
-            cell = (j * step, (j + 1) * step)
-            transcript.append({
-                "input": [rational_str(cell[0]), rational_str(cell[1])],
-                "depth": depth,
-                "enclosure": region_doc(surject_mod.hilbert_enclosure(cell)),
-            })
-        doc = {"descriptor": {"kind": "hilbert", "target": "square"},
-               "depth": depth, "transcript": transcript,
-               "report": rep.to_document()}
-        summary = [f"surject hilbert: depth {depth}"]
-        summary += rep.summary_lines()
-        summary.append("result: PASS" if rep.all_passed else "result: FAIL")
-        _emit(args, doc, summary)
-        return 0 if rep.all_passed else 1
-    if args.kind == "block":
-        if args.swap_halves:
-            blocks_a = [surject_mod.ClopenBlock(("0",)),
-                        surject_mod.ClopenBlock(("1",))]
-            blocks_b = [surject_mod.ClopenBlock(("1",)),
-                        surject_mod.ClopenBlock(("0",))]
-        elif args.block:
-            blocks_a, blocks_b = _parse_blocks(args.block)
-        else:
-            raise InputError("block kind needs --swap-halves or --block A:B")
-        f = surject_mod.block_surjection(blocks_a, blocks_b)
-        rep = surject_mod.verify_block_surjection(f, blocks_a, blocks_b, depth)
-        transcript = []
-        for a_blk, _ in f.pairs:
-            w = a_blk.cylinders[0]
-            wfull = w + "0" * (depth - len(w)) if depth > len(w) else w
-            transcript.append({
-                "input": wfull, "depth": len(wfull),
-                "enclosure": region_doc(
-                    surject_mod.evaluate_map(f, Address.from_string(wfull))),
-            })
-        doc = {"descriptor": surject_mod.map_document(f), "depth": depth,
-               "transcript": transcript, "report": rep.to_document()}
-        summary = [f"surject block: {len(f.pairs)} blocks "
-                   f"({len(blocks_a)} given"
-                   + (", 1 padding)" if len(f.pairs) > len(blocks_a) else ")")
-                   + f", depth {depth}, eps {rational_str(f.modulus(depth))}"]
-        summary += rep.summary_lines()
-        summary.append("result: PASS" if rep.all_passed else "result: FAIL")
-        _emit(args, doc, summary)
-        return 0 if rep.all_passed else 1
-    # waypoint
+    f = surject_mod.CantorMap(
+        kind="binary_expansion" if args.kind == "binary" else "interleave",
+        target="interval" if args.kind == "binary" else "square")
+    rep = surject_mod.verify_cover_map(f, depth)
+    transcript = [
+        {"input": w, "depth": len(w),
+         "enclosure": region_doc(
+             surject_mod.evaluate_map(f, Address.from_string(w)))}
+        for w in _address_samples(depth)
+    ]
+    return _report(rep, f"surject {args.kind}: depth {depth}, modulus "
+                        f"{rational_str(f.modulus(depth))}",
+                   descriptor=surject_mod.map_document(f), depth=depth,
+                   transcript=transcript)
+
+
+def _surject_hilbert(args):
+    depth = args.depth
+    rep = surject_mod.verify_curve(depth)
+    step = Fraction(1, 4 ** depth)
+    cells = [(j * step, (j + 1) * step) for j in range(min(4 ** depth, 8))]
+    transcript = [{"input": [rational_str(lo), rational_str(hi)],
+                   "depth": depth,
+                   "enclosure": region_doc(
+                       surject_mod.hilbert_enclosure((lo, hi)))}
+                  for lo, hi in cells]
+    return _report(rep, f"surject hilbert: depth {depth}",
+                   descriptor={"kind": "hilbert", "target": "square"},
+                   depth=depth, transcript=transcript)
+
+
+def _surject_block(args):
+    depth = args.depth
+    if args.swap_halves:
+        blocks_a = [surject_mod.ClopenBlock(("0",)),
+                    surject_mod.ClopenBlock(("1",))]
+        blocks_b = [surject_mod.ClopenBlock(("1",)),
+                    surject_mod.ClopenBlock(("0",))]
+    elif args.block:
+        blocks_a, blocks_b = _parse_blocks(args.block)
+    else:
+        raise InputError("block kind needs --swap-halves or --block A:B")
+    f = surject_mod.block_surjection(blocks_a, blocks_b)
+    rep = surject_mod.verify_block_surjection(f, blocks_a, blocks_b, depth)
+    words = [a_blk.cylinders[0].ljust(depth, "0") for a_blk, _ in f.pairs]
+    transcript = [{"input": w, "depth": len(w),
+                   "enclosure": region_doc(
+                       surject_mod.evaluate_map(f, Address.from_string(w)))}
+                  for w in words]
+    pad = ", 1 padding" if len(f.pairs) > len(blocks_a) else ""
+    return _report(rep, f"surject block: {len(f.pairs)} blocks "
+                        f"({len(blocks_a)} given{pad}), depth {depth}, "
+                        f"eps {rational_str(f.modulus(depth))}",
+                   descriptor=surject_mod.map_document(f), depth=depth,
+                   transcript=transcript)
+
+
+def _surject_waypoint(args):
+    depth = args.depth
     if not args.point:
         raise InputError("waypoint kind needs at least one --point X=Y")
     wmap = surject_mod.waypoint_map(_parse_waypoints(args.point), args.target)
     ws = surject_mod.waypoint_surjection(wmap)
     rep = surject_mod.verify_waypoint_surjection(ws, resolution=depth)
-    transcript = []
-    for x, _ in wmap.waypoints:
-        transcript.append({
-            "input": rational_str(x), "depth": depth,
-            "enclosure": region_doc(surject_mod.evaluate_waypoint(ws, x, depth)),
-        })
-    doc = {"descriptor": surject_mod.waypoint_document(ws), "depth": depth,
-           "transcript": transcript, "report": rep.to_document()}
-    summary = [f"surject waypoint onto {args.target}: "
-               f"{len(wmap.waypoints)} pin(s), resolution 2^-{depth}"]
-    summary += rep.summary_lines()
-    summary.append("result: PASS" if rep.all_passed else "result: FAIL")
-    _emit(args, doc, summary)
-    return 0 if rep.all_passed else 1
+    transcript = [{"input": rational_str(x), "depth": depth,
+                   "enclosure": region_doc(
+                       surject_mod.evaluate_waypoint(ws, x, depth))}
+                  for x, _ in wmap.waypoints]
+    return _report(rep, f"surject waypoint onto {args.target}: "
+                        f"{len(wmap.waypoints)} pin(s), resolution 2^-{depth}",
+                   descriptor=surject_mod.waypoint_document(ws), depth=depth,
+                   transcript=transcript)
 
 
-def _parse_partition(X, blocks_arg: str):
-    blocks = [list(part) for part in blocks_arg.split("|") if part != ""]
-    return fintop_mod.partition(X, blocks)
+def _space_and_partition(args):
+    X = fintop_mod.named_space(args.space)
+    blocks = [list(part) for part in args.blocks.split("|") if part != ""]
+    return X, fintop_mod.partition(X, blocks)
 
 
-def cmd_fintop(args) -> int:
-    if args.subcommand == "quotient":
-        X = fintop_mod.named_space(args.space)
-        D = _parse_partition(X, args.blocks)
-        Q = fintop_mod.decomposition_topology(X, D)
-        doc = {"space": args.space, "blocks": args.blocks,
-               "quotient": fintop_mod.space_document(Q)}
-        summary = [f"fintop quotient: {args.space} / {args.blocks}",
-                   f"points: {list(Q.points)}"]
-        for ls in Q.open_label_sets():
-            summary.append(f"  open: {{{' | '.join(ls)}}}")
-        summary.append("result: PASS")
-        _emit(args, doc, summary)
-        return 0
-    if args.subcommand == "verify-prop5":
-        X = fintop_mod.named_space(args.space)
-        D = _parse_partition(X, args.blocks)
-        reps = args.reps.split(",")
-        res = fintop_mod.verify_prop5(X, D, reps)
-        rep_doc = {"space": args.space, "blocks": args.blocks,
-                   "reps": reps, "holds": res.holds,
-                   "hypothesis_met": res.hypothesis_met, "detail": res.detail}
-        summary = [f"fintop verify-prop5: {args.space} / {args.blocks} "
-                   f"reps {args.reps}",
-                   f"  homeomorphic: {res.holds}  ({res.detail})",
-                   "result: PASS" if res.holds else "result: FAIL"]
-        _emit(args, rep_doc, summary)
-        return 0 if res.holds else 1
-    if args.subcommand == "verify-lemma7":
-        X = fintop_mod.named_space(args.space)
-        Y = fintop_mod.named_space(args.codomain)
-        try:
-            assign = dict(pair.split("=", 1) for pair in args.mapping.split(","))
-        except ValueError:
-            raise InputError(f"bad map syntax {args.mapping!r}")
-        f = fintop_mod.finite_map(X, Y, assign)
-        res = fintop_mod.verify_lemma7(f)
-        rep_doc = {"space": args.space, "codomain": args.codomain,
-                   "map": args.mapping, "holds": res.holds,
-                   "hypothesis_met": res.hypothesis_met, "detail": res.detail}
-        summary = [f"fintop verify-lemma7: {args.space} -> {args.codomain}",
-                   f"  fiber quotient homeomorphic: {res.holds}  ({res.detail})",
-                   "result: PASS" if res.holds else "result: FAIL"]
-        _emit(args, rep_doc, summary)
-        return 0 if res.holds else 1
-    # sweep: exhaustive small-instance suites
+def _fintop_quotient(args):
+    X, D = _space_and_partition(args)
+    Q = fintop_mod.decomposition_topology(X, D)
+    doc = {"space": args.space, "blocks": args.blocks,
+           "quotient": fintop_mod.space_document(Q)}
+    summary = [f"fintop quotient: {args.space} / {args.blocks}",
+               f"points: {list(Q.points)}"]
+    summary += [f"  open: {{{' | '.join(ls)}}}" for ls in Q.open_label_sets()]
+    return doc, summary, True
+
+
+def _fintop_prop5(args):
+    X, D = _space_and_partition(args)
+    reps = args.reps.split(",")
+    res = fintop_mod.verify_prop5(X, D, reps)
+    doc = {"space": args.space, "blocks": args.blocks,
+           "reps": reps, "holds": res.holds,
+           "hypothesis_met": res.hypothesis_met, "detail": res.detail}
+    return doc, [f"fintop verify-prop5: {args.space} / {args.blocks} "
+                 f"reps {args.reps}",
+                 f"  homeomorphic: {res.holds}  ({res.detail})"], res.holds
+
+
+def _fintop_lemma7(args):
+    X = fintop_mod.named_space(args.space)
+    Y = fintop_mod.named_space(args.codomain)
+    try:
+        assign = dict(pair.split("=", 1) for pair in args.mapping.split(","))
+    except ValueError:
+        raise InputError(f"bad map syntax {args.mapping!r}")
+    res = fintop_mod.verify_lemma7(fintop_mod.finite_map(X, Y, assign))
+    doc = {"space": args.space, "codomain": args.codomain,
+           "map": args.mapping, "holds": res.holds,
+           "hypothesis_met": res.hypothesis_met, "detail": res.detail}
+    return doc, [f"fintop verify-lemma7: {args.space} -> {args.codomain}",
+                 f"  fiber quotient homeomorphic: {res.holds}  "
+                 f"({res.detail})"], res.holds
+
+
+def _fintop_sweep(args):
     rep = fintop_mod.sweep("abcd")
-    summary = [rep.instance]
-    summary += rep.summary_lines()
-    summary.append("result: PASS" if rep.all_passed else "result: FAIL")
-    _emit(args, rep.to_document(), summary)
-    return 0 if rep.all_passed else 1
+    return _report(rep, rep.instance)
+
+
+def _arg(*flags, **kwargs):
+    return flags, kwargs
+
+
+def _surject_cells(args, base: int) -> int:
+    # base**depth cells; past depth 64 the gate rejects either way
+    if args.depth < 0:
+        raise InputError("depth must be >= 0")
+    return base ** min(args.depth, 64)
+
+
+class Command(NamedTuple):
+    args: tuple  # parser arguments, as (flags, keyword arguments) pairs
+    run: Callable  # args -> (document, summary lines, passed)
+    cells: Optional[Callable] = None  # args -> cells of work, at most MAX_CELLS
+
+
+COMMON = (
+    _arg("--out", help="write the result document to this path"),
+    _arg("--format", choices=["json", "csv"], default="json",
+         help="document encoding (default json)"),
+    _arg("--decimal", type=int, metavar="N",
+         help="add truncated N-digit decimal column (csv only)"),
+)
+SYSTEM = _arg("--system", choices=chaos_mod.SYSTEM_KINDS, required=True)
+WORD = _arg("--word", required=True, help="event word, e.g. 0110")
+DEPTH = _arg("--depth", type=int, required=True)
+SURJECT_DEPTH = _arg("--depth", type=int, default=8,
+                     help="verification/evaluation depth (default 8)")
+SPACE = _arg("--space", required=True)
+
+# group -> (help, what picks its leaf in COMMANDS: a subcommand, --kind, none)
+GROUPS = {
+    "embed": ("build a Cantor refinement tree inside a Peano continuum model",
+              None),
+    "chaos": ("primitive-chaos witnesses and chaos-property certificates",
+              "subcommand"),
+    "surject": ("continuous surjections with constraints and certified "
+                "enclosures", "kind"),
+    "fintop": ("finite topological spaces and decomposition (quotient) "
+               "topologies", "subcommand"),
+}
+
+COMMANDS = {
+    ("embed",): Command(
+        (_arg("--model", choices=embed_mod.MODEL_KINDS, required=True), DEPTH),
+        _embed),
+    ("chaos", "realize"): Command((SYSTEM, WORD), _chaos_realize),
+    ("chaos", "periodic"): Command((SYSTEM, WORD), _chaos_periodic),
+    ("chaos", "dense"): Command((SYSTEM, DEPTH), _chaos_dense),
+    ("chaos", "sensitivity"): Command(
+        (SYSTEM, _arg("--delta", required=True,
+                      help="perturbation bound as p/q"),
+         _arg("--samples", type=int, default=100)),
+        _chaos_sensitivity),
+    ("chaos", "transitivity"): Command((SYSTEM, DEPTH), _chaos_transitivity,
+                                       lambda a: 4 ** min(a.depth, 64)),
+    ("surject", "binary"): Command(
+        (SURJECT_DEPTH,), _surject_covering, lambda a: _surject_cells(a, 2)),
+    ("surject", "interleave"): Command(
+        (SURJECT_DEPTH,), _surject_covering, lambda a: _surject_cells(a, 2)),
+    ("surject", "block"): Command(
+        (SURJECT_DEPTH,
+         _arg("--swap-halves", action="store_true",
+              help="block preset: swap the two halves of the Cantor set"),
+         _arg("--block", action="append", default=[], metavar="A:B",
+              help="block constraint cyl+cyl:cyl+cyl, e.g. 00+01:1 "
+                   "(repeatable)")),
+        _surject_block, lambda a: _surject_cells(a, 2)),
+    ("surject", "waypoint"): Command(
+        (SURJECT_DEPTH,
+         _arg("--target", choices=["interval", "square"], default="interval",
+              help="waypoint target space"),
+         _arg("--point", action="append", default=[], metavar="X=Y",
+              help="waypoint pin x=y or x=y1,y2, e.g. 1/2=1/2,1/2 "
+                   "(repeatable)")),
+        _surject_waypoint,
+        lambda a: _surject_cells(a, 4 if a.target == "square" else 2)),
+    ("surject", "hilbert"): Command(
+        (SURJECT_DEPTH,), _surject_hilbert, lambda a: _surject_cells(a, 4)),
+    ("fintop", "quotient"): Command(
+        (_arg("--space", required=True,
+              help="chain3, sierpinski, or discreteN"),
+         _arg("--blocks", required=True,
+              help="partition, blocks separated by '|', e.g. ab|c")),
+        _fintop_quotient),
+    ("fintop", "verify-prop5"): Command(
+        (SPACE, _arg("--blocks", required=True),
+         _arg("--reps", required=True,
+              help="one representative per block, comma separated")),
+        _fintop_prop5),
+    ("fintop", "verify-lemma7"): Command(
+        (SPACE, _arg("--codomain", required=True),
+         _arg("--map", required=True, dest="mapping",
+              help="assignment a=p,b=q,...")),
+        _fintop_lemma7),
+    ("fintop", "sweep"): Command((), _fintop_sweep),
+}
+
+
+def _add_arguments(p: argparse.ArgumentParser, specs) -> None:
+    for flags, kwargs in (*specs, *COMMON):
+        p.add_argument(*flags, **kwargs)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog=PROG,
+        description="exact constructions for Cantor sets, coarse-graining "
+                    "quotients, constrained surjections, and primitive-chaos "
+                    "certificates",
+        epilog=EPILOG,
+        formatter_class=argparse.RawDescriptionHelpFormatter,
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for group, (help_text, choice) in GROUPS.items():
+        p = sub.add_parser(group, help=help_text)
+        leaves = [(path[1:], cmd) for path, cmd in COMMANDS.items()
+                  if path[0] == group]
+        if choice == "subcommand":
+            leaf_sub = p.add_subparsers(dest=choice, required=True)
+            for (name,), cmd in leaves:
+                _add_arguments(leaf_sub.add_parser(name), cmd.args)
+            continue
+        if choice == "kind":
+            p.add_argument("--kind", required=True,
+                           choices=[name for (name,), _ in leaves])
+        # the kinds share one parser, so each of their options is added once
+        _add_arguments(p, {spec[0]: spec for _, cmd in leaves
+                           for spec in cmd.args}.values())
+    return parser
+
+
+def _execute(cmd: Command, args) -> int:
+    """Gate the input's work, run, emit the result, and return the exit code."""
+    if cmd.cells is not None and cmd.cells(args) > MAX_CELLS:
+        raise InputError(f"depth {args.depth} exceeds the work limit of "
+                         f"{MAX_CELLS} cells")
+    doc, summary, passed = cmd.run(args)
+    _emit(args, doc, summary + ["result: PASS" if passed else "result: FAIL"])
+    return 0 if passed else 1
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -474,13 +476,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         if getattr(args, "decimal", None) is not None and args.decimal < 0:
             raise InputError("--decimal must be >= 0")
-        if args.command == "embed":
-            return cmd_embed(args)
-        if args.command == "chaos":
-            return cmd_chaos(args)
-        if args.command == "surject":
-            return cmd_surject(args)
-        return cmd_fintop(args)
+        choice = GROUPS[args.command][1]
+        path = (args.command,) + ((getattr(args, choice),) if choice else ())
+        return _execute(COMMANDS[path], args)
     except InputError as exc:
         print(f"{PROG}: error: {exc}", file=sys.stderr)
         return 2

@@ -23,6 +23,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from types import MappingProxyType
 from typing import Mapping, Tuple
 
@@ -98,16 +99,7 @@ class RefinementTree:
         """Addresses of level k in lexicographic order."""
         if not 0 <= k <= self.depth:
             raise InputError(f"level {k} outside tree depth {self.depth}")
-        if k == 0:
-            return [""]
-        return ["".join(bits) for bits in _binary_words(k)]
-
-
-def _binary_words(n: int):
-    words = [[]]
-    for _ in range(n):
-        words = [w + [b] for w in words for b in ("0", "1")]
-    return words
+        return ["".join(bits) for bits in product("01", repeat=k)]
 
 
 def subdivide(model: PeanoModel, cell: Region, marked: Tuple[tuple, tuple]):
@@ -173,6 +165,37 @@ def evaluate_address(tree: RefinementTree, a: Address) -> Region:
     return tree.cells[str(a)].region
 
 
+class _AxisIndex:
+    """The boxes of one level's cells as (cell index, box), sorted by their
+    lower axis-0 coordinate, for exact range queries."""
+
+    def __init__(self, cells):
+        self.entries = sorted(((j, b) for j, c in enumerate(cells)
+                               for b in c.region.boxes),
+                              key=lambda e: e[1].lo[0])
+        self.los = [b.lo[0] for _, b in self.entries]
+        self.widest = max(b.hi[0] - b.lo[0] for _, b in self.entries)
+
+    def near(self, lo, hi):
+        """Entries whose box meets the closed box [lo, hi]: a box that meets
+        it starts on axis 0 within one widest box width before lo[0]."""
+        start = bisect_left(self.los, lo[0] - self.widest)
+        stop = bisect_right(self.los, hi[0])
+        return [(j, b) for j, b in self.entries[start:stop]
+                if not any(b.lo[ax] > hi[ax] or b.hi[ax] < lo[ax]
+                           for ax in range(len(lo)))]
+
+    def first_overlap(self):
+        """(i, j) for the first two cells with intersecting boxes, or None."""
+        for pos, (i, bi) in enumerate(self.entries):
+            for j, bj in self.entries[pos + 1:]:
+                if bj.lo[0] > bi.hi[0]:
+                    break
+                if j != i and not box_disjoint(bi, bj):
+                    return i, j
+        return None
+
+
 def check_stage_invariants(tree: RefinementTree, level: int) -> CheckReport:
     """Exact certification of one refinement stage.
 
@@ -194,26 +217,15 @@ def check_stage_invariants(tree: RefinementTree, level: int) -> CheckReport:
     cells = [tree.cells[a] for a in addrs]
     rep = CheckReport(f"{tree.model.kind} depth={tree.depth} level={level}")
 
-    # (i) pairwise disjointness, sweeping along axis 0
-    order = sorted(range(len(cells)),
-                   key=lambda i: cells[i].region.boxes[0].lo)
-    overlap = None
-    for pos, i in enumerate(order):
-        ri = cells[i].region
-        hi0 = max(b.hi[0] for b in ri.boxes)
-        for j in order[pos + 1:]:
-            rj = cells[j].region
-            if min(b.lo[0] for b in rj.boxes) > hi0:
-                break
-            if not all(box_disjoint(bi, bj)
-                       for bi in ri.boxes for bj in rj.boxes):
-                overlap = (addrs[i], addrs[j])
-                break
-        if overlap:
-            break
+    # one axis-0 index of the level's boxes serves checks (i), (iii), (iv)
+    index = _AxisIndex(cells)
+
+    # (i) pairwise disjointness, sweeping the index along axis 0
+    overlap = index.first_overlap()
     rep.add("cells_pairwise_disjoint", overlap is None,
             f"{len(cells)} cells" if overlap is None
-            else f"cells {overlap[0]!r} and {overlap[1]!r} intersect")
+            else f"cells {addrs[overlap[0]]!r} and {addrs[overlap[1]]!r} "
+                 f"intersect")
 
     # (ii) diameter shrink against the parent's marked-point distance
     if level == 0:
@@ -237,27 +249,19 @@ def check_stage_invariants(tree: RefinementTree, level: int) -> CheckReport:
         rep.add("perfectness_witness", True,
                 "deepest level: no refinement below, vacuous")
     else:
-        marks = []  # (axis-0 coordinate, point, owning level-k address)
+        inside = [[] for _ in cells]  # (point, owner) of each mark in cell
         for a in addrs:
             for j in "01":
                 for p in tree.cells[a + j].marked:
-                    marks.append((p[0], p, a))
-        marks.sort(key=lambda t: t[0])
-        coords = [t[0] for t in marks]
+                    for k in {k for k, _ in index.near(p, p)}:
+                        inside[k].append((p, a))
         bad_reason = ""
         for idx, a in enumerate(addrs):
-            cell = cells[idx]
-            lo0 = min(b.lo[0] for b in cell.region.boxes)
-            hi0 = max(b.hi[0] for b in cell.region.boxes)
-            inside = [(p, owner)
-                      for _, p, owner in marks[bisect_left(coords, lo0):
-                                              bisect_right(coords, hi0)]
-                      if cell.region.contains_point(p)]
-            pts = {p for p, _ in inside}
-            if any(owner != a for _, owner in inside):
+            pts = {p for p, _ in inside[idx]}
+            if any(owner != a for _, owner in inside[idx]):
                 bad_reason = f"cell {a!r} contains a foreign marked point"
                 break
-            if not set(cell.marked) <= pts:
+            if not set(cells[idx].marked) <= pts:
                 bad_reason = f"cell {a!r} lost a marked point"
                 break
             if len(pts) < 2:
@@ -269,17 +273,13 @@ def check_stage_invariants(tree: RefinementTree, level: int) -> CheckReport:
     # (iv) clopen trace: closure(level union minus cell) = other cells.
     # Boxes whose bounding box avoids the cell pass through both sides
     # untouched, so only the boxes near the cell need exact subtraction.
-    level_entries = [(j, b) for j, c in enumerate(cells)
-                     for b in c.region.boxes]
     dim = tree.model.dim
     bad_reason = ""
     for idx, a in enumerate(addrs):
         cboxes = cells[idx].region.boxes
         clo = tuple(min(b.lo[ax] for b in cboxes) for ax in range(dim))
         chi = tuple(max(b.hi[ax] for b in cboxes) for ax in range(dim))
-        window = [(j, b) for j, b in level_entries
-                  if not any(b.lo[ax] > chi[ax] or b.hi[ax] < clo[ax]
-                             for ax in range(dim))]
+        window = index.near(clo, chi)
         diff_near = closed_difference([b for _, b in window], cboxes)
         expect_near = [b for j, b in window if j != idx]
         if sorted(diff_near, key=Box.sort_key) != \

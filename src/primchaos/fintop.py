@@ -361,9 +361,12 @@ def all_topologies(points: Sequence[str]) -> List[FiniteTopSpace]:
         for extra in range(1 << n):
             if extra >> i & 1:
                 continue  # bit i is forced on; skip duplicates
-            rows.append(extra | (1 << i))
-            # transitivity among the rows placed so far
-            if all(_union(rows, r) == r for r in rows):
+            new = extra | (1 << i)
+            rows.append(new)
+            # transitivity holds among the earlier rows; check what the new
+            # row changes: its own closure, and each earlier row through i
+            if _union(rows, new) == new and \
+                    all(r | new == r for r in rows if r >> i & 1):
                 rec(i + 1)
             rows.pop()
 

@@ -21,8 +21,6 @@ from typing import Iterable, Optional, Sequence
 
 from .errors import InputError
 
-Rational = Fraction
-
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
@@ -334,13 +332,29 @@ def _axis_grid(values, lo, hi):
     return grid
 
 
-def box_in_boxes(target: Box, boxes: Sequence[Box]) -> bool:
-    """Exact containment of a closed box in a finite union of closed boxes.
+def _uncovered_cells(target: Box, boxes: Sequence[Box]):
+    """Refine the target along every critical coordinate of the boxes and
+    yield each elementary cell (lo, hi) that lies inside none of them.
 
-    Refines the target along every critical coordinate of the union; each
-    elementary cell either lies inside a single member box or sticks out of
-    the union entirely, so containment reduces to per-cell corner tests.
+    Each elementary cell either lies inside a single member box or sticks
+    out of the union entirely, so per-cell corner tests decide coverage.
     """
+    grids = [_axis_grid([v for b in boxes for v in (b.lo[ax], b.hi[ax])],
+                        target.lo[ax], target.hi[ax])
+             for ax in range(target.dim)]
+    if target.dim == 1:
+        cells = [((l,), (h,)) for l, h in grids[0]]
+    else:
+        cells = [((xl, yl), (xh, yh)) for xl, xh in grids[0] for yl, yh in grids[1]]
+    for lo, hi in cells:
+        if not any(all(bl <= l and h <= bh for bl, l, h, bh
+                       in zip(b.lo, lo, hi, b.hi)) for b in boxes):
+            yield lo, hi
+
+
+def box_in_boxes(target: Box, boxes: Sequence[Box]) -> bool:
+    """Exact containment of a closed box in a finite union of closed boxes:
+    no elementary cell of the target's refinement lies outside the union."""
     cand = [b for b in boxes if box_intersect(target, b) is not None]
     for b in cand:  # cheap single-box fast path
         if all(bl <= tl and th <= bh for bl, tl, th, bh
@@ -348,20 +362,7 @@ def box_in_boxes(target: Box, boxes: Sequence[Box]) -> bool:
             return True
     if not cand:
         return False
-    dim = target.dim
-    grids = []
-    for ax in range(dim):
-        vals = [v for b in cand for v in (b.lo[ax], b.hi[ax])]
-        grids.append(_axis_grid(vals, target.lo[ax], target.hi[ax]))
-    if dim == 1:
-        cells = [((l,), (h,)) for l, h in grids[0]]
-    else:
-        cells = [((xl, yl), (xh, yh)) for xl, xh in grids[0] for yl, yh in grids[1]]
-    for lo, hi in cells:
-        if not any(all(bl <= l and h <= bh for bl, l, h, bh
-                       in zip(b.lo, lo, hi, b.hi)) for b in cand):
-            return False
-    return True
+    return next(_uncovered_cells(target, cand), None) is None
 
 
 def region_subset(a: Region, b: Region) -> bool:
@@ -386,20 +387,7 @@ def closed_difference(minuend: Sequence[Box], subtrahend: Sequence[Box]) -> list
         if not subs:
             out.append(b)
             continue
-        grids = []
-        for ax in range(b.dim):
-            vals = [v for s in subs for v in (s.lo[ax], s.hi[ax])]
-            grids.append(_axis_grid(vals, b.lo[ax], b.hi[ax]))
-        if b.dim == 1:
-            cells = [((l,), (h,)) for l, h in grids[0]]
-        else:
-            cells = [((xl, yl), (xh, yh))
-                     for xl, xh in grids[0] for yl, yh in grids[1]]
-        for lo, hi in cells:
-            inside = any(all(sl <= l and h <= sh for sl, l, h, sh
-                             in zip(s.lo, lo, hi, s.hi)) for s in subs)
-            if not inside:
-                out.append(Box(lo, hi))
+        out.extend(Box(lo, hi) for lo, hi in _uncovered_cells(b, subs))
     return out
 
 

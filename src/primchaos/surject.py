@@ -32,7 +32,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import InputError
@@ -405,7 +404,6 @@ def verify_curve(depth: int) -> CheckReport:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
 def _curve_cell(k: int, j: int) -> Tuple[int, int]:
     """Grid coordinates of the j-th depth-k quadrant of the space-filling
     curve running from the (0,0) corner to the (1,0) corner."""
@@ -428,7 +426,6 @@ def _curve_cell(k: int, j: int) -> Tuple[int, int]:
     return x, y
 
 
-@lru_cache(maxsize=None)
 def _curve_box(k: int, j: int) -> Box:
     x, y = _curve_cell(k, j)
     side = Fraction(1, 1 << k)

@@ -193,8 +193,7 @@ def test_periodic_point_power_word_reduced():
     orb = periodic_point(d, "0101")
     assert orb.prime_period == 2 and orb.word == "01"
     assert orb.reduced_from == "0101"
-    point, period = orb  # tuple protocol
-    assert point == (F(1, 3),) and period == 2
+    assert orb.point == (F(1, 3),)
 
 
 def test_periodic_point_baker_2d():

@@ -1,6 +1,7 @@
 """CLI contract: golden-file byte equality for every documented invocation,
 the exit-code contract, and format equivalence."""
 
+import argparse
 import csv
 import io
 import json
@@ -60,6 +61,11 @@ def test_exit_code_contract(tmp_path, capsys, monkeypatch):
     capsys.readouterr()
 
 
+def _replace_run(monkeypatch, path, run):
+    monkeypatch.setitem(cli.COMMANDS, path,
+                        cli.COMMANDS[path]._replace(run=run))
+
+
 @pytest.mark.parametrize("exc,code", [
     (ConstructionError("certificate broke"), 1),
     (InternalConsistencyError("invariant broke"), 1),
@@ -67,7 +73,7 @@ def test_exit_code_contract(tmp_path, capsys, monkeypatch):
 def test_failed_certificates_exit_1(exc, code, capsys, monkeypatch):
     def body(args):
         raise exc
-    monkeypatch.setattr(cli, "cmd_fintop", body)
+    _replace_run(monkeypatch, ("fintop", "sweep"), body)
     assert main(["fintop", "sweep"]) == code
     assert capsys.readouterr().err == f"primchaos: check failed: {exc}\n"
 
@@ -77,21 +83,80 @@ def test_programming_errors_surface(exc, capsys, monkeypatch):
     # a bug is not a failed check: it propagates with its traceback
     def body(args):
         raise exc
-    monkeypatch.setattr(cli, "cmd_fintop", body)
+    _replace_run(monkeypatch, ("fintop", "sweep"), body)
     with pytest.raises(type(exc)):
         main(["fintop", "sweep"])
     assert "check failed" not in capsys.readouterr().err
 
 
-def test_max_depth_env_cap(tmp_path, capsys, monkeypatch):
+def _parser_leaves(parser, prefix=()):
+    """Every leaf command path the parser accepts: nested subcommands, and
+    each --kind choice of a subcommand that has one."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield from _parser_leaves(sub, prefix + (name,))
+            return
+    kind = [a for a in parser._actions if "--kind" in a.option_strings]
+    if kind:
+        yield from (prefix + (k,) for k in kind[0].choices)
+    else:
+        yield prefix
+
+
+def test_every_parser_leaf_has_one_table_entry():
+    leaves = list(_parser_leaves(cli.build_parser()))
+    assert len(leaves) == len(set(leaves)) == 15
+    assert sorted(leaves) == sorted(cli.COMMANDS)
+
+
+SQUARE_PIN = ["surject", "--kind", "waypoint", "--target", "square",
+              "--point", "1/2=1/2,1/2"]
+
+
+@pytest.mark.parametrize("argv,accepted", [
+    (["surject", "--kind", "hilbert", "--depth", "10"], True),
+    (["chaos", "transitivity", "--system", "doubling", "--depth", "10"], True),
+    (SQUARE_PIN + ["--depth", "10"], True),
+    (["surject", "--kind", "binary", "--depth", "20"], True),
+    (["surject", "--kind", "waypoint", "--point", "1/2=1", "--depth", "20"],
+     True),
+    (["surject", "--kind", "hilbert", "--depth", "11"], False),
+    (["surject", "--kind", "hilbert", "--depth", "20"], False),
+    (["chaos", "transitivity", "--system", "doubling", "--depth", "11"], False),
+    (["chaos", "transitivity", "--system", "tent", "--depth", "12"], False),
+    (SQUARE_PIN + ["--depth", "11"], False),
+    (["surject", "--kind", "binary", "--depth", "21"], False),
+    (["surject", "--kind", "block", "--swap-halves", "--depth", "21"], False),
+    (["surject", "--kind", "interleave", "--depth", "10000000000"], False),
+])
+def test_work_gate(argv, accepted, tmp_path, capsys, monkeypatch):
+    # the gate decides before anything runs: a stub run records the call
     monkeypatch.chdir(tmp_path)
-    monkeypatch.setenv("PRIMCHAOS_MAX_DEPTH", "2")
-    assert main(["embed", "--model", "interval", "--depth", "3"]) == 2
-    monkeypatch.setenv("PRIMCHAOS_MAX_DEPTH", "3")
-    assert main(["embed", "--model", "interval", "--depth", "3"]) == 0
-    monkeypatch.setenv("PRIMCHAOS_MAX_DEPTH", "zebra")
-    assert main(["embed", "--model", "interval", "--depth", "3"]) == 2
-    capsys.readouterr()
+    ran = []
+    for path in cli.COMMANDS:
+        _replace_run(monkeypatch, path,
+                     lambda args: ran.append(args) or ({}, [], True))
+    assert main(argv) == (0 if accepted else 2)
+    assert len(ran) == (1 if accepted else 0)
+    err = capsys.readouterr().err
+    assert ("exceeds the work limit" in err) == (not accepted)
+
+
+@pytest.mark.parametrize("argv", [
+    ["embed", "--model", "interval", "--depth", "13"],
+    ["surject", "--kind", "binary", "--depth", "21"],
+    ["surject", "--kind", "hilbert", "--depth", "-1"],
+    ["chaos", "dense", "--system", "doubling", "--depth", "9"],
+    ["chaos", "sensitivity", "--system", "doubling", "--delta", "1/64",
+     "--samples", "0"],
+    ["chaos", "transitivity", "--system", "doubling", "--depth", "0"],
+])
+def test_out_of_range_inputs_rejected(argv, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv + ["--out", "out.json"]) == 2
+    assert capsys.readouterr().err.startswith("primchaos: error: ")
+    assert not (tmp_path / "out.json").exists()
 
 
 def test_csv_format_is_field_equivalent(tmp_path, capsys, monkeypatch):

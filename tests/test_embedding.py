@@ -8,6 +8,7 @@ import pytest
 from primchaos.embedding import (
     Cell,
     RefinementTree,
+    _AxisIndex,
     build_refinement,
     check_stage_invariants,
     evaluate_address,
@@ -269,6 +270,46 @@ def test_corrupted_tree_fails_clopen_trace():
     rep = check_stage_invariants(broken, 1)
     names = {c.name: c.passed for c in rep.checks}
     assert names["clopen_trace"] is False
+
+
+def test_corrupted_tree_fails_clopen_trace_across_non_siblings():
+    t = build_refinement(make_model("interval"), 3)
+    cells = dict(t.cells)
+    # stretch leaf "001" over "010" and "011", cells of another subtree
+    lo = cells["001"].region.boxes[0].lo[0]
+    hi = cells["011"].region.boxes[0].hi[0]
+    cells["001"] = Cell(region(box1(lo, hi)), cells["001"].marked)
+    broken = RefinementTree(t.model, t.depth, cells)
+    names = {c.name: c.passed for c in check_stage_invariants(broken, 3).checks}
+    assert names["clopen_trace"] is False
+    assert names["cells_pairwise_disjoint"] is False
+
+
+def _linear_window(cells, lo, hi):
+    """Reference for `_AxisIndex.near`: scan every box of the level."""
+    return [(j, b) for j, c in enumerate(cells) for b in c.region.boxes
+            if not any(b.lo[ax] > hi[ax] or b.hi[ax] < lo[ax]
+                       for ax in range(len(lo)))]
+
+
+def test_axis_index_matches_linear_window(trees):
+    def key(entries):
+        return sorted((j, b.sort_key()) for j, b in entries)
+
+    for kind, t in trees.items():
+        for level in range(t.depth + 1):
+            cells = [t.cells[a] for a in t.level(level)]
+            index = _AxisIndex(cells)
+            for c in cells:
+                boxes = c.region.boxes
+                lo = tuple(min(b.lo[ax] for b in boxes)
+                           for ax in range(t.model.dim))
+                hi = tuple(max(b.hi[ax] for b in boxes)
+                           for ax in range(t.model.dim))
+                for q in ((lo, hi), (c.marked[0], c.marked[0]),
+                          (c.marked[1], c.marked[1])):
+                    assert key(index.near(*q)) == \
+                        key(_linear_window(cells, *q)), (kind, level, q)
 
 
 def test_tree_document_deterministic_and_sorted():

@@ -145,6 +145,7 @@ def test_topology_counts():
     assert len(all_topologies("ab")) == 4
     assert len(all_topologies("abc")) == 29
     assert len(all_topologies("abcd")) == 355
+    assert len(all_topologies("abcde")) == 6942
 
 
 def test_partition_count_is_bell():
