@@ -34,7 +34,6 @@ from .errors import (
     ConstructionError,
     DegenerateInputError,
     InputError,
-    InternalConsistencyError,
 )
 from .fintop import (
     FiniteMap,

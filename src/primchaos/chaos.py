@@ -32,7 +32,7 @@ from fractions import Fraction
 from itertools import product
 from typing import List, Optional, Sequence, Tuple, Union
 
-from .errors import ConstructionError, InputError, InternalConsistencyError
+from .errors import ConstructionError, InputError
 from .geometry import (
     Address,
     Box,
@@ -175,7 +175,7 @@ def word_enclosure(s: ChaosSystem, word: Union[str, Address]) -> Region:
     for sym in reversed(syms):
         K = region_intersect(s.events[sym], s.branches[sym].preimage(K))
         if K is None:
-            raise InternalConsistencyError(
+            raise ConstructionError(
                 f"empty witness set for word {word!s} on {s.kind}")
     return K
 
@@ -193,7 +193,7 @@ def realize_witness(s: ChaosSystem, word: Union[str, Address]) -> WitnessResult:
         orbit.append(s.branches[sym].apply(orbit[-1]))
     for p, sym in zip(orbit, syms):
         if not s.events[sym].contains_point(p):
-            raise InternalConsistencyError(
+            raise ConstructionError(
                 f"orbit point {p} escapes event {sym} on {s.kind}")
     return WitnessResult(s.kind, "".join(str(x) for x in syms),
                          K, witness, tuple(orbit))

@@ -23,7 +23,7 @@ from . import chaos as chaos_mod
 from . import embedding as embed_mod
 from . import fintop as fintop_mod
 from . import surject as surject_mod
-from .errors import ConstructionError, InputError, InternalConsistencyError
+from .errors import ConstructionError, InputError
 from .geometry import (
     Address,
     decimal_str,
@@ -482,7 +482,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except InputError as exc:
         print(f"{PROG}: error: {exc}", file=sys.stderr)
         return 2
-    except (ConstructionError, InternalConsistencyError) as exc:
+    except ConstructionError as exc:
         # a certificate failed; any other exception is a bug and propagates
         print(f"{PROG}: check failed: {exc}", file=sys.stderr)
         return 1

@@ -10,9 +10,6 @@ class DegenerateInputError(InputError):
 
 
 class ConstructionError(RuntimeError):
-    """A constructed object failed its own certificate (should not happen
-    for shipped systems; treated as a bug, not a user error)."""
-
-
-class InternalConsistencyError(RuntimeError):
-    """An invariant the theory guarantees was violated at runtime."""
+    """A constructed object failed its own certificate, or an invariant the
+    theory guarantees was violated at runtime (should not happen for shipped
+    systems; the CLI reports it as a failed check, exit code 1)."""

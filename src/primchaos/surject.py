@@ -26,13 +26,19 @@ approach, a full target sweep (triangle wave for the interval, Hilbert-type
 space-filling curve for the square), and a linear return.  The curve's
 parameter-0 end sits in the corner quadrant at (0,0) and its parameter-1
 end at (1,0), which makes the linear stitching exact.
+
+The image cells of the expansion maps and of the curve are grid cells held
+as integers (`Cell`): one kernel per map kind, boxed by `_grid_box` for the
+evaluators and streamed through `_tile_walk` by the covering certificates.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from itertools import product
+from math import prod
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import InputError
 from .geometry import (
@@ -53,40 +59,87 @@ HALF = Fraction(1, 2)
 
 
 # ---------------------------------------------------------------------------
-# Plain expansion surjections
+# Integer grid cells; plain expansion surjections
 # ---------------------------------------------------------------------------
+
+
+Cell = Tuple[Tuple[int, ...], Tuple[int, ...]]  # (coordinates, grid sizes)
+
+
+def _grid_box(coords: Sequence[int], sizes: Sequence[int]) -> Box:
+    """The closed box [c/s, (c+1)/s] on every axis."""
+    return Box(tuple(Fraction(c, s) for c, s in zip(coords, sizes)),
+               tuple(Fraction(c + 1, s) for c, s in zip(coords, sizes)))
+
+
+def _tile_walk(cells: Iterable[Cell],
+               sizes: Tuple[int, ...]) -> Tuple[int, bool]:
+    """Stream grid cells through a bitmap over the grid of the given sizes,
+    holding no cell list.  Returns the number of distinct grid cells hit (a
+    cell off the grid or with other sizes hits none) and whether every cell
+    is edge-adjacent to its predecessor.  A walk of as many cells as the
+    grid has hits them all exactly when no cell repeats or leaves the grid."""
+    seen = bytearray(prod(sizes))
+    hit = 0
+    adjacent = True
+    prev = None
+    for coords, cell_sizes in cells:
+        on_grid = cell_sizes == sizes
+        flat = step = 0
+        for x, px, size in zip(coords, prev or coords, sizes):
+            on_grid = on_grid and 0 <= x < size
+            flat = flat * size + x
+            step += abs(x - px)
+        if on_grid and not seen[flat]:
+            seen[flat] = 1
+            hit += 1
+        if step != 1 and prev is not None:
+            adjacent = False
+        prev = coords
+    return hit, adjacent
+
+
+_EXPANSION_AXES = {"binary_expansion": 1, "interleave": 2}
+
+
+def _expansion_cell(word: str, axes: int) -> Cell:
+    """Grid cell of the expansion image of a binary cylinder: axis a reads
+    the word's bits a, a + axes, ... as one binary numeral."""
+    digits = [word[a::axes] for a in range(axes)]
+    return (tuple([int(d or "0", 2) for d in digits]),
+            tuple([1 << len(d) for d in digits]))
+
+
+def _expansion_map(prefix: Address, axes: int) -> Region:
+    if prefix.alphabet != 2:
+        raise InputError("binary prefix required")
+    return region(_grid_box(*_expansion_cell(str(prefix), axes)))
 
 
 def binary_expansion_map(prefix: Address) -> Region:
     """Interval enclosure of the binary-expansion image of a cylinder."""
-    if prefix.alphabet != 2:
-        raise InputError("binary prefix required")
-    v = ZERO
-    w = ONE
-    for bit in prefix.symbols:
-        w /= 2
-        if bit:
-            v += w
-    return region(Box((v,), (v + w,)))
+    return _expansion_map(prefix, 1)
 
 
 def interleave_map(prefix: Address) -> Region:
     """Square box enclosure: odd bits refine x, even bits refine y."""
-    if prefix.alphabet != 2:
-        raise InputError("binary prefix required")
-    v = [ZERO, ZERO]
-    w = [ONE, ONE]
-    for i, bit in enumerate(prefix.symbols):
-        axis = i % 2
-        w[axis] /= 2
-        if bit:
-            v[axis] += w[axis]
-    return region(Box((v[0], v[1]), (v[0] + w[0], v[1] + w[1])))
+    return _expansion_map(prefix, 2)
 
 
 # ---------------------------------------------------------------------------
 # Clopen blocks
 # ---------------------------------------------------------------------------
+
+
+def _overlap(cyls: Sequence[str]) -> Optional[Tuple[str, str]]:
+    """Two cylinders one of which is a prefix of the other (so they meet),
+    or None.  Sorted, a word is directly followed by its extensions, so
+    neighbours suffice."""
+    ordered = sorted(cyls)
+    for a, b in zip(ordered, ordered[1:]):
+        if b.startswith(a):
+            return a, b
+    return None
 
 
 @dataclass(frozen=True)
@@ -105,12 +158,12 @@ class ClopenBlock:
         cyls = self.cylinders
         if len(set(cyls)) != len(cyls):
             raise InputError("duplicate cylinder")
-        for i, a in enumerate(cyls):
+        for a in cyls:
             if any(ch not in "01" for ch in a):
                 raise InputError(f"bad cylinder address {a!r}")
-            for b in cyls[i + 1:]:
-                if a.startswith(b) or b.startswith(a):
-                    raise InputError(f"cylinders {a!r} and {b!r} overlap")
+        pair = _overlap(cyls)
+        if pair:
+            raise InputError(f"cylinders {pair[0]!r} and {pair[1]!r} overlap")
 
     def region(self) -> Region:
         boxes = [cylinder(Address.from_string(c)).boxes[0]
@@ -134,12 +187,7 @@ def clopen_partition(n: int) -> List[ClopenBlock]:
 
 
 def blocks_pairwise_disjoint(blocks: Sequence[ClopenBlock]) -> bool:
-    cyls = [c for b in blocks for c in b.cylinders]
-    for i, a in enumerate(cyls):
-        for b in cyls[i + 1:]:
-            if a.startswith(b) or b.startswith(a):
-                return False
-    return True
+    return _overlap([c for b in blocks for c in b.cylinders]) is None
 
 
 def blocks_cover(blocks: Sequence[ClopenBlock]) -> bool:
@@ -249,10 +297,8 @@ def evaluate_map(f: CantorMap, prefix: Address) -> Region:
     """Exact enclosure of the image of the given cylinder."""
     if prefix.alphabet != 2:
         raise InputError("binary prefix required")
-    if f.kind == "binary_expansion":
-        return binary_expansion_map(prefix)
-    if f.kind == "interleave":
-        return interleave_map(prefix)
+    if f.kind in _EXPANSION_AXES:
+        return _expansion_map(prefix, _EXPANSION_AXES[f.kind])
     outs = evaluate_symbolic(f, str(prefix))
     boxes = [cylinder(Address.from_string(o)).boxes[0] for o in outs]
     return region(boxes)
@@ -279,6 +325,16 @@ def block_surjection(blocks_a: Sequence[ClopenBlock],
     return CantorMap(kind="block_glued", target="cantor", pairs=tuple(pairs))
 
 
+def _words_under(block: ClopenBlock, depth: int) -> Iterator[str]:
+    """Every depth-n word inside the block, cylinder by cylinder in
+    lexicographic order."""
+    for c in block.cylinders:
+        if len(c) > depth:
+            raise InputError(f"depth {depth} shallower than cylinder {c!r}")
+        for tail in product("01", repeat=depth - len(c)):
+            yield c + "".join(tail)
+
+
 def verify_block_surjection(f: CantorMap, blocks_a: Sequence[ClopenBlock],
                             blocks_b: Sequence[ClopenBlock],
                             depth: int) -> CheckReport:
@@ -293,88 +349,48 @@ def verify_block_surjection(f: CantorMap, blocks_a: Sequence[ClopenBlock],
     rep = CheckReport(f"block surjection, {len(blocks_a)} blocks, depth {depth}, "
                       f"eps {rational_str(eps)}")
     for i, (a_blk, b_blk) in enumerate(zip(blocks_a, blocks_b)):
-        outs_all: List[str] = []
-        contained = True
+        out_set = set()
         bad = ""
-        for c in a_blk.cylinders:
-            if len(c) > depth:
-                raise InputError(f"depth {depth} shallower than cylinder {c!r}")
-            for suffix in range(1 << (depth - len(c))):
-                word = c + format(suffix, f"0{depth - len(c)}b") \
-                    if depth > len(c) else c
-                outs = evaluate_symbolic(f, word)
-                outs_all.extend(outs)
-                if contained:
-                    for o in outs:
-                        if not b_blk.contains_address(o):
-                            contained = False
-                            bad = f"f(cyl {word}) reaches cyl {o}"
-                            break
-        rep.add(f"containment_block_{i}", contained,
+        for word in _words_under(a_blk, depth):
+            outs = evaluate_symbolic(f, word)
+            out_set.update(outs)
+            for o in outs:
+                if not bad and not b_blk.contains_address(o):
+                    bad = f"f(cyl {word}) reaches cyl {o}"
+        rep.add(f"containment_block_{i}", not bad,
                 bad or f"f(A_{i}) subset B_{i} exactly")
-        out_set = set(outs_all)
-        prefixes = set()
-        for o in out_set:
-            for L in range(len(o) + 1):
-                prefixes.add(o[:L])
-        covered = True
-        bad = ""
-        for d in b_blk.cylinders:
-            if len(d) > depth:
-                raise InputError(f"depth {depth} shallower than cylinder {d!r}")
-            for suffix in range(1 << (depth - len(d))):
-                word = d + format(suffix, f"0{depth - len(d)}b") \
-                    if depth > len(d) else d
-                hit = word in prefixes or \
-                    any(word[:L] in out_set for L in range(len(word) + 1))
-                if not hit:
-                    covered = False
-                    bad = f"cyl {word} of B_{i} misses every image enclosure"
-                    break
-            if not covered:
-                break
-        rep.add(f"covering_block_{i}", covered,
-                bad or f"B_{i} within eps of f(A_{i})")
+        prefixes = {o[:L] for o in out_set for L in range(len(o) + 1)}
+        miss = next((word for word in _words_under(b_blk, depth)
+                     if word not in prefixes and
+                     not any(word[:L] in out_set for L in range(len(word) + 1))),
+                    None)
+        rep.add(f"covering_block_{i}", miss is None,
+                f"B_{i} within eps of f(A_{i})" if miss is None
+                else f"cyl {miss} of B_{i} misses every image enclosure")
     return rep
 
 
 def verify_cover_map(f: CantorMap, depth: int) -> CheckReport:
     """Surjectivity at resolution: depth-n image enclosures of all 2^n
-    cylinders must tile the target exactly."""
+    cylinders must tile the target exactly (each is one cell of the depth-n
+    grid and no two coincide)."""
     rep = CheckReport(f"{f.kind} covering at depth {depth}")
-    if f.kind == "binary_expansion":
-        step = Fraction(1, 2 ** depth)
-        lo = ZERO
-        ok = True
-        for i in range(2 ** depth):
-            bits = format(i, f"0{depth}b") if depth else ""
-            box = binary_expansion_map(Address.from_string(bits)).boxes[0]
-            if box.lo[0] != lo or box.hi[0] != lo + step:
-                ok = False
-                break
-            lo += step
-        ok = ok and lo == ONE
-        rep.add("images_tile_target", ok,
-                f"{2 ** depth} enclosures tile [0,1] exactly" if ok
-                else f"gap or overlap at cylinder {bits}")
-        return rep
-    if f.kind == "interleave":
-        nx = 2 ** ((depth + 1) // 2)
-        ny = 2 ** (depth // 2)
-        seen = set()
-        for i in range(2 ** depth):
-            bits = format(i, f"0{depth}b") if depth else ""
-            box = interleave_map(Address.from_string(bits)).boxes[0]
-            seen.add((box.lo[0] * nx, box.lo[1] * ny))
-        ok = len(seen) == 2 ** depth and \
-            all(cx.denominator == 1 and cy.denominator == 1
-                for cx, cy in seen)
-        rep.add("images_tile_target", ok,
-                f"{2 ** depth} enclosures tile the square as a "
-                f"{nx}x{ny} grid" if ok else "grid not fully covered")
-        return rep
-    raise InputError(f"covering verification ships for binary_expansion and "
-                     f"interleave, not {f.kind}")
+    if f.kind not in _EXPANSION_AXES:
+        raise InputError(f"covering verification ships for binary_expansion "
+                         f"and interleave, not {f.kind}")
+    axes = _EXPANSION_AXES[f.kind]
+    sizes = tuple(1 << len(range(a, depth, axes)) for a in range(axes))
+    cells = 2 ** depth
+    spec = f"0{depth}b"
+    hit, _ = _tile_walk((_expansion_cell(format(j, spec) if depth else "", axes)
+                         for j in range(cells)), sizes)
+    ok = hit == cells
+    grid = "[0,1] exactly" if axes == 1 else \
+        f"the square as a {sizes[0]}x{sizes[1]} grid"
+    rep.add("images_tile_target", ok,
+            f"{cells} enclosures tile {grid}" if ok
+            else f"{hit} of {cells} grid cells hit")
+    return rep
 
 
 def verify_curve(depth: int) -> CheckReport:
@@ -384,16 +400,14 @@ def verify_curve(depth: int) -> CheckReport:
     if depth < 0:
         raise InputError("depth must be >= 0")
     rep = CheckReport(f"space-filling curve at depth {depth}")
-    cells = [_curve_cell(depth, j) for j in range(4 ** depth)]
-    adjacent = all(abs(a[0] - b[0]) + abs(a[1] - b[1]) == 1
-                   for a, b in zip(cells, cells[1:]))
+    cells = 4 ** depth
+    hit, adjacent = _curve_walk(depth)
     rep.add("consecutive_cells_adjacent", adjacent,
-            f"{max(0, 4 ** depth - 1)} parameter steps checked")
-    tiles = len(set(cells)) == 4 ** depth
-    rep.add("quadrants_tile_square", tiles,
-            f"{4 ** depth} quadrants, side 2^-{depth}")
+            f"{max(0, cells - 1)} parameter steps checked")
+    rep.add("quadrants_tile_square", hit == cells,
+            f"{cells} quadrants, side 2^-{depth}")
     ends = _curve_cell(depth, 0) == (0, 0) and \
-        _curve_cell(depth, 4 ** depth - 1) == ((1 << depth) - 1, 0)
+        _curve_cell(depth, cells - 1) == ((1 << depth) - 1, 0)
     rep.add("orientation_endpoints", ends,
             "starts at the (0,0) corner, ends at the (1,0) corner")
     return rep
@@ -406,30 +420,33 @@ def verify_curve(depth: int) -> CheckReport:
 
 def _curve_cell(k: int, j: int) -> Tuple[int, int]:
     """Grid coordinates of the j-th depth-k quadrant of the space-filling
-    curve running from the (0,0) corner to the (1,0) corner."""
-    n = 1 << k
+    curve running from the (0,0) corner to the (1,0) corner.  Each base-4
+    digit of j, lowest first, puts the cell so far into one quadrant."""
     x = y = 0
-    t = j
-    s = 1
-    while s < n:
-        rx = 1 & (t // 2)
-        ry = 1 & (t ^ rx)
-        if ry == 0:
-            if rx == 1:
-                x = s - 1 - x
-                y = s - 1 - y
+    for level in range(k):
+        s = 1 << level
+        digit = j & 3
+        if digit == 0:
             x, y = y, x
-        x += s * rx
-        y += s * ry
-        t //= 4
-        s *= 2
+        elif digit == 1:
+            y += s
+        elif digit == 2:
+            x += s
+            y += s
+        else:
+            x, y = 2 * s - 1 - y, s - 1 - x
+        j >>= 2
     return x, y
 
 
 def _curve_box(k: int, j: int) -> Box:
-    x, y = _curve_cell(k, j)
-    side = Fraction(1, 1 << k)
-    return Box((x * side, y * side), ((x + 1) * side, (y + 1) * side))
+    return _grid_box(_curve_cell(k, j), (1 << k, 1 << k))
+
+
+def _curve_walk(k: int) -> Tuple[int, bool]:
+    """`_tile_walk` over the 4^k depth-k quadrants in parameter order."""
+    sizes = (1 << k, 1 << k)
+    return _tile_walk(((_curve_cell(k, j), sizes) for j in range(4 ** k)), sizes)
 
 
 def hilbert_enclosure(t_cell) -> Region:
@@ -444,13 +461,8 @@ def hilbert_enclosure(t_cell) -> Region:
     if width <= 0:
         raise InputError("parameter cell must have positive width")
     quarters = ONE / width
-    if quarters.denominator != 1:
-        raise InputError(f"cell width {width} is not a power of 1/4")
-    q = quarters.numerator
-    k = 0
-    while 4 ** k < q:
-        k += 1
-    if 4 ** k != q:
+    k = (quarters.numerator.bit_length() - 1) // 2
+    if quarters != 4 ** k:
         raise InputError(f"cell width {width} is not a power of 1/4")
     j = lo / width
     if j.denominator != 1 or not 0 <= j.numerator < 4 ** k:
@@ -462,8 +474,7 @@ def _parse_param_cell(t_cell) -> Tuple[Fraction, Fraction]:
     if isinstance(t_cell, Region):
         if len(t_cell.boxes) != 1 or t_cell.dim != 1:
             raise InputError("parameter cell must be a single interval")
-        b = t_cell.boxes[0]
-        return b.lo[0], b.hi[0]
+        t_cell = t_cell.boxes[0]
     if isinstance(t_cell, Box):
         return t_cell.lo[0], t_cell.hi[0]
     lo, hi = t_cell
@@ -513,10 +524,6 @@ class WaypointSurjection:
     pinning: WaypointMap
     pieces: Tuple[tuple, ...]  # (lo, hi, kind, data)
 
-    @property
-    def target(self) -> str:
-        return self.pinning.target
-
 
 def _sweep_endpoints(target: str) -> Tuple[tuple, tuple]:
     if target == "interval":
@@ -559,27 +566,36 @@ def _triangle(u: Fraction) -> Fraction:
     return ONE - abs(ONE - 2 * u)
 
 
-def evaluate_waypoint(ws: WaypointSurjection, t, depth: int = 8) -> Region:
-    """Enclosure of f(t), width at most 2^-depth (exact point when the
-    piece is affine)."""
+def _piece_at(ws: WaypointSurjection, t) -> Tuple[str, Fraction, Optional[tuple]]:
+    """The piece holding parameter t: its kind, the position u of t along
+    it, and f(t) exactly (None inside a square sweep)."""
     t = rat(t)
     if not ZERO <= t <= ONE:
         raise InputError("parameter outside [0,1]")
+    target = ws.pinning.target
     for lo, hi, kind, data in ws.pieces:
         if lo <= t <= hi:
-            if kind == "const":
-                return region(Box(data, data))
             u = (t - lo) / (hi - lo)
+            if kind == "const":
+                return kind, u, data
             if kind == "linear":
-                p = _affine_point(data[0], data[1], u)
-                return region(Box(p, p))
-            if ws.target == "interval":
-                v = _triangle(u)
-                return region(Box((v,), (v,)))
-            cells = 4 ** depth
-            j = min((u.numerator * cells) // u.denominator, cells - 1)
-            return region(_curve_box(depth, j))
+                return kind, u, _affine_point(data[0], data[1], u)
+            if target == "interval":
+                return kind, u, (_triangle(u),)
+            start, end = _sweep_endpoints(target)
+            return kind, u, start if u == ZERO else end if u == ONE else None
     raise InputError("parameter not covered by any piece")  # unreachable
+
+
+def evaluate_waypoint(ws: WaypointSurjection, t, depth: int = 8) -> Region:
+    """Enclosure of f(t), width at most 2^-depth (exact point when the
+    piece is affine)."""
+    kind, u, exact = _piece_at(ws, t)
+    if kind == "sweep" and ws.pinning.target == "square":
+        cells = 4 ** depth
+        j = min((u.numerator * cells) // u.denominator, cells - 1)
+        return region(_curve_box(depth, j))
+    return region(Box(exact, exact))
 
 
 def sweep_segments(ws: WaypointSurjection) -> List[Tuple[Fraction, Fraction]]:
@@ -597,7 +613,7 @@ def sweep_cell_enclosure(ws: WaypointSurjection, sweep_idx: int, j: int,
     cells = 4 ** depth
     if not 0 <= j < cells:
         raise InputError("cell index out of range")
-    if ws.target == "square":
+    if ws.pinning.target == "square":
         return region(_curve_box(depth, j))
     u0 = Fraction(j, cells)
     u1 = Fraction(j + 1, cells)
@@ -610,25 +626,7 @@ def sweep_cell_enclosure(ws: WaypointSurjection, sweep_idx: int, j: int,
 def evaluate_waypoint_exact(ws: WaypointSurjection, t) -> Optional[tuple]:
     """Exact value of f(t) when representable: everywhere except interior
     square-sweep parameters (returns None there)."""
-    t = rat(t)
-    if not ZERO <= t <= ONE:
-        raise InputError("parameter outside [0,1]")
-    for lo, hi, kind, data in ws.pieces:
-        if lo <= t <= hi:
-            if kind == "const":
-                return data
-            u = (t - lo) / (hi - lo)
-            if kind == "linear":
-                return _affine_point(data[0], data[1], u)
-            if ws.target == "interval":
-                return (_triangle(u),)
-            start, end = _sweep_endpoints(ws.target)
-            if u == ZERO:
-                return start
-            if u == ONE:
-                return end
-            return None
-    raise InputError("parameter not covered by any piece")  # unreachable
+    return _piece_at(ws, t)[2]
 
 
 def verify_waypoint_surjection(ws: WaypointSurjection,
@@ -643,37 +641,34 @@ def verify_waypoint_surjection(ws: WaypointSurjection,
         rep.add(f"pin_waypoint_{i}", got == y,
                 f"f({rational_str(x)}) = {point_doc(got)}" if got is not None
                 else "no exact value")
-    sweeps = [(lo, hi) for lo, hi, kind, _ in ws.pieces if kind == "sweep"]
+    sweeps = sweep_segments(ws)
     rep.add("has_sweep", bool(sweeps), f"{len(sweeps)} sweep segment(s)")
+    if w.target == "square" and sweeps:
+        # every square sweep runs the same curve: one tiling walk serves all
+        cells = 4 ** resolution
+        hit, _ = _curve_walk(resolution)
     for si, (lo, hi) in enumerate(sweeps):
         if w.target == "interval":
             # both halves of the triangle wave are affine and monotone, so
             # the sweep's exact image is the span of their endpoint values
             mid = lo + (hi - lo) / 2
             ends = [evaluate_waypoint_exact(ws, t)[0] for t in (lo, mid, hi)]
-            img = region([Box((min(ends[0], ends[1]),), (max(ends[0], ends[1]),)),
-                          Box((min(ends[1], ends[2]),), (max(ends[1], ends[2]),))])
+            img = region([Box((min(p, q),), (max(p, q),))
+                          for p, q in zip(ends, ends[1:])])
             ok = img == region(Box((ZERO,), (ONE,)))
             rep.add(f"sweep_{si}_covers_target", ok,
                     "triangle wave image is [0,1] exactly")
         else:
-            cells = 4 ** resolution
-            # enclosure boxes are grid cells scaled by 2^-resolution, so
-            # coverage is bijectivity of the integer cell walk
-            seen = {_curve_cell(resolution, j) for j in range(cells)}
-            ok = len(seen) == (1 << resolution) ** 2
             # pointwise evaluator must agree with the cell enclosures on a
             # deterministic sample of parameter-cell midpoints
             width = hi - lo
-            consistent = True
-            for j in list(range(0, cells, 257)) + [cells - 1]:
-                t = lo + width * Fraction(4 * j + 2, 4 * cells)
-                if evaluate_waypoint(ws, t, resolution) != \
-                        sweep_cell_enclosure(ws, si, j, resolution):
-                    consistent = False
-                    break
-            rep.add(f"sweep_{si}_covers_target", ok and consistent,
-                    f"{len(seen)} of {(1 << resolution) ** 2} quadrants hit; "
+            consistent = all(
+                evaluate_waypoint(ws, lo + width * Fraction(4 * j + 2, 4 * cells),
+                                  resolution)
+                == sweep_cell_enclosure(ws, si, j, resolution)
+                for j in [*range(0, cells, 257), cells - 1])
+            rep.add(f"sweep_{si}_covers_target", hit == cells and consistent,
+                    f"{hit} of {cells} quadrants hit; "
                     f"evaluator consistent: {consistent}")
     return rep
 
@@ -696,7 +691,7 @@ def map_document(f: CantorMap) -> dict:
 def waypoint_document(ws: WaypointSurjection) -> dict:
     return {
         "kind": "waypoint",
-        "target": ws.target,
+        "target": ws.pinning.target,
         "waypoints": [
             {"x": rational_str(x), "y": point_doc(y)}
             for x, y in ws.pinning.waypoints

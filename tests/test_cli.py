@@ -12,7 +12,7 @@ import pytest
 from cli_cases import CASES
 from primchaos import cli
 from primchaos.cli import encode_document, main
-from primchaos.errors import ConstructionError, InternalConsistencyError
+from primchaos.errors import ConstructionError
 
 GOLDEN_DIR = Path(__file__).parent / "goldens"
 
@@ -68,7 +68,6 @@ def _replace_run(monkeypatch, path, run):
 
 @pytest.mark.parametrize("exc,code", [
     (ConstructionError("certificate broke"), 1),
-    (InternalConsistencyError("invariant broke"), 1),
 ])
 def test_failed_certificates_exit_1(exc, code, capsys, monkeypatch):
     def body(args):

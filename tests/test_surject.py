@@ -2,12 +2,15 @@
 glued block surjections, curve quadrants, and waypoint maps."""
 
 import random
+import tracemalloc
 from fractions import Fraction as F
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from primchaos import surject
 from primchaos.errors import InputError
 from primchaos.geometry import (
     Address,
@@ -52,6 +55,35 @@ def expansion_oracle(bits):
     return sum(int(b) * F(1, 2 ** (i + 1)) for i, b in enumerate(bits))
 
 
+def curve_cell_oracle(k, j):
+    """The space-filling curve's cell by the rotate-and-flip recursion on
+    the bit pairs of j (the form `_curve_cell` replaced)."""
+    x = y = 0
+    s = 1
+    while s < 1 << k:
+        rx = 1 & (j // 2)
+        ry = 1 & (j ^ rx)
+        if ry == 0:
+            if rx == 1:
+                x = s - 1 - x
+                y = s - 1 - y
+            x, y = y, x
+        x += s * rx
+        y += s * ry
+        j //= 4
+        s *= 2
+    return x, y
+
+
+def tile_walk_oracle(cells, sizes):
+    """`_tile_walk` by a set of coordinate tuples and pairwise steps."""
+    seen = {coords for coords, cell_sizes in cells if cell_sizes == sizes and
+            all(0 <= x < s for x, s in zip(coords, sizes))}
+    adjacent = all(sum(abs(a - b) for a, b in zip(c[0], p[0])) == 1
+                   for p, c in zip(cells, cells[1:]))
+    return len(seen), adjacent
+
+
 # ---------------------------------------------------------------------------
 # binary expansion / interleave
 # ---------------------------------------------------------------------------
@@ -87,6 +119,8 @@ def test_interleave_matches_parity_split_oracle():
         b = interleave_map(A(bits)).boxes[0]
         assert b.lo[0] == expansion_oracle(xs)
         assert b.lo[1] == expansion_oracle(ys)
+        assert b.hi[0] == expansion_oracle(xs) + F(1, 2 ** len(xs))
+        assert b.hi[1] == expansion_oracle(ys) + F(1, 2 ** len(ys))
 
 
 def test_enclosures_nest_and_obey_modulus():
@@ -121,6 +155,98 @@ def test_covering_checks():
     assert verify_cover_map(CantorMap("interleave", "square"), 10).all_passed
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 2), st.integers(0, 3), st.data())
+def test_tile_walk_matches_set_oracle(axes, bits, data):
+    sizes = (1 << bits,) * axes
+    coord = st.integers(-1, 1 << bits)
+    cell = st.tuples(st.tuples(*[coord] * axes),
+                     st.sampled_from([sizes, (2 << bits,) * axes]))
+    cells = data.draw(st.lists(cell, max_size=20))
+    assert surject._tile_walk(iter(cells), sizes) == \
+        tile_walk_oracle(cells, sizes)
+
+
+# faults planted in the cell of the last word or parameter cell of a walk
+EXPANSION_FAULTS = {
+    "repeat": lambda coords, sizes: ((0,) * len(coords), sizes),
+    "off_grid": lambda coords, sizes: ((coords[0] + 1,) + coords[1:], sizes),
+    "wrong_width": lambda coords, sizes: (coords, (2 * sizes[0],) + sizes[1:]),
+}
+CURVE_FAULTS = {
+    "repeat": lambda k: (0, 0),
+    "off_grid": lambda k: (1 << k, 0),
+}
+
+
+@pytest.mark.parametrize("fault", EXPANSION_FAULTS.values(), ids=EXPANSION_FAULTS)
+@pytest.mark.parametrize("kind,target,axes", [
+    ("binary_expansion", "interval", 1), ("interleave", "square", 2)])
+def test_covering_fails_on_a_faulty_kernel(kind, target, axes, fault,
+                                           monkeypatch):
+    real = surject._expansion_cell
+
+    def faulty(word, n_axes):
+        cell = real(word, n_axes)
+        return fault(*cell) if word == "1" * len(word) else cell
+
+    monkeypatch.setattr(surject, "_expansion_cell", faulty)
+    f = CantorMap(kind, target)
+    rep = verify_cover_map(f, 6)
+    assert [(c.name, c.passed) for c in rep.checks] == \
+        [("images_tile_target", False)]
+    # the evaluator reads the same kernel, so it shows the same fault
+    assert evaluate_map(f, A("111111")) == \
+        region(surject._grid_box(*fault(*real("111111", axes))))
+
+
+def _curve_with(fault):
+    real = surject._curve_cell
+    return lambda k, j: fault(k) if j == 4 ** k - 1 else real(k, j)
+
+
+def _swapped_curve(k, j):
+    """The curve with cells 1 and 4^k - 2 exchanged: still a tiling, but
+    its steps jump across the square."""
+    last = 4 ** k - 2
+    return curve_cell_oracle(k, {1: last, last: 1}.get(j, j))
+
+
+@pytest.mark.parametrize("fault", CURVE_FAULTS.values(), ids=CURVE_FAULTS)
+def test_curve_tiling_fails_on_a_faulty_kernel(fault, monkeypatch):
+    monkeypatch.setattr(surject, "_curve_cell", _curve_with(fault))
+    checks = {c.name: c.passed for c in verify_curve(3).checks}
+    assert checks["quadrants_tile_square"] is False
+
+
+def test_curve_adjacency_fails_on_a_non_adjacent_step(monkeypatch):
+    monkeypatch.setattr(surject, "_curve_cell", _swapped_curve)
+    checks = {c.name: c.passed for c in verify_curve(3).checks}
+    assert checks["quadrants_tile_square"] is True
+    assert checks["consecutive_cells_adjacent"] is False
+
+
+@pytest.mark.parametrize("fault", CURVE_FAULTS.values(), ids=CURVE_FAULTS)
+def test_square_sweep_fails_on_a_faulty_kernel(fault, monkeypatch):
+    ws = waypoint_surjection(waypoint_map(
+        [(F(1, 4), (F(0), F(0))), (F(3, 4), (F(1), F(1)))], "square"))
+    monkeypatch.setattr(surject, "_curve_cell", _curve_with(fault))
+    checks = {c.name: c.passed for c in verify_waypoint_surjection(ws, 3).checks}
+    assert checks == {"pin_waypoint_0": True, "pin_waypoint_1": True,
+                      "has_sweep": True, "sweep_0_covers_target": False}
+
+
+def test_curve_walk_holds_no_cell_list():
+    # a list plus a set of all 4^8 cells peaks near 7 MB; the bitmap is 64 KB
+    tracemalloc.start()
+    try:
+        assert verify_curve(8).all_passed
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+
+
 # ---------------------------------------------------------------------------
 # clopen partitions and blocks
 # ---------------------------------------------------------------------------
@@ -146,6 +272,17 @@ def test_clopen_partition_disjoint_covering_up_to_64():
         for i in range(min(n, 12)):
             for j in range(i + 1, min(n, 12)):
                 assert regions_disjoint(regions[i], regions[j])
+
+
+def test_overlap_matches_pairwise_oracle():
+    words = [format(i, f"0{n}b")[:n] for n in range(4) for i in range(2 ** n)]
+    for size in range(6):
+        for cyls in combinations(words, size):
+            pairwise = not any(a.startswith(b) or b.startswith(a)
+                               for a, b in combinations(cyls, 2))
+            assert (surject._overlap(cyls) is None) == pairwise, cyls
+            assert blocks_pairwise_disjoint(
+                [ClopenBlock((c,)) for c in cyls]) == pairwise
 
 
 def test_clopen_block_validation():
@@ -295,6 +432,12 @@ def test_hilbert_rejects_malformed_cells():
         hilbert_enclosure((F(1, 8), F(3, 8)))
     with pytest.raises(InputError):
         hilbert_enclosure((F(1, 2), F(1, 2)))
+
+
+def test_curve_cell_matches_recursion_oracle():
+    for k in range(7):
+        for j in range(4 ** k):
+            assert surject._curve_cell(k, j) == curve_cell_oracle(k, j)
 
 
 def test_curve_adjacency_tiling_nesting_exhaustive():
