@@ -23,13 +23,27 @@ given event word by exact backward preimage propagation; its nonemptiness
 for every word is the finite-stage content of the defining property of
 primitive chaos, and nesting of these enclosures under word extension is
 the shadow of the infinite-sequence statement.
+
+The propagation runs in integers.  Each axis holds its box corners as
+numerators over one denominator, a multiple of the axis's event
+denominators that grows by multiplication alone; each symbol applies the
+branch inverse to the numerators and clips them against the event's boxes
+by integer comparison.  The pieces are merged (the canonical form, on the
+numerators) only when a symbol raises their count, which no shipped system
+does.  `Fraction` corners and the one `region()` of them appear only at
+the end, so the returned region is the one the `Fraction` recursion
+(`AffineBranch.preimage`, kept as the reference) gives.  The witness's
+forward orbit and its event membership stay in `Fraction`: they certify
+the enclosure independently of the kernel.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import product
+from math import lcm
 from typing import List, Optional, Sequence, Tuple, Union
 
 from .errors import ConstructionError, InputError
@@ -43,7 +57,6 @@ from .geometry import (
     rational_str,
     region,
     region_doc,
-    region_intersect,
 )
 from .report import CheckReport
 
@@ -59,6 +72,10 @@ class AffineBranch:
     """Diagonal affine law: coordinate i maps to a_i * x_i + b_i."""
 
     coeffs: Tuple[Tuple[Fraction, Fraction], ...]  # (a, b) per axis
+
+    def __post_init__(self):
+        if any(a == 0 for a, _ in self.coeffs):
+            raise InputError("affine branch needs a nonzero slope on every axis")
 
     def apply(self, p: tuple) -> tuple:
         return tuple(a * c + b for (a, b), c in zip(self.coeffs, p))
@@ -105,6 +122,30 @@ class ChaosSystem:
     def step(self, p: tuple) -> tuple:
         """Total map: apply the law of the first event containing the point."""
         return self.branches[self.event_of(p)].apply(p)
+
+    @cached_property
+    def _grid(self):
+        """Integer form for `word_enclosure`: per axis the lcm L of every
+        corner's denominator; the space and each event as boxes of
+        [(lo, hi) per axis] numerators over L; and per branch and axis its
+        inverse x -> (c*x + d) / m as the integers (c, d*L, m)."""
+        boxes = [b for r in (self.space, *self.events) for b in r.boxes]
+        dens = [lcm(*(x[ax].denominator for b in boxes for x in (b.lo, b.hi)))
+                for ax in range(self.dim)]
+
+        def over(r: Region):
+            return [[(int(l * L), int(h * L))
+                     for l, h, L in zip(b.lo, b.hi, dens)] for b in r.boxes]
+
+        def inverse(a, b, L: int):
+            c = 1 / Fraction(a)
+            d = -Fraction(b) * c
+            m = lcm(c.denominator, d.denominator)
+            return int(c * m), int(d * m * L), m
+
+        return (dens, over(self.space), [over(ev) for ev in self.events],
+                [[inverse(a, b, L) for (a, b), L in zip(br.coeffs, dens)]
+                 for br in self.branches])
 
 
 def make_system(kind: str) -> ChaosSystem:
@@ -170,14 +211,43 @@ class WitnessResult:
 def word_enclosure(s: ChaosSystem, word: Union[str, Address]) -> Region:
     """Exact region of initial points whose orbit follows the event word:
     K = X_{w0} cap f_{w0}^-1(X_{w1} cap f_{w1}^-1(...))."""
-    syms = _as_word(word, s.alphabet)
-    K = s.space
+    return _enclosure(s, _as_word(word, s.alphabet), word)
+
+
+def _enclosure(s: ChaosSystem, syms: Tuple[int, ...],
+               word: Union[str, Address]) -> Region:
+    # A box is [(lo, hi) per axis], numerators over dens[axis] * k[axis].
+    dens, boxes, events, inverses = s._grid
+    k = [1] * len(dens)
     for sym in reversed(syms):
-        K = region_intersect(s.events[sym], s.branches[sym].preimage(K))
-        if K is None:
+        inv = inverses[sym]
+        k2 = [kk * m for kk, (_, _, m) in zip(k, inv)]
+        out = []
+        for box in boxes:
+            pre = []
+            for (lo, hi), (c, dl, _), kk in zip(box, inv, k):
+                lo, hi = c * lo + dl * kk, c * hi + dl * kk
+                pre.append((lo, hi) if c > 0 else (hi, lo))
+            for ev in events[sym]:
+                clip = []
+                for (lo, hi), (elo, ehi), kk in zip(pre, ev, k2):
+                    lo, hi = max(lo, elo * kk), min(hi, ehi * kk)
+                    if lo > hi:
+                        break
+                    clip.append((lo, hi))
+                else:
+                    out.append(clip)
+        if not out:
             raise ConstructionError(
                 f"empty witness set for word {word!s} on {s.kind}")
-    return K
+        if len(out) > len(boxes):  # unmerged pieces can double per symbol
+            out = [list(zip(b.lo, b.hi))
+                   for b in region([Box(*zip(*box)) for box in out]).boxes]
+        boxes, k = out, k2
+    dens = [L * kk for L, kk in zip(dens, k)]
+    return region([Box(tuple(Fraction(lo, d) for (lo, _), d in zip(box, dens)),
+                       tuple(Fraction(hi, d) for (_, hi), d in zip(box, dens)))
+                   for box in boxes])
 
 
 def realize_witness(s: ChaosSystem, word: Union[str, Address]) -> WitnessResult:
@@ -186,7 +256,7 @@ def realize_witness(s: ChaosSystem, word: Union[str, Address]) -> WitnessResult:
     syms = _as_word(word, s.alphabet)
     if not syms:
         raise InputError("word must be nonempty")
-    K = word_enclosure(s, word)
+    K = _enclosure(s, syms, word)
     witness = first_box_midpoint(K)
     orbit = [witness]
     for sym in syms[:-1]:

@@ -36,6 +36,7 @@ from .geometry import (
 PROG = "primchaos"
 EMBED_MAX_DEPTH = 12
 MAX_CELLS = 2 ** 20
+MAX_WORD = 1024
 
 EPILOG = """\
 output formats:
@@ -46,7 +47,8 @@ output formats:
 
 work limits:
   embed --depth at most 12; surject and chaos transitivity at most 2^20 cells
-  (2^depth cylinders or interval cells, 4^depth quadrants or pairs)
+  (2^depth cylinders or interval cells, 4^depth quadrants or pairs);
+  chaos realize and periodic --word 1..1024 symbols
 """
 
 
@@ -120,9 +122,16 @@ def _embed(args):
     return embed_mod.tree_document(tree), summary, ok
 
 
+def _word(args) -> str:
+    # the documents grow as the square of the word length
+    if not 1 <= len(args.word) <= MAX_WORD:
+        raise InputError(f"word length must be in 1..{MAX_WORD}")
+    return args.word
+
+
 def _chaos_realize(args):
     res = chaos_mod.realize_witness(chaos_mod.make_system(args.system),
-                                    args.word)
+                                    _word(args))
     return res.to_document(), [
         f"chaos realize: system {args.system}, word {res.word}",
         f"enclosure: {region_doc(res.enclosure)}",
@@ -133,7 +142,7 @@ def _chaos_realize(args):
 
 def _chaos_periodic(args):
     orb = chaos_mod.periodic_point(chaos_mod.make_system(args.system),
-                                   args.word)
+                                   _word(args))
     summary = [f"chaos periodic: system {args.system}, word {orb.word}"]
     if orb.reduced_from:
         summary.append(f"note: input word {orb.reduced_from} reduced to "

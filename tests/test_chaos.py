@@ -1,12 +1,19 @@
 """Primitive-chaos systems: witness realization, periodic orbits, and the
 chaos-property certificates, cross-checked against plain-lambda oracles."""
 
+import tracemalloc
 from fractions import Fraction as F
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from primchaos import cli
 from primchaos.chaos import (
+    SYSTEM_KINDS,
+    AffineBranch,
+    ChaosSystem,
     dense_orbit_word,
     make_system,
     periodic_point,
@@ -16,8 +23,14 @@ from primchaos.chaos import (
     verify_dense_orbit,
     word_enclosure,
 )
-from primchaos.errors import InputError
-from primchaos.geometry import box1, region, region_subset
+from primchaos.errors import ConstructionError, InputError
+from primchaos.geometry import (
+    box1,
+    box2,
+    region,
+    region_intersect,
+    region_subset,
+)
 
 HALF = F(1, 2)
 
@@ -311,3 +324,149 @@ def test_witness_document_shape():
         "witness": "3/8",
         "orbit": ["3/8", "3/4"],
     }
+
+
+# ---------------------------------------------------------------------------
+# the integer enclosure kernel against the Fraction recursion it replaced
+# ---------------------------------------------------------------------------
+
+
+def reference_step(s, sym, K):
+    """One symbol of the Fraction recursion: X_sym cap f_sym^-1(K)."""
+    return region_intersect(s.events[sym], s.branches[sym].preimage(K))
+
+
+def reference_enclosure(s, word):
+    K = s.space
+    for ch in reversed(word):
+        K = reference_step(s, int(ch), K)
+        if K is None:
+            return None
+    return K
+
+
+def check_against_reference(s, word, want):
+    """word_enclosure equals the reference region, or raises the empty-set
+    error exactly when the reference empties."""
+    if want is None:
+        with pytest.raises(ConstructionError) as exc:
+            word_enclosure(s, word)
+        assert str(exc.value) == f"empty witness set for word {word} on {s.kind}"
+    else:
+        assert word_enclosure(s, word) == want, (s.kind, word)
+
+
+def custom_system(kind, events, branches):
+    events = tuple(region(ev) for ev in events)
+    return ChaosSystem(
+        kind, events,
+        tuple(AffineBranch(tuple((F(a), F(b)) for a, b in br))
+              for br in branches),
+        region([b for ev in events for b in ev.boxes]))
+
+
+# two-box event under a reflection: enclosures keep two pieces, and the
+# word "01" realizes only the two points 1/3 and 2/3
+TWO_PIECE = custom_system(
+    "two_piece", [[box1(0, F(1, 3)), box1(F(2, 3), 1)], [box1(F(1, 3), F(2, 3))]],
+    [((-1, 1),), ((3, -1),)])
+# 2-d checkerboard events; branch 0 reverses axis 0, branch 1 axis 1
+CHECKER = custom_system(
+    "checker",
+    [[box2(0, HALF, 0, HALF), box2(HALF, 1, HALF, 1)],
+     [box2(0, HALF, HALF, 1), box2(HALF, 1, 0, HALF)]],
+    [((-1, 1), (F(1, 3), F(1, 3))), ((2, -HALF), (-1, 1))])
+# three symbols, non-dyadic corners, slopes and offsets
+FIFTHS = custom_system(
+    "fifths", [[box1(0, F(2, 5))], [box1(F(2, 5), 1)], [box1(F(1, 7), F(3, 7))]],
+    [((F(5, 2), 0),), ((F(5, 3), F(-2, 3)),), ((F(7, 2), -HALF),)])
+# branch 1 maps its event into itself, so no orbit goes from 1 to 0
+TRAP = custom_system("trap", [[box1(0, HALF)], [box1(HALF, 1)]],
+                     [((2, 0),), ((HALF, HALF),)])
+
+RANDOM_WORD_SYSTEMS = {**{k: make_system(k) for k in SYSTEM_KINDS},
+                       **{s.kind: s for s in (TWO_PIECE, CHECKER, FIFTHS)}}
+
+
+def test_kernel_keeps_multi_box_enclosures_merged():
+    # on the checkerboard the unmerged pieces would double every symbol
+    # (4096 boxes, about 3 MB, for 12 symbols); the enclosure has two
+    word = "0" * 12
+    tracemalloc.start()
+    try:
+        enc = word_enclosure(CHECKER, word)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert enc == reference_enclosure(CHECKER, word)
+    assert len(enc.boxes) == 2
+    assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("kind", SYSTEM_KINDS)
+def test_kernel_matches_reference_on_every_short_word(kind):
+    # every word of length 0..10, the reference built from its suffix's
+    s = make_system(kind)
+    ref = {"": s.space}
+    check_against_reference(s, "", s.space)
+    for n in range(1, 11):
+        for bits in product("01", repeat=n):
+            w = "".join(bits)
+            tail = ref[w[1:]]
+            ref[w] = None if tail is None else reference_step(s, int(w[0]), tail)
+            check_against_reference(s, w, ref[w])
+
+
+@pytest.mark.parametrize("kind", SYSTEM_KINDS)
+def test_kernel_matches_reference_on_dense_words(kind):
+    s = make_system(kind)
+    for depth in range(1, 9):
+        w = str(dense_orbit_word(depth))
+        check_against_reference(s, w, reference_enclosure(s, w))
+
+
+@pytest.mark.parametrize("kind", sorted(RANDOM_WORD_SYSTEMS))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_kernel_matches_reference_on_random_words(kind, data):
+    s = RANDOM_WORD_SYSTEMS[kind]
+    word = data.draw(st.text("0123456789"[:s.alphabet], max_size=200))
+    want = reference_enclosure(s, word)
+    check_against_reference(s, word, want)
+    if want is not None and word:
+        # the Fraction orbit and event membership certify the kernel
+        assert realize_witness(s, word).enclosure == want
+
+
+def test_kernel_on_custom_systems_examples():
+    assert word_enclosure(TWO_PIECE, "01") == \
+        region([box1(F(1, 3), F(1, 3)), box1(F(2, 3), F(2, 3))])
+    assert word_enclosure(TWO_PIECE, "0") == TWO_PIECE.events[0]
+    # the reflection swaps the two pieces; the witness is the left point
+    res = realize_witness(TWO_PIECE, "01")
+    assert res.witness == (F(1, 3),) and res.orbit == ((F(1, 3),), (F(2, 3),))
+    assert word_enclosure(FIFTHS, "2") == region(box1(F(1, 7), F(3, 7)))
+    assert word_enclosure(FIFTHS, "12") == \
+        region(box1(F(2, 5) + F(3, 5) / 7, F(2, 5) + F(9, 5) / 7))
+
+
+def test_unrealizable_word_fails_the_check(monkeypatch, capsys):
+    msg = "empty witness set for word 10 on trap"
+    assert reference_enclosure(TRAP, "10") is None
+    for realize in (word_enclosure, realize_witness):
+        with pytest.raises(ConstructionError) as exc:
+            realize(TRAP, "10")
+        assert str(exc.value) == msg
+    monkeypatch.setattr(cli.chaos_mod, "make_system", lambda kind: TRAP)
+    assert cli.main(["chaos", "realize", "--system", "doubling",
+                     "--word", "10"]) == 1
+    assert capsys.readouterr().err == f"primchaos: check failed: {msg}\n"
+
+
+def test_zero_slope_rejected():
+    with pytest.raises(InputError):
+        AffineBranch(((F(0), HALF),))
+    with pytest.raises(InputError):
+        AffineBranch(((F(2), F(0)), (F(0), HALF)))
+    with pytest.raises(InputError):
+        custom_system("flat", [[box1(0, 1)]], [((0, HALF),)])

@@ -150,12 +150,24 @@ def test_work_gate(argv, accepted, tmp_path, capsys, monkeypatch):
     ["chaos", "sensitivity", "--system", "doubling", "--delta", "1/64",
      "--samples", "0"],
     ["chaos", "transitivity", "--system", "doubling", "--depth", "0"],
+    ["chaos", "realize", "--system", "doubling", "--word", ""],
+    ["chaos", "realize", "--system", "doubling", "--word", "01" * 512 + "0"],
+    ["chaos", "periodic", "--system", "tent", "--word", ""],
+    ["chaos", "periodic", "--system", "tent", "--word", "0" * 1024 + "1"],
 ])
 def test_out_of_range_inputs_rejected(argv, tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert main(argv + ["--out", "out.json"]) == 2
     assert capsys.readouterr().err.startswith("primchaos: error: ")
     assert not (tmp_path / "out.json").exists()
+
+
+@pytest.mark.parametrize("command", ["realize", "periodic"])
+@pytest.mark.parametrize("length", [1, 1024])
+def test_word_length_bounds_accepted(command, length, capsys):
+    assert main(["chaos", command, "--system", "doubling",
+                 "--word", "0" * (length - 1) + "1"]) == 0
+    assert capsys.readouterr().out.endswith("result: PASS\n")
 
 
 def test_csv_format_is_field_equivalent(tmp_path, capsys, monkeypatch):
