@@ -52,6 +52,7 @@ from .geometry import (
     Box,
     Region,
     first_box_midpoint,
+    grid_box,
     point_doc,
     rat,
     rational_str,
@@ -104,6 +105,17 @@ class ChaosSystem:
     events: Tuple[Region, ...]
     branches: Tuple[AffineBranch, ...]
     space: Region
+
+    def __post_init__(self):
+        if len(self.branches) < len(self.events):
+            raise InputError(f"{len(self.events)} events need a branch each, "
+                             f"got {len(self.branches)} branches")
+        dim = self.space.dim
+        if any(ev.dim != dim for ev in self.events):
+            raise InputError(f"every event must have the space's {dim} axes")
+        if any(len(br.coeffs) != dim for br in self.branches):
+            raise InputError(f"every branch needs one law per axis of the "
+                             f"{dim}-dimensional space")
 
     @property
     def alphabet(self) -> int:
@@ -245,9 +257,7 @@ def _enclosure(s: ChaosSystem, syms: Tuple[int, ...],
                    for b in region([Box(*zip(*box)) for box in out]).boxes]
         boxes, k = out, k2
     dens = [L * kk for L, kk in zip(dens, k)]
-    return region([Box(tuple(Fraction(lo, d) for (lo, _), d in zip(box, dens)),
-                       tuple(Fraction(hi, d) for (_, hi), d in zip(box, dens)))
-                   for box in boxes])
+    return region([grid_box(*zip(*box), dens) for box in boxes])
 
 
 def realize_witness(s: ChaosSystem, word: Union[str, Address]) -> WitnessResult:

@@ -16,18 +16,30 @@ diameter inequality is then automatic and siblings keep a Chebyshev gap of
 at least d/2.  Marked points of a child are the lexicographic extremes of
 its region, which makes trees fully reproducible; the parent's marked point
 is inherited as one of them because each child is anchored at a corner.
+
+The construction is integer-exact.  `build_refinement` scales the model's
+root onto the grid of step 1/(D * 4^depth), D the lcm of the root's corner
+denominators.  Every corner of a level-k cell is then a multiple of
+4^(depth-k) on that grid, so each marked distance above the deepest level
+is a multiple of 4 and the child radius d // 4 is exact.  The tree holds
+these integer cells and the one scale; the stage checks are homogeneous in
+the scale and read them directly.  `Fraction` corners are built only at
+the boundary: the `tree.cells` view, `evaluate_address` and
+`tree_document`.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from math import lcm
 from types import MappingProxyType
-from typing import Mapping, Tuple
+from typing import Tuple
 
-from .errors import DegenerateInputError, InputError
+from .errors import ConstructionError, DegenerateInputError, InputError
 from .geometry import (
     Address,
     Box,
@@ -37,6 +49,8 @@ from .geometry import (
     closed_difference,
     diameter,
     distance,
+    grid_box,
+    grid_point,
     lexmax_point,
     lexmin_point,
     point_doc,
@@ -83,17 +97,96 @@ class Cell:
     marked: Tuple[tuple, tuple]  # pair of points, lexicographic extremes
 
 
-@dataclass(frozen=True)
+def _corners(cell: Cell) -> Iterator[tuple]:
+    for b in cell.region.boxes:
+        yield b.lo
+        yield b.hi
+    yield from cell.marked
+
+
+def _onto_grid(cell: Cell, scale: int) -> Cell:
+    """The cell with every coordinate x replaced by the integer x * scale
+    (scale a multiple of every denominator)."""
+    def point(p):
+        return tuple(x.numerator * (scale // x.denominator) for x in p)
+    return Cell(Region(tuple(Box(point(b.lo), point(b.hi))
+                             for b in cell.region.boxes)),
+                (point(cell.marked[0]), point(cell.marked[1])))
+
+
+def _lcm_scale(cells: Iterable[Cell]) -> int:
+    """The lcm of every corner denominator: the coarsest common grid."""
+    return lcm(*(x.denominator for c in cells for p in _corners(c) for x in p))
+
+
+class _FractionCells(Mapping):
+    """Read-only view of integer grid cells over one scale that builds the
+    `Fraction` Cell of an address when it is looked up."""
+
+    __slots__ = ("_grid", "_dens")
+
+    def __init__(self, grid: Mapping[str, Cell], dens: Tuple[int, ...]):
+        self._grid = grid
+        self._dens = dens
+
+    def __getitem__(self, addr: str) -> Cell:
+        cell, dens = self._grid[addr], self._dens
+        # positive scaling keeps the canonical box order
+        return Cell(Region(tuple(grid_box(b.lo, b.hi, dens)
+                                 for b in cell.region.boxes)),
+                    (grid_point(cell.marked[0], dens),
+                     grid_point(cell.marked[1], dens)))
+
+    def __contains__(self, addr) -> bool:
+        return addr in self._grid
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._grid)
+
+    def __len__(self) -> int:
+        return len(self._grid)
+
+
+@dataclass(frozen=True, init=False)
 class RefinementTree:
     """The full refinement to a fixed depth: one Cell per binary address.
 
-    Immutable after construction (the cell map is a read-only view), so
-    trees are safe for unrestricted concurrent reads.
+    The cells are stored once, on an integer grid: `grid` maps each address
+    to a Cell whose coordinates are integers over `scale`, and `cells` is
+    the read-only view of them as `Fraction` Cells.  Immutable after
+    construction, so trees are safe for unrestricted concurrent reads.
     """
 
     model: PeanoModel
     depth: int
-    cells: Mapping[str, Cell]
+    grid: Mapping[str, Cell]
+    scale: int
+
+    def __init__(self, model: PeanoModel, depth: int,
+                 cells: Mapping[str, Cell]):
+        """A tree of the given rational cells, put on the lcm grid of all
+        their coordinates' denominators."""
+        scale = _lcm_scale(cells.values())
+        self._fill(model, depth,
+                   {a: _onto_grid(c, scale) for a, c in cells.items()}, scale)
+
+    @classmethod
+    def _from_grid(cls, model: PeanoModel, depth: int, grid: dict,
+                   scale: int) -> "RefinementTree":
+        tree = cls.__new__(cls)
+        tree._fill(model, depth, grid, scale)
+        return tree
+
+    def _fill(self, model, depth, grid: dict, scale: int) -> None:
+        for name, value in (("model", model), ("depth", depth),
+                            ("grid", MappingProxyType(grid)),
+                            ("scale", scale)):
+            object.__setattr__(self, name, value)
+
+    @property
+    def cells(self) -> Mapping[str, Cell]:
+        """The cells as `Fraction` Cells, each built when looked up."""
+        return _FractionCells(self.grid, (self.scale,) * self.model.dim)
 
     def level(self, k: int):
         """Addresses of level k in lexicographic order."""
@@ -111,6 +204,9 @@ def subdivide(model: PeanoModel, cell: Region, marked: Tuple[tuple, tuple]):
     inherited point at a corner, so its diameter is at most d/4 < d/3 and
     the two children sit at Chebyshev distance >= d/2 from each other.
 
+    Exact on `Fraction` and on integer grid coordinates alike; on the grid
+    the radius d // 4 must have no remainder, else `ConstructionError`.
+
     Returns ((region1, marked1), (region2, marked2)) where each markedI is
     the pair of lexicographic extremes of regionI.
     """
@@ -122,7 +218,13 @@ def subdivide(model: PeanoModel, cell: Region, marked: Tuple[tuple, tuple]):
         raise InputError("marked points must lie in the cell being subdivided")
     if not region_subset(cell, model.root):
         raise InputError("cell is not a subcontinuum of the model")
-    radius = d / 4
+    if isinstance(d, int):
+        radius, rest = divmod(d, 4)
+        if rest:
+            raise ConstructionError(
+                f"marked distance {d} is not a multiple of 4 on the grid")
+    else:
+        radius = d / 4
     children = []
     for m in (m1, m2):
         clipped = region_intersect(cell, region(chebyshev_ball(m, radius)))
@@ -136,23 +238,29 @@ def build_refinement(model: PeanoModel, depth: int) -> RefinementTree:
     """Iterate `subdivide` to the given depth from the model's root.
 
     Cell at address a*j is built around marked point j of cell a; the root's
-    marked points are the lexicographic extremes of the whole model.
+    marked points are the lexicographic extremes of the whole model.  The
+    steps run on the integer grid of scale D * 4^depth (module docstring).
     """
     if depth < 0:
         raise InputError("depth must be >= 0")
     root = model.root
-    cells = {"": Cell(root, (lexmin_point(root), lexmax_point(root)))}
+    root_cell = Cell(root, (lexmin_point(root), lexmax_point(root)))
+    scale = _lcm_scale([root_cell]) * 4 ** depth
+    root_cell = _onto_grid(root_cell, scale)
+    grid_model = PeanoModel(model.kind, model.dim, root_cell.region)
+    cells = {"": root_cell}
     frontier = [""]
     for _ in range(depth):
         nxt = []
         for addr in frontier:
             cell = cells[addr]
-            (r0, mk0), (r1, mk1) = subdivide(model, cell.region, cell.marked)
+            (r0, mk0), (r1, mk1) = subdivide(grid_model, cell.region,
+                                             cell.marked)
             cells[addr + "0"] = Cell(r0, mk0)
             cells[addr + "1"] = Cell(r1, mk1)
             nxt.extend((addr + "0", addr + "1"))
         frontier = nxt
-    return RefinementTree(model, depth, MappingProxyType(cells))
+    return RefinementTree._from_grid(model, depth, cells, scale)
 
 
 def evaluate_address(tree: RefinementTree, a: Address) -> Region:
@@ -209,12 +317,14 @@ def check_stage_invariants(tree: RefinementTree, level: int) -> CheckReport:
           the union of the other cells, i.e. each cell's complement within
           its stage is a finite union of closed cells.
 
-    Failures are reported, never raised.
+    The checks read the integer grid cells: every one is homogeneous in
+    the scale.  Failures are reported, never raised.
     """
     if not 0 <= level <= tree.depth:
         raise InputError(f"level {level} outside tree depth {tree.depth}")
     addrs = tree.level(level)
-    cells = [tree.cells[a] for a in addrs]
+    grid = tree.grid
+    cells = [grid[a] for a in addrs]
     rep = CheckReport(f"{tree.model.kind} depth={tree.depth} level={level}")
 
     # one axis-0 index of the level's boxes serves checks (i), (iii), (iv)
@@ -232,10 +342,8 @@ def check_stage_invariants(tree: RefinementTree, level: int) -> CheckReport:
         rep.add("diameter_shrink", True, "root level: no parent, vacuous")
     else:
         bad = None
-        for a in addrs:
-            parent = tree.cells[a[:-1]]
-            bound = distance(*parent.marked) / 3
-            if not diameter(tree.cells[a].region) < bound:
+        for a, cell in zip(addrs, cells):
+            if not 3 * diameter(cell.region) < distance(*grid[a[:-1]].marked):
                 bad = a
                 break
         rep.add("diameter_shrink", bad is None,
@@ -252,7 +360,7 @@ def check_stage_invariants(tree: RefinementTree, level: int) -> CheckReport:
         inside = [[] for _ in cells]  # (point, owner) of each mark in cell
         for a in addrs:
             for j in "01":
-                for p in tree.cells[a + j].marked:
+                for p in grid[a + j].marked:
                     for k in {k for k, _ in index.near(p, p)}:
                         inside[k].append((p, a))
         bad_reason = ""
@@ -293,16 +401,16 @@ def check_stage_invariants(tree: RefinementTree, level: int) -> CheckReport:
 
 def tree_document(tree: RefinementTree) -> dict:
     """Deterministic single-document serialization (golden-file stable)."""
-    addrs = sorted(tree.cells, key=lambda a: (len(a), a))
+    items = sorted(tree.cells.items(), key=lambda item: (len(item[0]), item[0]))
     return {
         "model": tree.model.kind,
         "depth": tree.depth,
         "cells": [
             {
                 "address": a,
-                "region": region_doc(tree.cells[a].region),
-                "marked_points": [point_doc(p) for p in tree.cells[a].marked],
+                "region": region_doc(cell.region),
+                "marked_points": [point_doc(p) for p in cell.marked],
             }
-            for a in addrs
+            for a, cell in items
         ],
     }

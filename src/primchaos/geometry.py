@@ -1,11 +1,18 @@
 """Exact geometric substrate: rational scalars, points, boxes, regions,
 and Cantor addresses.
 
-Everything downstream computes over this module.  The only scalar type is
-`fractions.Fraction` (arbitrary precision, always in lowest terms, positive
-denominator); there is no floating point anywhere in the core.  Sets of
-points are represented as finite unions of closed axis-aligned boxes with
-rational corners, in ambient dimension 1 or 2.
+Everything downstream computes over this module.  The only scalar type at
+the API is `fractions.Fraction` (arbitrary precision, always in lowest
+terms, positive denominator); there is no floating point anywhere in the
+core.  Sets of points are represented as finite unions of closed
+axis-aligned boxes with rational corners, in ambient dimension 1 or 2.
+
+The integer kernels (chaos enclosures, surjection cells, refinement trees)
+hold corners as `int` numerators over one denominator per axis.  Boxes,
+`region()`, intersection, containment, `closed_difference`, `distance` and
+`diameter` only compare, add and subtract, so they run on such integer
+corners unchanged; `grid_box` and `grid_point` are the one way back to
+`Fraction` corners.
 
 The metric is the Chebyshev max-norm.  It is topologically equivalent to
 the Euclidean metric and, unlike it, exactly computable over the rationals
@@ -17,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .errors import InputError
 
@@ -77,13 +84,6 @@ def decimal_str(x: Fraction, digits: int) -> str:
 # ---------------------------------------------------------------------------
 
 Point = tuple  # tuple of Fraction, length = ambient dimension (1 or 2)
-
-
-def as_point(coords: Iterable) -> Point:
-    p = tuple(rat(c) for c in coords)
-    if len(p) not in (1, 2):
-        raise InputError(f"points live in dimension 1 or 2, got {len(p)}")
-    return p
 
 
 def distance(p: Point, q: Point) -> Fraction:
@@ -154,6 +154,16 @@ def box_disjoint(a: Box, b: Box) -> bool:
 
 def chebyshev_ball(center: Point, radius: Fraction) -> Box:
     return Box(tuple(c - radius for c in center), tuple(c + radius for c in center))
+
+
+def grid_point(nums: Sequence[int], dens: Sequence[int]) -> Point:
+    """The point with coordinate nums[i] / dens[i] on axis i."""
+    return tuple(Fraction(n, d) for n, d in zip(nums, dens))
+
+
+def grid_box(lo: Sequence[int], hi: Sequence[int], dens: Sequence[int]) -> Box:
+    """The `Fraction` box of integer corners over one denominator per axis."""
+    return Box(grid_point(lo, dens), grid_point(hi, dens))
 
 
 # ---------------------------------------------------------------------------
@@ -369,11 +379,6 @@ def region_subset(a: Region, b: Region) -> bool:
     return all(box_in_boxes(box, b.boxes) for box in a.boxes)
 
 
-def region_equal(a: Region, b: Region) -> bool:
-    # canonical form is route-independent, so this is point-set equality
-    return a.boxes == b.boxes
-
-
 def closed_difference(minuend: Sequence[Box], subtrahend: Sequence[Box]) -> list:
     """Closure of (union of minuend boxes) minus (union of subtrahend boxes).
 
@@ -442,9 +447,6 @@ class Address:
 
     def prefix(self, n: int) -> "Address":
         return Address(self.symbols[:n], self.alphabet)
-
-    def is_prefix_of(self, other: "Address") -> bool:
-        return self.symbols == other.symbols[: len(self.symbols)]
 
 
 def cylinder(a: Address) -> Region:

@@ -46,6 +46,7 @@ from .geometry import (
     Box,
     Region,
     cylinder,
+    grid_box,
     point_doc,
     rational_str,
     rat,
@@ -68,8 +69,7 @@ Cell = Tuple[Tuple[int, ...], Tuple[int, ...]]  # (coordinates, grid sizes)
 
 def _grid_box(coords: Sequence[int], sizes: Sequence[int]) -> Box:
     """The closed box [c/s, (c+1)/s] on every axis."""
-    return Box(tuple(Fraction(c, s) for c, s in zip(coords, sizes)),
-               tuple(Fraction(c + 1, s) for c, s in zip(coords, sizes)))
+    return grid_box(coords, [c + 1 for c in coords], sizes)
 
 
 def _tile_walk(cells: Iterable[Cell],

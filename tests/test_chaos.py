@@ -470,3 +470,17 @@ def test_zero_slope_rejected():
         AffineBranch(((F(2), F(0)), (F(0), HALF)))
     with pytest.raises(InputError):
         custom_system("flat", [[box1(0, 1)]], [((0, HALF),)])
+
+
+def test_malformed_systems_rejected():
+    d, b = make_system("doubling"), make_system("baker")
+    with pytest.raises(InputError, match="need a branch each"):
+        ChaosSystem("short", d.events, d.branches[:1], d.space)
+    with pytest.raises(InputError, match="event must have"):
+        ChaosSystem("event_axes", (d.events[0], b.events[1]), d.branches,
+                    d.space)
+    with pytest.raises(InputError, match="one law per axis"):
+        ChaosSystem("branch_axes", d.events, (d.branches[0], b.branches[1]),
+                    d.space)
+    with pytest.raises(InputError, match="event must have"):
+        ChaosSystem("space_axes", d.events, d.branches, b.space)

@@ -1,12 +1,15 @@
 """Nested Cantor construction: subdivision rule, refinement trees, and the
 finite-stage certificates the limit argument rests on."""
 
+import tracemalloc
 from fractions import Fraction as F
 
 import pytest
 
 from primchaos.embedding import (
+    MODEL_KINDS,
     Cell,
+    PeanoModel,
     RefinementTree,
     _AxisIndex,
     build_refinement,
@@ -16,9 +19,10 @@ from primchaos.embedding import (
     subdivide,
     tree_document,
 )
-from primchaos.errors import DegenerateInputError, InputError
+from primchaos.errors import ConstructionError, DegenerateInputError, InputError
 from primchaos.geometry import (
     Address,
+    Box,
     box1,
     box2,
     diameter,
@@ -29,6 +33,7 @@ from primchaos.geometry import (
     regions_disjoint,
     region_subset,
 )
+from refinement_oracle import oracle_build, oracle_check
 
 A = Address.from_string
 
@@ -248,41 +253,70 @@ def test_stage_invariants_square_depth2_level1():
     assert check_stage_invariants(t, 1).all_passed
 
 
-def test_corrupted_tree_fails_disjointness():
-    t = build_refinement(make_model("interval"), 2)
+def _corrupt(kind, depth, addr, lo=None, hi=None, marked=None):
+    """A tree whose `Fraction` cell at addr gets a new box or marked pair."""
+    t = build_refinement(make_model(kind), depth)
     cells = dict(t.cells)
-    # hand-corrupt: stretch leaf "00" so it overlaps its sibling "01"
-    bad = region(box1(0, F(2, 9)))
-    cells["00"] = Cell(bad, cells["00"].marked)
-    broken = RefinementTree(t.model, t.depth, cells)
-    rep = check_stage_invariants(broken, 2)
+    cell = cells[addr]
+    if lo is not None:
+        cell = Cell(region(Box(lo, hi)), cell.marked)
+    cells[addr] = Cell(cell.region, marked or cell.marked)
+    return RefinementTree(t.model, t.depth, cells)
+
+
+CORRUPTED = {
+    # leaf "00" stretched over its sibling "01"
+    "overlapping_leaves": lambda: _corrupt(
+        "interval", 2, "00", (F(0),), (F(2, 9),)),
+    # the two depth-1 cells overlap, so neither complement is closed-exact
+    "overlapping_halves": lambda: _corrupt(
+        "interval", 1, "0", (F(0),), (F(4, 5),)),
+    # leaf "001" stretched over "010" and "011", cells of another subtree
+    "across_subtrees": lambda: _corrupt(
+        "interval", 3, "001", (F(3, 64),), (F(1, 4),)),
+    # diameter exactly a third of the parent's marked distance
+    "a_third_too_wide": lambda: _corrupt(
+        "interval", 1, "0", (F(0),), (F(1, 3),)),
+    # a mark of cell "10" moved into cell "0"
+    "foreign_mark": lambda: _corrupt(
+        "interval", 2, "10", marked=((F(1, 8),), (F(13, 16),))),
+    # cell "0" marks a point none of its children marks
+    "lost_mark": lambda: _corrupt(
+        "interval", 2, "0", marked=((F(0),), (F(1, 5),))),
+    # square leaf "01" grown over its whole parent, swallowing "00"
+    "square_corner_overlap": lambda: _corrupt(
+        "square", 2, "01", (F(0), F(0)), (F(1, 4), F(1, 4))),
+}
+
+
+def test_corrupted_tree_fails_disjointness():
+    rep = check_stage_invariants(CORRUPTED["overlapping_leaves"](), 2)
     assert not rep.all_passed
     names = {c.name: c.passed for c in rep.checks}
     assert names["cells_pairwise_disjoint"] is False
 
 
 def test_corrupted_tree_fails_clopen_trace():
-    t = build_refinement(make_model("interval"), 1)
-    cells = dict(t.cells)
-    # overlap the two depth-1 cells so neither complement is closed-exact
-    cells["0"] = Cell(region(box1(0, F(4, 5))), cells["0"].marked)
-    broken = RefinementTree(t.model, t.depth, cells)
-    rep = check_stage_invariants(broken, 1)
+    rep = check_stage_invariants(CORRUPTED["overlapping_halves"](), 1)
     names = {c.name: c.passed for c in rep.checks}
     assert names["clopen_trace"] is False
 
 
 def test_corrupted_tree_fails_clopen_trace_across_non_siblings():
-    t = build_refinement(make_model("interval"), 3)
-    cells = dict(t.cells)
-    # stretch leaf "001" over "010" and "011", cells of another subtree
-    lo = cells["001"].region.boxes[0].lo[0]
-    hi = cells["011"].region.boxes[0].hi[0]
-    cells["001"] = Cell(region(box1(lo, hi)), cells["001"].marked)
-    broken = RefinementTree(t.model, t.depth, cells)
+    broken = CORRUPTED["across_subtrees"]()
     names = {c.name: c.passed for c in check_stage_invariants(broken, 3).checks}
     assert names["clopen_trace"] is False
     assert names["cells_pairwise_disjoint"] is False
+
+
+def test_corrupted_trees_fail_their_check():
+    def failed(name, level):
+        rep = check_stage_invariants(CORRUPTED[name](), level)
+        return [c.name for c in rep.checks if not c.passed]
+
+    assert failed("a_third_too_wide", 1) == ["diameter_shrink"]
+    assert failed("foreign_mark", 1) == ["perfectness_witness"]
+    assert failed("lost_mark", 1) == ["perfectness_witness"]
 
 
 def _linear_window(cells, lo, hi):
@@ -326,3 +360,106 @@ def test_tree_document_deterministic_and_sorted():
 def test_build_rejects_negative_depth():
     with pytest.raises(InputError):
         build_refinement(make_model("interval"), -1)
+
+
+# ---------------------------------------------------------------------------
+# the integer grid against the Fraction construction it replaced
+# ---------------------------------------------------------------------------
+
+
+def _coords(cell):
+    for b in cell.region.boxes:
+        yield from (*b.lo, *b.hi)
+    for p in cell.marked:
+        yield from p
+
+
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_grid_build_matches_fraction_oracle(kind):
+    model = make_model(kind)
+    for depth in range(9):
+        assert dict(build_refinement(model, depth).cells) == \
+            oracle_build(model, depth), depth
+
+
+def test_grid_checks_match_fraction_oracle(trees):
+    for kind, t in trees.items():
+        for level in range(t.depth + 1):
+            assert check_stage_invariants(t, level) == \
+                oracle_check(t, level), (kind, level)
+
+
+@pytest.mark.parametrize("name", sorted(CORRUPTED))
+def test_corrupted_checks_match_fraction_oracle(name):
+    t = CORRUPTED[name]()
+    reports = [check_stage_invariants(t, k) for k in range(t.depth + 1)]
+    assert reports == [oracle_check(t, k) for k in range(t.depth + 1)]
+    assert not all(rep.all_passed for rep in reports)
+
+
+def test_grid_corners_are_ints_and_cells_are_fractions(trees):
+    for kind, t in trees.items():
+        assert type(t.scale) is int
+        assert all(type(x) is int
+                   for cell in t.grid.values() for x in _coords(cell)), kind
+        assert all(type(x) is F
+                   for cell in t.cells.values() for x in _coords(cell)), kind
+        rebuilt = RefinementTree(t.model, t.depth, dict(t.cells))
+        assert dict(rebuilt.cells) == dict(t.cells)
+        assert "0" * t.depth in t.cells and "0" * (t.depth + 1) not in t.cells
+
+
+def _affine_image(t, a, b):
+    """The tree's cells under x -> a*x + b on every axis, a > 0, through
+    the public constructor."""
+    def f(p):
+        return tuple(a * x + b for x in p)
+    return RefinementTree(t.model, t.depth, {
+        addr: Cell(region([Box(f(bx.lo), f(bx.hi)) for bx in c.region.boxes]),
+                   (f(c.marked[0]), f(c.marked[1])))
+        for addr, c in t.cells.items()})
+
+
+@pytest.mark.parametrize("name", sorted(CORRUPTED) + list(MODEL_KINDS))
+def test_non_dyadic_cells_give_the_same_verdicts(name):
+    # every check is invariant under a positive homothety and a translation
+    t = CORRUPTED[name]() if name in CORRUPTED else \
+        build_refinement(make_model(name), 5)
+    image = _affine_image(t, F(5, 7), F(1, 3))
+    assert image.scale % 21 == 0
+    for level in range(t.depth + 1):
+        rep = check_stage_invariants(image, level)
+        assert rep == check_stage_invariants(t, level)
+        assert rep == oracle_check(image, level)
+
+
+def test_subdivide_on_the_grid_is_exact():
+    m = PeanoModel("interval", 1, region(Box((0,), (8,))))
+    (r1, mk1), (r2, mk2) = subdivide(m, m.root, ((0,), (8,)))
+    assert (r1, mk1) == (region(Box((0,), (2,))), ((0,), (2,)))
+    assert (r2, mk2) == (region(Box((6,), (8,))), ((6,), (8,)))
+    assert all(type(x) is int for r in (r1, r2) for b in r.boxes
+               for x in (*b.lo, *b.hi))
+    with pytest.raises(ConstructionError):
+        subdivide(m, region(Box((0,), (6,))), ((0,), (6,)))
+    with pytest.raises(InputError):
+        subdivide(m, region(Box((0,), (12,))), ((0,), (12,)))
+
+
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_grid_tree_no_larger_than_fraction_tree(kind):
+    model = make_model(kind)
+    # a first build allocates what later builds take from the interpreter's
+    # free lists, which tracemalloc does not see: run both once unmeasured
+    for build in (build_refinement, oracle_build):
+        build(model, 9)
+    sizes = []
+    for build in (build_refinement, oracle_build):
+        tracemalloc.start()
+        try:
+            tree = build(model, 9)
+            sizes.append(tracemalloc.get_traced_memory()[0])
+        finally:
+            tracemalloc.stop()
+        del tree
+    assert sizes[0] <= sizes[1], sizes

@@ -22,13 +22,14 @@ from primchaos.geometry import (
     diameter,
     distance,
     eval_ternary_address,
+    grid_box,
+    grid_point,
     lexmax_point,
     lexmin_point,
     parse_rational,
     rat,
     rational_str,
     region,
-    region_equal,
     region_intersect,
     region_subset,
     regions_disjoint,
@@ -229,7 +230,6 @@ def test_address_parsing_and_str():
     a = A("0101")
     assert str(a) == "0101" and len(a) == 4
     assert a.prefix(2) == A("01")
-    assert A("01").is_prefix_of(a)
     with pytest.raises(InputError):
         A("0x1")
     with pytest.raises(InputError):
@@ -318,10 +318,19 @@ def test_canonical_merges_and_absorbs():
     assert not r.contains_point((F(1, 4), F(3, 2)))
 
 
+def test_grid_box_builds_lowest_terms_fractions():
+    b = grid_box((2, 3), (4, 6), (4, 9))
+    assert b == box2(F(1, 2), 1, F(1, 3), F(2, 3))
+    assert all(type(x) is F for x in (*b.lo, *b.hi))
+    assert grid_point((-3,), (6,)) == (F(-1, 2),)
+    with pytest.raises(InputError):
+        grid_box((1,), (0,), (1,))
+
+
 def test_region_equality_is_point_set_equality():
     a = region([box1(0, F(1, 3)), box1(F(1, 3), F(2, 3))])
     b = region(box1(0, F(2, 3)))
-    assert region_equal(a, b) and a == b
+    assert a == b
 
 
 def test_region_subset_and_intersect():
