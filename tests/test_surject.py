@@ -4,7 +4,8 @@ glued block surjections, curve quadrants, and waypoint maps."""
 import random
 import tracemalloc
 from fractions import Fraction as F
-from itertools import combinations
+from collections import Counter
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
@@ -73,6 +74,20 @@ def curve_cell_oracle(k, j):
         j //= 4
         s *= 2
     return x, y
+
+
+def curve_walk(k):
+    """The exhaustive check `_curve_certificate` replaced: `_tile_walk` over
+    the 4^k depth-k quadrants in parameter order."""
+    sizes = (1 << k, 1 << k)
+    return surject._tile_walk(
+        ((surject._curve_cell(k, j), sizes) for j in range(4 ** k)), sizes)
+
+
+def curve_walk_ends(k):
+    """Whether the depth-k curve runs from cell (0,0) to (2^k - 1, 0)."""
+    return surject._curve_cell(k, 0) == (0, 0) and \
+        surject._curve_cell(k, 4 ** k - 1) == ((1 << k) - 1, 0)
 
 
 def tile_walk_oracle(cells, sizes):
@@ -173,10 +188,6 @@ EXPANSION_FAULTS = {
     "off_grid": lambda coords, sizes: ((coords[0] + 1,) + coords[1:], sizes),
     "wrong_width": lambda coords, sizes: (coords, (2 * sizes[0],) + sizes[1:]),
 }
-CURVE_FAULTS = {
-    "repeat": lambda k: (0, 0),
-    "off_grid": lambda k: (1 << k, 0),
-}
 
 
 @pytest.mark.parametrize("fault", EXPANSION_FAULTS.values(), ids=EXPANSION_FAULTS)
@@ -198,42 +209,6 @@ def test_covering_fails_on_a_faulty_kernel(kind, target, axes, fault,
     # the evaluator reads the same kernel, so it shows the same fault
     assert evaluate_map(f, A("111111")) == \
         region(surject._grid_box(*fault(*real("111111", axes))))
-
-
-def _curve_with(fault):
-    real = surject._curve_cell
-    return lambda k, j: fault(k) if j == 4 ** k - 1 else real(k, j)
-
-
-def _swapped_curve(k, j):
-    """The curve with cells 1 and 4^k - 2 exchanged: still a tiling, but
-    its steps jump across the square."""
-    last = 4 ** k - 2
-    return curve_cell_oracle(k, {1: last, last: 1}.get(j, j))
-
-
-@pytest.mark.parametrize("fault", CURVE_FAULTS.values(), ids=CURVE_FAULTS)
-def test_curve_tiling_fails_on_a_faulty_kernel(fault, monkeypatch):
-    monkeypatch.setattr(surject, "_curve_cell", _curve_with(fault))
-    checks = {c.name: c.passed for c in verify_curve(3).checks}
-    assert checks["quadrants_tile_square"] is False
-
-
-def test_curve_adjacency_fails_on_a_non_adjacent_step(monkeypatch):
-    monkeypatch.setattr(surject, "_curve_cell", _swapped_curve)
-    checks = {c.name: c.passed for c in verify_curve(3).checks}
-    assert checks["quadrants_tile_square"] is True
-    assert checks["consecutive_cells_adjacent"] is False
-
-
-@pytest.mark.parametrize("fault", CURVE_FAULTS.values(), ids=CURVE_FAULTS)
-def test_square_sweep_fails_on_a_faulty_kernel(fault, monkeypatch):
-    ws = waypoint_surjection(waypoint_map(
-        [(F(1, 4), (F(0), F(0))), (F(3, 4), (F(1), F(1)))], "square"))
-    monkeypatch.setattr(surject, "_curve_cell", _curve_with(fault))
-    checks = {c.name: c.passed for c in verify_waypoint_surjection(ws, 3).checks}
-    assert checks == {"pin_waypoint_0": True, "pin_waypoint_1": True,
-                      "has_sweep": True, "sweep_0_covers_target": False}
 
 
 def test_curve_walk_holds_no_cell_list():
@@ -438,6 +413,144 @@ def test_curve_cell_matches_recursion_oracle():
     for k in range(7):
         for j in range(4 ** k):
             assert surject._curve_cell(k, j) == curve_cell_oracle(k, j)
+
+
+CURVE_MAPS = surject._CURVE_MAPS
+# faulty quadrant tables, each changing T_3 (the last parameter quarter)
+CURVE_FAULTS = {
+    # shifted up onto T_2's quadrant
+    "repeat": CURVE_MAPS[:3] + (((0, -1, 2, -1), (-1, 0, 2, -1)),),
+    # shifted right off the grid
+    "off_grid": CURVE_MAPS[:3] + (((0, -1, 3, -1), (-1, 0, 1, -1)),),
+}
+
+
+def transposed(maps):
+    """The table of the curve mirrored in the diagonal: x and y exchanged
+    on both sides of every T_d."""
+    return tuple(((f, e, n, g), (b, a, m, c))
+                 for (a, b, m, c), (e, f, n, g) in maps)
+
+
+def mutated_tables():
+    """Every table one coefficient or offset away (by +-1 or +-2) from the
+    shipped one, and every table with two digits' maps swapped."""
+    for d, axis, i in product(range(4), range(2), range(4)):
+        for delta in (-2, -1, 1, 2):
+            rows = [[list(row) for row in t] for t in CURVE_MAPS]
+            rows[d][axis][i] += delta
+            yield tuple(tuple(map(tuple, t)) for t in rows)
+    for a, b in combinations(range(4), 2):
+        maps = list(CURVE_MAPS)
+        maps[a], maps[b] = maps[b], maps[a]
+        yield tuple(maps)
+
+
+def test_curve_certificate_matches_walk_on_shipped_table():
+    for k in range(9):
+        cert = surject._curve_certificate(k)
+        assert cert == ("", "", True), (k, cert)
+        assert curve_walk(k) == (4 ** k, True) and curve_walk_ends(k)
+
+
+def test_curve_certificate_is_sound_on_mutated_tables(monkeypatch):
+    tables = list(mutated_tables())
+    assert len(tables) == 134
+    for maps in tables:
+        monkeypatch.setattr(surject, "_CURVE_MAPS", maps)
+        for k in range(1, 5):
+            cert = surject._curve_certificate(k)
+            hit, adjacent = curve_walk(k)
+            if not cert.tiling:
+                assert hit == 4 ** k, (maps, k)
+            if not cert.stitching:
+                assert adjacent, (maps, k)
+            if cert.ends:
+                assert curve_walk_ends(k), (maps, k)
+        # none of them is the shipped curve, and each is caught
+        assert cert != ("", "", True), maps
+
+
+@pytest.mark.parametrize("maps", CURVE_FAULTS.values(), ids=CURVE_FAULTS)
+def test_curve_tiling_fails_on_a_faulty_kernel(maps, monkeypatch):
+    monkeypatch.setattr(surject, "_CURVE_MAPS", maps)
+    checks = {c.name: c.passed for c in verify_curve(3).checks}
+    assert checks["quadrants_tile_square"] is False
+    assert curve_walk(3)[0] < 4 ** 3
+
+
+def test_curve_adjacency_fails_on_a_non_adjacent_step(monkeypatch):
+    # T_1 and T_2 exchanged: four distinct quadrants still tile the square,
+    # but the curve steps diagonally from the first quarter to the second
+    monkeypatch.setattr(surject, "_CURVE_MAPS",
+                        (CURVE_MAPS[0], CURVE_MAPS[2], CURVE_MAPS[1],
+                         CURVE_MAPS[3]))
+    checks = {c.name: c.passed for c in verify_curve(3).checks}
+    assert checks["quadrants_tile_square"] is True
+    assert checks["consecutive_cells_adjacent"] is False
+    assert curve_walk(3) == (4 ** 3, False)
+
+
+def test_curve_endpoints_fail_on_a_mirrored_table(monkeypatch):
+    # the mirrored curve tiles in edge-adjacent steps but ends at (0,1)
+    monkeypatch.setattr(surject, "_CURVE_MAPS", transposed(CURVE_MAPS))
+    checks = {c.name: c.passed for c in verify_curve(3).checks}
+    assert checks == {"consecutive_cells_adjacent": True,
+                      "quadrants_tile_square": True,
+                      "orientation_endpoints": False}
+    assert surject._curve_cell(3, 4 ** 3 - 1) == (0, 7)
+
+
+@pytest.mark.parametrize("maps", CURVE_FAULTS.values(), ids=CURVE_FAULTS)
+def test_square_sweep_fails_on_a_faulty_kernel(maps, monkeypatch):
+    ws = waypoint_surjection(waypoint_map(
+        [(F(1, 4), (F(0), F(0))), (F(3, 4), (F(1), F(1)))], "square"))
+    monkeypatch.setattr(surject, "_CURVE_MAPS", maps)
+    checks = {c.name: c.passed for c in verify_waypoint_surjection(ws, 3).checks}
+    assert checks == {"pin_waypoint_0": True, "pin_waypoint_1": True,
+                      "has_sweep": True, "sweep_0_covers_target": False}
+
+
+def test_curve_certificates_do_no_per_cell_work(monkeypatch):
+    # a walk over the 4^10 cells would make a million `_curve_cell` calls
+    calls = Counter()
+    for name in ("_curve_cell", "_quadrant_map"):
+        real = getattr(surject, name)
+
+        def counted(*args, real=real, name=name):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(surject, name, counted)
+    assert verify_curve(10).all_passed
+    assert calls["_curve_cell"] == 0
+    assert calls["_quadrant_map"] <= 16 * 10
+    calls.clear()
+    ws = waypoint_surjection(waypoint_map(
+        [(F(1, 2), (F(1, 2), F(1, 2)))], "square"))
+    assert verify_waypoint_surjection(ws, 10).all_passed
+    # the evaluator sample: per sampled parameter cell, one cell from
+    # `evaluate_waypoint` and one from `sweep_cell_enclosure`
+    samples = len(range(0, 4 ** 10, 257)) + 1
+    assert calls["_curve_cell"] <= 2 * samples
+    assert calls["_quadrant_map"] <= 10 * calls["_curve_cell"] + 16 * 10
+
+
+@pytest.mark.parametrize("call", [
+    lambda ws: verify_curve(-1),
+    lambda ws: verify_waypoint_surjection(ws, -1),
+    lambda ws: evaluate_waypoint(ws, F(1, 2), -1),
+    lambda ws: sweep_cell_enclosure(ws, 0, 0, -1),
+    lambda ws: verify_cover_map(CantorMap("binary_expansion", "interval"), -1),
+    lambda ws: verify_cover_map(CantorMap("interleave", "square"), -1),
+], ids=["verify_curve", "verify_waypoint_surjection", "evaluate_waypoint",
+        "sweep_cell_enclosure", "cover_binary", "cover_interleave"])
+def test_negative_depth_is_an_input_error(call):
+    ws = waypoint_surjection(waypoint_map(
+        [(F(1, 4), (F(0), F(0))), (F(3, 4), (F(1), F(1)))], "square"))
+    assert sweep_segments(ws)[0][0] < F(1, 2) < sweep_segments(ws)[0][1]
+    with pytest.raises(InputError):
+        call(ws)
 
 
 def test_curve_adjacency_tiling_nesting_exhaustive():
