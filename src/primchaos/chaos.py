@@ -51,6 +51,7 @@ from .geometry import (
     Address,
     Box,
     Region,
+    eval_ternary_address,
     first_box_midpoint,
     grid_box,
     point_doc,
@@ -401,17 +402,9 @@ def _sensitivity_samples(s: ChaosSystem, samples: int) -> List[tuple]:
         # points of the Cantor model itself: ternary digits 2*bit of the
         # sample index, so orbits stay inside the event union
         width = max(2, samples.bit_length())
-        out = []
-        for j in range(1, samples + 1):
-            bits = format(j % (1 << width), f"0{width}b")
-            x = ZERO
-            scale = ONE
-            for bit in bits:
-                scale /= 3
-                if bit == "1":
-                    x += 2 * scale
-            out.append((x,))
-        return out
+        return [(eval_ternary_address(Address.from_string(
+                    format(j % (1 << width), f"0{width}b"))),)
+                for j in range(1, samples + 1)]
     return [(Fraction(j, samples + 1),) for j in range(1, samples + 1)]
 
 

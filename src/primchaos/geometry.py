@@ -476,11 +476,11 @@ def eval_ternary_address(a: Address, extension: str = "zeros") -> Fraction:
     if a.alphabet != 2:
         raise InputError("ternary evaluation is defined for binary addresses")
     n = len(a.symbols)
-    prefix_val = ZERO
-    scale = ONE
+    digits = 0  # the word's ternary digits 2*bit as one integer
     for bit in a.symbols:
-        scale /= 3
-        prefix_val += 2 * bit * scale
+        digits = 3 * digits + 2 * bit
+    scale = Fraction(1, 3 ** n)
+    prefix_val = digits * scale
     if extension == "zeros":
         return prefix_val
     if extension == "ones":

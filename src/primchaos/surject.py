@@ -29,8 +29,11 @@ end at (1,0), which makes the linear stitching exact.
 
 The image cells of the expansion maps and of the curve are grid cells held
 as integers (`Cell`): one kernel per map kind, boxed by `_grid_box` for the
-evaluators.  The expansion maps' covering certificate streams all 2^n cells
-through `_tile_walk`.  The curve is self-similar instead: its level-(k+1)
+evaluators.  Each certificate reads the table its kernel reads and never
+evaluates a cell.  The expansion maps place the word's bits on the axes by
+`_placement`, and a map that spreads the n bits over the axes as a
+permutation sends the 2^n words onto the 2^n grid cells, so covering is an
+O(n) check of that placement.  The curve is self-similar: its level-(k+1)
 cells are its level-k cells pushed through four quadrant maps held in one
 table, `_CURVE_MAPS`, which `_curve_cell` reads digit by digit.  So its
 tiling and adjacency certificate is an induction over that table, O(k)
@@ -43,9 +46,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import prod
-from typing import (Iterable, Iterator, List, NamedTuple, Optional, Sequence,
-                    Tuple)
+from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import InputError
 from .geometry import (
@@ -84,40 +85,22 @@ def _grid_box(coords: Sequence[int], sizes: Sequence[int]) -> Box:
     return grid_box(coords, [c + 1 for c in coords], sizes)
 
 
-def _tile_walk(cells: Iterable[Cell],
-               sizes: Tuple[int, ...]) -> Tuple[int, bool]:
-    """Stream grid cells through a bitmap over the grid of the given sizes,
-    holding no cell list.  Returns the number of distinct grid cells hit (a
-    cell off the grid or with other sizes hits none) and whether every cell
-    is edge-adjacent to its predecessor.  A walk of as many cells as the
-    grid has hits them all exactly when no cell repeats or leaves the grid."""
-    seen = bytearray(prod(sizes))
-    hit = 0
-    adjacent = True
-    prev = None
-    for coords, cell_sizes in cells:
-        on_grid = cell_sizes == sizes
-        flat = step = 0
-        for x, px, size in zip(coords, prev or coords, sizes):
-            on_grid = on_grid and 0 <= x < size
-            flat = flat * size + x
-            step += abs(x - px)
-        if on_grid and not seen[flat]:
-            seen[flat] = 1
-            hit += 1
-        if step != 1 and prev is not None:
-            adjacent = False
-        prev = coords
-    return hit, adjacent
-
-
 _EXPANSION_AXES = {"binary_expansion": 1, "interleave": 2}
 
 
+def _placement(n: int, axes: int) -> Tuple[Tuple[int, ...], ...]:
+    """Where the expansion maps read a word of length n: per axis, the word
+    positions it reads as one binary numeral, most significant first.  Axis
+    a reads a, a + axes, ...  The kernel and the covering certificate both
+    read this placement."""
+    return tuple(tuple(range(a, n, axes)) for a in range(axes))
+
+
 def _expansion_cell(word: str, axes: int) -> Cell:
-    """Grid cell of the expansion image of a binary cylinder: axis a reads
-    the word's bits a, a + axes, ... as one binary numeral."""
-    digits = [word[a::axes] for a in range(axes)]
+    """Grid cell of the expansion image of a binary cylinder: each axis
+    reads the word's bits at its `_placement` positions as one numeral."""
+    digits = ["".join([word[i] for i in pos])
+              for pos in _placement(len(word), axes)]
     return (tuple([int(d or "0", 2) for d in digits]),
             tuple([1 << len(d) for d in digits]))
 
@@ -385,7 +368,14 @@ def verify_block_surjection(f: CantorMap, blocks_a: Sequence[ClopenBlock],
 def verify_cover_map(f: CantorMap, depth: int) -> CheckReport:
     """Surjectivity at resolution: depth-n image enclosures of all 2^n
     cylinders must tile the target exactly (each is one cell of the depth-n
-    grid and no two coincide)."""
+    grid and no two coincide).
+
+    Certified from the kernel's `_placement` in O(n), with no cell
+    evaluated.  An axis reading a numeral of another width than the grid's
+    gives cells that hit no grid cell.  Otherwise the numerals spell out the
+    bits at the positions read, so the 2^n words hit one grid cell per
+    setting of the distinct positions, and all 2^n cells exactly when the
+    positions are a permutation of range(n)."""
     _check_depth(depth)
     rep = CheckReport(f"{f.kind} covering at depth {depth}")
     if f.kind not in _EXPANSION_AXES:
@@ -394,10 +384,11 @@ def verify_cover_map(f: CantorMap, depth: int) -> CheckReport:
     axes = _EXPANSION_AXES[f.kind]
     sizes = tuple(1 << len(range(a, depth, axes)) for a in range(axes))
     cells = 2 ** depth
-    spec = f"0{depth}b"
-    hit, _ = _tile_walk((_expansion_cell(format(j, spec) if depth else "", axes)
-                         for j in range(cells)), sizes)
-    ok = hit == cells
+    placement = _placement(depth, axes)
+    read = [i for pos in placement for i in pos]
+    on_grid = tuple(1 << len(pos) for pos in placement) == sizes
+    hit = 1 << len(set(read)) if on_grid else 0
+    ok = on_grid and sorted(read) == list(range(depth))
     grid = "[0,1] exactly" if axes == 1 else \
         f"the square as a {sizes[0]}x{sizes[1]} grid"
     rep.add("images_tile_target", ok,
@@ -708,10 +699,15 @@ def verify_waypoint_surjection(ws: WaypointSurjection,
     sweeps = sweep_segments(ws)
     rep.add("has_sweep", bool(sweeps), f"{len(sweeps)} sweep segment(s)")
     if w.target == "square" and sweeps:
-        # every square sweep runs the same curve: one certificate serves all
+        # every square sweep runs the same curve: one certificate serves all.
+        # The linear pieces join the sweep at its `_sweep_endpoints`, so the
+        # curve must run between the same corners for the map to be continuous
         cells = 4 ** resolution
-        tiling = _curve_certificate(resolution).tiling
-        coverage = tiling or f"{cells} of {cells} quadrants hit"
+        cert = _curve_certificate(resolution)
+        coverage = cert.tiling or f"{cells} of {cells} quadrants hit"
+        if not cert.ends:
+            coverage += "; the curve does not run from (0,0) to (1,0), " \
+                "where the linear pieces join it"
     for si, (lo, hi) in enumerate(sweeps):
         if w.target == "interval":
             # both halves of the triangle wave are affine and monotone, so
@@ -732,7 +728,8 @@ def verify_waypoint_surjection(ws: WaypointSurjection,
                                   resolution)
                 == sweep_cell_enclosure(ws, si, j, resolution)
                 for j in [*range(0, cells, 257), cells - 1])
-            rep.add(f"sweep_{si}_covers_target", not tiling and consistent,
+            rep.add(f"sweep_{si}_covers_target",
+                    not cert.tiling and cert.ends and consistent,
                     f"{coverage}; evaluator consistent: {consistent}")
     return rep
 

@@ -1,8 +1,10 @@
 """Nested Cantor construction: subdivision rule, refinement trees, and the
 finite-stage certificates the limit argument rests on."""
 
-import tracemalloc
+import gc
+import sys
 from fractions import Fraction as F
+from types import MappingProxyType
 
 import pytest
 
@@ -446,20 +448,41 @@ def test_subdivide_on_the_grid_is_exact():
         subdivide(m, region(Box((0,), (12,))), ((0,), (12,)))
 
 
+def graph_size(root):
+    """`sys.getsizeof` summed over the distinct objects reachable from root,
+    each counted once by id: container items, dict keys and values, and
+    instance attributes in `__dict__` or `__slots__`.  A function of the
+    object graph alone, unlike a heap snapshot, which also sees what the
+    interpreter's free lists hold back."""
+    seen = set()
+    stack = [root]
+    total = 0
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        total += sys.getsizeof(obj)
+        if isinstance(obj, (dict, MappingProxyType)):
+            stack.extend(obj.keys())
+            stack.extend(obj.values())
+            if isinstance(obj, MappingProxyType):
+                stack.extend(gc.get_referents(obj))  # the dict it wraps
+        elif isinstance(obj, (tuple, list, set, frozenset)):
+            stack.extend(obj)
+        else:
+            stack.extend(getattr(obj, "__dict__", {}).values())
+            for cls in type(obj).__mro__:
+                slots = cls.__dict__.get("__slots__", ())
+                for name in (slots,) if isinstance(slots, str) else slots:
+                    if hasattr(obj, name):
+                        stack.append(getattr(obj, name))
+    return total
+
+
 @pytest.mark.parametrize("kind", MODEL_KINDS)
 def test_grid_tree_no_larger_than_fraction_tree(kind):
     model = make_model(kind)
-    # a first build allocates what later builds take from the interpreter's
-    # free lists, which tracemalloc does not see: run both once unmeasured
-    for build in (build_refinement, oracle_build):
-        build(model, 9)
-    sizes = []
-    for build in (build_refinement, oracle_build):
-        tracemalloc.start()
-        try:
-            tree = build(model, 9)
-            sizes.append(tracemalloc.get_traced_memory()[0])
-        finally:
-            tracemalloc.stop()
-        del tree
+    sizes = [graph_size(build(model, 9))
+             for build in (build_refinement, oracle_build)]
     assert sizes[0] <= sizes[1], sizes

@@ -5,7 +5,7 @@ import random
 import tracemalloc
 from fractions import Fraction as F
 from collections import Counter
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 
 import pytest
 from hypothesis import given, settings
@@ -77,11 +77,11 @@ def curve_cell_oracle(k, j):
 
 
 def curve_walk(k):
-    """The exhaustive check `_curve_certificate` replaced: `_tile_walk` over
-    the 4^k depth-k quadrants in parameter order."""
+    """The exhaustive check `_curve_certificate` replaced: `tile_walk_oracle`
+    over the 4^k depth-k quadrants in parameter order."""
     sizes = (1 << k, 1 << k)
-    return surject._tile_walk(
-        ((surject._curve_cell(k, j), sizes) for j in range(4 ** k)), sizes)
+    return tile_walk_oracle(
+        [(surject._curve_cell(k, j), sizes) for j in range(4 ** k)], sizes)
 
 
 def curve_walk_ends(k):
@@ -91,7 +91,10 @@ def curve_walk_ends(k):
 
 
 def tile_walk_oracle(cells, sizes):
-    """`_tile_walk` by a set of coordinate tuples and pairwise steps."""
+    """The exhaustive covering check, by a set of coordinate tuples and
+    pairwise steps: the number of distinct grid cells of the given sizes hit
+    (a cell off the grid or with other sizes hits none), and whether every
+    cell is edge-adjacent to its predecessor."""
     seen = {coords for coords, cell_sizes in cells if cell_sizes == sizes and
             all(0 <= x < s for x, s in zip(coords, sizes))}
     adjacent = all(sum(abs(a - b) for a, b in zip(c[0], p[0])) == 1
@@ -170,45 +173,106 @@ def test_covering_checks():
     assert verify_cover_map(CantorMap("interleave", "square"), 10).all_passed
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.integers(1, 2), st.integers(0, 3), st.data())
-def test_tile_walk_matches_set_oracle(axes, bits, data):
-    sizes = (1 << bits,) * axes
-    coord = st.integers(-1, 1 << bits)
-    cell = st.tuples(st.tuples(*[coord] * axes),
-                     st.sampled_from([sizes, (2 << bits,) * axes]))
-    cells = data.draw(st.lists(cell, max_size=20))
-    assert surject._tile_walk(iter(cells), sizes) == \
-        tile_walk_oracle(cells, sizes)
+EXPANSION_KINDS = [("binary_expansion", "interval", 1),
+                   ("interleave", "square", 2)]
 
 
-# faults planted in the cell of the last word or parameter cell of a walk
-EXPANSION_FAULTS = {
-    "repeat": lambda coords, sizes: ((0,) * len(coords), sizes),
-    "off_grid": lambda coords, sizes: ((coords[0] + 1,) + coords[1:], sizes),
-    "wrong_width": lambda coords, sizes: (coords, (2 * sizes[0],) + sizes[1:]),
+def mutated_placements(n, axes):
+    """Every placement one change away from the shipped one at word length
+    n, with the change's name: two positions swapped, one position
+    overwritten by another (a repeat), one dropped, or one moved to the end
+    of another axis."""
+    shipped = surject._placement(n, axes)
+    slots = [(a, i) for a, pos in enumerate(shipped) for i in range(len(pos))]
+    out = []
+
+    def edit(change, rows):
+        out.append((change, tuple(map(tuple, rows))))
+
+    for (a, i), (b, j) in combinations(slots, 2):
+        rows = [list(pos) for pos in shipped]
+        rows[a][i], rows[b][j] = rows[b][j], rows[a][i]
+        edit("swap", rows)
+    for (a, i), (b, j) in permutations(slots, 2):
+        rows = [list(pos) for pos in shipped]
+        rows[a][i] = rows[b][j]
+        edit("repeat", rows)
+    for a, i in slots:
+        rows = [list(pos) for pos in shipped]
+        del rows[a][i]
+        edit("drop", rows)
+        for b in range(axes):
+            if b != a:
+                rows = [list(pos) for pos in shipped]
+                rows[b].append(rows[a].pop(i))
+                edit("move", rows)
+    return out
+
+
+def cover_hits(check, depth):
+    """Grid cells hit, as `verify_cover_map`'s covering check reports it."""
+    return 2 ** depth if check.passed else int(check.witness.split()[0])
+
+
+@pytest.mark.parametrize("kind,target,axes", EXPANSION_KINDS)
+def test_cover_certificate_is_sound_on_mutated_placements(kind, target, axes,
+                                                          monkeypatch):
+    f = CantorMap(kind, target)
+    seen = Counter()
+    # the target grids and mutations, read off the shipped placement
+    cases = [(n, surject._expansion_cell("0" * n, axes)[1],
+              mutated_placements(n, axes)) for n in range(9)]
+    for n, sizes, mutations in cases:
+        words = [format(j, f"0{n}b") if n else "" for j in range(2 ** n)]
+        for change, placement in mutations:
+            monkeypatch.setattr(surject, "_placement",
+                                lambda _n, _axes, p=placement: p)
+            hit, _ = tile_walk_oracle(
+                [surject._expansion_cell(w, axes) for w in words], sizes)
+            (check,) = verify_cover_map(f, n).checks
+            assert (check.passed, cover_hits(check, n)) == \
+                (hit == 2 ** n, hit), (n, change, placement)
+            # a swap still reads every position once: a bijection
+            assert check.passed == (change == "swap"), (n, change, placement)
+            seen[change] += 1
+    assert seen["swap"] and seen["repeat"] and seen["drop"]
+    assert bool(seen["move"]) == (axes > 1)
+
+
+# faulty placements at word length 6, each changing the last position read
+PLACEMENT_FAULTS = {
+    # the last position overwritten by the one before it
+    "repeat": lambda pos: pos[:-1] + (pos[-1][:-1] + pos[-1][-2:-1],),
+    # the last position dropped: that axis reads a numeral one bit short
+    "wrong_width": lambda pos: pos[:-1] + (pos[-1][:-1],),
+    # the last position moved onto the first axis
+    "move": lambda pos: (pos[0] + pos[-1][-1:],) + pos[1:-1] +
+    (pos[-1][:-1],),
 }
 
 
-@pytest.mark.parametrize("fault", EXPANSION_FAULTS.values(), ids=EXPANSION_FAULTS)
-@pytest.mark.parametrize("kind,target,axes", [
-    ("binary_expansion", "interval", 1), ("interleave", "square", 2)])
+@pytest.mark.parametrize("kind,target,axes,fault", [
+    (*kind, fault) for kind in EXPANSION_KINDS for fault in PLACEMENT_FAULTS
+    if kind[2] > 1 or fault != "move"],
+    ids=lambda v: str(v))
 def test_covering_fails_on_a_faulty_kernel(kind, target, axes, fault,
                                            monkeypatch):
-    real = surject._expansion_cell
-
-    def faulty(word, n_axes):
-        cell = real(word, n_axes)
-        return fault(*cell) if word == "1" * len(word) else cell
-
-    monkeypatch.setattr(surject, "_expansion_cell", faulty)
+    grid = surject._expansion_cell("0" * 6, axes)[1]
+    faulty = PLACEMENT_FAULTS[fault](surject._placement(6, axes))
+    monkeypatch.setattr(surject, "_placement", lambda n, a: faulty)
     f = CantorMap(kind, target)
     rep = verify_cover_map(f, 6)
     assert [(c.name, c.passed) for c in rep.checks] == \
         [("images_tile_target", False)]
-    # the evaluator reads the same kernel, so it shows the same fault
-    assert evaluate_map(f, A("111111")) == \
-        region(surject._grid_box(*fault(*real("111111", axes))))
+    # the evaluator reads the same placement, so it shows the same fault:
+    # two of its 64 enclosures coincide, or one is not a cell of the grid
+    encs = {evaluate_map(f, A(format(j, "06b"))) for j in range(64)}
+    sides = {tuple(e.boxes[0].side(i) for i in range(axes)) for e in encs}
+    assert len(encs) < 64 or sides != {tuple(F(1, s) for s in grid)}
+    word = "110111"
+    cell = tuple(int("".join(word[i] for i in pos) or "0", 2)
+                 for pos in faulty), tuple(1 << len(pos) for pos in faulty)
+    assert evaluate_map(f, A(word)) == region(surject._grid_box(*cell))
 
 
 def test_curve_walk_holds_no_cell_list():
@@ -511,6 +575,22 @@ def test_square_sweep_fails_on_a_faulty_kernel(maps, monkeypatch):
                       "has_sweep": True, "sweep_0_covers_target": False}
 
 
+@pytest.mark.parametrize("resolution", range(1, 5))
+def test_square_sweep_fails_on_a_mirrored_table(resolution, monkeypatch):
+    # the mirrored curve tiles in edge-adjacent steps but ends at (0,1),
+    # while the linear return starts from (1,0): the map would jump there
+    ws = waypoint_surjection(waypoint_map(
+        [(F(1, 4), (F(0), F(0))), (F(3, 4), (F(1), F(1)))], "square"))
+    passing = verify_waypoint_surjection(ws, resolution).checks[-1].witness
+    monkeypatch.setattr(surject, "_CURVE_MAPS", transposed(CURVE_MAPS))
+    rep = verify_waypoint_surjection(ws, resolution)
+    assert {c.name: c.passed for c in rep.checks} == \
+        {"pin_waypoint_0": True, "pin_waypoint_1": True,
+         "has_sweep": True, "sweep_0_covers_target": False}
+    witness = rep.checks[-1].witness
+    assert "(0,0)" in witness and "(1,0)" in witness and witness != passing
+
+
 def test_curve_certificates_do_no_per_cell_work(monkeypatch):
     # a walk over the 4^10 cells would make a million `_curve_cell` calls
     calls = Counter()
@@ -534,6 +614,21 @@ def test_curve_certificates_do_no_per_cell_work(monkeypatch):
     samples = len(range(0, 4 ** 10, 257)) + 1
     assert calls["_curve_cell"] <= 2 * samples
     assert calls["_quadrant_map"] <= 10 * calls["_curve_cell"] + 16 * 10
+
+
+def test_cover_certificate_does_no_per_cell_work(monkeypatch):
+    # a walk over the 2^20 words would make a million `_expansion_cell` calls
+    calls = Counter()
+    real = surject._expansion_cell
+
+    def counted(*args):
+        calls["_expansion_cell"] += 1
+        return real(*args)
+
+    monkeypatch.setattr(surject, "_expansion_cell", counted)
+    for kind, target, _ in EXPANSION_KINDS:
+        assert verify_cover_map(CantorMap(kind, target), 20).all_passed
+    assert calls["_expansion_cell"] == 0
 
 
 @pytest.mark.parametrize("call", [
