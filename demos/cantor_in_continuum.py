@@ -12,7 +12,6 @@ Run:  python demos/cantor_in_continuum.py
 from fractions import Fraction as F
 
 from primchaos import (
-    Address,
     build_refinement,
     check_stage_invariants,
     eval_ternary_address,
@@ -28,13 +27,13 @@ tree = build_refinement(make_model("interval"), 4)
 
 print("first two refinement stages (exact rational cells):")
 for addr in ["", "0", "1", "00", "01", "10", "11"]:
-    cell = evaluate_address(tree, Address.from_string(addr))
+    cell = evaluate_address(tree, addr)
     print(f"  cell {addr or 'root':>4}: {region_doc(cell)}")
 
 # diameters shrink by a factor 4 per level, beating the required 1/3
 print("cell diameters per level:")
 for level in range(5):
-    d = diameter(evaluate_address(tree, Address.from_string("0" * level)))
+    d = diameter(evaluate_address(tree, "0" * level))
     print(f"  level {level}: {rational_str(d)}")
 
 # every stage certificate is exact: disjointness, shrink, perfectness
@@ -62,7 +61,7 @@ for kind in ("square", "tripod"):
 # exact rational limit point
 print("=== address -> limit point (middle-third model) ===")
 for word, ext in [("0", "zeros"), ("1", "ones"), ("10", "repeat")]:
-    x = eval_ternary_address(Address.from_string(word), ext)
+    x = eval_ternary_address(word, ext)
     print(f"  address {word} + {ext:>6}: {rational_str(x)}")
 
 print("done: every certificate above was computed in exact arithmetic.")

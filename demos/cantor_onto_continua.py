@@ -11,7 +11,6 @@ Run:  python demos/cantor_onto_continua.py
 """
 
 from primchaos import (
-    Address,
     ClopenBlock,
     CantorMap,
     block_surjection,
@@ -23,14 +22,12 @@ from primchaos import (
 from primchaos.geometry import rational_str, region_doc
 from primchaos.surject import evaluate_symbolic
 
-A = Address.from_string
-
 # --- onto the interval: binary expansion ------------------------------------
 
 print("=== Cantor set onto [0,1] ===")
-f = CantorMap(kind="binary_expansion", target="interval")
+f = CantorMap("binary_expansion")
 for word in ["", "0", "01", "011", "0110"]:
-    enc = evaluate_map(f, A(word))
+    enc = evaluate_map(f, word)
     print(f"  prefix {word or '(empty)':>7} -> enclosure {region_doc(enc)}")
 print(f"  depth-8 modulus: {rational_str(f.modulus(8))}")
 rep = verify_cover_map(f, 12)
@@ -39,9 +36,9 @@ print(f"  depth-12 enclosures tile [0,1]: {rep.all_passed}")
 # --- onto the square: interleaving ------------------------------------------
 
 print("=== Cantor set onto the square ===")
-g = CantorMap(kind="interleave", target="square")
+g = CantorMap("interleave")
 for word in ["", "11", "10", "1001"]:
-    print(f"  prefix {word or '(empty)':>6} -> box {region_doc(evaluate_map(g, A(word)))}")
+    print(f"  prefix {word or '(empty)':>6} -> box {region_doc(evaluate_map(g, word))}")
 print(f"  depth-12 tiling: {verify_cover_map(g, 12).all_passed}")
 
 # --- clopen partitions of the Cantor set ------------------------------------

@@ -54,10 +54,10 @@ from .fintop import (
     verify_prop5,
 )
 from .geometry import (
-    Address,
     Box,
     Point,
     Region,
+    binary_word,
     cylinder,
     diameter,
     distance,

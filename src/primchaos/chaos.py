@@ -18,11 +18,13 @@ whenever the enclosure has positive width.  The working space is the union
 of the events, which for the Cantor shift is the depth-1 enclosure of the
 ideal space: everything here certifies finite stages, never the limit.
 
-`realize_witness` computes the set of initial points whose orbit follows a
-given event word by exact backward preimage propagation; its nonemptiness
-for every word is the finite-stage content of the defining property of
-primitive chaos, and nesting of these enclosures under word extension is
-the shadow of the infinite-sequence statement.
+An event word is a plain digit string, symbol i naming event X_i (for
+the two-event systems, a binary address such as "0110"); `dense_orbit_word`
+returns one.  `realize_witness` computes the set of initial points whose
+orbit follows a given event word by exact backward preimage propagation;
+its nonemptiness for every word is the finite-stage content of the
+defining property of primitive chaos, and nesting of these enclosures
+under word extension is the shadow of the infinite-sequence statement.
 
 The propagation runs in integers.  Each axis holds its box corners as
 numerators over one denominator, a multiple of the axis's event
@@ -44,11 +46,10 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import product
 from math import lcm
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple
 
 from .errors import ConstructionError, InputError
 from .geometry import (
-    Address,
     Box,
     Region,
     eval_ternary_address,
@@ -188,16 +189,13 @@ def make_system(kind: str) -> ChaosSystem:
     return ChaosSystem(kind, events, branches, space)
 
 
-def _as_word(word: Union[str, Address], alphabet: int) -> Tuple[int, ...]:
-    if isinstance(word, Address):
-        syms = word.symbols
-    else:
-        try:
-            syms = tuple(int(ch) for ch in word)
-        except ValueError as exc:
-            raise InputError(f"word must be a digit string, got {word!r}") from exc
-    if any(not 0 <= s < alphabet for s in syms):
-        raise InputError(f"word {word!s} has symbols outside 0..{alphabet - 1}")
+def _as_word(s: ChaosSystem, word: str) -> Tuple[int, ...]:
+    # strip leaves a character behind iff the word has a non-digit
+    if not isinstance(word, str) or word.strip("0123456789"):
+        raise InputError(f"word must be a digit string, got {word!r}")
+    syms = tuple(map(int, word))
+    if any(sym >= s.alphabet for sym in syms):
+        raise InputError(f"word {word} has symbols outside 0..{s.alphabet - 1}")
     return syms
 
 
@@ -221,14 +219,13 @@ class WitnessResult:
         }
 
 
-def word_enclosure(s: ChaosSystem, word: Union[str, Address]) -> Region:
+def word_enclosure(s: ChaosSystem, word: str) -> Region:
     """Exact region of initial points whose orbit follows the event word:
     K = X_{w0} cap f_{w0}^-1(X_{w1} cap f_{w1}^-1(...))."""
-    return _enclosure(s, _as_word(word, s.alphabet), word)
+    return _enclosure(s, _as_word(s, word), word)
 
 
-def _enclosure(s: ChaosSystem, syms: Tuple[int, ...],
-               word: Union[str, Address]) -> Region:
+def _enclosure(s: ChaosSystem, syms: Tuple[int, ...], word: str) -> Region:
     # A box is [(lo, hi) per axis], numerators over dens[axis] * k[axis].
     dens, boxes, events, inverses = s._grid
     k = [1] * len(dens)
@@ -252,7 +249,7 @@ def _enclosure(s: ChaosSystem, syms: Tuple[int, ...],
                     out.append(clip)
         if not out:
             raise ConstructionError(
-                f"empty witness set for word {word!s} on {s.kind}")
+                f"empty witness set for word {word} on {s.kind}")
         if len(out) > len(boxes):  # unmerged pieces can double per symbol
             out = [list(zip(b.lo, b.hi))
                    for b in region([Box(*zip(*box)) for box in out]).boxes]
@@ -261,10 +258,10 @@ def _enclosure(s: ChaosSystem, syms: Tuple[int, ...],
     return region([grid_box(*zip(*box), dens) for box in boxes])
 
 
-def realize_witness(s: ChaosSystem, word: Union[str, Address]) -> WitnessResult:
+def realize_witness(s: ChaosSystem, word: str) -> WitnessResult:
     """Realize a finite event word: nonempty enclosure, witness point, and
     the exact forward orbit, with event membership verified exactly."""
-    syms = _as_word(word, s.alphabet)
+    syms = _as_word(s, word)
     if not syms:
         raise InputError("word must be nonempty")
     K = _enclosure(s, syms, word)
@@ -276,8 +273,7 @@ def realize_witness(s: ChaosSystem, word: Union[str, Address]) -> WitnessResult:
         if not s.events[sym].contains_point(p):
             raise ConstructionError(
                 f"orbit point {p} escapes event {sym} on {s.kind}")
-    return WitnessResult(s.kind, "".join(str(x) for x in syms),
-                         K, witness, tuple(orbit))
+    return WitnessResult(s.kind, word, K, witness, tuple(orbit))
 
 
 # ---------------------------------------------------------------------------
@@ -315,7 +311,7 @@ def _primitive_root(syms: Tuple[int, ...]) -> Tuple[int, ...]:
     return syms
 
 
-def periodic_point(s: ChaosSystem, word: Union[str, Address]) -> PeriodicOrbit:
+def periodic_point(s: ChaosSystem, word: str) -> PeriodicOrbit:
     """Exact fixed point of the affine branch composition along the word.
 
     Words that are powers of a shorter word are reduced to the primitive
@@ -323,11 +319,11 @@ def periodic_point(s: ChaosSystem, word: Union[str, Address]) -> PeriodicOrbit:
     orbit follows the word cyclically and that no proper divisor of the
     length is a period.
     """
-    syms = _as_word(word, s.alphabet)
+    syms = _as_word(s, word)
     if not syms:
         raise InputError("word must be nonempty")
     prim = _primitive_root(syms)
-    reduced_from = None if prim == syms else "".join(str(x) for x in syms)
+    reduced_from = None if prim == syms else word
     m = len(prim)
     dim = s.dim
     point = []
@@ -349,13 +345,12 @@ def periodic_point(s: ChaosSystem, word: Union[str, Address]) -> PeriodicOrbit:
                    for p, sym in zip(orbit, prim))
     if not (closes and in_cells):
         raise ConstructionError(
-            f"no periodic point follows word {word!s} on {s.kind}")
+            f"no periodic point follows word {word} on {s.kind}")
     for d in range(1, m):
         if m % d == 0 and orbit[d] == orbit[0]:
             raise ConstructionError(
                 f"period collapses to divisor {d}; word is not primitive")
-    return PeriodicOrbit(point_t, m, "".join(str(x) for x in prim),
-                         tuple(orbit[:m]), reduced_from)
+    return PeriodicOrbit(point_t, m, word[:m], tuple(orbit[:m]), reduced_from)
 
 
 # ---------------------------------------------------------------------------
@@ -363,7 +358,7 @@ def periodic_point(s: ChaosSystem, word: Union[str, Address]) -> PeriodicOrbit:
 # ---------------------------------------------------------------------------
 
 
-def dense_orbit_word(depth: int) -> Address:
+def dense_orbit_word(depth: int) -> str:
     """Concatenation of every binary word of length 1..depth in
     lexicographic order; the realized witness's orbit visits every
     depth-`depth` event cell."""
@@ -373,7 +368,7 @@ def dense_orbit_word(depth: int) -> Address:
     for length in range(1, depth + 1):
         for bits in product("01", repeat=length):
             parts.append("".join(bits))
-    return Address.from_string("".join(parts))
+    return "".join(parts)
 
 
 def verify_dense_orbit(s: ChaosSystem, depth: int) -> CheckReport:
@@ -381,7 +376,7 @@ def verify_dense_orbit(s: ChaosSystem, depth: int) -> CheckReport:
     event cell, by exact membership in each cell's enclosure."""
     if s.alphabet != 2:
         raise InputError("dense-orbit words are built over a binary alphabet")
-    word = str(dense_orbit_word(depth))
+    word = dense_orbit_word(depth)
     res = realize_witness(s, word)
     rep = CheckReport(f"{s.kind} dense orbit, depth {depth}, |word| = {len(word)}")
     missing = []
@@ -402,8 +397,7 @@ def _sensitivity_samples(s: ChaosSystem, samples: int) -> List[tuple]:
         # points of the Cantor model itself: ternary digits 2*bit of the
         # sample index, so orbits stay inside the event union
         width = max(2, samples.bit_length())
-        return [(eval_ternary_address(Address.from_string(
-                    format(j % (1 << width), f"0{width}b"))),)
+        return [(eval_ternary_address(format(j % (1 << width), f"0{width}b")),)
                 for j in range(1, samples + 1)]
     return [(Fraction(j, samples + 1),) for j in range(1, samples + 1)]
 
@@ -427,6 +421,15 @@ def _sensitivity_partners(s: ChaosSystem, x: Fraction,
     return cands
 
 
+def sensitivity_budget(delta) -> int:
+    """Orbit steps `sensitivity_check` gives a pair to separate in: the bit
+    length of 1/delta, plus 8."""
+    delta = rat(delta)
+    if delta <= 0:
+        raise InputError("delta must be positive")
+    return max(1, (ONE / delta).numerator.bit_length()) + 8
+
+
 def sensitivity_check(s: ChaosSystem, delta: Fraction, samples: int,
                       constant: Fraction = Fraction(1, 4),
                       points: Optional[Sequence[tuple]] = None) -> CheckReport:
@@ -439,11 +442,9 @@ def sensitivity_check(s: ChaosSystem, delta: Fraction, samples: int,
     if s.dim != 1:
         raise InputError("sensitivity check ships for 1-d systems")
     delta = rat(delta)
-    if delta <= 0:
-        raise InputError("delta must be positive")
+    budget = sensitivity_budget(delta)
     if samples < 1 and not points:
         raise InputError("need at least one sample")
-    budget = max(1, (ONE / delta).numerator.bit_length()) + 8
     sample_pts = [tuple(rat(c) for c in p) for p in points] if points \
         else _sensitivity_samples(s, samples)
     rep = CheckReport(f"{s.kind} sensitivity, delta {rational_str(delta)}, "

@@ -25,7 +25,6 @@ from . import fintop as fintop_mod
 from . import surject as surject_mod
 from .errors import ConstructionError, InputError
 from .geometry import (
-    Address,
     decimal_str,
     parse_rational,
     point_doc,
@@ -48,6 +47,8 @@ output formats:
 work limits:
   embed --depth at most 12; surject and chaos transitivity at most 2^20 cells
   (2^depth cylinders or interval cells, 4^depth quadrants or pairs);
+  chaos sensitivity at most 2^20 orbit steps (--samples times a step budget
+  of the bit length of 1/delta, plus 8);
   chaos realize and periodic --word 1..1024 symbols
 """
 
@@ -161,7 +162,7 @@ def _chaos_dense(args):
                                        args.depth)
     return _report(rep, f"chaos dense: system {args.system}, depth "
                         f"{args.depth}, word {word}", system=args.system,
-                   depth=args.depth, word=str(word))
+                   depth=args.depth, word=word)
 
 
 def _chaos_sensitivity(args):
@@ -210,13 +211,11 @@ def _address_samples(depth: int) -> List[str]:
 def _surject_covering(args):
     depth = args.depth
     f = surject_mod.CantorMap(
-        kind="binary_expansion" if args.kind == "binary" else "interleave",
-        target="interval" if args.kind == "binary" else "square")
+        "binary_expansion" if args.kind == "binary" else "interleave")
     rep = surject_mod.verify_cover_map(f, depth)
     transcript = [
         {"input": w, "depth": len(w),
-         "enclosure": region_doc(
-             surject_mod.evaluate_map(f, Address.from_string(w)))}
+         "enclosure": region_doc(surject_mod.evaluate_map(f, w))}
         for w in _address_samples(depth)
     ]
     return _report(rep, f"surject {args.kind}: depth {depth}, modulus "
@@ -255,8 +254,7 @@ def _surject_block(args):
     rep = surject_mod.verify_block_surjection(f, blocks_a, blocks_b, depth)
     words = [a_blk.cylinders[0].ljust(depth, "0") for a_blk, _ in f.pairs]
     transcript = [{"input": w, "depth": len(w),
-                   "enclosure": region_doc(
-                       surject_mod.evaluate_map(f, Address.from_string(w)))}
+                   "enclosure": region_doc(surject_mod.evaluate_map(f, w))}
                   for w in words]
     pad = ", 1 padding" if len(f.pairs) > len(blocks_a) else ""
     return _report(rep, f"surject block: {len(f.pairs)} blocks "
@@ -344,6 +342,12 @@ def _surject_cells(args, base: int) -> int:
     return base ** min(args.depth, 64)
 
 
+def _sensitivity_steps(args) -> int:
+    # each sample's orbit pairs run for at most the check's step budget
+    return args.samples * chaos_mod.sensitivity_budget(
+        parse_rational(args.delta))
+
+
 class Command(NamedTuple):
     args: tuple  # parser arguments, as (flags, keyword arguments) pairs
     run: Callable  # args -> (document, summary lines, passed)
@@ -387,7 +391,7 @@ COMMANDS = {
         (SYSTEM, _arg("--delta", required=True,
                       help="perturbation bound as p/q"),
          _arg("--samples", type=int, default=100)),
-        _chaos_sensitivity),
+        _chaos_sensitivity, _sensitivity_steps),
     ("chaos", "transitivity"): Command((SYSTEM, DEPTH), _chaos_transitivity,
                                        lambda a: 4 ** min(a.depth, 64)),
     ("surject", "binary"): Command(
@@ -469,8 +473,8 @@ def build_parser() -> argparse.ArgumentParser:
 def _execute(cmd: Command, args) -> int:
     """Gate the input's work, run, emit the result, and return the exit code."""
     if cmd.cells is not None and cmd.cells(args) > MAX_CELLS:
-        raise InputError(f"depth {args.depth} exceeds the work limit of "
-                         f"{MAX_CELLS} cells")
+        raise InputError(f"input exceeds the work limit of {MAX_CELLS} cells "
+                         f"or orbit steps (see --help)")
     doc, summary, passed = cmd.run(args)
     _emit(args, doc, summary + ["result: PASS" if passed else "result: FAIL"])
     return 0 if passed else 1

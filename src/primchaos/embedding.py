@@ -41,9 +41,9 @@ from typing import Tuple
 
 from .errors import ConstructionError, DegenerateInputError, InputError
 from .geometry import (
-    Address,
     Box,
     Region,
+    binary_word,
     box_disjoint,
     chebyshev_ball,
     closed_difference,
@@ -263,14 +263,12 @@ def build_refinement(model: PeanoModel, depth: int) -> RefinementTree:
     return RefinementTree._from_grid(model, depth, cells, scale)
 
 
-def evaluate_address(tree: RefinementTree, a: Address) -> Region:
+def evaluate_address(tree: RefinementTree, word: str) -> Region:
     """Cell region at a binary address; at full depth this is the tightest
     available enclosure of the limit Cantor set inside that cell."""
-    if a.alphabet != 2:
-        raise InputError("refinement addresses are binary")
-    if len(a) > tree.depth:
-        raise InputError(f"address length {len(a)} exceeds tree depth {tree.depth}")
-    return tree.cells[str(a)].region
+    if len(binary_word(word)) > tree.depth:
+        raise InputError(f"address length {len(word)} exceeds tree depth {tree.depth}")
+    return tree.cells[word].region
 
 
 class _AxisIndex:

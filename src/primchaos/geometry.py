@@ -1,6 +1,9 @@
 """Exact geometric substrate: rational scalars, points, boxes, regions,
 and Cantor addresses.
 
+An address is a finite binary word held as a plain `str` of 0s and 1s;
+`binary_word` is the one check every word-taking function applies.
+
 Everything downstream computes over this module.  The only scalar type at
 the API is `fractions.Fraction` (arbitrary precision, always in lowest
 terms, positive denominator); there is no floating point anywhere in the
@@ -28,7 +31,6 @@ from typing import Optional, Sequence
 
 from .errors import InputError
 
-ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
@@ -410,77 +412,50 @@ def first_box_midpoint(r: Region) -> Point:
 
 
 # ---------------------------------------------------------------------------
-# Addresses
+# Addresses: finite binary words as plain digit strings
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Address:
-    """Finite word over {0, ..., alphabet-1}.
+def binary_word(word) -> str:
+    """Check a finite binary address and return it.
 
-    Names Cantor cylinders, refinement cells, and finite event sequences.
-    Serializes as a plain digit string like "0101" (empty word = "").
+    Addresses name Cantor cylinders, refinement cells and finite event
+    sequences.  Each is a `str` of 0s and 1s, and serializes as itself; the
+    empty word "" is the whole space.
     """
-
-    symbols: tuple
-    alphabet: int = 2
-
-    def __post_init__(self):
-        if self.alphabet < 2:
-            raise InputError("alphabet size must be >= 2")
-        if any(not (0 <= s < self.alphabet) for s in self.symbols):
-            raise InputError(f"symbols out of range for alphabet {self.alphabet}")
-
-    @staticmethod
-    def from_string(text: str, alphabet: int = 2) -> "Address":
-        try:
-            syms = tuple(int(ch) for ch in text)
-        except ValueError as exc:
-            raise InputError(f"address must be a digit string, got {text!r}") from exc
-        return Address(syms, alphabet)
-
-    def __str__(self) -> str:
-        return "".join(str(s) for s in self.symbols)
-
-    def __len__(self) -> int:
-        return len(self.symbols)
-
-    def prefix(self, n: int) -> "Address":
-        return Address(self.symbols[:n], self.alphabet)
+    # strip leaves a character behind iff the word has one other than 0, 1
+    if not isinstance(word, str) or word.strip("01"):
+        raise InputError(f"address must be a string of 0s and 1s, got {word!r}")
+    return word
 
 
-def cylinder(a: Address) -> Region:
+def _ternary_digits(word: str) -> int:
+    """The word's middle-third digits 2*bit as one base-3 integer."""
+    return int(word.replace("1", "2") or "0", 3)
+
+
+def cylinder(word: str) -> Region:
     """Middle-third cylinder: bit 0 selects the left third, bit 1 the right.
 
-    The closed interval has length 3^-|a|; the empty word is [0, 1].
+    The closed interval has length 3^-|word|; the empty word is [0, 1].
     """
-    if a.alphabet != 2:
-        raise InputError("cylinders are defined for the binary alphabet only")
-    lo, width = ZERO, ONE
-    for bit in a.symbols:
-        width /= 3
-        if bit:
-            lo += 2 * width
-    return Region((Box((lo,), (lo + width,)),))
+    scale = 3 ** len(binary_word(word))
+    lo = _ternary_digits(word)
+    return Region((Box((Fraction(lo, scale),), (Fraction(lo + 1, scale),)),))
 
 
-def eval_ternary_address(a: Address, extension: str = "zeros") -> Fraction:
+def eval_ternary_address(word: str, extension: str = "zeros") -> Fraction:
     """Exact middle-third Cantor point for an infinite address with a
     regular tail.
 
-    The point's ternary digits are 2*bit along the finite word `a`, then:
+    The point's ternary digits are 2*bit along the finite word, then:
     "zeros" appends 000..., "ones" appends 111... (bits, i.e. ternary 222...),
-    and "repeat" appends the word `a` itself periodically.  Computed as an
+    and "repeat" appends the word itself periodically.  Computed as an
     exact geometric series.
     """
-    if a.alphabet != 2:
-        raise InputError("ternary evaluation is defined for binary addresses")
-    n = len(a.symbols)
-    digits = 0  # the word's ternary digits 2*bit as one integer
-    for bit in a.symbols:
-        digits = 3 * digits + 2 * bit
+    n = len(binary_word(word))
     scale = Fraction(1, 3 ** n)
-    prefix_val = digits * scale
+    prefix_val = _ternary_digits(word) * scale
     if extension == "zeros":
         return prefix_val
     if extension == "ones":
@@ -489,7 +464,7 @@ def eval_ternary_address(a: Address, extension: str = "zeros") -> Fraction:
         if n == 0:
             raise InputError("'repeat' extension needs a nonempty address")
         # x = v + 3^-n x  =>  x = v / (1 - 3^-n)
-        return prefix_val / (ONE - Fraction(1, 3 ** n))
+        return prefix_val / (ONE - scale)
     raise InputError(f"unknown extension {extension!r}")
 
 

@@ -1,13 +1,13 @@
 """Continuous surjections from the Cantor set onto concrete compact targets,
 evaluable as (address prefix | parameter) -> exact rational enclosure.
 
-Four map kinds ship:
+Addresses are binary digit strings (`geometry.binary_word`).  Three map
+kinds ship, each onto the target `MAP_KINDS` names for it:
 
 * ``binary_expansion``: Cantor model onto [0,1] by reading the address as a
   binary expansion; depth-n enclosures have width 2^-n.
 * ``interleave``: Cantor model onto [0,1]^2; odd-position bits drive the x
   expansion, even-position bits the y expansion.
-* ``bit_flip``: the leading-bit-flip self-homeomorphism of the Cantor model.
 * ``block_glued``: piecewise map gluing per-block surjections g_i: A_i -> B_i
   over disjoint clopen blocks, the constrained construction behind
   f(A_i) = B_i.  On each input cylinder the tail is re-rooted: a staircase
@@ -50,9 +50,9 @@ from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import InputError
 from .geometry import (
-    Address,
     Box,
     Region,
+    binary_word,
     cylinder,
     grid_box,
     point_doc,
@@ -85,7 +85,10 @@ def _grid_box(coords: Sequence[int], sizes: Sequence[int]) -> Box:
     return grid_box(coords, [c + 1 for c in coords], sizes)
 
 
-_EXPANSION_AXES = {"binary_expansion": 1, "interleave": 2}
+# map kind -> (target space, axes its expansion kernel spreads the word's
+# bits over; 0 for a map with no expansion kernel)
+MAP_KINDS = {"binary_expansion": ("interval", 1), "interleave": ("square", 2),
+             "block_glued": ("cantor", 0)}
 
 
 def _placement(n: int, axes: int) -> Tuple[Tuple[int, ...], ...]:
@@ -105,18 +108,16 @@ def _expansion_cell(word: str, axes: int) -> Cell:
             tuple([1 << len(d) for d in digits]))
 
 
-def _expansion_map(prefix: Address, axes: int) -> Region:
-    if prefix.alphabet != 2:
-        raise InputError("binary prefix required")
-    return region(_grid_box(*_expansion_cell(str(prefix), axes)))
+def _expansion_map(prefix: str, axes: int) -> Region:
+    return region(_grid_box(*_expansion_cell(binary_word(prefix), axes)))
 
 
-def binary_expansion_map(prefix: Address) -> Region:
+def binary_expansion_map(prefix: str) -> Region:
     """Interval enclosure of the binary-expansion image of a cylinder."""
     return _expansion_map(prefix, 1)
 
 
-def interleave_map(prefix: Address) -> Region:
+def interleave_map(prefix: str) -> Region:
     """Square box enclosure: odd bits refine x, even bits refine y."""
     return _expansion_map(prefix, 2)
 
@@ -151,19 +152,16 @@ class ClopenBlock:
         if not self.cylinders:
             raise InputError("a clopen block needs at least one cylinder")
         cyls = self.cylinders
+        for c in cyls:
+            binary_word(c)
         if len(set(cyls)) != len(cyls):
             raise InputError("duplicate cylinder")
-        for a in cyls:
-            if any(ch not in "01" for ch in a):
-                raise InputError(f"bad cylinder address {a!r}")
         pair = _overlap(cyls)
         if pair:
             raise InputError(f"cylinders {pair[0]!r} and {pair[1]!r} overlap")
 
     def region(self) -> Region:
-        boxes = [cylinder(Address.from_string(c)).boxes[0]
-                 for c in self.cylinders]
-        return region(boxes)
+        return region([cylinder(c).boxes[0] for c in self.cylinders])
 
     def contains_address(self, word: str) -> bool:
         return any(word.startswith(c) for c in self.cylinders)
@@ -215,7 +213,7 @@ def _complement_cylinders(blocks: Sequence[ClopenBlock]) -> List[str]:
 
 
 # ---------------------------------------------------------------------------
-# CantorMap: uniform wrapper over the four kinds
+# CantorMap: uniform wrapper over the kinds of MAP_KINDS
 # ---------------------------------------------------------------------------
 
 
@@ -227,9 +225,17 @@ class CantorMap:
     diameter obeys `modulus(n)`; enclosures nest as prefixes extend.
     """
 
-    kind: str  # binary_expansion | interleave | block_glued | bit_flip
-    target: str  # interval | square | cantor
+    kind: str  # a key of MAP_KINDS
     pairs: Tuple[Tuple[ClopenBlock, ClopenBlock], ...] = ()
+
+    def __post_init__(self):
+        if self.kind not in MAP_KINDS:
+            raise InputError(f"unknown map kind {self.kind!r}; expected one "
+                             f"of {tuple(MAP_KINDS)}")
+
+    @property
+    def target(self) -> str:
+        return MAP_KINDS[self.kind][0]
 
     def modulus(self, n: int) -> Fraction:
         """Certified bound on image-enclosure diameter for depth-n inputs."""
@@ -237,8 +243,6 @@ class CantorMap:
             return Fraction(1, 2 ** n)
         if self.kind == "interleave":
             return Fraction(1, 2 ** (n // 2))
-        if self.kind == "bit_flip":
-            return Fraction(1, 3 ** n)
         overhead = 0
         threshold = 0
         for a_blk, b_blk in self.pairs:
@@ -255,12 +259,9 @@ class CantorMap:
 def evaluate_symbolic(f: CantorMap, word: str) -> List[str]:
     """Image enclosure of a cylinder as output cylinder addresses.
 
-    Only defined for Cantor-target kinds (bit_flip, block_glued).
+    Only defined for the Cantor-target kind, block_glued.
     """
-    if f.kind == "bit_flip":
-        if not word:
-            return [""]
-        return [("1" if word[0] == "0" else "0") + word[1:]]
+    binary_word(word)
     if f.kind != "block_glued":
         raise InputError(f"{f.kind} has no symbolic evaluation")
     outs: List[str] = []
@@ -288,15 +289,12 @@ def evaluate_symbolic(f: CantorMap, word: str) -> List[str]:
     return sorted(set(outs))
 
 
-def evaluate_map(f: CantorMap, prefix: Address) -> Region:
+def evaluate_map(f: CantorMap, prefix: str) -> Region:
     """Exact enclosure of the image of the given cylinder."""
-    if prefix.alphabet != 2:
-        raise InputError("binary prefix required")
-    if f.kind in _EXPANSION_AXES:
-        return _expansion_map(prefix, _EXPANSION_AXES[f.kind])
-    outs = evaluate_symbolic(f, str(prefix))
-    boxes = [cylinder(Address.from_string(o)).boxes[0] for o in outs]
-    return region(boxes)
+    axes = MAP_KINDS[f.kind][1]
+    if axes:
+        return _expansion_map(prefix, axes)
+    return region([cylinder(o).boxes[0] for o in evaluate_symbolic(f, prefix)])
 
 
 def block_surjection(blocks_a: Sequence[ClopenBlock],
@@ -317,7 +315,7 @@ def block_surjection(blocks_a: Sequence[ClopenBlock],
     leftover = _complement_cylinders(blocks_a)
     if leftover:
         pairs.append((ClopenBlock(tuple(leftover)), ClopenBlock(("",))))
-    return CantorMap(kind="block_glued", target="cantor", pairs=tuple(pairs))
+    return CantorMap("block_glued", tuple(pairs))
 
 
 def _words_under(block: ClopenBlock, depth: int) -> Iterator[str]:
@@ -378,10 +376,10 @@ def verify_cover_map(f: CantorMap, depth: int) -> CheckReport:
     positions are a permutation of range(n)."""
     _check_depth(depth)
     rep = CheckReport(f"{f.kind} covering at depth {depth}")
-    if f.kind not in _EXPANSION_AXES:
+    axes = MAP_KINDS[f.kind][1]
+    if not axes:
         raise InputError(f"covering verification ships for binary_expansion "
                          f"and interleave, not {f.kind}")
-    axes = _EXPANSION_AXES[f.kind]
     sizes = tuple(1 << len(range(a, depth, axes)) for a in range(axes))
     cells = 2 ** depth
     placement = _placement(depth, axes)
@@ -501,14 +499,15 @@ def _curve_box(k: int, j: int) -> Box:
     return _grid_box(_curve_cell(k, j), (1 << k, 1 << k))
 
 
-def hilbert_enclosure(t_cell) -> Region:
+def hilbert_enclosure(t_cell: Tuple) -> Region:
     """Square quadrant enclosing the curve's image of a dyadic parameter cell.
 
-    The cell must be [j*4^-k, (j+1)*4^-k].  Adjacent parameter cells map to
-    edge-adjacent quadrants (continuity witness) and the 4^k quadrants at
-    depth k tile the square (surjectivity witness).
+    The cell is the pair (lo, hi) of its ends and must be
+    [j*4^-k, (j+1)*4^-k].  Adjacent parameter cells map to edge-adjacent
+    quadrants (continuity witness) and the 4^k quadrants at depth k tile
+    the square (surjectivity witness).
     """
-    lo, hi = _parse_param_cell(t_cell)
+    lo, hi = map(rat, t_cell)
     width = hi - lo
     if width <= 0:
         raise InputError("parameter cell must have positive width")
@@ -520,17 +519,6 @@ def hilbert_enclosure(t_cell) -> Region:
     if j.denominator != 1 or not 0 <= j.numerator < 4 ** k:
         raise InputError(f"cell [{lo}, {hi}] is not aligned to depth {k}")
     return region(_curve_box(k, j.numerator))
-
-
-def _parse_param_cell(t_cell) -> Tuple[Fraction, Fraction]:
-    if isinstance(t_cell, Region):
-        if len(t_cell.boxes) != 1 or t_cell.dim != 1:
-            raise InputError("parameter cell must be a single interval")
-        t_cell = t_cell.boxes[0]
-    if isinstance(t_cell, Box):
-        return t_cell.lo[0], t_cell.hi[0]
-    lo, hi = t_cell
-    return rat(lo), rat(hi)
 
 
 # ---------------------------------------------------------------------------

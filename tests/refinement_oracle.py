@@ -39,7 +39,7 @@ def oracle_subdivide(model, cell, marked):
 
 
 def oracle_build(model, depth) -> dict:
-    """Address -> `Fraction` Cell of the depth-`depth` refinement."""
+    """Binary address -> `Fraction` Cell of the depth-`depth` refinement."""
     root = model.root
     cells = {"": Cell(root, (lexmin_point(root), lexmax_point(root)))}
     frontier = [""]

@@ -38,7 +38,6 @@ from primchaos.fintop import (
     verify_prop5,
 )
 from primchaos.geometry import (
-    Address,
     region_subset,
     regions_disjoint,
 )
@@ -54,7 +53,6 @@ from primchaos.surject import (
     waypoint_surjection,
 )
 
-A = Address.from_string
 GOLDEN_DIR = Path(__file__).parent / "goldens"
 
 
@@ -127,8 +125,8 @@ def test_criterion_2_cantor_point_injectivity():
 def test_criterion_3_expansion_instances():
     limit, t0 = 20.0, perf_counter()
     failures = []
-    binary = CantorMap("binary_expansion", "interval")
-    inter = CantorMap("interleave", "square")
+    binary = CantorMap("binary_expansion")
+    inter = CantorMap("interleave")
     if not verify_cover_map(binary, 16).all_passed:
         failures.append("binary depth-16 covering")
     if not verify_cover_map(inter, 12).all_passed:
@@ -140,8 +138,8 @@ def test_criterion_3_expansion_instances():
             a = prefix + "".join(rng.choice("01") for _ in range(3))
             b = prefix + "".join(rng.choice("01") for _ in range(3))
             for f in (binary, inter):
-                ea = evaluate_map(f, A(a)).boxes[0]
-                eb = evaluate_map(f, A(b)).boxes[0]
+                ea = evaluate_map(f, a).boxes[0]
+                eb = evaluate_map(f, b).boxes[0]
                 gap = max(max(abs(x - y) for x, y in zip(ea.lo, eb.lo)),
                           max(abs(x - y) for x, y in zip(ea.hi, eb.hi)))
                 if gap > f.modulus(n):

@@ -157,6 +157,8 @@ def test_realize_rejects_bad_words():
         realize_witness(d, "")
     with pytest.raises(InputError):
         realize_witness(d, "0x")
+    with pytest.raises(InputError):
+        realize_witness(d, (0, 1))
 
 
 def test_enclosures_nest_under_extension():
@@ -248,10 +250,10 @@ def test_periodic_point_in_realized_enclosure():
 
 
 def test_dense_orbit_word_examples():
-    assert str(dense_orbit_word(1)) == "01"
+    assert dense_orbit_word(1) == "01"
     # enumeration oracle: "01" + "00" + "01" + "10" + "11"
     expected = "01" + "".join("".join(b) for b in product("01", repeat=2))
-    assert str(dense_orbit_word(2)) == expected == "0100011011"
+    assert dense_orbit_word(2) == expected == "0100011011"
     with pytest.raises(InputError):
         dense_orbit_word(0)
 
@@ -421,7 +423,7 @@ def test_kernel_matches_reference_on_every_short_word(kind):
 def test_kernel_matches_reference_on_dense_words(kind):
     s = make_system(kind)
     for depth in range(1, 9):
-        w = str(dense_orbit_word(depth))
+        w = dense_orbit_word(depth)
         check_against_reference(s, w, reference_enclosure(s, w))
 
 

@@ -113,6 +113,11 @@ SQUARE_PIN = ["surject", "--kind", "waypoint", "--target", "square",
               "--point", "1/2=1/2,1/2"]
 
 
+def sensitivity(bits, samples):
+    return ["chaos", "sensitivity", "--system", "doubling",
+            "--delta", f"1/{2 ** bits}", "--samples", str(samples)]
+
+
 @pytest.mark.parametrize("argv,accepted", [
     (["surject", "--kind", "hilbert", "--depth", "10"], True),
     (["chaos", "transitivity", "--system", "doubling", "--depth", "10"], True),
@@ -128,6 +133,12 @@ SQUARE_PIN = ["surject", "--kind", "waypoint", "--target", "square",
     (["surject", "--kind", "binary", "--depth", "21"], False),
     (["surject", "--kind", "block", "--swap-halves", "--depth", "21"], False),
     (["surject", "--kind", "interleave", "--depth", "10000000000"], False),
+    # samples times the step budget, bit length of 1/delta plus 8
+    (sensitivity(20, 20), True),
+    (sensitivity(24, 100), True),
+    (sensitivity(1000, 1039), True),
+    (sensitivity(1000, 1040), False),
+    (sensitivity(1000, 10000), False),
 ])
 def test_work_gate(argv, accepted, tmp_path, capsys, monkeypatch):
     # the gate decides before anything runs: a stub run records the call
@@ -154,6 +165,8 @@ def test_work_gate(argv, accepted, tmp_path, capsys, monkeypatch):
     ["chaos", "realize", "--system", "doubling", "--word", "01" * 512 + "0"],
     ["chaos", "periodic", "--system", "tent", "--word", ""],
     ["chaos", "periodic", "--system", "tent", "--word", "0" * 1024 + "1"],
+    ["chaos", "sensitivity", "--system", "doubling", "--delta", "0"],
+    ["chaos", "sensitivity", "--system", "doubling", "--delta=-1/64"],
 ])
 def test_out_of_range_inputs_rejected(argv, tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)

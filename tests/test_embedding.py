@@ -23,7 +23,6 @@ from primchaos.embedding import (
 )
 from primchaos.errors import ConstructionError, DegenerateInputError, InputError
 from primchaos.geometry import (
-    Address,
     Box,
     box1,
     box2,
@@ -36,8 +35,6 @@ from primchaos.geometry import (
     region_subset,
 )
 from refinement_oracle import oracle_build, oracle_check
-
-A = Address.from_string
 
 
 @pytest.fixture(scope="module")
@@ -120,7 +117,7 @@ def test_depth_zero_is_single_root_cell():
     for kind in ("interval", "square", "tripod"):
         t = build_refinement(make_model(kind), 0)
         assert t.level(0) == [""]
-        assert evaluate_address(t, A("")) == make_model(kind).root
+        assert evaluate_address(t, "") == make_model(kind).root
 
 
 def test_interval_depth2_leaves_derived():
@@ -141,12 +138,12 @@ def test_square_depth1_leaves_derived():
 
 def test_evaluate_address_examples():
     t = build_refinement(make_model("interval"), 2)
-    assert evaluate_address(t, A("00")) == region(box1(0, F(1, 16)))
-    assert evaluate_address(t, A("1")) == region(box1(F(3, 4), 1))
+    assert evaluate_address(t, "00") == region(box1(0, F(1, 16)))
+    assert evaluate_address(t, "1") == region(box1(F(3, 4), 1))
     with pytest.raises(InputError):
-        evaluate_address(t, A("000"))
+        evaluate_address(t, "000")
     with pytest.raises(InputError):
-        evaluate_address(t, Address((0, 2), alphabet=3))
+        evaluate_address(t, "02")
 
 
 def test_leaf_count_and_disjointness(trees):

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 
 from primchaos.errors import InputError
 from primchaos.geometry import (
-    Address,
     Box,
+    binary_word,
     box1,
     box2,
     box_disjoint,
@@ -34,8 +34,6 @@ from primchaos.geometry import (
     region_subset,
     regions_disjoint,
 )
-
-A = Address.from_string
 
 
 def corner_pair_diameter(boxes):
@@ -168,16 +166,16 @@ def cyl_oracle(bits):
 
 
 def test_cylinder_examples():
-    assert cylinder(A("")).boxes == (box1(0, 1),)
-    assert cylinder(A("0")).boxes == (box1(0, F(1, 3)),)
-    assert cylinder(A("01")).boxes == (box1(F(2, 9), F(1, 3)),)
+    assert cylinder("").boxes == (box1(0, 1),)
+    assert cylinder("0").boxes == (box1(0, F(1, 3)),)
+    assert cylinder("01").boxes == (box1(F(2, 9), F(1, 3)),)
 
 
 def test_cylinder_matches_oracle_exhaustive_depth_8():
     for n in range(9):
         for bits in product("01", repeat=n):
             word = "".join(bits)
-            b = cylinder(A(word)).boxes[0]
+            b = cylinder(word).boxes[0]
             lo, hi = cyl_oracle(word)
             assert (b.lo[0], b.hi[0]) == (lo, hi)
 
@@ -187,53 +185,49 @@ def test_cylinder_diameter_is_3_pow_minus_n_exhaustive_depth_12():
         width = F(1, 3 ** n)
         for i in range(2 ** n):
             word = format(i, f"0{n}b") if n else ""
-            assert diameter(cylinder(A(word))) == width
+            assert diameter(cylinder(word)) == width
 
 
 def test_cylinder_children_nest_and_are_disjoint_depth_10():
     for n in range(11):
         for i in range(2 ** n):
             word = format(i, f"0{n}b") if n else ""
-            parent = cylinder(A(word))
-            c0 = cylinder(A(word + "0"))
-            c1 = cylinder(A(word + "1"))
+            parent = cylinder(word)
+            c0 = cylinder(word + "0")
+            c1 = cylinder(word + "1")
             assert region_subset(c0, parent) and region_subset(c1, parent)
             assert c0.boxes[0].hi[0] < c1.boxes[0].lo[0]  # disjoint with a gap
 
 
 def test_cylinder_requires_binary():
     with pytest.raises(InputError):
-        cylinder(Address((0, 2), alphabet=3))
+        cylinder("02")
 
 
 def test_eval_ternary_address():
-    assert eval_ternary_address(A(""), "zeros") == 0
-    assert eval_ternary_address(A(""), "ones") == 1
+    assert eval_ternary_address("", "zeros") == 0
+    assert eval_ternary_address("", "ones") == 1
     # geometric series oracle: 2*(1/3)/(1 - 1/9) = 3/4
-    assert eval_ternary_address(A("10"), "repeat") == F(3, 4)
-    assert eval_ternary_address(A("10"), "zeros") == F(2, 3)
-    assert eval_ternary_address(A("1"), "repeat") == 1
+    assert eval_ternary_address("10", "repeat") == F(3, 4)
+    assert eval_ternary_address("10", "zeros") == F(2, 3)
+    assert eval_ternary_address("1", "repeat") == 1
     with pytest.raises(InputError):
-        eval_ternary_address(A(""), "repeat")
+        eval_ternary_address("", "repeat")
     with pytest.raises(InputError):
-        eval_ternary_address(A("0"), "fives")
+        eval_ternary_address("0", "fives")
     # every finite evaluation lands inside its cylinder
     for i in range(64):
         word = format(i, "06b")
-        b = cylinder(A(word)).boxes[0]
+        b = cylinder(word).boxes[0]
         for ext in ("zeros", "ones", "repeat"):
-            x = eval_ternary_address(A(word), ext)
+            x = eval_ternary_address(word, ext)
             assert b.lo[0] <= x <= b.hi[0]
 
 
 def test_address_parsing_and_str():
-    a = A("0101")
-    assert str(a) == "0101" and len(a) == 4
-    assert a.prefix(2) == A("01")
+    assert binary_word("0101") == "0101" and binary_word("") == ""
     with pytest.raises(InputError):
-        A("0x1")
-    with pytest.raises(InputError):
-        Address((0, 1), alphabet=1)
+        binary_word("0x1")
 
 
 # ---------------------------------------------------------------------------

@@ -12,12 +12,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from primchaos import surject
+from primchaos.embedding import build_refinement, evaluate_address, make_model
 from primchaos.errors import InputError
 from primchaos.geometry import (
-    Address,
     box1,
     box2,
+    cylinder,
     diameter,
+    eval_ternary_address,
     region,
     region_subset,
     regions_disjoint,
@@ -47,8 +49,6 @@ from primchaos.surject import (
     waypoint_map,
     waypoint_surjection,
 )
-
-A = Address.from_string
 
 
 def expansion_oracle(bits):
@@ -108,33 +108,33 @@ def tile_walk_oracle(cells, sizes):
 
 
 def test_binary_expansion_examples():
-    assert binary_expansion_map(A("")) == region(box1(0, 1))
-    assert binary_expansion_map(A("1")) == region(box1(F(1, 2), 1))
+    assert binary_expansion_map("") == region(box1(0, 1))
+    assert binary_expansion_map("1") == region(box1(F(1, 2), 1))
     # oracle: 0/2 + 1/4 + 1/8 = 3/8, width 1/8
     assert expansion_oracle("011") == F(3, 8)
-    assert binary_expansion_map(A("011")) == region(box1(F(3, 8), F(1, 2)))
+    assert binary_expansion_map("011") == region(box1(F(3, 8), F(1, 2)))
 
 
 def test_binary_expansion_matches_oracle_exhaustive():
     for n in range(9):
         for i in range(2 ** n):
             bits = format(i, f"0{n}b") if n else ""
-            b = binary_expansion_map(A(bits)).boxes[0]
+            b = binary_expansion_map(bits).boxes[0]
             lo = expansion_oracle(bits)
             assert (b.lo[0], b.hi[0]) == (lo, lo + F(1, 2 ** n))
 
 
 def test_interleave_examples():
-    assert interleave_map(A("")) == region(box2(0, 1, 0, 1))
-    assert interleave_map(A("11")) == region(box2(F(1, 2), 1, F(1, 2), 1))
-    assert interleave_map(A("10")) == region(box2(F(1, 2), 1, 0, F(1, 2)))
+    assert interleave_map("") == region(box2(0, 1, 0, 1))
+    assert interleave_map("11") == region(box2(F(1, 2), 1, F(1, 2), 1))
+    assert interleave_map("10") == region(box2(F(1, 2), 1, 0, F(1, 2)))
 
 
 def test_interleave_matches_parity_split_oracle():
     for i in range(2 ** 8):
         bits = format(i, "08b")
         xs, ys = bits[0::2], bits[1::2]
-        b = interleave_map(A(bits)).boxes[0]
+        b = interleave_map(bits).boxes[0]
         assert b.lo[0] == expansion_oracle(xs)
         assert b.lo[1] == expansion_oracle(ys)
         assert b.hi[0] == expansion_oracle(xs) + F(1, 2 ** len(xs))
@@ -143,16 +143,16 @@ def test_interleave_matches_parity_split_oracle():
 
 def test_enclosures_nest_and_obey_modulus():
     rng = random.Random(31)
-    fb = CantorMap(kind="binary_expansion", target="interval")
-    fi = CantorMap(kind="interleave", target="square")
+    fb = CantorMap("binary_expansion")
+    fi = CantorMap("interleave")
     for _ in range(300):
         n = rng.randint(0, 20)
         word = "".join(rng.choice("01") for _ in range(n))
         for f in (fb, fi):
-            enc = evaluate_map(f, A(word))
+            enc = evaluate_map(f, word)
             assert diameter(enc) <= f.modulus(n)
             if n:
-                assert region_subset(enc, evaluate_map(f, A(word[:-1])))
+                assert region_subset(enc, evaluate_map(f, word[:-1]))
 
 
 def test_shared_prefix_modulus_random_pairs():
@@ -162,15 +162,15 @@ def test_shared_prefix_modulus_random_pairs():
         prefix = "".join(rng.choice("01") for _ in range(n))
         a = prefix + "".join(rng.choice("01") for _ in range(4))
         b = prefix + "".join(rng.choice("01") for _ in range(4))
-        ia, ib = binary_expansion_map(A(a)), binary_expansion_map(A(b))
+        ia, ib = binary_expansion_map(a), binary_expansion_map(b)
         d = max(abs(ia.boxes[0].lo[0] - ib.boxes[0].lo[0]),
                 abs(ia.boxes[0].hi[0] - ib.boxes[0].hi[0]))
         assert d <= F(1, 2 ** n)
 
 
 def test_covering_checks():
-    assert verify_cover_map(CantorMap("binary_expansion", "interval"), 10).all_passed
-    assert verify_cover_map(CantorMap("interleave", "square"), 10).all_passed
+    assert verify_cover_map(CantorMap("binary_expansion"), 10).all_passed
+    assert verify_cover_map(CantorMap("interleave"), 10).all_passed
 
 
 EXPANSION_KINDS = [("binary_expansion", "interval", 1),
@@ -217,7 +217,7 @@ def cover_hits(check, depth):
 @pytest.mark.parametrize("kind,target,axes", EXPANSION_KINDS)
 def test_cover_certificate_is_sound_on_mutated_placements(kind, target, axes,
                                                           monkeypatch):
-    f = CantorMap(kind, target)
+    f = CantorMap(kind)
     seen = Counter()
     # the target grids and mutations, read off the shipped placement
     cases = [(n, surject._expansion_cell("0" * n, axes)[1],
@@ -260,19 +260,19 @@ def test_covering_fails_on_a_faulty_kernel(kind, target, axes, fault,
     grid = surject._expansion_cell("0" * 6, axes)[1]
     faulty = PLACEMENT_FAULTS[fault](surject._placement(6, axes))
     monkeypatch.setattr(surject, "_placement", lambda n, a: faulty)
-    f = CantorMap(kind, target)
+    f = CantorMap(kind)
     rep = verify_cover_map(f, 6)
     assert [(c.name, c.passed) for c in rep.checks] == \
         [("images_tile_target", False)]
     # the evaluator reads the same placement, so it shows the same fault:
     # two of its 64 enclosures coincide, or one is not a cell of the grid
-    encs = {evaluate_map(f, A(format(j, "06b"))) for j in range(64)}
+    encs = {evaluate_map(f, format(j, "06b")) for j in range(64)}
     sides = {tuple(e.boxes[0].side(i) for i in range(axes)) for e in encs}
     assert len(encs) < 64 or sides != {tuple(F(1, s) for s in grid)}
     word = "110111"
     cell = tuple(int("".join(word[i] for i in pos) or "0", 2)
                  for pos in faulty), tuple(1 << len(pos) for pos in faulty)
-    assert evaluate_map(f, A(word)) == region(surject._grid_box(*cell))
+    assert evaluate_map(f, word) == region(surject._grid_box(*cell))
 
 
 def test_curve_walk_holds_no_cell_list():
@@ -333,6 +333,41 @@ def test_clopen_block_validation():
         ClopenBlock(("2",))
 
 
+SWAP_HALVES = block_surjection([ClopenBlock(("0",)), ClopenBlock(("1",))],
+                               [ClopenBlock(("1",)), ClopenBlock(("0",))])
+INTERVAL_TREE = build_refinement(make_model("interval"), 3)
+
+# every public function that takes a binary word, called on one word
+WORD_TAKERS = {
+    "cylinder": cylinder,
+    "eval_ternary_address": eval_ternary_address,
+    "evaluate_address": lambda w: evaluate_address(INTERVAL_TREE, w),
+    "binary_expansion_map": binary_expansion_map,
+    "interleave_map": interleave_map,
+    "evaluate_map_expansion": lambda w: evaluate_map(CantorMap("interleave"), w),
+    "evaluate_map_block": lambda w: evaluate_map(SWAP_HALVES, w),
+    "evaluate_symbolic": lambda w: evaluate_symbolic(SWAP_HALVES, w),
+    "ClopenBlock": lambda w: ClopenBlock((w,)),
+}
+
+
+@pytest.mark.parametrize("name", WORD_TAKERS)
+def test_word_takers_accept_only_binary_strings(name):
+    call = WORD_TAKERS[name]
+    call("011")
+    for bad in ("2", "02", "0x1", " 01", (0, 1)):
+        with pytest.raises(InputError):
+            call(bad)
+
+
+def test_cantor_map_kinds():
+    assert [CantorMap(kind).target for kind in surject.MAP_KINDS] == \
+        ["interval", "square", "cantor"]
+    for kind in ("bit_flip", "nonsense"):
+        with pytest.raises(InputError):
+            CantorMap(kind)
+
+
 # ---------------------------------------------------------------------------
 # block surjections
 # ---------------------------------------------------------------------------
@@ -382,8 +417,8 @@ def test_multi_cylinder_blocks_with_staircase():
     assert evaluate_symbolic(f, "001") == ["10", "11"]
     # enclosures nest as the prefix extends
     for word in ("00", "000", "0010", "0011", "1", "10"):
-        child = evaluate_map(f, A(word + "0"))
-        parent = evaluate_map(f, A(word))
+        child = evaluate_map(f, word + "0")
+        parent = evaluate_map(f, word)
         assert region_subset(child, parent), word
 
 
@@ -394,7 +429,7 @@ def test_block_surjection_input_errors():
     with pytest.raises(InputError):
         block_surjection([ClopenBlock(("0",))], [])
     with pytest.raises(InputError):
-        evaluate_symbolic(CantorMap("binary_expansion", "interval"), "0")
+        evaluate_symbolic(CantorMap("binary_expansion"), "0")
 
 
 def test_wrong_target_blocks_fail_verification():
@@ -627,7 +662,7 @@ def test_cover_certificate_does_no_per_cell_work(monkeypatch):
 
     monkeypatch.setattr(surject, "_expansion_cell", counted)
     for kind, target, _ in EXPANSION_KINDS:
-        assert verify_cover_map(CantorMap(kind, target), 20).all_passed
+        assert verify_cover_map(CantorMap(kind), 20).all_passed
     assert calls["_expansion_cell"] == 0
 
 
@@ -636,8 +671,8 @@ def test_cover_certificate_does_no_per_cell_work(monkeypatch):
     lambda ws: verify_waypoint_surjection(ws, -1),
     lambda ws: evaluate_waypoint(ws, F(1, 2), -1),
     lambda ws: sweep_cell_enclosure(ws, 0, 0, -1),
-    lambda ws: verify_cover_map(CantorMap("binary_expansion", "interval"), -1),
-    lambda ws: verify_cover_map(CantorMap("interleave", "square"), -1),
+    lambda ws: verify_cover_map(CantorMap("binary_expansion"), -1),
+    lambda ws: verify_cover_map(CantorMap("interleave"), -1),
 ], ids=["verify_curve", "verify_waypoint_surjection", "evaluate_waypoint",
         "sweep_cell_enclosure", "cover_binary", "cover_interleave"])
 def test_negative_depth_is_an_input_error(call):
