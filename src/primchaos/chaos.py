@@ -34,9 +34,18 @@ by integer comparison.  The pieces are merged (the canonical form, on the
 numerators) only when a symbol raises their count, which no shipped system
 does.  `Fraction` corners and the one `region()` of them appear only at
 the end, so the returned region is the one the `Fraction` recursion
-(`AffineBranch.preimage`, kept as the reference) gives.  The witness's
-forward orbit and its event membership stay in `Fraction`: they certify
-the enclosure independently of the kernel.
+(`AffineBranch.preimage`, kept as the reference) gives.
+
+The forward certificates run in integers too, on their own table
+(`ChaosSystem._forward`) built from the events' corners, so a witness's
+orbit certifies the enclosure independently of the kernel; the two share
+only `_as_word`.  Each axis of an orbit point holds an integer numerator
+over its own denominator, each branch applies x -> (c*x + d) / m to them,
+and event membership is an integer cross-multiplication against the
+events' corners.  `realize_witness`, `periodic_point`, the transitivity
+and dense-orbit checks and `sensitivity_check` all step with it; `Fraction`
+points are built only for what they return or test (`AffineBranch.apply`,
+`ChaosSystem.step` and `Region.contains_point` are the reference).
 """
 
 from __future__ import annotations
@@ -46,7 +55,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import product
 from math import lcm
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from .errors import ConstructionError, InputError
 from .geometry import (
@@ -55,6 +64,7 @@ from .geometry import (
     eval_ternary_address,
     first_box_midpoint,
     grid_box,
+    grid_point,
     point_doc,
     rat,
     rational_str,
@@ -64,6 +74,9 @@ from .geometry import (
 from .report import CheckReport
 
 SYSTEM_KINDS = ("shift_cantor", "doubling", "tent", "baker")
+# longest numerator or denominator of a sensitivity delta: every orbit step
+# of the check costs time in proportion to it
+MAX_DELTA_BITS = 1024
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -160,6 +173,26 @@ class ChaosSystem:
         return (dens, over(self.space), [over(ev) for ev in self.events],
                 [[inverse(a, b, L) for (a, b), L in zip(br.coeffs, dens)]
                  for br in self.branches])
+
+    @cached_property
+    def _forward(self):
+        """Integer form for the forward certificates, from the events' own
+        corners: per axis the lcm L of their denominators; each event as
+        boxes of [(lo, hi) per axis] numerators over L; and per branch and
+        axis its law x -> (c*x + d) / m as the integers (c, d, m)."""
+        boxes = [b for ev in self.events for b in ev.boxes]
+        dens = [lcm(*(x[ax].denominator for b in boxes for x in (b.lo, b.hi)))
+                for ax in range(self.dim)]
+
+        def law(a, b):
+            a, b = Fraction(a), Fraction(b)
+            m = lcm(a.denominator, b.denominator)
+            return int(a * m), int(b * m), m
+
+        return (dens,
+                [[[(int(l * L), int(h * L)) for l, h, L in zip(b.lo, b.hi, dens)]
+                  for b in ev.boxes] for ev in self.events],
+                [[law(a, b) for a, b in br.coeffs] for br in self.branches])
 
 
 def make_system(kind: str) -> ChaosSystem:
@@ -258,22 +291,71 @@ def _enclosure(s: ChaosSystem, syms: Tuple[int, ...], word: str) -> Region:
     return region([grid_box(*zip(*box), dens) for box in boxes])
 
 
+# A grid point is (numerators, denominators), one of each per axis.
+
+
+def _grid_of(p: tuple) -> tuple:
+    return [c.numerator for c in p], [c.denominator for c in p]
+
+
+def _contains(boxes, dens, nums, qs) -> bool:
+    """Whether the grid point lies in one of the event's integer boxes."""
+    for box in boxes:
+        for (lo, hi), L, n, q in zip(box, dens, nums, qs):
+            if not lo * q <= n * L <= hi * q:
+                break
+        else:
+            return True
+    return False
+
+
+def _image(law, nums, qs) -> tuple:
+    return ([c * n + d * q for (c, d, _), n, q in zip(law, nums, qs)],
+            [q * m for (_, _, m), q in zip(law, qs)])
+
+
+def _same_point(p: tuple, other: tuple) -> bool:
+    return all(n * r == m * q for n, q, m, r in zip(*p, *other))
+
+
+def _orbit(s: ChaosSystem, start: tuple, syms: Sequence[int]):
+    """Forward orbit of `start` along syms as grid points, len(syms) + 1 of
+    them: point i must lie in event syms[i], and point i + 1 is its image
+    under branch syms[i].  Returns the points and the index of the first
+    one outside its event (the points then end there), or None."""
+    dens, events, laws = s._forward
+    p = _grid_of(start)
+    points = []
+    for i, sym in enumerate(syms):
+        points.append(p)
+        if not _contains(events[sym], dens, *p):
+            return points, i
+        p = _image(laws[sym], *p)
+    points.append(p)
+    return points, None
+
+
+def _witness_orbit(s: ChaosSystem, syms: Tuple[int, ...], word: str):
+    """Enclosure, witness and its certified orbit (grid points, one per
+    symbol) of a nonempty word."""
+    K = _enclosure(s, syms, word)
+    witness = first_box_midpoint(K)
+    points, escaped = _orbit(s, witness, syms)
+    if escaped is not None:
+        raise ConstructionError(f"orbit point {grid_point(*points[escaped])} "
+                                f"escapes event {syms[escaped]} on {s.kind}")
+    return K, witness, points[:-1]
+
+
 def realize_witness(s: ChaosSystem, word: str) -> WitnessResult:
     """Realize a finite event word: nonempty enclosure, witness point, and
     the exact forward orbit, with event membership verified exactly."""
     syms = _as_word(s, word)
     if not syms:
         raise InputError("word must be nonempty")
-    K = _enclosure(s, syms, word)
-    witness = first_box_midpoint(K)
-    orbit = [witness]
-    for sym in syms[:-1]:
-        orbit.append(s.branches[sym].apply(orbit[-1]))
-    for p, sym in zip(orbit, syms):
-        if not s.events[sym].contains_point(p):
-            raise ConstructionError(
-                f"orbit point {p} escapes event {sym} on {s.kind}")
-    return WitnessResult(s.kind, word, K, witness, tuple(orbit))
+    K, witness, points = _witness_orbit(s, syms, word)
+    return WitnessResult(s.kind, word, K, witness,
+                         tuple(grid_point(*p) for p in points))
 
 
 # ---------------------------------------------------------------------------
@@ -337,20 +419,16 @@ def periodic_point(s: ChaosSystem, word: str) -> PeriodicOrbit:
                                     "no fixed point")
         point.append(b / (1 - a))
     point_t = tuple(point)
-    orbit = [point_t]
-    for sym in prim:
-        orbit.append(s.branches[sym].apply(orbit[-1]))
-    closes = orbit[m] == orbit[0]
-    in_cells = all(s.events[sym].contains_point(p)
-                   for p, sym in zip(orbit, prim))
-    if not (closes and in_cells):
+    points, escaped = _orbit(s, point_t, prim)
+    if escaped is not None or not _same_point(points[m], points[0]):
         raise ConstructionError(
             f"no periodic point follows word {word} on {s.kind}")
     for d in range(1, m):
-        if m % d == 0 and orbit[d] == orbit[0]:
+        if m % d == 0 and _same_point(points[d], points[0]):
             raise ConstructionError(
                 f"period collapses to divisor {d}; word is not primitive")
-    return PeriodicOrbit(point_t, m, word[:m], tuple(orbit[:m]), reduced_from)
+    return PeriodicOrbit(point_t, m, word[:m],
+                         tuple(grid_point(*p) for p in points[:m]), reduced_from)
 
 
 # ---------------------------------------------------------------------------
@@ -377,14 +455,15 @@ def verify_dense_orbit(s: ChaosSystem, depth: int) -> CheckReport:
     if s.alphabet != 2:
         raise InputError("dense-orbit words are built over a binary alphabet")
     word = dense_orbit_word(depth)
-    res = realize_witness(s, word)
+    _, _, points = _witness_orbit(s, _as_word(s, word), word)
     rep = CheckReport(f"{s.kind} dense orbit, depth {depth}, |word| = {len(word)}")
     missing = []
     for bits in product("01", repeat=depth):
         u = "".join(bits)
         i = word.find(u)
         cell = word_enclosure(s, u)
-        if i < 0 or i + depth > len(word) or not cell.contains_point(res.orbit[i]):
+        if i < 0 or i + depth > len(word) or \
+                not cell.contains_point(grid_point(*points[i])):
             missing.append(u)
     rep.add("visits_every_cell", not missing,
             f"all {2 ** depth} depth-{depth} cells visited" if not missing
@@ -402,32 +481,53 @@ def _sensitivity_samples(s: ChaosSystem, samples: int) -> List[tuple]:
     return [(Fraction(j, samples + 1),) for j in range(1, samples + 1)]
 
 
-def _sensitivity_partners(s: ChaosSystem, x: Fraction,
-                          delta: Fraction) -> List[tuple]:
+def _sensitivity_partners(s: ChaosSystem,
+                          delta: Fraction) -> Callable[[Fraction], List[tuple]]:
+    """The partners within delta that a sample coordinate x is paired with."""
     if s.kind == "shift_cantor":
-        k = 1
-        while 2 * Fraction(1, 3 ** k) > delta:
-            k += 1
-        step = 2 * Fraction(1, 3 ** k)
-        digit = (x.numerator * 3 ** k // x.denominator) % 3
-        y = x - step if digit == 2 else x + step
-        return [(y,)]
-    cands = []
-    for frac in (ONE, HALF, Fraction(3, 4)):
-        for sign in (1, -1):
-            y = x + sign * delta * frac
-            if ZERO <= y <= ONE and y != x:
-                cands.append((y,))
-    return cands
+        # flip ternary digit k of x, for the smallest k with 2 * 3^-k <= delta
+        power = 3
+        while 2 * delta.denominator > delta.numerator * power:
+            power *= 3
+        step = Fraction(2, power)
+
+        def cantor(x: Fraction) -> List[tuple]:
+            digit = (x.numerator * power // x.denominator) % 3
+            return [(x - step if digit == 2 else x + step,)]
+        return cantor
+
+    def nearby(x: Fraction) -> List[tuple]:
+        cands = []
+        for frac in (ONE, HALF, Fraction(3, 4)):
+            for sign in (1, -1):
+                y = x + sign * delta * frac
+                if ZERO <= y <= ONE and y != x:
+                    cands.append((y,))
+        return cands
+    return nearby
 
 
 def sensitivity_budget(delta) -> int:
     """Orbit steps `sensitivity_check` gives a pair to separate in: the bit
-    length of 1/delta, plus 8."""
+    length of 1/delta, plus 8.  Delta's numerator and denominator may have
+    at most MAX_DELTA_BITS bits each."""
     delta = rat(delta)
     if delta <= 0:
         raise InputError("delta must be positive")
-    return max(1, (ONE / delta).numerator.bit_length()) + 8
+    if max(delta.numerator.bit_length(),
+           delta.denominator.bit_length()) > MAX_DELTA_BITS:
+        raise InputError(f"delta exceeds the work limit of {MAX_DELTA_BITS} "
+                         f"bits in its numerator or denominator")
+    return delta.denominator.bit_length() + 8
+
+
+def _step(s: ChaosSystem, p: tuple) -> tuple:
+    """`ChaosSystem.step` on a grid point."""
+    dens, events, laws = s._forward
+    for boxes, law in zip(events, laws):
+        if _contains(boxes, dens, *p):
+            return _image(law, *p)
+    raise InputError(f"point {grid_point(*p)} lies outside every event")
 
 
 def sensitivity_check(s: ChaosSystem, delta: Fraction, samples: int,
@@ -449,16 +549,22 @@ def sensitivity_check(s: ChaosSystem, delta: Fraction, samples: int,
         else _sensitivity_samples(s, samples)
     rep = CheckReport(f"{s.kind} sensitivity, delta {rational_str(delta)}, "
                       f"{len(sample_pts)} samples, constant {rational_str(constant)}")
+    partners = _sensitivity_partners(s, delta)
+    sep = Fraction(constant)
     worst = 0
     failed = None
     for x in sample_pts:
         sep_at = None
-        for y in _sensitivity_partners(s, x[0], delta):
-            px, py = x, y
+        for y in partners(x[0]):
+            px, py = _grid_of(x), _grid_of(y)
             for n in range(1, budget + 1):
-                px = s.step(px)
-                py = s.step(py)
-                if abs(px[0] - py[0]) >= constant:
+                px = _step(s, px)
+                py = _step(s, py)
+                # |a/q - b/r| >= sep, cross-multiplied
+                (a,), (q,) = px
+                (b,), (r,) = py
+                if abs(a * r - b * q) * sep.denominator >= \
+                        sep.numerator * q * r:
                     sep_at = n if sep_at is None else min(sep_at, n)
                     break
             if sep_at is not None:
@@ -488,10 +594,9 @@ def transitivity_check(s: ChaosSystem, depth: int) -> CheckReport:
     bad = None
     for u in words:
         for v in words:
-            res = realize_witness(s, u + v)
-            x0 = res.witness
-            xd = res.orbit[depth]  # orbit has 2*depth points
-            if not (cells[u].contains_point(x0) and cells[v].contains_point(xd)):
+            _, x0, points = _witness_orbit(s, _as_word(s, u + v), u + v)
+            if not (cells[u].contains_point(x0) and
+                    cells[v].contains_point(grid_point(*points[depth]))):
                 bad = (u, v)
                 break
         if bad:

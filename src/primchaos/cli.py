@@ -48,7 +48,8 @@ work limits:
   embed --depth at most 12; surject and chaos transitivity at most 2^20 cells
   (2^depth cylinders or interval cells, 4^depth quadrants or pairs);
   chaos sensitivity at most 2^20 orbit steps (--samples times a step budget
-  of the bit length of 1/delta, plus 8);
+  of the bit length of 1/delta, plus 8), and --delta at most 1024 bits in
+  its numerator and in its denominator;
   chaos realize and periodic --word 1..1024 symbols
 """
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from primchaos import cli
+from primchaos import chaos, cli
 from primchaos.chaos import (
     SYSTEM_KINDS,
     AffineBranch,
@@ -18,6 +18,7 @@ from primchaos.chaos import (
     make_system,
     periodic_point,
     realize_witness,
+    sensitivity_budget,
     sensitivity_check,
     transitivity_check,
     verify_dense_orbit,
@@ -27,10 +28,14 @@ from primchaos.errors import ConstructionError, InputError
 from primchaos.geometry import (
     box1,
     box2,
+    first_box_midpoint,
+    point_doc,
+    rational_str,
     region,
     region_intersect,
     region_subset,
 )
+from primchaos.report import CheckReport
 
 HALF = F(1, 2)
 
@@ -293,6 +298,15 @@ def test_sensitivity_rejects_bad_inputs():
         sensitivity_check(make_system("baker"), F(1, 4), 5)
     with pytest.raises(InputError):
         sensitivity_check(make_system("tent"), F(0), 5)
+    # delta's numerator and denominator are capped, before any work
+    assert sensitivity_budget(F(1, 2 ** 1023)) == 1024 + 8
+    assert sensitivity_budget(F(2 ** 1024 - 1, 2 ** 1023)) == 1024 + 8
+    for delta in (F(1, 2 ** 1024), F(2 ** 1100 + 1, 2 ** 1000),
+                  F(2 ** 5000 + 1, 2 ** 5001)):
+        for check in (sensitivity_budget,
+                      lambda d: sensitivity_check(make_system("tent"), d, 5)):
+            with pytest.raises(InputError, match="exceeds the work limit"):
+                check(delta)
 
 
 def test_transitivity_examples():
@@ -463,6 +477,164 @@ def test_unrealizable_word_fails_the_check(monkeypatch, capsys):
     assert cli.main(["chaos", "realize", "--system", "doubling",
                      "--word", "10"]) == 1
     assert capsys.readouterr().err == f"primchaos: check failed: {msg}\n"
+
+
+# ---------------------------------------------------------------------------
+# the integer forward certificates against the Fraction orbit they replaced
+# ---------------------------------------------------------------------------
+
+
+def reference_orbit(s, word, start):
+    """The orbit by `AffineBranch.apply`, one point per symbol, and the
+    escape error `Region.contains_point` finds first, or None."""
+    orbit = [start]
+    for ch in word[:-1]:
+        orbit.append(s.branches[int(ch)].apply(orbit[-1]))
+    for p, ch in zip(orbit, word):
+        if not s.events[int(ch)].contains_point(p):
+            return orbit, f"orbit point {p} escapes event {ch} on {s.kind}"
+    return orbit, None
+
+
+def check_orbit_against_reference(s, word):
+    try:
+        res = realize_witness(s, word)
+    except ConstructionError as exc:
+        assert str(exc) == f"empty witness set for word {word} on {s.kind}"
+        return
+    orbit, escape = reference_orbit(s, word, res.witness)
+    assert escape is None, escape
+    assert res.orbit == tuple(orbit), (s.kind, word)
+    assert all(type(c) is F for p in res.orbit for c in p)
+
+
+@pytest.mark.parametrize("kind", SYSTEM_KINDS)
+def test_orbit_matches_reference_on_every_short_word(kind):
+    s = make_system(kind)
+    for n in range(1, 11):
+        for bits in product("01", repeat=n):
+            check_orbit_against_reference(s, "".join(bits))
+
+
+@pytest.mark.parametrize("kind", sorted(RANDOM_WORD_SYSTEMS))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_orbit_matches_reference_on_random_words(kind, data):
+    s = RANDOM_WORD_SYSTEMS[kind]
+    word = data.draw(st.text("0123456789"[:s.alphabet], min_size=1,
+                             max_size=200))
+    check_orbit_against_reference(s, word)
+
+
+def test_escaping_orbit_raises_with_the_whole_space_as_kernel(monkeypatch):
+    # with the kernel answering the whole space, the witness is the space's
+    # midpoint and only the forward certificate stands between it and the
+    # word: it must fail exactly where the Fraction orbit first escapes
+    monkeypatch.setattr(chaos, "_enclosure", lambda s, syms, word: s.space)
+    escaped = 0
+    for s in RANDOM_WORD_SYSTEMS.values():
+        for n in range(1, 7):
+            for syms in product("0123456789"[:s.alphabet], repeat=n):
+                word = "".join(syms)
+                start = first_box_midpoint(s.space)
+                orbit, escape = reference_orbit(s, word, start)
+                if escape is None:
+                    assert realize_witness(s, word).orbit == tuple(orbit)
+                    continue
+                escaped += 1
+                with pytest.raises(ConstructionError) as exc:
+                    realize_witness(s, word)
+                assert str(exc.value) == escape
+    assert escaped
+    with pytest.raises(ConstructionError) as exc:
+        realize_witness(make_system("doubling"), "00")
+    assert str(exc.value) == "orbit point (Fraction(1, 1),) escapes event 0 " \
+                             "on doubling"
+
+
+def reference_partners(s, x, delta):
+    """The partners the Fraction check tried, digit k found by search."""
+    if s.kind == "shift_cantor":
+        k = 1
+        while 2 * F(1, 3 ** k) > delta:
+            k += 1
+        step = 2 * F(1, 3 ** k)
+        digit = (x.numerator * 3 ** k // x.denominator) % 3
+        return [(x - step if digit == 2 else x + step,)]
+    cands = []
+    for frac in (1, HALF, F(3, 4)):
+        for sign in (1, -1):
+            y = x + sign * delta * frac
+            if 0 <= y <= 1 and y != x:
+                cands.append((y,))
+    return cands
+
+
+def reference_sensitivity(s, delta, samples, constant=F(1, 4), points=None):
+    """The sensitivity report by `ChaosSystem.step` on `Fraction` points."""
+    budget = delta.denominator.bit_length() + 8
+    pts = [tuple(F(c) for c in p) for p in points] if points \
+        else chaos._sensitivity_samples(s, samples)
+    worst, failed = 0, None
+    for x in pts:
+        sep_at = None
+        for y in reference_partners(s, x[0], delta):
+            px, py = x, y
+            for n in range(1, budget + 1):
+                px, py = s.step(px), s.step(py)
+                if abs(px[0] - py[0]) >= constant:
+                    sep_at = n
+                    break
+            if sep_at is not None:
+                break
+        if sep_at is None:
+            failed = x
+            break
+        worst = max(worst, sep_at)
+    rep = CheckReport(f"{s.kind} sensitivity, delta {rational_str(delta)}, "
+                      f"{len(pts)} samples, constant {rational_str(constant)}")
+    rep.add("orbits_separate", failed is None,
+            f"worst separation step n = {worst} <= budget {budget}"
+            if failed is None else
+            f"sample {point_doc(failed)} never separated within {budget} steps")
+    return rep
+
+
+ONE_D_SYSTEMS = [s for s in RANDOM_WORD_SYSTEMS.values() if s.dim == 1] + [TRAP]
+
+
+def outcome(check, *args, **kwargs):
+    """The check's report, or the message of the input error it raises."""
+    try:
+        return check(*args, **kwargs)
+    except InputError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("s", ONE_D_SYSTEMS, ids=lambda s: s.kind)
+@pytest.mark.parametrize("delta", [F(1, 2 ** 12), F(1, 3 ** 5), F(2, 3 ** 6),
+                                   F(2, 7), F(3, 5), F(5, 3 ** 9 + 1)])
+def test_sensitivity_matches_step_reference(s, delta):
+    for samples in (1, 7, 40):
+        assert sensitivity_check(s, delta, samples) == \
+            reference_sensitivity(s, delta, samples)
+    # given points, one at a time: boundary points, and on the Cantor
+    # model partners in the gap; constants the pairs reach late or never
+    for x in (0, F(1, 3), HALF, F(2, 3), F(20, 27), F(5, 7), 1):
+        for constant in (F(1, 4), F(9, 10), F(2)):
+            args = (s, delta, 0, constant)
+            assert outcome(sensitivity_check, *args, points=[(x,)]) == \
+                outcome(reference_sensitivity, *args, points=[(x,)])
+
+
+def test_sensitivity_point_outside_every_event():
+    # 1/2 lies in the Cantor model's gap; both checks fail on the first step
+    s = make_system("shift_cantor")
+    for check in (sensitivity_check, reference_sensitivity):
+        with pytest.raises(InputError) as exc:
+            check(s, F(1, 2 ** 10), 0, points=[(HALF,)])
+        assert str(exc.value) == \
+            "point (Fraction(1, 2),) lies outside every event"
 
 
 def test_zero_slope_rejected():

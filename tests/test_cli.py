@@ -139,6 +139,12 @@ def sensitivity(bits, samples):
     (sensitivity(1000, 1039), True),
     (sensitivity(1000, 1040), False),
     (sensitivity(1000, 10000), False),
+    # delta's numerator and denominator have at most 1024 bits each
+    (sensitivity(1023, 1), True),
+    (sensitivity(1024, 1), False),
+    (sensitivity(13000, 80), False),
+    (["chaos", "sensitivity", "--system", "doubling",
+      "--delta", f"{2 ** 5000 + 1}/{2 ** 5001}", "--samples", "1"], False),
 ])
 def test_work_gate(argv, accepted, tmp_path, capsys, monkeypatch):
     # the gate decides before anything runs: a stub run records the call
