@@ -107,8 +107,6 @@ def _report(rep, header: str, **fields):
 
 
 def _embed(args):
-    if args.depth < 0:
-        raise InputError("depth must be >= 0")
     if args.depth > EMBED_MAX_DEPTH:
         raise InputError(f"depth {args.depth} exceeds cap {EMBED_MAX_DEPTH}")
     tree = embed_mod.build_refinement(embed_mod.make_model(args.model),

@@ -25,7 +25,13 @@ is a multiple of 4 and the child radius d // 4 is exact.  The tree holds
 these integer cells and the one scale; the stage checks are homogeneous in
 the scale and read them directly.  `Fraction` corners are built only at
 the boundary: the `tree.cells` view, `evaluate_address` and
-`tree_document`.
+`tree_document`.  Each tree has one such view, and it builds each
+address's `Fraction` Cell at most once.
+
+Input is validated at the public boundary.  `subdivide` checks that the
+cell lies in the model and holds its marked points; `build_refinement`
+steps without those checks, as each cell it builds lies in its parent with
+its marked points at corners, and the stage checks certify the result.
 """
 
 from __future__ import annotations
@@ -121,21 +127,28 @@ def _lcm_scale(cells: Iterable[Cell]) -> int:
 
 class _FractionCells(Mapping):
     """Read-only view of integer grid cells over one scale that builds the
-    `Fraction` Cell of an address when it is looked up."""
+    `Fraction` Cell of an address on its first lookup and keeps it.  Two
+    threads looking up one address at once may both build it; the values
+    are equal, so either may be kept."""
 
-    __slots__ = ("_grid", "_dens")
+    __slots__ = ("_grid", "_dens", "_built")
 
     def __init__(self, grid: Mapping[str, Cell], dens: Tuple[int, ...]):
         self._grid = grid
         self._dens = dens
+        self._built = {}
 
     def __getitem__(self, addr: str) -> Cell:
-        cell, dens = self._grid[addr], self._dens
-        # positive scaling keeps the canonical box order
-        return Cell(Region(tuple(grid_box(b.lo, b.hi, dens)
-                                 for b in cell.region.boxes)),
-                    (grid_point(cell.marked[0], dens),
-                     grid_point(cell.marked[1], dens)))
+        built = self._built.get(addr)
+        if built is None:
+            cell, dens = self._grid[addr], self._dens
+            # positive scaling keeps the canonical box order
+            built = self._built[addr] = Cell(
+                Region(tuple(grid_box(b.lo, b.hi, dens)
+                             for b in cell.region.boxes)),
+                (grid_point(cell.marked[0], dens),
+                 grid_point(cell.marked[1], dens)))
+        return built
 
     def __contains__(self, addr) -> bool:
         return addr in self._grid
@@ -153,8 +166,9 @@ class RefinementTree:
 
     The cells are stored once, on an integer grid: `grid` maps each address
     to a Cell whose coordinates are integers over `scale`, and `cells` is
-    the read-only view of them as `Fraction` Cells.  Immutable after
-    construction, so trees are safe for unrestricted concurrent reads.
+    the tree's one read-only view of them as `Fraction` Cells, each built
+    on its first lookup and kept.  Immutable after construction apart from
+    that memo, so trees are safe for unrestricted concurrent reads.
     """
 
     model: PeanoModel
@@ -178,15 +192,12 @@ class RefinementTree:
         return tree
 
     def _fill(self, model, depth, grid: dict, scale: int) -> None:
+        grid = MappingProxyType(grid)
+        cells = _FractionCells(grid, (scale,) * model.dim)
         for name, value in (("model", model), ("depth", depth),
-                            ("grid", MappingProxyType(grid)),
-                            ("scale", scale)):
+                            ("grid", grid), ("scale", scale),
+                            ("cells", cells)):
             object.__setattr__(self, name, value)
-
-    @property
-    def cells(self) -> Mapping[str, Cell]:
-        """The cells as `Fraction` Cells, each built when looked up."""
-        return _FractionCells(self.grid, (self.scale,) * self.model.dim)
 
     def level(self, k: int):
         """Addresses of level k in lexicographic order."""
@@ -211,13 +222,22 @@ def subdivide(model: PeanoModel, cell: Region, marked: Tuple[tuple, tuple]):
     the pair of lexicographic extremes of regionI.
     """
     m1, m2 = marked
-    d = distance(m1, m2)
-    if d == 0:
+    if distance(m1, m2) == 0:
         raise DegenerateInputError("marked points must be distinct")
     if not (cell.contains_point(m1) and cell.contains_point(m2)):
         raise InputError("marked points must lie in the cell being subdivided")
     if not region_subset(cell, model.root):
         raise InputError("cell is not a subcontinuum of the model")
+    return _split(cell, marked)
+
+
+def _split(cell: Region, marked: Tuple[tuple, tuple]):
+    """`subdivide` without its checks that the cell lies in the model and
+    holds its marked points."""
+    m1, m2 = marked
+    d = distance(m1, m2)
+    if d == 0:
+        raise DegenerateInputError("marked points must be distinct")
     if isinstance(d, int):
         radius, rest = divmod(d, 4)
         if rest:
@@ -235,27 +255,25 @@ def subdivide(model: PeanoModel, cell: Region, marked: Tuple[tuple, tuple]):
 
 
 def build_refinement(model: PeanoModel, depth: int) -> RefinementTree:
-    """Iterate `subdivide` to the given depth from the model's root.
+    """Iterate the `subdivide` step to the given depth from the model's root.
 
     Cell at address a*j is built around marked point j of cell a; the root's
     marked points are the lexicographic extremes of the whole model.  The
-    steps run on the integer grid of scale D * 4^depth (module docstring).
+    steps run on the integer grid of scale D * 4^depth, without
+    `subdivide`'s input checks (module docstring).
     """
     if depth < 0:
         raise InputError("depth must be >= 0")
     root = model.root
     root_cell = Cell(root, (lexmin_point(root), lexmax_point(root)))
     scale = _lcm_scale([root_cell]) * 4 ** depth
-    root_cell = _onto_grid(root_cell, scale)
-    grid_model = PeanoModel(model.kind, model.dim, root_cell.region)
-    cells = {"": root_cell}
+    cells = {"": _onto_grid(root_cell, scale)}
     frontier = [""]
     for _ in range(depth):
         nxt = []
         for addr in frontier:
             cell = cells[addr]
-            (r0, mk0), (r1, mk1) = subdivide(grid_model, cell.region,
-                                             cell.marked)
+            (r0, mk0), (r1, mk1) = _split(cell.region, cell.marked)
             cells[addr + "0"] = Cell(r0, mk0)
             cells[addr + "1"] = Cell(r1, mk1)
             nxt.extend((addr + "0", addr + "1"))

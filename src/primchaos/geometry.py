@@ -9,6 +9,10 @@ the API is `fractions.Fraction` (arbitrary precision, always in lowest
 terms, positive denominator); there is no floating point anywhere in the
 core.  Sets of points are represented as finite unions of closed
 axis-aligned boxes with rational corners, in ambient dimension 1 or 2.
+`closed_difference` is the one engine for what is left of such a union
+after removing another: containment (`box_in_boxes`, `region_subset`) is
+its emptiness, and the 2-d canonical form takes its zero-width boxes from
+it.
 
 The integer kernels (chaos enclosures, surjection cells, refinement trees)
 hold corners as `int` numerators over one denominator per axis.  Boxes,
@@ -27,6 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from typing import Optional, Sequence
 
 from .errors import InputError
@@ -190,34 +195,6 @@ def _merge_intervals(intervals: Sequence[tuple]) -> list:
     return out
 
 
-def _subtract_intervals(pieces: Sequence[tuple], cover: Sequence[tuple]) -> list:
-    """Closure of (union of pieces) minus (union of cover), as closed intervals.
-
-    Both inputs must already be canonical (`_merge_intervals`).  The set
-    difference of closed sets need not be closed; each connected component
-    is returned as its closure.  Empty components are dropped exactly.
-    """
-    out = []
-    for a, b in pieces:
-        overl = [(max(ca, a), min(cb, b)) for ca, cb in cover if cb >= a and ca <= b]
-        if not overl:
-            out.append((a, b))
-            continue
-        cur = a
-        cur_covered = False  # whether the point `cur` itself lies in the cover
-        for ca, cb in overl:
-            if ca > cur:
-                # component before ca is nonempty (cur < ca); emit its closure
-                out.append((cur, ca))
-            cur = max(cur, cb)
-            cur_covered = True
-        if cur < b:
-            out.append((cur, b))
-        elif cur == b and not cur_covered:
-            out.append((b, b))
-    return _merge_intervals(out)
-
-
 # ---------------------------------------------------------------------------
 # Regions
 # ---------------------------------------------------------------------------
@@ -265,8 +242,8 @@ def _canonical_boxes_2d(boxes: Sequence[Box]) -> tuple:
     # Vertical-slab decomposition: split at every x where any box starts or
     # ends, take the canonical y-cross-section per slab, then merge adjacent
     # slabs with identical cross-sections.  Content living only at a single
-    # x (degenerate boxes, protruding edges) is emitted as zero-width boxes
-    # holding the closure of whatever the width slabs do not already cover.
+    # x (degenerate boxes, protruding edges) is emitted as zero-width boxes:
+    # the `closed_difference` of that x's column and the width boxes there.
     xs = sorted({x for b in boxes for x in (b.lo[0], b.hi[0])})
     slabs = []  # [x0, x1, yset]
     for x0, x1 in zip(xs, xs[1:]):
@@ -277,19 +254,16 @@ def _canonical_boxes_2d(boxes: Sequence[Box]) -> tuple:
                 slabs[-1][1] = x1
             else:
                 slabs.append([x0, x1, ys])
-    out = [Box((x0, ylo), (x1, yhi)) for x0, x1, ys in slabs for ylo, yhi in ys]
+    width = [Box((x0, ylo), (x1, yhi)) for x0, x1, ys in slabs for ylo, yhi in ys]
+    edges = []
     for c in xs:
-        ysec = _merge_intervals([(b.lo[1], b.hi[1]) for b in boxes
-                                 if b.lo[0] <= c <= b.hi[0]])
-        if not ysec:
-            continue
-        covered = []
-        for x0, x1, ys in slabs:
-            if x0 <= c <= x1:
-                covered.extend(ys)
-        leftover = _subtract_intervals(ysec, _merge_intervals(covered))
-        out.extend(Box((c, ylo), (c, yhi)) for ylo, yhi in leftover)
-    return tuple(sorted(out, key=Box.sort_key))
+        column = [Box((c, lo), (c, hi)) for lo, hi in _merge_intervals(
+            [(b.lo[1], b.hi[1]) for b in boxes if b.lo[0] <= c <= b.hi[0]])]
+        near = [w for w in width if w.lo[0] <= c <= w.hi[0]]
+        leftover = _merge_intervals([(d.lo[1], d.hi[1])
+                                     for d in closed_difference(column, near)])
+        edges.extend(Box((c, lo), (c, hi)) for lo, hi in leftover)
+    return tuple(sorted(width + edges, key=Box.sort_key))
 
 
 def region(boxes) -> Region:
@@ -344,58 +318,53 @@ def _axis_grid(values, lo, hi):
     return grid
 
 
-def _uncovered_cells(target: Box, boxes: Sequence[Box]):
-    """Refine the target along every critical coordinate of the boxes and
-    yield each elementary cell (lo, hi) that lies inside none of them.
-
-    Each elementary cell either lies inside a single member box or sticks
-    out of the union entirely, so per-cell corner tests decide coverage.
-    """
-    grids = [_axis_grid([v for b in boxes for v in (b.lo[ax], b.hi[ax])],
-                        target.lo[ax], target.hi[ax])
-             for ax in range(target.dim)]
-    if target.dim == 1:
-        cells = [((l,), (h,)) for l, h in grids[0]]
-    else:
-        cells = [((xl, yl), (xh, yh)) for xl, xh in grids[0] for yl, yh in grids[1]]
-    for lo, hi in cells:
-        if not any(all(bl <= l and h <= bh for bl, l, h, bh
-                       in zip(b.lo, lo, hi, b.hi)) for b in boxes):
-            yield lo, hi
-
-
-def box_in_boxes(target: Box, boxes: Sequence[Box]) -> bool:
-    """Exact containment of a closed box in a finite union of closed boxes:
-    no elementary cell of the target's refinement lies outside the union."""
-    cand = [b for b in boxes if box_intersect(target, b) is not None]
-    for b in cand:  # cheap single-box fast path
-        if all(bl <= tl and th <= bh for bl, tl, th, bh
-               in zip(b.lo, target.lo, target.hi, b.hi)):
-            return True
-    if not cand:
-        return False
-    return next(_uncovered_cells(target, cand), None) is None
-
-
-def region_subset(a: Region, b: Region) -> bool:
-    return all(box_in_boxes(box, b.boxes) for box in a.boxes)
+def _inside(lo, hi, box: Box) -> bool:
+    """Whether the closed box with corners lo, hi lies inside `box`."""
+    return all(bl <= l and h <= bh
+               for bl, l, h, bh in zip(box.lo, lo, hi, box.hi))
 
 
 def closed_difference(minuend: Sequence[Box], subtrahend: Sequence[Box]) -> list:
     """Closure of (union of minuend boxes) minus (union of subtrahend boxes).
 
-    Returns a plain box list (not canonicalized): boxes disjoint from every
-    subtrahend box pass through untouched, so subtracting one cell from a
-    level-wide union of separated cells returns exactly the other cells.
+    The one engine for what is left of closed boxes after removing others:
+    `box_in_boxes` and `region_subset` are its emptiness, and the 2-d
+    canonical form takes its zero-width boxes from it.
+
+    Returns a plain box list (not canonicalized): a minuend box disjoint
+    from every subtrahend box passes through untouched, one inside a single
+    subtrahend box drops out, and any other gives the elementary cells of
+    its refinement along the critical coordinates of the subtrahend boxes
+    it meets that lie inside none of them.  Each elementary cell lies inside
+    one such box or sticks out of their union, so corner tests decide.
+    Subtracting one cell from a level-wide union of separated cells thus
+    returns exactly the other cells.
     """
     out = []
     for b in minuend:
         subs = [s for s in subtrahend if not box_disjoint(b, s)]
         if not subs:
             out.append(b)
-            continue
-        out.extend(Box(lo, hi) for lo, hi in _uncovered_cells(b, subs))
+        elif not any(_inside(b.lo, b.hi, s) for s in subs):
+            grids = [_axis_grid([v for s in subs for v in (s.lo[ax], s.hi[ax])],
+                                b.lo[ax], b.hi[ax]) for ax in range(b.dim)]
+            for cell in product(*grids):
+                lo, hi = zip(*cell)
+                if not any(_inside(lo, hi, s) for s in subs):
+                    out.append(Box(lo, hi))
     return out
+
+
+def box_in_boxes(target: Box, boxes: Sequence[Box]) -> bool:
+    """Exact containment of a closed box in a finite union of closed boxes:
+    `closed_difference` leaves nothing of it."""
+    return not closed_difference([target], boxes)
+
+
+def region_subset(a: Region, b: Region) -> bool:
+    """Exact containment of region a in region b: `closed_difference`
+    leaves nothing of a."""
+    return not closed_difference(a.boxes, b.boxes)
 
 
 def lexmin_point(r: Region) -> Point:

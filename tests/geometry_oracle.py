@@ -1,0 +1,125 @@
+"""Box-union code as it was before `closed_difference` became the one
+engine behind containment, subtraction and the 2-d canonical form: the
+1-d interval subtraction and column pass of the canonicalizer, the
+elementary-cell scan, and containment with its own candidate filter and
+single-box shortcut.  Tests compare the engine against these, tuple for
+tuple, list for list and verdict for verdict."""
+
+from primchaos.geometry import (
+    Box,
+    Region,
+    _merge_intervals,
+    box_disjoint,
+    box_intersect,
+)
+
+
+def oracle_subtract_intervals(pieces, cover):
+    """Closure of (union of pieces) minus (union of cover), both canonical."""
+    out = []
+    for a, b in pieces:
+        overl = [(max(ca, a), min(cb, b)) for ca, cb in cover if cb >= a and ca <= b]
+        if not overl:
+            out.append((a, b))
+            continue
+        cur = a
+        cur_covered = False  # whether the point `cur` itself lies in the cover
+        for ca, cb in overl:
+            if ca > cur:
+                out.append((cur, ca))
+            cur = max(cur, cb)
+            cur_covered = True
+        if cur < b:
+            out.append((cur, b))
+        elif cur == b and not cur_covered:
+            out.append((b, b))
+    return _merge_intervals(out)
+
+
+def oracle_canonical_boxes(boxes) -> tuple:
+    """Canonical box tuple of a nonempty box list of one dimension."""
+    if boxes[0].dim == 1:
+        return tuple(Box((lo,), (hi,)) for lo, hi in
+                     _merge_intervals([(b.lo[0], b.hi[0]) for b in boxes]))
+    xs = sorted({x for b in boxes for x in (b.lo[0], b.hi[0])})
+    slabs = []
+    for x0, x1 in zip(xs, xs[1:]):
+        ys = _merge_intervals([(b.lo[1], b.hi[1]) for b in boxes
+                               if b.lo[0] <= x0 and b.hi[0] >= x1])
+        if ys:
+            if slabs and slabs[-1][1] == x0 and slabs[-1][2] == ys:
+                slabs[-1][1] = x1
+            else:
+                slabs.append([x0, x1, ys])
+    out = [Box((x0, ylo), (x1, yhi)) for x0, x1, ys in slabs for ylo, yhi in ys]
+    for c in xs:
+        ysec = _merge_intervals([(b.lo[1], b.hi[1]) for b in boxes
+                                 if b.lo[0] <= c <= b.hi[0]])
+        if not ysec:
+            continue
+        covered = []
+        for x0, x1, ys in slabs:
+            if x0 <= c <= x1:
+                covered.extend(ys)
+        leftover = oracle_subtract_intervals(ysec, _merge_intervals(covered))
+        out.extend(Box((c, ylo), (c, yhi)) for ylo, yhi in leftover)
+    return tuple(sorted(out, key=Box.sort_key))
+
+
+def oracle_region(boxes) -> Region:
+    boxes = list(boxes)
+    if len(boxes) == 1:
+        return Region(tuple(boxes))
+    return Region(oracle_canonical_boxes(boxes))
+
+
+def _axis_grid(values, lo, hi):
+    cuts = sorted({v for v in values if lo < v < hi})
+    grid = []
+    prev = lo
+    for c in cuts:
+        grid.append((prev, c))
+        grid.append((c, c))
+        prev = c
+    grid.append((prev, hi))
+    return grid
+
+
+def _uncovered_cells(target, boxes):
+    grids = [_axis_grid([v for b in boxes for v in (b.lo[ax], b.hi[ax])],
+                        target.lo[ax], target.hi[ax])
+             for ax in range(target.dim)]
+    if target.dim == 1:
+        cells = [((l,), (h,)) for l, h in grids[0]]
+    else:
+        cells = [((xl, yl), (xh, yh)) for xl, xh in grids[0] for yl, yh in grids[1]]
+    for lo, hi in cells:
+        if not any(all(bl <= l and h <= bh for bl, l, h, bh
+                       in zip(b.lo, lo, hi, b.hi)) for b in boxes):
+            yield lo, hi
+
+
+def oracle_box_in_boxes(target, boxes) -> bool:
+    cand = [b for b in boxes if box_intersect(target, b) is not None]
+    for b in cand:
+        if all(bl <= tl and th <= bh for bl, tl, th, bh
+               in zip(b.lo, target.lo, target.hi, b.hi)):
+            return True
+    if not cand:
+        return False
+    return next(_uncovered_cells(target, cand), None) is None
+
+
+def oracle_region_subset(a, b) -> bool:
+    return all(oracle_box_in_boxes(box, b.boxes) for box in a.boxes)
+
+
+def oracle_closed_difference(minuend, subtrahend) -> list:
+    out = []
+    for b in minuend:
+        subs = [s for s in subtrahend if not box_disjoint(b, s)]
+        if not subs:
+            out.append(b)
+            continue
+        out.extend(Box(lo, hi) for lo, hi in _uncovered_cells(b, subs))
+    return out

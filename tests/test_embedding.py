@@ -8,6 +8,7 @@ from types import MappingProxyType
 
 import pytest
 
+from primchaos import embedding
 from primchaos.embedding import (
     MODEL_KINDS,
     Cell,
@@ -106,6 +107,36 @@ def test_tree_cells_are_read_only():
     t = build_refinement(make_model("interval"), 1)
     with pytest.raises(TypeError):
         t.cells["0"] = t.cells["1"]
+
+
+def test_fraction_cells_are_built_at_most_once(monkeypatch):
+    t = build_refinement(make_model("tripod"), 4)
+    built, real = [], embedding.grid_box
+
+    def counting_grid_box(lo, hi, dens):
+        built.append(lo)
+        return real(lo, hi, dens)
+    monkeypatch.setattr(embedding, "grid_box", counting_grid_box)
+    first = {a: t.cells[a] for a in t.grid}
+    for _ in range(3):  # a fresh `tree.cells` access on every lookup
+        assert all(t.cells[a] is first[a] for a in t.grid)
+        assert dict(t.cells.items()) == first
+        tree_document(t)
+        evaluate_address(t, "0110")
+    assert len(built) == sum(len(c.region.boxes) for c in t.grid.values())
+    assert t.cells is t.cells
+
+
+def test_build_refinement_skips_the_root_check(monkeypatch):
+    # each child lies in its parent, so no step re-checks the model's root
+    def no_root_check(*args):
+        raise AssertionError("build_refinement called region_subset")
+    monkeypatch.setattr(embedding, "region_subset", no_root_check)
+    for kind in MODEL_KINDS:
+        build_refinement(make_model(kind), 5)
+    with pytest.raises(AssertionError):  # the public step keeps the check
+        m = make_model("interval")
+        subdivide(m, m.root, ((F(0),), (F(1),)))
 
 
 # ---------------------------------------------------------------------------

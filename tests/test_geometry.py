@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from primchaos import geometry
 from primchaos.errors import InputError
 from primchaos.geometry import (
     Box,
@@ -33,6 +34,12 @@ from primchaos.geometry import (
     region_intersect,
     region_subset,
     regions_disjoint,
+)
+from geometry_oracle import (
+    oracle_box_in_boxes,
+    oracle_closed_difference,
+    oracle_region,
+    oracle_region_subset,
 )
 
 
@@ -359,6 +366,28 @@ def test_closed_difference():
     assert diff == [box1(0, F(1, 4))]
     # full subtraction empties
     assert closed_difference([box1(0, 1)], [box1(0, 1)]) == []
+    # a box inside one of several subtrahend boxes drops out
+    assert closed_difference([box2(0, F(1, 2), 0, 1)],
+                             [box2(F(1, 2), 1, 0, 1), box2(0, 1, 0, 1)]) == []
+    # a box covered only jointly by two subtrahend boxes drops out too
+    assert closed_difference([box2(0, 1, 0, 1)],
+                             [box2(0, F(1, 2), 0, 1), box2(F(1, 2), 1, 0, 1)]) == []
+    # a box meeting a subtrahend box at a corner keeps all of itself
+    assert closed_difference([box2(0, 1, 0, 1)], [box2(1, 2, 1, 2)]) == \
+        [box2(0, 1, 0, 1)]
+
+
+def test_closed_difference_drops_a_box_inside_one_subtrahend_unrefined(
+        monkeypatch):
+    # the clopen trace subtracts each cell from a window holding its own
+    # boxes; those must drop out without refining, touching or not
+    def no_refinement(*args):
+        raise AssertionError("refined a box that lies inside one subtrahend")
+    monkeypatch.setattr(geometry, "_axis_grid", no_refinement)
+    cell = [box2(0, 1, 0, 1), box2(1, 1, 1, 2)]
+    assert closed_difference(cell, cell + [box2(1, 2, 0, 1)]) == []
+    assert closed_difference([box1(F(1, 4), F(1, 2))], [box1(0, F(1, 2))]) == []
+    assert box_in_boxes(box2(0, F(1, 2), 0, 1), cell)
 
 
 def test_lex_extremes():
@@ -372,3 +401,49 @@ def test_box_validation():
         Box((F(1),), (F(0),))
     with pytest.raises(InputError):
         region([])
+
+
+# ---------------------------------------------------------------------------
+# the closed-difference engine against the code it replaced
+# ---------------------------------------------------------------------------
+
+
+# corners on a small grid, so boxes are often degenerate, touching or equal;
+# int corners as the integer kernels hold them, Fraction ones as the API does
+CORNER = st.sampled_from([lambda n: n, lambda n: F(n, 3)])
+
+
+@st.composite
+def box_lists(draw, dim, max_size=5):
+    corner = draw(CORNER)
+    axis = st.tuples(st.integers(0, 6), st.integers(0, 6)).map(sorted)
+    box = st.lists(axis, min_size=dim, max_size=dim).map(
+        lambda ax: Box(tuple(corner(lo) for lo, _ in ax),
+                       tuple(corner(hi) for _, hi in ax)))
+    return draw(st.lists(box, min_size=1, max_size=max_size))
+
+
+def _typed(boxes):
+    return [(b.lo, b.hi, [type(x) for x in (*b.lo, *b.hi)]) for b in boxes]
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from([1, 2]).flatmap(lambda dim: box_lists(dim, 7)))
+def test_region_matches_column_pass_oracle(boxes):
+    assert _typed(region(boxes).boxes) == _typed(oracle_region(boxes).boxes)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from([1, 2]).flatmap(
+    lambda dim: st.tuples(box_lists(dim), box_lists(dim))))
+def test_containment_and_difference_match_oracle(pair):
+    # corners of the two lists may differ in type; they compare exactly
+    minuend, subtrahend = pair
+    assert _typed(closed_difference(minuend, subtrahend)) == \
+        _typed(oracle_closed_difference(minuend, subtrahend))
+    for target in minuend:
+        assert box_in_boxes(target, subtrahend) is \
+            oracle_box_in_boxes(target, subtrahend)
+    a, b = region(minuend), region(subtrahend)
+    assert region_subset(a, b) is oracle_region_subset(a, b)
+    assert region_subset(b, a) is oracle_region_subset(b, a)
