@@ -34,7 +34,11 @@ by integer comparison.  The pieces are merged (the canonical form, on the
 numerators) only when a symbol raises their count, which no shipped system
 does.  `Fraction` corners and the one `region()` of them appear only at
 the end, so the returned region is the one the `Fraction` recursion
-(`AffineBranch.preimage`, kept as the reference) gives.
+(`AffineBranch.preimage`, kept as the reference) gives.  The dense-orbit
+and transitivity checks need every cell of one depth d, the enclosure of
+each word of length d; `_cells` builds them all at once with the same
+kernel step, each from a cell one symbol shorter, and keeps them in
+integers.
 
 The forward certificates run in integers too, on their own table
 (`ChaosSystem._forward`) built from the events' corners, so a witness's
@@ -42,10 +46,13 @@ orbit certifies the enclosure independently of the kernel; the two share
 only `_as_word`.  Each axis of an orbit point holds an integer numerator
 over its own denominator, each branch applies x -> (c*x + d) / m to them,
 and event membership is an integer cross-multiplication against the
-events' corners.  `realize_witness`, `periodic_point`, the transitivity
-and dense-orbit checks and `sensitivity_check` all step with it; `Fraction`
-points are built only for what they return or test (`AffineBranch.apply`,
-`ChaosSystem.step` and `Region.contains_point` are the reference).
+events' corners.  `realize_witness`, `periodic_point`, the dense-orbit
+check and `sensitivity_check` step with it; `Fraction` points are built
+only for what they return or test (`AffineBranch.apply`, `ChaosSystem.step`
+and `Region.contains_point` are the reference).  The transitivity check
+steps no orbit for a connected pair: it composes the laws along each
+cell's word into one affine map and tests the cell's image against the
+other cells (see `transitivity_check`).
 """
 
 from __future__ import annotations
@@ -59,8 +66,10 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 from .errors import ConstructionError, InputError
 from .geometry import (
+    AxisIndex,
     Box,
     Region,
+    closed_difference,
     eval_ternary_address,
     first_box_midpoint,
     grid_box,
@@ -258,10 +267,16 @@ def word_enclosure(s: ChaosSystem, word: str) -> Region:
     return _enclosure(s, _as_word(s, word), word)
 
 
-def _enclosure(s: ChaosSystem, syms: Tuple[int, ...], word: str) -> Region:
-    # A box is [(lo, hi) per axis], numerators over dens[axis] * k[axis].
-    dens, boxes, events, inverses = s._grid
-    k = [1] * len(dens)
+def _no_witness(s: ChaosSystem, word: str) -> ConstructionError:
+    return ConstructionError(f"empty witness set for word {word} on {s.kind}")
+
+
+def _kernel(s: ChaosSystem, syms: Sequence[int], boxes, k):
+    """The enclosure kernel, X_{w0} cap f_{w0}^-1(... X_{wn} cap
+    f_{wn}^-1(boxes)) for the symbols w = syms: the boxes, [(lo, hi) per
+    axis] numerators over dens[axis] * k[axis], become boxes over
+    dens[axis] * k2[axis], returned with k2; no boxes once it is empty."""
+    _, _, events, inverses = s._grid
     for sym in reversed(syms):
         inv = inverses[sym]
         k2 = [kk * m for kk, (_, _, m) in zip(k, inv)]
@@ -281,14 +296,47 @@ def _enclosure(s: ChaosSystem, syms: Tuple[int, ...], word: str) -> Region:
                 else:
                     out.append(clip)
         if not out:
-            raise ConstructionError(
-                f"empty witness set for word {word} on {s.kind}")
+            return out, k2
         if len(out) > len(boxes):  # unmerged pieces can double per symbol
             out = [list(zip(b.lo, b.hi))
                    for b in region([Box(*zip(*box)) for box in out]).boxes]
         boxes, k = out, k2
+    return boxes, k
+
+
+def _enclosure(s: ChaosSystem, syms: Tuple[int, ...], word: str) -> Region:
+    dens, space, _, _ = s._grid
+    boxes, k = _kernel(s, syms, space, [1] * len(dens))
+    if not boxes:
+        raise _no_witness(s, word)
     dens = [L * kk for L, kk in zip(dens, k)]
     return region([grid_box(*zip(*box), dens) for box in boxes])
+
+
+def _cells(s: ChaosSystem, words: List[str]) -> list:
+    """The cells of `words`, all of one length d: each the enclosure of its
+    word as the kernel holds it, (boxes, per-axis denominators).  Raises for
+    the first empty one, as `word_enclosure` would.
+
+    The cells are built once for the whole depth, each depth-j cell from a
+    depth-(j-1) cell by one kernel step, cell(a.w) = X_a cap f_a^-1(cell(w)):
+    A + A^2 + ... + A^d steps for the A^d cells of an alphabet of A symbols,
+    where one enclosure per word takes d steps each."""
+    dens, space, _, _ = s._grid
+    level = {"": (space, [1] * len(dens))}
+    for _ in range(len(words[0])):
+        nxt = {}
+        for a in range(s.alphabet):
+            for w, (boxes, k) in level.items():
+                out, k2 = _kernel(s, (a,), boxes, k)
+                if out:
+                    nxt[str(a) + w] = (out, k2)
+        level = nxt
+    for u in words:
+        if u not in level:
+            raise _no_witness(s, u)
+    return [(level[u][0], [L * kk for L, kk in zip(dens, level[u][1])])
+            for u in words]
 
 
 # A grid point is (numerators, denominators), one of each per axis.
@@ -299,7 +347,8 @@ def _grid_of(p: tuple) -> tuple:
 
 
 def _contains(boxes, dens, nums, qs) -> bool:
-    """Whether the grid point lies in one of the event's integer boxes."""
+    """Whether the grid point lies in one of the integer boxes, numerators
+    over `dens` (an event's, or a cell's from `_cells`)."""
     for box in boxes:
         for (lo, hi), L, n, q in zip(box, dens, nums, qs):
             if not lo * q <= n * L <= hi * q:
@@ -457,13 +506,12 @@ def verify_dense_orbit(s: ChaosSystem, depth: int) -> CheckReport:
     word = dense_orbit_word(depth)
     _, _, points = _witness_orbit(s, _as_word(s, word), word)
     rep = CheckReport(f"{s.kind} dense orbit, depth {depth}, |word| = {len(word)}")
+    words = ["".join(bits) for bits in product("01", repeat=depth)]
     missing = []
-    for bits in product("01", repeat=depth):
-        u = "".join(bits)
+    for u, (boxes, dens) in zip(words, _cells(s, words)):
         i = word.find(u)
-        cell = word_enclosure(s, u)
         if i < 0 or i + depth > len(word) or \
-                not cell.contains_point(grid_point(*points[i])):
+                not _contains(boxes, dens, *points[i]):
             missing.append(u)
     rep.add("visits_every_cell", not missing,
             f"all {2 ** depth} depth-{depth} cells visited" if not missing
@@ -521,13 +569,28 @@ def sensitivity_budget(delta) -> int:
     return delta.denominator.bit_length() + 8
 
 
-def _step(s: ChaosSystem, p: tuple) -> tuple:
-    """`ChaosSystem.step` on a grid point."""
-    dens, events, laws = s._forward
-    for boxes, law in zip(events, laws):
-        if _contains(boxes, dens, *p):
-            return _image(law, *p)
-    raise InputError(f"point {grid_point(*p)} lies outside every event")
+def _steps(s: ChaosSystem, x: Fraction):
+    """The orbit of a 1-d point under `ChaosSystem.step`, one (numerator,
+    denominator) pair per step.  Each event's bounds lo*q and hi*q are
+    formed only when the denominator q changes: never, on laws with m = 1."""
+    (L,), events, laws = s._forward
+    n, q = x.numerator, x.denominator
+    bounds_q = None
+    while True:
+        if q != bounds_q:
+            bounds_q = q
+            bounds = [(lo * q, hi * q, law)
+                      for boxes, (law,) in zip(events, laws)
+                      for ((lo, hi),) in boxes]
+        nL = n * L
+        for lo, hi, (c, d, m) in bounds:
+            if lo <= nL <= hi:
+                n, q = c * n + d * q, q * m
+                break
+        else:
+            raise InputError(f"point {grid_point((n,), (q,))} lies outside "
+                             f"every event")
+        yield n, q
 
 
 def sensitivity_check(s: ChaosSystem, delta: Fraction, samples: int,
@@ -556,15 +619,15 @@ def sensitivity_check(s: ChaosSystem, delta: Fraction, samples: int,
     for x in sample_pts:
         sep_at = None
         for y in partners(x[0]):
-            px, py = _grid_of(x), _grid_of(y)
-            for n in range(1, budget + 1):
-                px = _step(s, px)
-                py = _step(s, py)
-                # |a/q - b/r| >= sep, cross-multiplied
-                (a,), (q,) = px
-                (b,), (r,) = py
-                if abs(a * r - b * q) * sep.denominator >= \
-                        sep.numerator * q * r:
+            qr = None
+            for n, (a, q), (b, r) in zip(range(1, budget + 1),
+                                         _steps(s, x[0]), _steps(s, y[0])):
+                # |a/q - b/r| >= sep, cross-multiplied; sep * q * r is
+                # formed only when q or r changes
+                if (q, r) != qr:
+                    qr = q, r
+                    bound = sep.numerator * q * r
+                if abs(a * r - b * q) * sep.denominator >= bound:
                     sep_at = n if sep_at is None else min(sep_at, n)
                     break
             if sep_at is not None:
@@ -580,23 +643,86 @@ def sensitivity_check(s: ChaosSystem, delta: Fraction, samples: int,
     return rep
 
 
+def _composed(laws, word: str) -> list:
+    """Per axis, the integers (C, D, M) of the branch laws composed along
+    the word, F_word: x -> (C*x + D) / M."""
+    F = [(1, 0, 1)] * len(laws[0])
+    for ch in word:
+        F = [(c * C, c * D + d * M, m * M)
+             for (C, D, M), (c, d, m) in zip(F, laws[int(ch)])]
+    return F
+
+
+def _on_scale(boxes, dens, F, scale) -> List[Box]:
+    """The images under F (per axis x -> (C*x + D) / M, from `_composed`)
+    of integer boxes over `dens`, as Boxes of numerators over `scale`: a
+    corner n / L goes to (C*n + D*L) / (M*L)."""
+    out = []
+    for box in boxes:
+        lo, hi = [], []
+        for (a, b), (C, D, M), L, T in zip(box, F, dens, scale):
+            f = T // (M * L)
+            a, b = (C * a + D * L) * f, (C * b + D * L) * f
+            lo.append(min(a, b))
+            hi.append(max(a, b))
+        out.append(Box(tuple(lo), tuple(hi)))
+    return out
+
+
 def transitivity_check(s: ChaosSystem, depth: int) -> CheckReport:
-    """For every ordered pair (u, v) of depth-d event cells, realize u·v and
-    certify the witness starts in cell u and lands in cell v after exactly
-    d steps.  Exhaustive over all pairs."""
+    """For every ordered pair (u, v) of depth-d event cells, certify that
+    some point of cell u lands in cell v after exactly d steps.  Exhaustive
+    over all pairs, with one forward image per cell instead of one realized
+    word per pair.
+
+    The points of cell u that land in cell v are the enclosure of u.v, and
+    enclosure(u.v) = cell u cap F_u^-1(cell v), where F_u composes the
+    branch laws along u: the enclosure of u.v is that of u with the space
+    replaced by enclosure(v) inside the innermost preimage, and a preimage
+    distributes over the intersection with enclosure(v), a subset of the
+    space.  F_u is diagonal affine with nonzero slopes, so a bijection that
+    sends each box of cell u to a box, and the pair is connected exactly
+    when the image F_u(cell u) meets cell v in a closed box overlap.  The
+    images and cells are put on one integer scale per axis.  For each u,
+    one containment test settles every v at once when the image holds the
+    whole space, and with it every cell; otherwise an axis index over the
+    cells' boxes returns the v met.  A pair the images leave unconnected
+    falls back to realizing u.v (`_witness_orbit`), so the first such pair
+    in (u, v) order fails, or raises, exactly as realizing each pair
+    would."""
     if not 1 <= depth <= 12:
         raise InputError("transitivity depth must be in 1..12")
     words = ["".join(str(b) for b in bits)
              for bits in product(range(s.alphabet), repeat=depth)]
-    cells = {u: word_enclosure(s, u) for u in words}
+    cells = _cells(s, words)
     rep = CheckReport(f"{s.kind} transitivity, depth {depth}, "
                       f"{len(words) ** 2} ordered pairs")
+    laws = s._forward[2]
+    maps = [_composed(laws, u) for u in words]
+    # one denominator per axis for every cell and image: an image corner is
+    # (C*n + D*L) / (M*L) for a cell corner n / L
+    scale = [lcm(*col) for col in
+             zip(*([M * L for (_, _, M), L in zip(F, dens)]
+                   for F, (_, dens) in zip(maps, cells)))]
+    identity = [(1, 0, 1)] * s.dim
+    cell_boxes = [_on_scale(boxes, dens, identity, scale)
+                  for boxes, dens in cells]
+    images = [_on_scale(boxes, dens, F, scale)
+              for F, (boxes, dens) in zip(maps, cells)]
+    dens, space = s._grid[:2]
+    space = _on_scale(space, dens, identity, scale)
+    index = AxisIndex(cell_boxes)
     bad = None
-    for u in words:
-        for v in words:
+    for u, image, (u_boxes, u_dens) in zip(words, images, cells):
+        if not closed_difference(space, image):
+            continue
+        met = {j for b in image for j, _ in index.near(b.lo, b.hi)}
+        for j, (v, (v_boxes, v_dens)) in enumerate(zip(words, cells)):
+            if j in met:
+                continue
             _, x0, points = _witness_orbit(s, _as_word(s, u + v), u + v)
-            if not (cells[u].contains_point(x0) and
-                    cells[v].contains_point(grid_point(*points[depth]))):
+            if not (_contains(u_boxes, u_dens, *_grid_of(x0)) and
+                    _contains(v_boxes, v_dens, *points[depth])):
                 bad = (u, v)
                 break
         if bad:

@@ -36,7 +36,6 @@ its marked points at corners, and the stage checks certify the result.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
@@ -47,10 +46,10 @@ from typing import Tuple
 
 from .errors import ConstructionError, DegenerateInputError, InputError
 from .geometry import (
+    AxisIndex,
     Box,
     Region,
     binary_word,
-    box_disjoint,
     chebyshev_ball,
     closed_difference,
     diameter,
@@ -289,35 +288,9 @@ def evaluate_address(tree: RefinementTree, word: str) -> Region:
     return tree.cells[word].region
 
 
-class _AxisIndex:
-    """The boxes of one level's cells as (cell index, box), sorted by their
-    lower axis-0 coordinate, for exact range queries."""
-
-    def __init__(self, cells):
-        self.entries = sorted(((j, b) for j, c in enumerate(cells)
-                               for b in c.region.boxes),
-                              key=lambda e: e[1].lo[0])
-        self.los = [b.lo[0] for _, b in self.entries]
-        self.widest = max(b.hi[0] - b.lo[0] for _, b in self.entries)
-
-    def near(self, lo, hi):
-        """Entries whose box meets the closed box [lo, hi]: a box that meets
-        it starts on axis 0 within one widest box width before lo[0]."""
-        start = bisect_left(self.los, lo[0] - self.widest)
-        stop = bisect_right(self.los, hi[0])
-        return [(j, b) for j, b in self.entries[start:stop]
-                if not any(b.lo[ax] > hi[ax] or b.hi[ax] < lo[ax]
-                           for ax in range(len(lo)))]
-
-    def first_overlap(self):
-        """(i, j) for the first two cells with intersecting boxes, or None."""
-        for pos, (i, bi) in enumerate(self.entries):
-            for j, bj in self.entries[pos + 1:]:
-                if bj.lo[0] > bi.hi[0]:
-                    break
-                if j != i and not box_disjoint(bi, bj):
-                    return i, j
-        return None
+def _AxisIndex(cells) -> AxisIndex:
+    """The axis index of one level's cells, entry j for cell j."""
+    return AxisIndex([c.region.boxes for c in cells])
 
 
 def check_stage_invariants(tree: RefinementTree, level: int) -> CheckReport:

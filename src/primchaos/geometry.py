@@ -12,7 +12,8 @@ axis-aligned boxes with rational corners, in ambient dimension 1 or 2.
 `closed_difference` is the one engine for what is left of such a union
 after removing another: containment (`box_in_boxes`, `region_subset`) is
 its emptiness, and the 2-d canonical form takes its zero-width boxes from
-it.
+it.  `AxisIndex` is the one index for asking which of many boxes (a
+refinement level's cells, a chaos system's cells) meet a given box.
 
 The integer kernels (chaos enclosures, surjection cells, refinement trees)
 hold corners as `int` numerators over one denominator per axis.  Boxes,
@@ -29,6 +30,7 @@ integer comparison in disguise.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -365,6 +367,37 @@ def region_subset(a: Region, b: Region) -> bool:
     """Exact containment of region a in region b: `closed_difference`
     leaves nothing of a."""
     return not closed_difference(a.boxes, b.boxes)
+
+
+class AxisIndex:
+    """The boxes of a sequence of box groups (a level's cells, a system's
+    cells) as (group index, box), sorted by their lower axis-0 coordinate,
+    for exact range queries."""
+
+    def __init__(self, groups: Sequence[Sequence[Box]]):
+        self.entries = sorted(((j, b) for j, boxes in enumerate(groups)
+                               for b in boxes), key=lambda e: e[1].lo[0])
+        self.los = [b.lo[0] for _, b in self.entries]
+        self.widest = max(b.hi[0] - b.lo[0] for _, b in self.entries)
+
+    def near(self, lo, hi):
+        """Entries whose box meets the closed box [lo, hi]: a box that meets
+        it starts on axis 0 within one widest box width before lo[0]."""
+        start = bisect_left(self.los, lo[0] - self.widest)
+        stop = bisect_right(self.los, hi[0])
+        return [(j, b) for j, b in self.entries[start:stop]
+                if not any(b.lo[ax] > hi[ax] or b.hi[ax] < lo[ax]
+                           for ax in range(len(lo)))]
+
+    def first_overlap(self):
+        """(i, j) for the first two groups with intersecting boxes, or None."""
+        for pos, (i, bi) in enumerate(self.entries):
+            for j, bj in self.entries[pos + 1:]:
+                if bj.lo[0] > bi.hi[0]:
+                    break
+                if j != i and not box_disjoint(bi, bj):
+                    return i, j
+        return None
 
 
 def lexmin_point(r: Region) -> Point:

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chaos_oracle import oracle_dense_orbit, oracle_transitivity
 from primchaos import chaos, cli
 from primchaos.chaos import (
     SYSTEM_KINDS,
@@ -29,6 +30,7 @@ from primchaos.geometry import (
     box1,
     box2,
     first_box_midpoint,
+    grid_box,
     point_doc,
     rational_str,
     region,
@@ -658,3 +660,116 @@ def test_malformed_systems_rejected():
                     d.space)
     with pytest.raises(InputError, match="event must have"):
         ChaosSystem("space_axes", d.events, d.branches, b.space)
+
+
+# ---------------------------------------------------------------------------
+# transitivity from one forward image per cell, and the shared cell builder,
+# against the pairwise realization and per-cell enclosures they replaced
+# ---------------------------------------------------------------------------
+
+
+def verdict(check, s, depth):
+    """The check's report, or the type and message of the error it raises."""
+    try:
+        return check(s, depth)
+    except (ConstructionError, InputError) as exc:
+        return type(exc), str(exc)
+
+
+def realized_words(monkeypatch):
+    """Record every word `_witness_orbit` realizes, from here on."""
+    words = []
+    realize = chaos._witness_orbit
+
+    def spy(s, syms, word):
+        words.append(word)
+        return realize(s, syms, word)
+    monkeypatch.setattr(chaos, "_witness_orbit", spy)
+    return words
+
+
+@pytest.mark.parametrize("kind", SYSTEM_KINDS)
+def test_transitivity_matches_pairwise_oracle(kind):
+    s = make_system(kind)
+    for depth in range(1, 6):
+        rep = transitivity_check(s, depth)
+        assert rep.all_passed
+        assert rep == oracle_transitivity(s, depth), (kind, depth)
+
+
+@pytest.mark.parametrize("s", [*RANDOM_WORD_SYSTEMS.values(), TRAP],
+                         ids=lambda s: s.kind)
+def test_transitivity_matches_pairwise_oracle_on_custom_systems(s):
+    for depth in range(1, 4):
+        assert verdict(transitivity_check, s, depth) == \
+            verdict(oracle_transitivity, s, depth), (s.kind, depth)
+
+
+def test_transitivity_fails_on_the_trap_as_the_oracle_does():
+    # no orbit goes from event 1 to event 0: at depth 1 the pair (1, 0) is
+    # the first unrealizable word, from depth 2 on the first empty cell
+    for depth, word in ((1, "10"), (2, "10"), (3, "010")):
+        with pytest.raises(ConstructionError) as exc:
+            transitivity_check(TRAP, depth)
+        assert str(exc.value) == f"empty witness set for word {word} on trap"
+
+
+@pytest.mark.parametrize("s", [*RANDOM_WORD_SYSTEMS.values(), TRAP],
+                         ids=lambda s: s.kind)
+def test_transitivity_realizes_at_most_the_failing_pair(s, monkeypatch):
+    # the images connect every connected pair, so a pair is realized only
+    # when the check is about to fail on it
+    words = realized_words(monkeypatch)
+    for depth in range(1, 4):
+        words.clear()
+        rep = verdict(transitivity_check, s, depth)
+        passed = isinstance(rep, CheckReport) and rep.all_passed
+        assert len(words) <= 1 and not (passed and words), \
+            (s.kind, depth, words)
+
+
+def test_transitivity_realizes_no_pair_on_transitive_systems(monkeypatch):
+    def refuse(s, syms, word):
+        raise AssertionError(f"realized {word} on {s.kind}")
+    monkeypatch.setattr(chaos, "_witness_orbit", refuse)
+    for kind in SYSTEM_KINDS:
+        assert transitivity_check(make_system(kind), 6).all_passed, kind
+
+
+def test_transitivity_at_the_largest_accepted_depth():
+    # 4^10 pairs is the most the CLI accepts
+    for kind in ("baker", "doubling"):
+        rep = transitivity_check(make_system(kind), 10)
+        assert rep.all_passed
+        assert rep.checks[0].witness == \
+            "1048576 pairs connected in exactly 10 steps"
+
+
+@pytest.mark.parametrize("s", [s for s in RANDOM_WORD_SYSTEMS.values()
+                               if s.alphabet == 2] + [TRAP],
+                         ids=lambda s: s.kind)
+def test_dense_orbit_matches_per_cell_oracle(s):
+    for depth in range(1, 7):
+        assert verdict(verify_dense_orbit, s, depth) == \
+            verdict(oracle_dense_orbit, s, depth), (s.kind, depth)
+
+
+@pytest.mark.parametrize("s", list(RANDOM_WORD_SYSTEMS.values()) + [TRAP],
+                         ids=lambda s: s.kind)
+def test_cells_match_word_enclosures(s):
+    for depth in range(1, 5):
+        words = ["".join(bits) for bits in
+                 product("0123456789"[:s.alphabet], repeat=depth)]
+        want = {}
+        for u in words:
+            try:
+                want[u] = word_enclosure(s, u)
+            except ConstructionError as exc:
+                with pytest.raises(ConstructionError) as got:
+                    chaos._cells(s, words)
+                assert str(got.value) == str(exc)
+                break
+        else:
+            for u, (boxes, dens) in zip(words, chaos._cells(s, words)):
+                assert region([grid_box(*zip(*box), dens)
+                               for box in boxes]) == want[u], (s.kind, u)
