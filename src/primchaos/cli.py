@@ -4,8 +4,12 @@ deterministic machine-readable output.
 Documents (JSON, or CSV as flattened path/value rows) go to --out; human
 summaries go to standard output.  Identical invocations produce
 byte-identical output.  Exit codes: 0 all checks passed, 1 at least one
-check failed, 2 input rejected before any check ran.  Every leaf
-command is one entry of the `COMMANDS` table.
+check failed, 2 input rejected before any check ran (an --out that cannot
+be written is rejected too).  Every leaf command is one entry of the
+`COMMANDS` table.  Each call builds the parser tree from that table, but
+only the branch its argv selects gets its arguments: the other groups get
+their names and help lines only, and the selected group's other leaves
+their names.
 """
 
 from __future__ import annotations
@@ -14,10 +18,11 @@ import argparse
 import csv
 import io
 import json
+import os
 import re
 import sys
 from fractions import Fraction
-from typing import Callable, List, NamedTuple, Optional, Tuple
+from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import chaos as chaos_mod
 from . import embedding as embed_mod
@@ -50,7 +55,9 @@ work limits:
   chaos sensitivity at most 2^20 orbit steps (--samples times a step budget
   of the bit length of 1/delta, plus 8), and --delta at most 1024 bits in
   its numerator and in its denominator;
-  chaos realize and periodic --word 1..1024 symbols
+  chaos realize and periodic --word 1..1024 symbols; chaos dense --depth
+  1..8; chaos sensitivity --samples 1..10000; fintop spaces discreteN with
+  1 <= N <= 8
 """
 
 
@@ -312,10 +319,13 @@ def _fintop_prop5(args):
 def _fintop_lemma7(args):
     X = fintop_mod.named_space(args.space)
     Y = fintop_mod.named_space(args.codomain)
+    pairs = args.mapping.split(",")
     try:
-        assign = dict(pair.split("=", 1) for pair in args.mapping.split(","))
+        assign = dict(pair.split("=", 1) for pair in pairs)
     except ValueError:
         raise InputError(f"bad map syntax {args.mapping!r}")
+    if len(assign) != len(pairs):
+        raise InputError(f"map assigns a point twice: {args.mapping!r}")
     res = fintop_mod.verify_lemma7(fintop_mod.finite_map(X, Y, assign))
     doc = {"space": args.space, "codomain": args.codomain,
            "map": args.mapping, "holds": res.holds,
@@ -441,7 +451,28 @@ def _add_arguments(p: argparse.ArgumentParser, specs) -> None:
         p.add_argument(*flags, **kwargs)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _selected_branch(argv: Optional[Sequence[str]]) -> Optional[tuple]:
+    """The group, or in a subcommand group the (group, leaf), that argv names
+    exactly; None, for the whole tree, when argv names no such branch."""
+    if not argv or argv[0] not in GROUPS:
+        return None
+    if GROUPS[argv[0]][1] != "subcommand":
+        return (argv[0],)
+    path = tuple(argv[:2])
+    return path if path in COMMANDS else None
+
+
+def build_parser(argv: Optional[Sequence[str]] = None
+                 ) -> argparse.ArgumentParser:
+    """The parser of every command, built from `COMMANDS`.
+
+    Every group parser is created, and in the group that argv selects every
+    leaf parser, so the names, help lines and errors on argv's path are
+    those of the whole tree.  Only the selected group, or in a subcommand
+    group the selected leaf, gets its arguments.  Without argv, or when argv
+    does not name a group and leaf exactly, the whole tree is built.
+    """
+    branch = _selected_branch(argv)
     parser = argparse.ArgumentParser(
         prog=PROG,
         description="exact constructions for Cantor sets, coarse-graining "
@@ -453,12 +484,16 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for group, (help_text, choice) in GROUPS.items():
         p = sub.add_parser(group, help=help_text)
+        if branch is not None and branch[0] != group:
+            continue
         leaves = [(path[1:], cmd) for path, cmd in COMMANDS.items()
                   if path[0] == group]
         if choice == "subcommand":
             leaf_sub = p.add_subparsers(dest=choice, required=True)
             for (name,), cmd in leaves:
-                _add_arguments(leaf_sub.add_parser(name), cmd.args)
+                leaf = leaf_sub.add_parser(name)
+                if branch in (None, (group, name)):
+                    _add_arguments(leaf, cmd.args)
             continue
         if choice == "kind":
             p.add_argument("--kind", required=True,
@@ -467,6 +502,15 @@ def build_parser() -> argparse.ArgumentParser:
         _add_arguments(p, {spec[0]: spec for _, cmd in leaves
                            for spec in cmd.args}.values())
     return parser
+
+
+def _check_out(path: str) -> None:
+    """Reject an --out that is a directory or lies in a missing one."""
+    if os.path.isdir(path):
+        raise InputError(f"--out {path!r} is a directory")
+    parent = os.path.dirname(path)
+    if parent and not os.path.isdir(parent):
+        raise InputError(f"--out directory {parent!r} does not exist")
 
 
 def _execute(cmd: Command, args) -> int:
@@ -480,7 +524,8 @@ def _execute(cmd: Command, args) -> int:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    parser = build_parser(argv)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
@@ -488,6 +533,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         if getattr(args, "decimal", None) is not None and args.decimal < 0:
             raise InputError("--decimal must be >= 0")
+        if args.out:
+            _check_out(args.out)
         choice = GROUPS[args.command][1]
         path = (args.command,) + ((getattr(args, choice),) if choice else ())
         return _execute(COMMANDS[path], args)

@@ -216,6 +216,9 @@ def finite_map(domain: FiniteTopSpace, codomain: FiniteTopSpace,
         pairs = tuple((p, assignment[p]) for p in domain.points)
     except KeyError as exc:
         raise InputError(f"assignment misses domain point {exc.args[0]!r}") from exc
+    if len(assignment) != len(domain.points):
+        extra = sorted(set(assignment) - set(domain.points))
+        raise InputError(f"assignment names points not in the domain: {extra}")
     return FiniteMap(domain, codomain, pairs)
 
 

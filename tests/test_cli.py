@@ -5,6 +5,7 @@ import argparse
 import csv
 import io
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -118,7 +119,7 @@ def sensitivity(bits, samples):
             "--delta", f"1/{2 ** bits}", "--samples", str(samples)]
 
 
-@pytest.mark.parametrize("argv,accepted", [
+WORK_GATE_CASES = [
     (["surject", "--kind", "hilbert", "--depth", "10"], True),
     (["chaos", "transitivity", "--system", "doubling", "--depth", "10"], True),
     (SQUARE_PIN + ["--depth", "10"], True),
@@ -145,7 +146,10 @@ def sensitivity(bits, samples):
     (sensitivity(13000, 80), False),
     (["chaos", "sensitivity", "--system", "doubling",
       "--delta", f"{2 ** 5000 + 1}/{2 ** 5001}", "--samples", "1"], False),
-])
+]
+
+
+@pytest.mark.parametrize("argv,accepted", WORK_GATE_CASES)
 def test_work_gate(argv, accepted, tmp_path, capsys, monkeypatch):
     # the gate decides before anything runs: a stub run records the call
     monkeypatch.chdir(tmp_path)
@@ -159,7 +163,7 @@ def test_work_gate(argv, accepted, tmp_path, capsys, monkeypatch):
     assert ("exceeds the work limit" in err) == (not accepted)
 
 
-@pytest.mark.parametrize("argv", [
+OUT_OF_RANGE = [
     ["embed", "--model", "interval", "--depth", "13"],
     ["surject", "--kind", "binary", "--depth", "21"],
     ["surject", "--kind", "hilbert", "--depth", "-1"],
@@ -173,12 +177,102 @@ def test_work_gate(argv, accepted, tmp_path, capsys, monkeypatch):
     ["chaos", "periodic", "--system", "tent", "--word", "0" * 1024 + "1"],
     ["chaos", "sensitivity", "--system", "doubling", "--delta", "0"],
     ["chaos", "sensitivity", "--system", "doubling", "--delta=-1/64"],
-])
+    ["fintop", "verify-lemma7", "--space", "discrete2",
+     "--codomain", "discrete1", "--map", "a=a,b=a,c=a"],
+    ["fintop", "verify-lemma7", "--space", "discrete2",
+     "--codomain", "discrete2", "--map", "a=a,b=a,a=b"],
+]
+
+
+@pytest.mark.parametrize("argv", OUT_OF_RANGE)
 def test_out_of_range_inputs_rejected(argv, tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert main(argv + ["--out", "out.json"]) == 2
     assert capsys.readouterr().err.startswith("primchaos: error: ")
     assert not (tmp_path / "out.json").exists()
+
+
+@pytest.mark.parametrize("out", ["missing/x.json", "."])
+def test_unwritable_out_rejected_before_running(out, tmp_path, capsys,
+                                                monkeypatch):
+    # a directory, or a path whose directory does not exist
+    monkeypatch.chdir(tmp_path)
+    assert main(["surject", "--kind", "binary", "--depth", "3",
+                 "--out", out]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("primchaos: error: --out ")
+    assert list(tmp_path.iterdir()) == []
+
+
+def _path_parsers(parser, argv):
+    """The parsers argv passes through: the root, its group and its leaf."""
+    yield parser
+    for word in argv[:2]:
+        subs = [a for a in parser._actions
+                if isinstance(a, argparse._SubParsersAction)]
+        if not subs or word not in subs[0].choices:
+            return
+        parser = subs[0].choices[word]
+        yield parser
+
+
+def _parse_outcome(parser, argv, capsys):
+    """The parsed namespace or the exit code, what was printed, and the help
+    of every parser on argv's path."""
+    try:
+        result = vars(parser.parse_args(argv))
+    except SystemExit as exc:
+        result = exc.code
+    captured = capsys.readouterr()
+    return (result, captured.out, captured.err,
+            [p.format_help() for p in _path_parsers(parser, argv)])
+
+
+REALIZE = ["chaos", "realize", "--system", "doubling", "--word", "01"]
+LEAVES = [["embed"]] + [["surject", "--kind", path[1]] if path[0] == "surject"
+                        else list(path) for path in cli.COMMANDS
+                        if path != ("embed",)]
+PARSER_ORACLE_ARGVS = (
+    [argv for _, argv, _, _ in CASES]
+    + [argv for argv, _ in WORK_GATE_CASES]
+    + [argv + ["--out", "out.json"] for argv in OUT_OF_RANGE]
+    + [["--help"]] + [[group, "--help"] for group in cli.GROUPS]
+    + [leaf + ["--help"] for leaf in LEAVES]
+    + [[], ["chaos"], ["chaos", "bogus"], ["bogus"], ["--"] + REALIZE,
+       ["chaos", "quotient", "--space", "chain3"], ["fintop", "sweep", "-h"],
+       ["embed", "realize", "--model", "interval", "--depth", "2"],
+       # a misspelled, an abbreviated and a repeated option on a leaf
+       REALIZE + ["--frmat", "csv"], ["chaos", "realize", "--wrod", "01"],
+       ["chaos", "realize", "--sys", "tent", "--word", "1"],
+       REALIZE + ["--word", "10"],
+       ["surject", "--kind", "binary", "--dept", "3"],
+       # a kind where a subcommand would stand
+       ["surject", "binary", "--kind", "block", "--swap-halves"]])
+
+
+@pytest.mark.parametrize("argv", PARSER_ORACLE_ARGVS)
+def test_selected_parser_matches_full_tree(argv, capsys):
+    assert _parse_outcome(cli.build_parser(argv), argv, capsys) == \
+        _parse_outcome(cli.build_parser(), argv, capsys)
+
+
+@pytest.mark.parametrize("argv", [
+    ["chaos", "realize", "--system", "doubling", "--word", "01",
+     "--out", "out.json"],
+    ["fintop", "sweep", "--format", "csv"],
+    ["embed", "--model", "torus", "--depth", "2"],
+    ["fintop"],
+])
+def test_main_reads_sys_argv(argv, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code = main(argv)
+    first = capsys.readouterr(), list(tmp_path.iterdir())
+    for path in tmp_path.iterdir():
+        path.unlink()
+    monkeypatch.setattr(sys, "argv", ["primchaos"] + argv)
+    assert main() == code
+    assert (capsys.readouterr(), list(tmp_path.iterdir())) == first
 
 
 @pytest.mark.parametrize("command", ["realize", "periodic"])

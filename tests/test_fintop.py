@@ -238,6 +238,15 @@ def test_continuity_examples():
     assert not is_continuous(f)  # preimage of {q} is {b,c}, not open
 
 
+@pytest.mark.parametrize("assignment", [
+    {"a": "p"},  # misses b
+    {"a": "p", "b": "q", "c": "q"},  # c is not a point of the domain
+])
+def test_finite_map_assigns_exactly_the_domain(assignment):
+    with pytest.raises(InputError):
+        finite_map(discrete_space("ab"), discrete_space("pq"), assignment)
+
+
 def test_homeomorphism_examples():
     X = named_space("chain3")
     relabel = space("xyz", [[], ["x"], ["x", "y"], ["x", "y", "z"]])
