@@ -26,33 +26,38 @@ its nonemptiness for every word is the finite-stage content of the
 defining property of primitive chaos, and nesting of these enclosures
 under word extension is the shadow of the infinite-sequence statement.
 
-The propagation runs in integers.  Each axis holds its box corners as
-numerators over one denominator, a multiple of the axis's event
-denominators that grows by multiplication alone; each symbol applies the
-branch inverse to the numerators and clips them against the event's boxes
-by integer comparison.  The pieces are merged (the canonical form, on the
-numerators) only when a symbol raises their count, which no shipped system
-does.  `Fraction` corners and the one `region()` of them appear only at
-the end, so the returned region is the one the `Fraction` recursion
-(`AffineBranch.preimage`, kept as the reference) gives.  The dense-orbit
-and transitivity checks need every cell of one depth d, the enclosure of
-each word of length d; `_cells` builds them all at once with the same
-kernel step, each from a cell one symbol shorter, and keeps them in
-integers.
+Every kernel and certificate reads one integer table per system
+(`ChaosSystem._table`): per axis, the space's and events' corners as
+numerators over one denominator L, and each branch law x -> (c*x + d) / m
+as the integers (c, d, m), with the inverse law derived from them.
 
-The forward certificates run in integers too, on their own table
-(`ChaosSystem._forward`) built from the events' corners, so a witness's
-orbit certifies the enclosure independently of the kernel; the two share
-only `_as_word`.  Each axis of an orbit point holds an integer numerator
-over its own denominator, each branch applies x -> (c*x + d) / m to them,
-and event membership is an integer cross-multiplication against the
-events' corners.  `realize_witness`, `periodic_point`, the dense-orbit
-check and `sensitivity_check` step with it; `Fraction` points are built
-only for what they return or test (`AffineBranch.apply`, `ChaosSystem.step`
-and `Region.contains_point` are the reference).  The transitivity check
-steps no orbit for a connected pair: it composes the laws along each
-cell's word into one affine map and tests the cell's image against the
-other cells (see `transitivity_check`).
+The propagation runs in integers.  Each axis holds its box corners as
+numerators over a multiple of L that grows by multiplication alone; each
+symbol applies the branch inverse to the numerators and clips them against
+the event's boxes by integer comparison.  The pieces are merged (the
+canonical form, on the numerators) only when a symbol raises their count,
+which no shipped system does.  `Fraction` corners and the one `region()`
+of them appear only at the end, so the returned region is the one the
+`Fraction` recursion (`AffineBranch.preimage`, kept as the reference)
+gives.  The dense-orbit and transitivity checks need every cell of one
+depth d, the enclosure of each word of length d; `_cells` builds them all
+at once with the same kernel step, each from a cell one symbol shorter, and
+keeps them in integers.
+
+The forward certificates run in integers too, stepping the forward laws, so
+a witness's orbit certifies the enclosure independently of the kernel's
+backward propagation: the two share the table's integers, not a
+computation.  Each axis of an orbit point holds an integer numerator over
+its own denominator, each branch applies x -> (c*x + d) / m to them, and
+event membership is an integer cross-multiplication against the events'
+corners.  `realize_witness`, `periodic_point`, the dense-orbit check and
+`sensitivity_check` step with it; `Fraction` points are built only for
+what they return or test (`AffineBranch.apply`, `ChaosSystem.step` and
+`Region.contains_point` are the reference).  `periodic_point` and the
+transitivity check compose the laws along a word into one affine map
+(`_composed`): the first solves it for its fixed point, the second steps
+no orbit for a connected pair, and tests each cell's image under it
+against the other cells (see `transitivity_check`).
 """
 
 from __future__ import annotations
@@ -62,7 +67,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import product
 from math import lcm
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import ConstructionError, InputError
 from .geometry import (
@@ -121,6 +126,17 @@ class AffineBranch:
         return region([self.preimage_box(b) for b in r.boxes])
 
 
+class _Table(NamedTuple):
+    """A system in integers, L per axis the lcm of the denominators of every
+    space and event corner."""
+
+    dens: list  # L per axis
+    space: list  # the space's boxes, [(lo, hi) per axis] numerators over L
+    events: list  # per event, its boxes likewise
+    laws: list  # per branch and axis, x -> (c*x + d) / m as (c, d, m)
+    inverses: list  # their inverses on numerators over L, as (c, d*L, m)
+
+
 @dataclass(frozen=True)
 class ChaosSystem:
     """Space model, event family, and one exact affine law per event."""
@@ -160,11 +176,8 @@ class ChaosSystem:
         return self.branches[self.event_of(p)].apply(p)
 
     @cached_property
-    def _grid(self):
-        """Integer form for `word_enclosure`: per axis the lcm L of every
-        corner's denominator; the space and each event as boxes of
-        [(lo, hi) per axis] numerators over L; and per branch and axis its
-        inverse x -> (c*x + d) / m as the integers (c, d*L, m)."""
+    def _table(self) -> _Table:
+        """The one integer form every kernel and certificate reads."""
         boxes = [b for r in (self.space, *self.events) for b in r.boxes]
         dens = [lcm(*(x[ax].denominator for b in boxes for x in (b.lo, b.hi)))
                 for ax in range(self.dim)]
@@ -173,35 +186,18 @@ class ChaosSystem:
             return [[(int(l * L), int(h * L))
                      for l, h, L in zip(b.lo, b.hi, dens)] for b in r.boxes]
 
-        def inverse(a, b, L: int):
-            c = 1 / Fraction(a)
-            d = -Fraction(b) * c
-            m = lcm(c.denominator, d.denominator)
-            return int(c * m), int(d * m * L), m
-
-        return (dens, over(self.space), [over(ev) for ev in self.events],
-                [[inverse(a, b, L) for (a, b), L in zip(br.coeffs, dens)]
-                 for br in self.branches])
-
-    @cached_property
-    def _forward(self):
-        """Integer form for the forward certificates, from the events' own
-        corners: per axis the lcm L of their denominators; each event as
-        boxes of [(lo, hi) per axis] numerators over L; and per branch and
-        axis its law x -> (c*x + d) / m as the integers (c, d, m)."""
-        boxes = [b for ev in self.events for b in ev.boxes]
-        dens = [lcm(*(x[ax].denominator for b in boxes for x in (b.lo, b.hi)))
-                for ax in range(self.dim)]
-
         def law(a, b):
-            a, b = Fraction(a), Fraction(b)
             m = lcm(a.denominator, b.denominator)
             return int(a * m), int(b * m), m
 
-        return (dens,
-                [[[(int(l * L), int(h * L)) for l, h, L in zip(b.lo, b.hi, dens)]
-                  for b in ev.boxes] for ev in self.events],
-                [[law(a, b) for a, b in br.coeffs] for br in self.branches])
+        laws = [[law(Fraction(a), Fraction(b)) for a, b in br.coeffs]
+                for br in self.branches]
+        # x -> (m*x - d) / c with a positive denominator; gcd(c, d, m) = 1,
+        # so it is the inverse law in lowest terms
+        inverses = [[(m, -d * L, c) if c > 0 else (-m, d * L, -c)
+                     for (c, d, m), L in zip(br, dens)] for br in laws]
+        return _Table(dens, over(self.space), [over(ev) for ev in self.events],
+                      laws, inverses)
 
 
 def make_system(kind: str) -> ChaosSystem:
@@ -276,7 +272,7 @@ def _kernel(s: ChaosSystem, syms: Sequence[int], boxes, k):
     f_{wn}^-1(boxes)) for the symbols w = syms: the boxes, [(lo, hi) per
     axis] numerators over dens[axis] * k[axis], become boxes over
     dens[axis] * k2[axis], returned with k2; no boxes once it is empty."""
-    _, _, events, inverses = s._grid
+    events, inverses = s._table.events, s._table.inverses
     for sym in reversed(syms):
         inv = inverses[sym]
         k2 = [kk * m for kk, (_, _, m) in zip(k, inv)]
@@ -305,11 +301,11 @@ def _kernel(s: ChaosSystem, syms: Sequence[int], boxes, k):
 
 
 def _enclosure(s: ChaosSystem, syms: Tuple[int, ...], word: str) -> Region:
-    dens, space, _, _ = s._grid
-    boxes, k = _kernel(s, syms, space, [1] * len(dens))
+    t = s._table
+    boxes, k = _kernel(s, syms, t.space, [1] * s.dim)
     if not boxes:
         raise _no_witness(s, word)
-    dens = [L * kk for L, kk in zip(dens, k)]
+    dens = [L * kk for L, kk in zip(t.dens, k)]
     return region([grid_box(*zip(*box), dens) for box in boxes])
 
 
@@ -322,8 +318,8 @@ def _cells(s: ChaosSystem, words: List[str]) -> list:
     depth-(j-1) cell by one kernel step, cell(a.w) = X_a cap f_a^-1(cell(w)):
     A + A^2 + ... + A^d steps for the A^d cells of an alphabet of A symbols,
     where one enclosure per word takes d steps each."""
-    dens, space, _, _ = s._grid
-    level = {"": (space, [1] * len(dens))}
+    t = s._table
+    level = {"": (t.space, [1] * s.dim)}
     for _ in range(len(words[0])):
         nxt = {}
         for a in range(s.alphabet):
@@ -335,7 +331,7 @@ def _cells(s: ChaosSystem, words: List[str]) -> list:
     for u in words:
         if u not in level:
             raise _no_witness(s, u)
-    return [(level[u][0], [L * kk for L, kk in zip(dens, level[u][1])])
+    return [(level[u][0], [L * kk for L, kk in zip(t.dens, level[u][1])])
             for u in words]
 
 
@@ -363,6 +359,16 @@ def _image(law, nums, qs) -> tuple:
             [q * m for (_, _, m), q in zip(law, qs)])
 
 
+def _composed(laws, word: str) -> list:
+    """Per axis, the integers (C, D, M) of the branch laws composed along
+    the word, F_word: x -> (C*x + D) / M."""
+    F = [(1, 0, 1)] * len(laws[0])
+    for ch in word:
+        F = [(c * C, c * D + d * M, m * M)
+             for (C, D, M), (c, d, m) in zip(F, laws[int(ch)])]
+    return F
+
+
 def _same_point(p: tuple, other: tuple) -> bool:
     return all(n * r == m * q for n, q, m, r in zip(*p, *other))
 
@@ -372,7 +378,7 @@ def _orbit(s: ChaosSystem, start: tuple, syms: Sequence[int]):
     them: point i must lie in event syms[i], and point i + 1 is its image
     under branch syms[i].  Returns the points and the index of the first
     one outside its event (the points then end there), or None."""
-    dens, events, laws = s._forward
+    dens, _, events, laws, _ = s._table
     p = _grid_of(start)
     points = []
     for i, sym in enumerate(syms):
@@ -439,7 +445,6 @@ def _primitive_root(syms: Tuple[int, ...]) -> Tuple[int, ...]:
     for p in range(1, n + 1):
         if n % p == 0 and syms[:p] * (n // p) == syms:
             return syms[:p]
-    return syms
 
 
 def periodic_point(s: ChaosSystem, word: str) -> PeriodicOrbit:
@@ -456,19 +461,13 @@ def periodic_point(s: ChaosSystem, word: str) -> PeriodicOrbit:
     prim = _primitive_root(syms)
     reduced_from = None if prim == syms else word
     m = len(prim)
-    dim = s.dim
-    point = []
-    for axis in range(dim):
-        a, b = ONE, ZERO
-        for sym in prim:
-            a2, b2 = s.branches[sym].coeffs[axis]
-            a, b = a2 * a, a2 * b + b2
-        if a == 1:
-            raise ConstructionError("branch composition is a translation; "
-                                    "no fixed point")
-        point.append(b / (1 - a))
-    point_t = tuple(point)
-    points, escaped = _orbit(s, point_t, prim)
+    # the fixed point of x -> (C*x + D) / M on each axis
+    F = _composed(s._table.laws, word[:m])
+    if any(C == M for C, _, M in F):
+        raise ConstructionError("branch composition is a translation; "
+                                "no fixed point")
+    point = tuple(Fraction(D, M - C) for C, D, M in F)
+    points, escaped = _orbit(s, point, prim)
     if escaped is not None or not _same_point(points[m], points[0]):
         raise ConstructionError(
             f"no periodic point follows word {word} on {s.kind}")
@@ -476,7 +475,7 @@ def periodic_point(s: ChaosSystem, word: str) -> PeriodicOrbit:
         if m % d == 0 and _same_point(points[d], points[0]):
             raise ConstructionError(
                 f"period collapses to divisor {d}; word is not primitive")
-    return PeriodicOrbit(point_t, m, word[:m],
+    return PeriodicOrbit(point, m, word[:m],
                          tuple(grid_point(*p) for p in points[:m]), reduced_from)
 
 
@@ -573,14 +572,15 @@ def _steps(s: ChaosSystem, x: Fraction):
     """The orbit of a 1-d point under `ChaosSystem.step`, one (numerator,
     denominator) pair per step.  Each event's bounds lo*q and hi*q are
     formed only when the denominator q changes: never, on laws with m = 1."""
-    (L,), events, laws = s._forward
+    t = s._table
+    (L,) = t.dens
     n, q = x.numerator, x.denominator
     bounds_q = None
     while True:
         if q != bounds_q:
             bounds_q = q
             bounds = [(lo * q, hi * q, law)
-                      for boxes, (law,) in zip(events, laws)
+                      for boxes, (law,) in zip(t.events, t.laws)
                       for ((lo, hi),) in boxes]
         nL = n * L
         for lo, hi, (c, d, m) in bounds:
@@ -643,16 +643,6 @@ def sensitivity_check(s: ChaosSystem, delta: Fraction, samples: int,
     return rep
 
 
-def _composed(laws, word: str) -> list:
-    """Per axis, the integers (C, D, M) of the branch laws composed along
-    the word, F_word: x -> (C*x + D) / M."""
-    F = [(1, 0, 1)] * len(laws[0])
-    for ch in word:
-        F = [(c * C, c * D + d * M, m * M)
-             for (C, D, M), (c, d, m) in zip(F, laws[int(ch)])]
-    return F
-
-
 def _on_scale(boxes, dens, F, scale) -> List[Box]:
     """The images under F (per axis x -> (C*x + D) / M, from `_composed`)
     of integer boxes over `dens`, as Boxes of numerators over `scale`: a
@@ -697,8 +687,8 @@ def transitivity_check(s: ChaosSystem, depth: int) -> CheckReport:
     cells = _cells(s, words)
     rep = CheckReport(f"{s.kind} transitivity, depth {depth}, "
                       f"{len(words) ** 2} ordered pairs")
-    laws = s._forward[2]
-    maps = [_composed(laws, u) for u in words]
+    t = s._table
+    maps = [_composed(t.laws, u) for u in words]
     # one denominator per axis for every cell and image: an image corner is
     # (C*n + D*L) / (M*L) for a cell corner n / L
     scale = [lcm(*col) for col in
@@ -709,8 +699,7 @@ def transitivity_check(s: ChaosSystem, depth: int) -> CheckReport:
                   for boxes, dens in cells]
     images = [_on_scale(boxes, dens, F, scale)
               for F, (boxes, dens) in zip(maps, cells)]
-    dens, space = s._grid[:2]
-    space = _on_scale(space, dens, identity, scale)
+    space = _on_scale(t.space, t.dens, identity, scale)
     index = AxisIndex(cell_boxes)
     bad = None
     for u, image, (u_boxes, u_dens) in zip(words, images, cells):

@@ -368,7 +368,7 @@ COMMON = (
     _arg("--format", choices=["json", "csv"], default="json",
          help="document encoding (default json)"),
     _arg("--decimal", type=int, metavar="N",
-         help="add truncated N-digit decimal column (csv only)"),
+         help="add truncated N-digit decimal column (needs --format csv)"),
 )
 SYSTEM = _arg("--system", choices=chaos_mod.SYSTEM_KINDS, required=True)
 WORD = _arg("--word", required=True, help="event word, e.g. 0110")
@@ -531,8 +531,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        if getattr(args, "decimal", None) is not None and args.decimal < 0:
-            raise InputError("--decimal must be >= 0")
+        if args.decimal is not None:
+            if args.decimal < 0:
+                raise InputError("--decimal must be >= 0")
+            if args.format != "csv":
+                raise InputError("--decimal needs --format csv")
         if args.out:
             _check_out(args.out)
         choice = GROUPS[args.command][1]

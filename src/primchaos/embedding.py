@@ -288,11 +288,6 @@ def evaluate_address(tree: RefinementTree, word: str) -> Region:
     return tree.cells[word].region
 
 
-def _AxisIndex(cells) -> AxisIndex:
-    """The axis index of one level's cells, entry j for cell j."""
-    return AxisIndex([c.region.boxes for c in cells])
-
-
 def check_stage_invariants(tree: RefinementTree, level: int) -> CheckReport:
     """Exact certification of one refinement stage.
 
@@ -317,7 +312,7 @@ def check_stage_invariants(tree: RefinementTree, level: int) -> CheckReport:
     rep = CheckReport(f"{tree.model.kind} depth={tree.depth} level={level}")
 
     # one axis-0 index of the level's boxes serves checks (i), (iii), (iv)
-    index = _AxisIndex(cells)
+    index = AxisIndex([c.region.boxes for c in cells])
 
     # (i) pairwise disjointness, sweeping the index along axis 0
     overlap = index.first_overlap()

@@ -1,18 +1,23 @@
 """The transitivity and dense-orbit checks as they were before the cells
 were built once per depth and transitivity was certified from one forward
 image per cell: transitivity realizes the word u.v for every ordered pair
-of cells, and both checks compute each cell's enclosure on its own.  Tests
-compare the checks against these, report for report and error for error."""
+of cells, and both checks compute each cell's enclosure on its own.  And
+the periodic point as it was before it came from the integer laws: the
+branch laws composed in `Fraction`s, the orbit stepped by
+`AffineBranch.apply` and tested by `Region.contains_point`.  Tests compare
+the checks against these, report for report and error for error."""
 
+from fractions import Fraction
 from itertools import product
 
 from primchaos.chaos import (
+    PeriodicOrbit,
     _as_word,
     _witness_orbit,
     dense_orbit_word,
     word_enclosure,
 )
-from primchaos.errors import InputError
+from primchaos.errors import ConstructionError, InputError
 from primchaos.geometry import grid_point
 from primchaos.report import CheckReport
 
@@ -64,3 +69,38 @@ def oracle_dense_orbit(s, depth: int) -> CheckReport:
             f"all {2 ** depth} depth-{depth} cells visited" if not missing
             else f"missed cells: {missing}")
     return rep
+
+
+def oracle_periodic_point(s, word: str) -> PeriodicOrbit:
+    """The fixed point of the branch laws composed along the word's
+    primitive root, certified on its `Fraction` orbit."""
+    syms = _as_word(s, word)
+    if not syms:
+        raise InputError("word must be nonempty")
+    n = len(syms)
+    m = next(p for p in range(1, n + 1)
+             if n % p == 0 and syms[:p] * (n // p) == syms)
+    point = []
+    for axis in range(s.dim):
+        a, b = Fraction(1), Fraction(0)
+        for sym in syms[:m]:
+            a2, b2 = s.branches[sym].coeffs[axis]
+            a, b = a2 * a, a2 * b + b2
+        if a == 1:
+            raise ConstructionError("branch composition is a translation; "
+                                    "no fixed point")
+        point.append(b / (1 - a))
+    orbit = [tuple(point)]
+    for sym in syms[:m]:
+        if not s.events[sym].contains_point(orbit[-1]):
+            break
+        orbit.append(s.branches[sym].apply(orbit[-1]))
+    if len(orbit) <= m or orbit[m] != orbit[0]:
+        raise ConstructionError(
+            f"no periodic point follows word {word} on {s.kind}")
+    for d in range(1, m):
+        if m % d == 0 and orbit[d] == orbit[0]:
+            raise ConstructionError(
+                f"period collapses to divisor {d}; word is not primitive")
+    return PeriodicOrbit(orbit[0], m, word[:m], tuple(orbit[:m]),
+                         None if m == n else word)

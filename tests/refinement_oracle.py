@@ -2,9 +2,10 @@
 before the construction moved onto an integer grid.  Tests compare the grid
 build and checks against these, cell for cell and report for report."""
 
-from primchaos.embedding import Cell, _AxisIndex
+from primchaos.embedding import Cell
 from primchaos.errors import DegenerateInputError, InputError
 from primchaos.geometry import (
+    AxisIndex,
     Box,
     chebyshev_ball,
     closed_difference,
@@ -61,7 +62,7 @@ def oracle_check(tree, level) -> CheckReport:
     addrs = tree.level(level)
     cells = [tree.cells[a] for a in addrs]
     rep = CheckReport(f"{tree.model.kind} depth={tree.depth} level={level}")
-    index = _AxisIndex(cells)
+    index = AxisIndex([c.region.boxes for c in cells])
 
     overlap = index.first_overlap()
     rep.add("cells_pairwise_disjoint", overlap is None,

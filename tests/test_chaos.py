@@ -4,12 +4,17 @@ chaos-property certificates, cross-checked against plain-lambda oracles."""
 import tracemalloc
 from fractions import Fraction as F
 from itertools import product
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chaos_oracle import oracle_dense_orbit, oracle_transitivity
+from chaos_oracle import (
+    oracle_dense_orbit,
+    oracle_periodic_point,
+    oracle_transitivity,
+)
 from primchaos import chaos, cli
 from primchaos.chaos import (
     SYSTEM_KINDS,
@@ -668,10 +673,10 @@ def test_malformed_systems_rejected():
 # ---------------------------------------------------------------------------
 
 
-def verdict(check, s, depth):
-    """The check's report, or the type and message of the error it raises."""
+def verdict(check, *args):
+    """The check's result, or the type and message of the error it raises."""
     try:
-        return check(s, depth)
+        return check(*args)
     except (ConstructionError, InputError) as exc:
         return type(exc), str(exc)
 
@@ -773,3 +778,57 @@ def test_cells_match_word_enclosures(s):
             for u, (boxes, dens) in zip(words, chaos._cells(s, words)):
                 assert region([grid_box(*zip(*box), dens)
                                for box in boxes]) == want[u], (s.kind, u)
+
+
+# ---------------------------------------------------------------------------
+# periodic points from the integer laws against the Fraction composition
+# ---------------------------------------------------------------------------
+
+
+# periodic_point's three failures: a translation on event 0; two events on
+# one interval, both doubling, so "01" repeats after one step; and a law
+# whose fixed point 1/2 lies outside its event [0, 1/4]
+SLIDE = custom_system("slide", [[box1(0, HALF)], [box1(HALF, 1)]],
+                      [((1, F(1, 4)),), ((2, -1),)])
+TWIN = custom_system("twin", [[box1(0, HALF)], [box1(0, HALF)]],
+                     [((2, 0),), ((2, 0),)])
+OFFSET = custom_system("offset", [[box1(0, F(1, 4))], [box1(F(1, 4), 1)]],
+                       [((2, -HALF),), ((F(4, 3), F(-1, 3)),)])
+ALL_SYSTEMS = [*RANDOM_WORD_SYSTEMS.values(), TRAP, SLIDE, TWIN, OFFSET]
+
+
+@pytest.mark.parametrize("s, word, msg", [
+    (SLIDE, "0", "branch composition is a translation; no fixed point"),
+    (TWIN, "01", "period collapses to divisor 1; word is not primitive"),
+    (OFFSET, "0", "no periodic point follows word 0 on offset"),
+], ids=lambda v: v.kind if isinstance(v, ChaosSystem) else None)
+def test_periodic_point_failures(s, word, msg):
+    for find in (periodic_point, oracle_periodic_point):
+        with pytest.raises(ConstructionError) as exc:
+            find(s, word)
+        assert str(exc.value) == msg
+
+
+@pytest.mark.parametrize("s", ALL_SYSTEMS, ids=lambda s: s.kind)
+def test_periodic_point_matches_fraction_oracle(s):
+    # every field of the orbit, or the error's type and message
+    for n in range(1, 7):
+        for syms in product("0123456789"[:s.alphabet], repeat=n):
+            word = "".join(syms)
+            got = verdict(periodic_point, s, word)
+            assert got == verdict(oracle_periodic_point, s, word), \
+                (s.kind, word)
+            if not isinstance(got, tuple):
+                assert all(type(c) is F for c in got.point)
+
+
+@pytest.mark.parametrize("s", ALL_SYSTEMS, ids=lambda s: s.kind)
+def test_inverse_laws_match_fraction_inverses(s):
+    # the kernel's inverse of a*x + b is 1/a * x - b/a in lowest terms,
+    # its offset's numerator put over the axis's L
+    t = s._table
+    for br, inverse in zip(s.branches, t.inverses):
+        for (a, b), got, L in zip(br.coeffs, inverse, t.dens):
+            c, d = 1 / F(a), -F(b) / F(a)
+            m = lcm(c.denominator, d.denominator)
+            assert got == (c * m, d * m * L, m), (s.kind, a, b)

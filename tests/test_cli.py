@@ -181,6 +181,8 @@ OUT_OF_RANGE = [
      "--codomain", "discrete1", "--map", "a=a,b=a,c=a"],
     ["fintop", "verify-lemma7", "--space", "discrete2",
      "--codomain", "discrete2", "--map", "a=a,b=a,a=b"],
+    ["chaos", "realize", "--system", "doubling", "--word", "01",
+     "--decimal", "3"],
 ]
 
 
@@ -317,6 +319,13 @@ def test_decimal_flag_adds_approx_column(tmp_path, capsys, monkeypatch):
     assert rows[0] == ["path", "value", "approx"]
     by_path = {r[0]: r for r in rows[1:]}
     assert by_path["witness"] == ["witness", "3/8", "0.3750"]
+
+
+def test_periodic_power_word_notes_its_primitive_root(capsys):
+    assert main(["chaos", "periodic", "--system", "doubling",
+                 "--word", "0101"]) == 0
+    assert "note: input word 0101 reduced to primitive root 01\n" in \
+        capsys.readouterr().out
 
 
 def test_encode_document_stable():

@@ -14,7 +14,6 @@ from primchaos.embedding import (
     Cell,
     PeanoModel,
     RefinementTree,
-    _AxisIndex,
     build_refinement,
     check_stage_invariants,
     evaluate_address,
@@ -24,6 +23,7 @@ from primchaos.embedding import (
 )
 from primchaos.errors import ConstructionError, DegenerateInputError, InputError
 from primchaos.geometry import (
+    AxisIndex,
     Box,
     box1,
     box2,
@@ -350,7 +350,7 @@ def test_corrupted_trees_fail_their_check():
 
 
 def _linear_window(cells, lo, hi):
-    """Reference for `_AxisIndex.near`: scan every box of the level."""
+    """Reference for `AxisIndex.near`: scan every box of the level."""
     return [(j, b) for j, c in enumerate(cells) for b in c.region.boxes
             if not any(b.lo[ax] > hi[ax] or b.hi[ax] < lo[ax]
                        for ax in range(len(lo)))]
@@ -363,7 +363,7 @@ def test_axis_index_matches_linear_window(trees):
     for kind, t in trees.items():
         for level in range(t.depth + 1):
             cells = [t.cells[a] for a in t.level(level)]
-            index = _AxisIndex(cells)
+            index = AxisIndex([c.region.boxes for c in cells])
             for c in cells:
                 boxes = c.region.boxes
                 lo = tuple(min(b.lo[ax] for b in boxes)
