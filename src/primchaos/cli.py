@@ -9,7 +9,8 @@ be written is rejected too).  Every leaf command is one entry of the
 `COMMANDS` table.  Each call builds the parser tree from that table, but
 only the branch its argv selects gets its arguments: the other groups get
 their names and help lines only, and the selected group's other leaves
-their names.
+their names.  The kinds of a --kind group share one parser, so an option
+of another kind that differs from its default is rejected with 2.
 """
 
 from __future__ import annotations
@@ -409,7 +410,7 @@ COMMANDS = {
         (SURJECT_DEPTH,), _surject_covering, lambda a: _surject_cells(a, 2)),
     ("surject", "block"): Command(
         (SURJECT_DEPTH,
-         _arg("--swap-halves", action="store_true",
+         _arg("--swap-halves", action="store_true", default=False,
               help="block preset: swap the two halves of the Cantor set"),
          _arg("--block", action="append", default=[], metavar="A:B",
               help="block constraint cyl+cyl:cyl+cyl, e.g. 00+01:1 "
@@ -513,6 +514,21 @@ def _check_out(path: str) -> None:
         raise InputError(f"--out directory {parent!r} does not exist")
 
 
+def _check_kind_options(path: tuple, args) -> None:
+    """Reject an option of another kind of the group, which the kinds' shared
+    parser accepts: one whose value differs from its parser default."""
+    seen = {flags for flags, _ in COMMANDS[path].args}
+    for other, cmd in COMMANDS.items():
+        for flags, kwargs in cmd.args:
+            if other[0] != path[0] or flags in seen:
+                continue
+            seen.add(flags)
+            dest = kwargs.get("dest", flags[0][2:].replace("-", "_"))
+            if getattr(args, dest) != kwargs.get("default"):
+                raise InputError(f"{flags[0]} does not apply to --kind "
+                                 f"{path[1]}")
+
+
 def _execute(cmd: Command, args) -> int:
     """Gate the input's work, run, emit the result, and return the exit code."""
     if cmd.cells is not None and cmd.cells(args) > MAX_CELLS:
@@ -540,6 +556,8 @@ def main(argv: Optional[List[str]] = None) -> int:
             _check_out(args.out)
         choice = GROUPS[args.command][1]
         path = (args.command,) + ((getattr(args, choice),) if choice else ())
+        if choice == "kind":
+            _check_kind_options(path, args)
         return _execute(COMMANDS[path], args)
     except InputError as exc:
         print(f"{PROG}: error: {exc}", file=sys.stderr)

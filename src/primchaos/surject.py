@@ -29,16 +29,18 @@ end at (1,0), which makes the linear stitching exact.
 
 The image cells of the expansion maps and of the curve are grid cells held
 as integers (`Cell`): one kernel per map kind, boxed by `_grid_box` for the
-evaluators.  Each certificate reads the table its kernel reads and never
-evaluates a cell.  The expansion maps place the word's bits on the axes by
-`_placement`, and a map that spreads the n bits over the axes as a
-permutation sends the 2^n words onto the 2^n grid cells, so covering is an
-O(n) check of that placement.  The curve is self-similar: its level-(k+1)
-cells are its level-k cells pushed through four quadrant maps held in one
-table, `_CURVE_MAPS`, which `_curve_cell` reads digit by digit.  So its
-tiling and adjacency certificate is an induction over that table, O(k)
-integer work in place of a walk over 4^k cells (Hilbert, Math. Ann. 38,
-1891; Sagan, *Space-Filling Curves*, 1994, ch. 2).
+evaluators.  Their certificates read the table their kernel reads and
+never evaluate a cell; `verify_block_surjection` does, walking every
+depth-n word of each block through `evaluate_symbolic`.  The expansion
+maps place the word's bits on the axes by `_placement`, and a map that
+spreads the n bits over the axes as a permutation sends the 2^n words onto
+the 2^n grid cells, so covering is an O(n) check of that placement.  The
+curve is self-similar: its level-(k+1) cells are its level-k cells pushed
+through four quadrant maps held in one table, `_CURVE_MAPS`, which
+`_curve_cell` reads digit by digit.  So its tiling and adjacency
+certificate is an induction over that table, O(k) integer work in place of
+a walk over 4^k cells (Hilbert, Math. Ann. 38, 1891; Sagan,
+*Space-Filling Curves*, 1994, ch. 2).
 """
 
 from __future__ import annotations

@@ -653,6 +653,16 @@ def test_zero_slope_rejected():
         custom_system("flat", [[box1(0, 1)]], [((0, HALF),)])
 
 
+def test_non_rational_coefficients_rejected():
+    # a float law would make the Fraction references (apply, step,
+    # preimage) compute in floats, where the integer kernels convert it
+    for coeffs in (((2.0, F(0)),), ((F(2), -1.0),),
+                   ((F(2), F(0)), (HALF, 0.5)), ((F(2), "1/2"),)):
+        with pytest.raises(InputError, match="ints or Fractions"):
+            AffineBranch(coeffs)
+    assert AffineBranch(((2, -1),)).apply((F(3, 8),)) == (F(-1, 4),)
+
+
 def test_malformed_systems_rejected():
     d, b = make_system("doubling"), make_system("baker")
     with pytest.raises(InputError, match="need a branch each"):
@@ -722,15 +732,39 @@ def test_transitivity_fails_on_the_trap_as_the_oracle_does():
 @pytest.mark.parametrize("s", [*RANDOM_WORD_SYSTEMS.values(), TRAP],
                          ids=lambda s: s.kind)
 def test_transitivity_realizes_at_most_the_failing_pair(s, monkeypatch):
-    # the images connect every connected pair, so a pair is realized only
-    # when the check is about to fail on it
+    # the images decide every pair, the failing one included, so no pair
+    # is realized
     words = realized_words(monkeypatch)
     for depth in range(1, 4):
-        words.clear()
-        rep = verdict(transitivity_check, s, depth)
-        passed = isinstance(rep, CheckReport) and rep.all_passed
-        assert len(words) <= 1 and not (passed and words), \
-            (s.kind, depth, words)
+        verdict(transitivity_check, s, depth)
+        assert not words, (s.kind, depth, words)
+
+
+# three symbols; branch 2 maps its event into itself, so cell 2 reaches
+# neither cell 0 nor cell 1
+TRAP3 = custom_system(
+    "trap3", [[box1(0, F(1, 3))], [box1(F(1, 3), F(2, 3))], [box1(F(2, 3), 1)]],
+    [((3, 0),), ((3, -1),), ((F(1, 3), F(2, 3)),)])
+
+
+def test_transitivity_fails_without_realizing_the_pair(monkeypatch):
+    # an unconnected pair raises from the images alone, with the error the
+    # pairwise oracle gets from realizing it: the first such pair in (u, v)
+    # order, of one on the trap and two (20 and 21) on trap3; on two_piece
+    # the first pair whose enclosure has no point
+    want = {(TRAP, 1): "empty witness set for word 10 on trap",
+            (TRAP3, 1): "empty witness set for word 20 on trap3",
+            (TWO_PIECE, 2): "empty witness set for word 0011 on two_piece"}
+    for (s, depth), msg in want.items():
+        assert verdict(oracle_transitivity, s, depth) == \
+            (ConstructionError, msg)
+
+    def refuse(s, syms, word):
+        raise AssertionError(f"realized {word} on {s.kind}")
+    monkeypatch.setattr(chaos, "_witness_orbit", refuse)
+    for (s, depth), msg in want.items():
+        assert verdict(transitivity_check, s, depth) == \
+            (ConstructionError, msg)
 
 
 def test_transitivity_realizes_no_pair_on_transitive_systems(monkeypatch):

@@ -183,6 +183,13 @@ OUT_OF_RANGE = [
      "--codomain", "discrete2", "--map", "a=a,b=a,a=b"],
     ["chaos", "realize", "--system", "doubling", "--word", "01",
      "--decimal", "3"],
+    # an option of another surject kind
+    ["surject", "--kind", "binary", "--depth", "4", "--point", "1/2=1/2"],
+    ["surject", "--kind", "hilbert", "--depth", "2", "--swap-halves"],
+    ["surject", "--kind", "interleave", "--depth", "4", "--target", "square"],
+    ["surject", "--kind", "waypoint", "--point", "1/2=1/2", "--block", "00:1"],
+    ["surject", "--kind", "block", "--swap-halves", "--point", "1/2=1/2",
+     "--depth", "3"],
 ]
 
 
@@ -192,6 +199,17 @@ def test_out_of_range_inputs_rejected(argv, tmp_path, capsys, monkeypatch):
     assert main(argv + ["--out", "out.json"]) == 2
     assert capsys.readouterr().err.startswith("primchaos: error: ")
     assert not (tmp_path / "out.json").exists()
+
+
+def test_option_of_another_kind_named(capsys):
+    assert main(["surject", "--kind", "binary", "--depth", "4",
+                 "--point", "1/2=1/2"]) == 2
+    assert capsys.readouterr() == ("", "primchaos: error: --point does not "
+                                       "apply to --kind binary\n")
+    # an option given at its default value changes nothing
+    assert main(["surject", "--kind", "binary", "--depth", "4",
+                 "--target", "interval"]) == 0
+    assert capsys.readouterr().out.endswith("result: PASS\n")
 
 
 @pytest.mark.parametrize("out", ["missing/x.json", "."])
