@@ -19,12 +19,14 @@ of the events, which for the Cantor shift is the depth-1 enclosure of the
 ideal space: everything here certifies finite stages, never the limit.
 
 An event word is a plain digit string, symbol i naming event X_i (for
-the two-event systems, a binary address such as "0110"); `dense_orbit_word`
-returns one.  `realize_witness` computes the set of initial points whose
-orbit follows a given event word by exact backward preimage propagation;
-its nonemptiness for every word is the finite-stage content of the
-defining property of primitive chaos, and nesting of these enclosures
-under word extension is the shadow of the infinite-sequence statement.
+the two-event systems, a binary address such as "0110"), so a system has at
+most ten events; `dense_orbit_word` returns one.  Every routine reads the
+checked string itself, taking each symbol's int as it iterates.
+`realize_witness` computes the set of initial points whose orbit follows a
+given event word by exact backward preimage propagation; its nonemptiness
+for every word is the finite-stage content of the defining property of
+primitive chaos, and nesting of these enclosures under word extension is
+the shadow of the infinite-sequence statement.
 
 Every kernel and certificate reads one integer table per system
 (`ChaosSystem._table`): per axis, the space's and events' corners as
@@ -40,9 +42,9 @@ which no shipped system does.  `Fraction` corners and the one `region()`
 of them appear only at the end, so the returned region is the one the
 `Fraction` recursion (`AffineBranch.preimage`, kept as the reference)
 gives.  The dense-orbit and transitivity checks need every cell of one
-depth d, the enclosure of each word of length d; `_cells` builds them all
-at once with the same kernel step, each from a cell one symbol shorter, and
-keeps them in integers.
+depth d, the enclosure of each word of length d; `_cells` lists those words
+and builds their cells all at once with the same kernel step, each from a
+cell one symbol shorter, and keeps them in integers.
 
 The forward certificates run in integers too, stepping the forward laws, so
 a witness's orbit certifies the enclosure independently of the kernel's
@@ -88,6 +90,8 @@ from .geometry import (
 from .report import CheckReport
 
 SYSTEM_KINDS = ("shift_cantor", "doubling", "tent", "baker")
+# symbol i of an event word is DIGITS[i], so a system has at most ten events
+DIGITS = "0123456789"
 # longest numerator or denominator of a sensitivity delta: every orbit step
 # of the check costs time in proportion to it
 MAX_DELTA_BITS = 1024
@@ -151,6 +155,9 @@ class ChaosSystem:
     space: Region
 
     def __post_init__(self):
+        if len(self.events) > len(DIGITS):
+            raise InputError(f"at most {len(DIGITS)} events fit one-digit "
+                             f"symbols, got {len(self.events)}")
         if len(self.branches) < len(self.events):
             raise InputError(f"{len(self.events)} events need a branch each, "
                              f"got {len(self.branches)} branches")
@@ -231,14 +238,13 @@ def make_system(kind: str) -> ChaosSystem:
     return ChaosSystem(kind, events, branches, space)
 
 
-def _as_word(s: ChaosSystem, word: str) -> Tuple[int, ...]:
-    # strip leaves a character behind iff the word has a non-digit
-    if not isinstance(word, str) or word.strip("0123456789"):
+def _as_word(s: ChaosSystem, word: str) -> str:
+    # strip leaves a character behind iff the word has one outside the set
+    if not isinstance(word, str) or word.strip(DIGITS):
         raise InputError(f"word must be a digit string, got {word!r}")
-    syms = tuple(map(int, word))
-    if any(sym >= s.alphabet for sym in syms):
+    if word.strip(DIGITS[:s.alphabet]):
         raise InputError(f"word {word} has symbols outside 0..{s.alphabet - 1}")
-    return syms
+    return word
 
 
 @dataclass(frozen=True)
@@ -264,20 +270,20 @@ class WitnessResult:
 def word_enclosure(s: ChaosSystem, word: str) -> Region:
     """Exact region of initial points whose orbit follows the event word:
     K = X_{w0} cap f_{w0}^-1(X_{w1} cap f_{w1}^-1(...))."""
-    return _enclosure(s, _as_word(s, word), word)
+    return _enclosure(s, _as_word(s, word))
 
 
 def _no_witness(s: ChaosSystem, word: str) -> ConstructionError:
     return ConstructionError(f"empty witness set for word {word} on {s.kind}")
 
 
-def _kernel(s: ChaosSystem, syms: Sequence[int], boxes, k):
+def _kernel(s: ChaosSystem, word: str, boxes, k):
     """The enclosure kernel, X_{w0} cap f_{w0}^-1(... X_{wn} cap
-    f_{wn}^-1(boxes)) for the symbols w = syms: the boxes, [(lo, hi) per
-    axis] numerators over dens[axis] * k[axis], become boxes over
+    f_{wn}^-1(boxes)) for the word w: the boxes, [(lo, hi) per axis]
+    numerators over dens[axis] * k[axis], become boxes over
     dens[axis] * k2[axis], returned with k2; no boxes once it is empty."""
     events, inverses = s._table.events, s._table.inverses
-    for sym in reversed(syms):
+    for sym in map(int, reversed(word)):
         inv = inverses[sym]
         k2 = [kk * m for kk, (_, _, m) in zip(k, inv)]
         out = []
@@ -304,39 +310,36 @@ def _kernel(s: ChaosSystem, syms: Sequence[int], boxes, k):
     return boxes, k
 
 
-def _enclosure(s: ChaosSystem, syms: Tuple[int, ...], word: str) -> Region:
+def _enclosure(s: ChaosSystem, word: str) -> Region:
     t = s._table
-    boxes, k = _kernel(s, syms, t.space, [1] * s.dim)
+    boxes, k = _kernel(s, word, t.space, [1] * s.dim)
     if not boxes:
         raise _no_witness(s, word)
     dens = [L * kk for L, kk in zip(t.dens, k)]
     return region([grid_box(*zip(*box), dens) for box in boxes])
 
 
-def _cells(s: ChaosSystem, words: List[str]) -> list:
-    """The cells of `words`, all of one length d: each the enclosure of its
-    word as the kernel holds it, (boxes, per-axis denominators).  Raises for
-    the first empty one, as `word_enclosure` would.
+def _cells(s: ChaosSystem, depth: int) -> list:
+    """Every word of length `depth` in lexicographic order, each with its
+    cell, the enclosure of the word as the kernel holds it: (word, boxes,
+    per-axis denominators).  Raises for the first empty cell, as
+    `word_enclosure` would.
 
     The cells are built once for the whole depth, each depth-j cell from a
     depth-(j-1) cell by one kernel step, cell(a.w) = X_a cap f_a^-1(cell(w)):
     A + A^2 + ... + A^d steps for the A^d cells of an alphabet of A symbols,
-    where one enclosure per word takes d steps each."""
+    where one enclosure per word takes d steps each.  An empty cell stays
+    empty, in its place, so the words keep their order."""
     t = s._table
-    level = {"": (t.space, [1] * s.dim)}
-    for _ in range(len(words[0])):
-        nxt = {}
-        for a in range(s.alphabet):
-            for w, (boxes, k) in level.items():
-                out, k2 = _kernel(s, (a,), boxes, k)
-                if out:
-                    nxt[str(a) + w] = (out, k2)
-        level = nxt
-    for u in words:
-        if u not in level:
+    level = [("", t.space, [1] * s.dim)]
+    for _ in range(depth):
+        level = [(a + w, *_kernel(s, a, boxes, k))
+                 for a in DIGITS[:s.alphabet] for w, boxes, k in level]
+    for u, boxes, _ in level:
+        if not boxes:
             raise _no_witness(s, u)
-    return [(level[u][0], [L * kk for L, kk in zip(t.dens, level[u][1])])
-            for u in words]
+    return [(u, boxes, [L * kk for L, kk in zip(t.dens, k)])
+            for u, boxes, k in level]
 
 
 # A grid point is (numerators, denominators), one of each per axis.
@@ -377,15 +380,15 @@ def _same_point(p: tuple, other: tuple) -> bool:
     return all(n * r == m * q for n, q, m, r in zip(*p, *other))
 
 
-def _orbit(s: ChaosSystem, start: tuple, syms: Sequence[int]):
-    """Forward orbit of `start` along syms as grid points, len(syms) + 1 of
-    them: point i must lie in event syms[i], and point i + 1 is its image
-    under branch syms[i].  Returns the points and the index of the first
+def _orbit(s: ChaosSystem, start: tuple, word: str):
+    """Forward orbit of `start` along the word as grid points, len(word) + 1
+    of them: point i must lie in event word[i], and point i + 1 is its image
+    under branch word[i].  Returns the points and the index of the first
     one outside its event (the points then end there), or None."""
     dens, _, events, laws, _ = s._table
     p = _grid_of(start)
     points = []
-    for i, sym in enumerate(syms):
+    for i, sym in enumerate(map(int, word)):
         points.append(p)
         if not _contains(events[sym], dens, *p):
             return points, i
@@ -394,25 +397,24 @@ def _orbit(s: ChaosSystem, start: tuple, syms: Sequence[int]):
     return points, None
 
 
-def _witness_orbit(s: ChaosSystem, syms: Tuple[int, ...], word: str):
+def _witness_orbit(s: ChaosSystem, word: str):
     """Enclosure, witness and its certified orbit (grid points, one per
     symbol) of a nonempty word."""
-    K = _enclosure(s, syms, word)
+    K = _enclosure(s, word)
     witness = first_box_midpoint(K)
-    points, escaped = _orbit(s, witness, syms)
+    points, escaped = _orbit(s, witness, word)
     if escaped is not None:
         raise ConstructionError(f"orbit point {grid_point(*points[escaped])} "
-                                f"escapes event {syms[escaped]} on {s.kind}")
+                                f"escapes event {word[escaped]} on {s.kind}")
     return K, witness, points[:-1]
 
 
 def realize_witness(s: ChaosSystem, word: str) -> WitnessResult:
     """Realize a finite event word: nonempty enclosure, witness point, and
     the exact forward orbit, with event membership verified exactly."""
-    syms = _as_word(s, word)
-    if not syms:
+    if not _as_word(s, word):
         raise InputError("word must be nonempty")
-    K, witness, points = _witness_orbit(s, syms, word)
+    K, witness, points = _witness_orbit(s, word)
     return WitnessResult(s.kind, word, K, witness,
                          tuple(grid_point(*p) for p in points))
 
@@ -444,11 +446,11 @@ class PeriodicOrbit:
         return doc
 
 
-def _primitive_root(syms: Tuple[int, ...]) -> Tuple[int, ...]:
-    n = len(syms)
+def _primitive_root(word: str) -> str:
+    n = len(word)
     for p in range(1, n + 1):
-        if n % p == 0 and syms[:p] * (n // p) == syms:
-            return syms[:p]
+        if n % p == 0 and word[:p] * (n // p) == word:
+            return word[:p]
 
 
 def periodic_point(s: ChaosSystem, word: str) -> PeriodicOrbit:
@@ -459,14 +461,13 @@ def periodic_point(s: ChaosSystem, word: str) -> PeriodicOrbit:
     orbit follows the word cyclically and that no proper divisor of the
     length is a period.
     """
-    syms = _as_word(s, word)
-    if not syms:
+    if not _as_word(s, word):
         raise InputError("word must be nonempty")
-    prim = _primitive_root(syms)
-    reduced_from = None if prim == syms else word
+    prim = _primitive_root(word)
+    reduced_from = None if prim == word else word
     m = len(prim)
     # the fixed point of x -> (C*x + D) / M on each axis
-    F = _composed(s._table.laws, word[:m])
+    F = _composed(s._table.laws, prim)
     if any(C == M for C, _, M in F):
         raise ConstructionError("branch composition is a translation; "
                                 "no fixed point")
@@ -479,7 +480,7 @@ def periodic_point(s: ChaosSystem, word: str) -> PeriodicOrbit:
         if m % d == 0 and _same_point(points[d], points[0]):
             raise ConstructionError(
                 f"period collapses to divisor {d}; word is not primitive")
-    return PeriodicOrbit(point, m, word[:m],
+    return PeriodicOrbit(point, m, prim,
                          tuple(grid_point(*p) for p in points[:m]), reduced_from)
 
 
@@ -507,11 +508,10 @@ def verify_dense_orbit(s: ChaosSystem, depth: int) -> CheckReport:
     if s.alphabet != 2:
         raise InputError("dense-orbit words are built over a binary alphabet")
     word = dense_orbit_word(depth)
-    _, _, points = _witness_orbit(s, _as_word(s, word), word)
+    _, _, points = _witness_orbit(s, word)
     rep = CheckReport(f"{s.kind} dense orbit, depth {depth}, |word| = {len(word)}")
-    words = ["".join(bits) for bits in product("01", repeat=depth)]
     missing = []
-    for u, (boxes, dens) in zip(words, _cells(s, words)):
+    for u, boxes, dens in _cells(s, depth):
         i = word.find(u)
         if i < 0 or not _contains(boxes, dens, *points[i]):
             missing.append(u)
@@ -684,32 +684,30 @@ def transitivity_check(s: ChaosSystem, depth: int) -> CheckReport:
     the error that realizing u.v would."""
     if not 1 <= depth <= 12:
         raise InputError("transitivity depth must be in 1..12")
-    words = ["".join(str(b) for b in bits)
-             for bits in product(range(s.alphabet), repeat=depth)]
-    cells = _cells(s, words)
+    cells = _cells(s, depth)
     rep = CheckReport(f"{s.kind} transitivity, depth {depth}, "
-                      f"{len(words) ** 2} ordered pairs")
+                      f"{len(cells) ** 2} ordered pairs")
     t = s._table
-    maps = [_composed(t.laws, u) for u in words]
+    maps = [_composed(t.laws, u) for u, _, _ in cells]
     # one denominator per axis for every cell and image: an image corner is
     # (C*n + D*L) / (M*L) for a cell corner n / L
     scale = [lcm(*col) for col in
              zip(*([M * L for (_, _, M), L in zip(F, dens)]
-                   for F, (_, dens) in zip(maps, cells)))]
+                   for F, (_, _, dens) in zip(maps, cells)))]
     identity = [(1, 0, 1)] * s.dim
     cell_boxes = [_on_scale(boxes, dens, identity, scale)
-                  for boxes, dens in cells]
+                  for _, boxes, dens in cells]
     images = [_on_scale(boxes, dens, F, scale)
-              for F, (boxes, dens) in zip(maps, cells)]
+              for F, (_, boxes, dens) in zip(maps, cells)]
     space = _on_scale(t.space, t.dens, identity, scale)
     index = AxisIndex(cell_boxes)
-    for u, image in zip(words, images):
+    for (u, _, _), image in zip(cells, images):
         if not closed_difference(space, image):
             continue
         met = {j for b in image for j, _ in index.near(b.lo, b.hi)}
-        for j, v in enumerate(words):
+        for j, (v, _, _) in enumerate(cells):
             if j not in met:
                 raise _no_witness(s, u + v)
     rep.add("all_pairs_connected", True,
-            f"{len(words) ** 2} pairs connected in exactly {depth} steps")
+            f"{len(cells) ** 2} pairs connected in exactly {depth} steps")
     return rep

@@ -2,15 +2,17 @@
 deterministic machine-readable output.
 
 Documents (JSON, or CSV as flattened path/value rows) go to --out; human
-summaries go to standard output.  Identical invocations produce
-byte-identical output.  Exit codes: 0 all checks passed, 1 at least one
-check failed, 2 input rejected before any check ran (an --out that cannot
-be written is rejected too).  Every leaf command is one entry of the
-`COMMANDS` table.  Each call builds the parser tree from that table, but
-only the branch its argv selects gets its arguments: the other groups get
-their names and help lines only, and the selected group's other leaves
-their names.  The kinds of a --kind group share one parser, so an option
-of another kind that differs from its default is rejected with 2.
+summaries go to standard output, after the document is written.  Identical
+invocations produce byte-identical output.  Exit codes: 0 all checks
+passed, 1 at least one check failed, 2 input rejected, before any check ran
+or, for an --out that cannot be written, before anything is printed.
+--format csv and --decimal need --out, and --swap-halves excludes --block.
+Every leaf command is one entry of the `COMMANDS` table.  Each call builds
+the parser tree from that table, but only the branch its argv selects gets
+its arguments: the other groups get their names and help lines only, and
+the selected group's other leaves their names.  The kinds of a --kind
+group share one parser, so an option of another kind that differs from its
+default is rejected with 2.
 """
 
 from __future__ import annotations
@@ -95,14 +97,26 @@ def encode_document(doc: dict, fmt: str, decimal: Optional[int]) -> bytes:
     return buf.getvalue().encode()
 
 
+def _write_out(path: str, payload: bytes) -> None:
+    """Write the document to --out, or reject the path and leave no file."""
+    opened = False
+    try:
+        with open(path, "wb") as fh:
+            opened = True
+            fh.write(payload)
+    except OSError as exc:
+        if opened and os.path.isfile(path):
+            os.remove(path)
+        raise InputError(f"cannot write --out {path!r}: "
+                         f"{exc.strerror or exc}") from exc
+
+
 def _emit(args, doc: dict, summary: List[str]) -> None:
+    if args.out:
+        _write_out(args.out, encode_document(doc, args.format, args.decimal))
+        summary = summary + [f"document written to {args.out}"]
     for line in summary:
         print(line)
-    if args.out:
-        payload = encode_document(doc, args.format, args.decimal)
-        with open(args.out, "wb") as fh:
-            fh.write(payload)
-        print(f"document written to {args.out}")
 
 
 # Command bodies: each returns (document, summary lines, passed).
@@ -248,6 +262,8 @@ def _surject_hilbert(args):
 
 def _surject_block(args):
     depth = args.depth
+    if args.swap_halves and args.block:
+        raise InputError("--swap-halves and --block cannot be combined")
     if args.swap_halves:
         blocks_a = [surject_mod.ClopenBlock(("0",)),
                     surject_mod.ClopenBlock(("1",))]
@@ -369,7 +385,8 @@ COMMON = (
     _arg("--format", choices=["json", "csv"], default="json",
          help="document encoding (default json)"),
     _arg("--decimal", type=int, metavar="N",
-         help="add truncated N-digit decimal column (needs --format csv)"),
+         help="add truncated N-digit decimal column (needs --format csv "
+              "and --out)"),
 )
 SYSTEM = _arg("--system", choices=chaos_mod.SYSTEM_KINDS, required=True)
 WORD = _arg("--word", required=True, help="event word, e.g. 0110")
@@ -552,6 +569,9 @@ def main(argv: Optional[List[str]] = None) -> int:
                 raise InputError("--decimal must be >= 0")
             if args.format != "csv":
                 raise InputError("--decimal needs --format csv")
+        if not args.out and (args.format != "json" or
+                             args.decimal is not None):
+            raise InputError("--format csv and --decimal need --out")
         if args.out:
             _check_out(args.out)
         choice = GROUPS[args.command][1]

@@ -41,10 +41,8 @@ from .errors import InputError
 ONE = Fraction(1)
 
 
-def rat(value, den=None) -> Fraction:
+def rat(value) -> Fraction:
     """Build an exact rational from ints, strings like "3/4", or Fractions."""
-    if den is not None:
-        return Fraction(value, den)
     if isinstance(value, Fraction):
         return value
     if isinstance(value, str):

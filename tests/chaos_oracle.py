@@ -36,7 +36,7 @@ def oracle_transitivity(s, depth: int) -> CheckReport:
     bad = None
     for u in words:
         for v in words:
-            _, x0, points = _witness_orbit(s, _as_word(s, u + v), u + v)
+            _, x0, points = _witness_orbit(s, u + v)
             if not (cells[u].contains_point(x0) and
                     cells[v].contains_point(grid_point(*points[depth]))):
                 bad = (u, v)
@@ -55,7 +55,7 @@ def oracle_dense_orbit(s, depth: int) -> CheckReport:
     if s.alphabet != 2:
         raise InputError("dense-orbit words are built over a binary alphabet")
     word = dense_orbit_word(depth)
-    _, _, points = _witness_orbit(s, _as_word(s, word), word)
+    _, _, points = _witness_orbit(s, word)
     rep = CheckReport(f"{s.kind} dense orbit, depth {depth}, |word| = {len(word)}")
     missing = []
     for bits in product("01", repeat=depth):
@@ -74,7 +74,7 @@ def oracle_dense_orbit(s, depth: int) -> CheckReport:
 def oracle_periodic_point(s, word: str) -> PeriodicOrbit:
     """The fixed point of the branch laws composed along the word's
     primitive root, certified on its `Fraction` orbit."""
-    syms = _as_word(s, word)
+    syms = tuple(map(int, _as_word(s, word)))
     if not syms:
         raise InputError("word must be nonempty")
     n = len(syms)

@@ -537,7 +537,7 @@ def test_escaping_orbit_raises_with_the_whole_space_as_kernel(monkeypatch):
     # with the kernel answering the whole space, the witness is the space's
     # midpoint and only the forward certificate stands between it and the
     # word: it must fail exactly where the Fraction orbit first escapes
-    monkeypatch.setattr(chaos, "_enclosure", lambda s, syms, word: s.space)
+    monkeypatch.setattr(chaos, "_enclosure", lambda s, word: s.space)
     escaped = 0
     for s in RANDOM_WORD_SYSTEMS.values():
         for n in range(1, 7):
@@ -696,9 +696,9 @@ def realized_words(monkeypatch):
     words = []
     realize = chaos._witness_orbit
 
-    def spy(s, syms, word):
+    def spy(s, word):
         words.append(word)
-        return realize(s, syms, word)
+        return realize(s, word)
     monkeypatch.setattr(chaos, "_witness_orbit", spy)
     return words
 
@@ -759,7 +759,7 @@ def test_transitivity_fails_without_realizing_the_pair(monkeypatch):
         assert verdict(oracle_transitivity, s, depth) == \
             (ConstructionError, msg)
 
-    def refuse(s, syms, word):
+    def refuse(s, word):
         raise AssertionError(f"realized {word} on {s.kind}")
     monkeypatch.setattr(chaos, "_witness_orbit", refuse)
     for (s, depth), msg in want.items():
@@ -768,7 +768,7 @@ def test_transitivity_fails_without_realizing_the_pair(monkeypatch):
 
 
 def test_transitivity_realizes_no_pair_on_transitive_systems(monkeypatch):
-    def refuse(s, syms, word):
+    def refuse(s, word):
         raise AssertionError(f"realized {word} on {s.kind}")
     monkeypatch.setattr(chaos, "_witness_orbit", refuse)
     for kind in SYSTEM_KINDS:
@@ -805,13 +805,33 @@ def test_cells_match_word_enclosures(s):
                 want[u] = word_enclosure(s, u)
             except ConstructionError as exc:
                 with pytest.raises(ConstructionError) as got:
-                    chaos._cells(s, words)
+                    chaos._cells(s, depth)
                 assert str(got.value) == str(exc)
                 break
         else:
-            for u, (boxes, dens) in zip(words, chaos._cells(s, words)):
+            cells = chaos._cells(s, depth)
+            assert [u for u, _, _ in cells] == words
+            for u, boxes, dens in cells:
                 assert region([grid_box(*zip(*box), dens)
                                for box in boxes]) == want[u], (s.kind, u)
+
+
+def times_mod_1(n):
+    """x -> n*x mod 1 on n events [j/n, (j+1)/n]."""
+    return custom_system(f"times{n}",
+                         [[box1(F(j, n), F(j + 1, n))] for j in range(n)],
+                         [((n, -j),) for j in range(n)])
+
+
+def test_ten_events_is_the_most_a_digit_word_names():
+    # symbol 9 is the last one digit names: "10" is the symbols 1, 0
+    s = times_mod_1(10)
+    assert realize_witness(s, "9").witness == (F(19, 20),)
+    assert realize_witness(s, "10").orbit == ((F(21, 200),), (F(1, 20),))
+    assert transitivity_check(s, 1).all_passed
+    with pytest.raises(InputError) as exc:
+        times_mod_1(11)
+    assert str(exc.value) == "at most 10 events fit one-digit symbols, got 11"
 
 
 # ---------------------------------------------------------------------------

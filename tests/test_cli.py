@@ -3,8 +3,11 @@ the exit-code contract, and format equivalence."""
 
 import argparse
 import csv
+import errno
 import io
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -110,6 +113,7 @@ def test_every_parser_leaf_has_one_table_entry():
     assert sorted(leaves) == sorted(cli.COMMANDS)
 
 
+REALIZE = ["chaos", "realize", "--system", "doubling", "--word", "01"]
 SQUARE_PIN = ["surject", "--kind", "waypoint", "--target", "square",
               "--point", "1/2=1/2,1/2"]
 
@@ -190,6 +194,9 @@ OUT_OF_RANGE = [
     ["surject", "--kind", "waypoint", "--point", "1/2=1/2", "--block", "00:1"],
     ["surject", "--kind", "block", "--swap-halves", "--point", "1/2=1/2",
      "--depth", "3"],
+    # two block presets
+    ["surject", "--kind", "block", "--swap-halves", "--block", "00:1",
+     "--depth", "3"],
 ]
 
 
@@ -225,6 +232,71 @@ def test_unwritable_out_rejected_before_running(out, tmp_path, capsys,
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("options", [
+    ["--format", "csv"], ["--format", "csv", "--decimal", "3"],
+])
+def test_document_options_need_out(options, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(REALIZE + options) == 2
+    assert capsys.readouterr() == ("", "primchaos: error: --format csv and "
+                                       "--decimal need --out\n")
+    assert list(tmp_path.iterdir()) == []
+    # the default format, named, changes nothing
+    assert main(REALIZE + ["--format", "json"]) == 0
+    assert capsys.readouterr().out.endswith("result: PASS\n")
+
+
+@pytest.mark.parametrize("argv,code", [
+    (REALIZE, 0),
+    (["fintop", "verify-prop5", "--space", "chain3", "--blocks", "ac|b",
+      "--reps", "a,b"], 1),
+])
+def test_out_failing_at_write_time_rejected(argv, code, tmp_path, capsys,
+                                            monkeypatch):
+    # the name passes the early checks, and open fails after the run: the
+    # summary is not printed and nothing is written
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == code
+    capsys.readouterr()
+    out = "x" * 300
+    assert main(argv + ["--out", out]) == 2
+    assert capsys.readouterr() == (
+        "", f"primchaos: error: cannot write --out {out!r}: "
+            f"{os.strerror(errno.ENAMETOOLONG)}\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_out_failing_mid_write_leaves_no_file(tmp_path, capsys, monkeypatch):
+    class Full(io.FileIO):
+        def write(self, data):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "open", lambda path, mode: Full(path, mode),
+                        raising=False)
+    assert main(REALIZE + ["--out", "out.json"]) == 2
+    assert capsys.readouterr() == (
+        "", f"primchaos: error: cannot write --out 'out.json': "
+            f"{os.strerror(errno.ENOSPC)}\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_python_m_primchaos_runs_the_cli(tmp_path):
+    name, argv, code, has_doc = next(c for c in CASES
+                                     if c[0] == "chaos_realize_doubling_01")
+    src = str(Path(cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    run = subprocess.run([sys.executable, "-m", "primchaos", *argv],
+                         cwd=tmp_path, env=env, capture_output=True,
+                         text=True, timeout=60)
+    assert run.returncode == code
+    assert run.stdout == (GOLDEN_DIR / f"{name}.out").read_text()
+    assert run.stderr == (GOLDEN_DIR / f"{name}.err").read_text()
+    assert (tmp_path / "out.json").read_bytes() == \
+        (GOLDEN_DIR / f"{name}.doc.json").read_bytes()
+
+
 def _path_parsers(parser, argv):
     """The parsers argv passes through: the root, its group and its leaf."""
     yield parser
@@ -249,7 +321,6 @@ def _parse_outcome(parser, argv, capsys):
             [p.format_help() for p in _path_parsers(parser, argv)])
 
 
-REALIZE = ["chaos", "realize", "--system", "doubling", "--word", "01"]
 LEAVES = [["embed"]] + [["surject", "--kind", path[1]] if path[0] == "surject"
                         else list(path) for path in cli.COMMANDS
                         if path != ("embed",)]

@@ -93,6 +93,18 @@ def test_rational_serialization():
         parse_rational("1/0")
 
 
+def test_rat_reads_strings_and_rejects_floats():
+    assert rat("3/4") == F(3, 4)
+    assert rat(" -5/10 ") == F(-1, 2)
+    assert rat("7") == rat(7) == F(7)
+    with pytest.raises(InputError):
+        rat("3/4/5")
+    with pytest.raises(InputError) as exc:
+        rat(0.5)
+    assert str(exc.value) == "floats are not accepted; pass an int, " \
+                             "Fraction or 'p/q' string"
+
+
 def test_decimal_str_truncates():
     assert decimal_str(F(1, 3), 4) == "0.3333"
     assert decimal_str(F(2, 3), 4) == "0.6666"  # truncated, not rounded

@@ -415,11 +415,25 @@ def test_multi_cylinder_blocks_with_staircase():
     assert evaluate_symbolic(f, "000") == ["0"]
     # tail "1" is still mid-staircase: both remaining targets possible
     assert evaluate_symbolic(f, "001") == ["10", "11"]
+    # a prefix shorter than a block's cylinders reaches its every target
+    assert evaluate_symbolic(f, "0") == ["0", "10", "11"]
+    assert evaluate_symbolic(f, "") == ["", "0", "10", "11"]
     # enclosures nest as the prefix extends
     for word in ("00", "000", "0010", "0011", "1", "10"):
         child = evaluate_map(f, word + "0")
         parent = evaluate_map(f, word)
         assert region_subset(child, parent), word
+
+
+def test_block_modulus_is_one_below_the_longest_cylinder():
+    # a prefix shorter than the 2-bit cylinders may span two blocks, so the
+    # bound is the whole target's diameter; then a third per bit
+    f = block_surjection(
+        [ClopenBlock(("00",)), ClopenBlock(("01",)), ClopenBlock(("1",))],
+        [ClopenBlock(("11",)), ClopenBlock(("10",)), ClopenBlock(("0",))])
+    assert [f.modulus(n) for n in range(4)] == [1, 1, F(1, 9), F(1, 27)]
+    for w in ("", "0", "1", "00", "01", "10", "011"):
+        assert diameter(evaluate_map(f, w)) <= f.modulus(len(w)), w
 
 
 def test_block_surjection_input_errors():
@@ -713,6 +727,16 @@ def test_waypoint_single_interval_example():
     assert evaluate_waypoint_exact(ws, lo + (hi - lo) / 2) == (F(1),)
 
 
+def test_waypoint_single_pin_at_one_gets_a_copy_at_zero():
+    ws = waypoint_surjection(waypoint_map([(F(1), (F(1, 3),))], "interval"))
+    assert [p[:3] for p in ws.pieces] == [
+        (0, F(1, 3), "linear"), (F(1, 3), F(2, 3), "sweep"),
+        (F(2, 3), 1, "linear")]
+    assert evaluate_waypoint_exact(ws, F(0)) == \
+        evaluate_waypoint_exact(ws, F(1)) == (F(1, 3),)
+    assert verify_waypoint_surjection(ws, resolution=4).all_passed
+
+
 def test_waypoint_square_two_pins_example():
     ws = waypoint_surjection(waypoint_map(
         [(F(1, 4), (F(0), F(0))), (F(3, 4), (F(1), F(1)))], "square"))
@@ -772,6 +796,23 @@ def test_sweep_cell_enclosures_tile_square():
         assert b.side(0) == side and b.side(1) == side
         seen.add((b.lo[0], b.lo[1]))
     assert len(seen) == 4 ** depth
+
+
+def test_sweep_cell_enclosures_on_the_interval():
+    # each cell's enclosure is the range of the sweep's exact values over
+    # it, sampled at 17 points; the one cell of depth 0 straddles u = 1/2,
+    # where the sweep reaches 1
+    ws = waypoint_surjection(waypoint_map([(F(1, 2), (F(0),))], "interval"))
+    lo, hi = sweep_segments(ws)[0]
+    for depth in range(3):
+        cells = 4 ** depth
+        for j in range(cells):
+            vals = [evaluate_waypoint_exact(
+                ws, lo + (hi - lo) * (j + F(k, 16)) / cells)[0]
+                for k in range(17)]
+            assert sweep_cell_enclosure(ws, 0, j, depth) == \
+                region(box1(min(vals), max(vals))), (depth, j)
+    assert sweep_cell_enclosure(ws, 0, 0, 0) == region(box1(0, 1))
 
 
 def test_descriptors_are_deterministic():
