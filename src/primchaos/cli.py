@@ -306,7 +306,7 @@ def _surject_waypoint(args):
 
 def _space_and_partition(args):
     X = fintop_mod.named_space(args.space)
-    blocks = [list(part) for part in args.blocks.split("|") if part != ""]
+    blocks = [list(part) for part in args.blocks.split("|")]
     return X, fintop_mod.partition(X, blocks)
 
 

@@ -10,8 +10,9 @@ specialization preorder, which corresponds to the topology one-to-one
 continuous iff f(U_x) is inside U_{f(x)} for every x, and a quotient's
 neighbourhoods are the transitive closure of the block relation.  The family
 of open sets (the masks that contain U_x for each of their points x) is
-only derived, for display and serialization.  On 4 labelled points there are
-355 topologies.
+only derived, for display and serialization.  Enumeration picks the rows in
+turn, each among the submasks of the cap of the earlier rows through its
+point: 355 topologies on 4 labelled points, 6942 on 5.
 
 A finite space is Hausdorff iff it is discrete, so the compact-Hausdorff
 hypotheses of the representative-subspace and fiber-quotient facts
@@ -51,9 +52,10 @@ def _labels_of(points: Sequence[str], mask: int) -> Tuple[str, ...]:
 def _union(masks: Sequence[int], select: int) -> int:
     """OR of masks[i] over the set bits i of select."""
     out = 0
-    for i, m in enumerate(masks):
-        if select >> i & 1:
-            out |= m
+    while select:
+        low = select & -select
+        out |= masks[low.bit_length() - 1]
+        select ^= low
     return out
 
 
@@ -160,19 +162,36 @@ def subspace(X: FiniteTopSpace, subset: Sequence[str]) -> FiniteTopSpace:
 
 @dataclass(frozen=True)
 class Partition:
-    """Disjoint nonempty blocks covering a space's points."""
+    """Disjoint nonempty blocks covering a space's points; masks holds each
+    block's point mask, bits each point's block bit (1 << its block's
+    index) and labels each block's label."""
 
     points: Tuple[str, ...]
     blocks: Tuple[Tuple[str, ...], ...]
+    masks: Tuple[int, ...] = field(init=False, repr=False, compare=False)
+    bits: Tuple[int, ...] = field(init=False, repr=False, compare=False)
+    labels: Tuple[str, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        seen: List[str] = []
-        for b in self.blocks:
-            if not b:
-                raise InputError("partition blocks must be nonempty")
-            seen.extend(b)
-        if sorted(seen) != sorted(self.points) or len(set(seen)) != len(seen):
+        if not all(self.blocks):
+            raise InputError("partition blocks must be nonempty")
+        index = {p: i for i, p in enumerate(self.points)}
+        bits = [0] * len(self.points)
+        masks = []
+        for k, b in enumerate(self.blocks):
+            mask = 0
+            for p in b:
+                i = index.get(p)
+                if i is None or bits[i]:
+                    raise InputError("blocks must partition the points exactly")
+                bits[i] = 1 << k
+                mask |= 1 << i
+            masks.append(mask)
+        if not all(bits):  # a point in no block, or a label given twice
             raise InputError("blocks must partition the points exactly")
+        object.__setattr__(self, "masks", tuple(masks))
+        object.__setattr__(self, "bits", tuple(bits))
+        object.__setattr__(self, "labels", tuple(map(block_label, self.blocks)))
 
 
 def partition(X: FiniteTopSpace, blocks: Iterable[Iterable[str]]) -> Partition:
@@ -236,16 +255,13 @@ def decomposition_topology(X: FiniteTopSpace, D: Partition) -> FiniteTopSpace:
     """
     if D.points != X.points:
         raise InputError("partition is over different points")
-    block_masks = [X.mask(b) for b in D.blocks]
-    reach = []
-    for bm in block_masks:
-        up = _union(X.nbhds, bm)
-        reach.append(sum(1 << c for c, cm in enumerate(block_masks) if cm & up))
+    # the blocks that meet U_x for some x in b: the block bits of those points
+    reach = [_union(D.bits, _union(X.nbhds, bm)) for bm in D.masks]
     for k in range(len(reach)):
         for a, ra in enumerate(reach):
             if ra >> k & 1:
                 reach[a] = ra | reach[k]
-    return FiniteTopSpace(tuple(block_label(b) for b in D.blocks), tuple(reach))
+    return FiniteTopSpace(D.labels, tuple(reach))
 
 
 def is_continuous(f: FiniteMap) -> bool:
@@ -309,7 +325,7 @@ def verify_prop5(X: FiniteTopSpace, D: Partition,
     hausdorff = is_hausdorff(X)
     Y = subspace(X, list(reps))
     quot = decomposition_topology(X, D)
-    h = finite_map(Y, quot, {r: block_label(b) for r, b in zip(reps, D.blocks)})
+    h = finite_map(Y, quot, dict(zip(reps, D.labels)))
     ok = is_homeomorphism(h)
     detail = "X is discrete (finite Hausdorff)" if hausdorff else \
         "hypothesis unmet: X is not Hausdorff; result informational"
@@ -329,8 +345,7 @@ def verify_lemma7(f: FiniteMap) -> HypothesisResult:
     hausdorff = is_hausdorff(f.codomain)
     D = fiber_partition(f)
     quot = decomposition_topology(f.domain, D)
-    h = finite_map(quot, f.codomain, {block_label(b): y for b, y
-                                      in zip(D.blocks, f.codomain.points)})
+    h = finite_map(quot, f.codomain, dict(zip(D.labels, f.codomain.points)))
     ok = is_homeomorphism(h)
     detail = "codomain is discrete (finite Hausdorff)" if hausdorff else \
         "hypothesis unmet: codomain is not Hausdorff; result informational"
@@ -348,7 +363,10 @@ def all_topologies(points: Sequence[str]) -> List[FiniteTopSpace]:
 
     A finite topology corresponds one-to-one with a reflexive transitive
     relation, whose row i is the minimal open neighbourhood of point i.
-    Rows are chosen depth first with transitivity pruning, so the search
+    Rows are chosen depth first.  Row i must lie inside the cap, the AND of
+    the earlier rows that hold point i, so its candidates are the submasks
+    of the cap that hold bit i, tried in increasing order; a candidate is
+    kept iff it contains the earlier rows of its own points.  The search
     stays far below the 2^(n^2-n) naive bound (355 topologies on 4 points,
     6942 on 5).
     """
@@ -361,17 +379,21 @@ def all_topologies(points: Sequence[str]) -> List[FiniteTopSpace]:
         if i == n:
             found.append(tuple(rows))
             return
-        for extra in range(1 << n):
-            if extra >> i & 1:
-                continue  # bit i is forced on; skip duplicates
-            new = extra | (1 << i)
-            rows.append(new)
-            # transitivity holds among the earlier rows; check what the new
-            # row changes: its own closure, and each earlier row through i
-            if _union(rows, new) == new and \
-                    all(r | new == r for r in rows if r >> i & 1):
+        bit = 1 << i
+        cap = (1 << n) - 1
+        for r in rows:
+            if r & bit:
+                cap &= r
+        rest, sub = cap ^ bit, 0
+        while True:  # the submasks of rest, in increasing order
+            new = sub | bit
+            if _union(rows, new & (bit - 1)) | new == new:
+                rows.append(new)
                 rec(i + 1)
-            rows.pop()
+                rows.pop()
+            if sub == rest:
+                break
+            sub = (sub - rest) & rest
 
     rec(0)
     return [FiniteTopSpace(pts, relation) for relation in found]
@@ -405,15 +427,17 @@ def sweep(points: Sequence[str]) -> CheckReport:
     decomposition of every topology builds a valid space, and decomposing
     by singletons gives a space homeomorphic to the original."""
     spaces = all_topologies(points)
-    parts = all_partitions(points)
+    pts = tuple(points)
+    parts = [Partition(pts, blocks) for blocks in all_partitions(pts)]
+    singletons = Partition(pts, tuple((p,) for p in pts))
     n_valid = n_funct = 0
     for X in spaces:
-        for blocks in parts:
+        for D in parts:
             # construction validates the quotient's neighbourhoods
-            decomposition_topology(X, Partition(X.points, blocks))
+            decomposition_topology(X, D)
             n_valid += 1
-        Q = decomposition_topology(X, partition(X, [[p] for p in X.points]))
-        n_funct += is_homeomorphism(finite_map(X, Q, {p: p for p in X.points}))
+        Q = decomposition_topology(X, singletons)
+        n_funct += is_homeomorphism(finite_map(X, Q, {p: p for p in pts}))
     rep = CheckReport(f"fintop sweep on {len(points)} labelled points")
     rep.add("decomposition_topologies_valid",
             n_valid == len(spaces) * len(parts),
@@ -430,21 +454,20 @@ def sweep(points: Sequence[str]) -> CheckReport:
 # ---------------------------------------------------------------------------
 
 
+_DISCRETE = {f"discrete{n}": "abcdefgh"[:n] for n in range(1, 9)}
+
+
 def named_space(name: str) -> FiniteTopSpace:
-    """Built-in spaces the CLI and docs share: chain3, sierpinski, discreteN."""
+    """Built-in spaces the CLI and docs share: chain3, sierpinski, and
+    discreteN for N one digit 1-8."""
     if name == "chain3":
         return space("abc", [[], ["a"], ["a", "b"], ["a", "b", "c"]])
     if name == "sierpinski":
         return space("ab", [[], ["a"], ["a", "b"]])
-    if name.startswith("discrete"):
-        try:
-            n = int(name[len("discrete"):])
-        except ValueError:
-            raise InputError(f"unknown space {name!r}") from None
-        if not 1 <= n <= 8:
-            raise InputError("discreteN supports 1 <= N <= 8")
-        return discrete_space(tuple("abcdefgh"[:n]))
-    raise InputError(f"unknown space {name!r}; try chain3, sierpinski, discreteN")
+    if name in _DISCRETE:
+        return discrete_space(_DISCRETE[name])
+    raise InputError(f"unknown space {name!r}; try chain3, sierpinski, "
+                     f"discrete1..discrete8")
 
 
 def space_document(X: FiniteTopSpace) -> dict:

@@ -197,6 +197,15 @@ OUT_OF_RANGE = [
     # two block presets
     ["surject", "--kind", "block", "--swap-halves", "--block", "00:1",
      "--depth", "3"],
+    # discreteN spelled other than as one digit 1-8
+    *(["fintop", "quotient", "--space", name, "--blocks", "ab|cd"]
+      for name in ["discrete+4", "discrete04", "discrete 4", "discrete0_4",
+                   "discrete\u0664"]),
+    # an empty --blocks part
+    ["fintop", "quotient", "--space", "chain3", "--blocks", "ab||c"],
+    ["fintop", "quotient", "--space", "chain3", "--blocks", "|ab|c|"],
+    ["fintop", "verify-prop5", "--space", "chain3", "--blocks", "ab||c",
+     "--reps", "a,c"],
 ]
 
 

@@ -5,13 +5,23 @@ Spaces are stored as minimal open neighbourhoods; the oracles below restate
 every operation by its open-set definition (enumerating the derived opens)
 and are compared with the fast routines exhaustively on small spaces."""
 
+import random
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from fintop_oracle import (
+    oracle_decomposition_topology,
+    oracle_topology_rows,
+    oracle_union,
+)
 from primchaos.errors import InputError
 from primchaos.fintop import (
     FiniteTopSpace,
+    Partition,
+    _union,
     all_maps,
     all_partitions,
     all_topologies,
@@ -148,6 +158,22 @@ def test_topology_counts():
     assert len(all_topologies("abcde")) == 6942
 
 
+def test_topology_enumeration_order_matches_full_scan():
+    # the cap-submask search yields the same rows in the same order as the
+    # search over every candidate row
+    for n in range(6):
+        spaces = all_topologies("abcde"[:n])
+        assert [X.nbhds for X in spaces] == oracle_topology_rows(n)
+        assert all(X.points == tuple("abcde"[:n]) for X in spaces)
+
+
+@settings(max_examples=300)
+@given(st.lists(st.integers(0, (1 << 12) - 1), max_size=12), st.data())
+def test_union_matches_every_mask_scan(masks, data):
+    select = data.draw(st.integers(0, (1 << len(masks)) - 1))
+    assert _union(masks, select) == oracle_union(masks, select)
+
+
 def test_partition_count_is_bell():
     assert len(all_partitions("ab")) == 2
     assert len(all_partitions("abcd")) == 15
@@ -218,10 +244,55 @@ def test_decomposition_always_topology_exhaustive_4pts():
     for X in spaces:
         for blocks in parts:
             # construction validates the quotient's neighbourhoods; the
-            # opens must be the block families whose union is open
-            Q = decomposition_topology(X, partition(X, [list(b) for b in blocks]))
+            # opens must be the block families whose union is open, and the
+            # space the one the label-based construction gives
+            D = partition(X, [list(b) for b in blocks])
+            Q = decomposition_topology(X, D)
             assert Q.points == tuple(block_label(b) for b in blocks)
             assert Q.opens == oracle_quotient_opens(X, blocks)
+            assert Q == oracle_decomposition_topology(X, D)
+
+
+def test_decomposition_matches_label_oracle_seeded_5pts():
+    rng = random.Random(1705)
+    spaces = all_topologies("ebdac")  # a point order other than sorted
+    parts = all_partitions("ebdac")
+    for _ in range(600):
+        X = rng.choice(spaces)
+        blocks = list(rng.choice(parts))
+        rng.shuffle(blocks)
+        D = partition(X, [rng.sample(b, len(b)) for b in blocks])
+        assert decomposition_topology(X, D) == \
+            oracle_decomposition_topology(X, D)
+
+
+def test_partition_derived_fields_match_blocks():
+    points = tuple("dbeca")
+    for blocks in all_partitions("abcde"):
+        D = Partition(points, blocks)
+        assert D.masks == tuple(sum(1 << points.index(p) for p in b)
+                                for b in blocks)
+        assert D.bits == tuple(
+            1 << next(k for k, b in enumerate(blocks) if p in b)
+            for p in points)
+        assert D.labels == tuple(block_label(b) for b in blocks)
+        # derived fields take no part in equality or repr
+        assert D == Partition(points, blocks)
+        assert hash(D) == hash(Partition(points, blocks))
+        assert repr(D) == f"Partition(points={points!r}, blocks={blocks!r})"
+
+
+@pytest.mark.parametrize("points,blocks,message", [
+    ("abc", (("a", "b"), (), ("c",)), "nonempty"),
+    ("abc", (("a", "b"),), "exactly"),  # c in no block
+    ("abc", (("a", "b"), ("b", "c")), "exactly"),  # b in two blocks
+    ("abc", (("a", "b"), ("c", "z")), "exactly"),  # z is not a point
+    ("aab", (("a",), ("b",)), "exactly"),  # a point label twice
+    ("aab", (("a", "a"), ("b",)), "exactly"),
+])
+def test_partition_rejects_non_partitions(points, blocks, message):
+    with pytest.raises(InputError, match=message):
+        Partition(tuple(points), blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -408,10 +479,20 @@ def test_named_spaces():
     assert named_space("chain3").points == ("a", "b", "c")
     assert named_space("sierpinski").points == ("a", "b")
     assert len(named_space("discrete4").opens) == 16
+    assert [len(named_space(f"discrete{n}").points)
+            for n in range(1, 9)] == list(range(1, 9))
     with pytest.raises(InputError):
         named_space("nonsense")
-    with pytest.raises(InputError):
-        named_space("discrete99")
+
+
+@pytest.mark.parametrize("name", [
+    "discrete", "discrete0", "discrete9", "discrete99", "discrete+4",
+    "discrete04", "discrete 4", "discrete0_4", "discrete\u0664",
+    "discrete4 ", "Discrete4",
+])
+def test_named_space_accepts_only_canonical_discrete_names(name):
+    with pytest.raises(InputError, match="unknown space"):
+        named_space(name)
 
 
 def test_space_document_sorted():
