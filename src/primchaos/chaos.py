@@ -69,6 +69,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import product
 from math import lcm
+from operator import le
 from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import ConstructionError, InputError
@@ -678,10 +679,15 @@ def transitivity_check(s: ChaosSystem, depth: int) -> CheckReport:
     when the image F_u(cell u) meets cell v in a closed box overlap.  The
     images and cells are put on one integer scale per axis.  For each u,
     one containment test settles every v at once when the image holds the
-    whole space, and with it every cell; otherwise an axis index over the
-    cells' boxes returns the v met.  A pair the images leave unconnected has
-    an empty enclosure(u.v), so the first such pair in (u, v) order raises
-    the error that realizing u.v would."""
+    whole space, and with it every cell.  So does a per-axis test when one
+    image box reaches every cell box: on each axis its lo is at most the
+    least cell hi and its hi at least the greatest cell lo (two bounds
+    taken once per depth).  On the baker map every image, a horizontal
+    strip, crosses every cell, a vertical strip, so this test settles each
+    u where the index would return every cell.  Otherwise an axis index
+    over the cells' boxes returns the v met.  A pair the images leave
+    unconnected has an empty enclosure(u.v), so the first such pair in
+    (u, v) order raises the error that realizing u.v would."""
     if not 1 <= depth <= 12:
         raise InputError("transitivity depth must be in 1..12")
     cells = _cells(s, depth)
@@ -701,8 +707,14 @@ def transitivity_check(s: ChaosSystem, depth: int) -> CheckReport:
               for F, (_, boxes, dens) in zip(maps, cells)]
     space = _on_scale(t.space, t.dens, identity, scale)
     index = AxisIndex(cell_boxes)
+    every = [b for boxes in cell_boxes for b in boxes]
+    least_hi = tuple(map(min, zip(*[b.hi for b in every])))
+    greatest_lo = tuple(map(max, zip(*[b.lo for b in every])))
     for (u, _, _), image in zip(cells, images):
         if not closed_difference(space, image):
+            continue
+        if any(all(map(le, b.lo, least_hi)) and all(map(le, greatest_lo, b.hi))
+               for b in image):
             continue
         met = {j for b in image for j, _ in index.near(b.lo, b.hi)}
         for j, (v, _, _) in enumerate(cells):

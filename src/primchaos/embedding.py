@@ -28,19 +28,28 @@ the boundary: the `tree.cells` view, `evaluate_address` and
 `tree_document`.  Each tree has one such view, and it builds each
 address's `Fraction` Cell at most once.
 
-Input is validated at the public boundary.  `subdivide` checks that the
-cell lies in the model and holds its marked points; `build_refinement`
-steps without those checks, as each cell it builds lies in its parent with
-its marked points at corners, and the stage checks certify the result.
+Per level the stage checks share their set-up: one axis index of the
+level's boxes serves checks (i), (iii) and (iv), and one bounding box per
+cell serves checks (ii) and (iv).  Check (iii) looks up each distinct
+next-level marked point once, with every cell whose children mark it.
+
+Input is validated at the public boundary.  The `RefinementTree`
+constructor takes exactly the binary addresses of length 0..depth.
+`subdivide` checks that the cell lies in the model and holds its marked
+points; `build_refinement` steps without those checks, as each cell it
+builds lies in its parent with its marked points at corners, and the stage
+checks certify the result.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import lcm
+from operator import sub
 from types import MappingProxyType
 from typing import Tuple
 
@@ -50,9 +59,9 @@ from .geometry import (
     Box,
     Region,
     binary_word,
+    bounding_box,
     chebyshev_ball,
     closed_difference,
-    diameter,
     distance,
     grid_box,
     grid_point,
@@ -159,6 +168,24 @@ class _FractionCells(Mapping):
         return len(self._grid)
 
 
+def _check_addresses(depth, cells: Mapping[str, Cell]) -> None:
+    """Reject a depth below 0, or addresses other than exactly the binary
+    words of length 0..depth: every address is such a word, the root is
+    there, and every address shorter than depth has both children."""
+    if not isinstance(depth, int) or depth < 0:
+        raise InputError(f"tree depth must be an int >= 0, got {depth!r}")
+    for a in cells:
+        if len(binary_word(a)) > depth:
+            raise InputError(f"address {a!r} is deeper than the tree depth {depth}")
+    if "" not in cells:
+        raise InputError("a refinement tree needs its root cell ''")
+    for a in cells:
+        if len(a) < depth:
+            for child in (a + "0", a + "1"):
+                if child not in cells:
+                    raise InputError(f"tree of depth {depth} has no cell {child!r}")
+
+
 @dataclass(frozen=True, init=False)
 class RefinementTree:
     """The full refinement to a fixed depth: one Cell per binary address.
@@ -178,7 +205,9 @@ class RefinementTree:
     def __init__(self, model: PeanoModel, depth: int,
                  cells: Mapping[str, Cell]):
         """A tree of the given rational cells, put on the lcm grid of all
-        their coordinates' denominators."""
+        their coordinates' denominators.  The addresses must be exactly the
+        binary words of length 0..depth, else `InputError`."""
+        _check_addresses(depth, cells)
         scale = _lcm_scale(cells.values())
         self._fill(model, depth,
                    {a: _onto_grid(c, scale) for a, c in cells.items()}, scale)
@@ -311,8 +340,10 @@ def check_stage_invariants(tree: RefinementTree, level: int) -> CheckReport:
     cells = [grid[a] for a in addrs]
     rep = CheckReport(f"{tree.model.kind} depth={tree.depth} level={level}")
 
-    # one axis-0 index of the level's boxes serves checks (i), (iii), (iv)
+    # one axis-0 index of the level's boxes serves checks (i), (iii), (iv),
+    # and one bounding box per cell serves checks (ii) and (iv)
     index = AxisIndex([c.region.boxes for c in cells])
+    bounds = [bounding_box(c.region.boxes) for c in cells]
 
     # (i) pairwise disjointness, sweeping the index along axis 0
     overlap = index.first_overlap()
@@ -321,13 +352,14 @@ def check_stage_invariants(tree: RefinementTree, level: int) -> CheckReport:
             else f"cells {addrs[overlap[0]]!r} and {addrs[overlap[1]]!r} "
                  f"intersect")
 
-    # (ii) diameter shrink against the parent's marked-point distance
+    # (ii) diameter shrink against the parent's marked-point distance: the
+    # diameter is the widest side of the cell's bounding box
     if level == 0:
         rep.add("diameter_shrink", True, "root level: no parent, vacuous")
     else:
         bad = None
-        for a, cell in zip(addrs, cells):
-            if not 3 * diameter(cell.region) < distance(*grid[a[:-1]].marked):
+        for a, (lo, hi) in zip(addrs, bounds):
+            if not 3 * max(map(sub, hi, lo)) < distance(*grid[a[:-1]].marked):
                 bad = a
                 break
         rep.add("diameter_shrink", bad is None,
@@ -336,27 +368,34 @@ def check_stage_invariants(tree: RefinementTree, level: int) -> CheckReport:
 
     # (iii) perfectness witness via the next level's marked points: the
     # marked points found inside a cell are exactly its two children's
-    # pairs, include the cell's own pair, and never come from elsewhere
+    # pairs, include the cell's own pair, and never come from elsewhere.
+    # Each distinct point is looked up once, with every cell whose children
+    # mark it as its owners.
     if level == tree.depth:
         rep.add("perfectness_witness", True,
                 "deepest level: no refinement below, vacuous")
     else:
-        inside = [[] for _ in cells]  # (point, owner) of each mark in cell
+        owners = defaultdict(set)
         for a in addrs:
             for j in "01":
                 for p in grid[a + j].marked:
-                    for k in {k for k, _ in index.near(p, p)}:
-                        inside[k].append((p, a))
+                    owners[p].add(a)
+        inside = [set() for _ in cells]  # the marked points in each cell
+        foreign = [False] * len(cells)
+        for p, own in owners.items():
+            for k, _ in index.near(p, p):
+                inside[k].add(p)
+                if len(own) > 1 or addrs[k] not in own:
+                    foreign[k] = True
         bad_reason = ""
         for idx, a in enumerate(addrs):
-            pts = {p for p, _ in inside[idx]}
-            if any(owner != a for _, owner in inside[idx]):
+            if foreign[idx]:
                 bad_reason = f"cell {a!r} contains a foreign marked point"
                 break
-            if not set(cells[idx].marked) <= pts:
+            if not inside[idx].issuperset(cells[idx].marked):
                 bad_reason = f"cell {a!r} lost a marked point"
                 break
-            if len(pts) < 2:
+            if len(inside[idx]) < 2:
                 bad_reason = f"cell {a!r} holds fewer than two marked points"
                 break
         rep.add("perfectness_witness", not bad_reason,
@@ -365,14 +404,11 @@ def check_stage_invariants(tree: RefinementTree, level: int) -> CheckReport:
     # (iv) clopen trace: closure(level union minus cell) = other cells.
     # Boxes whose bounding box avoids the cell pass through both sides
     # untouched, so only the boxes near the cell need exact subtraction.
-    dim = tree.model.dim
     bad_reason = ""
-    for idx, a in enumerate(addrs):
-        cboxes = cells[idx].region.boxes
-        clo = tuple(min(b.lo[ax] for b in cboxes) for ax in range(dim))
-        chi = tuple(max(b.hi[ax] for b in cboxes) for ax in range(dim))
-        window = index.near(clo, chi)
-        diff_near = closed_difference([b for _, b in window], cboxes)
+    for idx, (a, (lo, hi)) in enumerate(zip(addrs, bounds)):
+        window = index.near(lo, hi)
+        diff_near = closed_difference([b for _, b in window],
+                                      cells[idx].region.boxes)
         expect_near = [b for j, b in window if j != idx]
         if sorted(diff_near, key=Box.sort_key) != \
                 sorted(expect_near, key=Box.sort_key):

@@ -22,6 +22,13 @@ hold corners as `int` numerators over one denominator per axis.  Boxes,
 corners unchanged; `grid_box` and `grid_point` are the one way back to
 `Fraction` corners.
 
+The box primitives run once per cell on the refinement and chaos paths,
+so they do their per-axis work with `map` over `operator` functions, with
+no generator per axis.  Each has one code path, with two one-box
+shortcuts that give what the general path gives: a one-box list is its
+own `bounding_box` (so a one-box `diameter` is its widest side), and two
+one-box regions meet in one `box_intersect` (`region_intersect`).
+
 The metric is the Chebyshev max-norm.  It is topologically equivalent to
 the Euclidean metric and, unlike it, exactly computable over the rationals
 (no square roots), so every distance/diameter comparison below is an exact
@@ -33,7 +40,8 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import product, repeat
+from operator import add, gt, le, sub
 from typing import Optional, Sequence
 
 from .errors import InputError
@@ -97,7 +105,7 @@ def distance(p: Point, q: Point) -> Fraction:
     """Chebyshev (max-coordinate) distance between two points."""
     if len(p) != len(q):
         raise InputError(f"dimension mismatch: {len(p)} vs {len(q)}")
-    return max(abs(a - b) for a, b in zip(p, q))
+    return max(map(abs, map(sub, p, q)))
 
 
 # ---------------------------------------------------------------------------
@@ -120,7 +128,7 @@ class Box:
     def __post_init__(self):
         if len(self.lo) != len(self.hi):
             raise InputError("box corner dimension mismatch")
-        if any(l > h for l, h in zip(self.lo, self.hi)):
+        if any(map(gt, self.lo, self.hi)):
             raise InputError(f"box needs lo <= hi per axis: {self.lo} .. {self.hi}")
 
     @property
@@ -146,21 +154,23 @@ def box2(xlo, xhi, ylo, yhi) -> Box:
 
 
 def box_intersect(a: Box, b: Box) -> Optional[Box]:
-    lo = tuple(max(x, y) for x, y in zip(a.lo, b.lo))
-    hi = tuple(min(x, y) for x, y in zip(a.hi, b.hi))
-    if any(l > h for l, h in zip(lo, hi)):
+    """The closed boxes' common box, or None; boxes that touch share a
+    degenerate box."""
+    lo = tuple(map(max, a.lo, b.lo))
+    hi = tuple(map(min, a.hi, b.hi))
+    if any(map(gt, lo, hi)):
         return None
     return Box(lo, hi)
 
 
 def box_disjoint(a: Box, b: Box) -> bool:
     """True iff the closed boxes share no point (touching is NOT disjoint)."""
-    return any(al > bh or bl > ah
-               for al, ah, bl, bh in zip(a.lo, a.hi, b.lo, b.hi))
+    return any(map(gt, a.lo, b.hi)) or any(map(gt, b.lo, a.hi))
 
 
 def chebyshev_ball(center: Point, radius: Fraction) -> Box:
-    return Box(tuple(c - radius for c in center), tuple(c + radius for c in center))
+    return Box(tuple(map(sub, center, repeat(radius))),
+               tuple(map(add, center, repeat(radius))))
 
 
 def grid_point(nums: Sequence[int], dens: Sequence[int]) -> Point:
@@ -223,8 +233,8 @@ class Region:
         return any(b.contains_point(p) for b in self.boxes)
 
     def bounding_range(self, axis: int) -> tuple:
-        return (min(b.lo[axis] for b in self.boxes),
-                max(b.hi[axis] for b in self.boxes))
+        lo, hi = bounding_box(self.boxes)
+        return lo[axis], hi[axis]
 
 
 def _canonical_boxes(boxes: Sequence[Box]) -> tuple:
@@ -278,23 +288,34 @@ def region(boxes) -> Region:
     return Region(_canonical_boxes(boxes))
 
 
+def bounding_box(boxes: Sequence[Box]) -> tuple:
+    """(lo, hi): the corners of the least box holding every box of a
+    nonempty list.  One box is its own bounding box."""
+    if len(boxes) == 1:
+        return boxes[0].lo, boxes[0].hi
+    return (tuple(map(min, zip(*[b.lo for b in boxes]))),
+            tuple(map(max, zip(*[b.hi for b in boxes]))))
+
+
 def diameter(r: Region) -> Fraction:
     """Exact Chebyshev diameter: the widest per-axis extent of the union.
 
     Under the max-norm the diameter of a box union equals the maximum over
-    axes of (global hi - global lo), which corners determine exactly.
+    axes of (global hi - global lo): the widest side of its bounding box,
+    which corners determine exactly.
     """
-    return max(hi - lo for lo, hi in
-               (r.bounding_range(a) for a in range(r.dim)))
+    lo, hi = bounding_box(r.boxes)
+    return max(map(sub, hi, lo))
 
 
 def region_intersect(a: Region, b: Region) -> Optional[Region]:
-    pieces = []
-    for ba in a.boxes:
-        for bb in b.boxes:
-            hit = box_intersect(ba, bb)
-            if hit is not None:
-                pieces.append(hit)
+    """The closed regions' common region, or None.  Two one-box regions
+    meet in one `box_intersect`, which is already canonical."""
+    if len(a.boxes) == 1 and len(b.boxes) == 1:
+        hit = box_intersect(a.boxes[0], b.boxes[0])
+        return None if hit is None else Region((hit,))
+    pieces = [hit for ba in a.boxes for bb in b.boxes
+              if (hit := box_intersect(ba, bb)) is not None]
     if not pieces:
         return None
     return region(pieces)
@@ -320,8 +341,7 @@ def _axis_grid(values, lo, hi):
 
 def _inside(lo, hi, box: Box) -> bool:
     """Whether the closed box with corners lo, hi lies inside `box`."""
-    return all(bl <= l and h <= bh
-               for bl, l, h, bh in zip(box.lo, lo, hi, box.hi))
+    return all(map(le, box.lo, lo)) and all(map(le, hi, box.hi))
 
 
 def closed_difference(minuend: Sequence[Box], subtrahend: Sequence[Box]) -> list:
@@ -342,12 +362,14 @@ def closed_difference(minuend: Sequence[Box], subtrahend: Sequence[Box]) -> list
     """
     out = []
     for b in minuend:
-        subs = [s for s in subtrahend if not box_disjoint(b, s)]
+        blo, bhi = b.lo, b.hi
+        subs = [s for s in subtrahend
+                if all(map(le, s.lo, bhi)) and all(map(le, blo, s.hi))]
         if not subs:
             out.append(b)
-        elif not any(_inside(b.lo, b.hi, s) for s in subs):
+        elif not any(_inside(blo, bhi, s) for s in subs):
             grids = [_axis_grid([v for s in subs for v in (s.lo[ax], s.hi[ax])],
-                                b.lo[ax], b.hi[ax]) for ax in range(b.dim)]
+                                blo[ax], bhi[ax]) for ax in range(b.dim)]
             for cell in product(*grids):
                 lo, hi = zip(*cell)
                 if not any(_inside(lo, hi, s) for s in subs):
@@ -384,8 +406,7 @@ class AxisIndex:
         start = bisect_left(self.los, lo[0] - self.widest)
         stop = bisect_right(self.los, hi[0])
         return [(j, b) for j, b in self.entries[start:stop]
-                if not any(b.lo[ax] > hi[ax] or b.hi[ax] < lo[ax]
-                           for ax in range(len(lo)))]
+                if all(map(le, b.lo, hi)) and all(map(le, lo, b.hi))]
 
     def first_overlap(self):
         """(i, j) for the first two groups with intersecting boxes, or None."""

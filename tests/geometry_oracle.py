@@ -2,16 +2,25 @@
 engine behind containment, subtraction and the 2-d canonical form: the
 1-d interval subtraction and column pass of the canonicalizer, the
 elementary-cell scan, and containment with its own candidate filter and
-single-box shortcut.  Tests compare the engine against these, tuple for
-tuple, list for list and verdict for verdict."""
+single-box shortcut.  And the box primitives and region intersection as
+they were before they did their per-axis work with `map`, and before two
+one-box regions met in one box intersection.  Tests compare the engine
+against these, tuple for tuple, list for list and verdict for verdict."""
 
-from primchaos.geometry import (
-    Box,
-    Region,
-    _merge_intervals,
-    box_disjoint,
-    box_intersect,
-)
+from primchaos.geometry import Box, Region, _merge_intervals
+
+
+def oracle_box_intersect(a, b):
+    lo = tuple(max(x, y) for x, y in zip(a.lo, b.lo))
+    hi = tuple(min(x, y) for x, y in zip(a.hi, b.hi))
+    if any(l > h for l, h in zip(lo, hi)):
+        return None
+    return Box(lo, hi)
+
+
+def oracle_box_disjoint(a, b) -> bool:
+    return any(al > bh or bl > ah
+               for al, ah, bl, bh in zip(a.lo, a.hi, b.lo, b.hi))
 
 
 def oracle_subtract_intervals(pieces, cover):
@@ -73,6 +82,13 @@ def oracle_region(boxes) -> Region:
     return Region(oracle_canonical_boxes(boxes))
 
 
+def oracle_region_intersect(a, b):
+    """Every pairwise box intersection, canonicalized, or None."""
+    pieces = [hit for ba in a.boxes for bb in b.boxes
+              if (hit := oracle_box_intersect(ba, bb)) is not None]
+    return oracle_region(pieces) if pieces else None
+
+
 def _axis_grid(values, lo, hi):
     cuts = sorted({v for v in values if lo < v < hi})
     grid = []
@@ -100,7 +116,7 @@ def _uncovered_cells(target, boxes):
 
 
 def oracle_box_in_boxes(target, boxes) -> bool:
-    cand = [b for b in boxes if box_intersect(target, b) is not None]
+    cand = [b for b in boxes if oracle_box_intersect(target, b) is not None]
     for b in cand:
         if all(bl <= tl and th <= bh for bl, tl, th, bh
                in zip(b.lo, target.lo, target.hi, b.hi)):
@@ -117,7 +133,7 @@ def oracle_region_subset(a, b) -> bool:
 def oracle_closed_difference(minuend, subtrahend) -> list:
     out = []
     for b in minuend:
-        subs = [s for s in subtrahend if not box_disjoint(b, s)]
+        subs = [s for s in subtrahend if not oracle_box_disjoint(b, s)]
         if not subs:
             out.append(b)
             continue

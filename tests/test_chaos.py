@@ -15,7 +15,7 @@ from chaos_oracle import (
     oracle_periodic_point,
     oracle_transitivity,
 )
-from primchaos import chaos, cli
+from primchaos import chaos, cli, geometry
 from primchaos.chaos import (
     SYSTEM_KINDS,
     AffineBranch,
@@ -773,6 +773,16 @@ def test_transitivity_realizes_no_pair_on_transitive_systems(monkeypatch):
     monkeypatch.setattr(chaos, "_witness_orbit", refuse)
     for kind in SYSTEM_KINDS:
         assert transitivity_check(make_system(kind), 6).all_passed, kind
+
+
+def test_transitivity_settles_baker_without_the_index(monkeypatch):
+    # every baker image, a horizontal strip, crosses every cell, a vertical
+    # strip: the per-axis bounds settle each u and the index is never asked
+    def refuse(self, lo, hi):
+        raise AssertionError("asked the axis index")
+    monkeypatch.setattr(geometry.AxisIndex, "near", refuse)
+    for depth in range(1, 7):
+        assert transitivity_check(make_system("baker"), depth).all_passed
 
 
 def test_transitivity_at_the_largest_accepted_depth():

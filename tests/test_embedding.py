@@ -4,9 +4,12 @@ finite-stage certificates the limit argument rests on."""
 import gc
 import sys
 from fractions import Fraction as F
+from functools import lru_cache
 from types import MappingProxyType
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from primchaos import embedding
 from primchaos.embedding import (
@@ -283,13 +286,16 @@ def test_stage_invariants_square_depth2_level1():
     assert check_stage_invariants(t, 1).all_passed
 
 
-def _corrupt(kind, depth, addr, lo=None, hi=None, marked=None):
-    """A tree whose `Fraction` cell at addr gets a new box or marked pair."""
+def _corrupt(kind, depth, addr, lo=None, hi=None, marked=None, extra=None):
+    """A tree whose `Fraction` cell at addr gets a new box or marked pair,
+    or a second box `extra` beside its own."""
     t = build_refinement(make_model(kind), depth)
     cells = dict(t.cells)
     cell = cells[addr]
     if lo is not None:
         cell = Cell(region(Box(lo, hi)), cell.marked)
+    if extra is not None:
+        cell = Cell(region([*cell.region.boxes, extra]), cell.marked)
     cells[addr] = Cell(cell.region, marked or cell.marked)
     return RefinementTree(t.model, t.depth, cells)
 
@@ -316,6 +322,18 @@ CORRUPTED = {
     # square leaf "01" grown over its whole parent, swallowing "00"
     "square_corner_overlap": lambda: _corrupt(
         "square", 2, "01", (F(0), F(0)), (F(1, 4), F(1, 4))),
+    # leaf "10" marks 1/16, which leaf "00" marks too, inside cell "0": the
+    # point has the owners "0" and "1", and "1" is foreign to cell "0"
+    "shared_mark_first": lambda: _corrupt(
+        "interval", 2, "10", marked=((F(1, 16),), (F(13, 16),))),
+    # leaf "00" marks 3/4, which leaf "10" marks too, inside cell "1": the
+    # point has the owners "0" and "1", and "0" is foreign to cell "1"
+    "shared_mark_last": lambda: _corrupt(
+        "interval", 2, "00", marked=((F(0),), (F(3, 4),))),
+    # cell "0" gains a second box [7/8, 1] inside cell "1": the window of
+    # cell "0" must span both its boxes to see "1"
+    "two_box_cell": lambda: _corrupt(
+        "interval", 1, "0", extra=box1(F(7, 8), 1)),
 }
 
 
@@ -347,6 +365,32 @@ def test_corrupted_trees_fail_their_check():
     assert failed("a_third_too_wide", 1) == ["diameter_shrink"]
     assert failed("foreign_mark", 1) == ["perfectness_witness"]
     assert failed("lost_mark", 1) == ["perfectness_witness"]
+    assert failed("two_box_cell", 1) == ["cells_pairwise_disjoint",
+                                         "diameter_shrink", "clopen_trace"]
+    assert check_stage_invariants(CORRUPTED["two_box_cell"](), 1).checks[3] \
+        .witness == "complement of cell '0' is not the other cells"
+    for name in ("shared_mark_first", "shared_mark_last"):
+        rep = check_stage_invariants(CORRUPTED[name](), 1)
+        assert [c.witness for c in rep.checks if not c.passed] == \
+            [f"cell {'01'[name.endswith('last')]!r} contains a foreign "
+             f"marked point"], name
+
+
+def test_tree_constructor_rejects_addresses_off_its_depth():
+    t = build_refinement(make_model("interval"), 2)
+    cells = dict(t.cells)
+    missing = {a: c for a, c in cells.items() if a != "01"}
+    for depth, given_cells, message in (
+            (2, missing, "tree of depth 2 has no cell '01'"),
+            (5, cells, "tree of depth 5 has no cell '000'"),
+            (2, {**cells, "012": cells["01"]}, "must be a string of 0s and 1s"),
+            (2, {**cells, "000": cells["00"]}, "'000' is deeper than the tree"),
+            (2, {a: c for a, c in cells.items() if a}, "needs its root cell"),
+            (-1, cells, "tree depth must be an int >= 0"),
+            (-1, {}, "tree depth must be an int >= 0")):
+        with pytest.raises(InputError, match=message):
+            RefinementTree(t.model, depth, given_cells)
+    assert RefinementTree(t.model, 0, {"": cells[""]}).depth == 0
 
 
 def _linear_window(cells, lo, hi):
@@ -514,3 +558,51 @@ def test_grid_tree_no_larger_than_fraction_tree(kind):
     sizes = [graph_size(build(model, 9))
              for build in (build_refinement, oracle_build)]
     assert sizes[0] <= sizes[1], sizes
+
+
+# ---------------------------------------------------------------------------
+# the stage checks against the Fraction oracle on random trees
+# ---------------------------------------------------------------------------
+
+
+@lru_cache(maxsize=None)
+def _built(kind, depth):
+    return build_refinement(make_model(kind), depth)
+
+
+@st.composite
+def perturbed_trees(draw):
+    """A built tree with up to three cells redrawn, through the public
+    constructor: a cell may gain boxes (multi-box cells, often overlapping
+    others or too wide) and take marks from its boxes' corners or from any
+    cell's marks (lost, foreign and shared marks)."""
+    kind = draw(st.sampled_from(MODEL_KINDS))
+    t = _built(kind, draw(st.integers(0, 3)))
+    cells = dict(t.cells)
+    dim = t.model.dim
+    den = draw(st.sampled_from([4, 16, 64]))
+    coord = st.integers(0, den).map(lambda n: F(n, den))
+    box = st.lists(st.tuples(coord, coord).map(sorted),
+                   min_size=dim, max_size=dim).map(
+        lambda ax: Box(tuple(lo for lo, _ in ax), tuple(hi for _, hi in ax)))
+    for a in draw(st.lists(st.sampled_from(sorted(cells)), max_size=3,
+                           unique=True)):
+        cell = cells[a]
+        boxes = list(cell.region.boxes) if draw(st.booleans()) else []
+        boxes += draw(st.lists(box, min_size=0 if boxes else 1, max_size=2))
+        r = region(boxes)
+        pool = [p for b in r.boxes for p in (b.lo, b.hi)] + \
+            [p for c in cells.values() for p in c.marked]
+        marked = draw(st.one_of(st.just(cell.marked),
+                                st.tuples(st.sampled_from(pool),
+                                          st.sampled_from(pool))))
+        cells[a] = Cell(r, marked)
+    return RefinementTree(t.model, t.depth, cells)
+
+
+@settings(max_examples=300, deadline=None)
+@given(perturbed_trees())
+def test_checks_match_fraction_oracle_on_random_trees(t):
+    for level in range(t.depth + 1):
+        assert check_stage_invariants(t, level) == oracle_check(t, level), \
+            level

@@ -11,12 +11,16 @@ from hypothesis import strategies as st
 from primchaos import geometry
 from primchaos.errors import InputError
 from primchaos.geometry import (
+    AxisIndex,
     Box,
+    Region,
     binary_word,
+    bounding_box,
     box1,
     box2,
     box_disjoint,
     box_in_boxes,
+    box_intersect,
     closed_difference,
     cylinder,
     decimal_str,
@@ -36,9 +40,12 @@ from primchaos.geometry import (
     regions_disjoint,
 )
 from geometry_oracle import (
+    oracle_box_disjoint,
     oracle_box_in_boxes,
+    oracle_box_intersect,
     oracle_closed_difference,
     oracle_region,
+    oracle_region_intersect,
     oracle_region_subset,
 )
 
@@ -354,6 +361,11 @@ def test_region_subset_and_intersect():
     left = region(box1(0, F(1, 3)))
     right = region(box1(F(2, 3), 1))
     assert region_intersect(left, right) is None
+    # closed boxes that touch meet in a degenerate box
+    assert region_intersect(region(box1(0, F(1, 2))), region(box1(F(1, 2), 1))) \
+        == region(box1(F(1, 2), F(1, 2)))
+    assert region_intersect(region(box2(0, 1, 0, 1)), region(box2(1, 2, 1, 2))) \
+        == region(box2(1, 1, 1, 1))
     # subset of a split cover needs the refinement argument
     cover = region([box1(0, F(1, 2)), box1(F(1, 2), 1)])
     assert region_subset(region(box1(F(1, 4), F(3, 4))), cover)
@@ -459,3 +471,66 @@ def test_containment_and_difference_match_oracle(pair):
     a, b = region(minuend), region(subtrahend)
     assert region_subset(a, b) is oracle_region_subset(a, b)
     assert region_subset(b, a) is oracle_region_subset(b, a)
+
+
+# ---------------------------------------------------------------------------
+# the per-axis primitives and their one-box shortcuts against the code they
+# replaced and against their general paths
+# ---------------------------------------------------------------------------
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from([1, 2]).flatmap(
+    lambda dim: st.tuples(box_lists(dim, 3), box_lists(dim, 3))))
+def test_region_intersect_matches_pairwise_oracle(pair):
+    # corners on a 7-point grid make touching, equal and degenerate boxes
+    # common; each pair of boxes is also met as two one-box regions, the
+    # case `region_intersect` settles with one `box_intersect`
+    def typed(r):
+        return None if r is None else _typed(r.boxes)
+
+    a, b = region(pair[0]), region(pair[1])
+    assert typed(region_intersect(a, b)) == \
+        typed(oracle_region_intersect(a, b))
+    for ba in pair[0]:
+        for bb in pair[1]:
+            hit, want = box_intersect(ba, bb), oracle_box_intersect(ba, bb)
+            assert (hit is None) is (want is None)
+            assert hit is None or _typed([hit]) == _typed([want])
+            assert box_disjoint(ba, bb) is oracle_box_disjoint(ba, bb) is \
+                (want is None)
+            one_a, one_b = Region((ba,)), Region((bb,))
+            assert typed(region_intersect(one_a, one_b)) == \
+                typed(oracle_region_intersect(one_a, one_b))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([1, 2]).flatmap(lambda dim: box_lists(dim, 4)))
+def test_bounding_box_and_diameter_match_their_references(boxes):
+    # a one-box list is its own bounding box; the same box twice takes the
+    # general path and must agree with it
+    lo = tuple(min(b.lo[ax] for b in boxes) for ax in range(boxes[0].dim))
+    hi = tuple(max(b.hi[ax] for b in boxes) for ax in range(boxes[0].dim))
+    assert bounding_box(boxes) == (lo, hi)
+    assert diameter(Region(tuple(boxes))) == corner_pair_diameter(boxes)
+    for b in boxes:
+        assert bounding_box((b,)) == bounding_box((b, b)) == (b.lo, b.hi)
+        assert diameter(Region((b,))) == diameter(Region((b, b))) == \
+            corner_pair_diameter([b])
+
+
+def test_one_box_diameter_reads_every_axis():
+    assert diameter(region(box2(0, F(1, 4), 0, 1))) == 1
+    assert diameter(region(box2(0, 1, F(1, 2), F(1, 2)))) == 1
+    assert diameter(region(box2(F(1, 2), F(1, 2), 0, F(1, 3)))) == F(1, 3)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([1, 2]).flatmap(lambda dim: st.tuples(
+    st.lists(box_lists(dim, 3), min_size=1, max_size=4), box_lists(dim, 1))))
+def test_axis_index_near_matches_a_scan(case):
+    groups, (query,) = case
+    want = sorted((j, b.sort_key()) for j, boxes in enumerate(groups)
+                  for b in boxes if not oracle_box_disjoint(b, query))
+    got = AxisIndex(groups).near(query.lo, query.hi)
+    assert sorted((j, b.sort_key()) for j, b in got) == want
