@@ -12,7 +12,11 @@ neighbourhoods are the transitive closure of the block relation.  The family
 of open sets (the masks that contain U_x for each of their points x) is
 only derived, for display and serialization.  Enumeration picks the rows in
 turn, each among the submasks of the cap of the earlier rows through its
-point: 355 topologies on 4 labelled points, 6942 on 5.
+point: 355 topologies on 4 labelled points, 6942 on 5.  `sweep` computes
+the quotient relation of every (topology, partition) pair, reading its
+first step from per-space and per-partition subset tables, and validates
+each distinct relation once per partition; one-off quotients keep `_union`,
+for which building the tables would cost more than it saves.
 
 A finite space is Hausdorff iff it is discrete, so the compact-Hausdorff
 hypotheses of the representative-subspace and fiber-quotient facts
@@ -255,13 +259,31 @@ def decomposition_topology(X: FiniteTopSpace, D: Partition) -> FiniteTopSpace:
     """
     if D.points != X.points:
         raise InputError("partition is over different points")
-    # the blocks that meet U_x for some x in b: the block bits of those points
-    reach = [_union(D.bits, _union(X.nbhds, bm)) for bm in D.masks]
+    return FiniteTopSpace(D.labels, _quotient_relation(D.masks, X.nbhds, D.bits))
+
+
+def _quotient_relation(masks: Sequence[int], ups: Sequence[int],
+                       bits: Sequence[int], union=_union) -> Tuple[int, ...]:
+    """The quotient's neighbourhoods U_b, one per block mask b: first the
+    blocks that meet U_x for some x in b, then the transitive closure of
+    that relation.  union(table, s) is the OR of the per-point masks over
+    the point subset s, of the U_x (ups) or of the block bits (bits):
+    `_union` on the masks, or `list.__getitem__` on their `_subset_table`s."""
+    reach = [union(bits, union(ups, bm)) for bm in masks]
     for k in range(len(reach)):
         for a, ra in enumerate(reach):
             if ra >> k & 1:
                 reach[a] = ra | reach[k]
-    return FiniteTopSpace(D.labels, tuple(reach))
+    return tuple(reach)
+
+
+def _subset_table(masks: Sequence[int]) -> List[int]:
+    """`_union(masks, s)` for every subset s, indexed by s: each mask
+    doubles the table, its bit set in the new upper half."""
+    table = [0]
+    for m in masks:
+        table += [t | m for t in table]
+    return table
 
 
 def is_continuous(f: FiniteMap) -> bool:
@@ -425,17 +447,33 @@ def all_maps(domain: FiniteTopSpace, codomain: FiniteTopSpace) -> List[FiniteMap
 def sweep(points: Sequence[str]) -> CheckReport:
     """Exhaustive small-instance suite on the labelled points: every
     decomposition of every topology builds a valid space, and decomposing
-    by singletons gives a space homeomorphic to the original."""
+    by singletons gives a space homeomorphic to the original.
+
+    Every (topology, partition) pair's quotient relation is computed, its
+    first step read from two tables built once: per topology the up-set of
+    every point subset, per partition the block bits of every point subset.
+    Many topologies give a partition the same relation, and a space is a
+    function of its labels and relation, so each distinct relation is built
+    (and validated) once per partition; the count covers every pair.  The
+    one-off quotients of the functoriality check keep `_union`.
+    """
     spaces = all_topologies(points)
     pts = tuple(points)
     parts = [Partition(pts, blocks) for blocks in all_partitions(pts)]
     singletons = Partition(pts, tuple((p,) for p in pts))
+    ups = [_subset_table(X.nbhds) for X in spaces]
     n_valid = n_funct = 0
-    for X in spaces:
-        for D in parts:
-            # construction validates the quotient's neighbourhoods
-            decomposition_topology(X, D)
+    for D in parts:
+        bits = _subset_table(D.bits)
+        built = set()
+        for up in ups:
+            reach = _quotient_relation(D.masks, up, bits, list.__getitem__)
+            if reach not in built:
+                # construction validates the quotient's neighbourhoods
+                FiniteTopSpace(D.labels, reach)
+                built.add(reach)
             n_valid += 1
+    for X in spaces:
         Q = decomposition_topology(X, singletons)
         n_funct += is_homeomorphism(finite_map(X, Q, {p: p for p in pts}))
     rep = CheckReport(f"fintop sweep on {len(points)} labelled points")

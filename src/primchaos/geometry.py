@@ -232,10 +232,6 @@ class Region:
     def contains_point(self, p: Point) -> bool:
         return any(b.contains_point(p) for b in self.boxes)
 
-    def bounding_range(self, axis: int) -> tuple:
-        lo, hi = bounding_box(self.boxes)
-        return lo[axis], hi[axis]
-
 
 def _canonical_boxes(boxes: Sequence[Box]) -> tuple:
     dims = {b.dim for b in boxes}

@@ -635,10 +635,25 @@ def evaluate_waypoint(ws: WaypointSurjection, t, depth: int = 8) -> Region:
     _check_depth(depth)
     kind, u, exact = _piece_at(ws, t)
     if kind == "sweep" and ws.pinning.target == "square":
-        cells = 4 ** depth
-        j = min((u.numerator * cells) // u.denominator, cells - 1)
-        return region(_curve_box(depth, j))
+        side = 1 << depth
+        return region(_grid_box(_sweep_cell(u, depth), (side, side)))
     return region(Box(exact, exact))
+
+
+def _sweep_cell(u: Fraction, depth: int) -> Tuple[int, int]:
+    """The depth-`depth` curve cell at position u in [0,1] along a square
+    sweep: `_curve_cell` of the index min(floor(u * 4^depth), 4^depth - 1)."""
+    cells = 4 ** depth
+    return _curve_cell(depth, min(u.numerator * cells // u.denominator,
+                                  cells - 1))
+
+
+def _sample_agrees(ws: WaypointSurjection, t, j: int, depth: int) -> bool:
+    """On a square target: whether `evaluate_waypoint(ws, t, depth)` is the
+    region `sweep_cell_enclosure` gives for parameter cell j, decided on the
+    integer cells both box."""
+    kind, u, _ = _piece_at(ws, t)
+    return kind == "sweep" and _sweep_cell(u, depth) == _curve_cell(depth, j)
 
 
 def sweep_segments(ws: WaypointSurjection) -> List[Tuple[Fraction, Fraction]]:
@@ -711,13 +726,17 @@ def verify_waypoint_surjection(ws: WaypointSurjection,
                     "triangle wave image is [0,1] exactly")
         else:
             # pointwise evaluator must agree with the cell enclosures on a
-            # deterministic sample of parameter-cell midpoints
+            # deterministic sample of parameter-cell midpoints, each j once.
+            # It compares integer curve cells, the one `_sweep_cell` finds
+            # for the midpoint of cell j against `_curve_cell(resolution, j)`:
+            # `evaluate_waypoint` and `sweep_cell_enclosure` box exactly
+            # these cells by `_grid_box`, which is injective, so the cells
+            # are equal iff the regions the two functions return are
             width = hi - lo
             consistent = all(
-                evaluate_waypoint(ws, lo + width * Fraction(4 * j + 2, 4 * cells),
-                                  resolution)
-                == sweep_cell_enclosure(ws, si, j, resolution)
-                for j in [*range(0, cells, 257), cells - 1])
+                _sample_agrees(ws, lo + width * Fraction(4 * j + 2, 4 * cells),
+                               j, resolution)
+                for j in [*range(0, cells - 1, 257), cells - 1])
             rep.add(f"sweep_{si}_covers_target",
                     not cert.tiling and cert.ends and consistent,
                     f"{coverage}; evaluator consistent: {consistent}")

@@ -1,15 +1,26 @@
 """The finite-topology kernels as they were before the search walked only
 the submasks of the earlier rows' cap and partitions carried their block
-masks: the topology search tries every candidate row at every level and
-tests transitivity against all chosen rows, `_union` visits every mask,
-and the decomposition topology finds each block's points by label on every
-call.  Tests compare the kernels against these, output for output and in
-the same order."""
+masks, and before the sweep validated each distinct quotient once: the
+topology search tries every candidate row at every level and tests
+transitivity against all chosen rows, `_union` visits every mask, the
+decomposition topology finds each block's points by label on every call,
+and the sweep builds the quotient of every (topology, partition) pair.
+Tests compare the kernels against these, output for output and in the same
+order."""
 
 from typing import List, Sequence, Tuple
 
 from primchaos.errors import InputError
-from primchaos.fintop import FiniteTopSpace, Partition, block_label
+from primchaos.fintop import (
+    FiniteTopSpace,
+    Partition,
+    all_partitions,
+    all_topologies,
+    block_label,
+    finite_map,
+    is_homeomorphism,
+)
+from primchaos.report import CheckReport
 
 
 def oracle_union(masks: Sequence[int], select: int) -> int:
@@ -61,3 +72,29 @@ def oracle_decomposition_topology(X: FiniteTopSpace,
             if ra >> k & 1:
                 reach[a] = ra | reach[k]
     return FiniteTopSpace(tuple(block_label(b) for b in D.blocks), tuple(reach))
+
+
+def oracle_sweep(points: Sequence[str]) -> CheckReport:
+    """`fintop.sweep` building and validating every pair's quotient, by
+    `oracle_decomposition_topology`."""
+    spaces = all_topologies(points)
+    pts = tuple(points)
+    parts = [Partition(pts, blocks) for blocks in all_partitions(pts)]
+    singletons = Partition(pts, tuple((p,) for p in pts))
+    n_valid = n_funct = 0
+    for X in spaces:
+        for D in parts:
+            # construction validates the quotient's neighbourhoods
+            oracle_decomposition_topology(X, D)
+            n_valid += 1
+        Q = oracle_decomposition_topology(X, singletons)
+        n_funct += is_homeomorphism(finite_map(X, Q, {p: p for p in pts}))
+    rep = CheckReport(f"fintop sweep on {len(points)} labelled points")
+    rep.add("decomposition_topologies_valid",
+            n_valid == len(spaces) * len(parts),
+            f"{n_valid} of {len(spaces) * len(parts)} "
+            f"({len(spaces)} topologies x {len(parts)} partitions)")
+    rep.add("singleton_decomposition_functorial",
+            n_funct == len(spaces),
+            f"{n_funct} of {len(spaces)} spaces")
+    return rep

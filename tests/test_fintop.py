@@ -6,6 +6,7 @@ every operation by its open-set definition (enumerating the derived opens)
 and are compared with the fast routines exhaustively on small spaces."""
 
 import random
+from collections import Counter
 from itertools import product
 
 import pytest
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 
 from fintop_oracle import (
     oracle_decomposition_topology,
+    oracle_sweep,
     oracle_topology_rows,
     oracle_union,
 )
@@ -21,6 +23,7 @@ from primchaos.errors import InputError
 from primchaos.fintop import (
     FiniteTopSpace,
     Partition,
+    _subset_table,
     _union,
     all_maps,
     all_partitions,
@@ -235,6 +238,45 @@ def test_sweep_report():
     assert rep.all_passed
     assert [c.witness for c in rep.checks] == [
         "145 of 145 (29 topologies x 5 partitions)", "29 of 29 spaces"]
+
+
+def report_items(rep):
+    return rep.instance, [(c.name, c.passed, c.witness) for c in rep.checks]
+
+
+@pytest.mark.parametrize("points", ["", "a", "ab", "abc", "abcd", "dbca"])
+def test_sweep_matches_oracle(points):
+    assert report_items(sweep(points)) == report_items(oracle_sweep(points))
+
+
+def test_sweep_validates_each_distinct_quotient_once(monkeypatch):
+    pts = tuple("abcd")
+    parts = [Partition(pts, blocks) for blocks in all_partitions(pts)]
+    want = {(D.labels, oracle_decomposition_topology(X, D).nbhds)
+            for X in all_topologies(pts) for D in parts}
+    assert len(want) == 558
+    seen = Counter()
+    validate = FiniteTopSpace.__post_init__
+
+    def recording(self):
+        seen[self.points, self.nbhds] += 1
+        validate(self)
+
+    monkeypatch.setattr(FiniteTopSpace, "__post_init__", recording)
+    assert sweep(pts).all_passed
+    assert set(seen) == want
+    # a singleton quotient is its topology: enumerated, validated by the
+    # sweep, and built once more for the functoriality check
+    assert all(n == (3 if labels == pts else 1)
+               for (labels, _), n in seen.items()), seen
+
+
+def test_subset_table_matches_union():
+    rng = random.Random(1901)
+    for n in range(6):
+        masks = [rng.randrange(1 << 6) for _ in range(n)]
+        table = _subset_table(masks)
+        assert table == [oracle_union(masks, s) for s in range(1 << n)]
 
 
 def test_decomposition_always_topology_exhaustive_4pts():

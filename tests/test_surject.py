@@ -785,6 +785,120 @@ def test_waypoint_input_errors():
         waypoint_map([], "interval")
 
 
+# one interior pin, pins at both ends, and two interior pins
+SQUARE_PINS = {
+    "center": [(F(1, 2), (F(1, 2), F(1, 2)))],
+    "ends": [(F(0), (F(1), F(1))), (F(1), (F(0), F(1, 3)))],
+    "two_interior": [(F(1, 4), (F(0), F(0))), (F(3, 4), (F(1), F(1)))],
+}
+
+
+def sampled_cells(cells):
+    """The parameter cells `verify_waypoint_surjection` samples."""
+    return sorted({*range(0, cells, 257), cells - 1})
+
+
+def region_agrees(ws, t, j, depth):
+    """The sample's former comparison, of regions."""
+    return evaluate_waypoint(ws, t, depth) == \
+        sweep_cell_enclosure(ws, 0, j, depth)
+
+
+def midpoint(ws, j, depth):
+    lo, hi = sweep_segments(ws)[0]
+    return lo + (hi - lo) * F(4 * j + 2, 4 * 4 ** depth)
+
+
+def consistency(ws, depth):
+    return verify_waypoint_surjection(ws, depth).checks[-1].witness \
+        .rpartition("evaluator consistent: ")[2]
+
+
+@pytest.mark.parametrize("pins", SQUARE_PINS.values(), ids=SQUARE_PINS)
+def test_waypoint_sample_matches_region_oracle(pins):
+    ws = waypoint_surjection(waypoint_map(pins, "square"))
+    assert len(sweep_segments(ws)) == 1
+    off_sweep = [x for x, _ in pins] + [lo + (hi - lo) / 2
+                                        for lo, hi, kind, _ in ws.pieces
+                                        if kind != "sweep"]
+    for depth in range(7):
+        cells = 4 ** depth
+        for j in sampled_cells(cells):
+            t = midpoint(ws, j, depth)
+            assert surject._sample_agrees(ws, t, j, depth)
+            assert region_agrees(ws, t, j, depth), (depth, j)
+            # against every other cell at small depths, else the neighbours
+            others = range(cells) if depth <= 2 else \
+                [k for k in (j - 1, j + 1, cells - 1 - j) if 0 <= k < cells]
+            for k in others:
+                assert surject._sample_agrees(ws, t, k, depth) == \
+                    region_agrees(ws, t, k, depth), (depth, j, k)
+            for t in off_sweep:
+                assert not surject._sample_agrees(ws, t, j, depth)
+                assert not region_agrees(ws, t, j, depth)
+        assert consistency(ws, depth) == "True"
+
+
+def test_waypoint_samples_each_cell_once(monkeypatch):
+    ws = waypoint_surjection(waypoint_map(SQUARE_PINS["center"], "square"))
+    for depth in (0, 1, 4, 8):
+        cells = []
+        real = surject._sample_agrees
+
+        def recording(ws, t, j, depth):
+            cells.append(j)
+            return real(ws, t, j, depth)
+
+        monkeypatch.setattr(surject, "_sample_agrees", recording)
+        witness = verify_waypoint_surjection(ws, depth).checks[-1].witness
+        monkeypatch.undo()
+        assert cells == sampled_cells(4 ** depth), depth
+        assert witness == f"{4 ** depth} of {4 ** depth} quadrants hit; " \
+            "evaluator consistent: True"
+
+
+def _next_cell(u, depth):
+    return surject._curve_cell(depth, min(
+        u.numerator * 4 ** depth // u.denominator + 1, 4 ** depth - 1))
+
+
+def _y_mirrored(u, depth):
+    x, y = surject._curve_cell(depth, min(
+        u.numerator * 4 ** depth // u.denominator, 4 ** depth - 1))
+    return x, (1 << depth) - 1 - y
+
+
+def _wrong_piece(ws, t):
+    # u measured along the piece before the one holding t
+    t = F(t)
+    prev = ws.pieces[0]
+    for piece in ws.pieces:
+        lo, hi, kind, _ = piece
+        if lo <= t <= hi:
+            return kind, (t - prev[0]) / (prev[1] - prev[0]), None
+        prev = piece
+
+
+EVALUATOR_FAULTS = {"next_cell": ("_sweep_cell", _next_cell),
+                    "y_mirrored": ("_sweep_cell", _y_mirrored),
+                    "wrong_piece": ("_piece_at", _wrong_piece)}
+
+
+@pytest.mark.parametrize("fault", EVALUATOR_FAULTS.values(),
+                         ids=EVALUATOR_FAULTS)
+@pytest.mark.parametrize("pins", SQUARE_PINS.values(), ids=SQUARE_PINS)
+def test_waypoint_sample_catches_a_faulty_evaluator(pins, fault, monkeypatch):
+    # the evaluator finds another cell than the one it should box, in both
+    # coordinates (next_cell, wrong_piece) or in y only (y_mirrored)
+    ws = waypoint_surjection(waypoint_map(pins, "square"))
+    monkeypatch.setattr(surject, *fault)
+    for depth in range(1, 7):
+        oracle = [region_agrees(ws, midpoint(ws, j, depth), j, depth)
+                  for j in sampled_cells(4 ** depth)]
+        assert not all(oracle), depth
+        assert consistency(ws, depth) == "False", depth
+
+
 def test_sweep_cell_enclosures_tile_square():
     ws = waypoint_surjection(waypoint_map(
         [(F(1, 2), (F(1, 2), F(1, 2)))], "square"))
