@@ -96,6 +96,8 @@ DIGITS = "0123456789"
 # longest numerator or denominator of a sensitivity delta: every orbit step
 # of the check costs time in proportion to it
 MAX_DELTA_BITS = 1024
+# separation a sensitivity witness pair's orbits must reach
+SENSITIVITY_CONSTANT = Fraction(1, 4)
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -598,11 +600,11 @@ def _steps(s: ChaosSystem, x: Fraction):
 
 
 def sensitivity_check(s: ChaosSystem, delta: Fraction, samples: int,
-                      constant: Fraction = Fraction(1, 4),
                       points: Optional[Sequence[tuple]] = None) -> CheckReport:
     """Sensitive dependence witness hunt: for each sample point, find a
-    partner within delta whose orbit separates to at least `constant`
-    within the bit budget.  Reports the worst number of steps needed.
+    partner within delta whose orbit separates to at least
+    SENSITIVITY_CONSTANT within the bit budget.  Reports the worst number
+    of steps needed.
 
     Samples are generated deterministically per system; pass `points` to
     check specific initial conditions instead."""
@@ -614,10 +616,10 @@ def sensitivity_check(s: ChaosSystem, delta: Fraction, samples: int,
         raise InputError("need at least one sample")
     sample_pts = [tuple(rat(c) for c in p) for p in points] if points \
         else _sensitivity_samples(s, samples)
+    sep = SENSITIVITY_CONSTANT
     rep = CheckReport(f"{s.kind} sensitivity, delta {rational_str(delta)}, "
-                      f"{len(sample_pts)} samples, constant {rational_str(constant)}")
+                      f"{len(sample_pts)} samples, constant {rational_str(sep)}")
     partners = _sensitivity_partners(s, delta)
-    sep = Fraction(constant)
     worst = 0
     failed = None
     for x in sample_pts:

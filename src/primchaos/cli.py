@@ -229,16 +229,18 @@ def _address_samples(depth: int) -> List[str]:
     return list(dict.fromkeys(w for w in words if len(w) <= depth))
 
 
+def _entry(value, depth: int, enclosure) -> dict:
+    """One transcript entry: an evaluated input and its enclosure."""
+    return {"input": value, "depth": depth, "enclosure": region_doc(enclosure)}
+
+
 def _surject_covering(args):
     depth = args.depth
     f = surject_mod.CantorMap(
         "binary_expansion" if args.kind == "binary" else "interleave")
     rep = surject_mod.verify_cover_map(f, depth)
-    transcript = [
-        {"input": w, "depth": len(w),
-         "enclosure": region_doc(surject_mod.evaluate_map(f, w))}
-        for w in _address_samples(depth)
-    ]
+    transcript = [_entry(w, len(w), surject_mod.evaluate_map(f, w))
+                  for w in _address_samples(depth)]
     return _report(rep, f"surject {args.kind}: depth {depth}, modulus "
                         f"{rational_str(f.modulus(depth))}",
                    descriptor=surject_mod.map_document(f), depth=depth,
@@ -250,10 +252,8 @@ def _surject_hilbert(args):
     rep = surject_mod.verify_curve(depth)
     step = Fraction(1, 4 ** depth)
     cells = [(j * step, (j + 1) * step) for j in range(min(4 ** depth, 8))]
-    transcript = [{"input": [rational_str(lo), rational_str(hi)],
-                   "depth": depth,
-                   "enclosure": region_doc(
-                       surject_mod.hilbert_enclosure((lo, hi)))}
+    transcript = [_entry([rational_str(lo), rational_str(hi)], depth,
+                         surject_mod.hilbert_enclosure((lo, hi)))
                   for lo, hi in cells]
     return _report(rep, f"surject hilbert: depth {depth}",
                    descriptor={"kind": "hilbert", "target": "square"},
@@ -265,10 +265,7 @@ def _surject_block(args):
     if args.swap_halves and args.block:
         raise InputError("--swap-halves and --block cannot be combined")
     if args.swap_halves:
-        blocks_a = [surject_mod.ClopenBlock(("0",)),
-                    surject_mod.ClopenBlock(("1",))]
-        blocks_b = [surject_mod.ClopenBlock(("1",)),
-                    surject_mod.ClopenBlock(("0",))]
+        blocks_a, blocks_b = _parse_blocks(["0:1", "1:0"])
     elif args.block:
         blocks_a, blocks_b = _parse_blocks(args.block)
     else:
@@ -276,8 +273,7 @@ def _surject_block(args):
     f = surject_mod.block_surjection(blocks_a, blocks_b)
     rep = surject_mod.verify_block_surjection(f, blocks_a, blocks_b, depth)
     words = [a_blk.cylinders[0].ljust(depth, "0") for a_blk, _ in f.pairs]
-    transcript = [{"input": w, "depth": len(w),
-                   "enclosure": region_doc(surject_mod.evaluate_map(f, w))}
+    transcript = [_entry(w, len(w), surject_mod.evaluate_map(f, w))
                   for w in words]
     pad = ", 1 padding" if len(f.pairs) > len(blocks_a) else ""
     return _report(rep, f"surject block: {len(f.pairs)} blocks "
@@ -294,9 +290,8 @@ def _surject_waypoint(args):
     wmap = surject_mod.waypoint_map(_parse_waypoints(args.point), args.target)
     ws = surject_mod.waypoint_surjection(wmap)
     rep = surject_mod.verify_waypoint_surjection(ws, resolution=depth)
-    transcript = [{"input": rational_str(x), "depth": depth,
-                   "enclosure": region_doc(
-                       surject_mod.evaluate_waypoint(ws, x, depth))}
+    transcript = [_entry(rational_str(x), depth,
+                         surject_mod.evaluate_waypoint(ws, x, depth))
                   for x, _ in wmap.waypoints]
     return _report(rep, f"surject waypoint onto {args.target}: "
                         f"{len(wmap.waypoints)} pin(s), resolution 2^-{depth}",

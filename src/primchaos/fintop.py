@@ -10,13 +10,15 @@ specialization preorder, which corresponds to the topology one-to-one
 continuous iff f(U_x) is inside U_{f(x)} for every x, and a quotient's
 neighbourhoods are the transitive closure of the block relation.  The family
 of open sets (the masks that contain U_x for each of their points x) is
-only derived, for display and serialization.  Enumeration picks the rows in
-turn, each among the submasks of the cap of the earlier rows through its
-point: 355 topologies on 4 labelled points, 6942 on 5.  `sweep` computes
-the quotient relation of every (topology, partition) pair, reading its
-first step from per-space and per-partition subset tables, and validates
-each distinct relation once per partition; one-off quotients keep `_union`,
-for which building the tables would cost more than it saves.
+only derived, and a given family is accepted iff it equals the opens of the
+preorder its masks give.  Enumeration picks the rows in turn, each among
+the submasks of the cap of the earlier rows through its point: 355
+topologies on 4 labelled points, 6942 on 5.  `sweep` computes the quotient
+relation of every (topology, partition) pair, reading its first step from
+per-space and per-partition subset tables, and validates each distinct
+relation once per partition, reporting an invalid one as a failed check;
+one-off quotients keep `_union`, for which building the tables would cost
+more than it saves.
 
 A finite space is Hausdorff iff it is discrete, so the compact-Hausdorff
 hypotheses of the representative-subspace and fiber-quotient facts
@@ -28,8 +30,10 @@ test assets.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
 from itertools import product
-from typing import Dict, Iterable, List, Sequence, Tuple
+from operator import and_
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import InputError
 from .report import CheckReport
@@ -63,22 +67,24 @@ def _union(masks: Sequence[int], select: int) -> int:
     return out
 
 
+def _opens(rows: Sequence[int]) -> frozenset:
+    """The opens of the preorder with these rows: m is open iff U_x is
+    inside m for every point x of m."""
+    return frozenset(m for m in range(1 << len(rows)) if _union(rows, m) == m)
+
+
+def _topology_rows(n: int, family: set) -> Optional[Tuple[int, ...]]:
+    """Row x the AND of the masks that hold x (all n points if none do), or
+    None unless the family is exactly those rows' opens: a topology."""
+    rows = tuple(reduce(and_, (m for m in family if m >> x & 1), (1 << n) - 1)
+                 for x in range(n))
+    return rows if family == _opens(rows) else None
+
+
 def is_topology(points: Sequence[str], family: Iterable[Iterable[str]]) -> bool:
-    """True iff the family contains {} and X and is closed under pairwise
-    union and intersection (sufficient in the finite case)."""
+    """True iff the family equals the opens of the preorder it gives."""
     masks = {_mask_of(points, s) for s in family}
-    return _masks_form_topology(masks, (1 << len(points)) - 1)
-
-
-def _masks_form_topology(masks, full: int) -> bool:
-    if not masks or min(masks) != 0 or max(masks) != full:
-        return False
-    ms = list(masks)
-    for i, a in enumerate(ms):
-        for b in ms[i:]:
-            if a | b not in masks or a & b not in masks:
-                return False
-    return True
+    return _topology_rows(len(points), masks) is not None
 
 
 @dataclass(frozen=True)
@@ -101,10 +107,8 @@ class FiniteTopSpace:
 
     @property
     def opens(self) -> frozenset:
-        """Open sets as masks, derived: m is open iff U_x is inside m for
-        every point x of m."""
-        U = self.nbhds
-        return frozenset(m for m in range(1 << len(U)) if _union(U, m) == m)
+        """Open sets as masks, derived from the rows by `_opens`."""
+        return _opens(self.nbhds)
 
     def open_label_sets(self) -> List[Tuple[str, ...]]:
         """Opens as label tuples, sorted by size then lexicographically."""
@@ -121,16 +125,13 @@ def space(points: Sequence[str], family: Iterable[Iterable[str]]) -> FiniteTopSp
 
 
 def space_from_masks(points: Sequence[str], masks: Iterable[int]) -> FiniteTopSpace:
-    """Space from an explicit open-set family, rejected unless it is a
-    topology.  The opens are closed under intersection, so U_x is the
-    smallest open containing x."""
+    """Space from an explicit open-set family, rejected unless it equals
+    the opens of the preorder it gives."""
     pts = tuple(points)
-    opens = set(masks)
-    if not _masks_form_topology(opens, (1 << len(pts)) - 1):
+    rows = _topology_rows(len(pts), set(masks))
+    if rows is None:
         raise InputError("open-set family is not a topology")
-    return FiniteTopSpace(pts, tuple(
-        min((m for m in opens if m >> i & 1), key=int.bit_count)
-        for i in range(len(pts))))
+    return FiniteTopSpace(pts, rows)
 
 
 def discrete_space(points: Sequence[str]) -> FiniteTopSpace:
@@ -259,17 +260,14 @@ def decomposition_topology(X: FiniteTopSpace, D: Partition) -> FiniteTopSpace:
     """
     if D.points != X.points:
         raise InputError("partition is over different points")
-    return FiniteTopSpace(D.labels, _quotient_relation(D.masks, X.nbhds, D.bits))
+    return FiniteTopSpace(D.labels, _quotient_relation(
+        [_union(D.bits, _union(X.nbhds, bm)) for bm in D.masks]))
 
 
-def _quotient_relation(masks: Sequence[int], ups: Sequence[int],
-                       bits: Sequence[int], union=_union) -> Tuple[int, ...]:
-    """The quotient's neighbourhoods U_b, one per block mask b: first the
-    blocks that meet U_x for some x in b, then the transitive closure of
-    that relation.  union(table, s) is the OR of the per-point masks over
-    the point subset s, of the U_x (ups) or of the block bits (bits):
-    `_union` on the masks, or `list.__getitem__` on their `_subset_table`s."""
-    reach = [union(bits, union(ups, bm)) for bm in masks]
+def _quotient_relation(reach: List[int]) -> Tuple[int, ...]:
+    """The quotient's neighbourhoods U_b from its first step, reach[b] the
+    block bits of the blocks that meet U_x for some x in block b: the
+    transitive closure of that relation, closed in place."""
     for k in range(len(reach)):
         for a, ra in enumerate(reach):
             if ra >> k & 1:
@@ -454,7 +452,8 @@ def sweep(points: Sequence[str]) -> CheckReport:
     every point subset, per partition the block bits of every point subset.
     Many topologies give a partition the same relation, and a space is a
     function of its labels and relation, so each distinct relation is built
-    (and validated) once per partition; the count covers every pair.  The
+    (and validated) once per partition; the count covers every pair, and
+    one that fails validation fails the check instead of raising.  The
     one-off quotients of the functoriality check keep `_union`.
     """
     spaces = all_topologies(points)
@@ -465,14 +464,16 @@ def sweep(points: Sequence[str]) -> CheckReport:
     n_valid = n_funct = 0
     for D in parts:
         bits = _subset_table(D.bits)
-        built = set()
+        valid = {}
         for up in ups:
-            reach = _quotient_relation(D.masks, up, bits, list.__getitem__)
-            if reach not in built:
-                # construction validates the quotient's neighbourhoods
-                FiniteTopSpace(D.labels, reach)
-                built.add(reach)
-            n_valid += 1
+            reach = _quotient_relation([bits[up[bm]] for bm in D.masks])
+            if reach not in valid:
+                try:  # construction validates the quotient's neighbourhoods
+                    FiniteTopSpace(D.labels, reach)
+                    valid[reach] = True
+                except InputError:
+                    valid[reach] = False
+            n_valid += valid[reach]
     for X in spaces:
         Q = decomposition_topology(X, singletons)
         n_funct += is_homeomorphism(finite_map(X, Q, {p: p for p in pts}))

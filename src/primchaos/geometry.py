@@ -20,7 +20,8 @@ hold corners as `int` numerators over one denominator per axis.  Boxes,
 `region()`, intersection, containment, `closed_difference`, `distance` and
 `diameter` only compare, add and subtract, so they run on such integer
 corners unchanged; `grid_box` and `grid_point` are the one way back to
-`Fraction` corners.
+`Fraction` corners.  A region built from `int` and `Fraction` corners is
+exact, but which type it keeps where two equal corners meet is unspecified.
 
 The box primitives run once per cell on the refinement and chaos paths,
 so they do their per-axis work with `map` over `operator` functions, with

@@ -1,19 +1,24 @@
 """The finite-topology kernels as they were before the search walked only
 the submasks of the earlier rows' cap and partitions carried their block
-masks, and before the sweep validated each distinct quotient once: the
-topology search tries every candidate row at every level and tests
-transitivity against all chosen rows, `_union` visits every mask, the
-decomposition topology finds each block's points by label on every call,
-and the sweep builds the quotient of every (topology, partition) pair.
-Tests compare the kernels against these, output for output and in the same
-order."""
+masks, before the sweep validated each distinct quotient once, and before
+topologies and quotients were decided on the preorder alone: the topology
+search tries every candidate row at every level and tests transitivity
+against all chosen rows, `_union` visits every mask, the decomposition
+topology finds each block's points by label on every call, the sweep builds
+the quotient of every (topology, partition) pair, an open-set family is a
+topology iff it holds {} and X and is closed under pairwise union and
+intersection, and the quotient kernel reads its first step through a
+`union` selector.  Tests compare the kernels against these, output for
+output and in the same order."""
 
-from typing import List, Sequence, Tuple
+from typing import Iterable, List, Sequence, Tuple
 
 from primchaos.errors import InputError
 from primchaos.fintop import (
     FiniteTopSpace,
     Partition,
+    _mask_of,
+    _union,
     all_partitions,
     all_topologies,
     block_label,
@@ -98,3 +103,52 @@ def oracle_sweep(points: Sequence[str]) -> CheckReport:
             n_funct == len(spaces),
             f"{n_funct} of {len(spaces)} spaces")
     return rep
+
+
+def oracle_is_topology(points: Sequence[str],
+                       family: Iterable[Iterable[str]]) -> bool:
+    """True iff the family contains {} and X and is closed under pairwise
+    union and intersection (sufficient in the finite case)."""
+    masks = {_mask_of(points, s) for s in family}
+    return oracle_masks_form_topology(masks, (1 << len(points)) - 1)
+
+
+def oracle_masks_form_topology(masks, full: int) -> bool:
+    if not masks or min(masks) != 0 or max(masks) != full:
+        return False
+    ms = list(masks)
+    for i, a in enumerate(ms):
+        for b in ms[i:]:
+            if a | b not in masks or a & b not in masks:
+                return False
+    return True
+
+
+def oracle_space_from_masks(points: Sequence[str],
+                            masks: Iterable[int]) -> FiniteTopSpace:
+    """Space from an explicit open-set family, rejected unless it is a
+    topology.  The opens are closed under intersection, so U_x is the
+    smallest open containing x."""
+    pts = tuple(points)
+    opens = set(masks)
+    if not oracle_masks_form_topology(opens, (1 << len(pts)) - 1):
+        raise InputError("open-set family is not a topology")
+    return FiniteTopSpace(pts, tuple(
+        min((m for m in opens if m >> i & 1), key=int.bit_count)
+        for i in range(len(pts))))
+
+
+def oracle_quotient_relation(masks: Sequence[int], ups: Sequence[int],
+                             bits: Sequence[int],
+                             union=_union) -> Tuple[int, ...]:
+    """The quotient's neighbourhoods U_b, one per block mask b: first the
+    blocks that meet U_x for some x in b, then the transitive closure of
+    that relation.  union(table, s) is the OR of the per-point masks over
+    the point subset s, of the U_x (ups) or of the block bits (bits):
+    `_union` on the masks, or `list.__getitem__` on their `_subset_table`s."""
+    reach = [union(bits, union(ups, bm)) for bm in masks]
+    for k in range(len(reach)):
+        for a, ra in enumerate(reach):
+            if ra >> k & 1:
+                reach[a] = ra | reach[k]
+    return tuple(reach)

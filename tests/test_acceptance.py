@@ -350,8 +350,7 @@ def test_criterion_8_chaos_certificates():
     if not rep.all_passed:
         failures.append(("dense orbit", rep.to_document()))
     for kind in ("doubling", "tent"):
-        rep = sensitivity_check(make_system(kind), F(1, 2 ** 24), 100,
-                                constant=F(1, 4))
+        rep = sensitivity_check(make_system(kind), F(1, 2 ** 24), 100)
         if not rep.all_passed:
             failures.append((kind, "sensitivity", rep.to_document()))
     rep = transitivity_check(make_system("doubling"), 4)

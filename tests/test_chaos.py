@@ -278,6 +278,20 @@ def test_dense_orbit_visits_all_cells():
     assert rep.all_passed
 
 
+def test_dense_orbit_names_missed_cells(monkeypatch, capsys):
+    # a word of zeros only ever shows cell 00; the report names the other
+    # depth-2 cells and the CLI exits 1, a failed check
+    monkeypatch.setattr(chaos, "dense_orbit_word", lambda depth: "0" * 10)
+    rep = verify_dense_orbit(make_system("doubling"), 2)
+    assert [(c.name, c.passed, c.witness) for c in rep.checks] == [
+        ("visits_every_cell", False, "missed cells: ['01', '10', '11']")]
+    assert cli.main(["chaos", "dense", "--system", "doubling",
+                     "--depth", "2"]) == 1
+    out = capsys.readouterr().out
+    assert "missed cells: ['01', '10', '11']" in out
+    assert out.endswith("result: FAIL\n")
+
+
 def test_sensitivity_doubling_third():
     # hand-derived: difference doubles per step until >= 1/4, so 18 steps
     # from 2^-20; boundary straddles only separate faster
@@ -621,7 +635,7 @@ def outcome(check, *args, **kwargs):
 @pytest.mark.parametrize("s", ONE_D_SYSTEMS, ids=lambda s: s.kind)
 @pytest.mark.parametrize("delta", [F(1, 2 ** 12), F(1, 3 ** 5), F(2, 3 ** 6),
                                    F(2, 7), F(3, 5), F(5, 3 ** 9 + 1)])
-def test_sensitivity_matches_step_reference(s, delta):
+def test_sensitivity_matches_step_reference(s, delta, monkeypatch):
     for samples in (1, 7, 40):
         assert sensitivity_check(s, delta, samples) == \
             reference_sensitivity(s, delta, samples)
@@ -629,9 +643,11 @@ def test_sensitivity_matches_step_reference(s, delta):
     # model partners in the gap; constants the pairs reach late or never
     for x in (0, F(1, 3), HALF, F(2, 3), F(20, 27), F(5, 7), 1):
         for constant in (F(1, 4), F(9, 10), F(2)):
-            args = (s, delta, 0, constant)
-            assert outcome(sensitivity_check, *args, points=[(x,)]) == \
-                outcome(reference_sensitivity, *args, points=[(x,)])
+            monkeypatch.setattr(chaos, "SENSITIVITY_CONSTANT", constant)
+            assert outcome(sensitivity_check, s, delta, 0,
+                           points=[(x,)]) == \
+                outcome(reference_sensitivity, s, delta, 0, constant,
+                        points=[(x,)])
 
 
 def test_sensitivity_point_outside_every_event():

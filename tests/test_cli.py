@@ -206,6 +206,17 @@ OUT_OF_RANGE = [
     ["fintop", "quotient", "--space", "chain3", "--blocks", "|ab|c|"],
     ["fintop", "verify-prop5", "--space", "chain3", "--blocks", "ab||c",
      "--reps", "a,c"],
+    # malformed or missing constraints and maps
+    ["surject", "--kind", "block", "--block", "00"],
+    ["surject", "--kind", "waypoint", "--point", "1/2"],
+    ["surject", "--kind", "block"],
+    ["surject", "--kind", "waypoint"],
+    ["fintop", "verify-lemma7", "--space", "discrete2",
+     "--codomain", "discrete1", "--map", "a"],
+    ["chaos", "realize", "--system", "doubling", "--word", "01",
+     "--format", "csv", "--decimal", "-1"],
+    # a block cylinder longer than the depth
+    ["surject", "--kind", "block", "--block", "000:1", "--depth", "2"],
 ]
 
 
@@ -213,7 +224,8 @@ OUT_OF_RANGE = [
 def test_out_of_range_inputs_rejected(argv, tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert main(argv + ["--out", "out.json"]) == 2
-    assert capsys.readouterr().err.startswith("primchaos: error: ")
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("primchaos: error: ")
     assert not (tmp_path / "out.json").exists()
 
 

@@ -15,14 +15,20 @@ from hypothesis import strategies as st
 
 from fintop_oracle import (
     oracle_decomposition_topology,
+    oracle_is_topology,
+    oracle_quotient_relation,
+    oracle_space_from_masks,
     oracle_sweep,
     oracle_topology_rows,
     oracle_union,
 )
+from primchaos import fintop
+from primchaos.cli import main
 from primchaos.errors import InputError
 from primchaos.fintop import (
     FiniteTopSpace,
     Partition,
+    _quotient_relation,
     _subset_table,
     _union,
     all_maps,
@@ -202,6 +208,83 @@ def test_opens_view_matches_brute_force_families():
             assert space_from_masks(X.points, X.opens) == X
 
 
+def outcome(build, *args):
+    """The built space's points and rows, or the message of the input error
+    the build raises."""
+    try:
+        X = build(*args)
+    except InputError as exc:
+        return str(exc)
+    return X.points, X.nbhds
+
+
+def assert_topology_check_matches_oracle(points, family):
+    labels = [fintop._labels_of(points, m) for m in family]
+    if all(m < 1 << len(points) for m in family):
+        assert is_topology(points, labels) == \
+            oracle_is_topology(points, labels), family
+    got = outcome(space_from_masks, points, family)
+    assert got == outcome(oracle_space_from_masks, points, family), family
+    return got
+
+
+def assert_quotient_relation_matches_oracle(X, D):
+    # the first step read with `_union`, and from the sweep's subset tables
+    want = oracle_quotient_relation(D.masks, X.nbhds, D.bits)
+    assert decomposition_topology(X, D).nbhds == want
+    ups, bits = _subset_table(X.nbhds), _subset_table(D.bits)
+    assert _quotient_relation([bits[ups[bm]] for bm in D.masks]) == \
+        oracle_quotient_relation(D.masks, ups, bits, list.__getitem__)
+
+
+def test_preorder_decisions_match_pairwise_oracle_exhaustive_3pts():
+    # every family of subsets of 0-3 points, and every quotient of the
+    # topologies among them
+    for n in range(4):
+        points = "abc"[:n]
+        masks = range(1 << n)
+        for pick in range(1 << len(masks)):
+            family = {m for m in masks if pick >> m & 1}
+            assert_topology_check_matches_oracle(points, family)
+            # a point past the last named, or a label given twice
+            assert_topology_check_matches_oracle(points, family | {1 << n})
+            assert outcome(space_from_masks, "a" * n, family) == \
+                outcome(oracle_space_from_masks, "a" * n, family)
+        for X in all_topologies(points):
+            for blocks in all_partitions(points):
+                assert_quotient_relation_matches_oracle(
+                    X, Partition(X.points, blocks))
+
+
+def pairwise_closure(family):
+    family = set(family)
+    while True:
+        grown = family | {a | b for a in family for b in family} \
+            | {a & b for a in family for b in family}
+        if grown == family:
+            return family
+        family = grown
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([4, 5]), st.data())
+def test_preorder_decisions_match_pairwise_oracle_4_5pts(n, data):
+    # raw families, the topologies they generate, and those topologies with
+    # one mask toggled (possibly one naming a point outside the space)
+    points = "abcde"[:n]
+    full = (1 << n) - 1
+    family = set(data.draw(st.lists(st.integers(0, full), max_size=10)))
+    if data.draw(st.booleans()):
+        family = pairwise_closure(family | {0, full})
+        if data.draw(st.booleans()):
+            family ^= {data.draw(st.integers(0, 2 * full + 1))}
+    got = assert_topology_check_matches_oracle(points, family)
+    if not isinstance(got, str):
+        X = FiniteTopSpace(*got)
+        blocks = data.draw(st.sampled_from(all_partitions(points)))
+        assert_quotient_relation_matches_oracle(X, Partition(X.points, blocks))
+
+
 # ---------------------------------------------------------------------------
 # decomposition topology
 # ---------------------------------------------------------------------------
@@ -269,6 +352,30 @@ def test_sweep_validates_each_distinct_quotient_once(monkeypatch):
     # sweep, and built once more for the functoriality check
     assert all(n == (3 if labels == pts else 1)
                for (labels, _), n in seen.items()), seen
+
+
+def test_sweep_reports_an_invalid_quotient_as_failed(monkeypatch, capsys):
+    # with the closure step dropped, a first-step relation that is not
+    # transitive fails validation: the check fails, and the CLI exits 1
+    # (a failed check), not 2 (input rejected)
+    monkeypatch.setattr(fintop, "_quotient_relation", tuple)
+
+    def transitive(X, D):
+        U = [oracle_union(D.bits, oracle_union(X.nbhds, bm)) for bm in D.masks]
+        return all(oracle_union(U, u) == u for u in U)
+
+    pts = tuple("abcd")
+    parts = [Partition(pts, blocks) for blocks in all_partitions(pts)]
+    n_valid = sum(transitive(X, D) for X in all_topologies(pts) for D in parts)
+    assert 0 < n_valid < 5325
+    rep = sweep(pts)
+    assert [(c.name, c.passed, c.witness) for c in rep.checks] == [
+        ("decomposition_topologies_valid", False,
+         f"{n_valid} of 5325 (355 topologies x 15 partitions)"),
+        ("singleton_decomposition_functorial", True, "355 of 355 spaces")]
+    assert main(["fintop", "sweep"]) == 1
+    out, err = capsys.readouterr()
+    assert out.endswith("result: FAIL\n") and err == ""
 
 
 def test_subset_table_matches_union():

@@ -5,7 +5,7 @@ from fractions import Fraction as F
 from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from primchaos import geometry
@@ -482,12 +482,22 @@ def test_containment_and_difference_match_oracle(pair):
 @settings(max_examples=400, deadline=None)
 @given(st.sampled_from([1, 2]).flatmap(
     lambda dim: st.tuples(box_lists(dim, 3), box_lists(dim, 3))))
+@example(([Box((F(0), F(0)), (F(1, 3), F(1)))],
+          [Box((0, 0), (0, 1)), Box((0, 1), (1, 1))]))
 def test_region_intersect_matches_pairwise_oracle(pair):
     # corners on a 7-point grid make touching, equal and degenerate boxes
     # common; each pair of boxes is also met as two one-box regions, the
-    # case `region_intersect` settles with one `box_intersect`
+    # case `region_intersect` settles with one `box_intersect`.  Where the
+    # two lists differ in corner type, which of two equal corners a region
+    # keeps is unspecified, so only values are compared
+    mixed = len({type(x) for boxes in pair for box in boxes
+                 for x in (*box.lo, *box.hi)}) > 1
+
+    def boxes_of(boxes):
+        return [(box.lo, box.hi) for box in boxes] if mixed else _typed(boxes)
+
     def typed(r):
-        return None if r is None else _typed(r.boxes)
+        return None if r is None else boxes_of(r.boxes)
 
     a, b = region(pair[0]), region(pair[1])
     assert typed(region_intersect(a, b)) == \
@@ -496,7 +506,7 @@ def test_region_intersect_matches_pairwise_oracle(pair):
         for bb in pair[1]:
             hit, want = box_intersect(ba, bb), oracle_box_intersect(ba, bb)
             assert (hit is None) is (want is None)
-            assert hit is None or _typed([hit]) == _typed([want])
+            assert hit is None or boxes_of([hit]) == boxes_of([want])
             assert box_disjoint(ba, bb) is oracle_box_disjoint(ba, bb) is \
                 (want is None)
             one_a, one_b = Region((ba,)), Region((bb,))
