@@ -16,9 +16,9 @@ the submasks of the cap of the earlier rows through its point: 355
 topologies on 4 labelled points, 6942 on 5.  `sweep` computes the quotient
 relation of every (topology, partition) pair, reading its first step from
 per-space and per-partition subset tables, and validates each distinct
-relation once per partition, reporting an invalid one as a failed check;
-one-off quotients keep `_union`, for which building the tables would cost
-more than it saves.
+relation once per partition, reporting an invalid one as a failed check
+and reading functoriality off the singleton partition's relations; other
+quotients keep `_union`, for which building the tables costs more.
 
 A finite space is Hausdorff iff it is discrete, so the compact-Hausdorff
 hypotheses of the representative-subspace and fiber-quotient facts
@@ -137,11 +137,6 @@ def space_from_masks(points: Sequence[str], masks: Iterable[int]) -> FiniteTopSp
 def discrete_space(points: Sequence[str]) -> FiniteTopSpace:
     pts = tuple(points)
     return FiniteTopSpace(pts, tuple(1 << i for i in range(len(pts))))
-
-
-def is_t0(X: FiniteTopSpace) -> bool:
-    """Two points are topologically indistinguishable iff U_x = U_y."""
-    return len(set(X.nbhds)) == len(X.nbhds)
 
 
 def is_t1(X: FiniteTopSpace) -> bool:
@@ -454,18 +449,18 @@ def sweep(points: Sequence[str]) -> CheckReport:
     function of its labels and relation, so each distinct relation is built
     (and validated) once per partition; the count covers every pair, and
     one that fails validation fails the check instead of raising.  The
-    one-off quotients of the functoriality check keep `_union`.
+    identity onto a singleton quotient is a homeomorphism iff its relation
+    is the space's own rows, which decides functoriality in the same pass.
     """
     spaces = all_topologies(points)
     pts = tuple(points)
     parts = [Partition(pts, blocks) for blocks in all_partitions(pts)]
-    singletons = Partition(pts, tuple((p,) for p in pts))
     ups = [_subset_table(X.nbhds) for X in spaces]
     n_valid = n_funct = 0
     for D in parts:
         bits = _subset_table(D.bits)
         valid = {}
-        for up in ups:
+        for X, up in zip(spaces, ups):
             reach = _quotient_relation([bits[up[bm]] for bm in D.masks])
             if reach not in valid:
                 try:  # construction validates the quotient's neighbourhoods
@@ -474,9 +469,8 @@ def sweep(points: Sequence[str]) -> CheckReport:
                 except InputError:
                     valid[reach] = False
             n_valid += valid[reach]
-    for X in spaces:
-        Q = decomposition_topology(X, singletons)
-        n_funct += is_homeomorphism(finite_map(X, Q, {p: p for p in pts}))
+            if D.labels == pts:  # the singleton partition
+                n_funct += valid[reach] and reach == X.nbhds
     rep = CheckReport(f"fintop sweep on {len(points)} labelled points")
     rep.add("decomposition_topologies_valid",
             n_valid == len(spaces) * len(parts),

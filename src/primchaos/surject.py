@@ -30,8 +30,8 @@ end at (1,0), which makes the linear stitching exact.
 The image cells of the expansion maps and of the curve are grid cells held
 as integers (`Cell`): one kernel per map kind, boxed by `_grid_box` for the
 evaluators.  Their certificates read the table their kernel reads and
-never evaluate a cell; `verify_block_surjection` does, walking every
-depth-n word of each block through `evaluate_symbolic`.  The expansion
+evaluate no cell, or two per sweep of a square waypoint map, but
+`verify_block_surjection` walks every block's depth-n words.  The expansion
 maps place the word's bits on the axes by `_placement`, and a map that
 spreads the n bits over the axes as a permutation sends the 2^n words onto
 the 2^n grid cells, so covering is an O(n) check of that placement.  The
@@ -183,10 +183,6 @@ def clopen_partition(n: int) -> List[ClopenBlock]:
 
 def blocks_pairwise_disjoint(blocks: Sequence[ClopenBlock]) -> bool:
     return _overlap([c for b in blocks for c in b.cylinders]) is None
-
-
-def blocks_cover(blocks: Sequence[ClopenBlock]) -> bool:
-    return not _complement_cylinders(blocks)
 
 
 def _complement_cylinders(blocks: Sequence[ClopenBlock]) -> List[str]:
@@ -713,6 +709,14 @@ def verify_waypoint_surjection(ws: WaypointSurjection,
         if not cert.ends:
             coverage += "; the curve does not run from (0,0) to (1,0), " \
                 "where the linear pieces join it"
+        # If every piece has lo < hi and ends where the next begins, then for
+        # each t strictly inside a sweep `_piece_at` finds that sweep and
+        # takes u = (t - lo) / (hi - lo).  At the midpoint of cell j that is
+        # (4j + 2) / (4 * 4^r), so `_sweep_cell` boxes floor(u * 4^r) = j,
+        # the cell `sweep_cell_enclosure` gives.  The end cells still run the
+        # evaluator, so a fault in `_piece_at` or `_sweep_cell` shows there
+        contiguous = all(p[0] < p[1] for p in ws.pieces) and all(
+            p[1] == q[0] for p, q in zip(ws.pieces, ws.pieces[1:]))
     for si, (lo, hi) in enumerate(sweeps):
         if w.target == "interval":
             # both halves of the triangle wave are affine and monotone, so
@@ -725,18 +729,9 @@ def verify_waypoint_surjection(ws: WaypointSurjection,
             rep.add(f"sweep_{si}_covers_target", ok,
                     "triangle wave image is [0,1] exactly")
         else:
-            # pointwise evaluator must agree with the cell enclosures on a
-            # deterministic sample of parameter-cell midpoints, each j once.
-            # It compares integer curve cells, the one `_sweep_cell` finds
-            # for the midpoint of cell j against `_curve_cell(resolution, j)`:
-            # `evaluate_waypoint` and `sweep_cell_enclosure` box exactly
-            # these cells by `_grid_box`, which is injective, so the cells
-            # are equal iff the regions the two functions return are
-            width = hi - lo
-            consistent = all(
-                _sample_agrees(ws, lo + width * Fraction(4 * j + 2, 4 * cells),
-                               j, resolution)
-                for j in [*range(0, cells - 1, 257), cells - 1])
+            consistent = contiguous and all(_sample_agrees(
+                ws, lo + (hi - lo) * Fraction(4 * j + 2, 4 * cells), j,
+                resolution) for j in {0, cells - 1})
             rep.add(f"sweep_{si}_covers_target",
                     not cert.tiling and cert.ends and consistent,
                     f"{coverage}; evaluator consistent: {consistent}")

@@ -9,7 +9,8 @@ the quotient of every (topology, partition) pair, an open-set family is a
 topology iff it holds {} and X and is closed under pairwise union and
 intersection, and the quotient kernel reads its first step through a
 `union` selector.  Tests compare the kernels against these, output for
-output and in the same order."""
+output and in the same order.  And `is_t0`, which left the library because
+only tests call it."""
 
 from typing import Iterable, List, Sequence, Tuple
 
@@ -26,6 +27,11 @@ from primchaos.fintop import (
     is_homeomorphism,
 )
 from primchaos.report import CheckReport
+
+
+def is_t0(X: FiniteTopSpace) -> bool:
+    """Two points are topologically indistinguishable iff U_x = U_y."""
+    return len(set(X.nbhds)) == len(X.nbhds)
 
 
 def oracle_union(masks: Sequence[int], select: int) -> int:

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fintop_oracle import (
+    is_t0,
     oracle_decomposition_topology,
     oracle_is_topology,
     oracle_quotient_relation,
@@ -42,7 +43,6 @@ from primchaos.fintop import (
     is_continuous,
     is_hausdorff,
     is_homeomorphism,
-    is_t0,
     is_t1,
     is_topology,
     named_space,
@@ -348,9 +348,9 @@ def test_sweep_validates_each_distinct_quotient_once(monkeypatch):
     monkeypatch.setattr(FiniteTopSpace, "__post_init__", recording)
     assert sweep(pts).all_passed
     assert set(seen) == want
-    # a singleton quotient is its topology: enumerated, validated by the
-    # sweep, and built once more for the functoriality check
-    assert all(n == (3 if labels == pts else 1)
+    # a singleton quotient is its topology: enumerated, and validated once
+    # by the sweep, whose relation also decides the functoriality check
+    assert all(n == (2 if labels == pts else 1)
                for (labels, _), n in seen.items()), seen
 
 
@@ -373,6 +373,49 @@ def test_sweep_reports_an_invalid_quotient_as_failed(monkeypatch, capsys):
         ("decomposition_topologies_valid", False,
          f"{n_valid} of 5325 (355 topologies x 15 partitions)"),
         ("singleton_decomposition_functorial", True, "355 of 355 spaces")]
+    assert main(["fintop", "sweep"]) == 1
+    out, err = capsys.readouterr()
+    assert out.endswith("result: FAIL\n") and err == ""
+
+
+def test_sweep_reports_an_invalid_singleton_quotient_as_failed(monkeypatch,
+                                                                 capsys):
+    # bit 0 in every row of every quotient: some relations stop being
+    # preorders, the singleton ones among them, and some singleton ones
+    # stay valid but differ from their space.  Both checks fail with the
+    # oracle's counts, and the CLI exits 1, not 2
+    closure = fintop._quotient_relation
+
+    def with_bit0(reach):
+        return tuple(r | 1 for r in closure(reach))
+
+    def faulty_quotient(X, D):
+        rel = oracle_quotient_relation(D.masks, X.nbhds, D.bits)
+        try:
+            return FiniteTopSpace(D.labels, tuple(r | 1 for r in rel))
+        except InputError:
+            return None
+
+    pts = tuple("abcd")
+    spaces = all_topologies(pts)
+    parts = [Partition(pts, blocks) for blocks in all_partitions(pts)]
+    n_valid = sum(faulty_quotient(X, D) is not None
+                  for X in spaces for D in parts)
+    singletons = Partition(pts, tuple((p,) for p in pts))
+    quotients = [faulty_quotient(X, singletons) for X in spaces]
+    n_funct = sum(Q is not None and
+                  is_homeomorphism(finite_map(X, Q, {p: p for p in pts}))
+                  for X, Q in zip(spaces, quotients))
+    n_singleton_valid = sum(Q is not None for Q in quotients)
+    assert (n_valid, n_funct) == (4561, 45)
+    assert n_funct < n_singleton_valid < 355
+    monkeypatch.setattr(fintop, "_quotient_relation", with_bit0)
+    rep = sweep(pts)
+    assert [(c.name, c.passed, c.witness) for c in rep.checks] == [
+        ("decomposition_topologies_valid", False,
+         f"{n_valid} of 5325 (355 topologies x 15 partitions)"),
+        ("singleton_decomposition_functorial", False,
+         f"{n_funct} of 355 spaces")]
     assert main(["fintop", "sweep"]) == 1
     out, err = capsys.readouterr()
     assert out.endswith("result: FAIL\n") and err == ""

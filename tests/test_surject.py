@@ -11,6 +11,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from surject_oracle import (
+    blocks_cover,
+    midpoint,
+    oracle_consistent,
+    region_agrees,
+    sampled_cells,
+)
 from primchaos import surject
 from primchaos.embedding import build_refinement, evaluate_address, make_model
 from primchaos.errors import InputError
@@ -27,9 +34,9 @@ from primchaos.geometry import (
 from primchaos.surject import (
     CantorMap,
     ClopenBlock,
+    WaypointSurjection,
     binary_expansion_map,
     block_surjection,
-    blocks_cover,
     blocks_pairwise_disjoint,
     clopen_partition,
     evaluate_map,
@@ -658,9 +665,9 @@ def test_curve_certificates_do_no_per_cell_work(monkeypatch):
     ws = waypoint_surjection(waypoint_map(
         [(F(1, 2), (F(1, 2), F(1, 2)))], "square"))
     assert verify_waypoint_surjection(ws, 10).all_passed
-    # the evaluator sample: per sampled parameter cell, one cell from
-    # `evaluate_waypoint` and one from `sweep_cell_enclosure`
-    samples = len(range(0, 4 ** 10, 257)) + 1
+    # the evaluator runs at the sweep's first and last parameter cell: per
+    # cell, one cell from `evaluate_waypoint` and one from `_curve_cell`
+    samples = 2
     assert calls["_curve_cell"] <= 2 * samples
     assert calls["_quadrant_map"] <= 10 * calls["_curve_cell"] + 16 * 10
 
@@ -793,22 +800,6 @@ SQUARE_PINS = {
 }
 
 
-def sampled_cells(cells):
-    """The parameter cells `verify_waypoint_surjection` samples."""
-    return sorted({*range(0, cells, 257), cells - 1})
-
-
-def region_agrees(ws, t, j, depth):
-    """The sample's former comparison, of regions."""
-    return evaluate_waypoint(ws, t, depth) == \
-        sweep_cell_enclosure(ws, 0, j, depth)
-
-
-def midpoint(ws, j, depth):
-    lo, hi = sweep_segments(ws)[0]
-    return lo + (hi - lo) * F(4 * j + 2, 4 * 4 ** depth)
-
-
 def consistency(ws, depth):
     return verify_waypoint_surjection(ws, depth).checks[-1].witness \
         .rpartition("evaluator consistent: ")[2]
@@ -840,6 +831,7 @@ def test_waypoint_sample_matches_region_oracle(pins):
 
 
 def test_waypoint_samples_each_cell_once(monkeypatch):
+    # the certificate runs the evaluator at each sweep's first and last cell
     ws = waypoint_surjection(waypoint_map(SQUARE_PINS["center"], "square"))
     for depth in (0, 1, 4, 8):
         cells = []
@@ -852,7 +844,7 @@ def test_waypoint_samples_each_cell_once(monkeypatch):
         monkeypatch.setattr(surject, "_sample_agrees", recording)
         witness = verify_waypoint_surjection(ws, depth).checks[-1].witness
         monkeypatch.undo()
-        assert cells == sampled_cells(4 ** depth), depth
+        assert sorted(cells) == sorted({0, 4 ** depth - 1}), depth
         assert witness == f"{4 ** depth} of {4 ** depth} quadrants hit; " \
             "evaluator consistent: True"
 
@@ -897,6 +889,57 @@ def test_waypoint_sample_catches_a_faulty_evaluator(pins, fault, monkeypatch):
                   for j in sampled_cells(4 ** depth)]
         assert not all(oracle), depth
         assert consistency(ws, depth) == "False", depth
+
+
+def with_const_over(ws, depth, first, last):
+    """ws with a const piece at (0,0) over parameter cells first..last (of
+    4^depth) of its sweep, put just before the sweep in the table: it
+    overlaps the sweep, and `_piece_at` finds it first."""
+    k = next(i for i, p in enumerate(ws.pieces) if p[2] == "sweep")
+    lo, hi = ws.pieces[k][:2]
+    cells = 4 ** depth
+    const = (lo + (hi - lo) * F(first, cells),
+             lo + (hi - lo) * F(last + 1, cells), "const", (F(0), F(0)))
+    return WaypointSurjection(ws.pinning,
+                              ws.pieces[:k] + (const,) + ws.pieces[k:])
+
+
+def center_table_overlapped(depth):
+    # the const piece hides the middle cell, not the two end cells
+    ws = waypoint_surjection(waypoint_map(SQUARE_PINS["center"], "square"))
+    return with_const_over(ws, depth, 4 ** depth // 2, 4 ** depth // 2)
+
+
+CONSISTENCY_TABLES = {
+    **{name: lambda depth, pins=pins: waypoint_surjection(
+        waypoint_map(pins, "square")) for name, pins in SQUARE_PINS.items()},
+    "overlapped": center_table_overlapped,
+}
+
+
+@pytest.mark.parametrize("table", CONSISTENCY_TABLES.values(),
+                         ids=CONSISTENCY_TABLES)
+def test_waypoint_consistency_matches_every_cell(table):
+    # the proved verdict against the evaluator's region at the midpoint of
+    # every parameter cell, compared with the cell's enclosure
+    for depth in range(6):
+        ws = table(depth)
+        every_cell = oracle_consistent(ws, depth, range(4 ** depth))
+        assert consistency(ws, depth) == str(every_cell), depth
+    assert every_cell == (table is not center_table_overlapped)
+
+
+def test_waypoint_overlapping_piece_is_inconsistent():
+    # a const piece over cells 100 and 101 of 4^8 sends their midpoints to
+    # (0,0), not to their curve cells; the stride sample (cells 0, 257, ...)
+    # missed them and read the evaluator as consistent
+    ws = with_const_over(waypoint_surjection(waypoint_map(
+        SQUARE_PINS["center"], "square")), 8, 100, 101)
+    assert evaluate_waypoint_exact(ws, midpoint(ws, 100, 8)) == (F(0), F(0))
+    assert not oracle_consistent(ws, 8, range(99, 103))
+    assert oracle_consistent(ws, 8)
+    assert consistency(ws, 8) == "False"
+    assert not verify_waypoint_surjection(ws, 8).all_passed
 
 
 def test_sweep_cell_enclosures_tile_square():
