@@ -28,10 +28,17 @@ the boundary: the `tree.cells` view, `evaluate_address` and
 `tree_document`.  Each tree has one such view, and it builds each
 address's `Fraction` Cell at most once.
 
-Per level the stage checks share their set-up: one axis index of the
-level's boxes serves checks (i), (iii) and (iv), and one bounding box per
-cell serves checks (ii) and (iv).  Check (iii) looks up each distinct
-next-level marked point once, with every cell whose children mark it.
+Per level the stage checks sweep one axis index of the level's boxes for
+disjointness (i), read each cell's bounding box for the shrink (ii), and
+test each child against its parent for nesting: the child lies in the
+parent and holds its own marked points.  The other two checks are derived
+from these premises.  A finite disjoint union of closed cells minus one of
+them is the union of the others, so the clopen trace (iv) holds when (i)
+does.  Under (i) and nesting, the next-level marked points inside a cell
+are exactly its children's, so none intrudes in the perfectness check
+(iii), which is left to find the cell's pair among them and count them.
+The exact scans of (iii) and (iv) through the axis index run only when a
+premise fails, so a failing stage reports the witness the scan finds.
 
 Input is validated at the public boundary.  The `RefinementTree`
 constructor takes exactly the binary addresses of length 0..depth.
@@ -47,9 +54,9 @@ from collections import defaultdict
 from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import product, repeat
 from math import lcm
-from operator import sub
+from operator import add, le, sub
 from types import MappingProxyType
 from typing import Tuple
 
@@ -168,12 +175,18 @@ class _FractionCells(Mapping):
         return len(self._grid)
 
 
+def _check_count(value, message: str) -> None:
+    """Raise `InputError(message)` unless value, a depth or a level, is an
+    int >= 0."""
+    if not isinstance(value, int) or value < 0:
+        raise InputError(message)
+
+
 def _check_addresses(depth, cells: Mapping[str, Cell]) -> None:
     """Reject a depth below 0, or addresses other than exactly the binary
     words of length 0..depth: every address is such a word, the root is
     there, and every address shorter than depth has both children."""
-    if not isinstance(depth, int) or depth < 0:
-        raise InputError(f"tree depth must be an int >= 0, got {depth!r}")
+    _check_count(depth, f"tree depth must be an int >= 0, got {depth!r}")
     for a in cells:
         if len(binary_word(a)) > depth:
             raise InputError(f"address {a!r} is deeper than the tree depth {depth}")
@@ -229,7 +242,8 @@ class RefinementTree:
 
     def level(self, k: int):
         """Addresses of level k in lexicographic order."""
-        if not 0 <= k <= self.depth:
+        _check_count(k, f"level must be an int >= 0, got {k!r}")
+        if k > self.depth:
             raise InputError(f"level {k} outside tree depth {self.depth}")
         return ["".join(bits) for bits in product("01", repeat=k)]
 
@@ -274,6 +288,15 @@ def _split(cell: Region, marked: Tuple[tuple, tuple]):
     else:
         radius = d / 4
     children = []
+    if len(cell.boxes) == 1:
+        # the ball meets the one box in their per-axis clamp, a box whose
+        # lexicographic extremes are its corners
+        (box,) = cell.boxes
+        for m in (m1, m2):
+            lo = tuple(map(max, box.lo, map(sub, m, repeat(radius))))
+            hi = tuple(map(min, box.hi, map(add, m, repeat(radius))))
+            children.append((Region((Box(lo, hi),)), (lo, hi)))
+        return children[0], children[1]
     for m in (m1, m2):
         clipped = region_intersect(cell, region(chebyshev_ball(m, radius)))
         if clipped is None:  # unreachable: m itself lies in both sets
@@ -290,8 +313,7 @@ def build_refinement(model: PeanoModel, depth: int) -> RefinementTree:
     steps run on the integer grid of scale D * 4^depth, without
     `subdivide`'s input checks (module docstring).
     """
-    if depth < 0:
-        raise InputError("depth must be >= 0")
+    _check_count(depth, "depth must be >= 0")
     root = model.root
     root_cell = Cell(root, (lexmin_point(root), lexmax_point(root)))
     scale = _lcm_scale([root_cell]) * 4 ** depth
@@ -317,6 +339,21 @@ def evaluate_address(tree: RefinementTree, word: str) -> Region:
     return tree.cells[word].region
 
 
+def _nested(parent: Region, child: Cell) -> bool:
+    """Whether the child lies in its parent and holds its own marked
+    points: per-axis corner tests for one-box regions."""
+    boxes = child.region.boxes
+    if len(boxes) == 1 and len(parent.boxes) == 1:
+        (lo, hi), (plo, phi) = (boxes[0].lo, boxes[0].hi), \
+            (parent.boxes[0].lo, parent.boxes[0].hi)
+        m0, m1 = child.marked
+        return (all(map(le, plo, lo)) and all(map(le, hi, phi))
+                and all(map(le, lo, m0)) and all(map(le, m0, hi))
+                and all(map(le, lo, m1)) and all(map(le, m1, hi)))
+    return (region_subset(child.region, parent)
+            and all(map(child.region.contains_point, child.marked)))
+
+
 def check_stage_invariants(tree: RefinementTree, level: int) -> CheckReport:
     """Exact certification of one refinement stage.
 
@@ -330,11 +367,18 @@ def check_stage_invariants(tree: RefinementTree, level: int) -> CheckReport:
           the union of the other cells, i.e. each cell's complement within
           its stage is a finite union of closed cells.
 
+    (i) and (ii) are checked outright.  (iv) is derived from (i): a finite
+    disjoint union of closed cells minus one of them is the union of the
+    others, which is closed.  The no-intrusion part of (iii) is derived
+    from (i) and nesting, tested per child: the child lies in its parent
+    and holds its own marked points.  Then the marked points inside a cell
+    are exactly its children's, and (iii) compares them with the cell's
+    pair.  The exact scans of (iii) and (iv) run only when a premise fails,
+    and report the witness they find.
+
     The checks read the integer grid cells: every one is homogeneous in
     the scale.  Failures are reported, never raised.
     """
-    if not 0 <= level <= tree.depth:
-        raise InputError(f"level {level} outside tree depth {tree.depth}")
     addrs = tree.level(level)
     grid = tree.grid
     cells = [grid[a] for a in addrs]
@@ -369,24 +413,32 @@ def check_stage_invariants(tree: RefinementTree, level: int) -> CheckReport:
     # (iii) perfectness witness via the next level's marked points: the
     # marked points found inside a cell are exactly its two children's
     # pairs, include the cell's own pair, and never come from elsewhere.
-    # Each distinct point is looked up once, with every cell whose children
-    # mark it as its owners.
     if level == tree.depth:
         rep.add("perfectness_witness", True,
                 "deepest level: no refinement below, vacuous")
     else:
-        owners = defaultdict(set)
-        for a in addrs:
-            for j in "01":
-                for p in grid[a + j].marked:
-                    owners[p].add(a)
-        inside = [set() for _ in cells]  # the marked points in each cell
         foreign = [False] * len(cells)
-        for p, own in owners.items():
-            for k, _ in index.near(p, p):
-                inside[k].add(p)
-                if len(own) > 1 or addrs[k] not in own:
-                    foreign[k] = True
+        if overlap is None and all(_nested(c.region, grid[a + j])
+                                   for a, c in zip(addrs, cells)
+                                   for j in "01"):
+            # each next-level mark lies in its parent, and by (i) in no
+            # other cell of the level
+            inside = [{*grid[a + "0"].marked, *grid[a + "1"].marked}
+                      for a in addrs]
+        else:
+            # each distinct point is looked up once, with every cell whose
+            # children mark it as its owners
+            owners = defaultdict(set)
+            for a in addrs:
+                for j in "01":
+                    for p in grid[a + j].marked:
+                        owners[p].add(a)
+            inside = [set() for _ in cells]  # the marked points in each cell
+            for p, own in owners.items():
+                for k, _ in index.near(p, p):
+                    inside[k].add(p)
+                    if len(own) > 1 or addrs[k] not in own:
+                        foreign[k] = True
         bad_reason = ""
         for idx, a in enumerate(addrs):
             if foreign[idx]:
@@ -402,18 +454,23 @@ def check_stage_invariants(tree: RefinementTree, level: int) -> CheckReport:
                 bad_reason or "marked pairs persist, no intrusions")
 
     # (iv) clopen trace: closure(level union minus cell) = other cells.
-    # Boxes whose bounding box avoids the cell pass through both sides
-    # untouched, so only the boxes near the cell need exact subtraction.
+    # Under (i) no box of another cell meets the cell and each of its own
+    # boxes lies in it, so the subtraction below returns exactly the other
+    # cells' boxes.  Otherwise, boxes whose bounding box avoids the cell
+    # pass through both sides untouched, so only the boxes near the cell
+    # need exact subtraction.
     bad_reason = ""
-    for idx, (a, (lo, hi)) in enumerate(zip(addrs, bounds)):
-        window = index.near(lo, hi)
-        diff_near = closed_difference([b for _, b in window],
-                                      cells[idx].region.boxes)
-        expect_near = [b for j, b in window if j != idx]
-        if sorted(diff_near, key=Box.sort_key) != \
-                sorted(expect_near, key=Box.sort_key):
-            bad_reason = f"complement of cell {a!r} is not the other cells"
-            break
+    if overlap is not None:
+        for idx, (a, (lo, hi)) in enumerate(zip(addrs, bounds)):
+            window = index.near(lo, hi)
+            diff_near = closed_difference([b for _, b in window],
+                                          cells[idx].region.boxes)
+            expect_near = [b for j, b in window if j != idx]
+            if sorted(diff_near, key=Box.sort_key) != \
+                    sorted(expect_near, key=Box.sort_key):
+                bad_reason = (f"complement of cell {a!r} is not the other "
+                              f"cells")
+                break
     rep.add("clopen_trace", not bad_reason,
             bad_reason or "each complement is a finite union of closed cells")
     return rep

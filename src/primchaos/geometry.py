@@ -146,14 +146,6 @@ class Box:
         return (self.lo, self.hi)
 
 
-def box1(lo, hi) -> Box:
-    return Box((rat(lo),), (rat(hi),))
-
-
-def box2(xlo, xhi, ylo, yhi) -> Box:
-    return Box((rat(xlo), rat(ylo)), (rat(xhi), rat(yhi)))
-
-
 def box_intersect(a: Box, b: Box) -> Optional[Box]:
     """The closed boxes' common box, or None; boxes that touch share a
     degenerate box."""

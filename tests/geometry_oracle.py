@@ -5,9 +5,19 @@ elementary-cell scan, and containment with its own candidate filter and
 single-box shortcut.  And the box primitives and region intersection as
 they were before they did their per-axis work with `map`, and before two
 one-box regions met in one box intersection.  Tests compare the engine
-against these, tuple for tuple, list for list and verdict for verdict."""
+against these, tuple for tuple, list for list and verdict for verdict.
 
-from primchaos.geometry import Box, Region, _merge_intervals
+`box1` and `box2` are the tests' shorthand for `Fraction` boxes."""
+
+from primchaos.geometry import Box, Region, _merge_intervals, rat
+
+
+def box1(lo, hi) -> Box:
+    return Box((rat(lo),), (rat(hi),))
+
+
+def box2(xlo, xhi, ylo, yhi) -> Box:
+    return Box((rat(xlo), rat(ylo)), (rat(xhi), rat(yhi)))
 
 
 def oracle_box_intersect(a, b):

@@ -15,6 +15,7 @@ from chaos_oracle import (
     oracle_periodic_point,
     oracle_transitivity,
 )
+from geometry_oracle import box1, box2
 from primchaos import chaos, cli, geometry
 from primchaos.chaos import (
     SYSTEM_KINDS,
@@ -32,8 +33,6 @@ from primchaos.chaos import (
 )
 from primchaos.errors import ConstructionError, InputError
 from primchaos.geometry import (
-    box1,
-    box2,
     first_box_midpoint,
     grid_box,
     point_doc,

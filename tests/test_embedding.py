@@ -8,10 +8,10 @@ from functools import lru_cache
 from types import MappingProxyType
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from primchaos import embedding
+from primchaos import embedding, geometry
 from primchaos.embedding import (
     MODEL_KINDS,
     Cell,
@@ -28,8 +28,6 @@ from primchaos.errors import ConstructionError, DegenerateInputError, InputError
 from primchaos.geometry import (
     AxisIndex,
     Box,
-    box1,
-    box2,
     diameter,
     distance,
     lexmax_point,
@@ -38,7 +36,8 @@ from primchaos.geometry import (
     regions_disjoint,
     region_subset,
 )
-from refinement_oracle import oracle_build, oracle_check
+from geometry_oracle import box1, box2
+from refinement_oracle import oracle_build, oracle_check, oracle_subdivide
 
 
 @pytest.fixture(scope="module")
@@ -334,6 +333,9 @@ CORRUPTED = {
     # cell "0" must span both its boxes to see "1"
     "two_box_cell": lambda: _corrupt(
         "interval", 1, "0", extra=box1(F(7, 8), 1)),
+    # the root shrunk to the point 0: its children stick out of it, so of
+    # their marks only 0 lies in it, and its own mark 1 is lost
+    "root_shrunk": lambda: _corrupt("interval", 1, "", (F(0),), (F(0),)),
 }
 
 
@@ -374,6 +376,44 @@ def test_corrupted_trees_fail_their_check():
         assert [c.witness for c in rep.checks if not c.passed] == \
             [f"cell {'01'[name.endswith('last')]!r} contains a foreign "
              f"marked point"], name
+    # (i) holds at the root level, but its children are not nested in it
+    rep = check_stage_invariants(CORRUPTED["root_shrunk"](), 0)
+    assert [(c.name, c.witness) for c in rep.checks if not c.passed] == \
+        [("perfectness_witness", "cell '' lost a marked point")]
+    assert check_stage_invariants(CORRUPTED["root_shrunk"](), 1).all_passed
+
+
+def test_built_trees_are_certified_without_the_exact_scans(trees,
+                                                           monkeypatch):
+    # disjointness and nesting hold on every built level, so neither the
+    # window subtraction of (iv) nor the mark lookups of (iii) run; the
+    # tripod root is the one multi-box parent, tested by `region_subset`
+    calls = []
+    real_diff, real_near = geometry.closed_difference, AxisIndex.near
+
+    def recording_diff(minuend, subtrahend):
+        calls.append(("closed_difference", tuple(subtrahend)))
+        return real_diff(minuend, subtrahend)
+
+    def recording_near(self, lo, hi):
+        calls.append(("near", lo, hi))
+        return real_near(self, lo, hi)
+    for module in (geometry, embedding):
+        monkeypatch.setattr(module, "closed_difference", recording_diff)
+    monkeypatch.setattr(AxisIndex, "near", recording_near)
+    for kind, t in trees.items():
+        calls.clear()
+        assert all(check_stage_invariants(t, k).all_passed
+                   for k in range(t.depth + 1))
+        root = ("closed_difference", t.grid[""].region.boxes)
+        assert calls == ([root, root] if kind == "tripod" else []), kind
+    # a failed premise runs the scan derived from it
+    for name, scans in (("foreign_mark", {"near"}),
+                        ("overlapping_halves", {"near", "closed_difference"})):
+        t = CORRUPTED[name]()
+        calls.clear()
+        check_stage_invariants(t, 1)
+        assert {call[0] for call in calls} == scans, name
 
 
 def test_tree_constructor_rejects_addresses_off_its_depth():
@@ -434,6 +474,26 @@ def test_tree_document_deterministic_and_sorted():
 def test_build_rejects_negative_depth():
     with pytest.raises(InputError):
         build_refinement(make_model("interval"), -1)
+
+
+@pytest.mark.parametrize("depth", [2.0, "3", None])
+def test_build_rejects_a_depth_that_is_not_an_int(depth):
+    with pytest.raises(InputError, match="depth must be >= 0"):
+        build_refinement(make_model("interval"), depth)
+
+
+@pytest.mark.parametrize("level, message", [
+    (1.0, "level must be an int >= 0, got 1.0"),
+    ("1", "level must be an int >= 0, got '1'"),
+    (None, "level must be an int >= 0, got None"),
+    (-1, "level must be an int >= 0, got -1"),
+    (3, "level 3 outside tree depth 2")])
+def test_checks_reject_a_level_off_the_tree(level, message):
+    t = build_refinement(make_model("interval"), 2)
+    for check in (t.level, lambda k: check_stage_invariants(t, k)):
+        with pytest.raises(InputError) as info:
+            check(level)
+        assert str(info.value) == message
 
 
 # ---------------------------------------------------------------------------
@@ -518,6 +578,78 @@ def test_subdivide_on_the_grid_is_exact():
         subdivide(m, region(Box((0,), (6,))), ((0,), (6,)))
     with pytest.raises(InputError):
         subdivide(m, region(Box((0,), (12,))), ((0,), (12,)))
+
+
+@st.composite
+def split_steps(draw):
+    """(model, `Fraction` cell, marked pair) on the interval or the square.
+    The cell is mostly one box, else that box and a second one, and the
+    marked points lie anywhere in the first box.  A square box's second
+    axis may be degenerate, as on the tripod.  Now and then a marked point
+    lies outside the cell, both are one point, or the cell sticks out of
+    the model."""
+    model = make_model(draw(st.sampled_from(("interval", "square"))))
+    den = draw(st.sampled_from([4, 6, 64]))
+    odd = draw(st.sampled_from([None] * 7 + ["past", "outside", "same"]))
+    past = odd == "past"
+
+    def box():
+        axes = []
+        for ax in range(model.dim):
+            lo = draw(st.integers(-past, den + past - 1))
+            flat = ax == 1 and draw(st.sampled_from([False] * 3 + [True]))
+            hi = lo if flat else draw(st.integers(lo + 1, den + past))
+            axes.append((F(lo, den), F(hi, den)))
+        return axes
+    axes = box()
+    inside = st.tuples(*(st.fractions(lo, hi, max_denominator=4 * den)
+                         for lo, hi in axes))
+    marked = draw(st.lists(inside, min_size=2, max_size=2, unique=True))
+    if odd == "outside":
+        marked[1] = tuple(F(n, den) for n in draw(
+            st.tuples(*[st.integers(-1, den + 1)] * model.dim)))
+    if odd == "same":
+        marked[1] = marked[0]
+    boxes = [axes]
+    if draw(st.sampled_from([False] * 3 + [True])):
+        boxes.append(box())
+    cell = region([Box(tuple(lo for lo, _ in ax), tuple(hi for _, hi in ax))
+                   for ax in boxes])
+    return model, cell, tuple(marked)
+
+
+def _outcome(step, *args):
+    try:
+        return step(*args)
+    except (InputError, ConstructionError) as exc:
+        return type(exc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(split_steps())
+def test_split_matches_fraction_oracle(case):
+    # one-box cells are split by a per-axis clamp, others by regions
+    assert _outcome(subdivide, *case) == _outcome(oracle_subdivide, *case)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([1, 2]), st.data())
+def test_grid_split_off_the_grid_raises_on_both_paths(dim, data):
+    # a marked distance that is no multiple of 4 has no grid radius, on a
+    # one-box cell and on the same cell beside a second box alike
+    model = PeanoModel("grid", dim, region(Box((0,) * dim, (40,) * dim)))
+    axes = [sorted(data.draw(st.tuples(st.integers(0, 16),
+                                       st.integers(0, 16))))
+            for _ in range(dim)]
+    box = Box(tuple(lo for lo, _ in axes), tuple(hi for _, hi in axes))
+    point = st.tuples(*(st.integers(lo, hi) for lo, hi in axes))
+    marked = (data.draw(point), data.draw(point))
+    assume(distance(*marked) % 4)
+    two_boxes = region([box, Box((32,) * dim, (40,) * dim)])
+    assert len(two_boxes.boxes) > 1
+    for cell in (region(box), two_boxes):
+        with pytest.raises(ConstructionError):
+            subdivide(model, cell, marked)
 
 
 def graph_size(root):

@@ -16,8 +16,6 @@ from primchaos.geometry import (
     Region,
     binary_word,
     bounding_box,
-    box1,
-    box2,
     box_disjoint,
     box_in_boxes,
     box_intersect,
@@ -40,6 +38,8 @@ from primchaos.geometry import (
     regions_disjoint,
 )
 from geometry_oracle import (
+    box1,
+    box2,
     oracle_box_disjoint,
     oracle_box_in_boxes,
     oracle_box_intersect,

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from geometry_oracle import box1, box2
 from surject_oracle import (
     blocks_cover,
     midpoint,
@@ -22,8 +23,6 @@ from primchaos import surject
 from primchaos.embedding import build_refinement, evaluate_address, make_model
 from primchaos.errors import InputError
 from primchaos.geometry import (
-    box1,
-    box2,
     cylinder,
     diameter,
     eval_ternary_address,
