@@ -74,9 +74,9 @@ from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import ConstructionError, InputError
 from .geometry import (
-    AxisIndex,
     Box,
     Region,
+    box_disjoint,
     closed_difference,
     eval_ternary_address,
     first_box_midpoint,
@@ -98,6 +98,8 @@ DIGITS = "0123456789"
 MAX_DELTA_BITS = 1024
 # separation a sensitivity witness pair's orbits must reach
 SENSITIVITY_CONSTANT = Fraction(1, 4)
+# most cells, alphabet ** depth, a transitivity check builds and holds
+MAX_TRANSITIVITY_CELLS = 2 ** 12
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -686,12 +688,16 @@ def transitivity_check(s: ChaosSystem, depth: int) -> CheckReport:
     least cell hi and its hi at least the greatest cell lo (two bounds
     taken once per depth).  On the baker map every image, a horizontal
     strip, crosses every cell, a vertical strip, so this test settles each
-    u where the index would return every cell.  Otherwise an axis index
-    over the cells' boxes returns the v met.  A pair the images leave
-    unconnected has an empty enclosure(u.v), so the first such pair in
-    (u, v) order raises the error that realizing u.v would."""
-    if not 1 <= depth <= 12:
-        raise InputError("transitivity depth must be in 1..12")
+    u.  Otherwise the cells are scanned in order for one that no image box
+    meets.  A pair the images leave unconnected has an empty
+    enclosure(u.v), so the first such pair in (u, v) order raises the error
+    that realizing u.v would.  Depths run from 1 while alphabet ** depth is
+    at most MAX_TRANSITIVITY_CELLS: to 12 on two events, to 3 on ten."""
+    if depth < 1:
+        raise InputError("transitivity depth must be >= 1")
+    if s.alphabet ** min(depth, 64) > MAX_TRANSITIVITY_CELLS:
+        raise InputError(f"transitivity depth {depth} exceeds the work limit of "
+                         f"{MAX_TRANSITIVITY_CELLS} cells ({s.alphabet} ** depth)")
     cells = _cells(s, depth)
     rep = CheckReport(f"{s.kind} transitivity, depth {depth}, "
                       f"{len(cells) ** 2} ordered pairs")
@@ -708,7 +714,6 @@ def transitivity_check(s: ChaosSystem, depth: int) -> CheckReport:
     images = [_on_scale(boxes, dens, F, scale)
               for F, (_, boxes, dens) in zip(maps, cells)]
     space = _on_scale(t.space, t.dens, identity, scale)
-    index = AxisIndex(cell_boxes)
     every = [b for boxes in cell_boxes for b in boxes]
     least_hi = tuple(map(min, zip(*[b.hi for b in every])))
     greatest_lo = tuple(map(max, zip(*[b.lo for b in every])))
@@ -718,9 +723,8 @@ def transitivity_check(s: ChaosSystem, depth: int) -> CheckReport:
         if any(all(map(le, b.lo, least_hi)) and all(map(le, greatest_lo, b.hi))
                for b in image):
             continue
-        met = {j for b in image for j, _ in index.near(b.lo, b.hi)}
-        for j, (v, _, _) in enumerate(cells):
-            if j not in met:
+        for (v, _, _), boxes in zip(cells, cell_boxes):
+            if all(box_disjoint(a, b) for a in boxes for b in image):
                 raise _no_witness(s, u + v)
     rep.add("all_pairs_connected", True,
             f"{len(cells) ** 2} pairs connected in exactly {depth} steps")

@@ -44,6 +44,8 @@ PROG = "primchaos"
 EMBED_MAX_DEPTH = 12
 MAX_CELLS = 2 ** 20
 MAX_WORD = 1024
+# the waypoint certificate looks up each pin's piece in a scan of them all
+MAX_POINTS = 256
 
 EPILOG = """\
 output formats:
@@ -53,8 +55,10 @@ output formats:
          rational values (approximate, for plotting only)
 
 work limits:
-  embed --depth at most 12; surject and chaos transitivity at most 2^20 cells
-  (2^depth cylinders or interval cells, 4^depth quadrants or pairs);
+  embed --depth at most 12; surject at most 2^20 cells (2^depth cylinders
+  or interval cells, 4^depth quadrants); surject --kind waypoint at most 256
+  --point pins; chaos transitivity at most 2^12 cells (2^depth on the
+  two-event systems, so --depth 1..12);
   chaos sensitivity at most 2^20 orbit steps (--samples times a step budget
   of the bit length of 1/delta, plus 8), and --delta at most 1024 bits in
   its numerator and in its denominator;
@@ -287,6 +291,9 @@ def _surject_waypoint(args):
     depth = args.depth
     if not args.point:
         raise InputError("waypoint kind needs at least one --point X=Y")
+    if len(args.point) > MAX_POINTS:
+        raise InputError(f"at most {MAX_POINTS} --point pins, "
+                         f"got {len(args.point)}")
     wmap = surject_mod.waypoint_map(_parse_waypoints(args.point), args.target)
     ws = surject_mod.waypoint_surjection(wmap)
     rep = surject_mod.verify_waypoint_surjection(ws, resolution=depth)
@@ -414,8 +421,7 @@ COMMANDS = {
                       help="perturbation bound as p/q"),
          _arg("--samples", type=int, default=100)),
         _chaos_sensitivity, _sensitivity_steps),
-    ("chaos", "transitivity"): Command((SYSTEM, DEPTH), _chaos_transitivity,
-                                       lambda a: 4 ** min(a.depth, 64)),
+    ("chaos", "transitivity"): Command((SYSTEM, DEPTH), _chaos_transitivity),
     ("surject", "binary"): Command(
         (SURJECT_DEPTH,), _surject_covering, lambda a: _surject_cells(a, 2)),
     ("surject", "interleave"): Command(

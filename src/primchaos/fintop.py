@@ -16,9 +16,11 @@ the submasks of the cap of the earlier rows through its point: 355
 topologies on 4 labelled points, 6942 on 5.  `sweep` computes the quotient
 relation of every (topology, partition) pair, reading its first step from
 per-space and per-partition subset tables, and validates each distinct
-relation once per partition, reporting an invalid one as a failed check
-and reading functoriality off the singleton partition's relations; other
-quotients keep `_union`, for which building the tables costs more.
+relation once per partition, reporting an invalid one as a failed check;
+other quotients keep `_union`, for which building the tables costs more.
+A bijection is a homeomorphism iff it maps each U_x onto U_{f(x)}, so
+`sweep` (functoriality), `verify_prop5` and `verify_lemma7` compare a
+quotient's rows with a given space's and build no map.
 
 A finite space is Hausdorff iff it is discrete, so the compact-Hausdorff
 hypotheses of the representative-subspace and fiber-quotient facts
@@ -330,7 +332,9 @@ def verify_prop5(X: FiniteTopSpace, D: Partition,
 
     Hypothesis: X compact Hausdorff (compactness is automatic here, and a
     finite Hausdorff space is discrete).  With the hypothesis met this must
-    always hold, for every choice of representatives.
+    always hold, for every choice of representatives.  The map is a
+    bijection, so a homeomorphism iff for each representative r of block k
+    the blocks of the representatives in U_r make up the quotient's row k.
     """
     if len(reps) != len(D.blocks):
         raise InputError("need exactly one representative per block")
@@ -338,10 +342,10 @@ def verify_prop5(X: FiniteTopSpace, D: Partition,
         if r not in b:
             raise InputError(f"representative {r!r} not in its block {b}")
     hausdorff = is_hausdorff(X)
-    Y = subspace(X, list(reps))
+    kept = X.mask(reps)
     quot = decomposition_topology(X, D)
-    h = finite_map(Y, quot, dict(zip(reps, D.labels)))
-    ok = is_homeomorphism(h)
+    ok = all(_union(D.bits, X.nbhds[X.points.index(r)] & kept) == u
+             for r, u in zip(reps, quot.nbhds))
     detail = "X is discrete (finite Hausdorff)" if hausdorff else \
         "hypothesis unmet: X is not Hausdorff; result informational"
     return HypothesisResult(ok, hausdorff, detail)
@@ -351,17 +355,17 @@ def verify_lemma7(f: FiniteMap) -> HypothesisResult:
     """Check that the decomposition space of the domain by the fibers of a
     continuous surjection is homeomorphic to the codomain via fiber -> y.
 
-    Hypothesis: domain compact (automatic) and codomain Hausdorff.
+    Hypothesis: domain compact (automatic) and codomain Hausdorff.  Fiber
+    k -> point k is the identity on indices (`fiber_partition` lists the
+    fibers in codomain order), so a homeomorphism iff the rows are equal.
     """
     if not f.is_surjective():
         raise InputError("map must be surjective")
     if not is_continuous(f):
         raise InputError("map must be continuous")
     hausdorff = is_hausdorff(f.codomain)
-    D = fiber_partition(f)
-    quot = decomposition_topology(f.domain, D)
-    h = finite_map(quot, f.codomain, dict(zip(D.labels, f.codomain.points)))
-    ok = is_homeomorphism(h)
+    quot = decomposition_topology(f.domain, fiber_partition(f))
+    ok = quot.nbhds == f.codomain.nbhds
     detail = "codomain is discrete (finite Hausdorff)" if hausdorff else \
         "hypothesis unmet: codomain is not Hausdorff; result informational"
     return HypothesisResult(ok, hausdorff, detail)

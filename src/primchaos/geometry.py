@@ -12,8 +12,8 @@ axis-aligned boxes with rational corners, in ambient dimension 1 or 2.
 `closed_difference` is the one engine for what is left of such a union
 after removing another: containment (`box_in_boxes`, `region_subset`) is
 its emptiness, and the 2-d canonical form takes its zero-width boxes from
-it.  `AxisIndex` is the one index for asking which of many boxes (a
-refinement level's cells, a chaos system's cells) meet a given box.
+it.  `AxisIndex` is the one index for asking which of a refinement level's
+many cell boxes meet a given box, for the stage checks' exact scans.
 
 The integer kernels (chaos enclosures, surjection cells, refinement trees)
 hold corners as `int` numerators over one denominator per axis.  Boxes,
@@ -25,10 +25,9 @@ exact, but which type it keeps where two equal corners meet is unspecified.
 
 The box primitives run once per cell on the refinement and chaos paths,
 so they do their per-axis work with `map` over `operator` functions, with
-no generator per axis.  Each has one code path, with two one-box
-shortcuts that give what the general path gives: a one-box list is its
-own `bounding_box` (so a one-box `diameter` is its widest side), and two
-one-box regions meet in one `box_intersect` (`region_intersect`).
+no generator per axis.  Each has one code path, with one one-box shortcut
+that gives what the general path gives: a one-box list is its own
+`bounding_box` (so a one-box `diameter` is its widest side).
 
 The metric is the Chebyshev max-norm.  It is topologically equivalent to
 the Euclidean metric and, unlike it, exactly computable over the rationals
@@ -298,11 +297,7 @@ def diameter(r: Region) -> Fraction:
 
 
 def region_intersect(a: Region, b: Region) -> Optional[Region]:
-    """The closed regions' common region, or None.  Two one-box regions
-    meet in one `box_intersect`, which is already canonical."""
-    if len(a.boxes) == 1 and len(b.boxes) == 1:
-        hit = box_intersect(a.boxes[0], b.boxes[0])
-        return None if hit is None else Region((hit,))
+    """The closed regions' common region, or None."""
     pieces = [hit for ba in a.boxes for bb in b.boxes
               if (hit := box_intersect(ba, bb)) is not None]
     if not pieces:
@@ -379,9 +374,9 @@ def region_subset(a: Region, b: Region) -> bool:
 
 
 class AxisIndex:
-    """The boxes of a sequence of box groups (a level's cells, a system's
-    cells) as (group index, box), sorted by their lower axis-0 coordinate,
-    for exact range queries."""
+    """The boxes of a sequence of box groups (a refinement level's cells)
+    as (group index, box), sorted by their lower axis-0 coordinate, for
+    exact range queries."""
 
     def __init__(self, groups: Sequence[Sequence[Box]]):
         self.entries = sorted(((j, b) for j, boxes in enumerate(groups)

@@ -1,30 +1,39 @@
 """The finite-topology kernels as they were before the search walked only
 the submasks of the earlier rows' cap and partitions carried their block
-masks, before the sweep validated each distinct quotient once, and before
-topologies and quotients were decided on the preorder alone: the topology
-search tries every candidate row at every level and tests transitivity
-against all chosen rows, `_union` visits every mask, the decomposition
-topology finds each block's points by label on every call, the sweep builds
-the quotient of every (topology, partition) pair, an open-set family is a
-topology iff it holds {} and X and is closed under pairwise union and
-intersection, and the quotient kernel reads its first step through a
-`union` selector.  Tests compare the kernels against these, output for
-output and in the same order.  And `is_t0`, which left the library because
-only tests call it."""
+masks, before the sweep validated each distinct quotient once, before
+topologies and quotients were decided on the preorder alone, and before the
+prop5 and lemma7 homeomorphisms were decided from neighbourhood rows: the
+topology search tries every candidate row at every level and tests
+transitivity against all chosen rows, `_union` visits every mask, the
+decomposition topology finds each block's points by label on every call,
+the sweep builds the quotient of every (topology, partition) pair, an
+open-set family is a topology iff it holds {} and X and is closed under
+pairwise union and intersection, the quotient kernel reads its first step
+through a `union` selector, and the two verifiers build the subspace or the
+quotient's map and ask `is_homeomorphism`.  Tests compare the kernels
+against these, output for output and in the same order.  And `is_t0`,
+which left the library because only tests call it."""
 
 from typing import Iterable, List, Sequence, Tuple
 
 from primchaos.errors import InputError
 from primchaos.fintop import (
+    FiniteMap,
     FiniteTopSpace,
+    HypothesisResult,
     Partition,
     _mask_of,
     _union,
     all_partitions,
     all_topologies,
     block_label,
+    decomposition_topology,
+    fiber_partition,
     finite_map,
+    is_continuous,
+    is_hausdorff,
     is_homeomorphism,
+    subspace,
 )
 from primchaos.report import CheckReport
 
@@ -158,3 +167,39 @@ def oracle_quotient_relation(masks: Sequence[int], ups: Sequence[int],
             if ra >> k & 1:
                 reach[a] = ra | reach[k]
     return tuple(reach)
+
+
+def oracle_prop5(X: FiniteTopSpace, D: Partition,
+                 reps: Sequence[str]) -> HypothesisResult:
+    """`fintop.verify_prop5` building the representatives' subspace and the
+    map representative -> block, and asking `is_homeomorphism`."""
+    if len(reps) != len(D.blocks):
+        raise InputError("need exactly one representative per block")
+    for r, b in zip(reps, D.blocks):
+        if r not in b:
+            raise InputError(f"representative {r!r} not in its block {b}")
+    hausdorff = is_hausdorff(X)
+    Y = subspace(X, list(reps))
+    quot = decomposition_topology(X, D)
+    h = finite_map(Y, quot, dict(zip(reps, D.labels)))
+    ok = is_homeomorphism(h)
+    detail = "X is discrete (finite Hausdorff)" if hausdorff else \
+        "hypothesis unmet: X is not Hausdorff; result informational"
+    return HypothesisResult(ok, hausdorff, detail)
+
+
+def oracle_lemma7(f: FiniteMap) -> HypothesisResult:
+    """`fintop.verify_lemma7` building the map fiber -> y on the fiber
+    quotient and asking `is_homeomorphism`."""
+    if not f.is_surjective():
+        raise InputError("map must be surjective")
+    if not is_continuous(f):
+        raise InputError("map must be continuous")
+    hausdorff = is_hausdorff(f.codomain)
+    D = fiber_partition(f)
+    quot = decomposition_topology(f.domain, D)
+    h = finite_map(quot, f.codomain, dict(zip(D.labels, f.codomain.points)))
+    ok = is_homeomorphism(h)
+    detail = "codomain is discrete (finite Hausdorff)" if hausdorff else \
+        "hypothesis unmet: codomain is not Hausdorff; result informational"
+    return HypothesisResult(ok, hausdorff, detail)

@@ -16,7 +16,7 @@ from chaos_oracle import (
     oracle_transitivity,
 )
 from geometry_oracle import box1, box2
-from primchaos import chaos, cli, geometry
+from primchaos import chaos, cli
 from primchaos.chaos import (
     SYSTEM_KINDS,
     AffineBranch,
@@ -760,16 +760,23 @@ def test_transitivity_realizes_at_most_the_failing_pair(s, monkeypatch):
 TRAP3 = custom_system(
     "trap3", [[box1(0, F(1, 3))], [box1(F(1, 3), F(2, 3))], [box1(F(2, 3), 1)]],
     [((3, 0),), ((3, -1),), ((F(1, 3), F(2, 3)),)])
+# the same events; branch 2 maps its event onto [1/3, 1/2], which meets
+# cell 0 only in the point 1/3 and misses cell 2
+TOUCH3 = custom_system(
+    "touch3", [[box1(0, F(1, 3))], [box1(F(1, 3), F(2, 3))], [box1(F(2, 3), 1)]],
+    [((3, 0),), ((3, -1),), ((HALF, 0),)])
 
 
 def test_transitivity_fails_without_realizing_the_pair(monkeypatch):
     # an unconnected pair raises from the images alone, with the error the
     # pairwise oracle gets from realizing it: the first such pair in (u, v)
     # order, of one on the trap and two (20 and 21) on trap3; on two_piece
-    # the first pair whose enclosure has no point
+    # the first pair whose enclosure has no point; on touch3 the pair 22,
+    # as the image touching cell 0 connects the pair 20
     want = {(TRAP, 1): "empty witness set for word 10 on trap",
             (TRAP3, 1): "empty witness set for word 20 on trap3",
-            (TWO_PIECE, 2): "empty witness set for word 0011 on two_piece"}
+            (TWO_PIECE, 2): "empty witness set for word 0011 on two_piece",
+            (TOUCH3, 1): "empty witness set for word 22 on touch3"}
     for (s, depth), msg in want.items():
         assert verdict(oracle_transitivity, s, depth) == \
             (ConstructionError, msg)
@@ -792,21 +799,21 @@ def test_transitivity_realizes_no_pair_on_transitive_systems(monkeypatch):
 
 def test_transitivity_settles_baker_without_the_index(monkeypatch):
     # every baker image, a horizontal strip, crosses every cell, a vertical
-    # strip: the per-axis bounds settle each u and the index is never asked
-    def refuse(self, lo, hi):
-        raise AssertionError("asked the axis index")
-    monkeypatch.setattr(geometry.AxisIndex, "near", refuse)
+    # strip: the per-axis bounds settle each u and no cell is scanned
+    def refuse(a, b):
+        raise AssertionError("scanned the cells")
+    monkeypatch.setattr(chaos, "box_disjoint", refuse)
     for depth in range(1, 7):
         assert transitivity_check(make_system("baker"), depth).all_passed
 
 
 def test_transitivity_at_the_largest_accepted_depth():
-    # 4^10 pairs is the most the CLI accepts
+    # 2^12 cells is the most the check builds: depth 12 on two events
     for kind in ("baker", "doubling"):
-        rep = transitivity_check(make_system(kind), 10)
+        rep = transitivity_check(make_system(kind), 12)
         assert rep.all_passed
         assert rep.checks[0].witness == \
-            "1048576 pairs connected in exactly 10 steps"
+            "16777216 pairs connected in exactly 12 steps"
 
 
 @pytest.mark.parametrize("s", [s for s in RANDOM_WORD_SYSTEMS.values()
@@ -846,6 +853,18 @@ def times_mod_1(n):
     return custom_system(f"times{n}",
                          [[box1(F(j, n), F(j + 1, n))] for j in range(n)],
                          [((n, -j),) for j in range(n)])
+
+
+def test_transitivity_bounds_its_cells_by_the_alphabet():
+    # 10^3 cells pass and 10^4 exceed 2^12, as 2^13 cells do on two events
+    s = times_mod_1(10)
+    assert transitivity_check(s, 3).all_passed
+    for system, depth in ((s, 4), (make_system("doubling"), 13)):
+        with pytest.raises(InputError) as exc:
+            transitivity_check(system, depth)
+        assert str(exc.value) == (
+            f"transitivity depth {depth} exceeds the work limit of 4096 "
+            f"cells ({system.alphabet} ** depth)")
 
 
 def test_ten_events_is_the_most_a_digit_word_names():

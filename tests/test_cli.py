@@ -10,6 +10,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from time import perf_counter
 
 import pytest
 
@@ -132,8 +133,9 @@ WORK_GATE_CASES = [
      True),
     (["surject", "--kind", "hilbert", "--depth", "11"], False),
     (["surject", "--kind", "hilbert", "--depth", "20"], False),
-    (["chaos", "transitivity", "--system", "doubling", "--depth", "11"], False),
-    (["chaos", "transitivity", "--system", "tent", "--depth", "12"], False),
+    # transitivity's cells are bounded by the library, not this gate
+    (["chaos", "transitivity", "--system", "doubling", "--depth", "11"], True),
+    (["chaos", "transitivity", "--system", "tent", "--depth", "12"], True),
     (SQUARE_PIN + ["--depth", "11"], False),
     (["surject", "--kind", "binary", "--depth", "21"], False),
     (["surject", "--kind", "block", "--swap-halves", "--depth", "21"], False),
@@ -167,6 +169,11 @@ def test_work_gate(argv, accepted, tmp_path, capsys, monkeypatch):
     assert ("exceeds the work limit" in err) == (not accepted)
 
 
+def pins(n, y="1/2"):
+    """--point arguments for n pins to y at parameters 1/(n+1) .. n/(n+1)."""
+    return [a for k in range(1, n + 1) for a in ("--point", f"{k}/{n + 1}={y}")]
+
+
 OUT_OF_RANGE = [
     ["embed", "--model", "interval", "--depth", "13"],
     ["surject", "--kind", "binary", "--depth", "21"],
@@ -175,6 +182,7 @@ OUT_OF_RANGE = [
     ["chaos", "sensitivity", "--system", "doubling", "--delta", "1/64",
      "--samples", "0"],
     ["chaos", "transitivity", "--system", "doubling", "--depth", "0"],
+    ["chaos", "transitivity", "--system", "doubling", "--depth", "13"],
     ["chaos", "realize", "--system", "doubling", "--word", ""],
     ["chaos", "realize", "--system", "doubling", "--word", "01" * 512 + "0"],
     ["chaos", "periodic", "--system", "tent", "--word", ""],
@@ -217,6 +225,8 @@ OUT_OF_RANGE = [
      "--format", "csv", "--decimal", "-1"],
     # a block cylinder longer than the depth
     ["surject", "--kind", "block", "--block", "000:1", "--depth", "2"],
+    # one pin past the cap
+    ["surject", "--kind", "waypoint", *pins(257)],
 ]
 
 
@@ -227,6 +237,21 @@ def test_out_of_range_inputs_rejected(argv, tmp_path, capsys, monkeypatch):
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("primchaos: error: ")
     assert not (tmp_path / "out.json").exists()
+
+
+@pytest.mark.parametrize("target,y", [("interval", "1/2"),
+                                      ("square", "1/2,1/2")])
+def test_waypoint_pins_up_to_the_cap(target, y, capsys):
+    # the certificate's time grows as the square of the pins, so argv could
+    # otherwise carry hours of work
+    argv = ["surject", "--kind", "waypoint", "--target", target, *pins(256, y)]
+    t0 = perf_counter()
+    assert main(argv) == 0
+    assert perf_counter() - t0 < 60
+    assert "256 pin(s)" in capsys.readouterr().out
+    assert main(argv + ["--point", f"1={y}"]) == 2
+    assert capsys.readouterr() == (
+        "", "primchaos: error: at most 256 --point pins, got 257\n")
 
 
 def test_option_of_another_kind_named(capsys):

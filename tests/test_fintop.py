@@ -17,6 +17,8 @@ from fintop_oracle import (
     is_t0,
     oracle_decomposition_topology,
     oracle_is_topology,
+    oracle_lemma7,
+    oracle_prop5,
     oracle_quotient_relation,
     oracle_space_from_masks,
     oracle_sweep,
@@ -27,6 +29,7 @@ from primchaos import fintop
 from primchaos.cli import main
 from primchaos.errors import InputError
 from primchaos.fintop import (
+    FiniteMap,
     FiniteTopSpace,
     Partition,
     _quotient_relation,
@@ -609,6 +612,74 @@ def test_prop5_exhaustive_discrete_up_to_4():
                 assert verify_prop5(X, D, list(reps)).holds
 
 
+def verdict(check, *args):
+    """The check's result, or the type and message of the input error it
+    raises."""
+    try:
+        return check(*args)
+    except InputError as exc:
+        return type(exc), str(exc)
+
+
+def test_prop5_matches_subspace_oracle_exhaustive_4pts():
+    # every topology on 1-4 points, every partition, every representative
+    # choice, against the subspace and map `is_homeomorphism` decides
+    n_cases = n_holds = 0
+    for n in range(1, 5):
+        points = "abcd"[:n]
+        parts = [Partition(tuple(points), blocks)
+                 for blocks in all_partitions(points)]
+        for X in all_topologies(points):
+            for D in parts:
+                for reps in product(*D.blocks):
+                    got = verify_prop5(X, D, reps)
+                    assert got == oracle_prop5(X, D, reps), \
+                        (X.nbhds, D.blocks, reps)
+                    n_cases += 1
+                    n_holds += got.holds
+    assert n_cases == 14858
+    assert 0 < n_holds < n_cases
+
+
+@pytest.mark.parametrize("points,blocks,reps,message", [
+    # a representative outside X is named before the partition's points
+    ("abd", (("a", "b"), ("d",)), ["a", "d"], "unknown point 'd'"),
+    ("bac", (("a",), ("b", "c")), ["a", "b"],
+     "partition is over different points"),
+])
+def test_prop5_partition_over_other_points(points, blocks, reps, message):
+    X = discrete_space("abc")
+    D = Partition(tuple(points), blocks)
+    assert verdict(verify_prop5, X, D, reps) == (InputError, message)
+    assert verdict(oracle_prop5, X, D, reps) == (InputError, message)
+
+
+def test_prop5_and_lemma7_decide_from_rows_only(monkeypatch):
+    chain = named_space("chain3")
+    d4 = discrete_space("abcd")
+    prop5_cases = [
+        (d4, partition(d4, [["a", "b"], ["c", "d"]]), ["b", "c"]),
+        (chain, partition(chain, [["a", "c"], ["b"]]), ["c", "b"]),
+        (chain, partition(chain, [["a"], ["b", "c"]]), ["a", "c"]),
+    ]
+    lemma7_cases = [
+        finite_map(d4, chain, {"a": "a", "b": "b", "c": "c", "d": "c"}),
+        finite_map(chain, named_space("sierpinski"),
+                   {"a": "a", "b": "b", "c": "b"}),
+        finite_map(chain, chain, {p: p for p in "abc"}),
+    ]
+    want = [oracle_prop5(*case) for case in prop5_cases] + \
+        [oracle_lemma7(f) for f in lemma7_cases]
+    assert {res.holds for res in want} == {True, False}
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("built a subspace or a map")
+    for name in ("subspace", "finite_map", "FiniteMap", "is_homeomorphism"):
+        monkeypatch.setattr(fintop, name, refuse)
+    assert [verify_prop5(*case) for case in prop5_cases] + \
+        [verify_lemma7(f) for f in lemma7_cases] == want
+
+
 # ---------------------------------------------------------------------------
 # verify_lemma7: fiber quotients
 # ---------------------------------------------------------------------------
@@ -660,6 +731,49 @@ def test_lemma7_exhaustive_small():
             for f in all_maps(X, Y):
                 if f.is_surjective() and is_continuous(f):
                     assert verify_lemma7(f).holds
+
+
+def test_lemma7_matches_quotient_map_oracle_exhaustive_3pts():
+    # every map between topologies on 1-3 points, whatever the verdict or
+    # error; on the domain points a, b and 'a,b' the fibers {a, b} and
+    # {'a,b'} share the label 'a,b', which the quotient rejects
+    domains = [X for points in ("a", "ab", "abc", ("a", "b", "a,b"))
+               for X in all_topologies(points)]
+    codomains = [Y for points in ("x", "xy", "xyz")
+                 for Y in all_topologies(points)]
+    seen = Counter()
+    for X in domains:
+        for Y in codomains:
+            for f in all_maps(X, Y):
+                got = verdict(verify_lemma7, f)
+                assert got == verdict(oracle_lemma7, f), f.mapping
+                seen[got if isinstance(got, tuple) else got.holds] += 1
+    assert sum(seen.values()) == 48536
+    assert set(seen) == {
+        True, False, (InputError, "map must be surjective"),
+        (InputError, "map must be continuous"),
+        (InputError, "duplicate point labels")}
+
+
+SPACES = {n: all_topologies("abcde"[:n]) for n in range(1, 6)}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([4, 5]), st.data())
+def test_lemma7_matches_quotient_map_oracle_4_5pts(n, data):
+    # a continuous surjection from a space on 4 or 5 points onto 1-4 points
+    X = data.draw(st.sampled_from(SPACES[n]))
+    m = data.draw(st.integers(1, 4))
+    extra = data.draw(st.lists(st.integers(0, m - 1), min_size=n - m,
+                               max_size=n - m))
+    targets = data.draw(st.permutations(list(range(m)) + extra))
+
+    def onto(Y):
+        return FiniteMap(X, Y, tuple((x, Y.points[t])
+                                     for x, t in zip(X.points, targets)))
+    f = data.draw(st.sampled_from(
+        [f for f in map(onto, SPACES[m]) if is_continuous(f)]))
+    assert verify_lemma7(f) == oracle_lemma7(f)
 
 
 # ---------------------------------------------------------------------------

@@ -486,10 +486,9 @@ def test_containment_and_difference_match_oracle(pair):
           [Box((0, 0), (0, 1)), Box((0, 1), (1, 1))]))
 def test_region_intersect_matches_pairwise_oracle(pair):
     # corners on a 7-point grid make touching, equal and degenerate boxes
-    # common; each pair of boxes is also met as two one-box regions, the
-    # case `region_intersect` settles with one `box_intersect`.  Where the
-    # two lists differ in corner type, which of two equal corners a region
-    # keeps is unspecified, so only values are compared
+    # common; each pair of boxes is also met as two one-box regions.  Where
+    # the two lists differ in corner type, which of two equal corners a
+    # region keeps is unspecified, so only values are compared
     mixed = len({type(x) for boxes in pair for box in boxes
                  for x in (*box.lo, *box.hi)}) > 1
 
