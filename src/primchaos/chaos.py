@@ -72,7 +72,7 @@ from math import lcm
 from operator import le
 from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
-from .errors import ConstructionError, InputError
+from .errors import ConstructionError, InputError, check_count
 from .geometry import (
     Box,
     Region,
@@ -498,8 +498,7 @@ def dense_orbit_word(depth: int) -> str:
     """Concatenation of every binary word of length 1..depth in
     lexicographic order; the realized witness's orbit visits every
     depth-`depth` event cell."""
-    if depth < 1:
-        raise InputError("depth must be >= 1")
+    check_count(depth, "depth must be >= 1", 1)
     parts = []
     for length in range(1, depth + 1):
         for bits in product("01", repeat=length):
@@ -614,8 +613,8 @@ def sensitivity_check(s: ChaosSystem, delta: Fraction, samples: int,
         raise InputError("sensitivity check ships for 1-d systems")
     delta = rat(delta)
     budget = sensitivity_budget(delta)
-    if samples < 1 and not points:
-        raise InputError("need at least one sample")
+    if not points:
+        check_count(samples, "need at least one sample", 1)
     sample_pts = [tuple(rat(c) for c in p) for p in points] if points \
         else _sensitivity_samples(s, samples)
     sep = SENSITIVITY_CONSTANT
@@ -691,10 +690,9 @@ def transitivity_check(s: ChaosSystem, depth: int) -> CheckReport:
     u.  Otherwise the cells are scanned in order for one that no image box
     meets.  A pair the images leave unconnected has an empty
     enclosure(u.v), so the first such pair in (u, v) order raises the error
-    that realizing u.v would.  Depths run from 1 while alphabet ** depth is
-    at most MAX_TRANSITIVITY_CELLS: to 12 on two events, to 3 on ten."""
-    if depth < 1:
-        raise InputError("transitivity depth must be >= 1")
+    that realizing u.v would.  Depths must be ints from 1 with alphabet **
+    depth at most MAX_TRANSITIVITY_CELLS: to 12 on two events, to 3 on ten."""
+    check_count(depth, "transitivity depth must be >= 1", 1)
     if s.alphabet ** min(depth, 64) > MAX_TRANSITIVITY_CELLS:
         raise InputError(f"transitivity depth {depth} exceeds the work limit of "
                          f"{MAX_TRANSITIVITY_CELLS} cells ({s.alphabet} ** depth)")

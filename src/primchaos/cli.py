@@ -44,6 +44,8 @@ PROG = "primchaos"
 EMBED_MAX_DEPTH = 12
 MAX_CELLS = 2 ** 20
 MAX_WORD = 1024
+# decimal_str writes one digit per loop step for each rational of a document
+MAX_DECIMAL = 1024
 # the waypoint certificate looks up each pin's piece in a scan of them all
 MAX_POINTS = 256
 
@@ -64,7 +66,7 @@ work limits:
   its numerator and in its denominator;
   chaos realize and periodic --word 1..1024 symbols; chaos dense --depth
   1..8; chaos sensitivity --samples 1..10000; fintop spaces discreteN with
-  1 <= N <= 8
+  1 <= N <= 8; --decimal 0..1024
 """
 
 
@@ -364,10 +366,8 @@ def _arg(*flags, **kwargs):
 
 
 def _surject_cells(args, base: int) -> int:
-    # base**depth cells; past depth 64 the gate rejects either way
-    if args.depth < 0:
-        raise InputError("depth must be >= 0")
-    return base ** min(args.depth, 64)
+    # base**depth cells: below depth 0 the library rejects, past 64 the gate
+    return base ** max(0, min(args.depth, 64))
 
 
 def _sensitivity_steps(args) -> int:
@@ -568,6 +568,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         if args.decimal is not None:
             if args.decimal < 0:
                 raise InputError("--decimal must be >= 0")
+            if args.decimal > MAX_DECIMAL:
+                raise InputError(f"--decimal must be at most {MAX_DECIMAL}")
             if args.format != "csv":
                 raise InputError("--decimal needs --format csv")
         if not args.out and (args.format != "json" or

@@ -40,8 +40,9 @@ are exactly its children's, so none intrudes in the perfectness check
 The exact scans of (iii) and (iv) through the axis index run only when a
 premise fails, so a failing stage reports the witness the scan finds.
 
-Input is validated at the public boundary.  The `RefinementTree`
-constructor takes exactly the binary addresses of length 0..depth.
+Input is validated at the public boundary, depths and levels by
+`errors.check_count`.  The `RefinementTree` constructor takes exactly the
+binary addresses of length 0..depth.
 `subdivide` checks that the cell lies in the model and holds its marked
 points; `build_refinement` steps without those checks, as each cell it
 builds lies in its parent with its marked points at corners, and the stage
@@ -60,7 +61,8 @@ from operator import add, le, sub
 from types import MappingProxyType
 from typing import Tuple
 
-from .errors import ConstructionError, DegenerateInputError, InputError
+from .errors import (ConstructionError, DegenerateInputError, InputError,
+                     check_count)
 from .geometry import (
     AxisIndex,
     Box,
@@ -175,18 +177,11 @@ class _FractionCells(Mapping):
         return len(self._grid)
 
 
-def _check_count(value, message: str) -> None:
-    """Raise `InputError(message)` unless value, a depth or a level, is an
-    int >= 0."""
-    if not isinstance(value, int) or value < 0:
-        raise InputError(message)
-
-
 def _check_addresses(depth, cells: Mapping[str, Cell]) -> None:
     """Reject a depth below 0, or addresses other than exactly the binary
     words of length 0..depth: every address is such a word, the root is
     there, and every address shorter than depth has both children."""
-    _check_count(depth, f"tree depth must be an int >= 0, got {depth!r}")
+    check_count(depth, f"tree depth must be an int >= 0, got {depth!r}")
     for a in cells:
         if len(binary_word(a)) > depth:
             raise InputError(f"address {a!r} is deeper than the tree depth {depth}")
@@ -242,7 +237,7 @@ class RefinementTree:
 
     def level(self, k: int):
         """Addresses of level k in lexicographic order."""
-        _check_count(k, f"level must be an int >= 0, got {k!r}")
+        check_count(k, f"level must be an int >= 0, got {k!r}")
         if k > self.depth:
             raise InputError(f"level {k} outside tree depth {self.depth}")
         return ["".join(bits) for bits in product("01", repeat=k)]
@@ -278,8 +273,6 @@ def _split(cell: Region, marked: Tuple[tuple, tuple]):
     holds its marked points."""
     m1, m2 = marked
     d = distance(m1, m2)
-    if d == 0:
-        raise DegenerateInputError("marked points must be distinct")
     if isinstance(d, int):
         radius, rest = divmod(d, 4)
         if rest:
@@ -299,8 +292,6 @@ def _split(cell: Region, marked: Tuple[tuple, tuple]):
         return children[0], children[1]
     for m in (m1, m2):
         clipped = region_intersect(cell, region(chebyshev_ball(m, radius)))
-        if clipped is None:  # unreachable: m itself lies in both sets
-            raise DegenerateInputError("empty subdivision cell")
         children.append((clipped, (lexmin_point(clipped), lexmax_point(clipped))))
     return children[0], children[1]
 
@@ -313,7 +304,7 @@ def build_refinement(model: PeanoModel, depth: int) -> RefinementTree:
     steps run on the integer grid of scale D * 4^depth, without
     `subdivide`'s input checks (module docstring).
     """
-    _check_count(depth, "depth must be >= 0")
+    check_count(depth, "depth must be >= 0")
     root = model.root
     root_cell = Cell(root, (lexmin_point(root), lexmax_point(root)))
     scale = _lcm_scale([root_cell]) * 4 ** depth

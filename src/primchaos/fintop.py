@@ -201,7 +201,9 @@ def partition(X: FiniteTopSpace, blocks: Iterable[Iterable[str]]) -> Partition:
 
 
 def block_label(block: Sequence[str]) -> str:
-    return ",".join(sorted(block))
+    """Sorted members joined by commas, each member's `\\` and `,` escaped."""
+    return ",".join(sorted([p.replace("\\", "\\\\").replace(",", "\\,")
+                            for p in block]))
 
 
 @dataclass(frozen=True)
@@ -253,7 +255,7 @@ def decomposition_topology(X: FiniteTopSpace, D: Partition) -> FiniteTopSpace:
 
     So U_b holds every block reachable from b, where b reaches each block
     that meets U_x for some x in b: the transitive closure of that relation.
-    Block points are labelled by their sorted members joined with commas.
+    Block points are labelled by `block_label`.
     """
     if D.points != X.points:
         raise InputError("partition is over different points")
@@ -473,7 +475,7 @@ def sweep(points: Sequence[str]) -> CheckReport:
                 except InputError:
                     valid[reach] = False
             n_valid += valid[reach]
-            if D.labels == pts:  # the singleton partition
+            if len(D.blocks) == len(pts):  # the singleton partition
                 n_funct += valid[reach] and reach == X.nbhds
     rep = CheckReport(f"fintop sweep on {len(points)} labelled points")
     rep.add("decomposition_topologies_valid",

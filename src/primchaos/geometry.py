@@ -44,7 +44,7 @@ from itertools import product, repeat
 from operator import add, gt, le, sub
 from typing import Optional, Sequence
 
-from .errors import InputError
+from .errors import InputError, check_count
 
 ONE = Fraction(1)
 
@@ -78,8 +78,7 @@ def rational_str(x: Fraction) -> str:
 
 def decimal_str(x: Fraction, digits: int) -> str:
     """Truncated (not rounded) decimal rendering, for plotting convenience only."""
-    if digits < 0:
-        raise InputError("digits must be >= 0")
+    check_count(digits, "digits must be >= 0")
     sign = "-" if x < 0 else ""
     x = abs(x)
     whole = x.numerator // x.denominator

@@ -50,7 +50,7 @@ from fractions import Fraction
 from itertools import product
 from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
-from .errors import InputError
+from .errors import InputError, check_count
 from .geometry import (
     Box,
     Region,
@@ -75,11 +75,6 @@ HALF = Fraction(1, 2)
 
 
 Cell = Tuple[Tuple[int, ...], Tuple[int, ...]]  # (coordinates, grid sizes)
-
-
-def _check_depth(depth: int) -> None:
-    if depth < 0:
-        raise InputError("depth must be >= 0")
 
 
 def _grid_box(coords: Sequence[int], sizes: Sequence[int]) -> Box:
@@ -172,8 +167,7 @@ class ClopenBlock:
 def clopen_partition(n: int) -> List[ClopenBlock]:
     """n disjoint nonempty clopen blocks covering the Cantor model:
     the staircase cylinders "0", "10", "110", ..., then all-ones."""
-    if n < 1:
-        raise InputError("need n >= 1 blocks")
+    check_count(n, "need n >= 1 blocks", 1)
     if n == 1:
         return [ClopenBlock(("",))]
     blocks = [ClopenBlock(("1" * i + "0",)) for i in range(n - 1)]
@@ -334,8 +328,10 @@ def verify_block_surjection(f: CantorMap, blocks_a: Sequence[ClopenBlock],
     Containment direction is exact: every depth-n cylinder of A_i must have
     its image enclosure inside B_i.  Covering direction is at the map's
     modulus: every depth-n cylinder of B_i must meet some image enclosure,
-    which bounds the Hausdorff defect by modulus(depth).
+    which bounds the Hausdorff defect by modulus(depth).  A depth that is
+    not an int >= 0 is rejected before the modulus is read.
     """
+    check_count(depth, "depth must be >= 0")
     eps = f.modulus(depth)
     rep = CheckReport(f"block surjection, {len(blocks_a)} blocks, depth {depth}, "
                       f"eps {rational_str(eps)}")
@@ -372,7 +368,7 @@ def verify_cover_map(f: CantorMap, depth: int) -> CheckReport:
     bits at the positions read, so the 2^n words hit one grid cell per
     setting of the distinct positions, and all 2^n cells exactly when the
     positions are a permutation of range(n)."""
-    _check_depth(depth)
+    check_count(depth, "depth must be >= 0")
     rep = CheckReport(f"{f.kind} covering at depth {depth}")
     axes = MAP_KINDS[f.kind][1]
     if not axes:
@@ -398,7 +394,7 @@ def verify_curve(depth: int) -> CheckReport:
     consecutive parameter cells give edge-adjacent quadrants, and the 4^k
     quadrants tile the square.  Both follow by induction over the levels
     from the quadrant table (`_curve_certificate`), with no cell walk."""
-    _check_depth(depth)
+    check_count(depth, "depth must be >= 0")
     rep = CheckReport(f"space-filling curve at depth {depth}")
     cells = 4 ** depth
     cert = _curve_certificate(depth)
@@ -628,7 +624,7 @@ def _piece_at(ws: WaypointSurjection, t) -> Tuple[str, Fraction, Optional[tuple]
 def evaluate_waypoint(ws: WaypointSurjection, t, depth: int = 8) -> Region:
     """Enclosure of f(t), width at most 2^-depth (exact point when the
     piece is affine)."""
-    _check_depth(depth)
+    check_count(depth, "depth must be >= 0")
     kind, u, exact = _piece_at(ws, t)
     if kind == "sweep" and ws.pinning.target == "square":
         side = 1 << depth
@@ -661,7 +657,7 @@ def sweep_cell_enclosure(ws: WaypointSurjection, sweep_idx: int, j: int,
     """Enclosure of the sweep's image over its j-th dyadic parameter subcell
     (of 4^depth).  Same certified object `evaluate_waypoint` returns for
     parameters inside that subcell, indexed by integer for bulk sweeps."""
-    _check_depth(depth)
+    check_count(depth, "depth must be >= 0")
     segs = sweep_segments(ws)
     if not 0 <= sweep_idx < len(segs):
         raise InputError("no such sweep segment")
@@ -688,7 +684,7 @@ def verify_waypoint_surjection(ws: WaypointSurjection,
                                resolution: int = 8) -> CheckReport:
     """Certify exact pinning, exact stitching at sweep boundaries, and
     coverage of the whole target at resolution 2^-resolution."""
-    _check_depth(resolution)
+    check_count(resolution, "depth must be >= 0")
     w = ws.pinning
     rep = CheckReport(f"waypoint map onto {w.target}, "
                       f"{len(w.waypoints)} waypoints, resolution 2^-{resolution}")

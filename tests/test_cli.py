@@ -227,6 +227,9 @@ OUT_OF_RANGE = [
     ["surject", "--kind", "block", "--block", "000:1", "--depth", "2"],
     # one pin past the cap
     ["surject", "--kind", "waypoint", *pins(257)],
+    # one digit past the cap
+    ["chaos", "realize", "--system", "doubling", "--word", "01",
+     "--format", "csv", "--decimal", "1025"],
 ]
 
 
@@ -454,6 +457,70 @@ def test_decimal_flag_adds_approx_column(tmp_path, capsys, monkeypatch):
     assert rows[0] == ["path", "value", "approx"]
     by_path = {r[0]: r for r in rows[1:]}
     assert by_path["witness"] == ["witness", "3/8", "0.3750"]
+
+
+def test_decimal_up_to_the_cap(tmp_path, capsys, monkeypatch):
+    # each rational of the document gets one loop step per digit
+    monkeypatch.chdir(tmp_path)
+    argv = REALIZE + ["--out", "doc.csv", "--format", "csv"]
+    assert main(argv + ["--decimal", "1024"]) == 0
+    capsys.readouterr()
+    rows = list(csv.reader(io.StringIO((tmp_path / "doc.csv").read_text())))
+    assert {r[0]: r[2] for r in rows[1:]}["witness"] == "0.375" + "0" * 1021
+    os.remove(tmp_path / "doc.csv")
+    assert main(argv + ["--decimal", "1025"]) == 2
+    assert capsys.readouterr() == (
+        "", "primchaos: error: --decimal must be at most 1024\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+# leaf -> (its other arguments, its count option, the least and the greatest
+# count --help documents)
+COUNT_OPTIONS = {
+    ("embed",): (["--model", "interval"], "--depth", 0, 12),
+    ("chaos", "dense"): (["--system", "doubling"], "--depth", 1, 8),
+    ("chaos", "transitivity"): (["--system", "doubling"], "--depth", 1, 12),
+    ("chaos", "sensitivity"): (["--system", "doubling", "--delta", "1/64"],
+                               "--samples", 1, 10000),
+    ("surject", "binary"): ([], "--depth", 0, 20),
+    ("surject", "interleave"): ([], "--depth", 0, 20),
+    # a depth below the cylinder's length is rejected
+    ("surject", "block"): (["--block", "0:1"], "--depth", 1, 20),
+    ("surject", "waypoint"): (["--point", "1/2=1/2"], "--depth", 0, 20),
+    ("surject", "hilbert"): ([], "--depth", 0, 10),
+}
+COUNT_CASES = [
+    pytest.param(argv + other + ["--format", fmt], option, value,
+                 least <= value <= cap, id=f"{' '.join(argv)} {option}={value}")
+    for argv, (other, option, least, cap), fmt in [
+        *((["surject", "--kind", path[1]] if path[0] == "surject"
+           else list(path), spec, "json")
+          for path, spec in COUNT_OPTIONS.items()),
+        (REALIZE[:2], (REALIZE[2:], "--decimal", 0, 1024), "csv")]
+    for value in (-2 ** 70, -1, 0, 1, 2, cap, cap + 1, 2 ** 70)]
+
+
+def test_every_count_option_listed():
+    counted = {path for path, cmd in cli.COMMANDS.items()
+               if {"--depth", "--samples"} & {f[0] for f, _ in cmd.args}}
+    assert counted == set(COUNT_OPTIONS)
+
+
+@pytest.mark.parametrize("argv,option,value,accepted", COUNT_CASES)
+def test_count_options_keep_the_exit_code_contract(
+        argv, option, value, accepted, tmp_path, capsys, monkeypatch):
+    # any int parses; the CLI or the library rejects one out of range with 2
+    # before anything is printed or written, and never raises
+    monkeypatch.chdir(tmp_path)
+    code = main(argv + [f"{option}={value}", "--out", "out.doc"])
+    out, err = capsys.readouterr()
+    assert code == (0 if accepted else 2)
+    if accepted:
+        assert "result: PASS\n" in out and err == ""
+        assert (tmp_path / "out.doc").exists()
+    else:
+        assert out == "" and err.startswith("primchaos: error: ")
+        assert list(tmp_path.iterdir()) == []
 
 
 def test_periodic_power_word_notes_its_primitive_root(capsys):
