@@ -53,13 +53,13 @@ computation.  Each axis of an orbit point holds an integer numerator over
 its own denominator, each branch applies x -> (c*x + d) / m to them, and
 event membership is an integer cross-multiplication against the events'
 corners.  `realize_witness`, `periodic_point`, the dense-orbit check and
-`sensitivity_check` step with it; `Fraction` points are built only for
-what they return or test (`AffineBranch.apply`, `ChaosSystem.step` and
-`Region.contains_point` are the reference).  `periodic_point` and the
-transitivity check compose the laws along a word into one affine map
-(`_composed`): the first solves it for its fixed point, the second tests
-each cell's image under it against the other cells and steps no orbit
-(see `transitivity_check`).
+`sensitivity_check` step with it, the one forward law here; `Fraction`
+points are built only for what they return or test (the `Fraction` step
+the tests compare it with is in tests/chaos_oracle.py).  `periodic_point`
+and the transitivity check compose the laws along a word into one affine
+map (`_composed`): the first solves it for its fixed point, the second
+tests each cell's image under it against the other cells and steps no
+orbit (see `transitivity_check`).
 """
 
 from __future__ import annotations
@@ -120,9 +120,6 @@ class AffineBranch:
         if any(a == 0 for a, _ in self.coeffs):
             raise InputError("affine branch needs a nonzero slope on every axis")
 
-    def apply(self, p: tuple) -> tuple:
-        return tuple(a * c + b for (a, b), c in zip(self.coeffs, p))
-
     def preimage_box(self, b: Box) -> Box:
         lo = []
         hi = []
@@ -180,16 +177,6 @@ class ChaosSystem:
     @property
     def dim(self) -> int:
         return self.space.dim
-
-    def event_of(self, p: tuple) -> int:
-        for i, ev in enumerate(self.events):
-            if ev.contains_point(p):
-                return i
-        raise InputError(f"point {p} lies outside every event")
-
-    def step(self, p: tuple) -> tuple:
-        """Total map: apply the law of the first event containing the point."""
-        return self.branches[self.event_of(p)].apply(p)
 
     @cached_property
     def _table(self) -> _Table:

@@ -58,7 +58,10 @@ output formats:
 
 work limits:
   embed --depth at most 12; surject at most 2^20 cells (2^depth cylinders
-  or interval cells, 4^depth quadrants); surject --kind waypoint at most 256
+  or interval cells, 4^depth quadrants), but surject --kind block walks
+  every depth-n word of each block and scans every cylinder of every pair
+  per word (--swap-halves --depth 20 takes about 13 s), and rejects a
+  --block cylinder longer than --depth; surject --kind waypoint at most 256
   --point pins; chaos transitivity at most 2^12 cells (2^depth on the
   two-event systems, so --depth 1..12);
   chaos sensitivity at most 2^20 orbit steps (--samples times a step budget
@@ -276,6 +279,8 @@ def _surject_block(args):
         blocks_a, blocks_b = _parse_blocks(args.block)
     else:
         raise InputError("block kind needs --swap-halves or --block A:B")
+    # before the padding, whose size grows as the square of a cylinder's length
+    surject_mod.check_block_depth(blocks_a, blocks_b, depth)
     f = surject_mod.block_surjection(blocks_a, blocks_b)
     rep = surject_mod.verify_block_surjection(f, blocks_a, blocks_b, depth)
     words = [a_blk.cylinders[0].ljust(depth, "0") for a_blk, _ in f.pairs]

@@ -66,7 +66,6 @@ from .report import CheckReport
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
-HALF = Fraction(1, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -182,25 +181,24 @@ def blocks_pairwise_disjoint(blocks: Sequence[ClopenBlock]) -> bool:
 def _complement_cylinders(blocks: Sequence[ClopenBlock]) -> List[str]:
     """Complement of a disjoint cylinder union, as a minimal cylinder set.
 
-    Walks the binary prefix tree: a subtree disjoint from every cylinder is
+    Walks the binary prefix tree with an explicit stack, so no cylinder
+    length runs out of recursion: a subtree disjoint from every cylinder is
     one complement cylinder, a subtree inside a cylinder contributes
-    nothing, and mixed subtrees split.  Cost is linear in total cylinder
-    length, so staircase partitions of any size stay cheap.
+    nothing, and mixed subtrees split.  Every bit of a cylinder splits one
+    subtree, so the complement has up to one cylinder per bit of the
+    longest cylinder, and its total length grows as the square of that.
     """
-    cyls = [c for b in blocks for c in b.cylinders]
     out: List[str] = []
-
-    def rec(prefix: str, under: List[str]) -> None:
+    stack = [("", [c for b in blocks for c in b.cylinders])]
+    while stack:
+        prefix, under = stack.pop()
         if any(prefix.startswith(c) for c in under):
-            return  # fully covered
+            continue  # fully covered
         inside = [c for c in under if c.startswith(prefix)]
         if not inside:
             out.append(prefix)
-            return
-        rec(prefix + "0", inside)
-        rec(prefix + "1", inside)
-
-    rec("", cyls)
+        else:
+            stack += [(prefix + "0", inside), (prefix + "1", inside)]
     return sorted(out, key=lambda w: (len(w), w))
 
 
@@ -310,12 +308,22 @@ def block_surjection(blocks_a: Sequence[ClopenBlock],
     return CantorMap("block_glued", tuple(pairs))
 
 
+def check_block_depth(blocks_a: Sequence[ClopenBlock],
+                      blocks_b: Sequence[ClopenBlock], depth: int) -> None:
+    """Reject a depth `verify_block_surjection` cannot walk: one that is not
+    an int >= 0, then one shorter than a cylinder, naming the first such
+    cylinder in the order the walk meets them (A_0, B_0, A_1, ...)."""
+    check_count(depth, "depth must be >= 0")
+    for a_blk, b_blk in zip(blocks_a, blocks_b):
+        for c in (*a_blk.cylinders, *b_blk.cylinders):
+            if len(c) > depth:
+                raise InputError(f"depth {depth} shallower than cylinder {c!r}")
+
+
 def _words_under(block: ClopenBlock, depth: int) -> Iterator[str]:
     """Every depth-n word inside the block, cylinder by cylinder in
-    lexicographic order."""
+    lexicographic order; no cylinder may be longer than n."""
     for c in block.cylinders:
-        if len(c) > depth:
-            raise InputError(f"depth {depth} shallower than cylinder {c!r}")
         for tail in product("01", repeat=depth - len(c)):
             yield c + "".join(tail)
 
@@ -329,9 +337,10 @@ def verify_block_surjection(f: CantorMap, blocks_a: Sequence[ClopenBlock],
     its image enclosure inside B_i.  Covering direction is at the map's
     modulus: every depth-n cylinder of B_i must meet some image enclosure,
     which bounds the Hausdorff defect by modulus(depth).  A depth that is
-    not an int >= 0 is rejected before the modulus is read.
+    not an int >= 0 or is shorter than a cylinder is rejected
+    (`check_block_depth`) before the modulus is read.
     """
-    check_count(depth, "depth must be >= 0")
+    check_block_depth(blocks_a, blocks_b, depth)
     eps = f.modulus(depth)
     rep = CheckReport(f"block surjection, {len(blocks_a)} blocks, depth {depth}, "
                       f"eps {rational_str(eps)}")
@@ -618,7 +627,8 @@ def _piece_at(ws: WaypointSurjection, t) -> Tuple[str, Fraction, Optional[tuple]
                 return kind, u, (_triangle(u),)
             start, end = _sweep_endpoints(target)
             return kind, u, start if u == ZERO else end if u == ONE else None
-    raise InputError("parameter not covered by any piece")  # unreachable
+    # reached only by a piece table with a gap
+    raise InputError("parameter not covered by any piece")
 
 
 def evaluate_waypoint(ws: WaypointSurjection, t, depth: int = 8) -> Region:
@@ -642,36 +652,13 @@ def _sweep_cell(u: Fraction, depth: int) -> Tuple[int, int]:
 
 def _sample_agrees(ws: WaypointSurjection, t, j: int, depth: int) -> bool:
     """On a square target: whether `evaluate_waypoint(ws, t, depth)` is the
-    region `sweep_cell_enclosure` gives for parameter cell j, decided on the
-    integer cells both box."""
+    depth-`depth` curve cell j, decided on the integer cells both box."""
     kind, u, _ = _piece_at(ws, t)
     return kind == "sweep" and _sweep_cell(u, depth) == _curve_cell(depth, j)
 
 
 def sweep_segments(ws: WaypointSurjection) -> List[Tuple[Fraction, Fraction]]:
     return [(lo, hi) for lo, hi, kind, _ in ws.pieces if kind == "sweep"]
-
-
-def sweep_cell_enclosure(ws: WaypointSurjection, sweep_idx: int, j: int,
-                         depth: int) -> Region:
-    """Enclosure of the sweep's image over its j-th dyadic parameter subcell
-    (of 4^depth).  Same certified object `evaluate_waypoint` returns for
-    parameters inside that subcell, indexed by integer for bulk sweeps."""
-    check_count(depth, "depth must be >= 0")
-    segs = sweep_segments(ws)
-    if not 0 <= sweep_idx < len(segs):
-        raise InputError("no such sweep segment")
-    cells = 4 ** depth
-    if not 0 <= j < cells:
-        raise InputError("cell index out of range")
-    if ws.pinning.target == "square":
-        return region(_curve_box(depth, j))
-    u0 = Fraction(j, cells)
-    u1 = Fraction(j + 1, cells)
-    vals = [_triangle(u0), _triangle(u1)]
-    if u0 < HALF < u1:
-        vals.append(ONE)
-    return region(Box((min(vals),), (max(vals),)))
 
 
 def evaluate_waypoint_exact(ws: WaypointSurjection, t) -> Optional[tuple]:
@@ -709,8 +696,8 @@ def verify_waypoint_surjection(ws: WaypointSurjection,
         # each t strictly inside a sweep `_piece_at` finds that sweep and
         # takes u = (t - lo) / (hi - lo).  At the midpoint of cell j that is
         # (4j + 2) / (4 * 4^r), so `_sweep_cell` boxes floor(u * 4^r) = j,
-        # the cell `sweep_cell_enclosure` gives.  The end cells still run the
-        # evaluator, so a fault in `_piece_at` or `_sweep_cell` shows there
+        # the curve's cell j.  The end cells still run the evaluator, so a
+        # fault in `_piece_at` or `_sweep_cell` shows there
         contiguous = all(p[0] < p[1] for p in ws.pieces) and all(
             p[1] == q[0] for p, q in zip(ws.pieces, ws.pieces[1:]))
     for si, (lo, hi) in enumerate(sweeps):

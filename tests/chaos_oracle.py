@@ -3,9 +3,13 @@ were built once per depth and transitivity was certified from one forward
 image per cell: transitivity realizes the word u.v for every ordered pair
 of cells, and both checks compute each cell's enclosure on its own.  And
 the periodic point as it was before it came from the integer laws: the
-branch laws composed in `Fraction`s, the orbit stepped by
-`AffineBranch.apply` and tested by `Region.contains_point`.  Tests compare
-the checks against these, report for report and error for error."""
+branch laws composed in `Fraction`s, the orbit stepped by `apply` and
+tested by `Region.contains_point`.  Tests compare the checks against these,
+report for report and error for error.
+
+`apply`, `event_of` and `step` are the forward law in `Fraction`s, the
+reference the library's integer forward step (`chaos._orbit`) is tested
+against; they left the library because only tests call them."""
 
 from fractions import Fraction
 from itertools import product
@@ -20,6 +24,22 @@ from primchaos.chaos import (
 from primchaos.errors import ConstructionError, InputError
 from primchaos.geometry import grid_point
 from primchaos.report import CheckReport
+
+
+def apply(branch, p: tuple) -> tuple:
+    return tuple(a * c + b for (a, b), c in zip(branch.coeffs, p))
+
+
+def event_of(s, p: tuple) -> int:
+    for i, ev in enumerate(s.events):
+        if ev.contains_point(p):
+            return i
+    raise InputError(f"point {p} lies outside every event")
+
+
+def step(s, p: tuple) -> tuple:
+    """Total map: apply the law of the first event containing the point."""
+    return apply(s.branches[event_of(s, p)], p)
 
 
 def oracle_transitivity(s, depth: int) -> CheckReport:
@@ -94,7 +114,7 @@ def oracle_periodic_point(s, word: str) -> PeriodicOrbit:
     for sym in syms[:m]:
         if not s.events[sym].contains_point(orbit[-1]):
             break
-        orbit.append(s.branches[sym].apply(orbit[-1]))
+        orbit.append(apply(s.branches[sym], orbit[-1]))
     if len(orbit) <= m or orbit[m] != orbit[0]:
         raise ConstructionError(
             f"no periodic point follows word {word} on {s.kind}")

@@ -11,9 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chaos_oracle import (
+    apply,
     oracle_dense_orbit,
     oracle_periodic_point,
     oracle_transitivity,
+    step,
 )
 from geometry_oracle import box1, box2
 from primchaos import chaos, cli
@@ -81,9 +83,9 @@ def test_make_system_examples():
     assert d.events[0] == region(box1(0, HALF))
     assert d.events[1] == region(box1(HALF, 1))
     t = make_system("tent")
-    assert t.step((F(3, 4),)) == (HALF,)
+    assert step(t, (F(3, 4),)) == (HALF,)
     sc = make_system("shift_cantor")
-    p = sc.step((F(2, 9),))  # a point of cylinder "01"
+    p = step(sc, (F(2, 9),))  # a point of cylinder "01"
     assert sc.events[1].contains_point(p)
     with pytest.raises(InputError):
         make_system("lorenz")
@@ -96,12 +98,12 @@ def test_total_map_matches_oracles():
             x = F(i, 27)
             if not s.space.contains_point((x,)):
                 continue
-            assert s.step((x,)) == (oracle(x),), (kind, x)
+            assert step(s, (x,)) == (oracle(x),), (kind, x)
     b = make_system("baker")
     for i in range(5):
         for j in range(5):
             p = (F(i, 4), F(j, 4))
-            assert b.step(p) == baker_oracle(p)
+            assert step(b, p) == baker_oracle(p)
 
 
 # ---------------------------------------------------------------------------
@@ -289,6 +291,17 @@ def test_dense_orbit_names_missed_cells(monkeypatch, capsys):
     out = capsys.readouterr().out
     assert "missed cells: ['01', '10', '11']" in out
     assert out.endswith("result: FAIL\n")
+
+
+def test_dense_orbit_needs_two_events():
+    thirds = custom_system(
+        "thirds",
+        [[box1(0, F(1, 3))], [box1(F(1, 3), F(2, 3))], [box1(F(2, 3), 1)]],
+        [((3, 0),), ((3, -1),), ((3, -2),)])
+    with pytest.raises(InputError) as info:
+        verify_dense_orbit(thirds, 2)
+    assert str(info.value) == \
+        "dense-orbit words are built over a binary alphabet"
 
 
 def test_sensitivity_doubling_third():
@@ -505,11 +518,11 @@ def test_unrealizable_word_fails_the_check(monkeypatch, capsys):
 
 
 def reference_orbit(s, word, start):
-    """The orbit by `AffineBranch.apply`, one point per symbol, and the
-    escape error `Region.contains_point` finds first, or None."""
+    """The orbit by `apply`, one point per symbol, and the escape error
+    `Region.contains_point` finds first, or None."""
     orbit = [start]
     for ch in word[:-1]:
-        orbit.append(s.branches[int(ch)].apply(orbit[-1]))
+        orbit.append(apply(s.branches[int(ch)], orbit[-1]))
     for p, ch in zip(orbit, word):
         if not s.events[int(ch)].contains_point(p):
             return orbit, f"orbit point {p} escapes event {ch} on {s.kind}"
@@ -591,7 +604,7 @@ def reference_partners(s, x, delta):
 
 
 def reference_sensitivity(s, delta, samples, constant=F(1, 4), points=None):
-    """The sensitivity report by `ChaosSystem.step` on `Fraction` points."""
+    """The sensitivity report by `step` on `Fraction` points."""
     budget = delta.denominator.bit_length() + 8
     pts = [tuple(F(c) for c in p) for p in points] if points \
         else chaos._sensitivity_samples(s, samples)
@@ -601,7 +614,7 @@ def reference_sensitivity(s, delta, samples, constant=F(1, 4), points=None):
         for y in reference_partners(s, x[0], delta):
             px, py = x, y
             for n in range(1, budget + 1):
-                px, py = s.step(px), s.step(py)
+                px, py = step(s, px), step(s, py)
                 if abs(px[0] - py[0]) >= constant:
                     sep_at = n
                     break
@@ -675,7 +688,7 @@ def test_non_rational_coefficients_rejected():
                    ((F(2), F(0)), (HALF, 0.5)), ((F(2), "1/2"),)):
         with pytest.raises(InputError, match="ints or Fractions"):
             AffineBranch(coeffs)
-    assert AffineBranch(((2, -1),)).apply((F(3, 8),)) == (F(-1, 4),)
+    assert apply(AffineBranch(((2, -1),)), (F(3, 8),)) == (F(-1, 4),)
 
 
 def test_malformed_systems_rejected():
@@ -905,6 +918,13 @@ def test_periodic_point_failures(s, word, msg):
         with pytest.raises(ConstructionError) as exc:
             find(s, word)
         assert str(exc.value) == msg
+
+
+def test_periodic_point_rejects_the_empty_word():
+    for find in (periodic_point, oracle_periodic_point):
+        with pytest.raises(InputError) as exc:
+            find(make_system("tent"), "")
+        assert str(exc.value) == "word must be nonempty"
 
 
 @pytest.mark.parametrize("s", ALL_SYSTEMS, ids=lambda s: s.kind)

@@ -230,6 +230,9 @@ OUT_OF_RANGE = [
     # one digit past the cap
     ["chaos", "realize", "--system", "doubling", "--word", "01",
      "--format", "csv", "--decimal", "1025"],
+    # a cylinder too long for the depth, and for a recursive padding walk
+    ["surject", "--kind", "block", "--block", "0" * 1000 + ":1",
+     "--depth", "8"],
 ]
 
 
@@ -239,6 +242,23 @@ def test_out_of_range_inputs_rejected(argv, tmp_path, capsys, monkeypatch):
     assert main(argv + ["--out", "out.json"]) == 2
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("primchaos: error: ")
+    assert not (tmp_path / "out.json").exists()
+
+
+@pytest.mark.parametrize("block,depth,message", [
+    *(("0" * n + ":1", "8", f"depth 8 shallower than cylinder '{'0' * n}'")
+      for n in (1000, 5000, 100000)),
+    ("000:1", "2", "depth 2 shallower than cylinder '000'"),
+    ("0:1", "-1", "depth must be >= 0"),
+], ids=["1000", "5000", "100000", "000-depth-2", "depth--1"])
+def test_block_cylinder_longer_than_the_depth_rejected(
+        block, depth, message, tmp_path, capsys, monkeypatch):
+    # checked before the padding, which grows as the square of a cylinder's
+    # length; its recursive walk raised RecursionError at 1000 bits
+    monkeypatch.chdir(tmp_path)
+    assert main(["surject", "--kind", "block", "--block", block,
+                 "--depth", depth, "--out", "out.json"]) == 2
+    assert capsys.readouterr() == ("", f"primchaos: error: {message}\n")
     assert not (tmp_path / "out.json").exists()
 
 

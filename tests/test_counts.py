@@ -38,9 +38,6 @@ ROUTINES = {
     "evaluate_waypoint": (
         lambda n: surject.evaluate_waypoint(WAYPOINTS, F(1, 2), n), 0,
         lambda n: DEPTH),
-    "sweep_cell_enclosure": (
-        lambda n: surject.sweep_cell_enclosure(WAYPOINTS, 0, 0, n), 0,
-        lambda n: DEPTH),
     "verify_waypoint_surjection": (
         lambda n: surject.verify_waypoint_surjection(WAYPOINTS, n), 0,
         lambda n: DEPTH),

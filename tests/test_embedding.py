@@ -99,6 +99,27 @@ def test_subdivide_rejects_equal_marked_points():
         subdivide(m, m.root, ((F(1, 2),), (F(1, 2),)))
 
 
+def test_make_model_rejects_an_unknown_kind():
+    with pytest.raises(InputError) as info:
+        make_model("torus")
+    assert str(info.value) == \
+        f"unknown model kind 'torus'; expected one of {MODEL_KINDS}"
+
+
+def test_cell_with_one_distinct_marked_point_reported():
+    # the root and both children are all marked (0, 0), and both children
+    # are [0, 1/4]: the marked points inside the root are one point
+    zero = (F(0),)
+    child = Cell(region(box1(0, F(1, 4))), (zero, zero))
+    t = RefinementTree(make_model("interval"), 1, {
+        "": Cell(region(box1(0, 1)), (zero, zero)), "0": child, "1": child})
+    rep = check_stage_invariants(t, 0)
+    assert rep == oracle_check(t, 0)
+    assert [c.witness for c in rep.checks
+            if c.name == "perfectness_witness"] == \
+        ["cell '' holds fewer than two marked points"]
+
+
 def test_subdivide_rejects_cell_outside_model():
     m = make_model("interval")
     with pytest.raises(InputError):

@@ -31,6 +31,7 @@ from primchaos.errors import InputError
 from primchaos.fintop import (
     FiniteMap,
     FiniteTopSpace,
+    HypothesisResult,
     Partition,
     _quotient_relation,
     _subset_table,
@@ -511,6 +512,22 @@ def test_continuity_examples():
 def test_finite_map_assigns_exactly_the_domain(assignment):
     with pytest.raises(InputError):
         finite_map(discrete_space("ab"), discrete_space("pq"), assignment)
+
+
+@pytest.mark.parametrize("mapping,message", [
+    ((("b", "p"), ("a", "p")),
+     "mapping must cover every domain point once, in order"),
+    ((("a", "p"), ("b", "z")), "mapping hits a point outside the codomain"),
+], ids=["out_of_order", "outside_codomain"])
+def test_finite_map_rejects_a_malformed_mapping(mapping, message):
+    with pytest.raises(InputError) as info:
+        FiniteMap(discrete_space("ab"), discrete_space("pq"), mapping)
+    assert str(info.value) == message
+
+
+def test_hypothesis_result_is_true_when_the_claim_holds():
+    assert bool(HypothesisResult(True, False, "unmet")) is True
+    assert bool(HypothesisResult(False, True, "met")) is False
 
 
 def test_homeomorphism_examples():

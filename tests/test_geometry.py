@@ -338,6 +338,15 @@ def test_canonical_merges_and_absorbs():
     assert not r.contains_point((F(1, 4), F(3, 2)))
 
 
+def test_box_and_region_dimensions_must_agree():
+    with pytest.raises(InputError) as info:
+        Box((F(0),), (F(1), F(1)))
+    assert str(info.value) == "box corner dimension mismatch"
+    with pytest.raises(InputError) as info:
+        region([box1(0, 1), box2(0, 1, 0, 1)])
+    assert str(info.value) == "all boxes of a region must share one dimension"
+
+
 def test_grid_box_builds_lowest_terms_fractions():
     b = grid_box((2, 3), (4, 6), (4, 9))
     assert b == box2(F(1, 2), 1, F(1, 3), F(2, 3))

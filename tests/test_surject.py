@@ -18,6 +18,7 @@ from surject_oracle import (
     oracle_consistent,
     region_agrees,
     sampled_cells,
+    sweep_cell_enclosure,
 )
 from primchaos import surject
 from primchaos.embedding import build_refinement, evaluate_address, make_model
@@ -33,6 +34,7 @@ from primchaos.geometry import (
 from primchaos.surject import (
     CantorMap,
     ClopenBlock,
+    WaypointMap,
     WaypointSurjection,
     binary_expansion_map,
     block_surjection,
@@ -45,7 +47,6 @@ from primchaos.surject import (
     hilbert_enclosure,
     interleave_map,
     map_document,
-    sweep_cell_enclosure,
     sweep_segments,
     verify_block_surjection,
     verify_cover_map,
@@ -452,6 +453,34 @@ def test_block_surjection_input_errors():
         evaluate_symbolic(CantorMap("binary_expansion"), "0")
 
 
+def test_long_cylinder_padding_needs_no_recursion():
+    # one complement cylinder per bit: "1", "01", ..., "0" * 4999 + "1"
+    f = block_surjection([ClopenBlock(("0" * 5000,))], [ClopenBlock(("1",))])
+    pad = f.pairs[1][0].cylinders
+    assert len(pad) == 5000
+    assert pad[0] == "1" and pad[-1] == "0" * 4999 + "1"
+
+
+@pytest.mark.parametrize("depth,message", [
+    (2.0, "depth must be >= 0"),
+    (-1, "depth must be >= 0"),
+    (2, "depth 2 shallower than cylinder '111'"),
+    (3, "depth 3 shallower than cylinder '1000'"),
+])
+def test_block_depth_checked_before_the_walk(depth, message):
+    # the count first, then the first cylinder longer than the depth in the
+    # order the walk meets them: A_0, B_0, A_1, B_1
+    Ab = [ClopenBlock(("0",)), ClopenBlock(("1000",))]
+    Bb = [ClopenBlock(("111",)), ClopenBlock(("0",))]
+    f = block_surjection(Ab, Bb)
+    for check in (surject.check_block_depth,
+                  lambda *a: verify_block_surjection(f, *a)):
+        with pytest.raises(InputError) as info:
+            check(Ab, Bb, depth)
+        assert str(info.value) == message
+    assert verify_block_surjection(f, Ab, Bb, 4).all_passed
+
+
 def test_wrong_target_blocks_fail_verification():
     Ab = [ClopenBlock(("0",)), ClopenBlock(("1",))]
     Bb = [ClopenBlock(("1",)), ClopenBlock(("0",))]
@@ -789,6 +818,38 @@ def test_waypoint_input_errors():
         waypoint_map([(F(2), (F(0),))], "interval")
     with pytest.raises(InputError):
         waypoint_map([], "interval")
+
+
+INTERVAL_PIN = waypoint_surjection(waypoint_map([(F(1, 2), (F(1, 2),))],
+                                                "interval"))
+# the sweep [2/3, 5/6] dropped from the piece table
+GAPPED = WaypointSurjection(INTERVAL_PIN.pinning, tuple(
+    p for p in INTERVAL_PIN.pieces if p[2] != "sweep"))
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: ClopenBlock(("0", "0")), "duplicate cylinder"),
+    (lambda: evaluate_symbolic(CantorMap("block_glued", (
+        (ClopenBlock(("0",)), ClopenBlock(("1",))),)), "1"),
+     "address '1' lies outside every block"),
+    (lambda: block_surjection([], []), "need at least one block"),
+    (lambda: verify_cover_map(SWAP_HALVES, 3),
+     "covering verification ships for binary_expansion and interleave, "
+     "not block_glued"),
+    (lambda: WaypointMap(((F(1, 2), (F(0),)),), "disk"),
+     "target must be 'interval' or 'square'"),
+    (lambda: WaypointMap(((F(1, 2), (F(2),)),), "interval"),
+     "target point (Fraction(2, 1),) outside the target space"),
+    (lambda: evaluate_waypoint(INTERVAL_PIN, 2), "parameter outside [0,1]"),
+    (lambda: evaluate_waypoint(GAPPED, F(3, 4)),
+     "parameter not covered by any piece"),
+], ids=["duplicate_cylinder", "outside_every_block", "no_blocks",
+        "cover_block_glued", "waypoint_target", "waypoint_point_outside",
+        "parameter_outside", "table_with_a_gap"])
+def test_rejected_inputs_name_their_fault(call, message):
+    with pytest.raises(InputError) as info:
+        call()
+    assert str(info.value) == message
 
 
 # one interior pin, pins at both ends, and two interior pins
