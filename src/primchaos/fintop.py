@@ -13,14 +13,18 @@ of open sets (the masks that contain U_x for each of their points x) is
 only derived, and a given family is accepted iff it equals the opens of the
 preorder its masks give.  Enumeration picks the rows in turn, each among
 the submasks of the cap of the earlier rows through its point: 355
-topologies on 4 labelled points, 6942 on 5.  `sweep` computes the quotient
-relation of every (topology, partition) pair, reading its first step from
-per-space and per-partition subset tables, and validates each distinct
-relation once per partition, reporting an invalid one as a failed check;
-other quotients keep `_union`, for which building the tables costs more.
-A bijection is a homeomorphism iff it maps each U_x onto U_{f(x)}, so
-`sweep` (functoriality), `verify_prop5` and `verify_lemma7` compare a
-quotient's rows with a given space's and build no map.
+topologies on 4 labelled points, 6942 on 5.  Every relation the search
+keeps is a preorder, so its spaces skip the constructor's validation.
+`sweep` computes the quotient relation of every (topology, partition) pair,
+reading its first step from per-space and per-partition subset tables, and
+validates each distinct relation once per partition, reporting an invalid
+one as a failed check; other quotients keep `_union`, for which building
+the tables costs more.  A bijection is a homeomorphism iff it maps each U_x
+onto U_{f(x)}, so `sweep` (functoriality), `verify_prop5` and
+`verify_lemma7` compare a quotient's rows with a given space's and build no
+map.  The two verifiers build no quotient space either: `verify_lemma7`
+reads its fiber quotient's rows from the map's targets, with no partition,
+and the transitive closure of a reflexive relation needs no validation.
 
 A finite space is Hausdorff iff it is discrete, so the compact-Hausdorff
 hypotheses of the representative-subspace and fiber-quotient facts
@@ -106,6 +110,16 @@ class FiniteTopSpace:
                                   and _union(U, u) == u
                                   for i, u in enumerate(U)):
             raise InputError("neighbourhood masks are not a preorder")
+
+    @classmethod
+    def _trusted(cls, points: Tuple[str, ...],
+                 nbhds: Tuple[int, ...]) -> "FiniteTopSpace":
+        """A space from distinct labels and rows already known to be a
+        preorder, without `__post_init__`'s validation."""
+        X = cls.__new__(cls)
+        object.__setattr__(X, "points", points)
+        object.__setattr__(X, "nbhds", nbhds)
+        return X
 
     @property
     def opens(self) -> frozenset:
@@ -257,10 +271,15 @@ def decomposition_topology(X: FiniteTopSpace, D: Partition) -> FiniteTopSpace:
     that meets U_x for some x in b: the transitive closure of that relation.
     Block points are labelled by `block_label`.
     """
+    return FiniteTopSpace(D.labels, _quotient_rows(X, D))
+
+
+def _quotient_rows(X: FiniteTopSpace, D: Partition) -> Tuple[int, ...]:
+    """The decomposition space's neighbourhoods U_b, in block order."""
     if D.points != X.points:
         raise InputError("partition is over different points")
-    return FiniteTopSpace(D.labels, _quotient_relation(
-        [_union(D.bits, _union(X.nbhds, bm)) for bm in D.masks]))
+    return _quotient_relation(
+        [_union(D.bits, _union(X.nbhds, bm)) for bm in D.masks])
 
 
 def _quotient_relation(reach: List[int]) -> Tuple[int, ...]:
@@ -337,6 +356,8 @@ def verify_prop5(X: FiniteTopSpace, D: Partition,
     always hold, for every choice of representatives.  The map is a
     bijection, so a homeomorphism iff for each representative r of block k
     the blocks of the representatives in U_r make up the quotient's row k.
+    The quotient's rows come from `_quotient_rows`, which
+    `decomposition_topology` also reads, and no space is built from them.
     """
     if len(reps) != len(D.blocks):
         raise InputError("need exactly one representative per block")
@@ -345,9 +366,8 @@ def verify_prop5(X: FiniteTopSpace, D: Partition,
             raise InputError(f"representative {r!r} not in its block {b}")
     hausdorff = is_hausdorff(X)
     kept = X.mask(reps)
-    quot = decomposition_topology(X, D)
     ok = all(_union(D.bits, X.nbhds[X.points.index(r)] & kept) == u
-             for r, u in zip(reps, quot.nbhds))
+             for r, u in zip(reps, _quotient_rows(X, D)))
     detail = "X is discrete (finite Hausdorff)" if hausdorff else \
         "hypothesis unmet: X is not Hausdorff; result informational"
     return HypothesisResult(ok, hausdorff, detail)
@@ -358,16 +378,25 @@ def verify_lemma7(f: FiniteMap) -> HypothesisResult:
     continuous surjection is homeomorphic to the codomain via fiber -> y.
 
     Hypothesis: domain compact (automatic) and codomain Hausdorff.  Fiber
-    k -> point k is the identity on indices (`fiber_partition` lists the
-    fibers in codomain order), so a homeomorphism iff the rows are equal.
+    k is the preimage of codomain point k, so the map fiber -> y is the
+    identity on indices, and a homeomorphism iff the quotient's rows equal
+    the codomain's.  Those rows are read from `f.targets` alone: the first
+    step of fiber k is the OR over the x with f(x) = k of the fibers that
+    meet U_x, i.e. `_union` of the bits 1 << f(x') over U_x, then the
+    transitive closure.  No partition or space is built: a surjection's
+    fibers partition the domain, and the closure of a reflexive relation is
+    a preorder, so neither validation could fail.
     """
     if not f.is_surjective():
         raise InputError("map must be surjective")
     if not is_continuous(f):
         raise InputError("map must be continuous")
     hausdorff = is_hausdorff(f.codomain)
-    quot = decomposition_topology(f.domain, fiber_partition(f))
-    ok = quot.nbhds == f.codomain.nbhds
+    bits = [1 << k for k in f.targets]
+    reach = [0] * len(f.codomain.points)
+    for k, u in zip(f.targets, f.domain.nbhds):
+        reach[k] |= _union(bits, u)
+    ok = _quotient_relation(reach) == f.codomain.nbhds
     detail = "codomain is discrete (finite Hausdorff)" if hausdorff else \
         "hypothesis unmet: codomain is not Hausdorff; result informational"
     return HypothesisResult(ok, hausdorff, detail)
@@ -389,10 +418,13 @@ def all_topologies(points: Sequence[str]) -> List[FiniteTopSpace]:
     of the cap that hold bit i, tried in increasing order; a candidate is
     kept iff it contains the earlier rows of its own points.  The search
     stays far below the 2^(n^2-n) naive bound (355 topologies on 4 points,
-    6942 on 5).
+    6942 on 5).  Every relation it keeps is a preorder, so each space is
+    built by `FiniteTopSpace._trusted`, without re-validating its rows.
     """
     pts = tuple(points)
     n = len(pts)
+    if len(set(pts)) != n:
+        raise InputError("duplicate point labels")
     rows: List[int] = []
     found: List[Tuple[int, ...]] = []
 
@@ -417,7 +449,7 @@ def all_topologies(points: Sequence[str]) -> List[FiniteTopSpace]:
             sub = (sub - rest) & rest
 
     rec(0)
-    return [FiniteTopSpace(pts, relation) for relation in found]
+    return [FiniteTopSpace._trusted(pts, relation) for relation in found]
 
 
 def all_partitions(items: Sequence[str]) -> List[Tuple[Tuple[str, ...], ...]]:

@@ -66,6 +66,11 @@ from .report import CheckReport
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+# longest source cylinder `block_surjection` pads around: the padding holds
+# up to one cylinder per bit, so its total length grows as the square of
+# this, about 0.5 M characters at 1024 bits.  The CLI accepts no cylinder
+# longer than its depth, which its work limit keeps at 20 or less
+MAX_CYLINDER_BITS = 1024
 
 
 # ---------------------------------------------------------------------------
@@ -293,7 +298,9 @@ def block_surjection(blocks_a: Sequence[ClopenBlock],
 
     A blocks must be mutually disjoint and nonempty; B blocks nonempty.  If
     the A blocks do not cover the Cantor model, the clopen complement is
-    appended as one extra block mapped onto the whole target.
+    appended as one extra block mapped onto the whole target.  An A
+    cylinder longer than `MAX_CYLINDER_BITS` is rejected before the
+    padding is built.
     """
     if len(blocks_a) != len(blocks_b):
         raise InputError("need as many target blocks as source blocks")
@@ -301,6 +308,8 @@ def block_surjection(blocks_a: Sequence[ClopenBlock],
         raise InputError("need at least one block")
     if not blocks_pairwise_disjoint(blocks_a):
         raise InputError("source blocks overlap")
+    if max(len(c) for b in blocks_a for c in b.cylinders) > MAX_CYLINDER_BITS:
+        raise InputError(f"source cylinder longer than {MAX_CYLINDER_BITS} bits")
     pairs = list(zip(blocks_a, blocks_b))
     leftover = _complement_cylinders(blocks_a)
     if leftover:

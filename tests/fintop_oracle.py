@@ -10,9 +10,12 @@ the sweep builds the quotient of every (topology, partition) pair, an
 open-set family is a topology iff it holds {} and X and is closed under
 pairwise union and intersection, the quotient kernel reads its first step
 through a `union` selector, and the two verifiers build the subspace or the
-quotient's map and ask `is_homeomorphism`.  Tests compare the kernels
-against these, output for output and in the same order.  And `is_t0`,
-which left the library because only tests call it."""
+quotient's map and ask `is_homeomorphism`.  And the two verifiers as they
+were before they read the quotient's rows without building a space:
+`oracle_prop5_space` through `decomposition_topology`, `oracle_lemma7_space`
+through `fiber_partition` as well.  Tests compare the kernels against
+these, output for output and in the same order.  And `is_t0`, which left
+the library because only tests call it."""
 
 from typing import Iterable, List, Sequence, Tuple
 
@@ -200,6 +203,40 @@ def oracle_lemma7(f: FiniteMap) -> HypothesisResult:
     quot = decomposition_topology(f.domain, D)
     h = finite_map(quot, f.codomain, dict(zip(D.labels, f.codomain.points)))
     ok = is_homeomorphism(h)
+    detail = "codomain is discrete (finite Hausdorff)" if hausdorff else \
+        "hypothesis unmet: codomain is not Hausdorff; result informational"
+    return HypothesisResult(ok, hausdorff, detail)
+
+
+def oracle_prop5_space(X: FiniteTopSpace, D: Partition,
+                       reps: Sequence[str]) -> HypothesisResult:
+    """`fintop.verify_prop5` comparing the representatives' rows with those
+    of the validated space `decomposition_topology` builds."""
+    if len(reps) != len(D.blocks):
+        raise InputError("need exactly one representative per block")
+    for r, b in zip(reps, D.blocks):
+        if r not in b:
+            raise InputError(f"representative {r!r} not in its block {b}")
+    hausdorff = is_hausdorff(X)
+    kept = X.mask(reps)
+    quot = decomposition_topology(X, D)
+    ok = all(_union(D.bits, X.nbhds[X.points.index(r)] & kept) == u
+             for r, u in zip(reps, quot.nbhds))
+    detail = "X is discrete (finite Hausdorff)" if hausdorff else \
+        "hypothesis unmet: X is not Hausdorff; result informational"
+    return HypothesisResult(ok, hausdorff, detail)
+
+
+def oracle_lemma7_space(f: FiniteMap) -> HypothesisResult:
+    """`fintop.verify_lemma7` comparing the codomain's rows with those of
+    the validated decomposition space of the validated `fiber_partition`."""
+    if not f.is_surjective():
+        raise InputError("map must be surjective")
+    if not is_continuous(f):
+        raise InputError("map must be continuous")
+    hausdorff = is_hausdorff(f.codomain)
+    quot = decomposition_topology(f.domain, fiber_partition(f))
+    ok = quot.nbhds == f.codomain.nbhds
     detail = "codomain is discrete (finite Hausdorff)" if hausdorff else \
         "hypothesis unmet: codomain is not Hausdorff; result informational"
     return HypothesisResult(ok, hausdorff, detail)

@@ -90,3 +90,21 @@ def test_check_count():
 def test_sensitivity_samples_unread_when_points_are_given():
     rep = chaos.sensitivity_check(DOUBLING, F(1, 64), None, points=[(F(1, 3),)])
     assert "1 samples" in rep.instance
+
+
+def test_block_padding_bounds_the_longest_source_cylinder(monkeypatch):
+    # at the bound the padding is built; one bit past it, on any block, the
+    # input is rejected before the padding is walked
+    n = surject.MAX_CYLINDER_BITS
+    f = surject.block_surjection([surject.ClopenBlock(("1", "0" * n))],
+                                 WHOLE)
+    assert len(f.pairs[1][0].cylinders) == n - 1
+
+    def refuse(blocks):
+        raise AssertionError("padding built")
+    monkeypatch.setattr(surject, "_complement_cylinders", refuse)
+    too_long = [surject.ClopenBlock(("1",)),
+                surject.ClopenBlock(("0" * (n + 1),))]
+    with pytest.raises(InputError) as info:
+        surject.block_surjection(too_long, WHOLE * 2)
+    assert str(info.value) == f"source cylinder longer than {n} bits"

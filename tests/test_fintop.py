@@ -18,7 +18,9 @@ from fintop_oracle import (
     oracle_decomposition_topology,
     oracle_is_topology,
     oracle_lemma7,
+    oracle_lemma7_space,
     oracle_prop5,
+    oracle_prop5_space,
     oracle_quotient_relation,
     oracle_space_from_masks,
     oracle_sweep,
@@ -178,6 +180,16 @@ def test_topology_enumeration_order_matches_full_scan():
         spaces = all_topologies("abcde"[:n])
         assert [X.nbhds for X in spaces] == oracle_topology_rows(n)
         assert all(X.points == tuple("abcde"[:n]) for X in spaces)
+
+
+def test_enumerated_spaces_pass_the_validating_constructor():
+    # the enumeration builds its spaces without validation: each must be
+    # the space the validating constructor builds from the same rows
+    for n in range(6):
+        for X in all_topologies("abcde"[:n]):
+            assert FiniteTopSpace(X.points, X.nbhds) == X
+    with pytest.raises(InputError, match="^duplicate point labels$"):
+        all_topologies("aba")
 
 
 @settings(max_examples=300)
@@ -352,10 +364,10 @@ def test_sweep_validates_each_distinct_quotient_once(monkeypatch):
     monkeypatch.setattr(FiniteTopSpace, "__post_init__", recording)
     assert sweep(pts).all_passed
     assert set(seen) == want
-    # a singleton quotient is its topology: enumerated, and validated once
-    # by the sweep, whose relation also decides the functoriality check
-    assert all(n == (2 if labels == pts else 1)
-               for (labels, _), n in seen.items()), seen
+    # a singleton quotient is its topology, which the enumeration builds
+    # without validation: the sweep validates it once, and its relation
+    # also decides the functoriality check
+    assert all(n == 1 for n in seen.values()), seen
 
 
 def test_sweep_reports_an_invalid_quotient_as_failed(monkeypatch, capsys):
@@ -650,7 +662,8 @@ def test_prop5_matches_subspace_oracle_exhaustive_4pts():
             for D in parts:
                 for reps in product(*D.blocks):
                     got = verify_prop5(X, D, reps)
-                    assert got == oracle_prop5(X, D, reps), \
+                    assert got == oracle_prop5(X, D, reps) == \
+                        oracle_prop5_space(X, D, reps), \
                         (X.nbhds, D.blocks, reps)
                     n_cases += 1
                     n_holds += got.holds
@@ -659,16 +672,21 @@ def test_prop5_matches_subspace_oracle_exhaustive_4pts():
 
 
 @pytest.mark.parametrize("points,blocks,reps,message", [
-    # a representative outside X is named before the partition's points
+    # a representative outside X is named before the partition's points,
+    # and the representatives' count and blocks before either
     ("abd", (("a", "b"), ("d",)), ["a", "d"], "unknown point 'd'"),
     ("bac", (("a",), ("b", "c")), ["a", "b"],
      "partition is over different points"),
+    ("bac", (("a",), ("b", "c")), ["a"],
+     "need exactly one representative per block"),
+    ("bac", (("a",), ("b", "c")), ["b", "b"],
+     "representative 'b' not in its block ('a',)"),
 ])
 def test_prop5_partition_over_other_points(points, blocks, reps, message):
     X = discrete_space("abc")
     D = Partition(tuple(points), blocks)
-    assert verdict(verify_prop5, X, D, reps) == (InputError, message)
-    assert verdict(oracle_prop5, X, D, reps) == (InputError, message)
+    for check in (verify_prop5, oracle_prop5, oracle_prop5_space):
+        assert verdict(check, X, D, reps) == (InputError, message)
 
 
 def test_prop5_and_lemma7_decide_from_rows_only(monkeypatch):
@@ -690,9 +708,11 @@ def test_prop5_and_lemma7_decide_from_rows_only(monkeypatch):
     assert {res.holds for res in want} == {True, False}
 
     def refuse(*args, **kwargs):
-        raise AssertionError("built a subspace or a map")
-    for name in ("subspace", "finite_map", "FiniteMap", "is_homeomorphism"):
+        raise AssertionError("built a space, a partition or a map")
+    for name in ("subspace", "finite_map", "FiniteMap", "is_homeomorphism",
+                 "fiber_partition", "decomposition_topology", "Partition"):
         monkeypatch.setattr(fintop, name, refuse)
+    monkeypatch.setattr(FiniteTopSpace, "__post_init__", refuse)
     assert [verify_prop5(*case) for case in prop5_cases] + \
         [verify_lemma7(f) for f in lemma7_cases] == want
 
@@ -763,12 +783,39 @@ def test_lemma7_matches_quotient_map_oracle_exhaustive_3pts():
         for Y in codomains:
             for f in all_maps(X, Y):
                 got = verdict(verify_lemma7, f)
-                assert got == verdict(oracle_lemma7, f), f.mapping
+                assert got == verdict(oracle_lemma7, f) == \
+                    verdict(oracle_lemma7_space, f), f.mapping
                 seen[got if isinstance(got, tuple) else got.holds] += 1
     assert sum(seen.values()) == 48536
     assert set(seen) == {
         True, False, (InputError, "map must be surjective"),
         (InputError, "map must be continuous")}
+
+
+def test_lemma7_matches_fiber_space_oracle_exhaustive_4pts():
+    # every continuous surjection from a topology on 4 points onto one on
+    # 1-3 points, the continuity filter read from the rows so that only
+    # continuous maps are built
+    onto = {m: [t for t in product(range(m), repeat=4) if len(set(t)) == m]
+            for m in (1, 2, 3)}
+    codomains = [Y for points in ("x", "xy", "xyz")
+                 for Y in all_topologies(points)]
+    seen = Counter()
+    for X in all_topologies("abcd"):
+        below = [(x, j) for x, u in enumerate(X.nbhds)
+                 for j in range(4) if u >> j & 1 and j != x]
+        for Y in codomains:
+            V = Y.nbhds
+            for t in onto[len(V)]:
+                if all(V[t[x]] >> t[j] & 1 for x, j in below):
+                    f = FiniteMap(X, Y, tuple(zip(X.points,
+                                                  map(Y.points.__getitem__, t))))
+                    got = verify_lemma7(f)
+                    assert got == oracle_lemma7_space(f), f.mapping
+                    seen[got.holds, got.hypothesis_met] += 1
+    # the hypothesis holds only onto a discrete space, where lemma 7 must
+    assert set(seen) == {(True, True), (True, False), (False, False)}
+    assert sum(seen.values()) == 72161
 
 
 SPACES = {n: all_topologies("abcde"[:n]) for n in range(1, 6)}

@@ -454,11 +454,14 @@ def test_block_surjection_input_errors():
 
 
 def test_long_cylinder_padding_needs_no_recursion():
-    # one complement cylinder per bit: "1", "01", ..., "0" * 4999 + "1"
-    f = block_surjection([ClopenBlock(("0" * 5000,))], [ClopenBlock(("1",))])
+    # one complement cylinder per bit: "1", "01", ..., "0" * (n - 1) + "1",
+    # at the longest accepted cylinder, past the default recursion limit
+    n = surject.MAX_CYLINDER_BITS
+    assert n > 1000
+    f = block_surjection([ClopenBlock(("0" * n,))], [ClopenBlock(("1",))])
     pad = f.pairs[1][0].cylinders
-    assert len(pad) == 5000
-    assert pad[0] == "1" and pad[-1] == "0" * 4999 + "1"
+    assert len(pad) == n
+    assert pad[0] == "1" and pad[-1] == "0" * (n - 1) + "1"
 
 
 @pytest.mark.parametrize("depth,message", [
