@@ -58,9 +58,9 @@ output formats:
 
 work limits:
   embed --depth at most 12; surject at most 2^20 cells (2^depth cylinders
-  or interval cells, 4^depth quadrants), but surject --kind block walks
-  every depth-n word of each block and scans every cylinder of every pair
-  per word (--swap-halves --depth 20 takes about 13 s), and rejects a
+  or interval cells, 4^depth quadrants), although surject --kind block
+  splits each block's cylinders only until their images settle, walking no
+  depth-n word (--swap-halves --depth 20 takes about 0.2 s), and rejects a
   --block cylinder longer than --depth; surject --kind waypoint at most 256
   --point pins; chaos transitivity at most 2^12 cells (2^depth on the
   two-event systems, so --depth 1..12);

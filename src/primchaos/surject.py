@@ -30,8 +30,9 @@ end at (1,0), which makes the linear stitching exact.
 The image cells of the expansion maps and of the curve are grid cells held
 as integers (`Cell`): one kernel per map kind, boxed by `_grid_box` for the
 evaluators.  Their certificates read the table their kernel reads and
-evaluate no cell, or two per sweep of a square waypoint map, but
-`verify_block_surjection` walks every block's depth-n words.  The expansion
+evaluate no cell, or two per sweep of a square waypoint map; the block
+certificate splits each source cylinder only until its images settle, and
+enumerates no depth-n word (`verify_block_surjection`).  The expansion
 maps place the word's bits on the axes by `_placement`, and a map that
 spreads the n bits over the axes as a permutation sends the 2^n words onto
 the 2^n grid cells, so covering is an O(n) check of that placement.  The
@@ -45,10 +46,12 @@ a walk over 4^k cells (Hilbert, Math. Ann. 38, 1891; Sagan,
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
-from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from functools import cached_property
+from typing import (Iterable, Iterator, List, NamedTuple, Optional, Sequence,
+                    Tuple)
 
 from .errors import InputError, check_count
 from .geometry import (
@@ -66,10 +69,10 @@ from .report import CheckReport
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
-# longest source cylinder `block_surjection` pads around: the padding holds
-# up to one cylinder per bit, so its total length grows as the square of
-# this, about 0.5 M characters at 1024 bits.  The CLI accepts no cylinder
-# longer than its depth, which its work limit keeps at 20 or less
+# the longest word the block kinds read: the longest source cylinder that
+# `block_surjection` pads around (the padding's length grows as its square,
+# about 0.5 M characters at 1024 bits) and the deepest `check_block_depth`
+# takes.  The CLI's work limit keeps its words at 20 bits or less
 MAX_CYLINDER_BITS = 1024
 
 
@@ -150,6 +153,8 @@ class ClopenBlock:
     cylinders: Tuple[str, ...]
 
     def __post_init__(self):
+        if isinstance(self.cylinders, str):
+            raise InputError("a clopen block takes a tuple, not a string")
         if not self.cylinders:
             raise InputError("a clopen block needs at least one cylinder")
         cyls = self.cylinders
@@ -183,28 +188,25 @@ def blocks_pairwise_disjoint(blocks: Sequence[ClopenBlock]) -> bool:
     return _overlap([c for b in blocks for c in b.cylinders]) is None
 
 
-def _complement_cylinders(blocks: Sequence[ClopenBlock]) -> List[str]:
-    """Complement of a disjoint cylinder union, as a minimal cylinder set.
-
-    Walks the binary prefix tree with an explicit stack, so no cylinder
-    length runs out of recursion: a subtree disjoint from every cylinder is
-    one complement cylinder, a subtree inside a cylinder contributes
-    nothing, and mixed subtrees split.  Every bit of a cylinder splits one
-    subtree, so the complement has up to one cylinder per bit of the
-    longest cylinder, and its total length grows as the square of that.
-    """
-    out: List[str] = []
-    stack = [("", [c for b in blocks for c in b.cylinders])]
+def _complement_cylinders(cylinders: Iterable[str], word: str = "",
+                          depth: Optional[int] = None) -> Iterator[str]:
+    """The words under `word` extending none of the cylinders, as a minimal
+    cylinder set in walk order (0 before 1), by an explicit stack, so no
+    cylinder length runs out of recursion: a subtree disjoint from every
+    cylinder is one complement cylinder, one inside a cylinder contributes
+    nothing, and mixed ones split, up to once per bit of the longest
+    cylinder.  No prefix of length `depth` splits, so the first cylinder
+    yielded, padded with zeros, is the least depth-n word extending none."""
+    stack = [(word, list(cylinders))]
     while stack:
         prefix, under = stack.pop()
         if any(prefix.startswith(c) for c in under):
             continue  # fully covered
         inside = [c for c in under if c.startswith(prefix)]
-        if not inside:
-            out.append(prefix)
+        if not inside or len(prefix) == depth:
+            yield prefix
         else:
-            stack += [(prefix + "0", inside), (prefix + "1", inside)]
-    return sorted(out, key=lambda w: (len(w), w))
+            stack += [(prefix + "1", inside), (prefix + "0", inside)]
 
 
 # ---------------------------------------------------------------------------
@@ -222,6 +224,16 @@ class CantorMap:
 
     kind: str  # a key of MAP_KINDS
     pairs: Tuple[Tuple[ClopenBlock, ClopenBlock], ...] = ()
+
+    @cached_property
+    def _sources(self) -> tuple:
+        """`_images`' index of `pairs`: source cylinder -> the pairs holding
+        it, the distinct cylinder lengths ascending, the cylinders sorted."""
+        index: dict = {}
+        for k, (a_blk, _) in enumerate(self.pairs):
+            for c in a_blk.cylinders:
+                index.setdefault(c, []).append(k)
+        return index, sorted({len(c) for c in index}), sorted(index)
 
     def __post_init__(self):
         if self.kind not in MAP_KINDS:
@@ -251,34 +263,49 @@ class CantorMap:
         return Fraction(1, 3 ** max(0, n - overhead))
 
 
+def _images(f: CantorMap, word: str) -> Tuple[List[str], bool]:
+    """`evaluate_symbolic`'s output cylinders o of a word w, unsorted, and
+    whether w settles them: every source cylinder w meets is a prefix of w
+    whose selector staircase w resolves, so w + e maps onto the o + e."""
+    if f.kind != "block_glued":
+        raise InputError(f"{f.kind} has no symbolic evaluation")
+    index, lengths, ordered = f._sources
+    outs: List[str] = []
+    settled = True
+    for n in lengths[:bisect_right(lengths, len(word))]:
+        tail = word[n:]
+        for k in index.get(word[:n], ()):
+            targets = f.pairs[k][1].cylinders
+            nsel = len(targets) - 1
+            ones = 0
+            while ones < nsel and ones < len(tail) and tail[ones] == "1":
+                ones += 1
+            if ones == nsel:
+                outs.append(targets[nsel] + tail[nsel:])
+            elif ones < len(tail):  # tail[ones] == "0": selector resolved
+                outs.append(targets[ones] + tail[ones + 1:])
+            else:  # ran out of bits mid-staircase: still ambiguous
+                outs.extend(targets[ones:])
+                settled = False
+    # the source cylinders the word is a proper prefix of sort right after
+    # it.  It has not yet chosen one, so their blocks map onto all of B_i
+    j = bisect_right(ordered, word)
+    above = set()
+    while j < len(ordered) and ordered[j].startswith(word):
+        above.update(index[ordered[j]])
+        j += 1
+    for k in above:
+        outs.extend(f.pairs[k][1].cylinders)
+    return outs, settled and not above
+
+
 def evaluate_symbolic(f: CantorMap, word: str) -> List[str]:
     """Image enclosure of a cylinder as output cylinder addresses.
 
     Only defined for the Cantor-target kind, block_glued.
     """
     binary_word(word)
-    if f.kind != "block_glued":
-        raise InputError(f"{f.kind} has no symbolic evaluation")
-    outs: List[str] = []
-    for a_blk, b_blk in f.pairs:
-        targets = b_blk.cylinders
-        nsel = len(targets) - 1
-        for c in a_blk.cylinders:
-            if word.startswith(c):
-                tail = word[len(c):]
-                ones = 0
-                while ones < nsel and ones < len(tail) and tail[ones] == "1":
-                    ones += 1
-                if ones == nsel:
-                    outs.append(targets[nsel] + tail[nsel:])
-                elif ones < len(tail):  # tail[ones] == "0": selector resolved
-                    outs.append(targets[ones] + tail[ones + 1:])
-                else:  # ran out of bits mid-staircase: still ambiguous
-                    outs.extend(targets[r] for r in range(ones, nsel + 1))
-            elif c.startswith(word):
-                # the prefix has not yet chosen a cylinder: anything in this
-                # block is reachable, and the block maps onto all of B_i
-                outs.extend(targets)
+    outs = _images(f, word)[0]
     if not outs:
         raise InputError(f"address {word!r} lies outside every block")
     return sorted(set(outs))
@@ -311,7 +338,8 @@ def block_surjection(blocks_a: Sequence[ClopenBlock],
     if max(len(c) for b in blocks_a for c in b.cylinders) > MAX_CYLINDER_BITS:
         raise InputError(f"source cylinder longer than {MAX_CYLINDER_BITS} bits")
     pairs = list(zip(blocks_a, blocks_b))
-    leftover = _complement_cylinders(blocks_a)
+    leftover = sorted(_complement_cylinders(
+        c for b in blocks_a for c in b.cylinders), key=lambda w: (len(w), w))
     if leftover:
         pairs.append((ClopenBlock(tuple(leftover)), ClopenBlock(("",))))
     return CantorMap("block_glued", tuple(pairs))
@@ -319,22 +347,16 @@ def block_surjection(blocks_a: Sequence[ClopenBlock],
 
 def check_block_depth(blocks_a: Sequence[ClopenBlock],
                       blocks_b: Sequence[ClopenBlock], depth: int) -> None:
-    """Reject a depth `verify_block_surjection` cannot walk: one that is not
-    an int >= 0, then one shorter than a cylinder, naming the first such
-    cylinder in the order the walk meets them (A_0, B_0, A_1, ...)."""
+    """Reject a depth `verify_block_surjection` cannot take: not an int >= 0,
+    then over `MAX_CYLINDER_BITS` (its eps would not print), then shorter
+    than a cylinder, naming the first in the order A_0, B_0, A_1, ..."""
     check_count(depth, "depth must be >= 0")
+    if depth > MAX_CYLINDER_BITS:
+        raise InputError(f"depth {depth} longer than {MAX_CYLINDER_BITS} bits")
     for a_blk, b_blk in zip(blocks_a, blocks_b):
         for c in (*a_blk.cylinders, *b_blk.cylinders):
             if len(c) > depth:
                 raise InputError(f"depth {depth} shallower than cylinder {c!r}")
-
-
-def _words_under(block: ClopenBlock, depth: int) -> Iterator[str]:
-    """Every depth-n word inside the block, cylinder by cylinder in
-    lexicographic order; no cylinder may be longer than n."""
-    for c in block.cylinders:
-        for tail in product("01", repeat=depth - len(c)):
-            yield c + "".join(tail)
 
 
 def verify_block_surjection(f: CantorMap, blocks_a: Sequence[ClopenBlock],
@@ -346,29 +368,49 @@ def verify_block_surjection(f: CantorMap, blocks_a: Sequence[ClopenBlock],
     its image enclosure inside B_i.  Covering direction is at the map's
     modulus: every depth-n cylinder of B_i must meet some image enclosure,
     which bounds the Hausdorff defect by modulus(depth).  A depth that is
-    not an int >= 0 or is shorter than a cylinder is rejected
-    (`check_block_depth`) before the modulus is read.
+    not an int in [0, `MAX_CYLINDER_BITS`] or is shorter than a cylinder is
+    rejected (`check_block_depth`) before the modulus is read.
+
+    No depth-n word is enumerated.  Each A_i cylinder splits, in walk
+    order, only until a prefix p settles its outputs o (`_images`), and then
+    p + e maps onto the o + e, which a B_i word meets iff it extends o[:n].
+    So each check finds the first word a walk would fail at by one search
+    for a depth-n word extending no cylinder (`_complement_cylinders`).
     """
     check_block_depth(blocks_a, blocks_b, depth)
     eps = f.modulus(depth)
     rep = CheckReport(f"block surjection, {len(blocks_a)} blocks, depth {depth}, "
                       f"eps {rational_str(eps)}")
     for i, (a_blk, b_blk) in enumerate(zip(blocks_a, blocks_b)):
-        out_set = set()
+        reached, word = set(), None
+        stack = list(reversed(a_blk.cylinders))
+        while stack:
+            p = stack.pop()
+            outs, settled = _images(f, p)
+            if not outs:  # the walk's error, at the first word under p
+                evaluate_symbolic(f, p.ljust(depth, "0"))
+            if not settled and len(p) < depth:
+                stack += [p + "1", p + "0"]
+                continue
+            reached.update(o[:depth] for o in outs)
+            if word is None:
+                # o + e outside the cylinders of B_i lies in one, b, only if
+                # b extends o and e extends b[len(o):]
+                firsts = [next(_complement_cylinders(
+                    [p + b[len(o):] for b in b_blk.cylinders
+                     if b.startswith(o)], p, depth), None)
+                    for o in set(outs) if not b_blk.contains_address(o)]
+                word = min((w.ljust(depth, "0") for w in firsts
+                            if w is not None), default=None)
         bad = ""
-        for word in _words_under(a_blk, depth):
-            outs = evaluate_symbolic(f, word)
-            out_set.update(outs)
-            for o in outs:
-                if not bad and not b_blk.contains_address(o):
-                    bad = f"f(cyl {word}) reaches cyl {o}"
+        if word is not None:
+            o = next(o for o in evaluate_symbolic(f, word)
+                     if not b_blk.contains_address(o))
+            bad = f"f(cyl {word}) reaches cyl {o}"
         rep.add(f"containment_block_{i}", not bad,
                 bad or f"f(A_{i}) subset B_{i} exactly")
-        prefixes = {o[:L] for o in out_set for L in range(len(o) + 1)}
-        miss = next((word for word in _words_under(b_blk, depth)
-                     if word not in prefixes and
-                     not any(word[:L] in out_set for L in range(len(word) + 1))),
-                    None)
+        miss = next((w.ljust(depth, "0") for d in b_blk.cylinders
+                     for w in _complement_cylinders(reached, d, depth)), None)
         rep.add(f"covering_block_{i}", miss is None,
                 f"B_{i} within eps of f(A_{i})" if miss is None
                 else f"cyl {miss} of B_{i} misses every image enclosure")

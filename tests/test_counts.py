@@ -108,3 +108,17 @@ def test_block_padding_bounds_the_longest_source_cylinder(monkeypatch):
     with pytest.raises(InputError) as info:
         surject.block_surjection(too_long, WHOLE * 2)
     assert str(info.value) == f"source cylinder longer than {n} bits"
+
+
+def test_block_depth_bounded_by_the_longest_word():
+    # at the bound the certificate runs; one past it, the depth is rejected
+    # before its eps, 3^-depth, is written out
+    n = surject.MAX_CYLINDER_BITS
+    f = surject.block_surjection(WHOLE, WHOLE)
+    rep = surject.verify_block_surjection(f, WHOLE, WHOLE, n)
+    assert rep.all_passed and rep.instance.endswith(f"eps 1/{3 ** n}")
+    for check in (surject.check_block_depth,
+                  lambda *a: surject.verify_block_surjection(f, *a)):
+        with pytest.raises(InputError) as info:
+            check(WHOLE, WHOLE, n + 1)
+        assert str(info.value) == f"depth {n + 1} longer than {n} bits"

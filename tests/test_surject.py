@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import surject_oracle as oracle
 from geometry_oracle import box1, box2
 from surject_oracle import (
     blocks_cover,
@@ -31,6 +32,7 @@ from primchaos.geometry import (
     region_subset,
     regions_disjoint,
 )
+from primchaos.report import CheckReport
 from primchaos.surject import (
     CantorMap,
     ClopenBlock,
@@ -338,6 +340,10 @@ def test_clopen_block_validation():
         ClopenBlock(("0", "01"))  # nested cylinders overlap
     with pytest.raises(InputError):
         ClopenBlock(("2",))
+    # a string would read as one cylinder per bit: "01" as "0" and "1"
+    with pytest.raises(InputError, match="^a clopen block takes a tuple, "
+                       "not a string$"):
+        ClopenBlock("01")
 
 
 SWAP_HALVES = block_surjection([ClopenBlock(("0",)), ClopenBlock(("1",))],
@@ -536,6 +542,131 @@ def test_random_block_constraints_always_realized(rng):
                     for p in f.pairs for d in p[1].cylinders)) + 2
     rep = verify_block_surjection(f, blocks_a, blocks_b, depth)
     assert rep.all_passed, rep.to_document()
+
+
+def random_words(rng, count, longest=3):
+    """Up to `count` pairwise disjoint random words of 0..longest bits, in
+    the order drawn; the first is always kept."""
+    words = []
+    for _ in range(count):
+        w = "".join(rng.choice("01") for _ in range(rng.randint(0, longest)))
+        if not any(w.startswith(c) or c.startswith(w) for c in words):
+            words.append(w)
+    return words
+
+
+def random_block(rng):
+    return ClopenBlock(tuple(random_words(rng, rng.randint(1, 4))))
+
+
+def family_case(rng):
+    """A `random_block_family` constraint set and its glued map."""
+    blocks_a = random_block_family(rng)
+    blocks_b = random_block_family(rng, max_depth=2)
+    blocks_b = (blocks_b + [ClopenBlock(("",))] * len(blocks_a))[
+        :len(blocks_a)]
+    return block_surjection(blocks_a, blocks_b), blocks_a, blocks_b
+
+
+def other_targets_case(rng):
+    """A glued map checked against other target blocks than its own."""
+    f, blocks_a, _ = family_case(rng)
+    return f, blocks_a, [random_block(rng) for _ in blocks_a]
+
+
+def table_case(rng):
+    """An arbitrary pair table, whose sources may overlap or leave words
+    out, checked against arbitrary blocks, not always as many A as B."""
+    pairs = tuple((random_block(rng), random_block(rng))
+                  for _ in range(rng.randint(0, 3)))
+    return (CantorMap("block_glued", pairs),
+            [random_block(rng) for _ in range(rng.randint(0, 3))],
+            [random_block(rng) for _ in range(rng.randint(0, 3))])
+
+
+def outcome(call, *args):
+    """What a call returns, a report as its whole document, or the text of
+    the InputError it raises."""
+    try:
+        out = call(*args)
+    except InputError as exc:
+        return f"InputError: {exc}"
+    return out.to_document() if isinstance(out, CheckReport) else out
+
+
+@pytest.mark.parametrize("case", [family_case, other_targets_case,
+                                  table_case])
+@settings(max_examples=150, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_block_certificate_matches_the_walk(case, rng):
+    f, blocks_a, blocks_b = case(rng)
+    longest = max((len(c) for blk in (*blocks_a, *blocks_b)
+                   for c in blk.cylinders), default=0)
+    depth = longest + rng.randint(0, 5)
+    assert outcome(verify_block_surjection, f, blocks_a, blocks_b, depth) == \
+        outcome(oracle.verify_block_surjection, f, blocks_a, blocks_b, depth)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_indexed_evaluation_matches_the_scan(rng):
+    f = table_case(rng)[0]
+    for _ in range(10):
+        word = "".join(rng.choice("01") for _ in range(rng.randint(0, 7)))
+        assert outcome(evaluate_symbolic, f, word) == \
+            outcome(oracle.evaluate_symbolic, f, word)
+
+
+# (pairs as (source, target) cylinders, A_0, B_0, depth, witnesses): one
+# case per slip a certificate over prefixes can make
+BLOCK_WITNESSES = {
+    # "0" has not read its selector bit: 00 maps onto cyl 00, 01 onto cyl 11
+    "open_staircase": ([(("0", "1"), ("00", "11"))], ("0", "1"), ("0",), 2,
+                       ["f(cyl 01) reaches cyl 11",
+                        "cyl 01 of B_0 misses every image enclosure"]),
+    # the image cyl 1 is longer than the depth: cut to 0 bits it meets B_0
+    "image_past_depth": ([(("0", "10"), ("1",))], ("",), ("",), 0,
+                         ["f(A_0) subset B_0 exactly",
+                          "B_0 within eps of f(A_0)"]),
+    # w maps onto cyl w and cyl 1w.  The first bad word is 1000 for cyl w
+    # but 0000, under the empty prefix, for cyl 1w: the walk meets 0000 first
+    "least_bad_word": ([(("",), ("",)), (("",), ("1",))], ("",), ("0",), 4,
+                       ["f(cyl 0000) reaches cyl 10000",
+                        "B_0 within eps of f(A_0)"]),
+}
+
+
+@pytest.mark.parametrize("name", BLOCK_WITNESSES)
+def test_block_witnesses_are_the_walks(name):
+    pairs, a_cyls, b_cyls, depth, witnesses = BLOCK_WITNESSES[name]
+    f = CantorMap("block_glued", tuple((ClopenBlock(a), ClopenBlock(b))
+                                       for a, b in pairs))
+    blocks = [ClopenBlock(a_cyls)], [ClopenBlock(b_cyls)], depth
+    rep = verify_block_surjection(f, *blocks)
+    assert [c.witness for c in rep.checks] == witnesses
+    assert rep.to_document() == \
+        oracle.verify_block_surjection(f, *blocks).to_document()
+
+
+@pytest.mark.parametrize("blocks", [("0:1", "1:0"), ("00:1",)],
+                         ids=["swap_halves", "padded"])
+def test_block_certificate_does_no_per_word_work(blocks, monkeypatch):
+    # a walk over the depth-20 words would make a million evaluations
+    pairs = [b.split(":") for b in blocks]
+    Ab = [ClopenBlock((a,)) for a, _ in pairs]
+    Bb = [ClopenBlock((b,)) for _, b in pairs]
+    f = block_surjection(Ab, Bb)
+    calls = Counter()
+    real = surject._images
+
+    def counted(*args):
+        calls["_images"] += 1
+        return real(*args)
+
+    monkeypatch.setattr(surject, "_images", counted)
+    assert verify_block_surjection(f, Ab, Bb, 20).all_passed
+    cylinders = sum(len(blk.cylinders) for pair in f.pairs for blk in pair)
+    assert 0 < calls["_images"] <= cylinders * (20 + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -835,6 +966,10 @@ GAPPED = WaypointSurjection(INTERVAL_PIN.pinning, tuple(
     (lambda: evaluate_symbolic(CantorMap("block_glued", (
         (ClopenBlock(("0",)), ClopenBlock(("1",))),)), "1"),
      "address '1' lies outside every block"),
+    (lambda: verify_block_surjection(CantorMap("block_glued", (
+        (ClopenBlock(("1",)), ClopenBlock(("1",))),)),
+        [ClopenBlock(("",))], [ClopenBlock(("",))], 3),
+     "address '000' lies outside every block"),
     (lambda: block_surjection([], []), "need at least one block"),
     (lambda: verify_cover_map(SWAP_HALVES, 3),
      "covering verification ships for binary_expansion and interleave, "
@@ -846,7 +981,8 @@ GAPPED = WaypointSurjection(INTERVAL_PIN.pinning, tuple(
     (lambda: evaluate_waypoint(INTERVAL_PIN, 2), "parameter outside [0,1]"),
     (lambda: evaluate_waypoint(GAPPED, F(3, 4)),
      "parameter not covered by any piece"),
-], ids=["duplicate_cylinder", "outside_every_block", "no_blocks",
+], ids=["duplicate_cylinder", "outside_every_block",
+        "first_word_outside_every_block", "no_blocks",
         "cover_block_glued", "waypoint_target", "waypoint_point_outside",
         "parameter_outside", "table_with_a_gap"])
 def test_rejected_inputs_name_their_fault(call, message):
