@@ -100,6 +100,14 @@ MAX_DELTA_BITS = 1024
 SENSITIVITY_CONSTANT = Fraction(1, 4)
 # most cells, alphabet ** depth, a transitivity check builds and holds
 MAX_TRANSITIVITY_CELLS = 2 ** 12
+# most samples, and orbit steps (samples times the step budget), of a
+# sensitivity check
+MAX_SENSITIVITY_SAMPLES = 10000
+MAX_SENSITIVITY_STEPS = 2 ** 20
+# longest word of `realize_witness` and `periodic_point`, whose documents
+# grow as its square, and deepest dense-orbit word (3586 symbols)
+MAX_EVENT_WORD = 1024
+MAX_DENSE_DEPTH = 8
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -401,12 +409,20 @@ def _witness_orbit(s: ChaosSystem, word: str):
     return K, witness, points[:-1]
 
 
+def _bounded_word(s: ChaosSystem, word: str) -> str:
+    """A checked word of 1..`MAX_EVENT_WORD` symbols."""
+    if not _as_word(s, word):
+        raise InputError("word must be nonempty")
+    if len(word) > MAX_EVENT_WORD:
+        raise InputError(f"word length {len(word)} exceeds the work limit of "
+                         f"{MAX_EVENT_WORD} symbols")
+    return word
+
+
 def realize_witness(s: ChaosSystem, word: str) -> WitnessResult:
     """Realize a finite event word: nonempty enclosure, witness point, and
     the exact forward orbit, with event membership verified exactly."""
-    if not _as_word(s, word):
-        raise InputError("word must be nonempty")
-    K, witness, points = _witness_orbit(s, word)
+    K, witness, points = _witness_orbit(s, _bounded_word(s, word))
     return WitnessResult(s.kind, word, K, witness,
                          tuple(grid_point(*p) for p in points))
 
@@ -453,9 +469,7 @@ def periodic_point(s: ChaosSystem, word: str) -> PeriodicOrbit:
     orbit follows the word cyclically and that no proper divisor of the
     length is a period.
     """
-    if not _as_word(s, word):
-        raise InputError("word must be nonempty")
-    prim = _primitive_root(word)
+    prim = _primitive_root(_bounded_word(s, word))
     reduced_from = None if prim == word else word
     m = len(prim)
     # the fixed point of x -> (C*x + D) / M on each axis
@@ -486,6 +500,9 @@ def dense_orbit_word(depth: int) -> str:
     lexicographic order; the realized witness's orbit visits every
     depth-`depth` event cell."""
     check_count(depth, "depth must be >= 1", 1)
+    if depth > MAX_DENSE_DEPTH:
+        raise InputError(f"dense-orbit depth {depth} exceeds the work limit "
+                         f"of depth {MAX_DENSE_DEPTH}")
     parts = []
     for length in range(1, depth + 1):
         for bits in product("01", repeat=length):
@@ -595,13 +612,20 @@ def sensitivity_check(s: ChaosSystem, delta: Fraction, samples: int,
     of steps needed.
 
     Samples are generated deterministically per system; pass `points` to
-    check specific initial conditions instead."""
+    check specific initial conditions instead.  Their number is bounded
+    before any is built, by the two MAX_SENSITIVITY limits."""
     if s.dim != 1:
         raise InputError("sensitivity check ships for 1-d systems")
     delta = rat(delta)
     budget = sensitivity_budget(delta)
-    if not points:
-        check_count(samples, "need at least one sample", 1)
+    samples = len(points) if points else samples
+    check_count(samples, "need at least one sample", 1)
+    if samples > MAX_SENSITIVITY_SAMPLES or \
+            samples * budget > MAX_SENSITIVITY_STEPS:
+        raise InputError(f"a check of {samples} samples of {budget} steps "
+                         f"exceeds the work limit of "
+                         f"{MAX_SENSITIVITY_SAMPLES} samples and "
+                         f"{MAX_SENSITIVITY_STEPS} orbit steps")
     sample_pts = [tuple(rat(c) for c in p) for p in points] if points \
         else _sensitivity_samples(s, samples)
     sep = SENSITIVITY_CONSTANT

@@ -12,7 +12,9 @@ the parser tree from that table, but only the branch its argv selects gets
 its arguments: the other groups get their names and help lines only, and
 the selected group's other leaves their names.  The kinds of a --kind
 group share one parser, so an option of another kind that differs from its
-default is rejected with 2.
+default is rejected with 2.  Each library routine bounds its own input and
+raises `InputError` (exit 2) before any work; the CLI checks only --decimal,
+--format, --out, option syntax and options of another kind.
 """
 
 from __future__ import annotations
@@ -41,13 +43,8 @@ from .geometry import (
 )
 
 PROG = "primchaos"
-EMBED_MAX_DEPTH = 12
-MAX_CELLS = 2 ** 20
-MAX_WORD = 1024
 # decimal_str writes one digit per loop step for each rational of a document
 MAX_DECIMAL = 1024
-# the waypoint certificate looks up each pin's piece in a scan of them all
-MAX_POINTS = 256
 
 EPILOG = """\
 output formats:
@@ -56,20 +53,21 @@ output formats:
          an extra "approx" column holds truncated N-digit decimals for
          rational values (approximate, for plotting only)
 
-work limits:
-  embed --depth at most 12; surject at most 2^20 cells (2^depth cylinders
-  or interval cells, 4^depth quadrants), although surject --kind block
-  splits each block's cylinders only until their images settle, walking no
-  depth-n word (--swap-halves --depth 20 takes about 0.2 s), and rejects a
-  --block cylinder longer than --depth; surject --kind waypoint at most 256
-  --point pins; chaos transitivity at most 2^12 cells (2^depth on the
-  two-event systems, so --depth 1..12);
-  chaos sensitivity at most 2^20 orbit steps (--samples times a step budget
-  of the bit length of 1/delta, plus 8), and --delta at most 1024 bits in
-  its numerator and in its denominator;
-  chaos realize and periodic --word 1..1024 symbols; chaos dense --depth
-  1..8; chaos sensitivity --samples 1..10000; fintop spaces discreteN with
-  1 <= N <= 8; --decimal 0..1024
+work limits, checked before any work by the library, under the constant named:
+  embed --depth at most 12 (embedding.MAX_REFINEMENT_DEPTH)
+  surject at most 2^20 cells (surject.MAX_GRID_CELLS): --depth to 20 for
+    binary, interleave and interval waypoint maps, to 10 for hilbert and
+    square waypoint maps; block --depth 0..1024 (surject.MAX_CYLINDER_BITS),
+    at least each --block cylinder's length; at most 256 --point pins
+    (surject.MAX_WAYPOINTS)
+  chaos realize and periodic --word 1..1024 symbols (chaos.MAX_EVENT_WORD);
+    dense --depth 1..8 (chaos.MAX_DENSE_DEPTH); transitivity at most 2^12
+    cells, alphabet^depth (chaos.MAX_TRANSITIVITY_CELLS); sensitivity
+    --samples 1..10000 (chaos.MAX_SENSITIVITY_SAMPLES) and at most 2^20
+    orbit steps, --samples times the bit length of 1/delta plus 8
+    (chaos.MAX_SENSITIVITY_STEPS), --delta at most 1024 bits in numerator
+    and denominator (chaos.MAX_DELTA_BITS)
+  fintop discreteN, 1 <= N <= 8; the CLI's own --decimal 0..1024 (MAX_DECIMAL)
 """
 
 
@@ -138,8 +136,6 @@ def _report(rep, header: str, **fields):
 
 
 def _embed(args):
-    if args.depth > EMBED_MAX_DEPTH:
-        raise InputError(f"depth {args.depth} exceeds cap {EMBED_MAX_DEPTH}")
     tree = embed_mod.build_refinement(embed_mod.make_model(args.model),
                                       args.depth)
     summary = [f"embed: {args.model} refinement to depth {args.depth}, "
@@ -153,16 +149,9 @@ def _embed(args):
     return embed_mod.tree_document(tree), summary, ok
 
 
-def _word(args) -> str:
-    # the documents grow as the square of the word length
-    if not 1 <= len(args.word) <= MAX_WORD:
-        raise InputError(f"word length must be in 1..{MAX_WORD}")
-    return args.word
-
-
 def _chaos_realize(args):
     res = chaos_mod.realize_witness(chaos_mod.make_system(args.system),
-                                    _word(args))
+                                    args.word)
     return res.to_document(), [
         f"chaos realize: system {args.system}, word {res.word}",
         f"enclosure: {region_doc(res.enclosure)}",
@@ -173,7 +162,7 @@ def _chaos_realize(args):
 
 def _chaos_periodic(args):
     orb = chaos_mod.periodic_point(chaos_mod.make_system(args.system),
-                                   _word(args))
+                                   args.word)
     summary = [f"chaos periodic: system {args.system}, word {orb.word}"]
     if orb.reduced_from:
         summary.append(f"note: input word {orb.reduced_from} reduced to "
@@ -185,8 +174,6 @@ def _chaos_periodic(args):
 
 
 def _chaos_dense(args):
-    if not 1 <= args.depth <= 8:
-        raise InputError("dense-orbit depth must be in 1..8")
     word = chaos_mod.dense_orbit_word(args.depth)
     rep = chaos_mod.verify_dense_orbit(chaos_mod.make_system(args.system),
                                        args.depth)
@@ -196,11 +183,8 @@ def _chaos_dense(args):
 
 
 def _chaos_sensitivity(args):
-    delta = parse_rational(args.delta)
-    if not 1 <= args.samples <= 10000:
-        raise InputError("samples must be in 1..10000")
     rep = chaos_mod.sensitivity_check(chaos_mod.make_system(args.system),
-                                      delta, args.samples)
+                                      parse_rational(args.delta), args.samples)
     return _report(rep, f"chaos sensitivity: {rep.instance}")
 
 
@@ -273,12 +257,8 @@ def _surject_block(args):
     depth = args.depth
     if args.swap_halves and args.block:
         raise InputError("--swap-halves and --block cannot be combined")
-    if args.swap_halves:
-        blocks_a, blocks_b = _parse_blocks(["0:1", "1:0"])
-    elif args.block:
-        blocks_a, blocks_b = _parse_blocks(args.block)
-    else:
-        raise InputError("block kind needs --swap-halves or --block A:B")
+    blocks_a, blocks_b = _parse_blocks(["0:1", "1:0"] if args.swap_halves
+                                       else args.block)
     # before the padding, whose size grows as the square of a cylinder's length
     surject_mod.check_block_depth(blocks_a, blocks_b, depth)
     f = surject_mod.block_surjection(blocks_a, blocks_b)
@@ -296,11 +276,6 @@ def _surject_block(args):
 
 def _surject_waypoint(args):
     depth = args.depth
-    if not args.point:
-        raise InputError("waypoint kind needs at least one --point X=Y")
-    if len(args.point) > MAX_POINTS:
-        raise InputError(f"at most {MAX_POINTS} --point pins, "
-                         f"got {len(args.point)}")
     wmap = surject_mod.waypoint_map(_parse_waypoints(args.point), args.target)
     ws = surject_mod.waypoint_surjection(wmap)
     rep = surject_mod.verify_waypoint_surjection(ws, resolution=depth)
@@ -370,21 +345,9 @@ def _arg(*flags, **kwargs):
     return flags, kwargs
 
 
-def _surject_cells(args, base: int) -> int:
-    # base**depth cells: below depth 0 the library rejects, past 64 the gate
-    return base ** max(0, min(args.depth, 64))
-
-
-def _sensitivity_steps(args) -> int:
-    # each sample's orbit pairs run for at most the check's step budget
-    return args.samples * chaos_mod.sensitivity_budget(
-        parse_rational(args.delta))
-
-
 class Command(NamedTuple):
     args: tuple  # parser arguments, as (flags, keyword arguments) pairs
     run: Callable  # args -> (document, summary lines, passed)
-    cells: Optional[Callable] = None  # args -> cells of work, at most MAX_CELLS
 
 
 COMMON = (
@@ -425,12 +388,10 @@ COMMANDS = {
         (SYSTEM, _arg("--delta", required=True,
                       help="perturbation bound as p/q"),
          _arg("--samples", type=int, default=100)),
-        _chaos_sensitivity, _sensitivity_steps),
+        _chaos_sensitivity),
     ("chaos", "transitivity"): Command((SYSTEM, DEPTH), _chaos_transitivity),
-    ("surject", "binary"): Command(
-        (SURJECT_DEPTH,), _surject_covering, lambda a: _surject_cells(a, 2)),
-    ("surject", "interleave"): Command(
-        (SURJECT_DEPTH,), _surject_covering, lambda a: _surject_cells(a, 2)),
+    ("surject", "binary"): Command((SURJECT_DEPTH,), _surject_covering),
+    ("surject", "interleave"): Command((SURJECT_DEPTH,), _surject_covering),
     ("surject", "block"): Command(
         (SURJECT_DEPTH,
          _arg("--swap-halves", action="store_true", default=False,
@@ -438,7 +399,7 @@ COMMANDS = {
          _arg("--block", action="append", default=[], metavar="A:B",
               help="block constraint cyl+cyl:cyl+cyl, e.g. 00+01:1 "
                    "(repeatable)")),
-        _surject_block, lambda a: _surject_cells(a, 2)),
+        _surject_block),
     ("surject", "waypoint"): Command(
         (SURJECT_DEPTH,
          _arg("--target", choices=["interval", "square"], default="interval",
@@ -446,10 +407,8 @@ COMMANDS = {
          _arg("--point", action="append", default=[], metavar="X=Y",
               help="waypoint pin x=y or x=y1,y2, e.g. 1/2=1/2,1/2 "
                    "(repeatable)")),
-        _surject_waypoint,
-        lambda a: _surject_cells(a, 4 if a.target == "square" else 2)),
-    ("surject", "hilbert"): Command(
-        (SURJECT_DEPTH,), _surject_hilbert, lambda a: _surject_cells(a, 4)),
+        _surject_waypoint),
+    ("surject", "hilbert"): Command((SURJECT_DEPTH,), _surject_hilbert),
     ("fintop", "quotient"): Command(
         (_arg("--space", required=True,
               help="chain3, sierpinski, or discreteN"),
@@ -552,16 +511,6 @@ def _check_kind_options(path: tuple, args) -> None:
                                  f"{path[1]}")
 
 
-def _execute(cmd: Command, args) -> int:
-    """Gate the input's work, run, emit the result, and return the exit code."""
-    if cmd.cells is not None and cmd.cells(args) > MAX_CELLS:
-        raise InputError(f"input exceeds the work limit of {MAX_CELLS} cells "
-                         f"or orbit steps (see --help)")
-    doc, summary, passed = cmd.run(args)
-    _emit(args, doc, summary + ["result: PASS" if passed else "result: FAIL"])
-    return 0 if passed else 1
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     parser = build_parser(argv)
@@ -586,7 +535,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         path = (args.command,) + ((getattr(args, choice),) if choice else ())
         if choice == "kind":
             _check_kind_options(path, args)
-        return _execute(COMMANDS[path], args)
+        doc, summary, passed = COMMANDS[path].run(args)
+        _emit(args, doc, summary + ["result: PASS" if passed else
+                                    "result: FAIL"])
+        return 0 if passed else 1
     except InputError as exc:
         print(f"{PROG}: error: {exc}", file=sys.stderr)
         return 2

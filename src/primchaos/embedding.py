@@ -86,6 +86,8 @@ from .geometry import (
 from .report import CheckReport
 
 MODEL_KINDS = ("interval", "square", "tripod")
+# deepest tree `build_refinement` builds, of 2 ** depth leaf cells
+MAX_REFINEMENT_DEPTH = 12
 
 HALF = Fraction(1, 2)
 
@@ -305,6 +307,9 @@ def build_refinement(model: PeanoModel, depth: int) -> RefinementTree:
     `subdivide`'s input checks (module docstring).
     """
     check_count(depth, "depth must be >= 0")
+    if depth > MAX_REFINEMENT_DEPTH:
+        raise InputError(f"depth {depth} exceeds the work limit of depth "
+                         f"{MAX_REFINEMENT_DEPTH} (2 ** depth leaf cells)")
     root = model.root
     root_cell = Cell(root, (lexmin_point(root), lexmax_point(root)))
     scale = _lcm_scale([root_cell]) * 4 ** depth

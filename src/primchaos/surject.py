@@ -72,8 +72,14 @@ ONE = Fraction(1)
 # the longest word the block kinds read: the longest source cylinder that
 # `block_surjection` pads around (the padding's length grows as its square,
 # about 0.5 M characters at 1024 bits) and the deepest `check_block_depth`
-# takes.  The CLI's work limit keeps its words at 20 bits or less
+# takes, which is the block certificate's only bound
 MAX_CYLINDER_BITS = 1024
+# most grid cells, base ** depth, of the cover, curve and waypoint sweep
+# certificates (a sweep has 4^r quadrants on the square, 2^r interval
+# cells), whose witnesses write the count in decimal
+MAX_GRID_CELLS = 2 ** 20
+# most pins of a `WaypointMap`, each looked up in a scan of all its pieces
+MAX_WAYPOINTS = 256
 
 
 # ---------------------------------------------------------------------------
@@ -93,6 +99,15 @@ def _grid_box(coords: Sequence[int], sizes: Sequence[int]) -> Box:
 # bits over; 0 for a map with no expansion kernel)
 MAP_KINDS = {"binary_expansion": ("interval", 1), "interleave": ("square", 2),
              "block_glued": ("cantor", 0)}
+
+
+def _check_cells(depth: int, base: int) -> None:
+    """Reject a depth that is not an int >= 0, or whose base ** depth grid
+    cells exceed `MAX_GRID_CELLS` (past depth 64 the power is not formed)."""
+    check_count(depth, "depth must be >= 0")
+    if base ** min(depth, 64) > MAX_GRID_CELLS:
+        raise InputError(f"depth {depth} exceeds the work limit of "
+                         f"{MAX_GRID_CELLS} cells ({base} ** depth)")
 
 
 def _placement(n: int, axes: int) -> Tuple[Tuple[int, ...], ...]:
@@ -428,7 +443,7 @@ def verify_cover_map(f: CantorMap, depth: int) -> CheckReport:
     bits at the positions read, so the 2^n words hit one grid cell per
     setting of the distinct positions, and all 2^n cells exactly when the
     positions are a permutation of range(n)."""
-    check_count(depth, "depth must be >= 0")
+    _check_cells(depth, 2)
     rep = CheckReport(f"{f.kind} covering at depth {depth}")
     axes = MAP_KINDS[f.kind][1]
     if not axes:
@@ -454,7 +469,7 @@ def verify_curve(depth: int) -> CheckReport:
     consecutive parameter cells give edge-adjacent quadrants, and the 4^k
     quadrants tile the square.  Both follow by induction over the levels
     from the quadrant table (`_curve_certificate`), with no cell walk."""
-    check_count(depth, "depth must be >= 0")
+    _check_cells(depth, 4)
     rep = CheckReport(f"space-filling curve at depth {depth}")
     cells = 4 ** depth
     cert = _curve_certificate(depth)
@@ -592,6 +607,9 @@ class WaypointMap:
             raise InputError("target must be 'interval' or 'square'")
         if not self.waypoints:
             raise InputError("need at least one waypoint")
+        if len(self.waypoints) > MAX_WAYPOINTS:
+            raise InputError(f"at most {MAX_WAYPOINTS} waypoints, "
+                             f"got {len(self.waypoints)}")
         xs = [x for x, _ in self.waypoints]
         if any(not ZERO <= x <= ONE for x in xs):
             raise InputError("waypoint parameters must lie in [0,1]")
@@ -722,8 +740,8 @@ def verify_waypoint_surjection(ws: WaypointSurjection,
                                resolution: int = 8) -> CheckReport:
     """Certify exact pinning, exact stitching at sweep boundaries, and
     coverage of the whole target at resolution 2^-resolution."""
-    check_count(resolution, "depth must be >= 0")
     w = ws.pinning
+    _check_cells(resolution, 4 if w.target == "square" else 2)
     rep = CheckReport(f"waypoint map onto {w.target}, "
                       f"{len(w.waypoints)} waypoints, resolution 2^-{resolution}")
     for i, (x, y) in enumerate(w.waypoints):

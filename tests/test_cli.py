@@ -15,7 +15,7 @@ from time import perf_counter
 import pytest
 
 from cli_cases import CASES
-from primchaos import cli
+from primchaos import chaos, cli, embedding, surject
 from primchaos.cli import encode_document, main
 from primchaos.errors import ConstructionError
 
@@ -133,12 +133,13 @@ WORK_GATE_CASES = [
      True),
     (["surject", "--kind", "hilbert", "--depth", "11"], False),
     (["surject", "--kind", "hilbert", "--depth", "20"], False),
-    # transitivity's cells are bounded by the library, not this gate
+    # transitivity's cells, alphabet ** depth
     (["chaos", "transitivity", "--system", "doubling", "--depth", "11"], True),
     (["chaos", "transitivity", "--system", "tent", "--depth", "12"], True),
     (SQUARE_PIN + ["--depth", "11"], False),
     (["surject", "--kind", "binary", "--depth", "21"], False),
-    (["surject", "--kind", "block", "--swap-halves", "--depth", "21"], False),
+    # the block certificate is bounded by its longest word, 1024 bits
+    (["surject", "--kind", "block", "--swap-halves", "--depth", "21"], True),
     (["surject", "--kind", "interleave", "--depth", "10000000000"], False),
     # samples times the step budget, bit length of 1/delta plus 8
     (sensitivity(20, 20), True),
@@ -155,16 +156,33 @@ WORK_GATE_CASES = [
 ]
 
 
+class Reached(Exception):
+    """Raised by a spied kernel: the input passed its bound and work began."""
+
+
+def _reached(*args, **kwargs):
+    raise Reached
+
+
+# where the work of each command above begins
+KERNELS = [(chaos, "_cells"), (chaos, "_sensitivity_samples"),
+           (surject, "_placement"), (surject, "_curve_certificate"),
+           (surject, "_piece_at"), (surject, "_images")]
+
+
 @pytest.mark.parametrize("argv,accepted", WORK_GATE_CASES)
 def test_work_gate(argv, accepted, tmp_path, capsys, monkeypatch):
-    # the gate decides before anything runs: a stub run records the call
+    # each library routine bounds its input before any work: an accepted
+    # input reaches its kernel, where a spy stops it, and a rejected one
+    # exits 2 without reaching any
     monkeypatch.chdir(tmp_path)
-    ran = []
-    for path in cli.COMMANDS:
-        _replace_run(monkeypatch, path,
-                     lambda args: ran.append(args) or ({}, [], True))
-    assert main(argv) == (0 if accepted else 2)
-    assert len(ran) == (1 if accepted else 0)
+    for module, name in KERNELS:
+        monkeypatch.setattr(module, name, _reached)
+    if accepted:
+        with pytest.raises(Reached):
+            main(argv)
+    else:
+        assert main(argv) == 2
     err = capsys.readouterr().err
     assert ("exceeds the work limit" in err) == (not accepted)
 
@@ -274,7 +292,7 @@ def test_waypoint_pins_up_to_the_cap(target, y, capsys):
     assert "256 pin(s)" in capsys.readouterr().out
     assert main(argv + ["--point", f"1={y}"]) == 2
     assert capsys.readouterr() == (
-        "", "primchaos: error: at most 256 --point pins, got 257\n")
+        "", "primchaos: error: at most 256 waypoints, got 257\n")
 
 
 def test_option_of_another_kind_named(capsys):
@@ -494,20 +512,33 @@ def test_decimal_up_to_the_cap(tmp_path, capsys, monkeypatch):
     assert list(tmp_path.iterdir()) == []
 
 
+def deepest(base, cells):
+    """The greatest depth whose base ** depth cells are at most `cells`."""
+    return max(d for d in range(65) if base ** d <= cells)
+
+
 # leaf -> (its other arguments, its count option, the least and the greatest
-# count --help documents)
+# count, read from the library constant that bounds it)
 COUNT_OPTIONS = {
-    ("embed",): (["--model", "interval"], "--depth", 0, 12),
-    ("chaos", "dense"): (["--system", "doubling"], "--depth", 1, 8),
-    ("chaos", "transitivity"): (["--system", "doubling"], "--depth", 1, 12),
+    ("embed",): (["--model", "interval"], "--depth", 0,
+                 embedding.MAX_REFINEMENT_DEPTH),
+    ("chaos", "dense"): (["--system", "doubling"], "--depth", 1,
+                         chaos.MAX_DENSE_DEPTH),
+    ("chaos", "transitivity"): (["--system", "doubling"], "--depth", 1,
+                                deepest(2, chaos.MAX_TRANSITIVITY_CELLS)),
     ("chaos", "sensitivity"): (["--system", "doubling", "--delta", "1/64"],
-                               "--samples", 1, 10000),
-    ("surject", "binary"): ([], "--depth", 0, 20),
-    ("surject", "interleave"): ([], "--depth", 0, 20),
+                               "--samples", 1, chaos.MAX_SENSITIVITY_SAMPLES),
+    ("surject", "binary"): ([], "--depth", 0,
+                            deepest(2, surject.MAX_GRID_CELLS)),
+    ("surject", "interleave"): ([], "--depth", 0,
+                                deepest(2, surject.MAX_GRID_CELLS)),
     # a depth below the cylinder's length is rejected
-    ("surject", "block"): (["--block", "0:1"], "--depth", 1, 20),
-    ("surject", "waypoint"): (["--point", "1/2=1/2"], "--depth", 0, 20),
-    ("surject", "hilbert"): ([], "--depth", 0, 10),
+    ("surject", "block"): (["--block", "0:1"], "--depth", 1,
+                           surject.MAX_CYLINDER_BITS),
+    ("surject", "waypoint"): (["--point", "1/2=1/2"], "--depth", 0,
+                              deepest(2, surject.MAX_GRID_CELLS)),
+    ("surject", "hilbert"): ([], "--depth", 0,
+                             deepest(4, surject.MAX_GRID_CELLS)),
 }
 COUNT_CASES = [
     pytest.param(argv + other + ["--format", fmt], option, value,
@@ -516,7 +547,7 @@ COUNT_CASES = [
         *((["surject", "--kind", path[1]] if path[0] == "surject"
            else list(path), spec, "json")
           for path, spec in COUNT_OPTIONS.items()),
-        (REALIZE[:2], (REALIZE[2:], "--decimal", 0, 1024), "csv")]
+        (REALIZE[:2], (REALIZE[2:], "--decimal", 0, cli.MAX_DECIMAL), "csv")]
     for value in (-2 ** 70, -1, 0, 1, 2, cap, cap + 1, 2 ** 70)]
 
 

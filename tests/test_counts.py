@@ -1,7 +1,8 @@
 """Every public routine that takes a depth, level or count rejects one that
 is not an int in range with `InputError` and its own message, through
 `errors.check_count`: never with a `TypeError`, and never by running on a
-float."""
+float.  A routine whose work grows with its count bounds it too, before
+any work: the CLI's limits are these bounds."""
 
 from fractions import Fraction as F
 
@@ -122,3 +123,112 @@ def test_block_depth_bounded_by_the_longest_word():
         with pytest.raises(InputError) as info:
             check(WHOLE, WHOLE, n + 1)
         assert str(info.value) == f"depth {n + 1} longer than {n} bits"
+
+
+class Reached(Exception):
+    """Raised by a spied kernel: the input passed its bound and work began."""
+
+
+def _reached(*args, **kwargs):
+    raise Reached
+
+
+SQUARE_WAYPOINTS = surject.waypoint_surjection(
+    surject.waypoint_map([(F(1, 2), (F(1, 2), F(1, 2)))], "square"))
+
+
+def cells_past(base):
+    return lambda n: (f"depth {n} exceeds the work limit of 1048576 cells "
+                      f"({base} ** depth)")
+
+
+def dense_past(n):
+    return f"dense-orbit depth {n} exceeds the work limit of depth 8"
+
+
+def samples_past(budget):
+    return lambda n: (f"a check of {n} samples of {budget} steps exceeds the "
+                      f"work limit of 10000 samples and 1048576 orbit steps")
+
+
+def word_past(n):
+    return f"word length {n} exceeds the work limit of 1024 symbols"
+
+
+# bound -> (call on a count, the greatest count taken, the message of a
+# larger count n, and the kernel, as (module, name), that the work begins in)
+BOUNDS = {
+    "build_refinement": (
+        lambda n: embedding.build_refinement(MODEL, n), 12,
+        lambda n: f"depth {n} exceeds the work limit of depth 12 "
+                  f"(2 ** depth leaf cells)", (embedding, "_split")),
+    "verify_cover_map-binary": (
+        lambda n: surject.verify_cover_map(CANTOR_MAP, n), 20, cells_past(2),
+        (surject, "_placement")),
+    "verify_cover_map-interleave": (
+        lambda n: surject.verify_cover_map(surject.CantorMap("interleave"), n),
+        20, cells_past(2), (surject, "_placement")),
+    "verify_curve": (surject.verify_curve, 10, cells_past(4),
+                     (surject, "_curve_certificate")),
+    "verify_waypoint_surjection-interval": (
+        lambda n: surject.verify_waypoint_surjection(WAYPOINTS, n), 20,
+        cells_past(2), (surject, "_piece_at")),
+    "verify_waypoint_surjection-square": (
+        lambda n: surject.verify_waypoint_surjection(SQUARE_WAYPOINTS, n), 10,
+        cells_past(4), (surject, "_piece_at")),
+    "dense_orbit_word": (chaos.dense_orbit_word, 8, dense_past,
+                         (chaos, "product")),
+    "verify_dense_orbit": (lambda n: chaos.verify_dense_orbit(DOUBLING, n), 8,
+                           dense_past, (chaos, "product")),
+    # a step budget of 15 (1/64) and of 1009 (2^-1000) steps per sample
+    "sensitivity_check-samples": (
+        lambda n: chaos.sensitivity_check(DOUBLING, F(1, 64), n), 10000,
+        samples_past(15), (chaos, "_sensitivity_samples")),
+    "sensitivity_check-steps": (
+        lambda n: chaos.sensitivity_check(DOUBLING, F(1, 2 ** 1000), n), 1039,
+        samples_past(1009), (chaos, "_sensitivity_samples")),
+    "sensitivity_check-points": (
+        lambda n: chaos.sensitivity_check(DOUBLING, F(1, 2 ** 1000), None,
+                                          points=[(F(1, 3),)] * n), 1039,
+        samples_past(1009), (chaos, "_steps")),
+    "realize_witness": (lambda n: chaos.realize_witness(DOUBLING, "0" * n),
+                        1024, word_past, (chaos, "_witness_orbit")),
+    "periodic_point": (lambda n: chaos.periodic_point(DOUBLING, "1" * n),
+                       1024, word_past, (chaos, "_primitive_root")),
+}
+# the bounds on a count a caller can make huge without building a list
+HUGE = [name for name in BOUNDS if name not in (
+    "sensitivity_check-points", "realize_witness", "periodic_point")]
+
+
+@pytest.mark.parametrize("name", BOUNDS)
+def test_work_bound_at_its_edge_and_one_past(name, monkeypatch):
+    call, edge, message, (module, kernel) = BOUNDS[name]
+    monkeypatch.setattr(module, kernel, _reached)
+    with pytest.raises(Reached):  # the edge passes the bound: work begins
+        call(edge)
+    with pytest.raises(InputError) as info:  # one past, no work begins
+        call(edge + 1)
+    assert str(info.value) == message(edge + 1)
+
+
+@pytest.mark.parametrize("name,n", [
+    pytest.param(name, n, id=f"{name}-{n}") for name in HUGE
+    for n in (8000, 15000, 2 ** 70) if n > BOUNDS[name][1]])
+def test_huge_counts_rejected_before_any_work(name, n, monkeypatch):
+    # the witnesses wrote 4^8000 and 2^15000 in decimal, which raised
+    # ValueError; past 64 no bound forms its power
+    call, _, message, (module, kernel) = BOUNDS[name]
+    monkeypatch.setattr(module, kernel, _reached)
+    with pytest.raises(InputError) as info:
+        call(n)
+    assert str(info.value) == message(n)
+
+
+def test_waypoint_map_bounds_its_pins():
+    def pins(n):
+        return [(F(k, n + 1), (F(1, 2),)) for k in range(1, n + 1)]
+    assert len(surject.waypoint_map(pins(256), "interval").waypoints) == 256
+    with pytest.raises(InputError) as info:
+        surject.waypoint_map(pins(257), "interval")
+    assert str(info.value) == "at most 256 waypoints, got 257"
