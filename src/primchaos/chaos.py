@@ -580,9 +580,10 @@ def sensitivity_budget(delta) -> int:
 
 
 def _steps(s: ChaosSystem, x: Fraction):
-    """The orbit of a 1-d point under `ChaosSystem.step`, one (numerator,
-    denominator) pair per step.  Each event's bounds lo*q and hi*q are
-    formed only when the denominator q changes: never, on laws with m = 1."""
+    """The orbit of a 1-d point, one (numerator, denominator) pair per
+    step: each step applies the law of the first event that holds the
+    point.  Each event's bounds lo*q and hi*q are formed only when the
+    denominator q changes: never, on laws with m = 1."""
     t = s._table
     (L,) = t.dens
     n, q = x.numerator, x.denominator
@@ -618,7 +619,7 @@ def sensitivity_check(s: ChaosSystem, delta: Fraction, samples: int,
         raise InputError("sensitivity check ships for 1-d systems")
     delta = rat(delta)
     budget = sensitivity_budget(delta)
-    samples = len(points) if points else samples
+    samples = len(points) if points is not None else samples
     check_count(samples, "need at least one sample", 1)
     if samples > MAX_SENSITIVITY_SAMPLES or \
             samples * budget > MAX_SENSITIVITY_STEPS:
@@ -626,8 +627,8 @@ def sensitivity_check(s: ChaosSystem, delta: Fraction, samples: int,
                          f"exceeds the work limit of "
                          f"{MAX_SENSITIVITY_SAMPLES} samples and "
                          f"{MAX_SENSITIVITY_STEPS} orbit steps")
-    sample_pts = [tuple(rat(c) for c in p) for p in points] if points \
-        else _sensitivity_samples(s, samples)
+    sample_pts = [tuple(rat(c) for c in p) for p in points] \
+        if points is not None else _sensitivity_samples(s, samples)
     sep = SENSITIVITY_CONSTANT
     rep = CheckReport(f"{s.kind} sensitivity, delta {rational_str(delta)}, "
                       f"{len(sample_pts)} samples, constant {rational_str(sep)}")

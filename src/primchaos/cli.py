@@ -58,7 +58,9 @@ work limits, checked before any work by the library, under the constant named:
   surject at most 2^20 cells (surject.MAX_GRID_CELLS): --depth to 20 for
     binary, interleave and interval waypoint maps, to 10 for hilbert and
     square waypoint maps; block --depth 0..1024 (surject.MAX_CYLINDER_BITS),
-    at least each --block cylinder's length; at most 256 --point pins
+    at least each --block cylinder's length, and at most 2^17 block steps,
+    source times target cylinders summed over the blocks, the padding
+    included (surject.MAX_BLOCK_STEPS); at most 256 --point pins
     (surject.MAX_WAYPOINTS)
   chaos realize and periodic --word 1..1024 symbols (chaos.MAX_EVENT_WORD);
     dense --depth 1..8 (chaos.MAX_DENSE_DEPTH); transitivity at most 2^12

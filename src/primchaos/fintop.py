@@ -222,23 +222,18 @@ def block_label(block: Sequence[str]) -> str:
 
 @dataclass(frozen=True)
 class FiniteMap:
-    """Total map between finite spaces, given pointwise; targets holds the
-    codomain index of each domain point's image."""
+    """Total map between finite spaces: targets holds the codomain index of
+    each domain point's image, one int per domain point, in domain order."""
 
     domain: FiniteTopSpace
     codomain: FiniteTopSpace
-    mapping: Tuple[Tuple[str, str], ...]  # (x, f(x)) pairs, domain order
-    targets: Tuple[int, ...] = field(init=False, repr=False, compare=False)
+    targets: Tuple[int, ...]
 
     def __post_init__(self):
-        sources, images = tuple(zip(*self.mapping)) or ((), ())
-        if sources != self.domain.points:
-            raise InputError("mapping must cover every domain point once, in order")
-        try:
-            targets = tuple(map(self.codomain.points.index, images))
-        except ValueError:
-            raise InputError("mapping hits a point outside the codomain") from None
-        object.__setattr__(self, "targets", targets)
+        t, m = self.targets, len(self.codomain.points)
+        if not (isinstance(t, tuple) and len(t) == len(self.domain.points)
+                and all(type(k) is int and 0 <= k < m for k in t)):
+            raise InputError("targets must be one codomain index per point")
 
     def is_surjective(self) -> bool:
         return len(set(self.targets)) == len(self.codomain.points)
@@ -250,13 +245,18 @@ class FiniteMap:
 def finite_map(domain: FiniteTopSpace, codomain: FiniteTopSpace,
                assignment: Dict[str, str]) -> FiniteMap:
     try:
-        pairs = tuple((p, assignment[p]) for p in domain.points)
+        images = [assignment[p] for p in domain.points]
     except KeyError as exc:
         raise InputError(f"assignment misses domain point {exc.args[0]!r}") from exc
     if len(assignment) != len(domain.points):
         extra = sorted(set(assignment) - set(domain.points))
         raise InputError(f"assignment names points not in the domain: {extra}")
-    return FiniteMap(domain, codomain, pairs)
+    index = {y: k for k, y in enumerate(codomain.points)}
+    try:
+        targets = tuple([index[y] for y in images])
+    except (KeyError, TypeError):  # an unknown or unhashable label
+        raise InputError("mapping hits a point outside the codomain") from None
+    return FiniteMap(domain, codomain, targets)
 
 
 # ---------------------------------------------------------------------------
@@ -330,7 +330,8 @@ def fiber_partition(f: FiniteMap) -> Partition:
     if not f.is_surjective():
         raise InputError("fiber partitions are defined for surjections")
     return Partition(f.domain.points, tuple(
-        tuple(x for x, t in f.mapping if t == y) for y in f.codomain.points))
+        tuple(x for x, t in zip(f.domain.points, f.targets) if t == k)
+        for k in range(len(f.codomain.points))))
 
 
 @dataclass(frozen=True)
@@ -468,11 +469,9 @@ def all_partitions(items: Sequence[str]) -> List[Tuple[Tuple[str, ...], ...]]:
 
 
 def all_maps(domain: FiniteTopSpace, codomain: FiniteTopSpace) -> List[FiniteMap]:
-    out = []
-    for targets in product(codomain.points, repeat=len(domain.points)):
-        out.append(FiniteMap(domain, codomain,
-                             tuple(zip(domain.points, targets))))
-    return out
+    """Every map, its targets in lexicographic order."""
+    return [FiniteMap(domain, codomain, targets) for targets in
+            product(range(len(codomain.points)), repeat=len(domain.points))]
 
 
 def sweep(points: Sequence[str]) -> CheckReport:

@@ -80,6 +80,10 @@ MAX_CYLINDER_BITS = 1024
 MAX_GRID_CELLS = 2 ** 20
 # most pins of a `WaypointMap`, each looked up in a scan of all its pieces
 MAX_WAYPOINTS = 256
+# most steps of the block certificate's walk, |A_k| * |B_k| summed over the
+# map's pairs: it splits each source cylinder once per selector bit of its
+# target tuple, so it settles the cylinder on each target cylinder in turn
+MAX_BLOCK_STEPS = 2 ** 17
 
 
 # ---------------------------------------------------------------------------
@@ -157,6 +161,22 @@ def _overlap(cyls: Sequence[str]) -> Optional[Tuple[str, str]]:
     return None
 
 
+def _prefix_in(ordered: Sequence[str], word: str) -> bool:
+    """Whether a word of a sorted list, no word of which is a prefix of
+    another, is a prefix of `word`: only the greatest one <= `word` can be."""
+    j = bisect_right(ordered, word)
+    return j > 0 and word.startswith(ordered[j - 1])
+
+
+def _extensions(ordered: Sequence[str], word: str) -> Sequence[str]:
+    """The words of a sorted list that extend `word` and differ from it:
+    the run that follows the words <= `word`."""
+    j = k = bisect_right(ordered, word)
+    while k < len(ordered) and ordered[k].startswith(word):
+        k += 1
+    return ordered[j:k]
+
+
 @dataclass(frozen=True)
 class ClopenBlock:
     """Finite union of middle-third cylinders, clopen by construction.
@@ -184,8 +204,12 @@ class ClopenBlock:
     def region(self) -> Region:
         return region([cylinder(c).boxes[0] for c in self.cylinders])
 
+    @cached_property
+    def _ordered(self) -> List[str]:
+        return sorted(self.cylinders)
+
     def contains_address(self, word: str) -> bool:
-        return any(word.startswith(c) for c in self.cylinders)
+        return _prefix_in(self._ordered, word)
 
 
 def clopen_partition(n: int) -> List[ClopenBlock]:
@@ -243,12 +267,21 @@ class CantorMap:
     @cached_property
     def _sources(self) -> tuple:
         """`_images`' index of `pairs`: source cylinder -> the pairs holding
-        it, the distinct cylinder lengths ascending, the cylinders sorted."""
+        it, the cylinders sorted, and each one's longest proper prefix among
+        them (None if there is none).  Sorted, a cylinder follows its
+        prefixes and the words between extend them, so a stack of the
+        prefixes of the last cylinder holds every prefix of the next."""
         index: dict = {}
         for k, (a_blk, _) in enumerate(self.pairs):
             for c in a_blk.cylinders:
                 index.setdefault(c, []).append(k)
-        return index, sorted({len(c) for c in index}), sorted(index)
+        ordered, parent, stack = sorted(index), {}, []
+        for c in ordered:
+            while stack and not c.startswith(stack[-1]):
+                stack.pop()
+            parent[c] = stack[-1] if stack else None
+            stack.append(c)
+        return index, ordered, parent
 
     def __post_init__(self):
         if self.kind not in MAP_KINDS:
@@ -278,40 +311,43 @@ class CantorMap:
         return Fraction(1, 3 ** max(0, n - overhead))
 
 
-def _images(f: CantorMap, word: str) -> Tuple[List[str], bool]:
-    """`evaluate_symbolic`'s output cylinders o of a word w, unsorted, and
-    whether w settles them: every source cylinder w meets is a prefix of w
-    whose selector staircase w resolves, so w + e maps onto the o + e."""
+def _images(f: CantorMap, word: str) -> Tuple[List[str], List[tuple]]:
+    """`evaluate_symbolic`'s output cylinders of a word w, unsorted, in two
+    parts.  The outputs o that w settles: the source cylinder is a prefix of
+    w whose selector staircase w resolves, so w + e maps onto o + e.  And
+    the open ones, as (target cylinders, first index) pairs, where w ran
+    out of bits mid-staircase or is a proper prefix of a source cylinder:
+    no tail of a target tuple is copied for a w that the walk will split."""
     if f.kind != "block_glued":
         raise InputError(f"{f.kind} has no symbolic evaluation")
-    index, lengths, ordered = f._sources
+    index, ordered, parent = f._sources
     outs: List[str] = []
-    settled = True
-    for n in lengths[:bisect_right(lengths, len(word))]:
-        tail = word[n:]
-        for k in index.get(word[:n], ()):
-            targets = f.pairs[k][1].cylinders
-            nsel = len(targets) - 1
-            ones = 0
-            while ones < nsel and ones < len(tail) and tail[ones] == "1":
-                ones += 1
-            if ones == nsel:
-                outs.append(targets[nsel] + tail[nsel:])
-            elif ones < len(tail):  # tail[ones] == "0": selector resolved
-                outs.append(targets[ones] + tail[ones + 1:])
-            else:  # ran out of bits mid-staircase: still ambiguous
-                outs.extend(targets[ones:])
-                settled = False
-    # the source cylinders the word is a proper prefix of sort right after
-    # it.  It has not yet chosen one, so their blocks map onto all of B_i
+    pending = []
+    # a source cylinder that is a prefix of w is a prefix of every source
+    # between it and w, so it is the greatest one <= w or in its chain of
+    # prefixes
     j = bisect_right(ordered, word)
-    above = set()
-    while j < len(ordered) and ordered[j].startswith(word):
-        above.update(index[ordered[j]])
-        j += 1
-    for k in above:
-        outs.extend(f.pairs[k][1].cylinders)
-    return outs, settled and not above
+    c = ordered[j - 1] if j else None
+    while c is not None:
+        if word.startswith(c):
+            tail = word[len(c):]
+            for k in index[c]:
+                targets = f.pairs[k][1].cylinders
+                nsel = len(targets) - 1
+                zero = tail.find("0", 0, nsel)  # the staircase's leading 1s
+                ones = zero if zero >= 0 else min(nsel, len(tail))
+                if ones == nsel:
+                    outs.append(targets[nsel] + tail[nsel:])
+                elif ones < len(tail):  # tail[ones] == "0": selector read
+                    outs.append(targets[ones] + tail[ones + 1:])
+                else:  # ran out of bits mid-staircase: still ambiguous
+                    pending.append((targets, ones))
+        c = parent[c]
+    # the word has not yet chosen among the source cylinders it is a proper
+    # prefix of, so their blocks map onto all of B_i
+    above = {k for c in _extensions(ordered, word) for k in index[c]}
+    pending += [(f.pairs[k][1].cylinders, 0) for k in above]
+    return outs, pending
 
 
 def evaluate_symbolic(f: CantorMap, word: str) -> List[str]:
@@ -320,7 +356,8 @@ def evaluate_symbolic(f: CantorMap, word: str) -> List[str]:
     Only defined for the Cantor-target kind, block_glued.
     """
     binary_word(word)
-    outs = _images(f, word)[0]
+    outs, pending = _images(f, word)
+    outs += [o for targets, j in pending for o in targets[j:]]
     if not outs:
         raise InputError(f"address {word!r} lies outside every block")
     return sorted(set(outs))
@@ -384,7 +421,8 @@ def verify_block_surjection(f: CantorMap, blocks_a: Sequence[ClopenBlock],
     modulus: every depth-n cylinder of B_i must meet some image enclosure,
     which bounds the Hausdorff defect by modulus(depth).  A depth that is
     not an int in [0, `MAX_CYLINDER_BITS`] or is shorter than a cylinder is
-    rejected (`check_block_depth`) before the modulus is read.
+    rejected (`check_block_depth`) before the modulus is read, and then a
+    map whose pairs exceed `MAX_BLOCK_STEPS`.
 
     No depth-n word is enumerated.  Each A_i cylinder splits, in walk
     order, only until a prefix p settles its outputs o (`_images`), and then
@@ -393,6 +431,11 @@ def verify_block_surjection(f: CantorMap, blocks_a: Sequence[ClopenBlock],
     for a depth-n word extending no cylinder (`_complement_cylinders`).
     """
     check_block_depth(blocks_a, blocks_b, depth)
+    steps = sum(len(a.cylinders) * len(b.cylinders) for a, b in f.pairs)
+    if steps > MAX_BLOCK_STEPS:
+        raise InputError(f"a map of {steps} block steps exceeds the work "
+                         f"limit of {MAX_BLOCK_STEPS} steps (source times "
+                         f"target cylinders, summed over its blocks)")
     eps = f.modulus(depth)
     rep = CheckReport(f"block surjection, {len(blocks_a)} blocks, depth {depth}, "
                       f"eps {rational_str(eps)}")
@@ -401,19 +444,20 @@ def verify_block_surjection(f: CantorMap, blocks_a: Sequence[ClopenBlock],
         stack = list(reversed(a_blk.cylinders))
         while stack:
             p = stack.pop()
-            outs, settled = _images(f, p)
-            if not outs:  # the walk's error, at the first word under p
-                evaluate_symbolic(f, p.ljust(depth, "0"))
-            if not settled and len(p) < depth:
+            outs, pending = _images(f, p)
+            if pending and len(p) < depth:
                 stack += [p + "1", p + "0"]
                 continue
+            outs += [o for targets, j in pending for o in targets[j:]]
+            if not outs:  # the walk's error, at the first word under p
+                evaluate_symbolic(f, p.ljust(depth, "0"))
             reached.update(o[:depth] for o in outs)
             if word is None:
                 # o + e outside the cylinders of B_i lies in one, b, only if
                 # b extends o and e extends b[len(o):]
                 firsts = [next(_complement_cylinders(
-                    [p + b[len(o):] for b in b_blk.cylinders
-                     if b.startswith(o)], p, depth), None)
+                    [p + b[len(o):] for b in _extensions(b_blk._ordered, o)],
+                    p, depth), None)
                     for o in set(outs) if not b_blk.contains_address(o)]
                 word = min((w.ljust(depth, "0") for w in firsts
                             if w is not None), default=None)
@@ -424,12 +468,31 @@ def verify_block_surjection(f: CantorMap, blocks_a: Sequence[ClopenBlock],
             bad = f"f(cyl {word}) reaches cyl {o}"
         rep.add(f"containment_block_{i}", not bad,
                 bad or f"f(A_{i}) subset B_{i} exactly")
-        miss = next((w.ljust(depth, "0") for d in b_blk.cylinders
-                     for w in _complement_cylinders(reached, d, depth)), None)
+        miss = _first_miss(reached, b_blk.cylinders, depth)
         rep.add(f"covering_block_{i}", miss is None,
                 f"B_{i} within eps of f(A_{i})" if miss is None
                 else f"cyl {miss} of B_{i} misses every image enclosure")
     return rep
+
+
+def _first_miss(reached: Iterable[str], cylinders: Sequence[str],
+                depth: int) -> Optional[str]:
+    """The first depth-n word, in cylinder order and then walk order, under
+    a cylinder and extending none of the reached ones, or None.  Each walk
+    reads only the reached cylinders that extend its cylinder d, once no
+    reached one extends another and none is a prefix of d."""
+    ordered: List[str] = []
+    for c in sorted(reached):  # a cylinder follows the ones it extends
+        if not ordered or not c.startswith(ordered[-1]):
+            ordered.append(c)
+    for d in cylinders:
+        if _prefix_in(ordered, d):
+            continue  # d lies inside a reached cylinder
+        w = next(_complement_cylinders(_extensions(ordered, d), d, depth),
+                 None)
+        if w is not None:
+            return w.ljust(depth, "0")
+    return None
 
 
 def verify_cover_map(f: CantorMap, depth: int) -> CheckReport:

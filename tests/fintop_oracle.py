@@ -15,8 +15,12 @@ were before they read the quotient's rows without building a space:
 `oracle_prop5_space` through `decomposition_topology`, `oracle_lemma7_space`
 through `fiber_partition` as well.  Tests compare the kernels against
 these, output for output and in the same order.  And `is_t0`, which left
-the library because only tests call it."""
+the library because only tests call it.  And maps as they were built before
+a `FiniteMap` held only its target indices: from (x, f(x)) label pairs,
+translated to indices by one `codomain.points.index` scan per point, and
+enumerated by `oracle_all_maps` as the product of the codomain's labels."""
 
+from itertools import product
 from typing import Iterable, List, Sequence, Tuple
 
 from primchaos.errors import InputError
@@ -44,6 +48,28 @@ from primchaos.report import CheckReport
 def is_t0(X: FiniteTopSpace) -> bool:
     """Two points are topologically indistinguishable iff U_x = U_y."""
     return len(set(X.nbhds)) == len(X.nbhds)
+
+
+def oracle_targets(domain: FiniteTopSpace, codomain: FiniteTopSpace,
+                   mapping: Sequence[Tuple[str, str]]) -> Tuple[int, ...]:
+    """The codomain index of each image of the (x, f(x)) pairs, which must
+    cover every domain point once, in order."""
+    sources, images = tuple(zip(*mapping)) or ((), ())
+    if sources != domain.points:
+        raise InputError("mapping must cover every domain point once, in order")
+    try:
+        return tuple(map(codomain.points.index, images))
+    except ValueError:
+        raise InputError("mapping hits a point outside the codomain") from None
+
+
+def oracle_all_maps(domain: FiniteTopSpace,
+                    codomain: FiniteTopSpace) -> List[FiniteMap]:
+    """Every map, as each tuple of codomain labels in their product order
+    zipped with the domain's points and translated by `oracle_targets`."""
+    return [FiniteMap(domain, codomain, oracle_targets(
+        domain, codomain, tuple(zip(domain.points, images))))
+        for images in product(codomain.points, repeat=len(domain.points))]
 
 
 def oracle_union(masks: Sequence[int], select: int) -> int:

@@ -187,18 +187,18 @@ def test_criterion_4_finite_topology_exhaustive():
         domain_spaces = all_topologies("abcde"[:m])
         for c in range(1, min(m, 4) + 1):
             Y = discrete_space("wxyz"[:c])
-            surjective = [f.mapping
+            surjective = [f.targets
                           for f in all_maps(domain_spaces[0], Y)
                           if f.is_surjective()]
             for X in domain_spaces:
-                for mapping in surjective:
-                    f = FiniteMap(X, Y, mapping)
+                for targets in surjective:
+                    f = FiniteMap(X, Y, targets)
                     if not is_continuous(f):
                         continue
                     res = verify_lemma7(f)
                     n_checked += 1
                     if not (res.holds and res.hypothesis_met):
-                        failures.append(("lemma7", X.points, mapping))
+                        failures.append(("lemma7", X.points, targets))
     if n_checked == 0:
         failures.append("lemma7 sweep ran empty")
     elapsed = perf_counter() - t0

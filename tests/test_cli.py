@@ -124,6 +124,17 @@ def sensitivity(bits, samples):
             "--delta", f"1/{2 ** bits}", "--samples", str(samples)]
 
 
+def words(n, bits, head=""):
+    """The first n words of `bits` bits after `head`, in binary order."""
+    return [head + format(i, f"0{bits}b") for i in range(n)]
+
+
+def block_argv(sources, targets):
+    """One block of the source words onto the target words, at depth 20."""
+    return ["surject", "--kind", "block", "--depth", "20",
+            "--block", f"{'+'.join(sources)}:{'+'.join(targets)}"]
+
+
 WORK_GATE_CASES = [
     (["surject", "--kind", "hilbert", "--depth", "10"], True),
     (["chaos", "transitivity", "--system", "doubling", "--depth", "10"], True),
@@ -153,6 +164,11 @@ WORK_GATE_CASES = [
     (sensitivity(13000, 80), False),
     (["chaos", "sensitivity", "--system", "doubling",
       "--delta", f"{2 ** 5000 + 1}/{2 ** 5001}", "--samples", "1"], False),
+    # and by its steps, source times target cylinders: 512 * 256 is the
+    # edge, and 512 words under 0 leave cyl 1 to the padding, one step more
+    (block_argv(words(512, 9), words(256, 8)), True),
+    (block_argv(words(512, 9, "0"), words(256, 8)), False),
+    (block_argv(words(1024, 10), words(1024, 10)), False),
 ]
 
 

@@ -93,6 +93,15 @@ def test_sensitivity_samples_unread_when_points_are_given():
     assert "1 samples" in rep.instance
 
 
+def test_sensitivity_empty_points_are_no_samples(monkeypatch):
+    # an empty list is given points, none of them, not a request for the
+    # generated samples
+    monkeypatch.setattr(chaos, "_sensitivity_samples", _reached)
+    with pytest.raises(InputError) as info:
+        chaos.sensitivity_check(DOUBLING, F(1, 64), 5, points=[])
+    assert str(info.value) == "need at least one sample"
+
+
 def test_block_padding_bounds_the_longest_source_cylinder(monkeypatch):
     # at the bound the padding is built; one bit past it, on any block, the
     # input is rejected before the padding is walked
@@ -223,6 +232,32 @@ def test_huge_counts_rejected_before_any_work(name, n, monkeypatch):
     with pytest.raises(InputError) as info:
         call(n)
     assert str(info.value) == message(n)
+
+
+def words(n, bits, head=""):
+    """The first n words of `bits` bits after `head`, in binary order."""
+    return tuple(head + format(i, f"0{bits}b") for i in range(n))
+
+
+def test_block_certificate_bounds_its_steps(monkeypatch):
+    # 512 source cylinders, which cover the Cantor set, onto 256 target
+    # cylinders are the edge, 2^17 steps; the same onto the words under 0
+    # leave cyl 1 to the padding block, one step more
+    n = surject.MAX_BLOCK_STEPS
+    target = [surject.ClopenBlock(words(256, 8))]
+    monkeypatch.setattr(surject, "_images", _reached)
+
+    def verify(source):
+        blocks = [surject.ClopenBlock(source)]
+        f = surject.block_surjection(blocks, target)
+        return surject.verify_block_surjection(f, blocks, target, 20)
+    with pytest.raises(Reached):  # the edge passes the bound: work begins
+        verify(words(512, 9))
+    with pytest.raises(InputError) as info:  # one past, no work begins
+        verify(words(512, 9, "0"))
+    assert str(info.value) == (
+        f"a map of {n + 1} block steps exceeds the work limit of {n} steps "
+        f"(source times target cylinders, summed over its blocks)")
 
 
 def test_waypoint_map_bounds_its_pins():

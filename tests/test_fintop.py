@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from fintop_oracle import (
     is_t0,
+    oracle_all_maps,
     oracle_decomposition_topology,
     oracle_is_topology,
     oracle_lemma7,
@@ -24,6 +25,7 @@ from fintop_oracle import (
     oracle_quotient_relation,
     oracle_space_from_masks,
     oracle_sweep,
+    oracle_targets,
     oracle_topology_rows,
     oracle_union,
 )
@@ -96,8 +98,8 @@ def oracle_continuous(f):
     domain_opens = f.domain.opens
     for m in f.codomain.opens:
         pre = 0
-        for i, (_, y) in enumerate(f.mapping):
-            if m >> f.codomain.points.index(y) & 1:
+        for i, y in enumerate(f.targets):
+            if m >> y & 1:
                 pre |= 1 << i
         if pre not in domain_opens:
             return False
@@ -107,7 +109,9 @@ def oracle_continuous(f):
 def oracle_homeomorphism(f):
     if not (f.is_injective() and f.is_surjective()):
         return False
-    back = finite_map(f.codomain, f.domain, {y: x for x, y in f.mapping})
+    back = finite_map(f.codomain, f.domain,
+                      {f.codomain.points[y]: x
+                       for x, y in zip(f.domain.points, f.targets)})
     return oracle_continuous(f) and oracle_continuous(back)
 
 
@@ -526,15 +530,52 @@ def test_finite_map_assigns_exactly_the_domain(assignment):
         finite_map(discrete_space("ab"), discrete_space("pq"), assignment)
 
 
-@pytest.mark.parametrize("mapping,message", [
-    ((("b", "p"), ("a", "p")),
-     "mapping must cover every domain point once, in order"),
-    ((("a", "p"), ("b", "z")), "mapping hits a point outside the codomain"),
-], ids=["out_of_order", "outside_codomain"])
-def test_finite_map_rejects_a_malformed_mapping(mapping, message):
+@pytest.mark.parametrize("assignment,message", [
+    ({"a": "p"}, "assignment misses domain point 'b'"),
+    ({"a": "p", "b": "q", "c": "q", "0": "p"},
+     "assignment names points not in the domain: ['0', 'c']"),
+    ({"a": "p", "b": "z"}, "mapping hits a point outside the codomain"),
+    ({"a": "p", "b": ["p"]}, "mapping hits a point outside the codomain"),
+    # the first error wins: a missed point, then an extra one, then a label
+    # outside the codomain
+    ({"a": "z", "c": "p"}, "assignment misses domain point 'b'"),
+    ({"a": "z", "b": "p", "c": "p"},
+     "assignment names points not in the domain: ['c']"),
+])
+def test_finite_map_errors_keep_their_text(assignment, message):
     with pytest.raises(InputError) as info:
-        FiniteMap(discrete_space("ab"), discrete_space("pq"), mapping)
+        finite_map(discrete_space("ab"), discrete_space("pq"), assignment)
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("targets", [
+    (0,), (0, 1, 0), (0, 2), (-1, 0), (True, 0), (0, 1.0), [0, 1]],
+    ids=["one_short", "one_long", "index_m", "minus_one", "bool", "float",
+         "list"])
+def test_finite_map_rejects_malformed_targets(targets):
+    X, Y = discrete_space("ab"), discrete_space("pq")
+    with pytest.raises(InputError) as info:
+        FiniteMap(X, Y, targets)
+    assert str(info.value) == "targets must be one codomain index per point"
+
+
+def test_finite_map_is_the_label_translation():
+    # a map from label pairs translated by `.index` per point, and every
+    # map in the order of the codomain labels' product, on every topology
+    # on up to 3 points onto every one on up to 3
+    spaces = [X for pts in ("", "a", "ab", "abc") for X in all_topologies(pts)]
+    n_maps = 0
+    for X in spaces:
+        for Y in spaces:
+            maps = all_maps(X, Y)
+            assert maps == oracle_all_maps(X, Y)
+            n_maps += len(maps)
+    assert n_maps == sum(len(Y.points) ** len(X.points)
+                         for X in spaces for Y in spaces)
+    X, Y = named_space("chain3"), discrete_space("pq")
+    f = finite_map(X, Y, {"a": "q", "b": "p", "c": "q"})
+    assert f.targets == oracle_targets(
+        X, Y, (("a", "q"), ("b", "p"), ("c", "q"))) == (1, 0, 1)
 
 
 def test_hypothesis_result_is_true_when_the_claim_holds():
@@ -564,8 +605,8 @@ def test_continuity_and_homeomorphism_match_oracle_exhaustive_3pts():
     for X, Y in pairs:
         for f in all_maps(X, Y):
             n_maps += 1
-            assert is_continuous(f) == oracle_continuous(f), f.mapping
-            assert is_homeomorphism(f) == oracle_homeomorphism(f), f.mapping
+            assert is_continuous(f) == oracle_continuous(f), f.targets
+            assert is_homeomorphism(f) == oracle_homeomorphism(f), f.targets
             n_continuous += is_continuous(f)
             n_homeo += is_homeomorphism(f)
     assert n_maps == 29 * 29 * 27 + 29 * 4 * (8 + 9)
@@ -784,7 +825,7 @@ def test_lemma7_matches_quotient_map_oracle_exhaustive_3pts():
             for f in all_maps(X, Y):
                 got = verdict(verify_lemma7, f)
                 assert got == verdict(oracle_lemma7, f) == \
-                    verdict(oracle_lemma7_space, f), f.mapping
+                    verdict(oracle_lemma7_space, f), f.targets
                 seen[got if isinstance(got, tuple) else got.holds] += 1
     assert sum(seen.values()) == 48536
     assert set(seen) == {
@@ -808,10 +849,9 @@ def test_lemma7_matches_fiber_space_oracle_exhaustive_4pts():
             V = Y.nbhds
             for t in onto[len(V)]:
                 if all(V[t[x]] >> t[j] & 1 for x, j in below):
-                    f = FiniteMap(X, Y, tuple(zip(X.points,
-                                                  map(Y.points.__getitem__, t))))
+                    f = FiniteMap(X, Y, t)
                     got = verify_lemma7(f)
-                    assert got == oracle_lemma7_space(f), f.mapping
+                    assert got == oracle_lemma7_space(f), f.targets
                     seen[got.holds, got.hypothesis_met] += 1
     # the hypothesis holds only onto a discrete space, where lemma 7 must
     assert set(seen) == {(True, True), (True, False), (False, False)}
@@ -832,8 +872,7 @@ def test_lemma7_matches_quotient_map_oracle_4_5pts(n, data):
     targets = data.draw(st.permutations(list(range(m)) + extra))
 
     def onto(Y):
-        return FiniteMap(X, Y, tuple((x, Y.points[t])
-                                     for x, t in zip(X.points, targets)))
+        return FiniteMap(X, Y, tuple(targets))
     f = data.draw(st.sampled_from(
         [f for f in map(onto, SPACES[m]) if is_continuous(f)]))
     assert verify_lemma7(f) == oracle_lemma7(f)

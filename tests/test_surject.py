@@ -617,6 +617,26 @@ def test_indexed_evaluation_matches_the_scan(rng):
             outcome(oracle.evaluate_symbolic, f, word)
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_sorted_lookups_match_the_scans(rng):
+    # a block's cylinders, and the source cylinders of a pair table (which
+    # may nest), read in sorted order against a scan of every cylinder
+    blk = random_block(rng)
+    index, ordered, parent = table_case(rng)[0]._sources
+    assert ordered == sorted(index)
+    for c in ordered:
+        assert parent[c] == max((s for s in ordered
+                                 if c.startswith(s) and s != c),
+                                key=len, default=None)
+    for _ in range(10):
+        word = "".join(rng.choice("01") for _ in range(rng.randint(0, 7)))
+        assert blk.contains_address(word) == \
+            any(word.startswith(c) for c in blk.cylinders)
+        assert list(surject._extensions(ordered, word)) == \
+            [c for c in ordered if c.startswith(word) and c != word]
+
+
 # (pairs as (source, target) cylinders, A_0, B_0, depth, witnesses): one
 # case per slip a certificate over prefixes can make
 BLOCK_WITNESSES = {
