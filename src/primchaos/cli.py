@@ -43,7 +43,8 @@ from .geometry import (
 )
 
 PROG = "primchaos"
-# decimal_str writes one digit per loop step for each rational of a document
+# most --decimal digits: every rational of a csv document gets an "approx"
+# cell of that many digits, so the bound caps the document's size
 MAX_DECIMAL = 1024
 
 EPILOG = """\

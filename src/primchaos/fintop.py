@@ -166,16 +166,6 @@ def is_hausdorff(X: FiniteTopSpace) -> bool:
     return is_t1(X)
 
 
-def subspace(X: FiniteTopSpace, subset: Sequence[str]) -> FiniteTopSpace:
-    """Subspace topology on a subset of the points (order inherited): the
-    neighbourhoods are U_x intersected with the subset."""
-    keep = X.mask(subset)
-    idx = [i for i in range(len(X.points)) if keep >> i & 1]
-    nbhds = tuple(sum(1 << k for k, j in enumerate(idx)
-                      if X.nbhds[i] >> j & 1) for i in idx)
-    return FiniteTopSpace(tuple(X.points[i] for i in idx), nbhds)
-
-
 @dataclass(frozen=True)
 class Partition:
     """Disjoint nonempty blocks covering a space's points; masks holds each

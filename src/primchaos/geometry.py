@@ -80,17 +80,11 @@ def decimal_str(x: Fraction, digits: int) -> str:
     """Truncated (not rounded) decimal rendering, for plotting convenience only."""
     check_count(digits, "digits must be >= 0")
     sign = "-" if x < 0 else ""
-    x = abs(x)
-    whole = x.numerator // x.denominator
-    rem = x.numerator - whole * x.denominator
-    frac_digits = []
-    for _ in range(digits):
-        rem *= 10
-        frac_digits.append(str(rem // x.denominator))
-        rem %= x.denominator
+    scale = 10 ** digits
+    whole, frac = divmod(abs(x.numerator) * scale // x.denominator, scale)
     if digits == 0:
         return f"{sign}{whole}"
-    return f"{sign}{whole}." + "".join(frac_digits)
+    return f"{sign}{whole}.{frac:0{digits}d}"
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,9 @@ kinds ship, each onto the target `MAP_KINDS` names for it:
 Blocks that fail to cover the Cantor set are padded with their clopen
 complement, mapped onto the whole target (the complement of a finite union
 of clopen sets is clopen, so this stays inside the same block calculus).
+Gluing gives a function only over disjoint pieces, so `CantorMap` rejects a
+pair table whose source cylinders overlap; one that leaves words out is
+accepted, and a word outside every source has no image.
 
 Waypoint-constrained maps [0,1] -> {interval, square} pin f(x_i) = y_i by
 exact rational equality and sweep the whole target between consecutive
@@ -161,11 +164,12 @@ def _overlap(cyls: Sequence[str]) -> Optional[Tuple[str, str]]:
     return None
 
 
-def _prefix_in(ordered: Sequence[str], word: str) -> bool:
-    """Whether a word of a sorted list, no word of which is a prefix of
-    another, is a prefix of `word`: only the greatest one <= `word` can be."""
+def _prefix_in(ordered: Sequence[str], word: str) -> Optional[str]:
+    """The word of a sorted list, no word of which is a prefix of another,
+    that is a prefix of `word`, or None: only the greatest one <= `word`
+    can be."""
     j = bisect_right(ordered, word)
-    return j > 0 and word.startswith(ordered[j - 1])
+    return ordered[j - 1] if j and word.startswith(ordered[j - 1]) else None
 
 
 def _extensions(ordered: Sequence[str], word: str) -> Sequence[str]:
@@ -209,7 +213,7 @@ class ClopenBlock:
         return sorted(self.cylinders)
 
     def contains_address(self, word: str) -> bool:
-        return _prefix_in(self._ordered, word)
+        return _prefix_in(self._ordered, word) is not None
 
 
 def clopen_partition(n: int) -> List[ClopenBlock]:
@@ -258,35 +262,29 @@ class CantorMap:
     """Evaluable continuous surjection with certified enclosures.
 
     Evaluating on an address prefix of length n yields an enclosure whose
-    diameter obeys `modulus(n)`; enclosures nest as prefixes extend.
+    diameter obeys `modulus(n)`; enclosures nest as prefixes extend.  A
+    block_glued map is a function: the source cylinders of its pairs are
+    pairwise disjoint, and a table whose sources overlap is rejected.  They
+    need not cover the Cantor set; a word outside them has no image.
     """
 
     kind: str  # a key of MAP_KINDS
     pairs: Tuple[Tuple[ClopenBlock, ClopenBlock], ...] = ()
 
     @cached_property
-    def _sources(self) -> tuple:
-        """`_images`' index of `pairs`: source cylinder -> the pairs holding
-        it, the cylinders sorted, and each one's longest proper prefix among
-        them (None if there is none).  Sorted, a cylinder follows its
-        prefixes and the words between extend them, so a stack of the
-        prefixes of the last cylinder holds every prefix of the next."""
-        index: dict = {}
-        for k, (a_blk, _) in enumerate(self.pairs):
-            for c in a_blk.cylinders:
-                index.setdefault(c, []).append(k)
-        ordered, parent, stack = sorted(index), {}, []
-        for c in ordered:
-            while stack and not c.startswith(stack[-1]):
-                stack.pop()
-            parent[c] = stack[-1] if stack else None
-            stack.append(c)
-        return index, ordered, parent
+    def _sources(self) -> Tuple[dict, List[str]]:
+        """`_images`' index of `pairs`: source cylinder -> the index of its
+        pair, and the source cylinders sorted."""
+        index = {c: k for k, (a_blk, _) in enumerate(self.pairs)
+                 for c in a_blk.cylinders}
+        return index, sorted(index)
 
     def __post_init__(self):
         if self.kind not in MAP_KINDS:
             raise InputError(f"unknown map kind {self.kind!r}; expected one "
                              f"of {tuple(MAP_KINDS)}")
+        if not blocks_pairwise_disjoint([a_blk for a_blk, _ in self.pairs]):
+            raise InputError("source blocks overlap")
 
     @property
     def target(self) -> str:
@@ -312,42 +310,32 @@ class CantorMap:
 
 
 def _images(f: CantorMap, word: str) -> Tuple[List[str], List[tuple]]:
-    """`evaluate_symbolic`'s output cylinders of a word w, unsorted, in two
-    parts.  The outputs o that w settles: the source cylinder is a prefix of
-    w whose selector staircase w resolves, so w + e maps onto o + e.  And
-    the open ones, as (target cylinders, first index) pairs, where w ran
-    out of bits mid-staircase or is a proper prefix of a source cylinder:
-    no tail of a target tuple is copied for a w that the walk will split."""
+    """`evaluate_symbolic`'s output cylinders of a word w, in two parts.
+    The outputs o that w settles: the source cylinder is a prefix of w whose
+    selector staircase w resolves, so w + e maps onto o + e.  And the open
+    ones, as (target cylinders, first index) pairs, where w ran out of bits
+    mid-staircase or is a proper prefix of source cylinders: no tail of a
+    target tuple is copied for a w that the walk will split.  The sources
+    are disjoint, so w has at most one source prefix, and none extends it."""
     if f.kind != "block_glued":
         raise InputError(f"{f.kind} has no symbolic evaluation")
-    index, ordered, parent = f._sources
-    outs: List[str] = []
-    pending = []
-    # a source cylinder that is a prefix of w is a prefix of every source
-    # between it and w, so it is the greatest one <= w or in its chain of
-    # prefixes
-    j = bisect_right(ordered, word)
-    c = ordered[j - 1] if j else None
-    while c is not None:
-        if word.startswith(c):
-            tail = word[len(c):]
-            for k in index[c]:
-                targets = f.pairs[k][1].cylinders
-                nsel = len(targets) - 1
-                zero = tail.find("0", 0, nsel)  # the staircase's leading 1s
-                ones = zero if zero >= 0 else min(nsel, len(tail))
-                if ones == nsel:
-                    outs.append(targets[nsel] + tail[nsel:])
-                elif ones < len(tail):  # tail[ones] == "0": selector read
-                    outs.append(targets[ones] + tail[ones + 1:])
-                else:  # ran out of bits mid-staircase: still ambiguous
-                    pending.append((targets, ones))
-        c = parent[c]
-    # the word has not yet chosen among the source cylinders it is a proper
-    # prefix of, so their blocks map onto all of B_i
-    above = {k for c in _extensions(ordered, word) for k in index[c]}
-    pending += [(f.pairs[k][1].cylinders, 0) for k in above]
-    return outs, pending
+    index, ordered = f._sources
+    c = _prefix_in(ordered, word)
+    if c is None:
+        # the word has not yet chosen among the source cylinders it is a
+        # proper prefix of, so their blocks map onto all of B_i
+        above = dict.fromkeys(index[e] for e in _extensions(ordered, word))
+        return [], [(f.pairs[k][1].cylinders, 0) for k in above]
+    tail = word[len(c):]
+    targets = f.pairs[index[c]][1].cylinders
+    nsel = len(targets) - 1
+    zero = tail.find("0", 0, nsel)  # the staircase's leading 1s
+    ones = zero if zero >= 0 else min(nsel, len(tail))
+    if ones == nsel:
+        return [targets[nsel] + tail[nsel:]], []
+    if ones < len(tail):  # tail[ones] == "0": selector read
+        return [targets[ones] + tail[ones + 1:]], []
+    return [], [(targets, ones)]  # ran out of bits mid-staircase
 
 
 def evaluate_symbolic(f: CantorMap, word: str) -> List[str]:
@@ -486,7 +474,7 @@ def _first_miss(reached: Iterable[str], cylinders: Sequence[str],
         if not ordered or not c.startswith(ordered[-1]):
             ordered.append(c)
     for d in cylinders:
-        if _prefix_in(ordered, d):
+        if _prefix_in(ordered, d) is not None:
             continue  # d lies inside a reached cylinder
         w = next(_complement_cylinders(_extensions(ordered, d), d, depth),
                  None)

@@ -14,8 +14,8 @@ quotient's map and ask `is_homeomorphism`.  And the two verifiers as they
 were before they read the quotient's rows without building a space:
 `oracle_prop5_space` through `decomposition_topology`, `oracle_lemma7_space`
 through `fiber_partition` as well.  Tests compare the kernels against
-these, output for output and in the same order.  And `is_t0`, which left
-the library because only tests call it.  And maps as they were built before
+these, output for output and in the same order.  And `is_t0` and
+`subspace`, which left the library because only tests call them.  And maps as they were built before
 a `FiniteMap` held only its target indices: from (x, f(x)) label pairs,
 translated to indices by one `codomain.points.index` scan per point, and
 enumerated by `oracle_all_maps` as the product of the codomain's labels."""
@@ -40,7 +40,6 @@ from primchaos.fintop import (
     is_continuous,
     is_hausdorff,
     is_homeomorphism,
-    subspace,
 )
 from primchaos.report import CheckReport
 
@@ -48,6 +47,16 @@ from primchaos.report import CheckReport
 def is_t0(X: FiniteTopSpace) -> bool:
     """Two points are topologically indistinguishable iff U_x = U_y."""
     return len(set(X.nbhds)) == len(X.nbhds)
+
+
+def subspace(X: FiniteTopSpace, subset: Sequence[str]) -> FiniteTopSpace:
+    """Subspace topology on a subset of the points (order inherited): the
+    neighbourhoods are U_x intersected with the subset."""
+    keep = X.mask(subset)
+    idx = [i for i in range(len(X.points)) if keep >> i & 1]
+    nbhds = tuple(sum(1 << k for k, j in enumerate(idx)
+                      if X.nbhds[i] >> j & 1) for i in idx)
+    return FiniteTopSpace(tuple(X.points[i] for i in idx), nbhds)
 
 
 def oracle_targets(domain: FiniteTopSpace, codomain: FiniteTopSpace,

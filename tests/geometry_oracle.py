@@ -6,6 +6,8 @@ single-box shortcut.  And the box primitives and region intersection as
 they were before they did their per-axis work with `map`, and before two
 one-box regions met in one box intersection.  Tests compare the engine
 against these, tuple for tuple, list for list and verdict for verdict.
+And `decimal_str` as it was before it took its digits from one `divmod`:
+one long-division step per digit.
 
 `box1` and `box2` are the tests' shorthand for `Fraction` boxes."""
 
@@ -149,3 +151,20 @@ def oracle_closed_difference(minuend, subtrahend) -> list:
             continue
         out.extend(Box(lo, hi) for lo, hi in _uncovered_cells(b, subs))
     return out
+
+
+def oracle_decimal_str(x, digits: int) -> str:
+    """Truncated decimal of x with `digits` fraction digits, one
+    long-division step per digit."""
+    sign = "-" if x < 0 else ""
+    x = abs(x)
+    whole = x.numerator // x.denominator
+    rem = x.numerator - whole * x.denominator
+    frac_digits = []
+    for _ in range(digits):
+        rem *= 10
+        frac_digits.append(str(rem // x.denominator))
+        rem %= x.denominator
+    if digits == 0:
+        return f"{sign}{whole}"
+    return f"{sign}{whole}." + "".join(frac_digits)

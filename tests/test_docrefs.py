@@ -2,7 +2,9 @@
 backticks.  Every backticked dotted name in a module of the package whose
 head is a module of the package (`errors.check_count`) or a class that
 module defines (`ChaosSystem._table`) must resolve, so that a rename or a
-removal cannot leave a reference to nothing behind."""
+removal cannot leave a reference to nothing behind.  So must every
+backticked `module.NAME` of the README and every `(module.NAME)` of the
+CLI's epilog, where each work limit is named by its constant."""
 
 import ast
 import importlib
@@ -11,10 +13,13 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "primchaos"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "primchaos"
 MODULES = sorted(SRC.glob("*.py"))
 PACKAGE = {p.stem for p in MODULES}
 DOTTED = re.compile(r"`([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+)`")
+# a parenthesised name, dotted or one of the CLI's own: (chaos.MAX_EVENT_WORD)
+NAMED = re.compile(r"\(([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*)\)")
 
 
 def references(source: str) -> list:
@@ -27,12 +32,17 @@ def references(source: str) -> list:
 
 
 def resolves(module, name: str) -> bool:
-    """True iff the dotted name, read from a package module or a class of
-    `module`, names an attribute at every step; a dataclass field with no
-    class attribute counts."""
+    """True iff the name, read from a package module or else from a name
+    `module` defines (a class, or a constant of the CLI), names an
+    attribute at every step; a dataclass field with no class attribute
+    counts."""
     head, *rest = name.split(".")
-    obj = importlib.import_module(f"primchaos.{head}") if head in PACKAGE \
-        else getattr(module, head)
+    if head in PACKAGE:
+        obj = importlib.import_module(f"primchaos.{head}")
+    elif hasattr(module, head):
+        obj = getattr(module, head)
+    else:
+        return False
     for part in rest:
         fields = getattr(obj, "__dataclass_fields__", {})
         if part in fields:
@@ -65,3 +75,28 @@ def test_every_reference_found_and_checked():
     module = type("Module", (), {"Local": type("Local", (), {"x": 1})})
     assert [resolves(module, n) for n in names] == [
         True, True, False, True, False]
+
+
+def work_limits() -> set:
+    """The `module.MAX_*` constants the package's modules define."""
+    return {f"{p.stem}.{target.id}" for p in MODULES
+            for node in ast.parse(p.read_text()).body
+            if isinstance(node, ast.Assign)
+            for target in node.targets
+            if isinstance(target, ast.Name) and target.id.startswith("MAX_")}
+
+
+def test_readme_references_resolve():
+    names = [name for name in DOTTED.findall((ROOT / "README.md").read_text())
+             if name.partition(".")[0] in PACKAGE]
+    assert [name for name in names if not resolves(None, name)] == []
+    assert {name for name in names if ".MAX_" in name} == work_limits()
+
+
+def test_epilog_references_resolve():
+    cli = importlib.import_module("primchaos.cli")
+    names = NAMED.findall(cli.EPILOG)
+    assert [name for name in names if not resolves(cli, name)] == []
+    # the CLI's own limit is named without its module
+    assert {name if "." in name else f"cli.{name}" for name in names} == \
+        work_limits()

@@ -28,6 +28,7 @@ from fintop_oracle import (
     oracle_targets,
     oracle_topology_rows,
     oracle_union,
+    subspace,
 )
 from primchaos import fintop
 from primchaos.cli import main
@@ -58,7 +59,6 @@ from primchaos.fintop import (
     space,
     space_document,
     space_from_masks,
-    subspace,
     sweep,
     verify_lemma7,
     verify_prop5,
@@ -750,7 +750,7 @@ def test_prop5_and_lemma7_decide_from_rows_only(monkeypatch):
 
     def refuse(*args, **kwargs):
         raise AssertionError("built a space, a partition or a map")
-    for name in ("subspace", "finite_map", "FiniteMap", "is_homeomorphism",
+    for name in ("finite_map", "FiniteMap", "is_homeomorphism",
                  "fiber_partition", "decomposition_topology", "Partition"):
         monkeypatch.setattr(fintop, name, refuse)
     monkeypatch.setattr(FiniteTopSpace, "__post_init__", refuse)

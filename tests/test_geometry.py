@@ -44,6 +44,7 @@ from geometry_oracle import (
     oracle_box_in_boxes,
     oracle_box_intersect,
     oracle_closed_difference,
+    oracle_decimal_str,
     oracle_region,
     oracle_region_intersect,
     oracle_region_subset,
@@ -117,6 +118,19 @@ def test_decimal_str_truncates():
     assert decimal_str(F(2, 3), 4) == "0.6666"  # truncated, not rounded
     assert decimal_str(F(-1, 8), 2) == "-0.12"
     assert decimal_str(F(5), 0) == "5"
+
+
+@settings(max_examples=300)
+@given(st.fractions(), st.integers(0, 64))
+@example(F(0), 0)
+@example(F(0), 5)
+@example(F(-7, 3), 0)
+@example(F(-1, 1000), 2)
+@example(F(-12345, 7), 64)
+def test_decimal_str_matches_long_division(x, digits):
+    # sign, truncation toward zero and the digits == 0 form, on random
+    # fractions, zero and negatives, against one division step per digit
+    assert decimal_str(x, digits) == oracle_decimal_str(x, digits)
 
 
 @given(st.fractions(), st.fractions())

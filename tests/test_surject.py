@@ -574,12 +574,20 @@ def other_targets_case(rng):
     return f, blocks_a, [random_block(rng) for _ in blocks_a]
 
 
+def random_table(rng):
+    """A pair table of up to 3 pairs with disjoint sources, which may leave
+    words out, onto arbitrary target blocks."""
+    groups = {}
+    for w in random_words(rng, rng.randint(0, 6)):
+        groups.setdefault(rng.randint(0, 2), []).append(w)
+    return CantorMap("block_glued", tuple(
+        (ClopenBlock(tuple(g)), random_block(rng)) for g in groups.values()))
+
+
 def table_case(rng):
-    """An arbitrary pair table, whose sources may overlap or leave words
-    out, checked against arbitrary blocks, not always as many A as B."""
-    pairs = tuple((random_block(rng), random_block(rng))
-                  for _ in range(rng.randint(0, 3)))
-    return (CantorMap("block_glued", pairs),
+    """A `random_table` map checked against arbitrary blocks, not always as
+    many A as B."""
+    return (random_table(rng),
             [random_block(rng) for _ in range(rng.randint(0, 3))],
             [random_block(rng) for _ in range(rng.randint(0, 3))])
 
@@ -620,15 +628,11 @@ def test_indexed_evaluation_matches_the_scan(rng):
 @settings(max_examples=100, deadline=None)
 @given(st.randoms(use_true_random=False))
 def test_sorted_lookups_match_the_scans(rng):
-    # a block's cylinders, and the source cylinders of a pair table (which
-    # may nest), read in sorted order against a scan of every cylinder
+    # a block's cylinders, and the source cylinders of a pair table, read in
+    # sorted order against a scan of every cylinder
     blk = random_block(rng)
-    index, ordered, parent = table_case(rng)[0]._sources
+    index, ordered = random_table(rng)._sources
     assert ordered == sorted(index)
-    for c in ordered:
-        assert parent[c] == max((s for s in ordered
-                                 if c.startswith(s) and s != c),
-                                key=len, default=None)
     for _ in range(10):
         word = "".join(rng.choice("01") for _ in range(rng.randint(0, 7)))
         assert blk.contains_address(word) == \
@@ -648,10 +652,11 @@ BLOCK_WITNESSES = {
     "image_past_depth": ([(("0", "10"), ("1",))], ("",), ("",), 0,
                          ["f(A_0) subset B_0 exactly",
                           "B_0 within eps of f(A_0)"]),
-    # w maps onto cyl w and cyl 1w.  The first bad word is 1000 for cyl w
-    # but 0000, under the empty prefix, for cyl 1w: the walk meets 0000 first
-    "least_bad_word": ([(("",), ("",)), (("",), ("1",))], ("",), ("0",), 4,
-                       ["f(cyl 0000) reaches cyl 10000",
+    # cyl 01 has read one selector bit of two at depth 2, so it maps onto
+    # cyl 01, inside B_0, and onto cyl 1: the bad word comes from the later
+    # output of its open staircase
+    "least_bad_word": ([(("0",), ("00", "01", "1"))], ("0",), ("0",), 2,
+                       ["f(cyl 01) reaches cyl 1",
                         "B_0 within eps of f(A_0)"]),
 }
 
@@ -666,6 +671,36 @@ def test_block_witnesses_are_the_walks(name):
     assert [c.witness for c in rep.checks] == witnesses
     assert rep.to_document() == \
         oracle.verify_block_surjection(f, *blocks).to_document()
+
+
+@pytest.mark.parametrize("sources", [("", ""), ("0", "01"), ("01", "0"),
+                                     ("1", "10", "0")],
+                         ids=["equal", "nested", "nested_later", "third_pair"])
+def test_overlapping_source_tables_are_rejected(sources):
+    # a glued map is a function only over disjoint pieces: with sources ""
+    # and "" the enclosure of 000 had diameter 55/81 under a modulus of 1/27
+    pairs = tuple((ClopenBlock((c,)), ClopenBlock((str(k % 2),)))
+                  for k, c in enumerate(sources))
+    with pytest.raises(InputError) as info:
+        CantorMap("block_glued", pairs)
+    assert str(info.value) == "source blocks overlap"
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_block_enclosures_obey_modulus_and_nest(rng):
+    # on any table with disjoint sources, every word with an image has an
+    # enclosure within the certified modulus, inside its parent's
+    f = random_table(rng)
+    for _ in range(10):
+        word = "".join(rng.choice("01") for _ in range(rng.randint(0, 8)))
+        try:
+            enc = evaluate_map(f, word)
+        except InputError:
+            continue
+        assert diameter(enc) <= f.modulus(len(word)), word
+        if word:
+            assert region_subset(enc, evaluate_map(f, word[:-1])), word
 
 
 @pytest.mark.parametrize("blocks", [("0:1", "1:0"), ("00:1",)],
