@@ -1,5 +1,12 @@
 """Exception taxonomy shared by all modules, and `check_count`, the one test
-of a depth, level or count that every public routine taking one runs."""
+of a depth, level or count that every public routine taking one runs.
+
+The input contract: a malformed *data* argument (a word, rational, point,
+pin, parameter cell, label, block table or count) raises `InputError`.  A
+wrong *object* argument (`None` for a `ChaosSystem`, `PeanoModel`,
+`CantorMap`, `RefinementTree` or `FiniteMap`) is a programming error and
+may raise `TypeError` or `AttributeError`, which is surfaced, not hidden.
+"""
 
 
 class InputError(ValueError):

@@ -57,6 +57,9 @@ def rat(value) -> Fraction:
         return parse_rational(value)
     if isinstance(value, float):
         raise InputError("floats are not accepted; pass an int, Fraction or 'p/q' string")
+    if not isinstance(value, int):  # a bool is an int, and kept
+        raise InputError(f"not a rational: {value!r}; pass an int, Fraction "
+                         f"or 'p/q' string")
     return Fraction(value)
 
 

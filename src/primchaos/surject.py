@@ -34,8 +34,8 @@ The image cells of the expansion maps and of the curve are grid cells held
 as integers (`Cell`): one kernel per map kind, boxed by `_grid_box` for the
 evaluators.  Their certificates read the table their kernel reads and
 evaluate no cell, or two per sweep of a square waypoint map; the block
-certificate splits each source cylinder only until its images settle, and
-enumerates no depth-n word (`verify_block_surjection`).  The expansion
+certificate reads each source cylinder's staircase as a list of pieces,
+and enumerates no depth-n word (`verify_block_surjection`).  The expansion
 maps place the word's bits on the axes by `_placement`, and a map that
 spreads the n bits over the axes as a permutation sends the 2^n words onto
 the 2^n grid cells, so covering is an O(n) check of that placement.  The
@@ -84,8 +84,8 @@ MAX_GRID_CELLS = 2 ** 20
 # most pins of a `WaypointMap`, each looked up in a scan of all its pieces
 MAX_WAYPOINTS = 256
 # most steps of the block certificate's walk, |A_k| * |B_k| summed over the
-# map's pairs: it splits each source cylinder once per selector bit of its
-# target tuple, so it settles the cylinder on each target cylinder in turn
+# map's pairs: the pieces it reads when it checks the blocks the map was
+# built from, one per target cylinder of each source cylinder's staircase
 MAX_BLOCK_STEPS = 2 ** 17
 
 
@@ -231,22 +231,23 @@ def blocks_pairwise_disjoint(blocks: Sequence[ClopenBlock]) -> bool:
     return _overlap([c for b in blocks for c in b.cylinders]) is None
 
 
-def _complement_cylinders(cylinders: Iterable[str], word: str = "",
-                          depth: Optional[int] = None) -> Iterator[str]:
+def _complement_cylinders(cylinders: Iterable[str],
+                          word: str = "") -> Iterator[str]:
     """The words under `word` extending none of the cylinders, as a minimal
     cylinder set in walk order (0 before 1), by an explicit stack, so no
     cylinder length runs out of recursion: a subtree disjoint from every
     cylinder is one complement cylinder, one inside a cylinder contributes
     nothing, and mixed ones split, up to once per bit of the longest
-    cylinder.  No prefix of length `depth` splits, so the first cylinder
-    yielded, padded with zeros, is the least depth-n word extending none."""
+    cylinder.  So none is longer than the longest cylinder, and the first
+    one yielded, padded with zeros to that length or more, is the least
+    word of that length extending none."""
     stack = [(word, list(cylinders))]
     while stack:
         prefix, under = stack.pop()
         if any(prefix.startswith(c) for c in under):
             continue  # fully covered
         inside = [c for c in under if c.startswith(prefix)]
-        if not inside or len(prefix) == depth:
+        if not inside:
             yield prefix
         else:
             stack += [(prefix + "1", inside), (prefix + "0", inside)]
@@ -274,9 +275,11 @@ class CantorMap:
     @cached_property
     def _sources(self) -> Tuple[dict, List[str]]:
         """`_images`' index of `pairs`: source cylinder -> the index of its
-        pair, and the source cylinders sorted."""
+        pair, and the source cylinders sorted.  A kind with no symbolic
+        evaluation has none, so the block walk evaluates its first word,
+        which raises."""
         index = {c: k for k, (a_blk, _) in enumerate(self.pairs)
-                 for c in a_blk.cylinders}
+                 for c in a_blk.cylinders if self.kind == "block_glued"}
         return index, sorted(index)
 
     def __post_init__(self):
@@ -296,8 +299,7 @@ class CantorMap:
             return Fraction(1, 2 ** n)
         if self.kind == "interleave":
             return Fraction(1, 2 ** (n // 2))
-        overhead = 0
-        threshold = 0
+        overhead = threshold = 0
         for a_blk, b_blk in self.pairs:
             sel = len(b_blk.cylinders) - 1
             worst_in = max(len(c) for c in a_blk.cylinders)
@@ -309,33 +311,29 @@ class CantorMap:
         return Fraction(1, 3 ** max(0, n - overhead))
 
 
-def _images(f: CantorMap, word: str) -> Tuple[List[str], List[tuple]]:
-    """`evaluate_symbolic`'s output cylinders of a word w, in two parts.
-    The outputs o that w settles: the source cylinder is a prefix of w whose
-    selector staircase w resolves, so w + e maps onto o + e.  And the open
-    ones, as (target cylinders, first index) pairs, where w ran out of bits
-    mid-staircase or is a proper prefix of source cylinders: no tail of a
-    target tuple is copied for a w that the walk will split.  The sources
-    are disjoint, so w has at most one source prefix, and none extends it."""
-    if f.kind != "block_glued":
-        raise InputError(f"{f.kind} has no symbolic evaluation")
-    index, ordered = f._sources
-    c = _prefix_in(ordered, word)
-    if c is None:
-        # the word has not yet chosen among the source cylinders it is a
-        # proper prefix of, so their blocks map onto all of B_i
-        above = dict.fromkeys(index[e] for e in _extensions(ordered, word))
-        return [], [(f.pairs[k][1].cylinders, 0) for k in above]
+def _images(f: CantorMap, c: str, word: str) -> List[Tuple[int, str]]:
+    """The pieces of source cylinder c that meet a word, which extends c or
+    is a prefix of it, as (i, o) pairs.  With t_0, ..., t_k the targets of
+    c's pair, c's staircase sends step i, c + 1^i 0 (c + 1^k for i = k),
+    onto t_i, and piece (i, o) is the part of step i whose words p + e map
+    onto o + e (p is `_piece_source`).  A word that reads its selector
+    meets one piece; a shorter one, c itself or a prefix of c included,
+    meets the rest of the staircase, whose outputs are the targets
+    themselves.  So no piece's source is built and no target copied."""
+    targets = f.pairs[f._sources[0][c]][1].cylinders
+    k = len(targets) - 1
     tail = word[len(c):]
-    targets = f.pairs[index[c]][1].cylinders
-    nsel = len(targets) - 1
-    zero = tail.find("0", 0, nsel)  # the staircase's leading 1s
-    ones = zero if zero >= 0 else min(nsel, len(tail))
-    if ones == nsel:
-        return [targets[nsel] + tail[nsel:]], []
-    if ones < len(tail):  # tail[ones] == "0": selector read
-        return [targets[ones] + tail[ones + 1:]], []
-    return [], [(targets, ones)]  # ran out of bits mid-staircase
+    j = (tail[:k] + "0").find("0")  # the staircase's leading 1s
+    if j == k or j < len(tail):  # selector read
+        return [(j, targets[j] + tail[j + (j < k):])]
+    return list(enumerate(targets[j:], j))
+
+
+def _piece_source(f: CantorMap, c: str, i: int, o: str) -> str:
+    """The source p of piece (i, o) of source cylinder c (`_images`): step
+    i of c's staircase followed by the bits of o past t_i."""
+    targets = f.pairs[f._sources[0][c]][1].cylinders
+    return c + "1" * i + "0" * (i + 1 < len(targets)) + o[len(targets[i]):]
 
 
 def evaluate_symbolic(f: CantorMap, word: str) -> List[str]:
@@ -344,11 +342,19 @@ def evaluate_symbolic(f: CantorMap, word: str) -> List[str]:
     Only defined for the Cantor-target kind, block_glued.
     """
     binary_word(word)
-    outs, pending = _images(f, word)
-    outs += [o for targets, j in pending for o in targets[j:]]
+    if f.kind != "block_glued":
+        raise InputError(f"{f.kind} has no symbolic evaluation")
+    index, ordered = f._sources
+    c = _prefix_in(ordered, word)
+    if c is not None:
+        return sorted([o for _, o in _images(f, c, word)])  # all distinct
+    # the word has not yet chosen among the source cylinders it is a proper
+    # prefix of, so their blocks map onto all of B_i
+    above = dict.fromkeys(index[e] for e in _extensions(ordered, word))
+    outs = sorted({o for k in above for o in f.pairs[k][1].cylinders})
     if not outs:
         raise InputError(f"address {word!r} lies outside every block")
-    return sorted(set(outs))
+    return outs
 
 
 def evaluate_map(f: CantorMap, prefix: str) -> Region:
@@ -412,11 +418,16 @@ def verify_block_surjection(f: CantorMap, blocks_a: Sequence[ClopenBlock],
     rejected (`check_block_depth`) before the modulus is read, and then a
     map whose pairs exceed `MAX_BLOCK_STEPS`.
 
-    No depth-n word is enumerated.  Each A_i cylinder splits, in walk
-    order, only until a prefix p settles its outputs o (`_images`), and then
-    p + e maps onto the o + e, which a B_i word meets iff it extends o[:n].
-    So each check finds the first word a walk would fail at by one search
-    for a depth-n word extending no cylinder (`_complement_cylinders`).
+    No depth-n word is enumerated.  A depth-n word under an A_i that lies
+    in no source is the walk's error, found first.  Then each A_i cylinder
+    p is read as pieces, in walk order (`_images`): those of its source, or
+    the whole staircase of every source under it.  A piece's source q maps
+    q + e onto o + e, which a B_i word meets iff it extends o[:n]; q is
+    built only for a piece whose o leaves B_i.  Each check finds the first
+    word a walk would fail at, by one search for a depth-n word extending
+    no cylinder (`_first_miss`).  So the work is one step per piece and
+    per cylinder of the blocks, and a string as long as a piece's source
+    is built at most once per piece that leaves B_i.
     """
     check_block_depth(blocks_a, blocks_b, depth)
     steps = sum(len(a.cylinders) * len(b.cylinders) for a, b in f.pairs)
@@ -424,36 +435,33 @@ def verify_block_surjection(f: CantorMap, blocks_a: Sequence[ClopenBlock],
         raise InputError(f"a map of {steps} block steps exceeds the work "
                          f"limit of {MAX_BLOCK_STEPS} steps (source times "
                          f"target cylinders, summed over its blocks)")
-    eps = f.modulus(depth)
     rep = CheckReport(f"block surjection, {len(blocks_a)} blocks, depth {depth}, "
-                      f"eps {rational_str(eps)}")
+                      f"eps {rational_str(f.modulus(depth))}")
+    ordered = f._sources[1]
+    # the walk's error: the first depth-n word under an A_i in no source
+    walked = [p for a, _ in zip(blocks_a, blocks_b) for p in a.cylinders]
+    hole = _first_miss([s[:depth] for s in ordered], walked, depth)
+    if hole is not None:
+        evaluate_symbolic(f, hole)
     for i, (a_blk, b_blk) in enumerate(zip(blocks_a, blocks_b)):
         reached, word = set(), None
-        stack = list(reversed(a_blk.cylinders))
-        while stack:
-            p = stack.pop()
-            outs, pending = _images(f, p)
-            if pending and len(p) < depth:
-                stack += [p + "1", p + "0"]
-                continue
-            outs += [o for targets, j in pending for o in targets[j:]]
-            if not outs:  # the walk's error, at the first word under p
-                evaluate_symbolic(f, p.ljust(depth, "0"))
-            reached.update(o[:depth] for o in outs)
-            if word is None:
-                # o + e outside the cylinders of B_i lies in one, b, only if
-                # b extends o and e extends b[len(o):]
-                firsts = [next(_complement_cylinders(
-                    [p + b[len(o):] for b in _extensions(b_blk._ordered, o)],
-                    p, depth), None)
-                    for o in set(outs) if not b_blk.contains_address(o)]
-                word = min((w.ljust(depth, "0") for w in firsts
-                            if w is not None), default=None)
-        bad = ""
-        if word is not None:
-            o = next(o for o in evaluate_symbolic(f, word)
-                     if not b_blk.contains_address(o))
-            bad = f"f(cyl {word}) reaches cyl {o}"
+        for p in a_blk.cylinders:
+            c = _prefix_in(ordered, p)  # p's source, or the sources under p
+            for s in [c] if c is not None else _extensions(ordered, p):
+                for j, o in _images(f, s, p):
+                    reached.add(o[:depth])
+                    if word is None and not b_blk.contains_address(o):
+                        # q + e, q the piece's source, maps onto o + e,
+                        # which lies in a cylinder b of B_i only if b
+                        # extends o and e extends b[len(o):]; q cut after
+                        # bit n + 1 keeps every such cylinder past bit n
+                        q = _piece_source(f, s, j, o)[:depth + 1]
+                        word = _first_miss([q + b[len(o):] for b in
+                                            _extensions(b_blk._ordered, o)],
+                                           [q[:depth]], depth)
+        outs = evaluate_symbolic(f, word) if word is not None else []
+        bad = next((f"f(cyl {word}) reaches cyl {o}" for o in outs
+                    if not b_blk.contains_address(o)), "")
         rep.add(f"containment_block_{i}", not bad,
                 bad or f"f(A_{i}) subset B_{i} exactly")
         miss = _first_miss(reached, b_blk.cylinders, depth)
@@ -466,18 +474,22 @@ def verify_block_surjection(f: CantorMap, blocks_a: Sequence[ClopenBlock],
 def _first_miss(reached: Iterable[str], cylinders: Sequence[str],
                 depth: int) -> Optional[str]:
     """The first depth-n word, in cylinder order and then walk order, under
-    a cylinder and extending none of the reached ones, or None.  Each walk
-    reads only the reached cylinders that extend its cylinder d, once no
-    reached one extends another and none is a prefix of d."""
+    a cylinder and extending none of the reached ones, or None; no cylinder
+    it walks under is longer than n.  Each walk reads only the reached
+    cylinders that extend its cylinder d, once no reached one extends
+    another and none is a prefix of d.  The block walk reads it for the
+    B_i words no image meets, the A_i words no source holds, and the first
+    word of a piece whose image leaves B_i."""
     ordered: List[str] = []
-    for c in sorted(reached):  # a cylinder follows the ones it extends
+    # a cylinder follows the ones it extends, and none longer than n holds
+    # a depth-n word
+    for c in sorted(r for r in reached if len(r) <= depth):
         if not ordered or not c.startswith(ordered[-1]):
             ordered.append(c)
     for d in cylinders:
         if _prefix_in(ordered, d) is not None:
             continue  # d lies inside a reached cylinder
-        w = next(_complement_cylinders(_extensions(ordered, d), d, depth),
-                 None)
+        w = next(_complement_cylinders(_extensions(ordered, d), d), None)
         if w is not None:
             return w.ljust(depth, "0")
     return None
@@ -627,6 +639,8 @@ def hilbert_enclosure(t_cell: Tuple) -> Region:
     quadrants (continuity witness) and the 4^k quadrants at depth k tile
     the square (surjectivity witness).
     """
+    if not isinstance(t_cell, (tuple, list)) or len(t_cell) != 2:
+        raise InputError(f"parameter cell {t_cell!r} is not a pair (lo, hi)")
     lo, hi = map(rat, t_cell)
     width = hi - lo
     if width <= 0:
@@ -675,8 +689,15 @@ class WaypointMap:
 
 
 def waypoint_map(points, target: str) -> WaypointMap:
-    wps = tuple((rat(x), tuple(rat(c) for c in y)) for x, y in points)
-    return WaypointMap(wps, target)
+    """The `WaypointMap` of pins (x, y): x a rational, y a tuple or list of
+    rationals, one per axis of the target."""
+    wps = []
+    for pin in points:
+        if not (isinstance(pin, (tuple, list)) and len(pin) == 2
+                and isinstance(pin[1], (tuple, list))):
+            raise InputError(f"pin {pin!r} is not a pair (x, target point)")
+        wps.append((rat(pin[0]), tuple(rat(c) for c in pin[1])))
+    return WaypointMap(tuple(wps), target)
 
 
 @dataclass(frozen=True)

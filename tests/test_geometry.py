@@ -111,6 +111,13 @@ def test_rat_reads_strings_and_rejects_floats():
         rat(0.5)
     assert str(exc.value) == "floats are not accepted; pass an int, " \
                              "Fraction or 'p/q' string"
+    # other types are not Fraction's TypeError; a bool is an int
+    for value in (None, []):
+        with pytest.raises(InputError) as exc:
+            rat(value)
+        assert str(exc.value) == f"not a rational: {value!r}; pass an int, " \
+                                 "Fraction or 'p/q' string"
+    assert rat(True) == 1
 
 
 def test_decimal_str_truncates():

@@ -457,6 +457,13 @@ def test_block_surjection_input_errors():
         block_surjection([ClopenBlock(("0",))], [])
     with pytest.raises(InputError):
         evaluate_symbolic(CantorMap("binary_expansion"), "0")
+    # the block walk reads no pair table of another kind: its first word
+    # raises, as the word walk's does
+    blocks = [ClopenBlock(("0",)), ClopenBlock(("1",))]
+    f = CantorMap("interleave", tuple(zip(blocks, blocks)))
+    with pytest.raises(InputError) as info:
+        verify_block_surjection(f, blocks, blocks, 3)
+    assert str(info.value) == "interleave has no symbolic evaluation"
 
 
 def test_long_cylinder_padding_needs_no_recursion():
@@ -658,6 +665,20 @@ BLOCK_WITNESSES = {
     "least_bad_word": ([(("0",), ("00", "01", "1"))], ("0",), ("0",), 2,
                        ["f(cyl 01) reaches cyl 1",
                         "B_0 within eps of f(A_0)"]),
+    # 000 + e maps onto 1 + e, which lies in cyl 10 of B_0 only for an e
+    # that starts with 0, past depth 3: so the word 000 itself is bad
+    "source_past_depth": ([(("000",), ("1",))], ("000",), ("10",), 3,
+                          ["f(cyl 000) reaches cyl 1",
+                           "B_0 within eps of f(A_0)"]),
+    # the staircase piece 011 -> 1 is longer than the depth: its bad word is
+    # 0, cut from it, which maps onto all three targets
+    "piece_past_depth": ([(("0",), ("00", "01", "1"))], ("0",), ("0",), 1,
+                         ["f(cyl 0) reaches cyl 1",
+                          "B_0 within eps of f(A_0)"]),
+    # the last piece 01 -> 1 has no selector bit: 011 maps onto cyl 11
+    "last_piece": ([(("0",), ("00", "1"))], ("0",), ("00", "10"), 3,
+                   ["f(cyl 011) reaches cyl 11",
+                    "B_0 within eps of f(A_0)"]),
 }
 
 
@@ -703,13 +724,18 @@ def test_block_enclosures_obey_modulus_and_nest(rng):
             assert region_subset(enc, evaluate_map(f, word[:-1])), word
 
 
-@pytest.mark.parametrize("blocks", [("0:1", "1:0"), ("00:1",)],
-                         ids=["swap_halves", "padded"])
+BYTES = "+".join(format(i, "08b") for i in range(256))
+
+
+@pytest.mark.parametrize("blocks", [("0:1", "1:0"), ("00:1",), (f"0:{BYTES}",)],
+                         ids=["swap_halves", "padded", "staircase_256"])
 def test_block_certificate_does_no_per_word_work(blocks, monkeypatch):
-    # a walk over the depth-20 words would make a million evaluations
+    # a walk over the depth-20 words would make a million evaluations; each
+    # A cylinder, a source here, reads its whole staircase in one call, up
+    # to 256 pieces
     pairs = [b.split(":") for b in blocks]
-    Ab = [ClopenBlock((a,)) for a, _ in pairs]
-    Bb = [ClopenBlock((b,)) for _, b in pairs]
+    Ab = [ClopenBlock(tuple(a.split("+"))) for a, _ in pairs]
+    Bb = [ClopenBlock(tuple(b.split("+"))) for _, b in pairs]
     f = block_surjection(Ab, Bb)
     calls = Counter()
     real = surject._images
@@ -720,8 +746,32 @@ def test_block_certificate_does_no_per_word_work(blocks, monkeypatch):
 
     monkeypatch.setattr(surject, "_images", counted)
     assert verify_block_surjection(f, Ab, Bb, 20).all_passed
-    cylinders = sum(len(blk.cylinders) for pair in f.pairs for blk in pair)
-    assert 0 < calls["_images"] <= cylinders * (20 + 1)
+    assert calls["_images"] == sum(len(blk.cylinders) for blk in Ab)
+
+
+def test_long_staircase_builds_no_piece_sources():
+    # one source onto 2^14 targets at the least depth: the steps 1^i 0 of
+    # its staircase hold 2^27 characters in all, so the walk and the
+    # evaluator must not build them.  Against a B_0 that lacks the last
+    # target but holds its extensions to depth 28, the last step,
+    # 1^(2^14 - 1), is the one to leave B_0: its bad word is cut from it,
+    # and it is not copied once per extension
+    targets = tuple(format(i, "014b") for i in range(2 ** 14))
+    a_blocks, b_blocks = [ClopenBlock(("",))], [ClopenBlock(targets)]
+    f = block_surjection(a_blocks, b_blocks)
+    past = [ClopenBlock(targets[:-1] + tuple(
+        "1" * 14 + format(i, "014b") for i in range(2 ** 14)))]
+    tracemalloc.start()
+    try:
+        assert verify_block_surjection(f, a_blocks, b_blocks, 14).all_passed
+        assert evaluate_symbolic(f, "") == sorted(targets)
+        rep = verify_block_surjection(f, a_blocks, past, 28)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [c.witness for c in rep.checks] == [
+        f"f(cyl {'1' * 28}) reaches cyl {'1' * 14}", "B_0 within eps of f(A_0)"]
+    assert peak < 16_000_000  # the steps alone would take 134 MB
 
 
 # ---------------------------------------------------------------------------
@@ -744,6 +794,12 @@ def test_hilbert_rejects_malformed_cells():
         hilbert_enclosure((F(1, 8), F(3, 8)))
     with pytest.raises(InputError):
         hilbert_enclosure((F(1, 2), F(1, 2)))
+    # a cell that is not a pair: "01" read as ("0", "1") was the square
+    for cell in ("01", "", "0123", (0, 1, 2), None):
+        with pytest.raises(InputError) as info:
+            hilbert_enclosure(cell)
+        assert str(info.value) == \
+            f"parameter cell {cell!r} is not a pair (lo, hi)"
 
 
 def test_curve_cell_matches_recursion_oracle():
@@ -1007,6 +1063,11 @@ def test_waypoint_input_errors():
         waypoint_map([(F(2), (F(0),))], "interval")
     with pytest.raises(InputError):
         waypoint_map([], "interval")
+    # a pin that is not (x, point): a string point was read by character
+    for pin in (("1/2", "1/2"), ("1/2",), None, ("1/2", None)):
+        with pytest.raises(InputError) as info:
+            waypoint_map([(F(1, 4), (F(0),)), pin], "interval")
+        assert str(info.value) == f"pin {pin!r} is not a pair (x, target point)"
 
 
 INTERVAL_PIN = waypoint_surjection(waypoint_map([(F(1, 2), (F(1, 2),))],
