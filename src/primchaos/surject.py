@@ -28,7 +28,9 @@ waypoints: each gap is split into three equal thirds carrying a linear
 approach, a full target sweep (triangle wave for the interval, Hilbert-type
 space-filling curve for the square), and a linear return.  The curve's
 parameter-0 end sits in the corner quadrant at (0,0) and its parameter-1
-end at (1,0), which makes the linear stitching exact.
+end at (1,0), which makes the linear stitching exact.  The pins are the
+map: its piece table is derived from them, so it tiles [0,1] in order, and
+a parameter's piece is found by bisection on the piece ends.
 
 The image cells of the expansion maps and of the curve are grid cells held
 as integers (`Cell`): one kernel per map kind, boxed by `_grid_box` for the
@@ -49,10 +51,11 @@ a walk over 4^k cells (Hilbert, Math. Ann. 38, 1891; Sagan,
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from operator import itemgetter
 from typing import (Iterable, Iterator, List, NamedTuple, Optional, Sequence,
                     Tuple)
 
@@ -81,7 +84,10 @@ MAX_CYLINDER_BITS = 1024
 # certificates (a sweep has 4^r quadrants on the square, 2^r interval
 # cells), whose witnesses write the count in decimal
 MAX_GRID_CELLS = 2 ** 20
-# most pins of a `WaypointMap`, each looked up in a scan of all its pieces
+# most pins of a `WaypointMap`: each pin's piece is found by bisection, so
+# the certificate's work grows about as the pins (256 pins take about 0.03 s
+# in process at resolution 2^-20 on the interval, 2^-10 on the square), and
+# so does the CLI document (about 0.2 MB for 256 pins)
 MAX_WAYPOINTS = 256
 # most steps of the block certificate's walk, |A_k| * |B_k| summed over the
 # map's pairs: the pieces it reads when it checks the blocks the map was
@@ -690,7 +696,10 @@ class WaypointMap:
 
 def waypoint_map(points, target: str) -> WaypointMap:
     """The `WaypointMap` of pins (x, y): x a rational, y a tuple or list of
-    rationals, one per axis of the target."""
+    rationals, one per axis of the target; the pins a list or tuple."""
+    if not isinstance(points, (tuple, list)):
+        raise InputError("pins must be a list or tuple, got "
+                         f"{type(points).__name__}")
     wps = []
     for pin in points:
         if not (isinstance(pin, (tuple, list)) and len(pin) == 2
@@ -703,10 +712,39 @@ def waypoint_map(points, target: str) -> WaypointMap:
 @dataclass(frozen=True)
 class WaypointSurjection:
     """Piecewise realization of a WaypointMap: constant flanks, and per gap
-    a linear approach, a full target sweep, and a linear return."""
+    a linear approach, a full target sweep, and a linear return.  The pins
+    are the map; its piece table is derived from them."""
 
     pinning: WaypointMap
-    pieces: Tuple[tuple, ...]  # (lo, hi, kind, data)
+
+    @cached_property
+    def pieces(self) -> Tuple[tuple, ...]:
+        """(lo, hi, kind, data) per piece, in order.  The pieces tile [0,1]:
+        the first starts at 0, the last ends at 1, each ends where the next
+        starts, and lo < hi.  With a single waypoint a virtual copy of its
+        value is appended at parameter 1 (or prepended at 0 when x_1 = 1)
+        so that at least one sweep exists and the map is onto."""
+        wps = list(self.pinning.waypoints)
+        if len(wps) == 1:
+            x1, y1 = wps[0]
+            if x1 < ONE:
+                wps.append((ONE, y1))
+            else:
+                wps.insert(0, (ZERO, y1))
+        start, end = _sweep_endpoints(self.pinning.target)
+        pieces: List[tuple] = []
+        x0, y0 = wps[0]
+        if x0 > ZERO:
+            pieces.append((ZERO, x0, "const", y0))
+        for (xa, ya), (xb, yb) in zip(wps, wps[1:]):
+            third = (xb - xa) / 3
+            pieces.append((xa, xa + third, "linear", (ya, start)))
+            pieces.append((xa + third, xa + 2 * third, "sweep", None))
+            pieces.append((xa + 2 * third, xb, "linear", (end, yb)))
+        xn, yn = wps[-1]
+        if xn < ONE:
+            pieces.append((xn, ONE, "const", yn))
+        return tuple(pieces)
 
 
 def _sweep_endpoints(target: str) -> Tuple[tuple, tuple]:
@@ -716,30 +754,8 @@ def _sweep_endpoints(target: str) -> Tuple[tuple, tuple]:
 
 
 def waypoint_surjection(w: WaypointMap) -> WaypointSurjection:
-    """Build the evaluable map.  With a single waypoint a virtual copy of
-    its value is appended at parameter 1 (or prepended at 0 when x_1 = 1)
-    so that at least one sweep exists and the map is onto."""
-    wps = list(w.waypoints)
-    if len(wps) == 1:
-        x1, y1 = wps[0]
-        if x1 < ONE:
-            wps.append((ONE, y1))
-        else:
-            wps.insert(0, (ZERO, y1))
-    start, end = _sweep_endpoints(w.target)
-    pieces: List[tuple] = []
-    x0, y0 = wps[0]
-    if x0 > ZERO:
-        pieces.append((ZERO, x0, "const", y0))
-    for (xa, ya), (xb, yb) in zip(wps, wps[1:]):
-        third = (xb - xa) / 3
-        pieces.append((xa, xa + third, "linear", (ya, start)))
-        pieces.append((xa + third, xa + 2 * third, "sweep", None))
-        pieces.append((xa + 2 * third, xb, "linear", (end, yb)))
-    xn, yn = wps[-1]
-    if xn < ONE:
-        pieces.append((xn, ONE, "const", yn))
-    return WaypointSurjection(w, tuple(pieces))
+    """Build the evaluable map of the pins w."""
+    return WaypointSurjection(w)
 
 
 def _affine_point(p: tuple, q: tuple, u: Fraction) -> tuple:
@@ -752,30 +768,32 @@ def _triangle(u: Fraction) -> Fraction:
 
 def _piece_at(ws: WaypointSurjection, t) -> Tuple[str, Fraction, Optional[tuple]]:
     """The piece holding parameter t: its kind, the position u of t along
-    it, and f(t) exactly (None inside a square sweep)."""
+    it, and f(t) exactly (None inside a square sweep).  It is the first
+    piece ending at or after t, found by bisection on the piece ends, so at
+    a shared end t = hi_i = lo_(i+1) it is the earlier piece."""
     t = rat(t)
     if not ZERO <= t <= ONE:
         raise InputError("parameter outside [0,1]")
     target = ws.pinning.target
-    for lo, hi, kind, data in ws.pieces:
-        if lo <= t <= hi:
-            u = (t - lo) / (hi - lo)
-            if kind == "const":
-                return kind, u, data
-            if kind == "linear":
-                return kind, u, _affine_point(data[0], data[1], u)
-            if target == "interval":
-                return kind, u, (_triangle(u),)
-            start, end = _sweep_endpoints(target)
-            return kind, u, start if u == ZERO else end if u == ONE else None
-    # reached only by a piece table with a gap
-    raise InputError("parameter not covered by any piece")
+    i = bisect_left(ws.pieces, t, key=itemgetter(1))
+    lo, hi, kind, data = ws.pieces[i]
+    u = (t - lo) / (hi - lo)
+    if kind == "const":
+        return kind, u, data
+    if kind == "linear":
+        return kind, u, _affine_point(data[0], data[1], u)
+    if target == "interval":
+        return kind, u, (_triangle(u),)
+    start, end = _sweep_endpoints(target)
+    return kind, u, start if u == ZERO else end if u == ONE else None
 
 
 def evaluate_waypoint(ws: WaypointSurjection, t, depth: int = 8) -> Region:
     """Enclosure of f(t), width at most 2^-depth (exact point when the
-    piece is affine)."""
-    check_count(depth, "depth must be >= 0")
+    piece is affine).  `_check_cells` bounds the depth as it bounds the
+    certificate's resolution: on a square sweep the work grows as the square
+    of the depth."""
+    _check_cells(depth, 4 if ws.pinning.target == "square" else 2)
     kind, u, exact = _piece_at(ws, t)
     if kind == "sweep" and ws.pinning.target == "square":
         side = 1 << depth
@@ -833,14 +851,12 @@ def verify_waypoint_surjection(ws: WaypointSurjection,
         if not cert.ends:
             coverage += "; the curve does not run from (0,0) to (1,0), " \
                 "where the linear pieces join it"
-        # If every piece has lo < hi and ends where the next begins, then for
+        # The derived pieces tile [0,1] in order, each with lo < hi, so for
         # each t strictly inside a sweep `_piece_at` finds that sweep and
         # takes u = (t - lo) / (hi - lo).  At the midpoint of cell j that is
         # (4j + 2) / (4 * 4^r), so `_sweep_cell` boxes floor(u * 4^r) = j,
         # the curve's cell j.  The end cells still run the evaluator, so a
         # fault in `_piece_at` or `_sweep_cell` shows there
-        contiguous = all(p[0] < p[1] for p in ws.pieces) and all(
-            p[1] == q[0] for p, q in zip(ws.pieces, ws.pieces[1:]))
     for si, (lo, hi) in enumerate(sweeps):
         if w.target == "interval":
             # both halves of the triangle wave are affine and monotone, so
@@ -853,7 +869,7 @@ def verify_waypoint_surjection(ws: WaypointSurjection,
             rep.add(f"sweep_{si}_covers_target", ok,
                     "triangle wave image is [0,1] exactly")
         else:
-            consistent = contiguous and all(_sample_agrees(
+            consistent = all(_sample_agrees(
                 ws, lo + (hi - lo) * Fraction(4 * j + 2, 4 * cells), j,
                 resolution) for j in {0, cells - 1})
             rep.add(f"sweep_{si}_covers_target",

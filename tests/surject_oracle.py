@@ -12,6 +12,10 @@ the last cell) and compared the region `evaluate_waypoint` returns there
 with the one `sweep_cell_enclosure` gives for the cell.  Tests compare the
 certificate against these, verdict for verdict.
 
+The waypoint piece lookup as it was before it bisected the piece ends: a
+scan of the piece table from the start, which returns the first piece
+holding t.  Tests compare `_piece_at` with it.
+
 `blocks_cover` and `sweep_cell_enclosure` left the library because only
 tests call them."""
 
@@ -20,15 +24,25 @@ from itertools import product
 from typing import Iterator, List, Sequence
 
 from primchaos.errors import InputError, check_count
-from primchaos.geometry import Box, Region, binary_word, rational_str, region
+from primchaos.geometry import (
+    Box,
+    Region,
+    binary_word,
+    rat,
+    rational_str,
+    region,
+)
 from primchaos.report import CheckReport
 from primchaos.surject import (
     ONE,
+    ZERO,
     CantorMap,
     ClopenBlock,
     WaypointSurjection,
+    _affine_point,
     _complement_cylinders,
     _curve_box,
+    _sweep_endpoints,
     _triangle,
     check_block_depth,
     evaluate_waypoint,
@@ -170,3 +184,25 @@ def oracle_consistent(ws, depth, cells=None) -> bool:
         cells = sampled_cells(4 ** depth)
     return all(region_agrees(ws, midpoint(ws, j, depth), j, depth)
                for j in cells)
+
+
+def scan_piece_at(ws: WaypointSurjection, t):
+    """`_piece_at` by a scan: the first piece with lo <= t <= hi, its kind,
+    the position u of t along it, and f(t) exactly (None inside a square
+    sweep)."""
+    t = rat(t)
+    if not ZERO <= t <= ONE:
+        raise InputError("parameter outside [0,1]")
+    target = ws.pinning.target
+    for lo, hi, kind, data in ws.pieces:
+        if lo <= t <= hi:
+            u = (t - lo) / (hi - lo)
+            if kind == "const":
+                return kind, u, data
+            if kind == "linear":
+                return kind, u, _affine_point(data[0], data[1], u)
+            if target == "interval":
+                return kind, u, (_triangle(u),)
+            start, end = _sweep_endpoints(target)
+            return kind, u, start if u == ZERO else end if u == ONE else None
+    raise InputError("parameter not covered by any piece")

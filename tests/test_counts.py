@@ -185,6 +185,12 @@ BOUNDS = {
     "verify_waypoint_surjection-square": (
         lambda n: surject.verify_waypoint_surjection(SQUARE_WAYPOINTS, n), 10,
         cells_past(4), (surject, "_piece_at")),
+    "evaluate_waypoint-interval": (
+        lambda n: surject.evaluate_waypoint(WAYPOINTS, F(1, 3), n), 20,
+        cells_past(2), (surject, "_piece_at")),
+    "evaluate_waypoint-square": (
+        lambda n: surject.evaluate_waypoint(SQUARE_WAYPOINTS, F(1, 3), n), 10,
+        cells_past(4), (surject, "_piece_at")),
     "dense_orbit_word": (chaos.dense_orbit_word, 8, dense_past,
                          (chaos, "product")),
     "verify_dense_orbit": (lambda n: chaos.verify_dense_orbit(DOUBLING, n), 8,

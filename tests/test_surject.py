@@ -37,7 +37,6 @@ from primchaos.surject import (
     CantorMap,
     ClopenBlock,
     WaypointMap,
-    WaypointSurjection,
     binary_expansion_map,
     block_surjection,
     blocks_pairwise_disjoint,
@@ -1068,13 +1067,45 @@ def test_waypoint_input_errors():
         with pytest.raises(InputError) as info:
             waypoint_map([(F(1, 4), (F(0),)), pin], "interval")
         assert str(info.value) == f"pin {pin!r} is not a pair (x, target point)"
+    # a pin list that is not a list or tuple
+    for points in (None, {(F(1, 2), (F(0),))}, "1/2"):
+        with pytest.raises(InputError) as info:
+            waypoint_map(points, "interval")
+        assert str(info.value) == \
+            f"pins must be a list or tuple, got {type(points).__name__}"
+
+
+def random_pins(rng):
+    """1-40 pins onto a random target, with pins at 0 and 1 now and then."""
+    target = rng.choice(["interval", "square"])
+    xs = {F(rng.randint(1, 999), 1000) for _ in range(rng.randint(0, 38))}
+    xs |= {x for x in (F(0), F(1)) if rng.random() < 0.3}
+    dim = 1 if target == "interval" else 2
+    return [(x, tuple(F(rng.randint(0, 8), 8) for _ in range(dim)))
+            for x in sorted(xs or {F(1, 2)})], target
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_waypoint_pieces_tile_and_bisection_matches_the_scan(rng):
+    pins, target = random_pins(rng)
+    ws = waypoint_surjection(waypoint_map(pins, target))
+    pieces = ws.pieces
+    assert pieces[0][0] == 0 and pieces[-1][1] == 1
+    assert all(lo < hi for lo, hi, _, _ in pieces)
+    assert all(p[1] == q[0] for p, q in zip(pieces, pieces[1:]))
+    # one sweep per gap between pins, and one for a single pin
+    assert len(sweep_segments(ws)) == max(len(pins) - 1, 1)
+    ends = [hi for _, hi, _, _ in pieces]
+    others = [F(rng.randint(0, 10 ** 6), 10 ** 6) for _ in range(20)]
+    for t in [F(0), F(1), *ends, *(x for x, _ in pins), *others]:
+        assert surject._piece_at(ws, t) == oracle.scan_piece_at(ws, t), t
+    for x, y in pins:
+        assert evaluate_waypoint_exact(ws, x) == y
 
 
 INTERVAL_PIN = waypoint_surjection(waypoint_map([(F(1, 2), (F(1, 2),))],
                                                 "interval"))
-# the sweep [2/3, 5/6] dropped from the piece table
-GAPPED = WaypointSurjection(INTERVAL_PIN.pinning, tuple(
-    p for p in INTERVAL_PIN.pieces if p[2] != "sweep"))
 
 
 @pytest.mark.parametrize("call,message", [
@@ -1095,12 +1126,10 @@ GAPPED = WaypointSurjection(INTERVAL_PIN.pinning, tuple(
     (lambda: WaypointMap(((F(1, 2), (F(2),)),), "interval"),
      "target point (Fraction(2, 1),) outside the target space"),
     (lambda: evaluate_waypoint(INTERVAL_PIN, 2), "parameter outside [0,1]"),
-    (lambda: evaluate_waypoint(GAPPED, F(3, 4)),
-     "parameter not covered by any piece"),
 ], ids=["duplicate_cylinder", "outside_every_block",
         "first_word_outside_every_block", "no_blocks",
         "cover_block_glued", "waypoint_target", "waypoint_point_outside",
-        "parameter_outside", "table_with_a_gap"])
+        "parameter_outside"])
 def test_rejected_inputs_name_their_fault(call, message):
     with pytest.raises(InputError) as info:
         call()
@@ -1206,55 +1235,15 @@ def test_waypoint_sample_catches_a_faulty_evaluator(pins, fault, monkeypatch):
         assert consistency(ws, depth) == "False", depth
 
 
-def with_const_over(ws, depth, first, last):
-    """ws with a const piece at (0,0) over parameter cells first..last (of
-    4^depth) of its sweep, put just before the sweep in the table: it
-    overlaps the sweep, and `_piece_at` finds it first."""
-    k = next(i for i, p in enumerate(ws.pieces) if p[2] == "sweep")
-    lo, hi = ws.pieces[k][:2]
-    cells = 4 ** depth
-    const = (lo + (hi - lo) * F(first, cells),
-             lo + (hi - lo) * F(last + 1, cells), "const", (F(0), F(0)))
-    return WaypointSurjection(ws.pinning,
-                              ws.pieces[:k] + (const,) + ws.pieces[k:])
-
-
-def center_table_overlapped(depth):
-    # the const piece hides the middle cell, not the two end cells
-    ws = waypoint_surjection(waypoint_map(SQUARE_PINS["center"], "square"))
-    return with_const_over(ws, depth, 4 ** depth // 2, 4 ** depth // 2)
-
-
-CONSISTENCY_TABLES = {
-    **{name: lambda depth, pins=pins: waypoint_surjection(
-        waypoint_map(pins, "square")) for name, pins in SQUARE_PINS.items()},
-    "overlapped": center_table_overlapped,
-}
-
-
-@pytest.mark.parametrize("table", CONSISTENCY_TABLES.values(),
-                         ids=CONSISTENCY_TABLES)
-def test_waypoint_consistency_matches_every_cell(table):
+@pytest.mark.parametrize("pins", SQUARE_PINS.values(), ids=SQUARE_PINS)
+def test_waypoint_consistency_matches_every_cell(pins):
     # the proved verdict against the evaluator's region at the midpoint of
     # every parameter cell, compared with the cell's enclosure
+    ws = waypoint_surjection(waypoint_map(pins, "square"))
     for depth in range(6):
-        ws = table(depth)
         every_cell = oracle_consistent(ws, depth, range(4 ** depth))
         assert consistency(ws, depth) == str(every_cell), depth
-    assert every_cell == (table is not center_table_overlapped)
-
-
-def test_waypoint_overlapping_piece_is_inconsistent():
-    # a const piece over cells 100 and 101 of 4^8 sends their midpoints to
-    # (0,0), not to their curve cells; the stride sample (cells 0, 257, ...)
-    # missed them and read the evaluator as consistent
-    ws = with_const_over(waypoint_surjection(waypoint_map(
-        SQUARE_PINS["center"], "square")), 8, 100, 101)
-    assert evaluate_waypoint_exact(ws, midpoint(ws, 100, 8)) == (F(0), F(0))
-    assert not oracle_consistent(ws, 8, range(99, 103))
-    assert oracle_consistent(ws, 8)
-    assert consistency(ws, 8) == "False"
-    assert not verify_waypoint_surjection(ws, 8).all_passed
+    assert every_cell
 
 
 def test_sweep_cell_enclosures_tile_square():
