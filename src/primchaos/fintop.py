@@ -15,6 +15,10 @@ preorder its masks give.  Enumeration picks the rows in turn, each among
 the submasks of the cap of the earlier rows through its point: 355
 topologies on 4 labelled points, 6942 on 5.  Every relation the search
 keeps is a preorder, so its spaces skip the constructor's validation.
+`continuous_maps` picks each point's target the same way, among the
+codomain points the earlier targets allow, so it visits only continuous
+maps; it and `all_maps` build each map they list without re-validating its
+targets.
 `sweep` computes the quotient relation of every (topology, partition) pair,
 reading its first step from per-space and per-partition subset tables, and
 validates each distinct relation once per partition, reporting an invalid
@@ -224,6 +228,17 @@ class FiniteMap:
         if not (isinstance(t, tuple) and len(t) == len(self.domain.points)
                 and all(type(k) is int and 0 <= k < m for k in t)):
             raise InputError("targets must be one codomain index per point")
+
+    @classmethod
+    def _trusted(cls, domain: FiniteTopSpace, codomain: FiniteTopSpace,
+                 targets: Tuple[int, ...]) -> "FiniteMap":
+        """A map from a tuple of codomain indices already known to hold one
+        per domain point, without `__post_init__`'s validation."""
+        f = cls.__new__(cls)
+        object.__setattr__(f, "domain", domain)
+        object.__setattr__(f, "codomain", codomain)
+        object.__setattr__(f, "targets", targets)
+        return f
 
     def is_surjective(self) -> bool:
         return len(set(self.targets)) == len(self.codomain.points)
@@ -459,9 +474,50 @@ def all_partitions(items: Sequence[str]) -> List[Tuple[Tuple[str, ...], ...]]:
 
 
 def all_maps(domain: FiniteTopSpace, codomain: FiniteTopSpace) -> List[FiniteMap]:
-    """Every map, its targets in lexicographic order."""
-    return [FiniteMap(domain, codomain, targets) for targets in
+    """Every map, its targets in lexicographic order.  Each product tuple
+    holds one codomain index per domain point, so each map is built by
+    `FiniteMap._trusted`, without re-validating its targets."""
+    return [FiniteMap._trusted(domain, codomain, targets) for targets in
             product(range(len(codomain.points)), repeat=len(domain.points))]
+
+
+def continuous_maps(domain: FiniteTopSpace,
+                    codomain: FiniteTopSpace) -> List[FiniteMap]:
+    """Every continuous map, in `all_maps` order: the `all_maps` maps that
+    `is_continuous` accepts.
+
+    f is continuous iff it is monotone for the specialization preorders: j
+    in U_x implies f(j) in V_f(x).  Targets are chosen depth first, in
+    domain order.  Point i's candidates are the AND of V_f(j) over the
+    earlier points j with i in U_j, tried in increasing order; a candidate
+    k is kept iff V_k holds f(j) for every earlier j in U_i.  So the search
+    visits only prefixes of continuous maps, and each map it finds is built
+    by `FiniteMap._trusted`.
+    """
+    U, V = domain.nbhds, codomain.nbhds
+    n = len(U)
+    targets: List[int] = []
+    found: List[Tuple[int, ...]] = []
+
+    def rec(i: int) -> None:
+        if i == n:
+            found.append(tuple(targets))
+            return
+        bit, below = 1 << i, U[i] & ((1 << i) - 1)
+        cap, image = (1 << len(V)) - 1, 0
+        for j, k in enumerate(targets):
+            if U[j] & bit:
+                cap &= V[k]
+            if below >> j & 1:
+                image |= 1 << k
+        for k, v in enumerate(V):
+            if cap >> k & 1 and v & image == image:
+                targets.append(k)
+                rec(i + 1)
+                targets.pop()
+
+    rec(0)
+    return [FiniteMap._trusted(domain, codomain, t) for t in found]
 
 
 def sweep(points: Sequence[str]) -> CheckReport:

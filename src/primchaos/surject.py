@@ -429,7 +429,8 @@ def verify_block_surjection(f: CantorMap, blocks_a: Sequence[ClopenBlock],
     p is read as pieces, in walk order (`_images`): those of its source, or
     the whole staircase of every source under it.  A piece's source q maps
     q + e onto o + e, which a B_i word meets iff it extends o[:n]; q is
-    built only for a piece whose o leaves B_i.  Each check finds the first
+    built only for a piece whose o leaves B_i, and each distinct o is
+    looked up in B_i once, until one leaves it.  Each check finds the first
     word a walk would fail at, by one search for a depth-n word extending
     no cylinder (`_first_miss`).  So the work is one step per piece and
     per cylinder of the blocks, and a string as long as a piece's source
@@ -450,13 +451,17 @@ def verify_block_surjection(f: CantorMap, blocks_a: Sequence[ClopenBlock],
     if hole is not None:
         evaluate_symbolic(f, hole)
     for i, (a_blk, b_blk) in enumerate(zip(blocks_a, blocks_b)):
-        reached, word = set(), None
+        reached, inside, word = set(), set(), None
         for p in a_blk.cylinders:
             c = _prefix_in(ordered, p)  # p's source, or the sources under p
             for s in [c] if c is not None else _extensions(ordered, p):
                 for j, o in _images(f, s, p):
                     reached.add(o[:depth])
-                    if word is None and not b_blk.contains_address(o):
+                    if word is not None or o in inside:
+                        continue
+                    if b_blk.contains_address(o):
+                        inside.add(o)
+                    else:
                         # q + e, q the piece's source, maps onto o + e,
                         # which lies in a cylinder b of B_i only if b
                         # extends o and e extends b[len(o):]; q cut after
@@ -668,7 +673,9 @@ def hilbert_enclosure(t_cell: Tuple) -> Region:
 
 @dataclass(frozen=True)
 class WaypointMap:
-    """Pinning data: f(x_i) = y_i for strictly increasing x_i in [0,1]."""
+    """Pinning data: f(x_i) = y_i for strictly increasing x_i in [0,1]; the
+    pins a tuple of pairs (x_i, y_i), y_i a tuple, each coordinate an int
+    or `Fraction` (`waypoint_map` parses other rationals)."""
 
     waypoints: Tuple[Tuple[Fraction, tuple], ...]
     target: str  # interval | square
@@ -676,6 +683,18 @@ class WaypointMap:
     def __post_init__(self):
         if self.target not in ("interval", "square"):
             raise InputError("target must be 'interval' or 'square'")
+        if not isinstance(self.waypoints, tuple):
+            raise InputError("pins must be a tuple, got "
+                             f"{type(self.waypoints).__name__}")
+        for pin in self.waypoints:
+            if not (isinstance(pin, tuple) and len(pin) == 2):
+                raise InputError(f"pin {pin!r} is not a pair (x, target point)")
+            if not isinstance(pin[1], tuple):
+                raise InputError(f"target point {pin[1]!r} is not a tuple")
+            for c in (pin[0], *pin[1]):  # a bool is an int, and kept
+                if not isinstance(c, (int, Fraction)):
+                    raise InputError(f"pin coordinate {c!r} is not an int "
+                                     f"or Fraction")
         if not self.waypoints:
             raise InputError("need at least one waypoint")
         if len(self.waypoints) > MAX_WAYPOINTS:

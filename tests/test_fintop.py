@@ -45,6 +45,7 @@ from primchaos.fintop import (
     all_partitions,
     all_topologies,
     block_label,
+    continuous_maps,
     decomposition_topology,
     discrete_space,
     fiber_partition,
@@ -576,6 +577,37 @@ def test_finite_map_is_the_label_translation():
     f = finite_map(X, Y, {"a": "q", "b": "p", "c": "q"})
     assert f.targets == oracle_targets(
         X, Y, (("a", "q"), ("b", "p"), ("c", "q"))) == (1, 0, 1)
+
+
+def test_enumerated_maps_pass_the_validating_constructor():
+    # `all_maps` and `continuous_maps` build their maps unvalidated; each
+    # equals the map the validating constructor builds from its targets
+    spaces = [X for pts in ("", "a", "ab", "abc") for X in all_topologies(pts)]
+    spaces.append(discrete_space("wxyz"))
+    n_maps = 0
+    for X in spaces:
+        for Y in spaces:
+            for f in all_maps(X, Y) + continuous_maps(X, Y):
+                assert f == FiniteMap(X, Y, f.targets)
+                n_maps += 1
+    assert n_maps > sum(len(Y.points) ** len(X.points)
+                        for X in spaces for Y in spaces)
+
+
+def test_continuous_maps_are_the_all_maps_filter():
+    # every topology on 0-4 points onto every one on 0-3 points and onto
+    # the discrete space on 4, the same maps in the same order
+    domains = [X for pts in ("", "a", "ab", "abc", "abcd")
+               for X in all_topologies(pts)]
+    codomains = [Y for pts in ("", "x", "xy", "xyz")
+                 for Y in all_topologies(pts)] + [discrete_space("wxyz")]
+    n_maps = 0
+    for X in domains:
+        for Y in codomains:
+            maps = continuous_maps(X, Y)
+            assert maps == [f for f in all_maps(X, Y) if is_continuous(f)]
+            n_maps += len(maps)
+    assert n_maps == 268176
 
 
 def test_hypothesis_result_is_true_when_the_claim_holds():

@@ -1136,6 +1136,30 @@ def test_rejected_inputs_name_their_fault(call, message):
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize("waypoints,message", [
+    ([(F(1, 2), (F(0),))], "pins must be a tuple, got list"),
+    ((1,), "pin 1 is not a pair (x, target point)"),
+    ((None,), "pin None is not a pair (x, target point)"),
+    (((F(1, 2), None),), "target point None is not a tuple"),
+    (((F(1, 2), [F(0)]),), "target point [Fraction(0, 1)] is not a tuple"),
+    (((F(1, 2), (0.5,)),), "pin coordinate 0.5 is not an int or Fraction"),
+    (((0.5, (F(0),)),), "pin coordinate 0.5 is not an int or Fraction"),
+    (((F(1, 2), ("1/2",)),), "pin coordinate '1/2' is not an int or Fraction"),
+], ids=["table_list", "int_pin", "none_pin", "none_point", "list_point",
+        "float_coordinate", "float_parameter", "string_coordinate"])
+def test_waypoint_map_checks_its_pin_types(waypoints, message):
+    with pytest.raises(InputError) as info:
+        WaypointMap(waypoints, "interval")
+    assert str(info.value) == message
+
+
+def test_waypoint_map_keeps_int_and_bool_coordinates():
+    # a bool is an int, as `rat` keeps it
+    for pin in ((F(1, 2), (True,)), (1, (0,))):
+        ws = waypoint_surjection(WaypointMap((pin,), "interval"))
+        assert verify_waypoint_surjection(ws, 3).all_passed
+
+
 # one interior pin, pins at both ends, and two interior pins
 SQUARE_PINS = {
     "center": [(F(1, 2), (F(1, 2), F(1, 2)))],
