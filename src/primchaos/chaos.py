@@ -539,7 +539,7 @@ def _sensitivity_samples(s: ChaosSystem, samples: int) -> List[tuple]:
         # points of the Cantor model itself: ternary digits 2*bit of the
         # sample index, so orbits stay inside the event union
         width = max(2, samples.bit_length())
-        return [(eval_ternary_address(format(j % (1 << width), f"0{width}b")),)
+        return [(eval_ternary_address(format(j, f"0{width}b")),)
                 for j in range(1, samples + 1)]
     return [(Fraction(j, samples + 1),) for j in range(1, samples + 1)]
 
@@ -617,9 +617,11 @@ def sensitivity_check(s: ChaosSystem, delta: Fraction, samples: int,
     SENSITIVITY_CONSTANT within the bit budget.  Reports the worst number
     of steps needed.
 
-    Samples are generated deterministically per system; pass `points` to
-    check specific initial conditions instead.  Their number is bounded
-    before any is built, by the two MAX_SENSITIVITY limits."""
+    Samples are generated deterministically per system; pass `points`, a
+    list of 1-tuples of rationals, to check specific initial conditions
+    instead.  Their number is bounded before any is built, by the two
+    MAX_SENSITIVITY limits, and a malformed point is rejected before any
+    sample is stepped."""
     if s.dim != 1:
         raise InputError("sensitivity check ships for 1-d systems")
     delta = rat(delta)
@@ -632,7 +634,10 @@ def sensitivity_check(s: ChaosSystem, delta: Fraction, samples: int,
                          f"exceeds the work limit of "
                          f"{MAX_SENSITIVITY_SAMPLES} samples and "
                          f"{MAX_SENSITIVITY_STEPS} orbit steps")
-    sample_pts = [tuple(rat(c) for c in p) for p in points] \
+    for p in points or ():
+        if not (isinstance(p, tuple) and len(p) == 1):
+            raise InputError(f"sample point {p!r} is not a 1-tuple")
+    sample_pts = [(rat(p[0]),) for p in points] \
         if points is not None else _sensitivity_samples(s, samples)
     sep = SENSITIVITY_CONSTANT
     rep = CheckReport(f"{s.kind} sensitivity, delta {rational_str(delta)}, "

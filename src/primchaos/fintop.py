@@ -9,26 +9,27 @@ specialization preorder, which corresponds to the topology one-to-one
 (Alexandroff 1937), so every check below works on them directly: f is
 continuous iff f(U_x) is inside U_{f(x)} for every x, and a quotient's
 neighbourhoods are the transitive closure of the block relation.  The family
-of open sets (the masks that contain U_x for each of their points x) is
-only derived, and a given family is accepted iff it equals the opens of the
-preorder its masks give.  Enumeration picks the rows in turn, each among
-the submasks of the cap of the earlier rows through its point: 355
-topologies on 4 labelled points, 6942 on 5.  Every relation the search
-keeps is a preorder, so its spaces skip the constructor's validation.
-`continuous_maps` picks each point's target the same way, among the
-codomain points the earlier targets allow, so it visits only continuous
-maps; it and `all_maps` build each map they list without re-validating its
-targets.
+of open sets is only derived: it is the values of `_subset_table` on the
+rows, every union of rows, since an open is the union of the rows of its
+points and a union of rows is up-closed.  A given family is accepted iff it
+equals the opens of the preorder its masks give.  Enumeration picks the rows
+in turn, each among the submasks of the cap of the earlier rows through its
+point: 355 topologies on 4 labelled points, 6942 on 5.  Every relation the
+search keeps is a preorder, so its spaces skip the constructor's validation.
+`continuous_maps` picks each point's target the same way, among the codomain
+points the earlier targets allow, so it visits only continuous maps; it and
+`all_maps` build each map they list without re-validating its targets.
 `sweep` computes the quotient relation of every (topology, partition) pair,
 reading its first step from per-space and per-partition subset tables, and
-validates each distinct relation once per partition, reporting an invalid
-one as a failed check; other quotients keep `_union`, for which building
-the tables costs more.  A bijection is a homeomorphism iff it maps each U_x
-onto U_{f(x)}, so `sweep` (functoriality), `verify_prop5` and
-`verify_lemma7` compare a quotient's rows with a given space's and build no
-map.  The two verifiers build no quotient space either: `verify_lemma7`
-reads its fiber quotient's rows from the map's targets, with no partition,
-and the transitive closure of a reflexive relation needs no validation.
+tests each distinct relation once per partition with `_is_preorder`, the
+constructor's test, reporting an invalid one as a failed check; other
+quotients keep `_union`, for which building the tables costs more.  A
+bijection is a homeomorphism iff it maps each U_x onto U_{f(x)}, so `sweep`
+(functoriality), `verify_prop5` and `verify_lemma7` compare a quotient's
+rows with a given space's and build no map.  The two verifiers build no
+quotient space either: `verify_lemma7` reads its fiber quotient's rows from
+the map's targets, with no partition, and the transitive closure of a
+reflexive relation needs no validation.
 
 A finite space is Hausdorff iff it is discrete, so the compact-Hausdorff
 hypotheses of the representative-subspace and fiber-quotient facts
@@ -56,11 +57,39 @@ from .report import CheckReport
 def _mask_of(points: Sequence[str], subset: Iterable[str]) -> int:
     index = {p: i for i, p in enumerate(points)}
     mask = 0
-    for label in subset:
-        if label not in index:
-            raise InputError(f"unknown point {label!r}")
-        mask |= 1 << index[label]
+    try:
+        for label in subset:
+            mask |= 1 << index[label]
+    except KeyError as exc:
+        raise InputError(f"unknown point {exc.args[0]!r}") from None
+    except TypeError:  # not iterable, or an unhashable label
+        raise InputError(f"not a set of point labels: {subset!r}") from None
     return mask
+
+
+def _point_tuple(points: Sequence[str]) -> Tuple[str, ...]:
+    """The labels as a tuple; a string is a sequence of one-character
+    labels."""
+    if not isinstance(points, (str, list, tuple)):
+        raise InputError(f"points must be a sequence of labels: {points!r}")
+    return tuple(points)
+
+
+def _distinct(points: Tuple[str, ...]) -> Tuple[str, ...]:
+    """The labels, unless one is not a string or one is given twice."""
+    if not all(isinstance(p, str) for p in points):
+        raise InputError(f"point labels must be strings: {points!r}")
+    if len(set(points)) != len(points):
+        raise InputError("duplicate point labels")
+    return points
+
+
+def _family_masks(points: Tuple[str, ...],
+                  family: Iterable[Iterable[str]]) -> set:
+    try:
+        return {_mask_of(points, s) for s in family}
+    except TypeError:  # the family is not iterable
+        raise InputError(f"not a family of label sets: {family!r}") from None
 
 
 def _labels_of(points: Sequence[str], mask: int) -> Tuple[str, ...]:
@@ -77,10 +106,29 @@ def _union(masks: Sequence[int], select: int) -> int:
     return out
 
 
+def _subset_table(masks: Sequence[int]) -> List[int]:
+    """`_union(masks, s)` for every subset s, indexed by s: each mask
+    doubles the table, its bit set in the new upper half."""
+    table = [0]
+    for m in masks:
+        table += [t | m for t in table]
+    return table
+
+
 def _opens(rows: Sequence[int]) -> frozenset:
-    """The opens of the preorder with these rows: m is open iff U_x is
-    inside m for every point x of m."""
-    return frozenset(m for m in range(1 << len(rows)) if _union(rows, m) == m)
+    """The opens of the preorder with these rows, the unions of rows: an
+    open is the union of the rows of its points, and a union of rows is
+    up-closed."""
+    return frozenset(_subset_table(rows))
+
+
+def _is_preorder(rows: Sequence[int]) -> bool:
+    """True iff each row is an int mask inside the point set, nonzero, that
+    holds its own point and the rows of its points: a reflexive and
+    transitive relation."""
+    n = len(rows)
+    return all(type(u) is int and 0 < u < 1 << n and u >> i & 1
+               and _union(rows, u) == u for i, u in enumerate(rows))
 
 
 def _topology_rows(n: int, family: set) -> Optional[Tuple[int, ...]]:
@@ -93,8 +141,8 @@ def _topology_rows(n: int, family: set) -> Optional[Tuple[int, ...]]:
 
 def is_topology(points: Sequence[str], family: Iterable[Iterable[str]]) -> bool:
     """True iff the family equals the opens of the preorder it gives."""
-    masks = {_mask_of(points, s) for s in family}
-    return _topology_rows(len(points), masks) is not None
+    pts = _point_tuple(points)
+    return _topology_rows(len(pts), _family_masks(pts, family)) is not None
 
 
 @dataclass(frozen=True)
@@ -107,12 +155,13 @@ class FiniteTopSpace:
     nbhds: Tuple[int, ...]
 
     def __post_init__(self):
-        if len(set(self.points)) != len(self.points):
-            raise InputError("duplicate point labels")
-        U, n = self.nbhds, len(self.points)
-        if len(U) != n or not all(0 < u < 1 << n and u >> i & 1
-                                  and _union(U, u) == u
-                                  for i, u in enumerate(U)):
+        if not (isinstance(self.points, tuple)
+                and isinstance(self.nbhds, tuple)):
+            raise InputError("a space takes a tuple of labels and a tuple "
+                             "of neighbourhood masks")
+        _distinct(self.points)
+        if len(self.nbhds) != len(self.points) or \
+                not _is_preorder(self.nbhds):
             raise InputError("neighbourhood masks are not a preorder")
 
     @classmethod
@@ -140,34 +189,33 @@ class FiniteTopSpace:
 
 
 def space(points: Sequence[str], family: Iterable[Iterable[str]]) -> FiniteTopSpace:
-    pts = tuple(points)
-    return space_from_masks(pts, [_mask_of(pts, s) for s in family])
+    pts = _point_tuple(points)
+    return space_from_masks(pts, _family_masks(pts, family))
 
 
 def space_from_masks(points: Sequence[str], masks: Iterable[int]) -> FiniteTopSpace:
     """Space from an explicit open-set family, rejected unless it equals
     the opens of the preorder it gives."""
-    pts = tuple(points)
-    rows = _topology_rows(len(pts), set(masks))
+    pts = _point_tuple(points)
+    try:
+        rows = _topology_rows(len(pts), set(masks))
+    except TypeError:  # not iterable, or a mask that is not an int
+        raise InputError(f"not a family of int masks: {masks!r}") from None
     if rows is None:
         raise InputError("open-set family is not a topology")
     return FiniteTopSpace(pts, rows)
 
 
 def discrete_space(points: Sequence[str]) -> FiniteTopSpace:
-    pts = tuple(points)
+    pts = _point_tuple(points)
     return FiniteTopSpace(pts, tuple(1 << i for i in range(len(pts))))
 
 
-def is_t1(X: FiniteTopSpace) -> bool:
-    """Some open holds x but not y iff y is outside U_x, so T1 means every
-    U_x is {x}: finite T1 spaces are discrete."""
-    return all(u == 1 << i for i, u in enumerate(X.nbhds))
-
-
 def is_hausdorff(X: FiniteTopSpace) -> bool:
-    """Finite Hausdorff spaces are exactly the discrete ones."""
-    return is_t1(X)
+    """Some open holds x but not y iff y is outside U_x, so T1 means every
+    U_x is {x}: finite T1 spaces, and hence finite Hausdorff spaces, are
+    exactly the discrete ones."""
+    return all(u == 1 << i for i, u in enumerate(X.nbhds))
 
 
 @dataclass(frozen=True)
@@ -183,6 +231,9 @@ class Partition:
     labels: Tuple[str, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if not (isinstance(self.blocks, tuple)
+                and all(isinstance(b, tuple) for b in self.blocks)):
+            raise InputError("partition blocks must be a tuple of tuples")
         if not all(self.blocks):
             raise InputError("partition blocks must be nonempty")
         index = {p: i for i, p in enumerate(self.points)}
@@ -191,7 +242,7 @@ class Partition:
         for k, b in enumerate(self.blocks):
             mask = 0
             for p in b:
-                i = index.get(p)
+                i = index.get(p) if isinstance(p, str) else None
                 if i is None or bits[i]:
                     raise InputError("blocks must partition the points exactly")
                 bits[i] = 1 << k
@@ -205,7 +256,11 @@ class Partition:
 
 
 def partition(X: FiniteTopSpace, blocks: Iterable[Iterable[str]]) -> Partition:
-    return Partition(X.points, tuple(tuple(b) for b in blocks))
+    try:
+        table = tuple(tuple(b) for b in blocks)
+    except TypeError:  # the blocks, or a block, not iterable
+        raise InputError(f"not a list of blocks: {blocks!r}") from None
+    return Partition(X.points, table)
 
 
 def block_label(block: Sequence[str]) -> str:
@@ -249,6 +304,9 @@ class FiniteMap:
 
 def finite_map(domain: FiniteTopSpace, codomain: FiniteTopSpace,
                assignment: Dict[str, str]) -> FiniteMap:
+    if not isinstance(assignment, dict):
+        raise InputError("an assignment is a dict from domain labels to "
+                         "codomain labels")
     try:
         images = [assignment[p] for p in domain.points]
     except KeyError as exc:
@@ -296,15 +354,6 @@ def _quotient_relation(reach: List[int]) -> Tuple[int, ...]:
             if ra >> k & 1:
                 reach[a] = ra | reach[k]
     return tuple(reach)
-
-
-def _subset_table(masks: Sequence[int]) -> List[int]:
-    """`_union(masks, s)` for every subset s, indexed by s: each mask
-    doubles the table, its bit set in the new upper half."""
-    table = [0]
-    for m in masks:
-        table += [t | m for t in table]
-    return table
 
 
 def is_continuous(f: FiniteMap) -> bool:
@@ -365,6 +414,8 @@ def verify_prop5(X: FiniteTopSpace, D: Partition,
     The quotient's rows come from `_quotient_rows`, which
     `decomposition_topology` also reads, and no space is built from them.
     """
+    if not isinstance(reps, (str, list, tuple)):
+        raise InputError(f"representatives must be a sequence: {reps!r}")
     if len(reps) != len(D.blocks):
         raise InputError("need exactly one representative per block")
     for r, b in zip(reps, D.blocks):
@@ -427,10 +478,8 @@ def all_topologies(points: Sequence[str]) -> List[FiniteTopSpace]:
     6942 on 5).  Every relation it keeps is a preorder, so each space is
     built by `FiniteTopSpace._trusted`, without re-validating its rows.
     """
-    pts = tuple(points)
+    pts = _distinct(_point_tuple(points))
     n = len(pts)
-    if len(set(pts)) != n:
-        raise InputError("duplicate point labels")
     rows: List[int] = []
     found: List[Tuple[int, ...]] = []
 
@@ -460,7 +509,7 @@ def all_topologies(points: Sequence[str]) -> List[FiniteTopSpace]:
 
 def all_partitions(items: Sequence[str]) -> List[Tuple[Tuple[str, ...], ...]]:
     """All set partitions; blocks keep first-occurrence element order."""
-    items = list(items)
+    items = list(_point_tuple(items))
     if not items:
         return [()]
     head, rest = items[0], items[1:]
@@ -528,12 +577,13 @@ def sweep(points: Sequence[str]) -> CheckReport:
     Every (topology, partition) pair's quotient relation is computed, its
     first step read from two tables built once: per topology the up-set of
     every point subset, per partition the block bits of every point subset.
-    Many topologies give a partition the same relation, and a space is a
-    function of its labels and relation, so each distinct relation is built
-    (and validated) once per partition; the count covers every pair, and
-    one that fails validation fails the check instead of raising.  The
-    identity onto a singleton quotient is a homeomorphism iff its relation
-    is the space's own rows, which decides functoriality in the same pass.
+    Many topologies give a partition the same relation, so each distinct
+    relation is tested once per partition by `_is_preorder`, the test the
+    constructor makes (a `Partition`'s block labels are distinct); the
+    count covers every pair, and a relation that is no preorder fails the
+    check instead of raising.  The identity onto a singleton quotient is a
+    homeomorphism iff its relation is the space's own rows, which decides
+    functoriality in the same pass.
     """
     spaces = all_topologies(points)
     pts = tuple(points)
@@ -546,11 +596,7 @@ def sweep(points: Sequence[str]) -> CheckReport:
         for X, up in zip(spaces, ups):
             reach = _quotient_relation([bits[up[bm]] for bm in D.masks])
             if reach not in valid:
-                try:  # construction validates the quotient's neighbourhoods
-                    FiniteTopSpace(D.labels, reach)
-                    valid[reach] = True
-                except InputError:
-                    valid[reach] = False
+                valid[reach] = _is_preorder(reach)
             n_valid += valid[reach]
             if len(D.blocks) == len(pts):  # the singleton partition
                 n_funct += valid[reach] and reach == X.nbhds
@@ -580,7 +626,7 @@ def named_space(name: str) -> FiniteTopSpace:
         return space("abc", [[], ["a"], ["a", "b"], ["a", "b", "c"]])
     if name == "sierpinski":
         return space("ab", [[], ["a"], ["a", "b"]])
-    if name in _DISCRETE:
+    if isinstance(name, str) and name in _DISCRETE:
         return discrete_space(_DISCRETE[name])
     raise InputError(f"unknown space {name!r}; try chain3, sierpinski, "
                      f"discrete1..discrete8")

@@ -55,6 +55,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import accumulate
 from operator import itemgetter
 from typing import (Iterable, Iterator, List, NamedTuple, Optional, Sequence,
                     Tuple)
@@ -89,9 +90,11 @@ MAX_GRID_CELLS = 2 ** 20
 # in process at resolution 2^-20 on the interval, 2^-10 on the square), and
 # so does the CLI document (about 0.2 MB for 256 pins)
 MAX_WAYPOINTS = 256
-# most steps of the block certificate's walk, |A_k| * |B_k| summed over the
-# map's pairs: the pieces it reads when it checks the blocks the map was
-# built from, one per target cylinder of each source cylinder's staircase
+# most steps of the block certificate's walk: the pieces it reads, one per
+# target cylinder of each source staircase it meets.  Bounded twice: by
+# |A_k| * |B_k| summed over the map's pairs, which is what checking the
+# blocks the map was built from reads, and by the staircases of the sources
+# the given A cylinders meet, counted before the walk
 MAX_BLOCK_STEPS = 2 ** 17
 
 
@@ -179,12 +182,10 @@ def _prefix_in(ordered: Sequence[str], word: str) -> Optional[str]:
 
 
 def _extensions(ordered: Sequence[str], word: str) -> Sequence[str]:
-    """The words of a sorted list that extend `word` and differ from it:
-    the run that follows the words <= `word`."""
-    j = k = bisect_right(ordered, word)
-    while k < len(ordered) and ordered[k].startswith(word):
-        k += 1
-    return ordered[j:k]
+    """The binary words of a sorted list that extend `word` and differ from
+    it: those after `word` and before `word + "2"`, where every extension
+    sorts."""
+    return ordered[bisect_right(ordered, word):bisect_left(ordered, word + "2")]
 
 
 @dataclass(frozen=True)
@@ -235,6 +236,17 @@ def clopen_partition(n: int) -> List[ClopenBlock]:
 
 def blocks_pairwise_disjoint(blocks: Sequence[ClopenBlock]) -> bool:
     return _overlap([c for b in blocks for c in b.cylinders]) is None
+
+
+def _block_list(blocks) -> bool:
+    """True iff blocks is a list or tuple of `ClopenBlock`s."""
+    return isinstance(blocks, (list, tuple)) and \
+        all(isinstance(b, ClopenBlock) for b in blocks)
+
+
+def _check_block_lists(blocks_a, blocks_b) -> None:
+    if not (_block_list(blocks_a) and _block_list(blocks_b)):
+        raise InputError("blocks must be lists of ClopenBlocks")
 
 
 def _complement_cylinders(cylinders: Iterable[str],
@@ -289,9 +301,14 @@ class CantorMap:
         return index, sorted(index)
 
     def __post_init__(self):
-        if self.kind not in MAP_KINDS:
+        if not isinstance(self.kind, str) or self.kind not in MAP_KINDS:
             raise InputError(f"unknown map kind {self.kind!r}; expected one "
                              f"of {tuple(MAP_KINDS)}")
+        if not (isinstance(self.pairs, tuple) and all(
+                isinstance(pair, tuple) and len(pair) == 2
+                and _block_list(pair) for pair in self.pairs)):
+            raise InputError("pairs must be a tuple of (ClopenBlock, "
+                             "ClopenBlock) pairs")
         if not blocks_pairwise_disjoint([a_blk for a_blk, _ in self.pairs]):
             raise InputError("source blocks overlap")
 
@@ -300,11 +317,12 @@ class CantorMap:
         return MAP_KINDS[self.kind][0]
 
     def modulus(self, n: int) -> Fraction:
-        """Certified bound on image-enclosure diameter for depth-n inputs."""
-        if self.kind == "binary_expansion":
-            return Fraction(1, 2 ** n)
-        if self.kind == "interleave":
-            return Fraction(1, 2 ** (n // 2))
+        """Certified bound on image-enclosure diameter for depth-n inputs:
+        an expansion map's box halves on every axis once per `axes` bits
+        of the word, its count in `MAP_KINDS`."""
+        axes = MAP_KINDS[self.kind][1]
+        if axes:
+            return Fraction(1, 2 ** (n // axes))
         overhead = threshold = 0
         for a_blk, b_blk in self.pairs:
             sel = len(b_blk.cylinders) - 1
@@ -381,6 +399,7 @@ def block_surjection(blocks_a: Sequence[ClopenBlock],
     cylinder longer than `MAX_CYLINDER_BITS` is rejected before the
     padding is built.
     """
+    _check_block_lists(blocks_a, blocks_b)
     if len(blocks_a) != len(blocks_b):
         raise InputError("need as many target blocks as source blocks")
     if not blocks_a:
@@ -399,9 +418,11 @@ def block_surjection(blocks_a: Sequence[ClopenBlock],
 
 def check_block_depth(blocks_a: Sequence[ClopenBlock],
                       blocks_b: Sequence[ClopenBlock], depth: int) -> None:
-    """Reject a depth `verify_block_surjection` cannot take: not an int >= 0,
-    then over `MAX_CYLINDER_BITS` (its eps would not print), then shorter
-    than a cylinder, naming the first in the order A_0, B_0, A_1, ..."""
+    """Reject block lists that are not lists of `ClopenBlock`s, then a depth
+    `verify_block_surjection` cannot take: not an int >= 0, then over
+    `MAX_CYLINDER_BITS` (its eps would not print), then shorter than a
+    cylinder, naming the first in the order A_0, B_0, A_1, ..."""
+    _check_block_lists(blocks_a, blocks_b)
     check_count(depth, "depth must be >= 0")
     if depth > MAX_CYLINDER_BITS:
         raise InputError(f"depth {depth} longer than {MAX_CYLINDER_BITS} bits")
@@ -421,8 +442,11 @@ def verify_block_surjection(f: CantorMap, blocks_a: Sequence[ClopenBlock],
     modulus: every depth-n cylinder of B_i must meet some image enclosure,
     which bounds the Hausdorff defect by modulus(depth).  A depth that is
     not an int in [0, `MAX_CYLINDER_BITS`] or is shorter than a cylinder is
-    rejected (`check_block_depth`) before the modulus is read, and then a
-    map whose pairs exceed `MAX_BLOCK_STEPS`.
+    rejected (`check_block_depth`) before the modulus is read, then a map
+    whose pairs exceed `MAX_BLOCK_STEPS`, then A blocks whose walk would
+    read more pieces than that: an A cylinder under a source reads at most
+    its staircase, and one above sources reads all of theirs, counted by a
+    prefix sum over the sorted sources.
 
     No depth-n word is enumerated.  A depth-n word under an A_i that lies
     in no source is the walk's error, found first.  Then each A_i cylinder
@@ -442,11 +466,25 @@ def verify_block_surjection(f: CantorMap, blocks_a: Sequence[ClopenBlock],
         raise InputError(f"a map of {steps} block steps exceeds the work "
                          f"limit of {MAX_BLOCK_STEPS} steps (source times "
                          f"target cylinders, summed over its blocks)")
+    index, ordered = f._sources
+    before = [0, *accumulate(len(f.pairs[index[s]][1].cylinders)
+                             for s in ordered)]
+    walked = [p for a, _ in zip(blocks_a, blocks_b) for p in a.cylinders]
+    pieces = 0
+    for p in walked:
+        j = bisect_right(ordered, p)
+        if j and p.startswith(ordered[j - 1]):  # under the source j - 1
+            pieces += before[j] - before[j - 1]
+        else:  # above the sources that extend p (`_extensions`)
+            pieces += before[bisect_left(ordered, p + "2")] - before[j]
+        if pieces > MAX_BLOCK_STEPS:
+            raise InputError(f"A blocks whose walk reads over "
+                             f"{MAX_BLOCK_STEPS} pieces exceed the work limit "
+                             f"of {MAX_BLOCK_STEPS} block steps (the target "
+                             f"cylinders of the sources they meet)")
     rep = CheckReport(f"block surjection, {len(blocks_a)} blocks, depth {depth}, "
                       f"eps {rational_str(f.modulus(depth))}")
-    ordered = f._sources[1]
     # the walk's error: the first depth-n word under an A_i in no source
-    walked = [p for a, _ in zip(blocks_a, blocks_b) for p in a.cylinders]
     hole = _first_miss([s[:depth] for s in ordered], walked, depth)
     if hole is not None:
         evaluate_symbolic(f, hole)

@@ -90,6 +90,13 @@ def oracle_union(masks: Sequence[int], select: int) -> int:
     return out
 
 
+def oracle_opens(rows: Sequence[int]) -> frozenset:
+    """The opens of the preorder with these rows, by their definition over
+    every point subset: m is open iff U_x is inside m for every x in m."""
+    return frozenset(m for m in range(1 << len(rows))
+                     if oracle_union(rows, m) == m)
+
+
 def oracle_topology_rows(n: int) -> List[Tuple[int, ...]]:
     """Every specialization preorder on n points, as its rows, depth first
     over all 2^n candidates per row."""

@@ -102,6 +102,19 @@ def test_sensitivity_empty_points_are_no_samples(monkeypatch):
     assert str(info.value) == "need at least one sample"
 
 
+@pytest.mark.parametrize("point", [None, (), (F(1, 3), F(1, 2))],
+                         ids=["none", "empty", "two_coordinates"])
+def test_sensitivity_rejects_malformed_points(point, monkeypatch):
+    # each is rejected, by name, before any sample is stepped; the second
+    # coordinate of a 2-tuple was dropped, and the others raised TypeError
+    # and IndexError
+    monkeypatch.setattr(chaos, "_steps", _reached)
+    with pytest.raises(InputError) as info:
+        chaos.sensitivity_check(DOUBLING, F(1, 64), None,
+                                points=[(F(1, 3),), point])
+    assert str(info.value) == f"sample point {point!r} is not a 1-tuple"
+
+
 def test_block_padding_bounds_the_longest_source_cylinder(monkeypatch):
     # at the bound the padding is built; one bit past it, on any block, the
     # input is rejected before the padding is walked
@@ -264,6 +277,49 @@ def test_block_certificate_bounds_its_steps(monkeypatch):
     assert str(info.value) == (
         f"a map of {n + 1} block steps exceeds the work limit of {n} steps "
         f"(source times target cylinders, summed over its blocks)")
+
+
+@pytest.mark.parametrize("cylinder,copies", [
+    ("", 1),  # above all 512 sources: 256 pieces each
+    ("0", 2),  # above the 256 sources under 0
+    ("000000000", 512),  # a source: its own staircase of 256 pieces
+    ("0000000001", 512),  # under a source: at most its staircase
+])
+def test_block_walk_bounds_the_pieces_of_the_given_blocks(cylinder, copies,
+                                                          monkeypatch):
+    # against the 2^17-step edge map, A blocks that read 2^17 pieces pass
+    # the bound, and one copy more is rejected before the walk's first
+    # search: copies of one A block multiplied its work with no bound
+    target = [surject.ClopenBlock(words(256, 8))]
+    f = surject.block_surjection([surject.ClopenBlock(words(512, 9))], target)
+    blocks = [surject.ClopenBlock((cylinder,))] * (copies + 1)
+    assert_walk_bound(f, blocks, target * (copies + 1), monkeypatch)
+
+
+def test_block_walk_counts_each_source_its_own_staircase(monkeypatch):
+    # the sources under 0 read 256 pieces each and the padding source 1
+    # reads one: cyl 0 once and cyl 1 65,536 times read 2^17 pieces
+    target = [surject.ClopenBlock(words(256, 8))]
+    f = surject.block_surjection([surject.ClopenBlock(words(256, 8, "0"))],
+                                 target)
+    assert f.pairs[1] == (surject.ClopenBlock(("1",)), WHOLE[0])
+    blocks = [surject.ClopenBlock(("0",))] + \
+        [surject.ClopenBlock(("1",))] * (2 ** 16 + 1)
+    assert_walk_bound(f, blocks, target + WHOLE * (2 ** 16 + 1), monkeypatch)
+
+
+def assert_walk_bound(f, blocks_a, blocks_b, monkeypatch):
+    """All but the last A block read `MAX_BLOCK_STEPS` pieces and pass the
+    bound; all of them are rejected before the walk's first search."""
+    n = surject.MAX_BLOCK_STEPS
+    monkeypatch.setattr(surject, "_first_miss", _reached)
+    with pytest.raises(Reached):
+        surject.verify_block_surjection(f, blocks_a[:-1], blocks_b[:-1], 20)
+    with pytest.raises(InputError) as info:
+        surject.verify_block_surjection(f, blocks_a, blocks_b, 20)
+    assert str(info.value) == (
+        f"A blocks whose walk reads over {n} pieces exceed the work limit of "
+        f"{n} block steps (the target cylinders of the sources they meet)")
 
 
 def test_waypoint_map_bounds_its_pins():

@@ -20,6 +20,7 @@ from fintop_oracle import (
     oracle_is_topology,
     oracle_lemma7,
     oracle_lemma7_space,
+    oracle_opens,
     oracle_prop5,
     oracle_prop5_space,
     oracle_quotient_relation,
@@ -38,6 +39,7 @@ from primchaos.fintop import (
     FiniteTopSpace,
     HypothesisResult,
     Partition,
+    _opens,
     _quotient_relation,
     _subset_table,
     _union,
@@ -53,7 +55,6 @@ from primchaos.fintop import (
     is_continuous,
     is_hausdorff,
     is_homeomorphism,
-    is_t1,
     is_topology,
     named_space,
     partition,
@@ -229,6 +230,20 @@ def test_opens_view_matches_brute_force_families():
             assert space_from_masks(X.points, X.opens) == X
 
 
+def test_opens_are_the_union_table():
+    # every union of rows is open, and every open is the union of the rows
+    # of its points: the table's values are the subset scan's opens
+    for n in range(6):
+        for X in all_topologies("abcde"[:n]):
+            assert _opens(X.nbhds) == oracle_opens(X.nbhds), X.nbhds
+    full = (1 << 16) - 1
+    indiscrete = space_from_masks("abcdefghijklmnop", [0, full])
+    assert indiscrete.nbhds == (full,) * 16
+    assert indiscrete.opens == oracle_opens(indiscrete.nbhds) == {0, full}
+    discrete = discrete_space("abcdefghijklmnop")
+    assert discrete.opens == oracle_opens(discrete.nbhds) == set(range(full + 1))
+
+
 def outcome(build, *args):
     """The built space's points and rows, or the message of the input error
     the build raises."""
@@ -360,18 +375,24 @@ def test_sweep_validates_each_distinct_quotient_once(monkeypatch):
             for X in all_topologies(pts) for D in parts}
     assert len(want) == 558
     seen = Counter()
-    validate = FiniteTopSpace.__post_init__
+    labels = {D.bits: D.labels for D in parts}
+    current = []
+    table, test = fintop._subset_table, fintop._is_preorder
 
-    def recording(self):
-        seen[self.points, self.nbhds] += 1
-        validate(self)
+    def tables(masks):
+        # the sweep builds a partition's block-bit table just before it
+        # tests that partition's relations, so the last table names it
+        current[:] = [masks]
+        return table(masks)
 
-    monkeypatch.setattr(FiniteTopSpace, "__post_init__", recording)
+    def recording(rows):
+        seen[labels[current[0]], rows] += 1
+        return test(rows)
+
+    monkeypatch.setattr(fintop, "_subset_table", tables)
+    monkeypatch.setattr(fintop, "_is_preorder", recording)
     assert sweep(pts).all_passed
     assert set(seen) == want
-    # a singleton quotient is its topology, which the enumeration builds
-    # without validation: the sweep validates it once, and its relation
-    # also decides the functoriality check
     assert all(n == 1 for n in seen.values()), seen
 
 
@@ -650,7 +671,7 @@ def test_separation_and_subspace_match_oracle_exhaustive_4pts():
     assert len(spaces) == 355
     for X in spaces:
         assert is_t0(X) == oracle_t0(X)
-        assert is_t1(X) == oracle_t1(X)
+        assert is_hausdorff(X) == oracle_t1(X)
         assert is_hausdorff(X) == oracle_hausdorff(X)
         for keep in range(16):
             labels = [p for i, p in enumerate(X.points) if keep >> i & 1]
@@ -658,7 +679,7 @@ def test_separation_and_subspace_match_oracle_exhaustive_4pts():
             assert Y.points == tuple(labels)
             assert Y.opens == oracle_subspace_opens(X, labels)
     assert sum(map(is_t0, spaces)) == 219  # labelled posets on 4 points
-    assert sum(map(is_t1, spaces)) == 1
+    assert sum(map(is_hausdorff, spaces)) == 1
 
 
 def test_separation_detection():
@@ -666,8 +687,8 @@ def test_separation_detection():
     assert not is_hausdorff(named_space("chain3"))
     assert not is_hausdorff(named_space("sierpinski"))
     assert is_t0(named_space("sierpinski"))
-    assert not is_t1(named_space("sierpinski"))
-    assert is_t1(discrete_space("ab"))
+    assert not is_hausdorff(named_space("sierpinski"))
+    assert is_hausdorff(discrete_space("ab"))
     indiscrete = space_from_masks("ab", [0, 3])
     assert not is_t0(indiscrete)
 
@@ -957,3 +978,64 @@ def test_block_labels_are_distinct_when_members_hold_commas():
     # sweep finds the singleton partition on such labels too
     assert report_items(sweep(("a", "b", "a,b", "\\"))) == \
         report_items(sweep("abcd"))
+
+
+# ---------------------------------------------------------------------------
+# input contract: a malformed data argument raises InputError
+# ---------------------------------------------------------------------------
+
+
+X3 = discrete_space("abc")
+D3 = partition(X3, [["a"], ["b"], ["c"]])
+
+
+@pytest.mark.parametrize("call", [
+    lambda: space("ab", None),
+    lambda: space("ab", [None]),
+    lambda: is_topology("ab", [None]),
+    lambda: space("ab", [[["a"]]]),
+    lambda: X3.mask([["a"]]),
+    lambda: partition(X3, None),
+    lambda: partition(X3, [None]),
+    lambda: partition(X3, [[["a"]], ["b"], ["c"]]),
+    lambda: Partition(X3.points, ((["a"],), ("b",), ("c",))),
+    lambda: Partition(X3.points, [("a",), ("b",), ("c",)]),
+    lambda: finite_map(X3, X3, None),
+    lambda: finite_map(X3, X3, [("a", "a")]),
+    lambda: verify_prop5(X3, D3, None),
+    lambda: all_topologies(None),
+    lambda: all_topologies(3),
+    lambda: all_topologies([["a"]]),
+    lambda: discrete_space(None),
+    lambda: FiniteTopSpace(("a",), "1"),
+    lambda: FiniteTopSpace(("a",), None),
+    lambda: FiniteTopSpace(("a",), ("1",)),
+    lambda: FiniteTopSpace(["a"], (1,)),
+    lambda: FiniteTopSpace((["a"],), (1,)),
+    lambda: named_space([]),
+    lambda: space_from_masks("ab", None),
+    lambda: space_from_masks("ab", [0, "a"]),
+    lambda: all_partitions(None),
+    lambda: discrete_space((1, 2)),
+], ids=["space_none_family", "space_none_set", "is_topology_none_set",
+        "space_unhashable_label", "mask_unhashable_label",
+        "partition_none", "partition_none_block",
+        "partition_unhashable_label", "Partition_unhashable_label",
+        "Partition_list_blocks", "finite_map_none", "finite_map_pair_list",
+        "prop5_none_reps", "all_topologies_none", "all_topologies_int",
+        "all_topologies_unhashable_label", "discrete_space_none",
+        "space_string_rows", "space_none_rows", "space_string_row",
+        "space_list_points", "space_unhashable_label_tuple",
+        "named_space_list", "space_from_masks_none",
+        "space_from_masks_string_mask", "all_partitions_none", "discrete_space_int_labels"])
+def test_malformed_data_arguments_raise_input_error(call):
+    with pytest.raises(InputError):
+        call()
+
+
+def test_strings_stay_sequences_of_labels():
+    assert discrete_space("ab").points == ("a", "b")
+    assert len(all_topologies("abc")) == 29
+    assert space("ab", ["", "a", "ab"]) == named_space("sierpinski")
+    assert X3.mask("ac") == 0b101
+    assert verify_prop5(X3, D3, "abc").holds

@@ -1126,14 +1126,38 @@ INTERVAL_PIN = waypoint_surjection(waypoint_map([(F(1, 2), (F(1, 2),))],
     (lambda: WaypointMap(((F(1, 2), (F(2),)),), "interval"),
      "target point (Fraction(2, 1),) outside the target space"),
     (lambda: evaluate_waypoint(INTERVAL_PIN, 2), "parameter outside [0,1]"),
+    (lambda: block_surjection(None, None),
+     "blocks must be lists of ClopenBlocks"),
+    (lambda: block_surjection(["0"], ["1"]),
+     "blocks must be lists of ClopenBlocks"),
+    (lambda: verify_block_surjection(SWAP_HALVES, None, None, 3),
+     "blocks must be lists of ClopenBlocks"),
+    (lambda: verify_block_surjection(SWAP_HALVES, ["0"], ["1"], 3),
+     "blocks must be lists of ClopenBlocks"),
+    (lambda: CantorMap("block_glued", "ab"),
+     "pairs must be a tuple of (ClopenBlock, ClopenBlock) pairs"),
+    (lambda: CantorMap("block_glued", ((ClopenBlock(("0",)),),)),
+     "pairs must be a tuple of (ClopenBlock, ClopenBlock) pairs"),
+    (lambda: CantorMap([]),
+     "unknown map kind []; expected one of ('binary_expansion', "
+     "'interleave', 'block_glued')"),
 ], ids=["duplicate_cylinder", "outside_every_block",
         "first_word_outside_every_block", "no_blocks",
         "cover_block_glued", "waypoint_target", "waypoint_point_outside",
-        "parameter_outside"])
+        "parameter_outside", "block_surjection_none",
+        "block_surjection_strings", "verify_block_none",
+        "verify_block_strings", "map_string_pairs", "map_one_block_pair",
+        "map_list_kind"])
 def test_rejected_inputs_name_their_fault(call, message):
     with pytest.raises(InputError) as info:
         call()
     assert str(info.value) == message
+
+
+def test_modulus_halves_once_per_axes_bits():
+    for n in range(12):
+        assert CantorMap("binary_expansion").modulus(n) == F(1, 2 ** n)
+        assert CantorMap("interleave").modulus(n) == F(1, 2 ** (n // 2))
 
 
 @pytest.mark.parametrize("waypoints,message", [
