@@ -1,9 +1,9 @@
 """Primitive-chaos systems: event families with exact piecewise-affine laws,
 witness realization for finite event words, and chaos-property certificates.
 
-A system is a triple (space, events, laws): closed event regions X_0..X_k-1
-covering the working space, and one exact affine branch f_i: X_i -> space
-per event.  Four systems ship:
+A system is its events and one law per event: closed event regions
+X_0..X_k-1, whose union is the working space, and one exact affine branch
+f_i: X_i -> space per event.  Four systems ship:
 
 * ``shift_cantor``: the full shift on the middle-third model, events are the
   depth-1 cylinders and the branches stretch them back over the space;
@@ -162,23 +162,25 @@ class _Table(NamedTuple):
 
 @dataclass(frozen=True)
 class ChaosSystem:
-    """Space model, event family, and one exact affine law per event."""
+    """An event family and one exact affine law per event; the working
+    space is the union of the events."""
 
     kind: str
     events: Tuple[Region, ...]
     branches: Tuple[AffineBranch, ...]
-    space: Region
 
     def __post_init__(self):
+        if not self.events:
+            raise InputError("a system needs at least one event")
         if len(self.events) > len(DIGITS):
             raise InputError(f"at most {len(DIGITS)} events fit one-digit "
                              f"symbols, got {len(self.events)}")
-        if len(self.branches) < len(self.events):
+        if len(self.branches) != len(self.events):
             raise InputError(f"{len(self.events)} events need a branch each, "
                              f"got {len(self.branches)} branches")
-        dim = self.space.dim
+        dim = self.dim
         if any(ev.dim != dim for ev in self.events):
-            raise InputError(f"every event must have the space's {dim} axes")
+            raise InputError(f"every event must have the first event's {dim} axes")
         if any(len(br.coeffs) != dim for br in self.branches):
             raise InputError(f"every branch needs one law per axis of the "
                              f"{dim}-dimensional space")
@@ -189,7 +191,11 @@ class ChaosSystem:
 
     @property
     def dim(self) -> int:
-        return self.space.dim
+        return self.events[0].dim
+
+    @cached_property
+    def space(self) -> Region:
+        return region([b for ev in self.events for b in ev.boxes])
 
     @cached_property
     def _table(self) -> _Table:
@@ -239,8 +245,7 @@ def make_system(kind: str) -> ChaosSystem:
                     AffineBranch(((rat(2), rat(-1)), (HALF, HALF))))
     else:
         raise InputError(f"unknown system {kind!r}; expected one of {SYSTEM_KINDS}")
-    space = region([b for ev in events for b in ev.boxes])
-    return ChaosSystem(kind, events, branches, space)
+    return ChaosSystem(kind, events, branches)
 
 
 def _as_word(s: ChaosSystem, word: str) -> str:

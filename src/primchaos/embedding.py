@@ -41,8 +41,9 @@ The exact scans of (iii) and (iv) through the axis index run only when a
 premise fails, so a failing stage reports the witness the scan finds.
 
 Input is validated at the public boundary, depths and levels by
-`errors.check_count`.  The `RefinementTree` constructor takes exactly the
-binary addresses of length 0..depth.
+`errors.check_count`.  The `RefinementTree` constructor takes its depth
+from its longest address, and then exactly the binary addresses of length
+0..depth.
 `subdivide` checks that the cell lies in the model and holds its marked
 points; `build_refinement` steps without those checks, as each cell it
 builds lies in its parent with its marked points at corners, and the stage
@@ -94,25 +95,29 @@ HALF = Fraction(1, 2)
 
 @dataclass(frozen=True)
 class PeanoModel:
-    """A concrete nondegenerate Peano continuum carried as a box region."""
+    """A concrete nondegenerate Peano continuum carried as a box region,
+    the root, whose dimension is the model's."""
 
     kind: str
-    dim: int
     root: Region
+
+    @property
+    def dim(self) -> int:
+        return self.root.dim
 
 
 def make_model(kind: str) -> PeanoModel:
     if kind == "interval":
-        return PeanoModel("interval", 1, region(Box((rat(0),), (rat(1),))))
+        return PeanoModel("interval", region(Box((rat(0),), (rat(1),))))
     if kind == "square":
-        return PeanoModel("square", 2, region(Box((rat(0), rat(0)), (rat(1), rat(1)))))
+        return PeanoModel("square", region(Box((rat(0), rat(0)), (rat(1), rat(1)))))
     if kind == "tripod":
         # three segments sharing the endpoint (1/2, 1/2): left bar, right
         # bar, and a downward leg; carried as degenerate (thin) boxes
         bar_l = Box((rat(0), HALF), (HALF, HALF))
         bar_r = Box((HALF, HALF), (rat(1), HALF))
         leg = Box((HALF, rat(0)), (HALF, HALF))
-        return PeanoModel("tripod", 2, region([bar_l, bar_r, leg]))
+        return PeanoModel("tripod", region([bar_l, bar_r, leg]))
     raise InputError(f"unknown model kind {kind!r}; expected one of {MODEL_KINDS}")
 
 
@@ -179,21 +184,20 @@ class _FractionCells(Mapping):
         return len(self._grid)
 
 
-def _check_addresses(depth, cells: Mapping[str, Cell]) -> None:
-    """Reject a depth below 0, or addresses other than exactly the binary
-    words of length 0..depth: every address is such a word, the root is
-    there, and every address shorter than depth has both children."""
-    check_count(depth, f"tree depth must be an int >= 0, got {depth!r}")
-    for a in cells:
-        if len(binary_word(a)) > depth:
-            raise InputError(f"address {a!r} is deeper than the tree depth {depth}")
+def _checked_depth(cells: Mapping[str, Cell]) -> int:
+    """The tree depth of the addresses, the longest one's length.  Rejects
+    addresses other than exactly the binary words of length 0..depth: the
+    root is there, every address is such a word, and every address shorter
+    than depth has both children."""
     if "" not in cells:
         raise InputError("a refinement tree needs its root cell ''")
+    depth = max(len(binary_word(a)) for a in cells)
     for a in cells:
         if len(a) < depth:
             for child in (a + "0", a + "1"):
                 if child not in cells:
                     raise InputError(f"tree of depth {depth} has no cell {child!r}")
+    return depth
 
 
 @dataclass(frozen=True, init=False)
@@ -212,12 +216,12 @@ class RefinementTree:
     grid: Mapping[str, Cell]
     scale: int
 
-    def __init__(self, model: PeanoModel, depth: int,
-                 cells: Mapping[str, Cell]):
+    def __init__(self, model: PeanoModel, cells: Mapping[str, Cell]):
         """A tree of the given rational cells, put on the lcm grid of all
-        their coordinates' denominators.  The addresses must be exactly the
-        binary words of length 0..depth, else `InputError`."""
-        _check_addresses(depth, cells)
+        their coordinates' denominators.  Its depth is the longest address's
+        length, and the addresses must be exactly the binary words of length
+        0..depth, else `InputError`."""
+        depth = _checked_depth(cells)
         scale = _lcm_scale(cells.values())
         self._fill(model, depth,
                    {a: _onto_grid(c, scale) for a, c in cells.items()}, scale)

@@ -64,6 +64,8 @@ def rat(value) -> Fraction:
 
 
 def parse_rational(text: str) -> Fraction:
+    if not isinstance(text, str):
+        raise InputError(f"not a rational 'p/q' string: {text!r}")
     text = text.strip()
     try:
         if "/" in text:
@@ -82,6 +84,7 @@ def rational_str(x: Fraction) -> str:
 def decimal_str(x: Fraction, digits: int) -> str:
     """Truncated (not rounded) decimal rendering, for plotting convenience only."""
     check_count(digits, "digits must be >= 0")
+    x = rat(x)
     sign = "-" if x < 0 else ""
     scale = 10 ** digits
     whole, frac = divmod(abs(x.numerator) * scale // x.denominator, scale)
@@ -99,9 +102,12 @@ Point = tuple  # tuple of Fraction, length = ambient dimension (1 or 2)
 
 def distance(p: Point, q: Point) -> Fraction:
     """Chebyshev (max-coordinate) distance between two points."""
-    if len(p) != len(q):
-        raise InputError(f"dimension mismatch: {len(p)} vs {len(q)}")
-    return max(map(abs, map(sub, p, q)))
+    try:
+        if len(p) == len(q):
+            return max(map(abs, map(sub, p, q)))
+    except (TypeError, ValueError) as exc:  # not sequences, or no axes
+        raise InputError(f"not two points: {p!r}, {q!r}") from exc
+    raise InputError(f"dimension mismatch: {len(p)} vs {len(q)}")
 
 
 # ---------------------------------------------------------------------------
@@ -229,7 +235,9 @@ def _canonical_boxes(boxes: Sequence[Box]) -> tuple:
     if dim == 1:
         merged = _merge_intervals([(b.lo[0], b.hi[0]) for b in boxes])
         return tuple(Box((lo,), (hi,)) for lo, hi in merged)
-    return _canonical_boxes_2d(boxes)
+    if dim == 2:
+        return _canonical_boxes_2d(boxes)
+    raise InputError(f"regions have 1 or 2 axes, not {dim}")
 
 
 def _canonical_boxes_2d(boxes: Sequence[Box]) -> tuple:
@@ -264,12 +272,21 @@ def region(boxes) -> Region:
     """Canonicalize a box (or iterable of boxes) into a Region."""
     if isinstance(boxes, Box):
         return Region((boxes,))  # a single box is already canonical
-    boxes = list(boxes)
+    try:
+        boxes = list(boxes)
+    except TypeError:
+        raise InputError(f"a region takes a Box or Boxes, got {boxes!r}") \
+            from None
     if not boxes:
         raise InputError("a region must contain at least one box")
     if len(boxes) == 1:
+        if not isinstance(boxes[0], Box):
+            raise InputError(f"a region takes Boxes, got {boxes[0]!r}")
         return Region(tuple(boxes))
-    return Region(_canonical_boxes(boxes))
+    try:
+        return Region(_canonical_boxes(boxes))
+    except (AttributeError, TypeError) as exc:  # not Boxes, or incomparable
+        raise InputError(f"a region takes Boxes, got {boxes!r}") from exc
 
 
 def bounding_box(boxes: Sequence[Box]) -> tuple:

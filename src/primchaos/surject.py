@@ -91,10 +91,13 @@ MAX_GRID_CELLS = 2 ** 20
 # so does the CLI document (about 0.2 MB for 256 pins)
 MAX_WAYPOINTS = 256
 # most steps of the block certificate's walk: the pieces it reads, one per
-# target cylinder of each source staircase it meets.  Bounded twice: by
-# |A_k| * |B_k| summed over the map's pairs, which is what checking the
-# blocks the map was built from reads, and by the staircases of the sources
-# the given A cylinders meet, counted before the walk
+# target cylinder of each source staircase it meets, and the given A and B
+# cylinders it scans and searches.  Bounded three times: by the given A
+# cylinders and the given B cylinders, each summed over their blocks with a
+# repeated block counted each time; by |A_k| * |B_k| summed over the map's
+# pairs, which is what checking the blocks the map was built from reads;
+# and by the staircases of the sources the given A cylinders meet, counted
+# before the walk
 MAX_BLOCK_STEPS = 2 ** 17
 
 
@@ -420,12 +423,22 @@ def check_block_depth(blocks_a: Sequence[ClopenBlock],
                       blocks_b: Sequence[ClopenBlock], depth: int) -> None:
     """Reject block lists that are not lists of `ClopenBlock`s, then a depth
     `verify_block_surjection` cannot take: not an int >= 0, then over
-    `MAX_CYLINDER_BITS` (its eps would not print), then shorter than a
-    cylinder, naming the first in the order A_0, B_0, A_1, ..."""
+    `MAX_CYLINDER_BITS` (its eps would not print).  Then lists of unequal
+    length, or whose A or B cylinders, a block counted each time it
+    appears, number over `MAX_BLOCK_STEPS`, before any cylinder is read.
+    Then a depth shorter than a cylinder, naming the first in the order
+    A_0, B_0, A_1, ..."""
     _check_block_lists(blocks_a, blocks_b)
     check_count(depth, "depth must be >= 0")
     if depth > MAX_CYLINDER_BITS:
         raise InputError(f"depth {depth} longer than {MAX_CYLINDER_BITS} bits")
+    if len(blocks_a) != len(blocks_b):
+        raise InputError("need as many target blocks as source blocks")
+    for side, blocks in (("A", blocks_a), ("B", blocks_b)):
+        count = sum(len(b.cylinders) for b in blocks)
+        if count > MAX_BLOCK_STEPS:
+            raise InputError(f"{side} blocks of {count} cylinders exceed the "
+                             f"work limit of {MAX_BLOCK_STEPS} block steps")
     for a_blk, b_blk in zip(blocks_a, blocks_b):
         for c in (*a_blk.cylinders, *b_blk.cylinders):
             if len(c) > depth:
@@ -441,9 +454,10 @@ def verify_block_surjection(f: CantorMap, blocks_a: Sequence[ClopenBlock],
     its image enclosure inside B_i.  Covering direction is at the map's
     modulus: every depth-n cylinder of B_i must meet some image enclosure,
     which bounds the Hausdorff defect by modulus(depth).  A depth that is
-    not an int in [0, `MAX_CYLINDER_BITS`] or is shorter than a cylinder is
-    rejected (`check_block_depth`) before the modulus is read, then a map
-    whose pairs exceed `MAX_BLOCK_STEPS`, then A blocks whose walk would
+    not an int in [0, `MAX_CYLINDER_BITS`] or is shorter than a cylinder,
+    and block lists of unequal length or of more than `MAX_BLOCK_STEPS` A
+    or B cylinders, are rejected (`check_block_depth`) before the modulus
+    is read, then a map whose pairs exceed it, then A blocks whose walk would
     read more pieces than that: an A cylinder under a source reads at most
     its staircase, and one above sources reads all of theirs, counted by a
     prefix sum over the sorted sources.
@@ -469,7 +483,7 @@ def verify_block_surjection(f: CantorMap, blocks_a: Sequence[ClopenBlock],
     index, ordered = f._sources
     before = [0, *accumulate(len(f.pairs[index[s]][1].cylinders)
                              for s in ordered)]
-    walked = [p for a, _ in zip(blocks_a, blocks_b) for p in a.cylinders]
+    walked = [p for a in blocks_a for p in a.cylinders]
     pieces = 0
     for p in walked:
         j = bisect_right(ordered, p)

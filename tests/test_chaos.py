@@ -410,8 +410,7 @@ def custom_system(kind, events, branches):
     return ChaosSystem(
         kind, events,
         tuple(AffineBranch(tuple((F(a), F(b)) for a, b in br))
-              for br in branches),
-        region([b for ev in events for b in ev.boxes]))
+              for br in branches))
 
 
 # two-box event under a reflection: enclosures keep two pieces, and the
@@ -694,15 +693,29 @@ def test_non_rational_coefficients_rejected():
 def test_malformed_systems_rejected():
     d, b = make_system("doubling"), make_system("baker")
     with pytest.raises(InputError, match="need a branch each"):
-        ChaosSystem("short", d.events, d.branches[:1], d.space)
+        ChaosSystem("short", d.events, d.branches[:1])
     with pytest.raises(InputError, match="event must have"):
-        ChaosSystem("event_axes", (d.events[0], b.events[1]), d.branches,
-                    d.space)
+        ChaosSystem("event_axes", (d.events[0], b.events[1]), d.branches)
     with pytest.raises(InputError, match="one law per axis"):
-        ChaosSystem("branch_axes", d.events, (d.branches[0], b.branches[1]),
-                    d.space)
-    with pytest.raises(InputError, match="event must have"):
-        ChaosSystem("space_axes", d.events, d.branches, b.space)
+        ChaosSystem("branch_axes", d.events, (d.branches[0], b.branches[1]))
+    # no events leave no space, and a branch past the events no symbol reads
+    with pytest.raises(InputError) as info:
+        ChaosSystem("none", (), ())
+    assert str(info.value) == "a system needs at least one event"
+    with pytest.raises(InputError) as info:
+        ChaosSystem("long", d.events, d.branches * 2)
+    assert str(info.value) == "2 events need a branch each, got 4 branches"
+
+
+def test_space_is_the_union_of_the_events():
+    spaces = {"shift_cantor": [box1(0, F(1, 3)), box1(F(2, 3), 1)],
+              "doubling": [box1(0, 1)], "tent": [box1(0, 1)],
+              "baker": [box2(0, 1, 0, 1)]}
+    for kind in SYSTEM_KINDS:
+        s = make_system(kind)
+        assert s.space == region(spaces[kind]) == \
+            region([b for ev in s.events for b in ev.boxes]), kind
+        assert ChaosSystem(kind, s.events, s.branches).space == s.space
 
 
 # ---------------------------------------------------------------------------

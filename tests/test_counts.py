@@ -13,7 +13,6 @@ from primchaos.errors import InputError, check_count
 
 MODEL = embedding.make_model("interval")
 TREE = embedding.build_refinement(MODEL, 2)
-ROOT = {"": TREE.cells[""]}
 DOUBLING = chaos.make_system("doubling")
 CANTOR_MAP = surject.CantorMap("binary_expansion")
 WHOLE = surject.clopen_partition(1)
@@ -26,8 +25,6 @@ DEPTH = "depth must be >= 0"
 ROUTINES = {
     "build_refinement": (lambda n: embedding.build_refinement(MODEL, n), 0,
                          lambda n: DEPTH),
-    "RefinementTree": (lambda n: embedding.RefinementTree(MODEL, n, ROOT), 0,
-                       lambda n: f"tree depth must be an int >= 0, got {n!r}"),
     "RefinementTree.level": (TREE.level, 0,
                              lambda n: f"level must be an int >= 0, got {n!r}"),
     "check_stage_invariants": (
@@ -293,7 +290,7 @@ def test_block_walk_bounds_the_pieces_of_the_given_blocks(cylinder, copies,
     target = [surject.ClopenBlock(words(256, 8))]
     f = surject.block_surjection([surject.ClopenBlock(words(512, 9))], target)
     blocks = [surject.ClopenBlock((cylinder,))] * (copies + 1)
-    assert_walk_bound(f, blocks, target * (copies + 1), monkeypatch)
+    assert_walk_bound(f, blocks, WHOLE * (copies + 1), monkeypatch)
 
 
 def test_block_walk_counts_each_source_its_own_staircase(monkeypatch):
@@ -306,6 +303,41 @@ def test_block_walk_counts_each_source_its_own_staircase(monkeypatch):
     blocks = [surject.ClopenBlock(("0",))] + \
         [surject.ClopenBlock(("1",))] * (2 ** 16 + 1)
     assert_walk_bound(f, blocks, target + WHOLE * (2 ** 16 + 1), monkeypatch)
+
+
+@pytest.mark.parametrize("side", ["A", "B"])
+def test_block_lists_bound_their_cylinders_before_the_walk(side, monkeypatch):
+    # copies of one 256-cylinder block against the whole space: each copy
+    # counts, so 512 copies (2^17 cylinders) pass and one more is rejected,
+    # however few steps the map takes: repeated B blocks cost time unbounded
+    f = surject.block_surjection(WHOLE, WHOLE)
+    many = surject.ClopenBlock(words(256, 8))
+    monkeypatch.setattr(surject, "_first_miss", _reached)
+
+    def verify(copies):
+        lists = ([many] * copies, WHOLE * copies)
+        return surject.verify_block_surjection(
+            f, *(lists if side == "A" else lists[::-1]), 20)
+    with pytest.raises(Reached):
+        verify(512)
+    for copies in (513, 10 ** 5):
+        with pytest.raises(InputError) as info:
+            verify(copies)
+        assert str(info.value) == (
+            f"{side} blocks of {256 * copies} cylinders exceed the work "
+            f"limit of {surject.MAX_BLOCK_STEPS} block steps")
+
+
+def test_block_lists_of_unequal_length_rejected():
+    # a second A block was dropped by the pairing, and the report counted it
+    f = surject.block_surjection(WHOLE, WHOLE)
+    for check in (surject.check_block_depth,
+                  lambda *a: surject.verify_block_surjection(f, *a)):
+        for blocks_a, blocks_b in ((WHOLE * 2, WHOLE), (WHOLE, WHOLE * 2)):
+            with pytest.raises(InputError) as info:
+                check(blocks_a, blocks_b, 20)
+            assert str(info.value) == \
+                "need as many target blocks as source blocks"
 
 
 def assert_walk_bound(f, blocks_a, blocks_b, monkeypatch):

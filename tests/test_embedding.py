@@ -111,7 +111,7 @@ def test_cell_with_one_distinct_marked_point_reported():
     # are [0, 1/4]: the marked points inside the root are one point
     zero = (F(0),)
     child = Cell(region(box1(0, F(1, 4))), (zero, zero))
-    t = RefinementTree(make_model("interval"), 1, {
+    t = RefinementTree(make_model("interval"), {
         "": Cell(region(box1(0, 1)), (zero, zero)), "0": child, "1": child})
     rep = check_stage_invariants(t, 0)
     assert rep == oracle_check(t, 0)
@@ -317,7 +317,7 @@ def _corrupt(kind, depth, addr, lo=None, hi=None, marked=None, extra=None):
     if extra is not None:
         cell = Cell(region([*cell.region.boxes, extra]), cell.marked)
     cells[addr] = Cell(cell.region, marked or cell.marked)
-    return RefinementTree(t.model, t.depth, cells)
+    return RefinementTree(t.model, cells)
 
 
 CORRUPTED = {
@@ -441,17 +441,38 @@ def test_tree_constructor_rejects_addresses_off_its_depth():
     t = build_refinement(make_model("interval"), 2)
     cells = dict(t.cells)
     missing = {a: c for a, c in cells.items() if a != "01"}
-    for depth, given_cells, message in (
-            (2, missing, "tree of depth 2 has no cell '01'"),
-            (5, cells, "tree of depth 5 has no cell '000'"),
-            (2, {**cells, "012": cells["01"]}, "must be a string of 0s and 1s"),
-            (2, {**cells, "000": cells["00"]}, "'000' is deeper than the tree"),
-            (2, {a: c for a, c in cells.items() if a}, "needs its root cell"),
-            (-1, cells, "tree depth must be an int >= 0"),
-            (-1, {}, "tree depth must be an int >= 0")):
+    for given_cells, message in (
+            (missing, "tree of depth 2 has no cell '01'"),
+            ({**cells, "012": cells["01"]}, "must be a string of 0s and 1s"),
+            ({**cells, "000": cells["00"]}, "tree of depth 3 has no cell '001'"),
+            ({a: c for a, c in cells.items() if a}, "needs its root cell"),
+            ({}, "needs its root cell")):
         with pytest.raises(InputError, match=message):
-            RefinementTree(t.model, depth, given_cells)
-    assert RefinementTree(t.model, 0, {"": cells[""]}).depth == 0
+            RefinementTree(t.model, given_cells)
+    assert RefinementTree(t.model, {"": cells[""]}).depth == 0
+
+
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_tree_constructor_takes_the_longest_address_as_its_depth(kind):
+    for depth in range(5):
+        t = build_refinement(make_model(kind), depth)
+        rebuilt = RefinementTree(t.model, dict(t.cells))
+        assert rebuilt.depth == t.depth == depth
+        assert dict(rebuilt.cells) == dict(t.cells)
+
+
+def test_model_dimension_is_its_roots():
+    # a model built on the square's root is 2-d whatever its kind, and its
+    # cells keep both axes
+    square = make_model("square")
+    model = PeanoModel("lying", square.root)
+    assert [m.dim for m in (model, square)] == [2, 2]
+    assert [make_model(k).dim for k in MODEL_KINDS] == [1, 2, 2]
+    t = build_refinement(model, 2)
+    assert all(len(p) == 2 for c in t.cells.values()
+               for p in (*c.marked, *(x for b in c.region.boxes
+                                      for x in (b.lo, b.hi))))
+    assert dict(t.cells) == dict(build_refinement(square, 2).cells)
 
 
 def _linear_window(cells, lo, hi):
@@ -559,7 +580,7 @@ def test_grid_corners_are_ints_and_cells_are_fractions(trees):
                    for cell in t.grid.values() for x in _coords(cell)), kind
         assert all(type(x) is F
                    for cell in t.cells.values() for x in _coords(cell)), kind
-        rebuilt = RefinementTree(t.model, t.depth, dict(t.cells))
+        rebuilt = RefinementTree(t.model, dict(t.cells))
         assert dict(rebuilt.cells) == dict(t.cells)
         assert "0" * t.depth in t.cells and "0" * (t.depth + 1) not in t.cells
 
@@ -569,7 +590,7 @@ def _affine_image(t, a, b):
     the public constructor."""
     def f(p):
         return tuple(a * x + b for x in p)
-    return RefinementTree(t.model, t.depth, {
+    return RefinementTree(t.model, {
         addr: Cell(region([Box(f(bx.lo), f(bx.hi)) for bx in c.region.boxes]),
                    (f(c.marked[0]), f(c.marked[1])))
         for addr, c in t.cells.items()})
@@ -589,7 +610,7 @@ def test_non_dyadic_cells_give_the_same_verdicts(name):
 
 
 def test_subdivide_on_the_grid_is_exact():
-    m = PeanoModel("interval", 1, region(Box((0,), (8,))))
+    m = PeanoModel("interval", region(Box((0,), (8,))))
     (r1, mk1), (r2, mk2) = subdivide(m, m.root, ((0,), (8,)))
     assert (r1, mk1) == (region(Box((0,), (2,))), ((0,), (2,)))
     assert (r2, mk2) == (region(Box((6,), (8,))), ((6,), (8,)))
@@ -658,7 +679,7 @@ def test_split_matches_fraction_oracle(case):
 def test_grid_split_off_the_grid_raises_on_both_paths(dim, data):
     # a marked distance that is no multiple of 4 has no grid radius, on a
     # one-box cell and on the same cell beside a second box alike
-    model = PeanoModel("grid", dim, region(Box((0,) * dim, (40,) * dim)))
+    model = PeanoModel("grid", region(Box((0,) * dim, (40,) * dim)))
     axes = [sorted(data.draw(st.tuples(st.integers(0, 16),
                                        st.integers(0, 16))))
             for _ in range(dim)]
@@ -750,7 +771,7 @@ def perturbed_trees(draw):
                                 st.tuples(st.sampled_from(pool),
                                           st.sampled_from(pool))))
         cells[a] = Cell(r, marked)
-    return RefinementTree(t.model, t.depth, cells)
+    return RefinementTree(t.model, cells)
 
 
 @settings(max_examples=300, deadline=None)

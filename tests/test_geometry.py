@@ -573,3 +573,73 @@ def test_axis_index_near_matches_a_scan(case):
                   for b in boxes if not oracle_box_disjoint(b, query))
     got = AxisIndex(groups).near(query.lo, query.hi)
     assert sorted((j, b.sort_key()) for j, b in got) == want
+
+
+# ---------------------------------------------------------------------------
+# the input contract: a malformed data argument raises InputError
+# ---------------------------------------------------------------------------
+
+ONE_BOX = box1(0, 1)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: region(None),
+    lambda: region(1),
+    lambda: region("01"),
+    lambda: region([None]),
+    lambda: region([(0, 1)]),
+    lambda: region([ONE_BOX, None]),
+    lambda: region([Box((), ()), Box((), ())]),
+    lambda: region([Box((0,) * 3, (1,) * 3), Box((0, 0, 5), (1, 1, 6))]),
+    lambda: distance(None, (1,)),
+    lambda: distance((1,), None),
+    lambda: distance(("x",), (1,)),
+    lambda: distance((), ()),
+    lambda: decimal_str(None, 2),
+    lambda: decimal_str(1.5, 2),
+    lambda: parse_rational(None),
+], ids=["region_none", "region_int", "region_str", "region_none_box",
+        "region_pair", "region_box_and_none", "region_no_axes",
+        "region_three_axes",
+        "distance_none_p", "distance_none_q", "distance_str_axis",
+        "distance_no_axes", "decimal_none", "decimal_float", "parse_none"])
+def test_malformed_data_arguments_raise_input_error(call):
+    with pytest.raises(InputError):
+        call()
+
+
+LEAVES = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(),
+    st.fractions(max_denominator=99), st.text(max_size=6),
+    st.binary(max_size=6), st.sampled_from(["", "0", "101", "1/2", "zeros"]),
+    st.sampled_from([ONE_BOX, box1(F(1, 2), 2), box2(0, 1, 0, 1),
+                     Box((), ())]))
+# None, bools, ints, floats, strings, bytes, boxes, and lists and tuples
+# of them, empty, nested and of any length
+JUNK = st.recursive(LEAVES, lambda inner: st.one_of(
+    st.lists(inner, max_size=3), st.tuples(inner),
+    st.tuples(inner, inner, inner)), max_leaves=6)
+# a digit count stays small: 10 ** digits is built before anything is read
+DIGITS = st.one_of(st.integers(-2, 40), st.none(), st.floats(),
+                   st.text(max_size=2))
+
+CONTRACT_CALLS = {
+    "rat": lambda draw: rat(draw(JUNK)),
+    "parse_rational": lambda draw: parse_rational(draw(JUNK)),
+    "decimal_str": lambda draw: decimal_str(draw(JUNK), draw(DIGITS)),
+    "binary_word": lambda draw: binary_word(draw(JUNK)),
+    "cylinder": lambda draw: cylinder(draw(JUNK)),
+    "eval_ternary_address": lambda draw: eval_ternary_address(
+        draw(JUNK), draw(JUNK)),
+    "region": lambda draw: region(draw(JUNK)),
+    "distance": lambda draw: distance(draw(JUNK), draw(JUNK)),
+}
+
+
+@settings(max_examples=600, deadline=None)
+@given(st.sampled_from(sorted(CONTRACT_CALLS)), st.data())
+def test_data_arguments_return_or_raise_input_error(name, data):
+    try:
+        CONTRACT_CALLS[name](data.draw)
+    except InputError:
+        pass
