@@ -8,10 +8,10 @@ passed, 1 at least one check failed, 2 input rejected, before any check ran
 or, for an --out that cannot be written, before anything is printed.
 --format csv and --decimal need --out, and --swap-halves excludes --block.
 Every leaf command is one entry of the `COMMANDS` table.  Each call builds
-the parser tree from that table, but only the branch its argv selects gets
-its arguments: the other groups get their names and help lines only, and
-the selected group's other leaves their names.  The kinds of a --kind
-group share one parser, so an option of another kind that differs from its
+from that table only the parsers its argv passes through: every other
+group and leaf keeps its name, and a group its help line, among its
+parent's choices, with no parser behind it.  The kinds of a --kind group
+share one parser, so an option of another kind that differs from its
 default is rejected with 2.  Each library routine bounds its own input and
 raises `InputError` (exit 2) before any work; the CLI checks only --decimal,
 --format, --out, option syntax and options of another kind.
@@ -34,7 +34,10 @@ from . import embedding as embed_mod
 from . import fintop as fintop_mod
 from . import surject as surject_mod
 from .errors import ConstructionError, InputError
+# the most --decimal digits is `decimal_str`'s own bound: every rational of
+# a csv document gets an "approx" cell of that many digits
 from .geometry import (
+    MAX_DECIMAL_DIGITS as MAX_DECIMAL,
     decimal_str,
     parse_rational,
     point_doc,
@@ -43,9 +46,6 @@ from .geometry import (
 )
 
 PROG = "primchaos"
-# most --decimal digits: every rational of a csv document gets an "approx"
-# cell of that many digits, so the bound caps the document's size
-MAX_DECIMAL = 1024
 
 EPILOG = """\
 output formats:
@@ -70,7 +70,8 @@ work limits, checked before any work by the library, under the constant named:
     orbit steps, --samples times the bit length of 1/delta plus 8
     (chaos.MAX_SENSITIVITY_STEPS), --delta at most 1024 bits in numerator
     and denominator (chaos.MAX_DELTA_BITS)
-  fintop discreteN, 1 <= N <= 8; the CLI's own --decimal 0..1024 (MAX_DECIMAL)
+  fintop discreteN, 1 <= N <= 8; --decimal 0..1024
+    (geometry.MAX_DECIMAL_DIGITS)
 """
 
 
@@ -452,13 +453,23 @@ def build_parser(argv: Optional[Sequence[str]] = None
                  ) -> argparse.ArgumentParser:
     """The parser of every command, built from `COMMANDS`.
 
-    Every group parser is created, and in the group that argv selects every
-    leaf parser, so the names, help lines and errors on argv's path are
-    those of the whole tree.  Only the selected group, or in a subcommand
-    group the selected leaf, gets its arguments.  Without argv, or when argv
-    does not name a group and leaf exactly, the whole tree is built.
+    Only the parsers on argv's path are built: the root, the group argv
+    selects and, in a subcommand group, the selected leaf.  Every other
+    group or leaf is a placeholder, None, under its name among its parent's
+    choices, and a group keeps its help line, so the usage, the help of
+    every parser on the path, the errors and the parsed namespace are those
+    of the whole tree.  Without argv, or when argv does not name a group and leaf
+    exactly, every parser is on the path: the whole tree is built.
     """
     branch = _selected_branch(argv)
+
+    def parser_class(prog, **kwargs):
+        # a subparser's prog is its parent's, a space, and its name
+        path = tuple(prog.split()[1:])
+        if branch is None or branch[:len(path)] == path:
+            return argparse.ArgumentParser(prog=prog, **kwargs)
+        return None
+
     parser = argparse.ArgumentParser(
         prog=PROG,
         description="exact constructions for Cantor sets, coarse-graining "
@@ -467,18 +478,20 @@ def build_parser(argv: Optional[Sequence[str]] = None
         epilog=EPILOG,
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True,
+                                parser_class=parser_class)
     for group, (help_text, choice) in GROUPS.items():
         p = sub.add_parser(group, help=help_text)
-        if branch is not None and branch[0] != group:
+        if p is None:
             continue
         leaves = [(path[1:], cmd) for path, cmd in COMMANDS.items()
                   if path[0] == group]
         if choice == "subcommand":
-            leaf_sub = p.add_subparsers(dest=choice, required=True)
+            leaf_sub = p.add_subparsers(dest=choice, required=True,
+                                        parser_class=parser_class)
             for (name,), cmd in leaves:
                 leaf = leaf_sub.add_parser(name)
-                if branch in (None, (group, name)):
+                if leaf is not None:
                     _add_arguments(leaf, cmd.args)
             continue
         if choice == "kind":

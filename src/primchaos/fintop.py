@@ -574,16 +574,17 @@ def sweep(points: Sequence[str]) -> CheckReport:
     decomposition of every topology builds a valid space, and decomposing
     by singletons gives a space homeomorphic to the original.
 
-    Every (topology, partition) pair's quotient relation is computed, its
-    first step read from two tables built once: per topology the up-set of
-    every point subset, per partition the block bits of every point subset.
-    Many topologies give a partition the same relation, so each distinct
-    relation is tested once per partition by `_is_preorder`, the test the
-    constructor makes (a `Partition`'s block labels are distinct); the
-    count covers every pair, and a relation that is no preorder fails the
-    check instead of raising.  The identity onto a singleton quotient is a
-    homeomorphism iff its relation is the space's own rows, which decides
-    functoriality in the same pass.
+    Every (topology, partition) pair's first step is read from two tables
+    built once: per topology the up-set of every point subset, per
+    partition the block bits of every point subset.  Many topologies give a
+    partition the same first step, so each distinct step is closed into its
+    quotient relation once per partition, and many steps close to the same
+    relation, so each distinct relation is tested once per partition by
+    `_is_preorder`, the test the constructor makes (a `Partition`'s block
+    labels are distinct); the count covers every pair, and a relation that
+    is no preorder fails the check instead of raising.  The identity onto a
+    singleton quotient is a homeomorphism iff its relation is the space's
+    own rows, which decides functoriality in the same pass.
     """
     spaces = all_topologies(points)
     pts = tuple(points)
@@ -592,9 +593,12 @@ def sweep(points: Sequence[str]) -> CheckReport:
     n_valid = n_funct = 0
     for D in parts:
         bits = _subset_table(D.bits)
-        valid = {}
+        closed, valid = {}, {}
         for X, up in zip(spaces, ups):
-            reach = _quotient_relation([bits[up[bm]] for bm in D.masks])
+            step = tuple(bits[up[bm]] for bm in D.masks)
+            reach = closed.get(step)
+            if reach is None:
+                reach = closed[step] = _quotient_relation(list(step))
             if reach not in valid:
                 valid[reach] = _is_preorder(reach)
             n_valid += valid[reach]

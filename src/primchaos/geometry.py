@@ -47,6 +47,8 @@ from typing import Optional, Sequence
 from .errors import InputError, check_count
 
 ONE = Fraction(1)
+# most digits `decimal_str` renders: it builds 10 ** digits before anything
+MAX_DECIMAL_DIGITS = 1024
 
 
 def rat(value) -> Fraction:
@@ -82,8 +84,12 @@ def rational_str(x: Fraction) -> str:
 
 
 def decimal_str(x: Fraction, digits: int) -> str:
-    """Truncated (not rounded) decimal rendering, for plotting convenience only."""
+    """Truncated (not rounded) decimal rendering, for plotting convenience
+    only, of at most `MAX_DECIMAL_DIGITS` digits."""
     check_count(digits, "digits must be >= 0")
+    if digits > MAX_DECIMAL_DIGITS:
+        raise InputError(f"digits {digits} exceeds the work limit of "
+                         f"{MAX_DECIMAL_DIGITS} digits")
     x = rat(x)
     sign = "-" if x < 0 else ""
     scale = 10 ** digits

@@ -13,6 +13,8 @@ from pathlib import Path
 from time import perf_counter
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from cli_cases import CASES
 from primchaos import chaos, cli, embedding, surject
@@ -447,6 +449,47 @@ PARSER_ORACLE_ARGVS = (
 
 @pytest.mark.parametrize("argv", PARSER_ORACLE_ARGVS)
 def test_selected_parser_matches_full_tree(argv, capsys):
+    assert _parse_outcome(cli.build_parser(argv), argv, capsys) == \
+        _parse_outcome(cli.build_parser(), argv, capsys)
+
+
+# every option, with each of its flags, and every group, leaf and kind name
+FLAGS = sorted({flag for cmd in cli.COMMANDS.values()
+                for flags, _ in (*cmd.args, *cli.COMMON) for flag in flags}
+               | {"--kind"})
+NAMES = sorted({name for path in cli.COMMANDS for name in path})
+# option values, valid for some option and malformed for the others: p/0,
+# negative and huge counts, words of foreign symbols
+VALUES = sorted({*chaos.SYSTEM_KINDS, *embedding.MODEL_KINDS, "csv", "json",
+                 "0", "3", "-1", "-7", str(2 ** 70), "1/64", "1/0", "p/0",
+                 "01", "0110", "012", "ab", "ab|c", "a=b", "1/2=1/2,1/2",
+                 "00:1", "x", "\u00e9"})
+TOKEN = st.one_of(
+    st.tuples(st.sampled_from(FLAGS), st.sampled_from(VALUES)).map(list),
+    st.sampled_from(FLAGS + NAMES + VALUES + ["-h", "--help", "--"]).map(
+        lambda word: [word]))
+
+
+@st.composite
+def cli_argvs(draw):
+    """A leaf's path, whole or cut short, then options of any leaf, names
+    and values, with -h, --help or -- at any position."""
+    head = draw(st.sampled_from(LEAVES))
+    argv = head[:draw(st.integers(0, len(head)))] if draw(st.booleans()) \
+        else list(head)
+    for token in draw(st.lists(TOKEN, max_size=5)):
+        argv += token
+    for word in draw(st.lists(st.sampled_from(["-h", "--help", "--"]),
+                              max_size=2)):
+        argv.insert(draw(st.integers(0, len(argv))), word)
+    return argv
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=cli_argvs())
+def test_selected_parser_matches_full_tree_on_drawn_argv(argv, capsys):
+    # the parsers argv selects parse, print and fail as the whole tree does
     assert _parse_outcome(cli.build_parser(argv), argv, capsys) == \
         _parse_outcome(cli.build_parser(), argv, capsys)
 

@@ -2,13 +2,19 @@
 is not an int in range with `InputError` and its own message, through
 `errors.check_count`: never with a `TypeError`, and never by running on a
 float.  A routine whose work grows with its count bounds it too, before
-any work: the CLI's limits are these bounds."""
+any work: the CLI's limits are these bounds.  And the work counts of two
+fast paths: the parsers one CLI invocation builds, and the closures the
+fintop sweep computes."""
 
+import argparse
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
 
-from primchaos import chaos, embedding, geometry, surject
+from cli_cases import CASES
+from fintop_oracle import oracle_union
+from primchaos import chaos, cli, embedding, fintop, geometry, surject
 from primchaos.errors import InputError, check_count
 
 MODEL = embedding.make_model("interval")
@@ -220,6 +226,9 @@ BOUNDS = {
                         1024, word_past, (chaos, "_witness_orbit")),
     "periodic_point": (lambda n: chaos.periodic_point(DOUBLING, "1" * n),
                        1024, word_past, (chaos, "_primitive_root")),
+    "decimal_str": (lambda n: geometry.decimal_str(F(1, 3), n), 1024,
+                    lambda n: f"digits {n} exceeds the work limit of 1024 "
+                              f"digits", (geometry, "rat")),
 }
 # the bounds on a count a caller can make huge without building a list
 HUGE = [name for name in BOUNDS if name not in (
@@ -361,3 +370,67 @@ def test_waypoint_map_bounds_its_pins():
     with pytest.raises(InputError) as info:
         surject.waypoint_map(pins(257), "interval")
     assert str(info.value) == "at most 256 waypoints, got 257"
+
+
+# the parsers of the whole tree: the root, 4 groups, 5 chaos and 4 fintop
+# leaves
+WHOLE_TREE = 14
+# parsers on a valid path: the root and the group, and a subcommand's leaf
+PATH_PARSERS = {None: 2, "kind": 2, "subcommand": 3}
+
+
+@pytest.mark.parametrize("argv,built", [
+    pytest.param(argv, PATH_PARSERS[cli.GROUPS[argv[0]][1]], id=name)
+    for name, argv, _, _ in CASES] + [
+    pytest.param(argv, WHOLE_TREE, id=" ".join(argv) or "no-argv")
+    for argv in ([], ["bogus"], ["chaos"], ["chaos", "bogus"],
+                 ["--", "fintop", "sweep"], ["--out", "x.json", "embed"])])
+def test_main_builds_the_parsers_on_argvs_path(argv, built, tmp_path,
+                                              monkeypatch, capsys):
+    # a valid path builds its own parsers only; an argv that names no group
+    # and leaf builds the whole tree, whose errors it gets
+    made = []
+    init = argparse.ArgumentParser.__init__
+
+    def spy(self, *args, **kwargs):
+        made.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", spy)
+    cli.main(list(argv))
+    assert len(made) == len(set(made)) == built, made
+
+
+def test_sweep_closes_each_distinct_first_step_once(monkeypatch):
+    # each partition closes each distinct first step of its quotient
+    # relation once, whichever topologies give it; every pair is counted
+    pts = tuple("abcd")
+    parts = [fintop.Partition(pts, blocks)
+             for blocks in fintop.all_partitions(pts)]
+    want = {(D.bits, tuple(oracle_union(D.bits, oracle_union(X.nbhds, bm))
+                           for bm in D.masks))
+            for X in fintop.all_topologies(pts) for D in parts}
+    assert len(want) == 612
+    seen = Counter()
+    current = []
+    table, close = fintop._subset_table, fintop._quotient_relation
+
+    def tables(masks):
+        # the sweep builds a partition's block-bit table just before it
+        # closes that partition's steps, so the last table names it
+        current[:] = [masks]
+        return table(masks)
+
+    def recording(reach):
+        seen[current[0], tuple(reach)] += 1
+        return close(reach)
+
+    monkeypatch.setattr(fintop, "_subset_table", tables)
+    monkeypatch.setattr(fintop, "_quotient_relation", recording)
+    rep = fintop.sweep(pts)
+    assert [(c.passed, c.witness) for c in rep.checks] == [
+        (True, "5325 of 5325 (355 topologies x 15 partitions)"),
+        (True, "355 of 355 spaces")]
+    assert set(seen) == want
+    assert sum(seen.values()) == 612

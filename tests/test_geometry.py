@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from primchaos import geometry
 from primchaos.errors import InputError
 from primchaos.geometry import (
+    MAX_DECIMAL_DIGITS,
     AxisIndex,
     Box,
     Region,
@@ -619,9 +620,11 @@ LEAVES = st.one_of(
 JUNK = st.recursive(LEAVES, lambda inner: st.one_of(
     st.lists(inner, max_size=3), st.tuples(inner),
     st.tuples(inner, inner, inner)), max_leaves=6)
-# a digit count stays small: 10 ** digits is built before anything is read
-DIGITS = st.one_of(st.integers(-2, 40), st.none(), st.floats(),
-                   st.text(max_size=2))
+# a digit count, small or at the edge of MAX_DECIMAL_DIGITS, past which it
+# is rejected before 10 ** digits is built
+DIGITS = st.one_of(st.integers(-2, 40),
+                   st.integers(MAX_DECIMAL_DIGITS - 1, MAX_DECIMAL_DIGITS + 2),
+                   st.none(), st.floats(), st.text(max_size=2))
 
 CONTRACT_CALLS = {
     "rat": lambda draw: rat(draw(JUNK)),
