@@ -7,14 +7,15 @@ invocations produce byte-identical output.  Exit codes: 0 all checks
 passed, 1 at least one check failed, 2 input rejected, before any check ran
 or, for an --out that cannot be written, before anything is printed.
 --format csv and --decimal need --out, and --swap-halves excludes --block.
-Every leaf command is one entry of the `COMMANDS` table.  Each call builds
-from that table only the parsers its argv passes through: every other
-group and leaf keeps its name, and a group its help line, among its
-parent's choices, with no parser behind it.  The kinds of a --kind group
-share one parser, so an option of another kind that differs from its
-default is rejected with 2.  Each library routine bounds its own input and
-raises `InputError` (exit 2) before any work; the CLI checks only --decimal,
---format, --out, option syntax and options of another kind.
+Every leaf command is one entry of the `COMMANDS` table.  A call whose
+argv names a branch, a group without subcommands or a subcommand's leaf,
+builds from that table only that branch's parser; any other argv, or one
+that parser leaves arguments over, is parsed by the whole tree, whose root
+reports them.  The kinds of a --kind group share one parser, so an option
+of another kind that differs from its default is rejected with 2.  Each
+library routine bounds its own input and raises `InputError` (exit 2)
+before any work; the CLI checks only --decimal, --format, --out, option
+syntax and options of another kind.
 """
 
 from __future__ import annotations
@@ -438,6 +439,19 @@ def _add_arguments(p: argparse.ArgumentParser, specs) -> None:
         p.add_argument(*flags, **kwargs)
 
 
+def _add_branch(p: argparse.ArgumentParser, path: tuple) -> None:
+    """Add the arguments of the branch at path: a subcommand's leaf, or a
+    group without subcommands, whose kinds share one parser."""
+    leaves = {other[1:]: cmd for other, cmd in COMMANDS.items()
+              if other[:len(path)] == path}
+    if GROUPS[path[0]][1] == "kind":
+        p.add_argument("--kind", required=True,
+                       choices=[name for (name,) in leaves])
+    # the kinds share one parser, so each of their options is added once
+    _add_arguments(p, {spec[0]: spec for cmd in leaves.values()
+                       for spec in cmd.args}.values())
+
+
 def _selected_branch(argv: Optional[Sequence[str]]) -> Optional[tuple]:
     """The group, or in a subcommand group the (group, leaf), that argv names
     exactly; None, for the whole tree, when argv names no such branch."""
@@ -449,27 +463,14 @@ def _selected_branch(argv: Optional[Sequence[str]]) -> Optional[tuple]:
     return path if path in COMMANDS else None
 
 
-def build_parser(argv: Optional[Sequence[str]] = None
-                 ) -> argparse.ArgumentParser:
-    """The parser of every command, built from `COMMANDS`.
-
-    Only the parsers on argv's path are built: the root, the group argv
-    selects and, in a subcommand group, the selected leaf.  Every other
-    group or leaf is a placeholder, None, under its name among its parent's
-    choices, and a group keeps its help line, so the usage, the help of
-    every parser on the path, the errors and the parsed namespace are those
-    of the whole tree.  Without argv, or when argv does not name a group and leaf
-    exactly, every parser is on the path: the whole tree is built.
-    """
-    branch = _selected_branch(argv)
-
-    def parser_class(prog, **kwargs):
-        # a subparser's prog is its parent's, a space, and its name
-        path = tuple(prog.split()[1:])
-        if branch is None or branch[:len(path)] == path:
-            return argparse.ArgumentParser(prog=prog, **kwargs)
-        return None
-
+def build_parser(path: Optional[tuple] = None) -> argparse.ArgumentParser:
+    """The parser of the branch at path, built from `COMMANDS` with the prog
+    it has in the whole tree; without path, the whole tree: the root, every
+    group and every subcommand's leaf."""
+    if path is not None:
+        parser = argparse.ArgumentParser(prog=" ".join((PROG, *path)))
+        _add_branch(parser, path)
+        return parser
     parser = argparse.ArgumentParser(
         prog=PROG,
         description="exact constructions for Cantor sets, coarse-graining "
@@ -478,29 +479,29 @@ def build_parser(argv: Optional[Sequence[str]] = None
         epilog=EPILOG,
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    sub = parser.add_subparsers(dest="command", required=True,
-                                parser_class=parser_class)
+    sub = parser.add_subparsers(dest="command", required=True)
     for group, (help_text, choice) in GROUPS.items():
         p = sub.add_parser(group, help=help_text)
-        if p is None:
+        if choice != "subcommand":
+            _add_branch(p, (group,))
             continue
-        leaves = [(path[1:], cmd) for path, cmd in COMMANDS.items()
-                  if path[0] == group]
-        if choice == "subcommand":
-            leaf_sub = p.add_subparsers(dest=choice, required=True,
-                                        parser_class=parser_class)
-            for (name,), cmd in leaves:
-                leaf = leaf_sub.add_parser(name)
-                if leaf is not None:
-                    _add_arguments(leaf, cmd.args)
-            continue
-        if choice == "kind":
-            p.add_argument("--kind", required=True,
-                           choices=[name for (name,), _ in leaves])
-        # the kinds share one parser, so each of their options is added once
-        _add_arguments(p, {spec[0]: spec for _, cmd in leaves
-                           for spec in cmd.args}.values())
+        leaf_sub = p.add_subparsers(dest=choice, required=True)
+        for path in COMMANDS:
+            if path[0] == group:
+                _add_branch(leaf_sub.add_parser(path[1]), path)
     return parser
+
+
+def _parse_args(argv: Sequence[str]) -> argparse.Namespace:
+    """argv as the whole tree parses it: the tree hands a named branch the
+    rest of argv, so that branch's parser parses it unless some is left."""
+    branch = _selected_branch(argv)
+    if branch is not None:
+        args, rest = build_parser(branch).parse_known_args(argv[len(branch):])
+        if not rest:
+            vars(args).update(zip(("command", "subcommand"), branch))
+            return args
+    return build_parser().parse_args(argv)
 
 
 def _check_out(path: str) -> None:
@@ -529,9 +530,8 @@ def _check_kind_options(path: tuple, args) -> None:
 
 def main(argv: Optional[List[str]] = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    parser = build_parser(argv)
     try:
-        args = parser.parse_args(argv)
+        args = _parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

@@ -9,6 +9,7 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 from time import perf_counter
 
@@ -402,28 +403,14 @@ def test_python_m_primchaos_runs_the_cli(tmp_path):
         (GOLDEN_DIR / f"{name}.doc.json").read_bytes()
 
 
-def _path_parsers(parser, argv):
-    """The parsers argv passes through: the root, its group and its leaf."""
-    yield parser
-    for word in argv[:2]:
-        subs = [a for a in parser._actions
-                if isinstance(a, argparse._SubParsersAction)]
-        if not subs or word not in subs[0].choices:
-            return
-        parser = subs[0].choices[word]
-        yield parser
-
-
-def _parse_outcome(parser, argv, capsys):
-    """The parsed namespace or the exit code, what was printed, and the help
-    of every parser on argv's path."""
+def _parse_outcome(parse, argv, capsys):
+    """The parsed namespace or the exit code, and what was printed."""
     try:
-        result = vars(parser.parse_args(argv))
+        result = vars(parse(argv))
     except SystemExit as exc:
         result = exc.code
     captured = capsys.readouterr()
-    return (result, captured.out, captured.err,
-            [p.format_help() for p in _path_parsers(parser, argv)])
+    return result, captured.out, captured.err
 
 
 LEAVES = [["embed"]] + [["surject", "--kind", path[1]] if path[0] == "surject"
@@ -444,13 +431,17 @@ PARSER_ORACLE_ARGVS = (
        REALIZE + ["--word", "10"],
        ["surject", "--kind", "binary", "--dept", "3"],
        # a kind where a subcommand would stand
-       ["surject", "binary", "--kind", "block", "--swap-halves"]])
+       ["surject", "binary", "--kind", "block", "--swap-halves"],
+       # arguments the named branch leaves over, for the root to reject
+       REALIZE + ["extra"], REALIZE + ["--", "--word", "1"],
+       ["surject", "--kind", "binary", "3"], ["fintop", "sweep", "--", "x"],
+       ["embed", "--model", "interval", "--depth", "2", "embed"]])
 
 
 @pytest.mark.parametrize("argv", PARSER_ORACLE_ARGVS)
 def test_selected_parser_matches_full_tree(argv, capsys):
-    assert _parse_outcome(cli.build_parser(argv), argv, capsys) == \
-        _parse_outcome(cli.build_parser(), argv, capsys)
+    assert _parse_outcome(cli._parse_args, argv, capsys) == \
+        _parse_outcome(cli.build_parser().parse_args, argv, capsys)
 
 
 # every option, with each of its flags, and every group, leaf and kind name
@@ -463,7 +454,7 @@ NAMES = sorted({name for path in cli.COMMANDS for name in path})
 VALUES = sorted({*chaos.SYSTEM_KINDS, *embedding.MODEL_KINDS, "csv", "json",
                  "0", "3", "-1", "-7", str(2 ** 70), "1/64", "1/0", "p/0",
                  "01", "0110", "012", "ab", "ab|c", "a=b", "1/2=1/2,1/2",
-                 "00:1", "x", "\u00e9"})
+                 "00:1", "x", "\u00e9", "missing/out.json"})
 TOKEN = st.one_of(
     st.tuples(st.sampled_from(FLAGS), st.sampled_from(VALUES)).map(list),
     st.sampled_from(FLAGS + NAMES + VALUES + ["-h", "--help", "--"]).map(
@@ -472,9 +463,10 @@ TOKEN = st.one_of(
 
 @st.composite
 def cli_argvs(draw):
-    """A leaf's path, whole or cut short, then options of any leaf, names
-    and values, with -h, --help or -- at any position."""
-    head = draw(st.sampled_from(LEAVES))
+    """A leaf's path or a golden case's argv, whole or cut short, then
+    options of any leaf, names and values, with -h, --help or -- at any
+    position."""
+    head = draw(st.sampled_from(LEAVES + [argv for _, argv, _, _ in CASES]))
     argv = head[:draw(st.integers(0, len(head)))] if draw(st.booleans()) \
         else list(head)
     for token in draw(st.lists(TOKEN, max_size=5)):
@@ -489,9 +481,36 @@ def cli_argvs(draw):
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(argv=cli_argvs())
 def test_selected_parser_matches_full_tree_on_drawn_argv(argv, capsys):
-    # the parsers argv selects parse, print and fail as the whole tree does
-    assert _parse_outcome(cli.build_parser(argv), argv, capsys) == \
-        _parse_outcome(cli.build_parser(), argv, capsys)
+    # main's parse route parses, prints and fails as the whole tree does
+    assert _parse_outcome(cli._parse_args, argv, capsys) == \
+        _parse_outcome(cli.build_parser().parse_args, argv, capsys)
+
+
+def _run_main(argv, monkeypatch, capsys):
+    """main's exit code, what it printed and the files it wrote, run in a
+    new empty directory."""
+    with tempfile.TemporaryDirectory() as tmp, monkeypatch.context() as m:
+        m.chdir(tmp)
+        code = main(list(argv))
+        files = {str(p.relative_to(tmp)): p.read_bytes()
+                 for p in Path(tmp).rglob("*") if not p.is_dir()}
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err, files
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=cli_argvs())
+def test_main_keeps_the_exit_code_contract_on_drawn_argv(argv, monkeypatch,
+                                                         capsys):
+    # no exception escapes; a rejection prints nothing to stdout and leaves
+    # no file; a rerun prints and writes the same bytes
+    first = _run_main(argv, monkeypatch, capsys)
+    code, out, _, files = first
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert (out, files) == ("", {})
+    assert _run_main(argv, monkeypatch, capsys) == first
 
 
 @pytest.mark.parametrize("argv", [
