@@ -9,13 +9,17 @@ or, for an --out that cannot be written, before anything is printed.
 --format csv and --decimal need --out, and --swap-halves excludes --block.
 Every leaf command is one entry of the `COMMANDS` table.  A call whose
 argv names a branch, a group without subcommands or a subcommand's leaf,
-builds from that table only that branch's parser; any other argv, or one
-that parser leaves arguments over, is parsed by the whole tree, whose root
-reports them.  The kinds of a --kind group share one parser, so an option
-of another kind that differs from its default is rejected with 2.  Each
-library routine bounds its own input and raises `InputError` (exit 2)
-before any work; the CLI checks only --decimal, --format, --out, option
-syntax and options of another kind.
+and gives it only exact flags of that branch with plain values (none
+starting with '-', each of its type and choices, every required flag
+given) is parsed straight from that table, with no parser built.  Any
+other rest of a named branch goes to that branch's parser alone; any
+other argv, or one that parser leaves arguments over, to the whole tree,
+whose root reports them.  So help, usage and errors are argparse's.  The
+kinds of a --kind group share one parser, so an option of another kind
+that differs from its default is rejected with 2.  Each library routine
+bounds its own input and raises `InputError` (exit 2) before any work;
+the CLI checks only --decimal, --format, --out, option syntax and options
+of another kind.
 """
 
 from __future__ import annotations
@@ -434,22 +438,72 @@ COMMANDS = {
 }
 
 
-def _add_arguments(p: argparse.ArgumentParser, specs) -> None:
-    for flags, kwargs in (*specs, *COMMON):
-        p.add_argument(*flags, **kwargs)
-
-
-def _add_branch(p: argparse.ArgumentParser, path: tuple) -> None:
-    """Add the arguments of the branch at path: a subcommand's leaf, or a
-    group without subcommands, whose kinds share one parser."""
+def _branch_args(path: tuple):
+    """The (flags, keyword arguments) of the branch at path, a subcommand's
+    leaf or a group without subcommands: --kind in a kind group, then each
+    of its leaves' options once, since the kinds share one parser, then
+    `COMMON`."""
     leaves = {other[1:]: cmd for other, cmd in COMMANDS.items()
               if other[:len(path)] == path}
     if GROUPS[path[0]][1] == "kind":
-        p.add_argument("--kind", required=True,
-                       choices=[name for (name,) in leaves])
-    # the kinds share one parser, so each of their options is added once
-    _add_arguments(p, {spec[0]: spec for cmd in leaves.values()
-                       for spec in cmd.args}.values())
+        yield _arg("--kind", required=True,
+                   choices=[name for (name,) in leaves])
+    yield from {spec[0]: spec for cmd in leaves.values()
+                for spec in cmd.args}.values()
+    yield from COMMON
+
+
+def _add_branch(p: argparse.ArgumentParser, path: tuple) -> None:
+    """Add the arguments of the branch at path."""
+    for flags, kwargs in _branch_args(path):
+        p.add_argument(*flags, **kwargs)
+
+
+def _dest(flags: tuple, kwargs: dict) -> str:
+    """The namespace attribute of an option, named as argparse names it."""
+    return kwargs.get("dest", flags[0][2:].replace("-", "_"))
+
+
+def _parse_plain(path: tuple,
+                 words: Sequence[str]) -> Optional[argparse.Namespace]:
+    """words as the parser of the branch at path parses them, read straight
+    from the branch's specs when they are plain: each word an exact flag of
+    the branch or the one value after a flag that takes one, no value
+    starting with '-', each value of its type and in its choices, and every
+    required flag given.  None for any other words."""
+    options = {flag: (_dest(flags, kwargs), kwargs)
+               for flags, kwargs in _branch_args(path) for flag in flags}
+    given = {}
+    words = iter(words)
+    for word in words:
+        if word not in options:
+            return None
+        dest, kwargs = options[word]
+        action = kwargs.get("action")
+        if action == "store_true":
+            given[dest] = True
+            continue
+        value = next(words, "-")  # none left: argparse reports it
+        if value.startswith("-"):
+            return None
+        try:
+            value = kwargs["type"](value) if "type" in kwargs else value
+        except (TypeError, ValueError):
+            return None
+        if "choices" in kwargs and value not in kwargs["choices"]:
+            return None
+        if action == "append":
+            # onto a copy: the spec's default list is shared by every parse
+            given.setdefault(dest, list(kwargs.get("default") or ())
+                             ).append(value)
+        else:
+            given[dest] = value
+    if any(kwargs.get("required") and dest not in given
+           for dest, kwargs in options.values()):
+        return None
+    defaults = {dest: kwargs.get("default")
+                for dest, kwargs in options.values()}
+    return argparse.Namespace(**{**defaults, **given})
 
 
 def _selected_branch(argv: Optional[Sequence[str]]) -> Optional[tuple]:
@@ -466,7 +520,8 @@ def _selected_branch(argv: Optional[Sequence[str]]) -> Optional[tuple]:
 def build_parser(path: Optional[tuple] = None) -> argparse.ArgumentParser:
     """The parser of the branch at path, built from `COMMANDS` with the prog
     it has in the whole tree; without path, the whole tree: the root, every
-    group and every subcommand's leaf."""
+    group and every subcommand's leaf.  `main` builds one only for an argv
+    that the table does not parse: help, errors and unusual spellings."""
     if path is not None:
         parser = argparse.ArgumentParser(prog=" ".join((PROG, *path)))
         _add_branch(parser, path)
@@ -493,15 +548,22 @@ def build_parser(path: Optional[tuple] = None) -> argparse.ArgumentParser:
 
 
 def _parse_args(argv: Sequence[str]) -> argparse.Namespace:
-    """argv as the whole tree parses it: the tree hands a named branch the
-    rest of argv, so that branch's parser parses it unless some is left."""
+    """argv as the whole tree parses it.  The tree hands a named branch the
+    rest of argv, which is read straight from `COMMANDS` when it is plain;
+    any other rest goes to the branch's own parser, and what that leaves
+    over to the whole tree, whose root reports it.  So only help, errors
+    and unusual spellings build a parser."""
     branch = _selected_branch(argv)
-    if branch is not None:
-        args, rest = build_parser(branch).parse_known_args(argv[len(branch):])
-        if not rest:
-            vars(args).update(zip(("command", "subcommand"), branch))
-            return args
-    return build_parser().parse_args(argv)
+    if branch is None:
+        return build_parser().parse_args(argv)
+    rest = argv[len(branch):]
+    args = _parse_plain(branch, rest)
+    if args is None:
+        args, left = build_parser(branch).parse_known_args(rest)
+        if left:
+            return build_parser().parse_args(argv)
+    vars(args).update(zip(("command", "subcommand"), branch))
+    return args
 
 
 def _check_out(path: str) -> None:
@@ -522,8 +584,7 @@ def _check_kind_options(path: tuple, args) -> None:
             if other[0] != path[0] or flags in seen:
                 continue
             seen.add(flags)
-            dest = kwargs.get("dest", flags[0][2:].replace("-", "_"))
-            if getattr(args, dest) != kwargs.get("default"):
+            if getattr(args, _dest(flags, kwargs)) != kwargs.get("default"):
                 raise InputError(f"{flags[0]} does not apply to --kind "
                                  f"{path[1]}")
 

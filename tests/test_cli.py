@@ -435,13 +435,72 @@ PARSER_ORACLE_ARGVS = (
        # arguments the named branch leaves over, for the root to reject
        REALIZE + ["extra"], REALIZE + ["--", "--word", "1"],
        ["surject", "--kind", "binary", "3"], ["fintop", "sweep", "--", "x"],
-       ["embed", "--model", "interval", "--depth", "2", "embed"]])
+       ["embed", "--model", "interval", "--depth", "2", "embed"],
+       # argv that the table leaves to argparse: an option spelled with =,
+       # and an abbreviated one
+       ["embed", "--model", "interval", "--depth=3"],
+       ["embed", "--model", "interval", "--dep", "3"],
+       # values starting with '-', the last a flag where a value should be
+       REALIZE[:4] + ["--word", "-01"], REALIZE[:4] + ["--word", "--out"],
+       ["surject", "--kind", "binary", "--depth", "-1"],
+       # ints that int reads though they are no plain digits
+       REALIZE + ["--decimal", " 7"], REALIZE + ["--decimal", "1_0"],
+       # ints that int rejects, the second past its 4300 digits
+       ["embed", "--model", "interval", "--depth", "3.0"],
+       ["embed", "--model", "interval", "--depth", "9" * 5000],
+       # a repeated store option, and a value after a flag that takes none
+       ["surject", "--kind", "binary", "--depth", "3", "--depth", "4"],
+       ["surject", "--kind", "block", "--swap-halves", "x"],
+       # help after a valid option, a value not among the choices, a missing
+       # required option and an empty word
+       REALIZE + ["-h"], ["chaos", "realize", "--system", "bogus",
+                          "--word", "01"],
+       REALIZE[:4], REALIZE[:4] + ["--word", ""],
+       # 512 repeated append options, which argparse scans in quadratic time
+       ["surject", "--kind", "block"] + [
+           word for n in range(512) for word in ("--block", f"{n:09b}:1")]])
 
 
 @pytest.mark.parametrize("argv", PARSER_ORACLE_ARGVS)
 def test_selected_parser_matches_full_tree(argv, capsys):
     assert _parse_outcome(cli._parse_args, argv, capsys) == \
         _parse_outcome(cli.build_parser().parse_args, argv, capsys)
+
+
+def test_table_parse_leaves_the_shared_defaults_empty():
+    # the defaults of the append options are one list each in `COMMANDS`,
+    # which a parse that appends to it would fill for every later parse
+    given = cli._parse_args(["surject", "--kind", "waypoint", "--block", "0:1",
+                             "--point", "1/2=1/2", "--point", "1/3=1/3"])
+    assert (given.block, given.point) == (["0:1"], ["1/2=1/2", "1/3=1/3"])
+    bare = cli._parse_args(["surject", "--kind", "waypoint"])
+    assert (bare.block, bare.point) == ([], [])
+    assert [kwargs["default"] for _, kwargs in cli._branch_args(("surject",))
+            if kwargs.get("action") == "append"] == [[], []]
+
+
+# the keywords the table parse reads, beside help and metavar, which only
+# argparse's help reads
+SPEC_KEYWORDS = {"action", "type", "choices", "required", "default", "dest",
+                 "metavar", "help"}
+BRANCHES = sorted({cli._selected_branch(path) for path in cli.COMMANDS})
+
+
+@pytest.mark.parametrize("branch", BRANCHES, ids=" ".join)
+def test_every_spec_is_one_the_table_parse_reads(branch):
+    # a spec outside what `_parse_plain` implements would parse otherwise
+    # than argparse does, on argv no oracle case draws
+    for flags, kwargs in cli._branch_args(branch):
+        assert all(flag.startswith("--") and flag[2:3] not in ("", "-")
+                   for flag in flags), flags
+        assert set(kwargs) <= SPEC_KEYWORDS, flags
+        assert kwargs.get("action") in (None, "store_true", "append"), flags
+        # the table reads a default as it stands, where argparse would run
+        # a string default through the type and give store_true False
+        assert not ("type" in kwargs and
+                    isinstance(kwargs.get("default"), str)), flags
+        if kwargs.get("action") == "store_true":
+            assert kwargs.get("default") is False, flags
 
 
 # every option, with each of its flags, and every group, leaf and kind name
@@ -477,9 +536,76 @@ def cli_argvs(draw):
     return argv
 
 
+# words of each string option: valid ones, and malformed ones that only the
+# library rejects; any other option draws from VALUES
+WORDS = {
+    "--word": st.text("01", max_size=6) | st.sampled_from(["012", "ab"]),
+    "--delta": st.sampled_from(["1/64", "3/1024", "1/2", "0", "1/0", "p/0"]),
+    "--block": st.sampled_from(["0:1", "1:0", "00:1", "01+10:1", "00",
+                                "000:1"]),
+    "--point": st.sampled_from(["1/2=1/2", "1/3=1/4,3/4", "2/3=1/3",
+                                "1/2"]),
+    "--space": st.sampled_from(["chain3", "sierpinski", "discrete2",
+                                "discrete4", "discrete9"]),
+    "--codomain": st.sampled_from(["discrete1", "discrete2", "chain3"]),
+    "--blocks": st.sampled_from(["ab|c", "a|b|c", "ab|cd", "a|a", "ab||c"]),
+    "--reps": st.sampled_from(["a,c", "a", "a,b,c"]),
+    "--map": st.sampled_from(["a=a,b=a,c=b,d=b", "a=a,b=b", "a=a", "a"]),
+    "--out": st.sampled_from(["out.json", "missing/out.json"]),
+}
+
+
+def _counts(least, cap):
+    """A count in range, kept small so that runs stay short, or just
+    outside it."""
+    return st.integers(least, min(cap, least + 4)) | \
+        st.sampled_from([least - 1, cap + 1])
+
+
+@st.composite
+def command_argvs(draw):
+    """A leaf's argv drawn from its branch's specs (`cli._branch_args`):
+    every required option and any others, each append option up to three
+    times, in any order; sampled choices, counts in range and just outside
+    it, and words of each option."""
+    path = draw(st.sampled_from(sorted(cli.COMMANDS)))
+    branch = cli._selected_branch(path)
+    counts = {"--decimal": (0, cli.MAX_DECIMAL)}
+    if path in COUNT_OPTIONS:
+        _, option, least, cap = COUNT_OPTIONS[path]
+        counts[option] = (least, cap)
+    own = {flags for flags, _ in (*cli.COMMANDS[path].args, *cli.COMMON)}
+    options = []
+    for flags, kwargs in cli._branch_args(branch):
+        if flags == ("--kind",):
+            values = st.just(path[1])
+        elif "choices" in kwargs:
+            values = st.sampled_from(kwargs["choices"])
+        elif "type" in kwargs:
+            values = _counts(*counts.get(flags[0], (0, 4))).map(str)
+        else:
+            values = WORDS.get(flags[0], st.sampled_from(VALUES))
+        # an option of another kind is rejected, so it is drawn rarely
+        if not kwargs.get("required") and \
+                draw(st.integers(0, 1 if flags in own else 7)):
+            continue
+        repeats = draw(st.integers(1, 3)) if kwargs.get("action") == "append" \
+            else 1
+        for _ in range(repeats):
+            options.append([flags[0]] if kwargs.get("action") == "store_true"
+                           else [flags[0], draw(values)])
+    return list(branch) + [word for option in draw(st.permutations(options))
+                           for word in option]
+
+
+# two of three drawn argv come from the table's specs, so that most take
+# its parse, and the rest from `cli_argvs`, most of which argparse parses
+DRAWN_ARGVS = st.one_of(command_argvs(), command_argvs(), cli_argvs())
+
+
 @settings(max_examples=200, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(argv=cli_argvs())
+@given(argv=DRAWN_ARGVS)
 def test_selected_parser_matches_full_tree_on_drawn_argv(argv, capsys):
     # main's parse route parses, prints and fails as the whole tree does
     assert _parse_outcome(cli._parse_args, argv, capsys) == \
@@ -500,7 +626,7 @@ def _run_main(argv, monkeypatch, capsys):
 
 @settings(max_examples=200, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(argv=cli_argvs())
+@given(argv=DRAWN_ARGVS)
 def test_main_keeps_the_exit_code_contract_on_drawn_argv(argv, monkeypatch,
                                                          capsys):
     # no exception escapes; a rejection prints nothing to stdout and leaves

@@ -375,12 +375,25 @@ def test_waypoint_map_bounds_its_pins():
 # the parsers of the whole tree: the root, 4 groups, 5 chaos and 4 fintop
 # leaves
 WHOLE_TREE = 14
-# a named branch is parsed by its own parser alone, in every kind of group
+# a plain argv of a named branch is read straight from `COMMANDS`
+TABLE = 0
+# any other rest of a named branch is parsed by that branch's parser alone
 BRANCH = 1
+# 8192 repeated options, one --block per 13-bit word, each onto 1
+MANY_BLOCKS = ["surject", "--kind", "block", "--depth", "20"] + [
+    word for n in range(2 ** 13) for word in ("--block", f"{n:013b}:1")]
 
 
 @pytest.mark.parametrize("argv,built", [
-    pytest.param(argv, BRANCH, id=name) for name, argv, _, _ in CASES] + [
+    # the golden -1 depth starts with '-', so argparse reads it
+    pytest.param(argv, BRANCH if name == "embed_negative_depth" else TABLE,
+                 id=name) for name, argv, _, _ in CASES] + [
+    pytest.param(MANY_BLOCKS, TABLE, id="8192-block-options")] + [
+    pytest.param(argv, BRANCH, id=" ".join(argv))
+    for argv in (["embed", "--model", "interval", "--depth=2"],
+                 ["chaos", "realize", "--sys", "tent", "--word", "01"],
+                 ["chaos", "dense", "--system", "tent", "--depth", "x"],
+                 ["fintop", "sweep", "-h"])] + [
     pytest.param(argv, WHOLE_TREE, id=" ".join(argv) or "no-argv")
     for argv in ([], ["bogus"], ["chaos"], ["chaos", "bogus"],
                  ["--", "fintop", "sweep"], ["--out", "x.json", "embed"])] + [
@@ -391,9 +404,10 @@ BRANCH = 1
                  ["embed", "--model", "interval", "--depth", "2", "embed"])])
 def test_main_builds_the_parsers_on_argvs_path(argv, built, tmp_path,
                                               monkeypatch, capsys):
-    # a named branch builds its own parser only; an argv that names no
-    # branch builds the whole tree, and one that leaves arguments over
-    # builds it after the branch's parser, so that the root rejects them
+    # a plain argv of a named branch builds no parser, any other rest of
+    # one builds its own parser only; an argv that names no branch builds
+    # the whole tree, and one that leaves arguments over builds it after
+    # the branch's parser, so that the root rejects them
     made = []
     init = argparse.ArgumentParser.__init__
 
