@@ -7,14 +7,13 @@ invocations produce byte-identical output.  Exit codes: 0 all checks
 passed, 1 at least one check failed, 2 input rejected, before any check ran
 or, for an --out that cannot be written, before anything is printed.
 --format csv and --decimal need --out, and --swap-halves excludes --block.
-Every leaf command is one entry of the `COMMANDS` table.  A call whose
-argv names a branch, a group without subcommands or a subcommand's leaf,
-and gives it only exact flags of that branch with plain values (none
-starting with '-', each of its type and choices, every required flag
-given) is parsed straight from that table, with no parser built.  Any
-other rest of a named branch goes to that branch's parser alone; any
-other argv, or one that parser leaves arguments over, to the whole tree,
-whose root reports them.  So help, usage and errors are argparse's.  The
+Every leaf command is one entry of the `COMMANDS` table.  argv takes one
+of two routes.  One that names a branch, a group without subcommands or a
+subcommand's leaf, and gives it only exact flags of that branch with plain
+values (none starting with '-' but a negative integer, each of its type
+and choices, every required flag given) is parsed straight from that
+table, with no parser built.  Any other argv goes to argparse's whole
+tree.  So help, usage and errors are argparse's.  The
 kinds of a --kind group share one parser, so an option of another kind
 that differs from its default is rejected with 2.  Each library routine
 bounds its own input and raises `InputError` (exit 2) before any work;
@@ -128,7 +127,7 @@ def _write_out(path: str, payload: bytes) -> None:
 
 
 def _emit(args, doc: dict, summary: List[str]) -> None:
-    if args.out:
+    if args.out is not None:
         _write_out(args.out, encode_document(doc, args.format, args.decimal))
         summary = summary + [f"document written to {args.out}"]
     for line in summary:
@@ -466,11 +465,12 @@ def _dest(flags: tuple, kwargs: dict) -> str:
 
 def _parse_plain(path: tuple,
                  words: Sequence[str]) -> Optional[argparse.Namespace]:
-    """words as the parser of the branch at path parses them, read straight
-    from the branch's specs when they are plain: each word an exact flag of
-    the branch or the one value after a flag that takes one, no value
-    starting with '-', each value of its type and in its choices, and every
-    required flag given.  None for any other words."""
+    """words as the branch at path parses them in the whole tree, read
+    straight from the branch's specs when they are plain: each word an exact
+    flag of the branch or the one value after a flag that takes one, no
+    value starting with '-' but a negative integer, each value of its type
+    and in its choices, and every required flag given.  None for any other
+    words."""
     options = {flag: (_dest(flags, kwargs), kwargs)
                for flags, kwargs in _branch_args(path) for flag in flags}
     given = {}
@@ -484,7 +484,9 @@ def _parse_plain(path: tuple,
             given[dest] = True
             continue
         value = next(words, "-")  # none left: argparse reports it
-        if value.startswith("-"):
+        # every argparse reads a negative integer as a value, never a flag,
+        # since no branch has a flag that looks like a negative number
+        if value.startswith("-") and not re.fullmatch("-[0-9]+", value):
             return None
         try:
             value = kwargs["type"](value) if "type" in kwargs else value
@@ -517,15 +519,10 @@ def _selected_branch(argv: Optional[Sequence[str]]) -> Optional[tuple]:
     return path if path in COMMANDS else None
 
 
-def build_parser(path: Optional[tuple] = None) -> argparse.ArgumentParser:
-    """The parser of the branch at path, built from `COMMANDS` with the prog
-    it has in the whole tree; without path, the whole tree: the root, every
-    group and every subcommand's leaf.  `main` builds one only for an argv
-    that the table does not parse: help, errors and unusual spellings."""
-    if path is not None:
-        parser = argparse.ArgumentParser(prog=" ".join((PROG, *path)))
-        _add_branch(parser, path)
-        return parser
+def build_parser() -> argparse.ArgumentParser:
+    """The whole tree, built from `COMMANDS`: the root, every group and
+    every subcommand's leaf.  `main` builds it only for an argv that the
+    table does not parse: help, errors and unusual spellings."""
     parser = argparse.ArgumentParser(
         prog=PROG,
         description="exact constructions for Cantor sets, coarse-graining "
@@ -548,26 +545,22 @@ def build_parser(path: Optional[tuple] = None) -> argparse.ArgumentParser:
 
 
 def _parse_args(argv: Sequence[str]) -> argparse.Namespace:
-    """argv as the whole tree parses it.  The tree hands a named branch the
-    rest of argv, which is read straight from `COMMANDS` when it is plain;
-    any other rest goes to the branch's own parser, and what that leaves
-    over to the whole tree, whose root reports it.  So only help, errors
-    and unusual spellings build a parser."""
+    """argv as the whole tree parses it, by one of two routes: the plain
+    rest of a named branch is read straight from `COMMANDS`, and any other
+    argv goes to the whole tree.  So only help, errors and unusual
+    spellings build a parser."""
     branch = _selected_branch(argv)
-    if branch is None:
-        return build_parser().parse_args(argv)
-    rest = argv[len(branch):]
-    args = _parse_plain(branch, rest)
+    args = None if branch is None else _parse_plain(branch, argv[len(branch):])
     if args is None:
-        args, left = build_parser(branch).parse_known_args(rest)
-        if left:
-            return build_parser().parse_args(argv)
+        return build_parser().parse_args(argv)
     vars(args).update(zip(("command", "subcommand"), branch))
     return args
 
 
 def _check_out(path: str) -> None:
-    """Reject an --out that is a directory or lies in a missing one."""
+    """Reject an --out that is empty, a directory or in a missing one."""
+    if not path:
+        raise InputError("--out is empty")
     if os.path.isdir(path):
         raise InputError(f"--out {path!r} is a directory")
     parent = os.path.dirname(path)
@@ -603,10 +596,10 @@ def main(argv: Optional[List[str]] = None) -> int:
                 raise InputError(f"--decimal must be at most {MAX_DECIMAL}")
             if args.format != "csv":
                 raise InputError("--decimal needs --format csv")
-        if not args.out and (args.format != "json" or
-                             args.decimal is not None):
+        if args.out is None and (args.format != "json" or
+                                 args.decimal is not None):
             raise InputError("--format csv and --decimal need --out")
-        if args.out:
+        if args.out is not None:
             _check_out(args.out)
         choice = GROUPS[args.command][1]
         path = (args.command,) + ((getattr(args, choice),) if choice else ())

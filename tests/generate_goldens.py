@@ -14,7 +14,9 @@ import sys
 import tempfile
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).parent))
+# the checkout's src/ and tests/, so that it runs without PYTHONPATH
+sys.path[:0] = [str(Path(__file__).parents[1] / "src"),
+                str(Path(__file__).parent)]
 from cli_cases import CASES  # noqa: E402
 
 from primchaos.cli import main  # noqa: E402

@@ -338,6 +338,16 @@ def test_unwritable_out_rejected_before_running(out, tmp_path, capsys,
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("options", [[], ["--format", "csv"]])
+def test_empty_out_rejected(options, tmp_path, capsys, monkeypatch):
+    # an empty --out is given, not missing: no summary, no file, and no
+    # "need --out"
+    monkeypatch.chdir(tmp_path)
+    assert main(["fintop", "sweep", "--out", ""] + options) == 2
+    assert capsys.readouterr() == ("", "primchaos: error: --out is empty\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("options", [
     ["--format", "csv"], ["--format", "csv", "--decimal", "3"],
 ])
@@ -458,7 +468,16 @@ PARSER_ORACLE_ARGVS = (
        REALIZE[:4], REALIZE[:4] + ["--word", ""],
        # 512 repeated append options, which argparse scans in quadratic time
        ["surject", "--kind", "block"] + [
-           word for n in range(512) for word in ("--block", f"{n:09b}:1")]])
+           word for n in range(512) for word in ("--block", f"{n:09b}:1")],
+       # values starting with '-': the table reads those that fully match
+       # -[0-9]+, argparse's negative numbers, and leaves the rest to it
+       ["embed", "--model", "interval", "--depth", "-0"],
+       ["embed", "--model", "interval", "--depth", "-1.5"],
+       ["embed", "--model", "interval", "--depth", "-\u0661"],
+       REALIZE[:4] + ["--word", "-01"], REALIZE[:4] + ["--word", "-1x"],
+       ["chaos", "sensitivity", "--system", "doubling", "--delta", "-1/2"],
+       ["embed", "--model", "-1", "--depth", "2"],
+       REALIZE + ["--format", "csv", "--out", "x.csv", "--decimal", "-1"]])
 
 
 @pytest.mark.parametrize("argv", PARSER_ORACLE_ARGVS)
@@ -484,6 +503,8 @@ def test_table_parse_leaves_the_shared_defaults_empty():
 SPEC_KEYWORDS = {"action", "type", "choices", "required", "default", "dest",
                  "metavar", "help"}
 BRANCHES = sorted({cli._selected_branch(path) for path in cli.COMMANDS})
+# argparse's own test of a word that it reads as a negative number
+NEGATIVE_NUMBER = argparse.ArgumentParser()._negative_number_matcher
 
 
 @pytest.mark.parametrize("branch", BRANCHES, ids=" ".join)
@@ -501,6 +522,9 @@ def test_every_spec_is_one_the_table_parse_reads(branch):
                     isinstance(kwargs.get("default"), str)), flags
         if kwargs.get("action") == "store_true":
             assert kwargs.get("default") is False, flags
+        # the table reads a value like -1 as argparse does, as a negative
+        # number, only while no flag looks like one
+        assert not any(NEGATIVE_NUMBER.match(flag) for flag in flags), flags
 
 
 # every option, with each of its flags, and every group, leaf and kind name

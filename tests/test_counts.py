@@ -377,37 +377,45 @@ def test_waypoint_map_bounds_its_pins():
 WHOLE_TREE = 14
 # a plain argv of a named branch is read straight from `COMMANDS`
 TABLE = 0
-# any other rest of a named branch is parsed by that branch's parser alone
-BRANCH = 1
 # 8192 repeated options, one --block per 13-bit word, each onto 1
 MANY_BLOCKS = ["surject", "--kind", "block", "--depth", "20"] + [
     word for n in range(2 ** 13) for word in ("--block", f"{n:013b}:1")]
+REALIZE = ["chaos", "realize", "--system", "doubling", "--word", "01"]
 
 
 @pytest.mark.parametrize("argv,built", [
-    # the golden -1 depth starts with '-', so argparse reads it
-    pytest.param(argv, BRANCH if name == "embed_negative_depth" else TABLE,
-                 id=name) for name, argv, _, _ in CASES] + [
+    pytest.param(argv, TABLE, id=name) for name, argv, _, _ in CASES] + [
     pytest.param(MANY_BLOCKS, TABLE, id="8192-block-options")] + [
-    pytest.param(argv, BRANCH, id=" ".join(argv))
-    for argv in (["embed", "--model", "interval", "--depth=2"],
-                 ["chaos", "realize", "--sys", "tent", "--word", "01"],
-                 ["chaos", "dense", "--system", "tent", "--depth", "x"],
-                 ["fintop", "sweep", "-h"])] + [
+    # values that argparse reads as negative numbers
+    pytest.param(argv, TABLE, id=" ".join(argv))
+    for argv in (["embed", "--model", "interval", "--depth", "-0"],
+                 REALIZE[:4] + ["--word", "-01"],
+                 REALIZE + ["--format", "csv", "--out", "x.csv",
+                            "--decimal", "-1"])] + [
     pytest.param(argv, WHOLE_TREE, id=" ".join(argv) or "no-argv")
     for argv in ([], ["bogus"], ["chaos"], ["chaos", "bogus"],
-                 ["--", "fintop", "sweep"], ["--out", "x.json", "embed"])] + [
-    pytest.param(argv, BRANCH + WHOLE_TREE, id=" ".join(argv))
-    for argv in (["chaos", "realize", "--system", "tent", "--word", "01", "x"],
+                 ["--", "fintop", "sweep"], ["--out", "x.json", "embed"],
+                 # a named branch's rest that is not plain
+                 ["embed", "--model", "interval", "--depth=2"],
+                 ["chaos", "realize", "--sys", "tent", "--word", "01"],
+                 ["chaos", "dense", "--system", "tent", "--depth", "x"],
+                 ["fintop", "sweep", "-h"],
+                 ["embed", "--model", "interval", "--depth", "-1.5"],
+                 ["embed", "--model", "interval", "--depth", "-\u0661"],
+                 REALIZE[:4] + ["--word", "-1x"],
+                 ["chaos", "sensitivity", "--system", "doubling",
+                  "--delta", "-1/2"],
+                 ["embed", "--model", "-1", "--depth", "2"],
+                 # and one with arguments left over, for the root to reject
+                 ["chaos", "realize", "--system", "tent", "--word", "01",
+                  "x"],
                  ["surject", "--kind", "binary", "3"],
                  ["fintop", "sweep", "--", "x"],
                  ["embed", "--model", "interval", "--depth", "2", "embed"])])
 def test_main_builds_the_parsers_on_argvs_path(argv, built, tmp_path,
                                               monkeypatch, capsys):
-    # a plain argv of a named branch builds no parser, any other rest of
-    # one builds its own parser only; an argv that names no branch builds
-    # the whole tree, and one that leaves arguments over builds it after
-    # the branch's parser, so that the root rejects them
+    # a plain argv of a named branch builds no parser; any other argv
+    # builds the whole tree, each of its parsers once
     made = []
     init = argparse.ArgumentParser.__init__
 
@@ -418,9 +426,7 @@ def test_main_builds_the_parsers_on_argvs_path(argv, built, tmp_path,
     monkeypatch.chdir(tmp_path)
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", spy)
     cli.main(list(argv))
-    # the whole tree builds each of its parsers once
-    assert len(made) == built and len(set(made)) == min(built, WHOLE_TREE), \
-        made
+    assert len(made) == len(set(made)) == built, made
 
 
 def test_sweep_closes_each_distinct_first_step_once(monkeypatch):

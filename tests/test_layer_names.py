@@ -86,7 +86,7 @@ def _counter_calls():
         "main": ((["chaos", "realize", "--system", "doubling",
                    "--word", "01"],), {"cli.exit.0": 1}),
         # the cells_checked counts are the argument-based guesses spans.py
-        # makes today (ROADMAP item 1), not the work the certificates do
+        # makes today (ROADMAP item 4), not the work the certificates do
         "verify_cover_map": ((surject.CantorMap("interleave"), 3),
                              {"surject.cells_checked": 2 ** 3}),
         "verify_curve": ((2,), {"surject.cells_checked": 4 ** 2}),
