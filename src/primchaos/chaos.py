@@ -85,7 +85,6 @@ from .geometry import (
     closed_difference,
     eval_ternary_address,
     first_box_midpoint,
-    grid_box,
     grid_point,
     point_doc,
     rat,
@@ -137,13 +136,14 @@ class AffineBranch:
         lo = []
         hi = []
         for (a, off), l, h in zip(self.coeffs, b.lo, b.hi):
-            x = (l - off) / a
-            y = (h - off) / a
+            # an int law on int corners divides to a Fraction, not a float
+            x = Fraction(l - off) / a
+            y = Fraction(h - off) / a
             if x > y:
                 x, y = y, x
             lo.append(x)
             hi.append(y)
-        return Box(tuple(lo), tuple(hi))
+        return Box._trusted(tuple(lo), tuple(hi))
 
     def preimage(self, r: Region) -> Region:
         return region([self.preimage_box(b) for b in r.boxes])
@@ -315,7 +315,8 @@ def _kernel(s: ChaosSystem, word: str, boxes, k):
             return out, k2
         if len(out) > len(boxes):  # unmerged pieces can double per symbol
             out = [list(zip(b.lo, b.hi))
-                   for b in region([Box(*zip(*box)) for box in out]).boxes]
+                   for b in region([Box._trusted(*zip(*box))
+                                    for box in out]).boxes]
         boxes, k = out, k2
     return boxes, k
 
@@ -326,7 +327,8 @@ def _enclosure(s: ChaosSystem, word: str) -> Region:
     if not boxes:
         raise _no_witness(s, word)
     dens = [L * kk for L, kk in zip(t.dens, k)]
-    return region([grid_box(*zip(*box), dens) for box in boxes])
+    return region([Box._trusted(grid_point(lo, dens), grid_point(hi, dens))
+                   for lo, hi in (zip(*box) for box in boxes)])
 
 
 def _cells(s: ChaosSystem, depth: int) -> list:
@@ -689,7 +691,7 @@ def _on_scale(boxes, dens, F, scale) -> List[Box]:
             a, b = (C * a + D * L) * f, (C * b + D * L) * f
             lo.append(min(a, b))
             hi.append(max(a, b))
-        out.append(Box(tuple(lo), tuple(hi)))
+        out.append(Box._trusted(tuple(lo), tuple(hi)))
     return out
 
 

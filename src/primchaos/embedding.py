@@ -26,7 +26,9 @@ these integer cells and the one scale; the stage checks are homogeneous in
 the scale and read them directly.  `Fraction` corners are built only at
 the boundary: the `tree.cells` view, `evaluate_address` and
 `tree_document`.  Each tree has one such view, and it builds each
-address's `Fraction` Cell at most once.
+address's `Fraction` Cell at most once, each corner's `Fraction` point
+once: a one-box cell marked at its corners, as every cell `_split` builds,
+shares the corner tuples as its marked points.
 
 Per level the stage checks sweep one axis index of the level's boxes for
 disjointness (i), read each cell's bounding box for the shrink (ii), and
@@ -47,7 +49,10 @@ from its longest address, and then exactly the binary addresses of length
 `subdivide` checks that the cell lies in the model and holds its marked
 points; `build_refinement` steps without those checks, as each cell it
 builds lies in its parent with its marked points at corners, and the stage
-checks certify the result.
+checks certify the result.  The boxes the construction derives (the clamp
+of a box about a marked point in it, a cell put on the grid, a grid cell
+read back as `Fraction`s) are ordered by construction and built with
+`Box._trusted`; only the models' own boxes pass the checked constructor.
 """
 
 from __future__ import annotations
@@ -73,7 +78,6 @@ from .geometry import (
     chebyshev_ball,
     closed_difference,
     distance,
-    grid_box,
     grid_point,
     lexmax_point,
     lexmin_point,
@@ -139,7 +143,7 @@ def _onto_grid(cell: Cell, scale: int) -> Cell:
     (scale a multiple of every denominator)."""
     def point(p):
         return tuple(x.numerator * (scale // x.denominator) for x in p)
-    return Cell(Region(tuple(Box(point(b.lo), point(b.hi))
+    return Cell(Region(tuple(Box._trusted(point(b.lo), point(b.hi))
                              for b in cell.region.boxes)),
                 (point(cell.marked[0]), point(cell.marked[1])))
 
@@ -151,9 +155,11 @@ def _lcm_scale(cells: Iterable[Cell]) -> int:
 
 class _FractionCells(Mapping):
     """Read-only view of integer grid cells over one scale that builds the
-    `Fraction` Cell of an address on its first lookup and keeps it.  Two
-    threads looking up one address at once may both build it; the values
-    are equal, so either may be kept."""
+    `Fraction` Cell of an address on its first lookup and keeps it.  Each
+    corner's `Fraction` point is built once: a one-box cell whose marked
+    points are its corners, as every cell `_split` builds, shares the corner
+    tuples as its marked points.  Two threads looking up one address at
+    once may both build it; the values are equal, so either may be kept."""
 
     __slots__ = ("_grid", "_dens", "_built")
 
@@ -165,14 +171,20 @@ class _FractionCells(Mapping):
     def __getitem__(self, addr: str) -> Cell:
         built = self._built.get(addr)
         if built is None:
-            cell, dens = self._grid[addr], self._dens
-            # positive scaling keeps the canonical box order
-            built = self._built[addr] = Cell(
-                Region(tuple(grid_box(b.lo, b.hi, dens)
-                             for b in cell.region.boxes)),
-                (grid_point(cell.marked[0], dens),
-                 grid_point(cell.marked[1], dens)))
+            built = self._built[addr] = self._build(self._grid[addr])
         return built
+
+    def _build(self, cell: Cell) -> Cell:
+        dens, marked = self._dens, cell.marked
+        # positive scaling keeps each box ordered and the canonical box order
+        boxes = tuple(Box._trusted(grid_point(b.lo, dens),
+                                   grid_point(b.hi, dens))
+                      for b in cell.region.boxes)
+        if len(boxes) == 1 and marked == (cell.region.boxes[0].lo,
+                                          cell.region.boxes[0].hi):
+            return Cell(Region(boxes), (boxes[0].lo, boxes[0].hi))
+        return Cell(Region(boxes), (grid_point(marked[0], dens),
+                                    grid_point(marked[1], dens)))
 
     def __contains__(self, addr) -> bool:
         return addr in self._grid
@@ -294,7 +306,7 @@ def _split(cell: Region, marked: Tuple[tuple, tuple]):
         for m in (m1, m2):
             lo = tuple(map(max, box.lo, map(sub, m, repeat(radius))))
             hi = tuple(map(min, box.hi, map(add, m, repeat(radius))))
-            children.append((Region((Box(lo, hi),)), (lo, hi)))
+            children.append((Region((Box._trusted(lo, hi),)), (lo, hi)))
         return children[0], children[1]
     for m in (m1, m2):
         clipped = region_intersect(cell, region(chebyshev_ball(m, radius)))

@@ -2,7 +2,8 @@
 of a depth, level or count that every public routine taking one runs.
 
 The input contract: a malformed *data* argument (a word, rational, point,
-pin, parameter cell, label, block table or count) raises `InputError`.  A
+box corner, pin, parameter cell, label, block table or count) raises
+`InputError`.  A
 wrong *object* argument (`None` for a `ChaosSystem`, `PeanoModel`,
 `CantorMap`, `RefinementTree` or `FiniteMap`) is a programming error and
 may raise `TypeError` or `AttributeError`, which is surfaced, not hidden.

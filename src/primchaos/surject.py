@@ -66,7 +66,7 @@ from .geometry import (
     Region,
     binary_word,
     cylinder,
-    grid_box,
+    grid_point,
     point_doc,
     rational_str,
     rat,
@@ -111,7 +111,8 @@ Cell = Tuple[Tuple[int, ...], Tuple[int, ...]]  # (coordinates, grid sizes)
 
 def _grid_box(coords: Sequence[int], sizes: Sequence[int]) -> Box:
     """The closed box [c/s, (c+1)/s] on every axis."""
-    return grid_box(coords, [c + 1 for c in coords], sizes)
+    return Box._trusted(grid_point(coords, sizes),
+                        grid_point([c + 1 for c in coords], sizes))
 
 
 # map kind -> (target space, axes its expansion kernel spreads the word's

@@ -9,7 +9,13 @@ against these, tuple for tuple, list for list and verdict for verdict.
 And `decimal_str` as it was before it took its digits from one `divmod`:
 one long-division step per digit.
 
+And the checked `Box` constructor as the oracle of every box a kernel
+builds with `Box._trusted`: inside `checked_boxes()` each such box is built
+by the constructor, so one that fails its checks raises `InputError`.
+
 `box1` and `box2` are the tests' shorthand for `Fraction` boxes."""
+
+from contextlib import contextmanager
 
 from primchaos.geometry import Box, Region, _merge_intervals, rat
 
@@ -20,6 +26,22 @@ def box1(lo, hi) -> Box:
 
 def box2(xlo, xhi, ylo, yhi) -> Box:
     return Box((rat(xlo), rat(ylo)), (rat(xhi), rat(yhi)))
+
+
+@contextmanager
+def checked_boxes():
+    """While open, `Box._trusted` builds through the checked constructor;
+    yields the list of boxes it builds."""
+    built, trusted = [], Box.__dict__["_trusted"]
+
+    def checked(cls, lo, hi):
+        built.append(cls(lo, hi))
+        return built[-1]
+    Box._trusted = classmethod(checked)
+    try:
+        yield built
+    finally:
+        Box._trusted = trusted
 
 
 def oracle_box_intersect(a, b):

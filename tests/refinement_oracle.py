@@ -1,16 +1,22 @@
 """The `Fraction` refinement construction and stage checks, as they were
 before the construction moved onto an integer grid.  Tests compare the grid
-build and checks against these, cell for cell and report for report."""
+build and checks against these, cell for cell and report for report.  And
+the `Fraction` Cell of a grid cell as the `tree.cells` view built it before
+it built each corner once: every box by `grid_box`, every marked point by
+`grid_point`."""
 
 from primchaos.embedding import Cell
 from primchaos.errors import DegenerateInputError, InputError
 from primchaos.geometry import (
     AxisIndex,
     Box,
+    Region,
     chebyshev_ball,
     closed_difference,
     diameter,
     distance,
+    grid_box,
+    grid_point,
     lexmax_point,
     lexmin_point,
     region,
@@ -18,6 +24,15 @@ from primchaos.geometry import (
     region_subset,
 )
 from primchaos.report import CheckReport
+
+
+def oracle_fraction_cell(tree, addr) -> Cell:
+    """The `Fraction` Cell of the tree's grid cell at the address."""
+    cell, dens = tree.grid[addr], (tree.scale,) * tree.model.dim
+    return Cell(Region(tuple(grid_box(b.lo, b.hi, dens)
+                             for b in cell.region.boxes)),
+                (grid_point(cell.marked[0], dens),
+                 grid_point(cell.marked[1], dens)))
 
 
 def oracle_subdivide(model, cell, marked):

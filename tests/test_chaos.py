@@ -17,7 +17,7 @@ from chaos_oracle import (
     oracle_transitivity,
     step,
 )
-from geometry_oracle import box1, box2
+from geometry_oracle import box1, box2, checked_boxes
 from primchaos import chaos, cli
 from primchaos.chaos import (
     SYSTEM_KINDS,
@@ -35,6 +35,7 @@ from primchaos.chaos import (
 )
 from primchaos.errors import ConstructionError, InputError
 from primchaos.geometry import (
+    Box,
     first_box_midpoint,
     grid_box,
     point_doc,
@@ -479,11 +480,12 @@ def test_kernel_matches_reference_on_dense_words(kind):
 def test_kernel_matches_reference_on_random_words(kind, data):
     s = RANDOM_WORD_SYSTEMS[kind]
     word = data.draw(st.text("0123456789"[:s.alphabet], max_size=200))
-    want = reference_enclosure(s, word)
-    check_against_reference(s, word, want)
-    if want is not None and word:
-        # the Fraction orbit and event membership certify the kernel
-        assert realize_witness(s, word).enclosure == want
+    with checked_boxes():
+        want = reference_enclosure(s, word)
+        check_against_reference(s, word, want)
+        if want is not None and word:
+            # the Fraction orbit and event membership certify the kernel
+            assert realize_witness(s, word).enclosure == want
 
 
 def test_kernel_on_custom_systems_examples():
@@ -690,6 +692,13 @@ def test_non_rational_coefficients_rejected():
     assert apply(AffineBranch(((2, -1),)), (F(3, 8),)) == (F(-1, 4),)
 
 
+def test_int_law_preimage_of_an_int_box_is_exact():
+    # int coefficients and int corners divide to Fractions, not floats
+    pre = AffineBranch(((2, 0), (-4, 1))).preimage(region(Box((0, 0), (1, 1))))
+    assert pre == region(box2(0, F(1, 2), 0, F(1, 4)))
+    assert all(type(x) is F for b in pre.boxes for x in (*b.lo, *b.hi))
+
+
 def test_malformed_systems_rejected():
     d, b = make_system("doubling"), make_system("baker")
     with pytest.raises(InputError, match="need a branch each"):
@@ -756,9 +765,10 @@ def test_transitivity_matches_pairwise_oracle(kind):
 @pytest.mark.parametrize("s", [*RANDOM_WORD_SYSTEMS.values(), TRAP],
                          ids=lambda s: s.kind)
 def test_transitivity_matches_pairwise_oracle_on_custom_systems(s):
-    for depth in range(1, 4):
-        assert verdict(transitivity_check, s, depth) == \
-            verdict(oracle_transitivity, s, depth), (s.kind, depth)
+    with checked_boxes():
+        for depth in range(1, 4):
+            assert verdict(transitivity_check, s, depth) == \
+                verdict(oracle_transitivity, s, depth), (s.kind, depth)
 
 
 def test_transitivity_fails_on_the_trap_as_the_oracle_does():

@@ -2,9 +2,10 @@
 is not an int in range with `InputError` and its own message, through
 `errors.check_count`: never with a `TypeError`, and never by running on a
 float.  A routine whose work grows with its count bounds it too, before
-any work: the CLI's limits are these bounds.  And the work counts of two
-fast paths: the parsers one CLI invocation builds, and the closures the
-fintop sweep computes."""
+any work: the CLI's limits are these bounds.  And the work counts of three
+fast paths: the parsers one CLI invocation builds, the closures the fintop
+sweep computes, and the checked boxes the refinement and chaos kernels
+build: none."""
 
 import argparse
 from collections import Counter
@@ -461,3 +462,25 @@ def test_sweep_closes_each_distinct_first_step_once(monkeypatch):
         (True, "355 of 355 spaces")]
     assert set(seen) == want
     assert sum(seen.values()) == 612
+
+
+def test_kernels_build_no_checked_box(monkeypatch):
+    # the models' and system's boxes are checked once, when they are made;
+    # every box the kernels derive from them is built trusted
+    models = [embedding.make_model(kind) for kind in embedding.MODEL_KINDS]
+    system = chaos.make_system("baker")
+    checked, post_init = [], geometry.Box.__post_init__
+
+    def spy(box):
+        checked.append(box)
+        post_init(box)
+    monkeypatch.setattr(geometry.Box, "__post_init__", spy)
+    for model in models:
+        tree = embedding.build_refinement(model, 6)
+        assert all(embedding.check_stage_invariants(tree, k).all_passed
+                   for k in range(tree.depth + 1))
+        assert len(embedding.tree_document(tree)["cells"]) == 127
+    assert len(chaos.realize_witness(system, "0110").orbit) == 4
+    assert checked == []
+    geometry.Box((0,), (1,))
+    assert len(checked) == 1  # the spy sees a checked box

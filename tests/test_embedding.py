@@ -36,8 +36,9 @@ from primchaos.geometry import (
     regions_disjoint,
     region_subset,
 )
-from geometry_oracle import box1, box2
-from refinement_oracle import oracle_build, oracle_check, oracle_subdivide
+from geometry_oracle import box1, box2, checked_boxes
+from refinement_oracle import (oracle_build, oracle_check,
+                               oracle_fraction_cell, oracle_subdivide)
 
 
 @pytest.fixture(scope="module")
@@ -134,12 +135,13 @@ def test_tree_cells_are_read_only():
 
 def test_fraction_cells_are_built_at_most_once(monkeypatch):
     t = build_refinement(make_model("tripod"), 4)
-    built, real = [], embedding.grid_box
+    # the view builds each `Fraction` box as a trusted Box
+    built, real = [], Box._trusted
 
-    def counting_grid_box(lo, hi, dens):
+    def counting_trusted(cls, lo, hi):
         built.append(lo)
-        return real(lo, hi, dens)
-    monkeypatch.setattr(embedding, "grid_box", counting_grid_box)
+        return real(lo, hi)
+    monkeypatch.setattr(Box, "_trusted", classmethod(counting_trusted))
     first = {a: t.cells[a] for a in t.grid}
     for _ in range(3):  # a fresh `tree.cells` access on every lookup
         assert all(t.cells[a] is first[a] for a in t.grid)
@@ -558,6 +560,47 @@ def test_grid_build_matches_fraction_oracle(kind):
             oracle_build(model, depth), depth
 
 
+def _view_matches_grid_box_route(t):
+    """Each `tree.cells` Cell equals, in value and corner type, the Cell
+    the grid_box route builds; a one-box cell marked at its corners shares
+    their tuples as its marked points.  Returns how many cells share."""
+    shared = 0
+    with checked_boxes():
+        for a in t.grid:
+            got, want = t.cells[a], oracle_fraction_cell(t, a)
+            assert got == want, a
+            assert all(type(x) is F for x in _coords(got)), a
+            (b, *rest), grid = got.region.boxes, t.grid[a]
+            if not rest and grid.marked == (grid.region.boxes[0].lo,
+                                            grid.region.boxes[0].hi):
+                assert got.marked[0] is b.lo and got.marked[1] is b.hi, a
+                shared += 1
+    return shared
+
+
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_fraction_view_matches_the_grid_box_route(kind):
+    model = make_model(kind)
+    for depth in range(7):
+        t = build_refinement(model, depth)
+        # every cell but a tripod root is one box marked at its corners
+        assert _view_matches_grid_box_route(t) == \
+            len(t.grid) - (kind == "tripod")
+    # marked points off the corners, or at one corner only: only the point
+    # cell "0" shares its corners
+    half, quarter = (F(1, 2),) * model.dim, [(F(1, 4),) * model.dim,
+                                             (F(3, 4),) * model.dim]
+    cells = {"": Cell(region(Box((F(0),) * model.dim, (F(1),) * model.dim)),
+                      tuple(quarter)),
+             "0": Cell(region(Box(quarter[0], quarter[0])),
+                       (quarter[0], quarter[0])),
+             "1": Cell(region(Box(half, quarter[1])),
+                       (half, (F(5, 8),) * model.dim))}
+    with checked_boxes():
+        t = RefinementTree(model, cells)
+    assert _view_matches_grid_box_route(t) == 1
+
+
 def test_grid_checks_match_fraction_oracle(trees):
     for kind, t in trees.items():
         for level in range(t.depth + 1):
@@ -671,7 +714,8 @@ def _outcome(step, *args):
 @given(split_steps())
 def test_split_matches_fraction_oracle(case):
     # one-box cells are split by a per-axis clamp, others by regions
-    assert _outcome(subdivide, *case) == _outcome(oracle_subdivide, *case)
+    with checked_boxes():
+        assert _outcome(subdivide, *case) == _outcome(oracle_subdivide, *case)
 
 
 @settings(max_examples=100, deadline=None)
@@ -777,6 +821,9 @@ def perturbed_trees(draw):
 @settings(max_examples=300, deadline=None)
 @given(perturbed_trees())
 def test_checks_match_fraction_oracle_on_random_trees(t):
-    for level in range(t.depth + 1):
-        assert check_stage_invariants(t, level) == oracle_check(t, level), \
-            level
+    with checked_boxes():
+        t = RefinementTree(t.model, dict(t.cells))  # `_onto_grid` checked
+        for level in range(t.depth + 1):
+            assert check_stage_invariants(t, level) == \
+                oracle_check(t, level), level
+    _view_matches_grid_box_route(t)

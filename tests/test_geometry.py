@@ -20,6 +20,7 @@ from primchaos.geometry import (
     box_disjoint,
     box_in_boxes,
     box_intersect,
+    chebyshev_ball,
     closed_difference,
     cylinder,
     decimal_str,
@@ -41,6 +42,7 @@ from primchaos.geometry import (
 from geometry_oracle import (
     box1,
     box2,
+    checked_boxes,
     oracle_box_disjoint,
     oracle_box_in_boxes,
     oracle_box_intersect,
@@ -374,8 +376,12 @@ def test_grid_box_builds_lowest_terms_fractions():
     assert b == box2(F(1, 2), 1, F(1, 3), F(2, 3))
     assert all(type(x) is F for x in (*b.lo, *b.hi))
     assert grid_point((-3,), (6,)) == (F(-1, 2),)
+    for lo, hi, dens in [((1,), (0,), (1,)), ((0,), (1, 1), (1, 1)),
+                         ((0,) * 3, (1,) * 3, (1,) * 3), ((), (), ())]:
+        with pytest.raises(InputError):
+            grid_box(lo, hi, dens)
     with pytest.raises(InputError):
-        grid_box((1,), (0,), (1,))
+        chebyshev_ball((F(1, 2),), F(-1, 4))
 
 
 def test_region_equality_is_point_set_equality():
@@ -485,7 +491,16 @@ def _typed(boxes):
 @settings(max_examples=400, deadline=None)
 @given(st.sampled_from([1, 2]).flatmap(lambda dim: box_lists(dim, 7)))
 def test_region_matches_column_pass_oracle(boxes):
-    assert _typed(region(boxes).boxes) == _typed(oracle_region(boxes).boxes)
+    with checked_boxes():
+        assert _typed(region(boxes).boxes) == _typed(oracle_region(boxes).boxes)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([1, 2]).flatmap(lambda dim: box_lists(dim, 4)))
+def test_trusted_box_is_the_checked_box(boxes):
+    for b in boxes:
+        t = Box._trusted(b.lo, b.hi)
+        assert (t.lo, t.hi) == (b.lo, b.hi) and t == b and hash(t) == hash(b)
 
 
 @settings(max_examples=400, deadline=None)
@@ -494,14 +509,31 @@ def test_region_matches_column_pass_oracle(boxes):
 def test_containment_and_difference_match_oracle(pair):
     # corners of the two lists may differ in type; they compare exactly
     minuend, subtrahend = pair
-    assert _typed(closed_difference(minuend, subtrahend)) == \
-        _typed(oracle_closed_difference(minuend, subtrahend))
-    for target in minuend:
-        assert box_in_boxes(target, subtrahend) is \
-            oracle_box_in_boxes(target, subtrahend)
-    a, b = region(minuend), region(subtrahend)
-    assert region_subset(a, b) is oracle_region_subset(a, b)
-    assert region_subset(b, a) is oracle_region_subset(b, a)
+    with checked_boxes():
+        assert _typed(closed_difference(minuend, subtrahend)) == \
+            _typed(oracle_closed_difference(minuend, subtrahend))
+        for target in minuend:
+            assert box_in_boxes(target, subtrahend) is \
+                oracle_box_in_boxes(target, subtrahend)
+        a, b = region(minuend), region(subtrahend)
+        assert region_subset(a, b) is oracle_region_subset(a, b)
+        assert region_subset(b, a) is oracle_region_subset(b, a)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from([1, 2]).flatmap(
+    lambda dim: st.tuples(box_lists(dim, 1), box_lists(dim, 1))))
+@example(([box1(0, 1)], [Box((1,), (2,))]))
+@example(([box2(0, 1, 0, 1)], [Box((0, 0), (1, 2))]))
+@example(([box2(0, 1, 1, 1)], [box2(0, 1, 1, 1)]))
+def test_one_box_subset_is_the_closed_difference_verdict(pair):
+    # the corner test `region_subset` makes for one box in one box against
+    # the emptiness of their difference, on degenerate, touching, equal and
+    # mixed int/Fraction boxes
+    (a,), (b,) = pair
+    for x, y in ((a, b), (b, a)):
+        assert region_subset(Region((x,)), Region((y,))) is \
+            (not closed_difference([x], [y]))
 
 
 # ---------------------------------------------------------------------------
@@ -529,19 +561,20 @@ def test_region_intersect_matches_pairwise_oracle(pair):
     def typed(r):
         return None if r is None else boxes_of(r.boxes)
 
-    a, b = region(pair[0]), region(pair[1])
-    assert typed(region_intersect(a, b)) == \
-        typed(oracle_region_intersect(a, b))
-    for ba in pair[0]:
-        for bb in pair[1]:
-            hit, want = box_intersect(ba, bb), oracle_box_intersect(ba, bb)
-            assert (hit is None) is (want is None)
-            assert hit is None or boxes_of([hit]) == boxes_of([want])
-            assert box_disjoint(ba, bb) is oracle_box_disjoint(ba, bb) is \
-                (want is None)
-            one_a, one_b = Region((ba,)), Region((bb,))
-            assert typed(region_intersect(one_a, one_b)) == \
-                typed(oracle_region_intersect(one_a, one_b))
+    with checked_boxes():
+        a, b = region(pair[0]), region(pair[1])
+        assert typed(region_intersect(a, b)) == \
+            typed(oracle_region_intersect(a, b))
+        for ba in pair[0]:
+            for bb in pair[1]:
+                hit, want = box_intersect(ba, bb), oracle_box_intersect(ba, bb)
+                assert (hit is None) is (want is None)
+                assert hit is None or boxes_of([hit]) == boxes_of([want])
+                assert box_disjoint(ba, bb) is oracle_box_disjoint(ba, bb) \
+                    is (want is None)
+                one_a, one_b = Region((ba,)), Region((bb,))
+                assert typed(region_intersect(one_a, one_b)) == \
+                    typed(oracle_region_intersect(one_a, one_b))
 
 
 @settings(max_examples=300, deadline=None)
@@ -592,6 +625,8 @@ ONE_BOX = box1(0, 1)
     lambda: region([ONE_BOX, None]),
     lambda: region([Box((), ()), Box((), ())]),
     lambda: region([Box((0,) * 3, (1,) * 3), Box((0, 0, 5), (1, 1, 6))]),
+    lambda: region([Box((0, 0, 0), (1, 1, 1))]),
+    lambda: diameter(region(Box((0.1,), (0.3,)))),
     lambda: distance(None, (1,)),
     lambda: distance((1,), None),
     lambda: distance(("x",), (1,)),
@@ -601,7 +636,7 @@ ONE_BOX = box1(0, 1)
     lambda: parse_rational(None),
 ], ids=["region_none", "region_int", "region_str", "region_none_box",
         "region_pair", "region_box_and_none", "region_no_axes",
-        "region_three_axes",
+        "region_three_axes", "region_one_three_axis_box", "box_float_corners",
         "distance_none_p", "distance_none_q", "distance_str_axis",
         "distance_no_axes", "decimal_none", "decimal_float", "parse_none"])
 def test_malformed_data_arguments_raise_input_error(call):
@@ -613,8 +648,7 @@ LEAVES = st.one_of(
     st.none(), st.booleans(), st.integers(), st.floats(),
     st.fractions(max_denominator=99), st.text(max_size=6),
     st.binary(max_size=6), st.sampled_from(["", "0", "101", "1/2", "zeros"]),
-    st.sampled_from([ONE_BOX, box1(F(1, 2), 2), box2(0, 1, 0, 1),
-                     Box((), ())]))
+    st.sampled_from([ONE_BOX, box1(F(1, 2), 2), box2(0, 1, 0, 1)]))
 # None, bools, ints, floats, strings, bytes, boxes, and lists and tuples
 # of them, empty, nested and of any length
 JUNK = st.recursive(LEAVES, lambda inner: st.one_of(
@@ -626,6 +660,12 @@ DIGITS = st.one_of(st.integers(-2, 40),
                    st.integers(MAX_DECIMAL_DIGITS - 1, MAX_DECIMAL_DIGITS + 2),
                    st.none(), st.floats(), st.text(max_size=2))
 
+# box corners: tuples of 0-3 ints, bools, Fractions or floats, or junk
+CORNERS = st.one_of(
+    st.lists(st.one_of(st.integers(-3, 3), st.booleans(),
+                       st.fractions(max_denominator=9), st.floats()),
+             max_size=3).map(tuple), JUNK)
+
 CONTRACT_CALLS = {
     "rat": lambda draw: rat(draw(JUNK)),
     "parse_rational": lambda draw: parse_rational(draw(JUNK)),
@@ -635,6 +675,7 @@ CONTRACT_CALLS = {
     "eval_ternary_address": lambda draw: eval_ternary_address(
         draw(JUNK), draw(JUNK)),
     "region": lambda draw: region(draw(JUNK)),
+    "Box": lambda draw: diameter(region(Box(draw(CORNERS), draw(CORNERS)))),
     "distance": lambda draw: distance(draw(JUNK), draw(JUNK)),
 }
 

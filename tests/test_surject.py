@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import surject_oracle as oracle
-from geometry_oracle import box1, box2
+from geometry_oracle import box1, box2, checked_boxes
 from surject_oracle import (
     blocks_cover,
     midpoint,
@@ -124,12 +124,13 @@ def test_binary_expansion_examples():
 
 
 def test_binary_expansion_matches_oracle_exhaustive():
-    for n in range(9):
-        for i in range(2 ** n):
-            bits = format(i, f"0{n}b") if n else ""
-            b = binary_expansion_map(bits).boxes[0]
-            lo = expansion_oracle(bits)
-            assert (b.lo[0], b.hi[0]) == (lo, lo + F(1, 2 ** n))
+    with checked_boxes():
+        for n in range(9):
+            for i in range(2 ** n):
+                bits = format(i, f"0{n}b") if n else ""
+                b = binary_expansion_map(bits).boxes[0]
+                lo = expansion_oracle(bits)
+                assert (b.lo[0], b.hi[0]) == (lo, lo + F(1, 2 ** n))
 
 
 def test_interleave_examples():
@@ -139,14 +140,15 @@ def test_interleave_examples():
 
 
 def test_interleave_matches_parity_split_oracle():
-    for i in range(2 ** 8):
-        bits = format(i, "08b")
-        xs, ys = bits[0::2], bits[1::2]
-        b = interleave_map(bits).boxes[0]
-        assert b.lo[0] == expansion_oracle(xs)
-        assert b.lo[1] == expansion_oracle(ys)
-        assert b.hi[0] == expansion_oracle(xs) + F(1, 2 ** len(xs))
-        assert b.hi[1] == expansion_oracle(ys) + F(1, 2 ** len(ys))
+    with checked_boxes():
+        for i in range(2 ** 8):
+            bits = format(i, "08b")
+            xs, ys = bits[0::2], bits[1::2]
+            b = interleave_map(bits).boxes[0]
+            assert b.lo[0] == expansion_oracle(xs)
+            assert b.lo[1] == expansion_oracle(ys)
+            assert b.hi[0] == expansion_oracle(xs) + F(1, 2 ** len(xs))
+            assert b.hi[1] == expansion_oracle(ys) + F(1, 2 ** len(ys))
 
 
 def test_enclosures_nest_and_obey_modulus():
