@@ -70,14 +70,12 @@ from .surject import (
     CantorMap,
     ClopenBlock,
     WaypointMap,
-    binary_expansion_map,
     block_surjection,
     clopen_partition,
     evaluate_map,
     evaluate_waypoint,
     evaluate_waypoint_exact,
     hilbert_enclosure,
-    interleave_map,
     verify_block_surjection,
     verify_cover_map,
     verify_curve,

@@ -133,6 +133,9 @@ class AffineBranch:
             raise InputError("affine branch needs a nonzero slope on every axis")
 
     def preimage_box(self, b: Box) -> Box:
+        if len(self.coeffs) != len(b.lo):
+            raise InputError(f"affine branch of {len(self.coeffs)} laws on a "
+                             f"box of {len(b.lo)} axes")
         lo = []
         hi = []
         for (a, off), l, h in zip(self.coeffs, b.lo, b.hi):

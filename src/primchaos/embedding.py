@@ -409,13 +409,15 @@ def check_stage_invariants(tree: RefinementTree, level: int) -> CheckReport:
                  f"intersect")
 
     # (ii) diameter shrink against the parent's marked-point distance: the
-    # diameter is the widest side of the cell's bounding box
+    # diameter is the widest side of the cell's bounding box.  Levels are
+    # in lexicographic order, so cell i is a child of parent i // 2.
     if level == 0:
         rep.add("diameter_shrink", True, "root level: no parent, vacuous")
     else:
+        parent_d = [distance(*grid[p].marked) for p in tree.level(level - 1)]
         bad = None
-        for a, (lo, hi) in zip(addrs, bounds):
-            if not 3 * max(map(sub, hi, lo)) < distance(*grid[a[:-1]].marked):
+        for i, (a, (lo, hi)) in enumerate(zip(addrs, bounds)):
+            if not 3 * max(map(sub, hi, lo)) < parent_d[i // 2]:
                 bad = a
                 break
         rep.add("diameter_shrink", bad is None,

@@ -33,7 +33,7 @@ hold corners as `int` numerators over one denominator per axis.  Boxes,
 `region()`, intersection, containment, `closed_difference`, `distance` and
 `diameter` only compare, add and subtract, so they run on such integer
 corners unchanged; `grid_point` is the one way back to `Fraction` corners,
-and `grid_box` checks integer corners before it builds their trusted box.
+and a kernel builds a trusted box of two such points (`surject._grid_box`).
 A region built from `int` and `Fraction` corners is exact, but which type
 it keeps where two equal corners meet is unspecified.
 
@@ -184,9 +184,6 @@ class Box:
     def contains_point(self, p: Point) -> bool:
         return all(l <= c <= h for l, c, h in zip(self.lo, p, self.hi))
 
-    def side(self, axis: int) -> Fraction:
-        return self.hi[axis] - self.lo[axis]
-
     def sort_key(self):
         return (self.lo, self.hi)
 
@@ -218,16 +215,6 @@ def chebyshev_ball(center: Point, radius: Fraction) -> Box:
 def grid_point(nums: Sequence[int], dens: Sequence[int]) -> Point:
     """The point with coordinate nums[i] / dens[i] on axis i."""
     return tuple(map(Fraction, nums, dens))
-
-
-def grid_box(lo: Sequence[int], hi: Sequence[int], dens: Sequence[int]) -> Box:
-    """The `Fraction` box of integer corners over one denominator per axis;
-    `InputError` unless there are 1 or 2 axes and lo <= hi on each."""
-    if not len(lo) == len(hi) == len(dens) or len(lo) not in (1, 2) \
-            or any(map(gt, lo, hi)):
-        raise InputError(f"grid box needs lo <= hi on 1 or 2 axes: "
-                         f"{lo} .. {hi} over {dens}")
-    return Box._trusted(grid_point(lo, dens), grid_point(hi, dens))
 
 
 # ---------------------------------------------------------------------------

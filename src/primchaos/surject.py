@@ -147,20 +147,6 @@ def _expansion_cell(word: str, axes: int) -> Cell:
             tuple([1 << len(d) for d in digits]))
 
 
-def _expansion_map(prefix: str, axes: int) -> Region:
-    return region(_grid_box(*_expansion_cell(binary_word(prefix), axes)))
-
-
-def binary_expansion_map(prefix: str) -> Region:
-    """Interval enclosure of the binary-expansion image of a cylinder."""
-    return _expansion_map(prefix, 1)
-
-
-def interleave_map(prefix: str) -> Region:
-    """Square box enclosure: odd bits refine x, even bits refine y."""
-    return _expansion_map(prefix, 2)
-
-
 # ---------------------------------------------------------------------------
 # Clopen blocks
 # ---------------------------------------------------------------------------
@@ -215,9 +201,6 @@ class ClopenBlock:
         pair = _overlap(cyls)
         if pair:
             raise InputError(f"cylinders {pair[0]!r} and {pair[1]!r} overlap")
-
-    def region(self) -> Region:
-        return region([cylinder(c).boxes[0] for c in self.cylinders])
 
     @cached_property
     def _ordered(self) -> List[str]:
@@ -389,7 +372,7 @@ def evaluate_map(f: CantorMap, prefix: str) -> Region:
     """Exact enclosure of the image of the given cylinder."""
     axes = MAP_KINDS[f.kind][1]
     if axes:
-        return _expansion_map(prefix, axes)
+        return region(_grid_box(*_expansion_cell(binary_word(prefix), axes)))
     return region([cylinder(o).boxes[0] for o in evaluate_symbolic(f, prefix)])
 
 

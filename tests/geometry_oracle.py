@@ -13,11 +13,16 @@ And the checked `Box` constructor as the oracle of every box a kernel
 builds with `Box._trusted`: inside `checked_boxes()` each such box is built
 by the constructor, so one that fails its checks raises `InputError`.
 
-`box1` and `box2` are the tests' shorthand for `Fraction` boxes."""
+`box1` and `box2` are the tests' shorthand for `Fraction` boxes, and
+`grid_box` builds the `Fraction` box of integer corners over one
+denominator per axis, the route the tests compare the integer kernels'
+cells with."""
 
 from contextlib import contextmanager
+from operator import gt
 
-from primchaos.geometry import Box, Region, _merge_intervals, rat
+from primchaos.errors import InputError
+from primchaos.geometry import Box, Region, _merge_intervals, grid_point, rat
 
 
 def box1(lo, hi) -> Box:
@@ -26,6 +31,16 @@ def box1(lo, hi) -> Box:
 
 def box2(xlo, xhi, ylo, yhi) -> Box:
     return Box((rat(xlo), rat(ylo)), (rat(xhi), rat(yhi)))
+
+
+def grid_box(lo, hi, dens) -> Box:
+    """The `Fraction` box of integer corners over one denominator per axis;
+    `InputError` unless there are 1 or 2 axes and lo <= hi on each."""
+    if not len(lo) == len(hi) == len(dens) or len(lo) not in (1, 2) \
+            or any(map(gt, lo, hi)):
+        raise InputError(f"grid box needs lo <= hi on 1 or 2 axes: "
+                         f"{lo} .. {hi} over {dens}")
+    return Box._trusted(grid_point(lo, dens), grid_point(hi, dens))
 
 
 @contextmanager

@@ -5,6 +5,7 @@ the `Fraction` Cell of a grid cell as the `tree.cells` view built it before
 it built each corner once: every box by `grid_box`, every marked point by
 `grid_point`."""
 
+from geometry_oracle import grid_box
 from primchaos.embedding import Cell
 from primchaos.errors import DegenerateInputError, InputError
 from primchaos.geometry import (
@@ -15,7 +16,6 @@ from primchaos.geometry import (
     closed_difference,
     diameter,
     distance,
-    grid_box,
     grid_point,
     lexmax_point,
     lexmin_point,

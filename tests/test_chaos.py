@@ -17,7 +17,7 @@ from chaos_oracle import (
     oracle_transitivity,
     step,
 )
-from geometry_oracle import box1, box2, checked_boxes
+from geometry_oracle import box1, box2, checked_boxes, grid_box
 from primchaos import chaos, cli
 from primchaos.chaos import (
     SYSTEM_KINDS,
@@ -37,7 +37,6 @@ from primchaos.errors import ConstructionError, InputError
 from primchaos.geometry import (
     Box,
     first_box_midpoint,
-    grid_box,
     point_doc,
     rational_str,
     region,
@@ -697,6 +696,19 @@ def test_int_law_preimage_of_an_int_box_is_exact():
     pre = AffineBranch(((2, 0), (-4, 1))).preimage(region(Box((0, 0), (1, 1))))
     assert pre == region(box2(0, F(1, 2), 0, F(1, 4)))
     assert all(type(x) is F for b in pre.boxes for x in (*b.lo, *b.hi))
+
+
+@pytest.mark.parametrize("laws,box,message", [
+    (((2, 0),), Box((0, 0), (1, 1)), "affine branch of 1 laws on a box of "
+                                     "2 axes"),
+    (((2, 0),) * 3, Box((0,), (1,)), "affine branch of 3 laws on a box of "
+                                     "1 axes"),
+], ids=["1-law-2-axes", "3-laws-1-axis"])
+def test_preimage_law_count_must_match_the_axes(laws, box, message):
+    # zipping the laws with the axes read only the shorter of the two
+    with pytest.raises(InputError) as info:
+        AffineBranch(laws).preimage(region(box))
+    assert str(info.value) == message
 
 
 def test_malformed_systems_rejected():

@@ -2,10 +2,11 @@
 is not an int in range with `InputError` and its own message, through
 `errors.check_count`: never with a `TypeError`, and never by running on a
 float.  A routine whose work grows with its count bounds it too, before
-any work: the CLI's limits are these bounds.  And the work counts of three
+any work: the CLI's limits are these bounds.  And the work counts of four
 fast paths: the parsers one CLI invocation builds, the closures the fintop
-sweep computes, and the checked boxes the refinement and chaos kernels
-build: none."""
+sweep computes, the marked distances a stage check measures (one per
+parent), and the checked boxes the refinement and chaos kernels build:
+none."""
 
 import argparse
 from collections import Counter
@@ -462,6 +463,21 @@ def test_sweep_closes_each_distinct_first_step_once(monkeypatch):
         (True, "355 of 355 spaces")]
     assert set(seen) == want
     assert sum(seen.values()) == 612
+
+
+@pytest.mark.parametrize("level", range(7))
+def test_stage_check_measures_each_parent_once(level, monkeypatch):
+    # check (ii) reads one marked distance per parent: 2^(k-1) at level k
+    tree = embedding.build_refinement(MODEL, 6)
+    calls = []
+    distance = embedding.distance
+
+    def counted(p, q):
+        calls.append((p, q))
+        return distance(p, q)
+    monkeypatch.setattr(embedding, "distance", counted)
+    assert embedding.check_stage_invariants(tree, level).all_passed
+    assert len(calls) == (2 ** (level - 1) if level else 0)
 
 
 def test_kernels_build_no_checked_box(monkeypatch):

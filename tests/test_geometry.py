@@ -27,7 +27,6 @@ from primchaos.geometry import (
     diameter,
     distance,
     eval_ternary_address,
-    grid_box,
     grid_point,
     lexmax_point,
     lexmin_point,
@@ -43,6 +42,7 @@ from geometry_oracle import (
     box1,
     box2,
     checked_boxes,
+    grid_box,
     oracle_box_disjoint,
     oracle_box_in_boxes,
     oracle_box_intersect,

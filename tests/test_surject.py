@@ -37,7 +37,6 @@ from primchaos.surject import (
     CantorMap,
     ClopenBlock,
     WaypointMap,
-    binary_expansion_map,
     block_surjection,
     blocks_pairwise_disjoint,
     clopen_partition,
@@ -46,7 +45,6 @@ from primchaos.surject import (
     evaluate_waypoint,
     evaluate_waypoint_exact,
     hilbert_enclosure,
-    interleave_map,
     map_document,
     sweep_segments,
     verify_block_surjection,
@@ -114,13 +112,16 @@ def tile_walk_oracle(cells, sizes):
 # binary expansion / interleave
 # ---------------------------------------------------------------------------
 
+BINARY = CantorMap("binary_expansion")
+INTERLEAVE = CantorMap("interleave")
+
 
 def test_binary_expansion_examples():
-    assert binary_expansion_map("") == region(box1(0, 1))
-    assert binary_expansion_map("1") == region(box1(F(1, 2), 1))
+    assert evaluate_map(BINARY, "") == region(box1(0, 1))
+    assert evaluate_map(BINARY, "1") == region(box1(F(1, 2), 1))
     # oracle: 0/2 + 1/4 + 1/8 = 3/8, width 1/8
     assert expansion_oracle("011") == F(3, 8)
-    assert binary_expansion_map("011") == region(box1(F(3, 8), F(1, 2)))
+    assert evaluate_map(BINARY, "011") == region(box1(F(3, 8), F(1, 2)))
 
 
 def test_binary_expansion_matches_oracle_exhaustive():
@@ -128,15 +129,17 @@ def test_binary_expansion_matches_oracle_exhaustive():
         for n in range(9):
             for i in range(2 ** n):
                 bits = format(i, f"0{n}b") if n else ""
-                b = binary_expansion_map(bits).boxes[0]
+                b = evaluate_map(BINARY, bits).boxes[0]
                 lo = expansion_oracle(bits)
                 assert (b.lo[0], b.hi[0]) == (lo, lo + F(1, 2 ** n))
 
 
 def test_interleave_examples():
-    assert interleave_map("") == region(box2(0, 1, 0, 1))
-    assert interleave_map("11") == region(box2(F(1, 2), 1, F(1, 2), 1))
-    assert interleave_map("10") == region(box2(F(1, 2), 1, 0, F(1, 2)))
+    assert evaluate_map(INTERLEAVE, "") == region(box2(0, 1, 0, 1))
+    assert evaluate_map(INTERLEAVE, "11") == \
+        region(box2(F(1, 2), 1, F(1, 2), 1))
+    assert evaluate_map(INTERLEAVE, "10") == \
+        region(box2(F(1, 2), 1, 0, F(1, 2)))
 
 
 def test_interleave_matches_parity_split_oracle():
@@ -144,7 +147,7 @@ def test_interleave_matches_parity_split_oracle():
         for i in range(2 ** 8):
             bits = format(i, "08b")
             xs, ys = bits[0::2], bits[1::2]
-            b = interleave_map(bits).boxes[0]
+            b = evaluate_map(INTERLEAVE, bits).boxes[0]
             assert b.lo[0] == expansion_oracle(xs)
             assert b.lo[1] == expansion_oracle(ys)
             assert b.hi[0] == expansion_oracle(xs) + F(1, 2 ** len(xs))
@@ -153,12 +156,10 @@ def test_interleave_matches_parity_split_oracle():
 
 def test_enclosures_nest_and_obey_modulus():
     rng = random.Random(31)
-    fb = CantorMap("binary_expansion")
-    fi = CantorMap("interleave")
     for _ in range(300):
         n = rng.randint(0, 20)
         word = "".join(rng.choice("01") for _ in range(n))
-        for f in (fb, fi):
+        for f in (BINARY, INTERLEAVE):
             enc = evaluate_map(f, word)
             assert diameter(enc) <= f.modulus(n)
             if n:
@@ -172,7 +173,7 @@ def test_shared_prefix_modulus_random_pairs():
         prefix = "".join(rng.choice("01") for _ in range(n))
         a = prefix + "".join(rng.choice("01") for _ in range(4))
         b = prefix + "".join(rng.choice("01") for _ in range(4))
-        ia, ib = binary_expansion_map(a), binary_expansion_map(b)
+        ia, ib = evaluate_map(BINARY, a), evaluate_map(BINARY, b)
         d = max(abs(ia.boxes[0].lo[0] - ib.boxes[0].lo[0]),
                 abs(ia.boxes[0].hi[0] - ib.boxes[0].hi[0]))
         assert d <= F(1, 2 ** n)
@@ -277,7 +278,8 @@ def test_covering_fails_on_a_faulty_kernel(kind, target, axes, fault,
     # the evaluator reads the same placement, so it shows the same fault:
     # two of its 64 enclosures coincide, or one is not a cell of the grid
     encs = {evaluate_map(f, format(j, "06b")) for j in range(64)}
-    sides = {tuple(e.boxes[0].side(i) for i in range(axes)) for e in encs}
+    sides = {tuple(e.boxes[0].hi[i] - e.boxes[0].lo[i] for i in range(axes))
+             for e in encs}
     assert len(encs) < 64 or sides != {tuple(F(1, s) for s in grid)}
     word = "110111"
     cell = tuple(int("".join(word[i] for i in pos) or "0", 2)
@@ -317,7 +319,8 @@ def test_clopen_partition_disjoint_covering_up_to_64():
         assert blocks_pairwise_disjoint(blocks)
         assert blocks_cover(blocks)
         # regions are pairwise disjoint and nonempty, exact
-        regions = [b.region() for b in blocks]
+        regions = [region([cylinder(c).boxes[0] for c in b.cylinders])
+                   for b in blocks]
         for i in range(min(n, 12)):
             for j in range(i + 1, min(n, 12)):
                 assert regions_disjoint(regions[i], regions[j])
@@ -356,8 +359,7 @@ WORD_TAKERS = {
     "cylinder": cylinder,
     "eval_ternary_address": eval_ternary_address,
     "evaluate_address": lambda w: evaluate_address(INTERVAL_TREE, w),
-    "binary_expansion_map": binary_expansion_map,
-    "interleave_map": interleave_map,
+    "evaluate_map_binary": lambda w: evaluate_map(BINARY, w),
     "evaluate_map_expansion": lambda w: evaluate_map(CantorMap("interleave"), w),
     "evaluate_map_block": lambda w: evaluate_map(SWAP_HALVES, w),
     "evaluate_symbolic": lambda w: evaluate_symbolic(SWAP_HALVES, w),
@@ -783,7 +785,7 @@ def test_long_staircase_builds_no_piece_sources():
 def test_hilbert_examples():
     assert hilbert_enclosure((0, 1)) == region(box2(0, 1, 0, 1))
     b0 = hilbert_enclosure((0, F(1, 4))).boxes[0]
-    assert b0.contains_point((F(0), F(0))) and b0.side(0) == F(1, 2)
+    assert b0.contains_point((F(0), F(0))) and b0.hi[0] - b0.lo[0] == F(1, 2)
     b3 = hilbert_enclosure((F(3, 4), 1)).boxes[0]
     assert b3.contains_point((F(1), F(0)))
 
@@ -1304,7 +1306,7 @@ def test_sweep_cell_enclosures_tile_square():
     seen = set()
     for j in range(4 ** depth):
         b = sweep_cell_enclosure(ws, 0, j, depth).boxes[0]
-        assert b.side(0) == side and b.side(1) == side
+        assert b.hi[0] - b.lo[0] == side and b.hi[1] - b.lo[1] == side
         seen.add((b.lo[0], b.lo[1]))
     assert len(seen) == 4 ** depth
 
