@@ -21,35 +21,52 @@ The construction is integer-exact.  `build_refinement` scales the model's
 root onto the grid of step 1/(D * 4^depth), D the lcm of the root's corner
 denominators.  Every corner of a level-k cell is then a multiple of
 4^(depth-k) on that grid, so each marked distance above the deepest level
-is a multiple of 4 and the child radius d // 4 is exact.  The tree holds
-these integer cells and the one scale; the stage checks are homogeneous in
-the scale and read them directly.  `Fraction` corners are built only at
-the boundary: the `tree.cells` view, `evaluate_address` and
-`tree_document`.  Each tree has one such view, and it builds each
-address's `Fraction` Cell at most once, each corner's `Fraction` point
-once: a one-box cell marked at its corners, as every cell `_split` builds,
-shares the corner tuples as its marked points.
+is a multiple of 4 and the child radius d // 4 is exact.  The stage checks
+are homogeneous in the scale and read the integer cells directly.
 
-Per level the stage checks sweep one axis index of the level's boxes for
-disjointness (i), read each cell's bounding box for the shrink (ii), and
-test each child against its parent for nesting: the child lies in the
-parent and holds its own marked points.  The other two checks are derived
-from these premises.  A finite disjoint union of closed cells minus one of
-them is the union of the others, so the clopen trace (iv) holds when (i)
-does.  Under (i) and nesting, the next-level marked points inside a cell
-are exactly its children's, so none intrudes in the perfectness check
-(iii), which is left to find the cell's pair among them and count them.
-The exact scans of (iii) and (iv) through the axis index run only when a
-premise fails, so a failing stage reports the witness the scan finds.
+A tree holds each level as one tuple of its 2^k cells in heap order, the
+layout of a complete binary tree (Williams, CACM 7(6), 1964; Knuth, TAOCP
+vol. 3, 5.2.3): the cell at address a is entry int(a, 2) of level len(a),
+the root '' entry 0 of level 0, and the children of entry i are entries
+2i and 2i + 1 of the next level.  A one-box cell marked at its corners is
+held as its corner pair (lo, hi), two tuples of ints.  That is every cell
+the step builds from a one-box parent, so in a built tree every cell but
+the tripod root.  Any other cell stays a grid `Cell`: the tripod root, a
+cell of several boxes, and a hand-made cell marked off its corners.  The
+step and the stage checks read and write these entries, and build no
+`Cell`, `Region` or address for a corner pair.  `Fraction` corners are
+built only at the boundary: the `tree.cells` view, `evaluate_address` and
+`tree_document`.  Each tree has one such view, and it builds each
+address's `Fraction` Cell at most once, from the level entry, and each
+corner's `Fraction` point once: a corner pair's points are its box's
+corners and its marked points alike.
+
+Per level the stage checks certify four premises on the corner pairs: no
+two cells meet, in a sweep along axis 0 (i); each cell's widest side is
+under a third of its parent's marked distance, read once per parent (ii);
+each child lies in its parent; and each cell's marked pair is among its
+children's marks, of which at least two are distinct.  A corner pair's
+marks are its corners, so they lie in its box.  The other checks are
+derived from these premises.  A finite disjoint union of closed cells
+minus one of them is the union of the others, so the clopen trace (iv)
+holds when (i) does.  Under (i) and nesting, the next-level marked points
+inside a cell are exactly its children's, so none intrudes in the
+perfectness check (iii), which is left to find the cell's pair among them
+and count them.  When a premise fails, or the level or the next one holds
+a `Cell`, the checks turn the entries into `Cell`s and run on them with
+the axis index.  There the exact scans of (iii) and (iv) run only when
+their premise fails, so a failing stage reports the witness the scan
+finds, and address strings are built only for a witness.
 
 Input is validated at the public boundary, depths and levels by
 `errors.check_count`.  The `RefinementTree` constructor takes its depth
 from its longest address, and then exactly the binary addresses of length
-0..depth.
-`subdivide` checks that the cell lies in the model and holds its marked
-points; `build_refinement` steps without those checks, as each cell it
-builds lies in its parent with its marked points at corners, and the stage
-checks certify the result.  The boxes the construction derives (the clamp
+0..depth, each of a `Cell` whose boxes have the model's axes and which
+marks two points of ints or `Fraction`s on those axes.  `subdivide` checks
+its cell and marked pair the same way, and that the cell lies in the model
+and holds its marked points; `build_refinement` steps without those
+checks, as each cell it builds lies in its parent with its marked points
+at corners, and the stage checks certify the result.  The boxes the construction derives (the clamp
 of a box about a marked point in it, a cell put on the grid, a grid cell
 read back as `Fraction`s) are ordered by construction and built with
 `Box._trusted`; only the models' own boxes pass the checked constructor.
@@ -58,13 +75,13 @@ read back as `Fraction`s) are ordered by construction and built with
 from __future__ import annotations
 
 from collections import defaultdict
-from collections.abc import Iterable, Iterator, Mapping
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product, repeat
+from functools import partial
+from itertools import chain, repeat
 from math import lcm
 from operator import add, le, sub
-from types import MappingProxyType
 from typing import Tuple
 
 from .errors import (ConstructionError, DegenerateInputError, InputError,
@@ -131,69 +148,97 @@ class Cell:
     marked: Tuple[tuple, tuple]  # pair of points, lexicographic extremes
 
 
-def _corners(cell: Cell) -> Iterator[tuple]:
-    for b in cell.region.boxes:
+def _points(boxes, marked) -> Iterator[tuple]:
+    for b in boxes:
         yield b.lo
         yield b.hi
-    yield from cell.marked
+    yield from marked
 
 
-def _onto_grid(cell: Cell, scale: int) -> Cell:
-    """The cell with every coordinate x replaced by the integer x * scale
-    (scale a multiple of every denominator)."""
+def _lcm_scale(points) -> int:
+    """The lcm of every coordinate's denominator: the coarsest common
+    grid."""
+    return lcm(*(x.denominator for p in points for x in p))
+
+
+def _entry(boxes: tuple, marked: tuple):
+    """The level entry of a grid cell: the corner pair of one box marked at
+    its corners, else the `Cell`."""
+    if len(boxes) == 1 and marked == (boxes[0].lo, boxes[0].hi):
+        return marked
+    return Cell(Region(boxes), marked)
+
+
+def _grid_entry(boxes, marked, scale: int):
+    """The level entry of a rational cell, given by its boxes and marked
+    pair, with every coordinate x replaced by the integer x * scale (scale a
+    multiple of every denominator)."""
     def point(p):
         return tuple(x.numerator * (scale // x.denominator) for x in p)
-    return Cell(Region(tuple(Box._trusted(point(b.lo), point(b.hi))
-                             for b in cell.region.boxes)),
-                (point(cell.marked[0]), point(cell.marked[1])))
+    return _entry(tuple(Box._trusted(point(b.lo), point(b.hi)) for b in boxes),
+                  (point(marked[0]), point(marked[1])))
 
 
-def _lcm_scale(cells: Iterable[Cell]) -> int:
-    """The lcm of every corner denominator: the coarsest common grid."""
-    return lcm(*(x.denominator for c in cells for p in _corners(c) for x in p))
+def _grid_cell(entry) -> Cell:
+    """The grid `Cell` of a level entry."""
+    if type(entry) is tuple:
+        return Cell(Region((Box._trusted(*entry),)), entry)
+    return entry
 
 
-class _FractionCells(Mapping):
-    """Read-only view of integer grid cells over one scale that builds the
-    `Fraction` Cell of an address on its first lookup and keeps it.  Each
-    corner's `Fraction` point is built once: a one-box cell whose marked
-    points are its corners, as every cell `_split` builds, shares the corner
-    tuples as its marked points.  Two threads looking up one address at
-    once may both build it; the values are equal, so either may be kept."""
+def _fraction_cell(dens: Tuple[int, ...], entry) -> Cell:
+    """The `Fraction` Cell of a level entry over one denominator per axis.
+    A corner pair's two points are built once, as its box's corners and its
+    marked points alike."""
+    if type(entry) is tuple:
+        lo, hi = grid_point(entry[0], dens), grid_point(entry[1], dens)
+        return Cell(Region((Box._trusted(lo, hi),)), (lo, hi))
+    # positive scaling keeps each box ordered and the canonical box order
+    boxes = tuple(Box._trusted(grid_point(b.lo, dens), grid_point(b.hi, dens))
+                  for b in entry.region.boxes)
+    m0, m1 = entry.marked
+    return Cell(Region(boxes), (grid_point(m0, dens), grid_point(m1, dens)))
 
-    __slots__ = ("_grid", "_dens", "_built")
 
-    def __init__(self, grid: Mapping[str, Cell], dens: Tuple[int, ...]):
-        self._grid = grid
-        self._dens = dens
+def _address(k: int, i: int) -> str:
+    """The address of entry i of level k."""
+    return format(i, f"0{k}b") if k else ""
+
+
+class _LevelView(Mapping):
+    """Read-only view of a tree's levels by address that builds an
+    address's Cell from its level entry on the first lookup and keeps it.
+    It iterates the addresses level by level, each level in lexicographic
+    (heap) order.  Two threads looking up one address at once may both
+    build it; the values are equal, so either may be kept."""
+
+    __slots__ = ("_levels", "_build", "_built")
+
+    def __init__(self, levels: tuple, build):
+        self._levels = levels
+        self._build = build
         self._built = {}
 
     def __getitem__(self, addr: str) -> Cell:
         built = self._built.get(addr)
         if built is None:
-            built = self._built[addr] = self._build(self._grid[addr])
+            if addr not in self:
+                raise KeyError(addr)
+            entry = self._levels[len(addr)][int(addr, 2) if addr else 0]
+            built = self._built[addr] = self._build(entry)
         return built
 
-    def _build(self, cell: Cell) -> Cell:
-        dens, marked = self._dens, cell.marked
-        # positive scaling keeps each box ordered and the canonical box order
-        boxes = tuple(Box._trusted(grid_point(b.lo, dens),
-                                   grid_point(b.hi, dens))
-                      for b in cell.region.boxes)
-        if len(boxes) == 1 and marked == (cell.region.boxes[0].lo,
-                                          cell.region.boxes[0].hi):
-            return Cell(Region(boxes), (boxes[0].lo, boxes[0].hi))
-        return Cell(Region(boxes), (grid_point(marked[0], dens),
-                                    grid_point(marked[1], dens)))
-
     def __contains__(self, addr) -> bool:
-        return addr in self._grid
+        return (isinstance(addr, str) and len(addr) < len(self._levels)
+                and not addr.strip("01"))
 
     def __iter__(self) -> Iterator[str]:
-        return iter(self._grid)
+        for k, level in enumerate(self._levels):
+            for i in range(len(level)):
+                yield _address(k, i)
 
     def __len__(self) -> int:
-        return len(self._grid)
+        return 2 ** len(self._levels) - 1
 
 
 def _checked_depth(cells: Mapping[str, Cell]) -> int:
@@ -212,53 +257,100 @@ def _checked_depth(cells: Mapping[str, Cell]) -> int:
     return depth
 
 
+def _check_cell(name: str, cell: Region, marked, dim: int) -> None:
+    """`InputError` unless the cell is a `Region` whose boxes have dim axes,
+    and marked is a tuple of exactly two points, each a tuple of dim ints
+    or `Fraction`s."""
+    if not isinstance(cell, Region):
+        raise InputError(f"{name} is not a Region: {cell!r}")
+    for b in cell.boxes:
+        if not isinstance(b, Box) or b.dim != dim:
+            raise InputError(f"{name} has a box {b!r} that is not {dim}-d, "
+                             f"as the model is")
+    if not (isinstance(marked, tuple) and len(marked) == 2 and all(
+            isinstance(p, tuple) and len(p) == dim
+            and all(isinstance(x, (int, Fraction)) for x in p)
+            for p in marked)):
+        raise InputError(f"{name} needs two marked points of {dim} ints or "
+                         f"Fractions, got {marked!r}")
+
+
 @dataclass(frozen=True, init=False)
 class RefinementTree:
-    """The full refinement to a fixed depth: one Cell per binary address.
+    """The full refinement to a fixed depth, stored once, level by level,
+    on an integer grid over `scale`.
 
-    The cells are stored once, on an integer grid: `grid` maps each address
-    to a Cell whose coordinates are integers over `scale`, and `cells` is
-    the tree's one read-only view of them as `Fraction` Cells, each built
-    on its first lookup and kept.  Immutable after construction apart from
-    that memo, so trees are safe for unrestricted concurrent reads.
+    `levels[k]` holds the 2^k cells of level k in heap order: the cell at
+    address a is entry int(a, 2) of level len(a), the root '' entry 0 of
+    level 0, and the children of entry i are entries 2i and 2i + 1 of the
+    next level.  A one-box cell marked at its corners, as every cell the
+    step builds from a one-box parent, is held as its corner pair (lo, hi)
+    of int tuples.  Any other cell stays a grid `Cell`: the tripod root, a
+    cell of several boxes, and a hand-made cell marked off its corners.
+
+    `grid` and `cells` are read-only views of the levels by address: `grid`
+    gives an address's grid `Cell`, and `cells`, the tree's one view of
+    `Fraction` Cells, the same cell over `scale`.  Each builds an address's
+    Cell on its first lookup and keeps it.  Both iterate the addresses level
+    by level, each level in lexicographic order, whatever order a
+    hand-made tree's cells were given in.  Immutable after construction
+    apart from the views' memos, so trees are safe for unrestricted
+    concurrent reads.
     """
 
     model: PeanoModel
     depth: int
-    grid: Mapping[str, Cell]
+    levels: tuple
     scale: int
 
     def __init__(self, model: PeanoModel, cells: Mapping[str, Cell]):
         """A tree of the given rational cells, put on the lcm grid of all
         their coordinates' denominators.  Its depth is the longest address's
         length, and the addresses must be exactly the binary words of length
-        0..depth, else `InputError`."""
+        0..depth, each of a Cell whose boxes have the model's axes and which
+        marks two points of ints or `Fraction`s on them, else
+        `InputError`."""
+        if not isinstance(cells, Mapping):
+            raise InputError(f"a refinement tree takes a mapping of "
+                             f"addresses to Cells, got {cells!r}")
         depth = _checked_depth(cells)
-        scale = _lcm_scale(cells.values())
-        self._fill(model, depth,
-                   {a: _onto_grid(c, scale) for a, c in cells.items()}, scale)
+        for a, c in cells.items():
+            if not isinstance(c, Cell):
+                raise InputError(f"cell {a!r} is not a Cell: {c!r}")
+            _check_cell(f"cell {a!r}", c.region, c.marked, model.dim)
+        scale = _lcm_scale(p for c in cells.values()
+                           for p in _points(c.region.boxes, c.marked))
+        levels = [[None] * 2 ** k for k in range(depth + 1)]
+        for a, c in cells.items():
+            levels[len(a)][int(a, 2) if a else 0] = \
+                _grid_entry(c.region.boxes, c.marked, scale)
+        self._fill(model, depth, tuple(map(tuple, levels)), scale)
 
     @classmethod
-    def _from_grid(cls, model: PeanoModel, depth: int, grid: dict,
+    def _from_grid(cls, model: PeanoModel, depth: int, levels: tuple,
                    scale: int) -> "RefinementTree":
         tree = cls.__new__(cls)
-        tree._fill(model, depth, grid, scale)
+        tree._fill(model, depth, levels, scale)
         return tree
 
-    def _fill(self, model, depth, grid: dict, scale: int) -> None:
-        grid = MappingProxyType(grid)
-        cells = _FractionCells(grid, (scale,) * model.dim)
+    def _fill(self, model, depth, levels: tuple, scale: int) -> None:
+        dens = (scale,) * model.dim
         for name, value in (("model", model), ("depth", depth),
-                            ("grid", grid), ("scale", scale),
-                            ("cells", cells)):
+                            ("levels", levels), ("scale", scale),
+                            ("grid", _LevelView(levels, _grid_cell)),
+                            ("cells", _LevelView(
+                                levels, partial(_fraction_cell, dens)))):
             object.__setattr__(self, name, value)
 
-    def level(self, k: int):
-        """Addresses of level k in lexicographic order."""
+    def _check_level(self, k: int) -> None:
         check_count(k, f"level must be an int >= 0, got {k!r}")
         if k > self.depth:
             raise InputError(f"level {k} outside tree depth {self.depth}")
-        return ["".join(bits) for bits in product("01", repeat=k)]
+
+    def level(self, k: int):
+        """Addresses of level k in lexicographic order."""
+        self._check_level(k)
+        return [_address(k, i) for i in range(2 ** k)]
 
 
 def subdivide(model: PeanoModel, cell: Region, marked: Tuple[tuple, tuple]):
@@ -272,10 +364,14 @@ def subdivide(model: PeanoModel, cell: Region, marked: Tuple[tuple, tuple]):
 
     Exact on `Fraction` and on integer grid coordinates alike; on the grid
     the radius d // 4 must have no remainder, else `ConstructionError`.
+    The cell and the marked pair are checked as the tree constructor checks
+    a cell, and then the cell must lie in the model and hold both marked
+    points, else `InputError`.
 
     Returns ((region1, marked1), (region2, marked2)) where each markedI is
     the pair of lexicographic extremes of regionI.
     """
+    _check_cell("the cell", cell, marked, model.dim)
     m1, m2 = marked
     if distance(m1, m2) == 0:
         raise DegenerateInputError("marked points must be distinct")
@@ -320,27 +416,37 @@ def build_refinement(model: PeanoModel, depth: int) -> RefinementTree:
     Cell at address a*j is built around marked point j of cell a; the root's
     marked points are the lexicographic extremes of the whole model.  The
     steps run on the integer grid of scale D * 4^depth, without
-    `subdivide`'s input checks (module docstring).
+    `subdivide`'s input checks (module docstring).  A corner pair (lo, hi)
+    steps in integers: with r the quarter of its widest side, its children
+    are (lo, min(hi, lo + r)) and (max(lo, hi - r), hi) per axis, the
+    clamps of the box about its corners; a `Cell` steps by `_split`.
     """
     check_count(depth, "depth must be >= 0")
     if depth > MAX_REFINEMENT_DEPTH:
         raise InputError(f"depth {depth} exceeds the work limit of depth "
                          f"{MAX_REFINEMENT_DEPTH} (2 ** depth leaf cells)")
     root = model.root
-    root_cell = Cell(root, (lexmin_point(root), lexmax_point(root)))
-    scale = _lcm_scale([root_cell]) * 4 ** depth
-    cells = {"": _onto_grid(root_cell, scale)}
-    frontier = [""]
+    marked = (lexmin_point(root), lexmax_point(root))
+    scale = _lcm_scale(_points(root.boxes, marked)) * 4 ** depth
+    levels = [(_grid_entry(root.boxes, marked, scale),)]
     for _ in range(depth):
-        nxt = []
-        for addr in frontier:
-            cell = cells[addr]
-            (r0, mk0), (r1, mk1) = _split(cell.region, cell.marked)
-            cells[addr + "0"] = Cell(r0, mk0)
-            cells[addr + "1"] = Cell(r1, mk1)
-            nxt.extend((addr + "0", addr + "1"))
-        frontier = nxt
-    return RefinementTree._from_grid(model, depth, cells, scale)
+        level = []
+        append = level.append
+        for entry in levels[-1]:
+            if type(entry) is tuple:
+                lo, hi = entry
+                r, rest = divmod(max(map(sub, hi, lo)), 4)
+                if rest:
+                    raise ConstructionError(
+                        f"marked distance {4 * r + rest} is not a multiple "
+                        f"of 4 on the grid")
+                append((lo, tuple(map(min, hi, [x + r for x in lo]))))
+                append((tuple(map(max, lo, [x - r for x in hi])), hi))
+            else:
+                for child, mk in _split(entry.region, entry.marked):
+                    append(_entry(child.boxes, mk))
+        levels.append(tuple(level))
+    return RefinementTree._from_grid(model, depth, tuple(levels), scale)
 
 
 def evaluate_address(tree: RefinementTree, word: str) -> Region:
@@ -366,6 +472,138 @@ def _nested(parent: Region, child: Cell) -> bool:
             and all(map(child.region.contains_point, child.marked)))
 
 
+def _marked_distance(entry):
+    """The distance between a level entry's marked points: for a corner
+    pair, the widest side of its box."""
+    if type(entry) is tuple:
+        lo, hi = entry
+        return max(map(sub, hi, lo))
+    return distance(*entry.marked)
+
+
+def _premises_hold(cells: tuple, children: tuple, parent_d: list) -> bool:
+    """Whether a level of corner pairs, beside its parents' marked distances
+    and its children (none at the deepest level), meets every premise of
+    the stage checks: (i) no two cells meet; (ii) each cell's widest side is
+    under a third of its parent's marked distance; each child lies in its
+    parent; and each cell's marked pair is among its children's marks, of
+    which at least two are distinct.  False when either level holds a
+    `Cell`."""
+    if not all(type(e) is tuple for e in chain(cells, children)):
+        return False
+    # (i): sorted by lo, a box meets a later one only if that one starts on
+    # axis 0 no later than the box ends
+    boxes = sorted(cells)
+    n = len(boxes)
+    for i in range(n):
+        lo, hi = boxes[i]
+        j = i + 1
+        while j < n and boxes[j][0][0] <= hi[0]:
+            lo_j, hi_j = boxes[j]
+            if all(map(le, lo_j, hi)) and all(map(le, lo, hi_j)):
+                return False
+            j += 1
+    pairs = iter(cells)
+    for d, (lo0, hi0), (lo1, hi1) in zip(parent_d, pairs, pairs):
+        if not (3 * max(map(sub, hi0, lo0)) < d
+                and 3 * max(map(sub, hi1, lo1)) < d):
+            return False
+    # a child's marks are its corners: inside the child, hence the parent
+    pairs = iter(children)
+    for (lo, hi), (lo0, hi0), (lo1, hi1) in zip(cells, pairs, pairs):
+        marks = (lo0, hi0, lo1, hi1)
+        if not (all(map(le, lo, lo0)) and all(map(le, hi0, hi))
+                and all(map(le, lo, lo1)) and all(map(le, hi1, hi))
+                and lo in marks and hi in marks
+                and (lo != hi or len(set(marks)) > 1)):
+            return False
+    return True
+
+
+def _scan_stage(k: int, entries: tuple, child_entries: tuple,
+                parent_d: list) -> tuple:
+    """The witnesses of checks (i)-(iv) on level k, None for each that
+    holds, from the level's and its children's `Cell`s, of any shape.  One
+    axis-0 index of the level's boxes serves checks (i), (iii) and (iv), and
+    one bounding box per cell checks (ii) and (iv); the exact scans of (iii)
+    and (iv) run only when their premise fails."""
+    cells = [_grid_cell(e) for e in entries]
+    index = AxisIndex([c.region.boxes for c in cells])
+    bounds = [bounding_box(c.region.boxes) for c in cells]
+
+    # (i) pairwise disjointness, sweeping the index along axis 0
+    overlap = index.first_overlap()
+    disjoint = None if overlap is None else \
+        f"cells {_address(k, overlap[0])!r} and {_address(k, overlap[1])!r} " \
+        f"intersect"
+
+    # (ii) the diameter is the widest side of the cell's bounding box
+    too_large = None
+    for i, (lo, hi) in enumerate(bounds if k else ()):
+        if not 3 * max(map(sub, hi, lo)) < parent_d[i // 2]:
+            too_large = f"cell {_address(k, i)!r} too large"
+            break
+
+    # (iii) the marked points found inside a cell are exactly its two
+    # children's pairs, include the cell's own pair, and never come from
+    # elsewhere
+    perfect = None
+    if child_entries:
+        children = [_grid_cell(e) for e in child_entries]
+        foreign = [False] * len(cells)
+        if overlap is None and all(_nested(c.region, children[2 * i + j])
+                                   for i, c in enumerate(cells)
+                                   for j in (0, 1)):
+            # each next-level mark lies in its parent, and by (i) in no
+            # other cell of the level
+            inside = [{*children[2 * i].marked, *children[2 * i + 1].marked}
+                      for i in range(len(cells))]
+        else:
+            # each distinct point is looked up once, with every cell whose
+            # children mark it as its owners
+            owners = defaultdict(set)
+            for i, child in enumerate(children):
+                for p in child.marked:
+                    owners[p].add(i // 2)
+            inside = [set() for _ in cells]  # the marked points in each cell
+            for p, own in owners.items():
+                for i, _ in index.near(p, p):
+                    inside[i].add(p)
+                    if len(own) > 1 or i not in own:
+                        foreign[i] = True
+        for i, c in enumerate(cells):
+            if foreign[i]:
+                perfect = "contains a foreign marked point"
+            elif not inside[i].issuperset(c.marked):
+                perfect = "lost a marked point"
+            elif len(inside[i]) < 2:
+                perfect = "holds fewer than two marked points"
+            else:
+                continue
+            perfect = f"cell {_address(k, i)!r} {perfect}"
+            break
+
+    # (iv) clopen trace: closure(level union minus cell) = other cells.
+    # Under (i) no box of another cell meets the cell and each of its own
+    # boxes lies in it, so the subtraction below returns exactly the other
+    # cells' boxes.  Otherwise, boxes whose bounding box avoids the cell
+    # pass through both sides untouched, so only the boxes near the cell
+    # need exact subtraction.
+    complement = None
+    if overlap is not None:
+        for i, (lo, hi) in enumerate(bounds):
+            window = index.near(lo, hi)
+            diff_near = closed_difference([b for _, b in window],
+                                          cells[i].region.boxes)
+            expect_near = [b for j, b in window if j != i]
+            if sorted(diff_near, key=Box.sort_key) != \
+                    sorted(expect_near, key=Box.sort_key):
+                complement = (f"complement of cell {_address(k, i)!r} is not "
+                              f"the other cells")
+                break
+    return disjoint, too_large, perfect, complement
+
+
 def check_stage_invariants(tree: RefinementTree, level: int) -> CheckReport:
     """Exact certification of one refinement stage.
 
@@ -385,108 +623,43 @@ def check_stage_invariants(tree: RefinementTree, level: int) -> CheckReport:
     from (i) and nesting, tested per child: the child lies in its parent
     and holds its own marked points.  Then the marked points inside a cell
     are exactly its children's, and (iii) compares them with the cell's
-    pair.  The exact scans of (iii) and (iv) run only when a premise fails,
-    and report the witness they find.
+    pair.  A level of corner pairs whose children are corner pairs too is
+    certified on the level tuples when every premise holds; otherwise the
+    checks run on `Cell`s, where the exact scans of (iii) and (iv) run only
+    when a premise fails, and report the witness they find.
 
     The checks read the integer grid cells: every one is homogeneous in
-    the scale.  Failures are reported, never raised.
+    the scale.  Each parent's marked distance is read once.  Failures are
+    reported, never raised.
     """
-    addrs = tree.level(level)
-    grid = tree.grid
-    cells = [grid[a] for a in addrs]
+    tree._check_level(level)
+    levels = tree.levels
+    cells = levels[level]
+    children = levels[level + 1] if level < tree.depth else ()
+    parent_d = [_marked_distance(p) for p in levels[level - 1]] if level \
+        else []
+    if _premises_hold(cells, children, parent_d):
+        disjoint = too_large = perfect = complement = None
+    else:
+        disjoint, too_large, perfect, complement = _scan_stage(
+            level, cells, children, parent_d)
+
     rep = CheckReport(f"{tree.model.kind} depth={tree.depth} level={level}")
-
-    # one axis-0 index of the level's boxes serves checks (i), (iii), (iv),
-    # and one bounding box per cell serves checks (ii) and (iv)
-    index = AxisIndex([c.region.boxes for c in cells])
-    bounds = [bounding_box(c.region.boxes) for c in cells]
-
-    # (i) pairwise disjointness, sweeping the index along axis 0
-    overlap = index.first_overlap()
-    rep.add("cells_pairwise_disjoint", overlap is None,
-            f"{len(cells)} cells" if overlap is None
-            else f"cells {addrs[overlap[0]]!r} and {addrs[overlap[1]]!r} "
-                 f"intersect")
-
-    # (ii) diameter shrink against the parent's marked-point distance: the
-    # diameter is the widest side of the cell's bounding box.  Levels are
-    # in lexicographic order, so cell i is a child of parent i // 2.
+    rep.add("cells_pairwise_disjoint", disjoint is None,
+            disjoint or f"{len(cells)} cells")
     if level == 0:
         rep.add("diameter_shrink", True, "root level: no parent, vacuous")
     else:
-        parent_d = [distance(*grid[p].marked) for p in tree.level(level - 1)]
-        bad = None
-        for i, (a, (lo, hi)) in enumerate(zip(addrs, bounds)):
-            if not 3 * max(map(sub, hi, lo)) < parent_d[i // 2]:
-                bad = a
-                break
-        rep.add("diameter_shrink", bad is None,
-                "dia(cell) < d(parent marks)/3 for all cells" if bad is None
-                else f"cell {bad!r} too large")
-
-    # (iii) perfectness witness via the next level's marked points: the
-    # marked points found inside a cell are exactly its two children's
-    # pairs, include the cell's own pair, and never come from elsewhere.
+        rep.add("diameter_shrink", too_large is None,
+                too_large or "dia(cell) < d(parent marks)/3 for all cells")
     if level == tree.depth:
         rep.add("perfectness_witness", True,
                 "deepest level: no refinement below, vacuous")
     else:
-        foreign = [False] * len(cells)
-        if overlap is None and all(_nested(c.region, grid[a + j])
-                                   for a, c in zip(addrs, cells)
-                                   for j in "01"):
-            # each next-level mark lies in its parent, and by (i) in no
-            # other cell of the level
-            inside = [{*grid[a + "0"].marked, *grid[a + "1"].marked}
-                      for a in addrs]
-        else:
-            # each distinct point is looked up once, with every cell whose
-            # children mark it as its owners
-            owners = defaultdict(set)
-            for a in addrs:
-                for j in "01":
-                    for p in grid[a + j].marked:
-                        owners[p].add(a)
-            inside = [set() for _ in cells]  # the marked points in each cell
-            for p, own in owners.items():
-                for k, _ in index.near(p, p):
-                    inside[k].add(p)
-                    if len(own) > 1 or addrs[k] not in own:
-                        foreign[k] = True
-        bad_reason = ""
-        for idx, a in enumerate(addrs):
-            if foreign[idx]:
-                bad_reason = f"cell {a!r} contains a foreign marked point"
-                break
-            if not inside[idx].issuperset(cells[idx].marked):
-                bad_reason = f"cell {a!r} lost a marked point"
-                break
-            if len(inside[idx]) < 2:
-                bad_reason = f"cell {a!r} holds fewer than two marked points"
-                break
-        rep.add("perfectness_witness", not bad_reason,
-                bad_reason or "marked pairs persist, no intrusions")
-
-    # (iv) clopen trace: closure(level union minus cell) = other cells.
-    # Under (i) no box of another cell meets the cell and each of its own
-    # boxes lies in it, so the subtraction below returns exactly the other
-    # cells' boxes.  Otherwise, boxes whose bounding box avoids the cell
-    # pass through both sides untouched, so only the boxes near the cell
-    # need exact subtraction.
-    bad_reason = ""
-    if overlap is not None:
-        for idx, (a, (lo, hi)) in enumerate(zip(addrs, bounds)):
-            window = index.near(lo, hi)
-            diff_near = closed_difference([b for _, b in window],
-                                          cells[idx].region.boxes)
-            expect_near = [b for j, b in window if j != idx]
-            if sorted(diff_near, key=Box.sort_key) != \
-                    sorted(expect_near, key=Box.sort_key):
-                bad_reason = (f"complement of cell {a!r} is not the other "
-                              f"cells")
-                break
-    rep.add("clopen_trace", not bad_reason,
-            bad_reason or "each complement is a finite union of closed cells")
+        rep.add("perfectness_witness", perfect is None,
+                perfect or "marked pairs persist, no intrusions")
+    rep.add("clopen_trace", complement is None,
+            complement or "each complement is a finite union of closed cells")
     return rep
 
 

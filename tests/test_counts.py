@@ -2,11 +2,12 @@
 is not an int in range with `InputError` and its own message, through
 `errors.check_count`: never with a `TypeError`, and never by running on a
 float.  A routine whose work grows with its count bounds it too, before
-any work: the CLI's limits are these bounds.  And the work counts of four
+any work: the CLI's limits are these bounds.  And the work counts of five
 fast paths: the parsers one CLI invocation builds, the closures the fintop
 sweep computes, the marked distances a stage check measures (one per
-parent), and the checked boxes the refinement and chaos kernels build:
-none."""
+parent), the checked boxes the refinement and chaos kernels build (none),
+and the `Cell`s and `Region`s a refinement's build and checks make for the
+cells it splits from one-box parents (none)."""
 
 import argparse
 from collections import Counter
@@ -188,7 +189,7 @@ BOUNDS = {
     "build_refinement": (
         lambda n: embedding.build_refinement(MODEL, n), 12,
         lambda n: f"depth {n} exceeds the work limit of depth 12 "
-                  f"(2 ** depth leaf cells)", (embedding, "_split")),
+                  f"(2 ** depth leaf cells)", (embedding, "_grid_entry")),
     "verify_cover_map-binary": (
         lambda n: surject.verify_cover_map(CANTOR_MAP, n), 20, cells_past(2),
         (surject, "_placement")),
@@ -467,17 +468,48 @@ def test_sweep_closes_each_distinct_first_step_once(monkeypatch):
 
 @pytest.mark.parametrize("level", range(7))
 def test_stage_check_measures_each_parent_once(level, monkeypatch):
-    # check (ii) reads one marked distance per parent: 2^(k-1) at level k
-    tree = embedding.build_refinement(MODEL, 6)
+    # check (ii) reads one marked distance per parent: 2^(k-1) at level k,
+    # each parent's once, in heap order
     calls = []
-    distance = embedding.distance
+    measure = embedding._marked_distance
 
-    def counted(p, q):
-        calls.append((p, q))
-        return distance(p, q)
-    monkeypatch.setattr(embedding, "distance", counted)
-    assert embedding.check_stage_invariants(tree, level).all_passed
-    assert len(calls) == (2 ** (level - 1) if level else 0)
+    def counted(entry):
+        calls.append(entry)
+        return measure(entry)
+    monkeypatch.setattr(embedding, "_marked_distance", counted)
+    for kind in embedding.MODEL_KINDS:
+        tree = embedding.build_refinement(embedding.make_model(kind), 6)
+        calls.clear()
+        assert embedding.check_stage_invariants(tree, level).all_passed
+        assert calls == (list(tree.levels[level - 1]) if level else []), kind
+
+
+@pytest.mark.parametrize("kind", embedding.MODEL_KINDS)
+def test_split_built_cells_get_no_cell_or_region(kind, monkeypatch):
+    # a cell the step builds from a one-box parent is a corner pair from
+    # the build through every level's check.  The tripod root is the one
+    # Cell, so at any depth its tree builds the root's Cell and Region, a
+    # ball and a clipped Region per child in its split, and the two
+    # children's Cells and Regions for the level-0 check, which runs on
+    # Cells
+    model = embedding.make_model(kind)
+    built = Counter()
+    for cls in (embedding.Cell, geometry.Region):
+        init = cls.__init__
+
+        def spy(self, *args, _init=init, _name=cls.__name__):
+            built[_name] += 1
+            _init(self, *args)
+        monkeypatch.setattr(cls, "__init__", spy)
+    counts = []
+    for depth in (1, 6):
+        built.clear()
+        tree = embedding.build_refinement(model, depth)
+        assert all(embedding.check_stage_invariants(tree, k).all_passed
+                   for k in range(depth + 1))
+        counts.append(dict(built))
+    assert counts[0] == counts[1] == (
+        {"Cell": 3, "Region": 7} if kind == "tripod" else {})
 
 
 def test_kernels_build_no_checked_box(monkeypatch):

@@ -5,6 +5,7 @@ import gc
 import sys
 from fractions import Fraction as F
 from functools import lru_cache
+from operator import sub
 from types import MappingProxyType
 
 import pytest
@@ -28,6 +29,7 @@ from primchaos.errors import ConstructionError, DegenerateInputError, InputError
 from primchaos.geometry import (
     AxisIndex,
     Box,
+    bounding_box,
     diameter,
     distance,
     lexmax_point,
@@ -37,6 +39,7 @@ from primchaos.geometry import (
     region_subset,
 )
 from geometry_oracle import box1, box2, checked_boxes
+from test_geometry import JUNK, box_lists
 from refinement_oracle import (oracle_build, oracle_check,
                                oracle_fraction_cell, oracle_subdivide)
 
@@ -135,7 +138,9 @@ def test_tree_cells_are_read_only():
 
 def test_fraction_cells_are_built_at_most_once(monkeypatch):
     t = build_refinement(make_model("tripod"), 4)
-    # the view builds each `Fraction` box as a trusted Box
+    # the view builds each `Fraction` box as a trusted Box: one per box of
+    # the tree's cells, counted on the grid view before the spy
+    boxes = sum(len(c.region.boxes) for c in t.grid.values())
     built, real = [], Box._trusted
 
     def counting_trusted(cls, lo, hi):
@@ -148,7 +153,8 @@ def test_fraction_cells_are_built_at_most_once(monkeypatch):
         assert dict(t.cells.items()) == first
         tree_document(t)
         evaluate_address(t, "0110")
-    assert len(built) == sum(len(c.region.boxes) for c in t.grid.values())
+    # one box per cell, and the root's second: its bar and its leg
+    assert len(built) == boxes == len(t.grid) + 1
     assert t.cells is t.cells
 
 
@@ -359,6 +365,18 @@ CORRUPTED = {
     # the root shrunk to the point 0: its children stick out of it, so of
     # their marks only 0 lies in it, and its own mark 1 is lost
     "root_shrunk": lambda: _corrupt("interval", 1, "", (F(0),), (F(0),)),
+    # leaf "010" widened to [3/16, 5/24], marked at its corners: a third of
+    # its parent's marked distance 1/16, but under a third of its
+    # grandparent's 1/4
+    "corner_pair_too_wide": lambda: _corrupt(
+        "interval", 3, "010", (F(3, 16),), (F(5, 24),),
+        marked=((F(3, 16),), (F(5, 24),))),
+    # square leaf "011" moved into the gap at (1/2, 1/2), marked at its
+    # corners: apart from every leaf and narrow enough, but outside its
+    # parent "01", whose mark (1/4, 1/4) no child keeps
+    "corner_pair_astray": lambda: _corrupt(
+        "square", 3, "011", (F(1, 2), F(1, 2)), (F(33, 64), F(33, 64)),
+        marked=((F(1, 2), F(1, 2)), (F(33, 64), F(33, 64)))),
 }
 
 
@@ -404,6 +422,18 @@ def test_corrupted_trees_fail_their_check():
     assert [(c.name, c.witness) for c in rep.checks if not c.passed] == \
         [("perfectness_witness", "cell '' lost a marked point")]
     assert check_stage_invariants(CORRUPTED["root_shrunk"](), 1).all_passed
+    # corner-pair entries that fail a premise report the scan's witness
+    for name, addr, level, witness in (
+            ("corner_pair_too_wide", "010", 3,
+             ("diameter_shrink", "cell '010' too large")),
+            ("corner_pair_astray", "011", 2,
+             ("perfectness_witness", "cell '01' lost a marked point"))):
+        t = CORRUPTED[name]()
+        assert type(t.levels[len(addr)][int(addr, 2)]) is tuple, name
+        reports = [check_stage_invariants(t, k) for k in range(4)]
+        assert [[(c.name, c.witness) for c in rep.checks if not c.passed]
+                for rep in reports] == \
+            [[witness] if k == level else [] for k in range(4)], name
 
 
 def test_built_trees_are_certified_without_the_exact_scans(trees,
@@ -452,6 +482,37 @@ def test_tree_constructor_rejects_addresses_off_its_depth():
         with pytest.raises(InputError, match=message):
             RefinementTree(t.model, given_cells)
     assert RefinementTree(t.model, {"": cells[""]}).depth == 0
+
+
+def test_tree_constructor_rejects_malformed_cells():
+    # data of the wrong shape is an InputError, never cut to fit: 2-d cells
+    # in a 1-d model, one or three marks, a float or 1-d mark, a list of
+    # marks, a cell or region of another type, and cells not in a mapping
+    square = build_refinement(make_model("square"), 1)
+    cells = dict(square.cells)
+    region0, (lo, hi) = cells["0"].region, cells["0"].marked
+    for model, given_cells, message in (
+            (make_model("interval"), cells,
+             r"cell '' has a box .* that is not 1-d, as the model is"),
+            (square.model, {**cells, "0": Cell(region0, (lo,))},
+             r"cell '0' needs two marked points of 2 ints or Fractions"),
+            (square.model, {**cells, "0": Cell(region0, (lo, (0.0, 0.25)))},
+             r"cell '0' needs two marked points"),
+            (square.model, {**cells, "0": Cell(region0, (lo, hi, hi))},
+             r"cell '0' needs two marked points"),
+            (square.model, {**cells, "0": Cell(region0, (lo, hi[:1]))},
+             r"cell '0' needs two marked points"),
+            (square.model, {**cells, "0": Cell(region0, [lo, hi])},
+             r"cell '0' needs two marked points"),
+            (square.model, {**cells, "1": Cell(None, (lo, hi))},
+             r"cell '1' is not a Region: None"),
+            (square.model, {**cells, "1": (region0, (lo, hi))},
+             r"cell '1' is not a Cell"),
+            (square.model, [("", cells[""])], r"takes a mapping"),
+            (square.model, None, r"takes a mapping")):
+        with pytest.raises(InputError, match=message):
+            RefinementTree(model, given_cells)
+    assert dict(RefinementTree(square.model, cells).cells) == cells
 
 
 @pytest.mark.parametrize("kind", MODEL_KINDS)
@@ -601,11 +662,13 @@ def test_fraction_view_matches_the_grid_box_route(kind):
     assert _view_matches_grid_box_route(t) == 1
 
 
-def test_grid_checks_match_fraction_oracle(trees):
-    for kind, t in trees.items():
-        for level in range(t.depth + 1):
-            assert check_stage_invariants(t, level) == \
-                oracle_check(t, level), (kind, level)
+def test_grid_checks_match_fraction_oracle():
+    for kind in MODEL_KINDS:
+        for depth in range(8):
+            t = _built(kind, depth)
+            for level in range(depth + 1):
+                assert check_stage_invariants(t, level) == \
+                    oracle_check(t, level), (kind, depth, level)
 
 
 @pytest.mark.parametrize("name", sorted(CORRUPTED))
@@ -790,12 +853,16 @@ def _built(kind, depth):
 
 @st.composite
 def perturbed_trees(draw):
-    """A built tree with up to three cells redrawn, through the public
-    constructor: a cell may gain boxes (multi-box cells, often overlapping
-    others or too wide) and take marks from its boxes' corners or from any
-    cell's marks (lost, foreign and shared marks)."""
+    """A built tree of depth 0-5 with up to three cells redrawn, through the
+    public constructor.  A cell may gain boxes (multi-box cells, often
+    overlapping others or too wide) and take marks from its boxes' corners
+    or from any cell's marks (lost, foreign and shared marks).  Or it may
+    be redrawn as one box marked at its own corners, each coordinate moved
+    by up to three of its widths: an entry that takes the corner-pair route
+    and may still overlap another cell, be too wide or stick out of its
+    parent."""
     kind = draw(st.sampled_from(MODEL_KINDS))
-    t = _built(kind, draw(st.integers(0, 3)))
+    t = _built(kind, draw(st.integers(0, 5)))
     cells = dict(t.cells)
     dim = t.model.dim
     den = draw(st.sampled_from([4, 16, 64]))
@@ -806,6 +873,15 @@ def perturbed_trees(draw):
     for a in draw(st.lists(st.sampled_from(sorted(cells)), max_size=3,
                            unique=True)):
         cell = cells[a]
+        if draw(st.booleans()):
+            lo, hi = bounding_box(cell.region.boxes)
+            unit = (max(map(sub, hi, lo)) or F(1, t.scale)) / 4
+            shift = st.integers(-12, 12).map(lambda n: n * unit)
+            ax = [sorted((lo[i] + draw(shift), hi[i] + draw(shift)))
+                  for i in range(dim)]
+            corners = tuple(x for x, _ in ax), tuple(y for _, y in ax)
+            cells[a] = Cell(region(Box(*corners)), corners)
+            continue
         boxes = list(cell.region.boxes) if draw(st.booleans()) else []
         boxes += draw(st.lists(box, min_size=0 if boxes else 1, max_size=2))
         r = region(boxes)
@@ -818,12 +894,102 @@ def perturbed_trees(draw):
     return RefinementTree(t.model, cells)
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=400, deadline=None)
 @given(perturbed_trees())
 def test_checks_match_fraction_oracle_on_random_trees(t):
     with checked_boxes():
-        t = RefinementTree(t.model, dict(t.cells))  # `_onto_grid` checked
+        t = RefinementTree(t.model, dict(t.cells))  # `_grid_entry` checked
         for level in range(t.depth + 1):
             assert check_stage_invariants(t, level) == \
                 oracle_check(t, level), level
     _view_matches_grid_box_route(t)
+
+
+# ---------------------------------------------------------------------------
+# the input contract: each export returns, or raises InputError or
+# ConstructionError
+# ---------------------------------------------------------------------------
+
+
+ANY_BOXES = st.sampled_from([1, 2]).flatmap(lambda dim: box_lists(dim, 3))
+# points of 0-3 axes of ints, Fractions, floats or bools, or junk
+POINTS = st.one_of(
+    st.lists(st.one_of(st.integers(-2, 2), st.fractions(max_denominator=4),
+                       st.floats(), st.booleans()), max_size=3).map(tuple),
+    JUNK)
+MARKS = st.one_of(st.lists(POINTS, max_size=3).map(tuple), JUNK)
+REGIONS = st.one_of(ANY_BOXES.map(region), JUNK)
+
+
+@st.composite
+def contract_models(draw):
+    """A shipped model, or a model on a drawn root region of 1 or 2 axes:
+    several boxes, degenerate ones, a single point."""
+    if draw(st.booleans()):
+        return make_model(draw(st.sampled_from(MODEL_KINDS)))
+    return PeanoModel("drawn", region(draw(ANY_BOXES)))
+
+
+@st.composite
+def contract_cells(draw):
+    """A built tree's cells with up to two of them, or a key, redrawn as
+    junk, or junk for the whole mapping."""
+    if draw(st.integers(0, 5)) == 0:
+        return draw(JUNK)
+    cells = dict(_built(draw(st.sampled_from(MODEL_KINDS)),
+                        draw(st.integers(0, 3))).cells)
+    for a in draw(st.lists(st.sampled_from(sorted(cells)), max_size=2,
+                           unique=True)):
+        cells[a] = draw(st.one_of(
+            JUNK, st.builds(Cell, REGIONS, st.just(cells[a].marked)),
+            st.builds(Cell, st.just(cells[a].region), MARKS)))
+    if draw(st.integers(0, 3)) == 0:
+        cells[draw(st.one_of(st.text(max_size=4), st.integers(),
+                             st.none()))] = cells[""]
+    return cells
+
+
+@st.composite
+def contract_trees(draw):
+    """A tree built on a drawn model, or a perturbed one."""
+    if draw(st.booleans()):
+        return draw(perturbed_trees())
+    return build_refinement(draw(contract_models()), draw(st.integers(0, 4)))
+
+
+@st.composite
+def marked_cells(draw):
+    """A region or junk, and its lexicographic extremes or junk marks."""
+    cell = draw(REGIONS)
+    if isinstance(cell, geometry.Region) and draw(st.booleans()):
+        return cell, (lexmin_point(cell), lexmax_point(cell))
+    return cell, draw(MARKS)
+
+
+CONTRACT_CALLS = {
+    "make_model": lambda draw: make_model(
+        draw(st.one_of(st.sampled_from(MODEL_KINDS), JUNK))),
+    "RefinementTree": lambda draw: RefinementTree(
+        draw(contract_models()), draw(contract_cells())),
+    "build_refinement": lambda draw: build_refinement(
+        draw(contract_models()), draw(st.one_of(st.integers(-1, 4), JUNK))),
+    "level": lambda draw: draw(contract_trees()).level(
+        draw(st.one_of(st.integers(-1, 6), JUNK))),
+    "check_stage_invariants": lambda draw: check_stage_invariants(
+        draw(contract_trees()), draw(st.one_of(st.integers(-1, 6), JUNK))),
+    "evaluate_address": lambda draw: evaluate_address(
+        draw(contract_trees()),
+        draw(st.one_of(st.text("01", max_size=6), JUNK))),
+    "subdivide": lambda draw: subdivide(draw(contract_models()),
+                                        *draw(marked_cells())),
+    "tree_document": lambda draw: tree_document(draw(contract_trees())),
+}
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(sorted(CONTRACT_CALLS)), st.data())
+def test_data_arguments_return_or_raise_input_error(name, data):
+    try:
+        CONTRACT_CALLS[name](data.draw)
+    except (InputError, ConstructionError):
+        pass

@@ -48,9 +48,9 @@ UNREACHED = {
         "sensitivity partners on shift_cantor, a system no golden case or "
         "demo checks for sensitivity: test_chaos::"
         "test_sensitivity_shift_cantor",
-    "embedding._FractionCells.__contains__":
-        "Mapping protocol: `in tree.cells` without building a cell: "
-        "test_embedding::test_grid_corners_are_ints_and_cells_are_fractions",
+    "embedding._check_cell":
+        "public API, the cell check of `RefinementTree(model, cells)`: "
+        "test_embedding::test_tree_constructor_rejects_malformed_cells",
     "embedding._checked_depth":
         "public API, the address check of `RefinementTree(model, cells)`: "
         "test_embedding::test_tree_constructor_rejects_addresses_off_its_depth",
