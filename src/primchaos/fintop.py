@@ -19,17 +19,19 @@ search keeps is a preorder, so its spaces skip the constructor's validation.
 `continuous_maps` picks each point's target the same way, among the codomain
 points the earlier targets allow, so it visits only continuous maps; it and
 `all_maps` build each map they list without re-validating its targets.
-`sweep` computes the quotient relation of every (topology, partition) pair,
-reading its first step from per-space and per-partition subset tables, and
-tests each distinct relation once per partition with `_is_preorder`, the
-constructor's test, reporting an invalid one as a failed check; other
-quotients keep `_union`, for which building the tables costs more.  A
-bijection is a homeomorphism iff it maps each U_x onto U_{f(x)}, so `sweep`
-(functoriality), `verify_prop5` and `verify_lemma7` compare a quotient's
-rows with a given space's and build no map.  The two verifiers build no
-quotient space either: `verify_lemma7` reads its fiber quotient's rows from
-the map's targets, with no partition, and the transitive closure of a
-reflexive relation needs no validation.
+`sweep` reads the first step of every (topology, partition) pair from
+columns of up-sets, one per point subset over all spaces, through each
+partition's block-bit table, and counts the pairs of each distinct step.
+It closes each distinct step once per run (416 closures for the 5325 pairs
+on 4 points) and tests each distinct relation once per run with
+`_is_preorder`, the constructor's test, reporting an invalid one as a
+failed check; other quotients keep `_union`, for which building the tables
+costs more.  A bijection is a homeomorphism iff it maps each U_x onto
+U_{f(x)}, so `sweep` (functoriality), `verify_prop5` and `verify_lemma7`
+compare a quotient's rows with a given space's and build no map.  The two
+verifiers build no quotient space either: `verify_lemma7` reads its fiber
+quotient's rows from the map's targets, with no partition, and the
+transitive closure of a reflexive relation needs no validation.
 
 A finite space is Hausdorff iff it is discrete, so the compact-Hausdorff
 hypotheses of the representative-subspace and fiber-quotient facts
@@ -40,6 +42,7 @@ test assets.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import reduce
 from itertools import product
@@ -574,43 +577,46 @@ def sweep(points: Sequence[str]) -> CheckReport:
     decomposition of every topology builds a valid space, and decomposing
     by singletons gives a space homeomorphic to the original.
 
-    Every (topology, partition) pair's first step is read from two tables
-    built once: per topology the up-set of every point subset, per
-    partition the block bits of every point subset.  Many topologies give a
-    partition the same first step, so each distinct step is closed into its
-    quotient relation once per partition, and many steps close to the same
-    relation, so each distinct relation is tested once per partition by
-    `_is_preorder`, the test the constructor makes (a `Partition`'s block
-    labels are distinct); the count covers every pair, and a relation that
-    is no preorder fails the check instead of raising.  The identity onto a
-    singleton quotient is a homeomorphism iff its relation is the space's
-    own rows, which decides functoriality in the same pass.
+    Every (topology, partition) pair's first step is read from tables
+    built once: column m holds the up-set of point subset m in every space,
+    and each partition reads its blocks' columns through its own table of
+    the block bits of every point subset.  A first step's length is its
+    block count, so its closure is a function of the step alone: each
+    distinct step is closed into its quotient relation once per run, and
+    each distinct relation is tested once per run by `_is_preorder`, the
+    test the constructor makes (a `Partition`'s block labels are
+    distinct).  Each pair counts with its step's multiplicity, and a
+    relation that is no preorder fails the check instead of raising.  The
+    point set with no points has one partition, with no blocks, which gives
+    each space one empty step.  The identity onto a singleton quotient is a
+    homeomorphism iff its relation is the space's own rows, which decides
+    functoriality in the same pass.
     """
     spaces = all_topologies(points)
     pts = tuple(points)
     parts = [Partition(pts, blocks) for blocks in all_partitions(pts)]
-    ups = [_subset_table(X.nbhds) for X in spaces]
-    n_valid = n_funct = 0
+    ups = [[0] * len(spaces)]  # ups[m][s]: the up-set of subset m in space s
+    for row in zip(*(X.nbhds for X in spaces)):  # row i: each space's U_i
+        ups += [[u | r for u, r in zip(col, row)] for col in ups]
+    steps = Counter()
     for D in parts:
-        bits = _subset_table(D.bits)
-        closed, valid = {}, {}
-        for X, up in zip(spaces, ups):
-            step = tuple(bits[up[bm]] for bm in D.masks)
-            reach = closed.get(step)
-            if reach is None:
-                reach = closed[step] = _quotient_relation(list(step))
-            if reach not in valid:
-                valid[reach] = _is_preorder(reach)
-            n_valid += valid[reach]
-            if len(D.blocks) == len(pts):  # the singleton partition
-                n_funct += valid[reach] and reach == X.nbhds
+        bits = _subset_table(D.bits).__getitem__
+        firsts = list(zip(*[map(bits, ups[bm]) for bm in D.masks])) \
+            or [()] * len(spaces)  # no blocks: one empty step per space
+        steps.update(firsts)
+        if len(D.blocks) == len(pts):  # the singleton partition
+            singles = firsts
+    closed = {step: _quotient_relation(list(step)) for step in steps}
+    valid = {reach: _is_preorder(reach) for reach in set(closed.values())}
+    n_valid = sum(n for step, n in steps.items() if valid[closed[step]])
+    n_funct = sum(valid[reach] and reach == X.nbhds
+                  for X, reach in zip(spaces, map(closed.get, singles)))
     rep = CheckReport(f"fintop sweep on {len(points)} labelled points")
     rep.add("decomposition_topologies_valid",
             n_valid == len(spaces) * len(parts),
             f"{n_valid} of {len(spaces) * len(parts)} "
             f"({len(spaces)} topologies x {len(parts)} partitions)")
-    rep.add("singleton_decomposition_functorial",
-            n_funct == len(spaces),
+    rep.add("singleton_decomposition_functorial", n_funct == len(spaces),
             f"{n_funct} of {len(spaces)} spaces")
     return rep
 

@@ -433,37 +433,30 @@ def test_main_builds_the_parsers_on_argvs_path(argv, built, tmp_path,
 
 
 def test_sweep_closes_each_distinct_first_step_once(monkeypatch):
-    # each partition closes each distinct first step of its quotient
-    # relation once, whichever topologies give it; every pair is counted
+    # a closure is a function of its first step alone, so the run closes
+    # each distinct step once, whichever partitions and topologies give it;
+    # every pair is counted
     pts = tuple("abcd")
     parts = [fintop.Partition(pts, blocks)
              for blocks in fintop.all_partitions(pts)]
-    want = {(D.bits, tuple(oracle_union(D.bits, oracle_union(X.nbhds, bm))
-                           for bm in D.masks))
+    want = {tuple(oracle_union(D.bits, oracle_union(X.nbhds, bm))
+                  for bm in D.masks)
             for X in fintop.all_topologies(pts) for D in parts}
-    assert len(want) == 612
+    assert len(want) == 416
     seen = Counter()
-    current = []
-    table, close = fintop._subset_table, fintop._quotient_relation
-
-    def tables(masks):
-        # the sweep builds a partition's block-bit table just before it
-        # closes that partition's steps, so the last table names it
-        current[:] = [masks]
-        return table(masks)
+    close = fintop._quotient_relation
 
     def recording(reach):
-        seen[current[0], tuple(reach)] += 1
+        seen[tuple(reach)] += 1
         return close(reach)
 
-    monkeypatch.setattr(fintop, "_subset_table", tables)
     monkeypatch.setattr(fintop, "_quotient_relation", recording)
     rep = fintop.sweep(pts)
     assert [(c.passed, c.witness) for c in rep.checks] == [
         (True, "5325 of 5325 (355 topologies x 15 partitions)"),
         (True, "355 of 355 spaces")]
     assert set(seen) == want
-    assert sum(seen.values()) == 612
+    assert sum(seen.values()) == 416
 
 
 @pytest.mark.parametrize("level", range(7))
